@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 race vet lint vettool chaos campaign crash bench benchfield benchexplore obsreport profile clean
+.PHONY: all build test tier1 race vet lint vettool chaos campaign crash coldbench loc bench benchfield benchexplore obsreport profile clean
 
 all: tier1
 
@@ -36,7 +36,6 @@ test:
 
 race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -run 'TestFieldPropertyMatchesOracle|TestCertifyGraphMatchesRecursive|TestFieldShardWordAlignment|TestFieldMatchesScalarPlanes' ./internal/valence
 	$(GO) test -race -run 'TestSharded' .
 	$(GO) test -race ./internal/obs ./internal/cli ./cmd/lint
 
@@ -65,38 +64,50 @@ campaign:
 crash:
 	$(GO) run ./cmd/chaoscampaign -crash -crash-kills 4
 
+# coldbench runs the cold end-to-end benchmark harness's own tests (its
+# own module): every workload's pinned verdicts, plus the facade calls the
+# harness makes, so an engine change that moves a verdict or drops a facade
+# function fails here rather than at benchmark time.
+coldbench:
+	cd coldbench && $(GO) test ./...
+
+# loc prints the non-test Go line count ROADMAP.md tracks (the benchmark
+# harness and analyzer fixtures excluded).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './coldbench/*' ! -path '*/testdata/*' | xargs cat | wc -l
+
 # tier1 is the gate every change must keep green: full build, vet, the
 # engine-invariant lint suite, the complete test suite (including the
-# golden experiment outputs in the root package), the race detector
-# over the internal packages that use concurrency (parallel exploration,
-# parallel certification, shared successor caches, and the sharded
-# valence-field sweep, whose randomized property test is re-run explicitly
-# above; ./internal/... also covers internal/analysis and its fixture
-# tests), the chaos fault-injection suite, the supervised chaos campaign
-# and SIGKILL crash harness, a one-iteration smoke pass of the
-# field-kernel micro-benchmarks, and the traced-run obsreport round trip.
-tier1: build vet lint test race chaos campaign crash benchfield benchexplore obsreport
+# golden experiment outputs in the root package), the race detector over
+# the internal packages that use concurrency (parallel exploration, the
+# shared successor cache, the worker pool; ./internal/... also covers
+# internal/analysis and its fixture tests) and over the root package's
+# cache-equivalence tests, the chaos fault-injection suite, the supervised
+# chaos campaign and SIGKILL crash harness, the cold benchmark harness's
+# tests, a one-iteration smoke pass of the field and exploration
+# micro-benchmarks, and the traced-run obsreport round trip.
+tier1: build vet lint test race chaos campaign crash coldbench benchfield benchexplore obsreport
 
 # bench regenerates BENCH_6.json from the E1–E11 experiment benchmarks,
-# the sharded/legacy exploration grid, the certifier and field-kernel
-# benchmarks, the resilience overhead rows, the instrumented-phase
-# latency-percentile rows, and the observability overhead rows, and
-# prints the per-row delta (plus the geomean speedup line) against the
-# committed PR 7 baseline BENCH_5.json.
+# the exploration grid, the certifier and field-kernel benchmarks, the
+# resilience overhead rows, the instrumented-phase latency-percentile
+# rows, and the observability overhead rows, and prints the per-row delta
+# (plus the geomean speedup line) against the committed baseline
+# BENCH_5.json.
 bench:
 	$(GO) run ./cmd/bench -out BENCH_6.json -baseline BENCH_5.json
 
-# benchfield smoke-runs the valence field micro-benchmark grid (scalar vs
-# bit-plane, serial vs sharded, graded vs fixpoint, arena steady state) at
-# one iteration per row — it validates the kernels still run and report
-# allocs, not their timings; use `make bench` for real numbers.
+# benchfield smoke-runs the valence field micro-benchmark grid (scalar
+# reference vs bit-plane sweep, heap vs arena planes, graded vs fixpoint)
+# and the arena-backed certifier at one iteration per row — it validates
+# the kernels still run and report allocs, not their timings; use
+# `make bench` for real numbers.
 benchfield:
 	$(GO) test ./internal/valence -run '^$$' -bench 'BenchmarkFieldSweep|BenchmarkCertifyGraphArena' -benchtime 1x -benchmem
 
-# benchexplore smoke-runs the sharded-vs-legacy exploration grid (model ×
-# implementation × cold/warm × workers) at one iteration per row — it
-# validates the grid still explores and both cache implementations agree
-# on states/edges; use `make bench` for real numbers.
+# benchexplore smoke-runs the exploration grid (model × cold/warm ×
+# workers) at one iteration per row — it validates the grid still explores
+# and reports states/edges; use `make bench` for real numbers.
 benchexplore:
 	$(GO) test . -run '^$$' -bench 'BenchmarkExplore' -benchtime 1x -benchmem
 

@@ -23,6 +23,17 @@ import (
 	"repro/internal/valence"
 )
 
+// benchField sweeps the valence field of g, failing the benchmark on any
+// error.
+func benchField(b *testing.B, g *layers.IDGraph) *layers.Field {
+	b.Helper()
+	f, err := layers.NewFieldCtx(nil, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f
+}
+
 // BenchmarkE1_InitialConnectivity — Lemma 3.6: Con_0 similarity
 // connectivity and existence of a bivalent initial state. Whole-graph row:
 // the graph is materialized once and each iteration rebuilds the
@@ -42,7 +53,7 @@ func BenchmarkE1_InitialConnectivity(b *testing.B) {
 				if _, conn := valence.SetSDiameter(inits); !conn {
 					b.Fatal("Con_0 not similarity connected")
 				}
-				f := layers.NewFieldParallel(g, 0)
+				f := benchField(b, g)
 				found := false
 				for _, u := range g.Layer(0) {
 					if f.Bivalent(u) {
@@ -103,7 +114,7 @@ func BenchmarkE3_ShmemSynchronic(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f := layers.NewFieldParallel(g, 0)
+			f := benchField(b, g)
 			for _, u := range g.Layer(0) {
 				r := f.AnalyzeNode(u)
 				if !r.ValenceConnected {
@@ -242,7 +253,7 @@ func BenchmarkE6_FastUnivalence(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f := layers.NewFieldParallel(g, 0)
+				f := benchField(b, g)
 				for d := 0; d < rounds; d++ {
 					for _, u := range g.Layer(d) {
 						ff := g.EdgeTo[g.EdgeStart[u]]
@@ -349,7 +360,7 @@ func BenchmarkE9_Extensions(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f := layers.NewFieldParallel(g, 0)
+			f := benchField(b, g)
 			biv := 0
 			for u := 0; u < g.Len(); u++ {
 				if f.Bivalent(uint32(u)) {
@@ -391,27 +402,24 @@ func BenchmarkE9_Extensions(b *testing.B) {
 	})
 }
 
-// BenchmarkExplore — the exploration front-end itself, measured for the
-// hash-sharded successor cache against the pinned legacy single-lock cache
-// (grid: 3 models × {sharded, legacy} × {cold, warm} × worker counts).
-// cold rows pay first-sight interning and enumeration on a fresh cache
-// every iteration; warm rows re-explore over an already-populated cache —
-// the steady state every multi-pass analysis (explore → certify → field →
-// diameter) and the roadmap's serving scenario live in, where the
+// BenchmarkExplore — the exploration front-end itself over the sharded
+// successor cache (grid: 3 models × {cold, warm} × worker counts). cold
+// rows build a fresh model, and with it a fresh cache, every iteration and
+// pay first-sight interning and enumeration; warm rows re-explore one model
+// over its already-populated cache — the steady state every multi-pass
+// analysis (explore → certify → field → diameter) lives in, where the
 // memoized-hit path is the whole per-node cache cost. Worker counts shard
 // the frontier warming; on a single-CPU host the w>1 rows only add
-// scheduling overhead, so the sharded-vs-legacy comparison at matched
-// (model, mode, w) is the portable signal — cmd/bench reduces exactly
-// those pairs to the exploration geomean.
+// scheduling overhead.
 func BenchmarkExplore(b *testing.B) {
 	grid := []struct {
 		name  string
-		m     layers.Model
+		mk    func() layers.Model
 		depth int
 	}{
-		{"mobile/n=4", layers.MobileS1(protocols.FloodSet{Rounds: 2}, 4), 2},
-		{"syncst/n=4/t=2", layers.SyncSt(protocols.FloodSet{Rounds: 3}, 4, 2), 3},
-		{"shmem/n=3", layers.SharedMemory(protocols.SMVote{Phases: 2}, 3), 2},
+		{"mobile/n=4", func() layers.Model { return layers.MobileS1(protocols.FloodSet{Rounds: 2}, 4) }, 2},
+		{"syncst/n=4/t=2", func() layers.Model { return layers.SyncSt(protocols.FloodSet{Rounds: 3}, 4, 2) }, 3},
+		{"shmem/n=3", func() layers.Model { return layers.SharedMemory(protocols.SMVote{Phases: 2}, 3) }, 2},
 	}
 	var workers []int
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -424,43 +432,32 @@ func BenchmarkExplore(b *testing.B) {
 		}
 	}
 	for _, tc := range grid {
-		raw := core.CacheOf(tc.m).Uncached()
-		newCache := func(impl string) core.Interner {
-			if impl == "legacy" {
-				return core.NewLegacyCache(raw)
-			}
-			return core.NewSuccessorCache(raw)
-		}
-		for _, impl := range []string{"sharded", "legacy"} {
-			for _, mode := range []string{"cold", "warm"} {
-				for _, w := range workers {
-					b.Run(fmt.Sprintf("%s/%s/%s/w=%d", tc.name, impl, mode, w), func(b *testing.B) {
-						var shared core.Interner
-						if mode == "warm" {
-							shared = newCache(impl)
-							if _, err := core.ExploreIDWith(shared, tc.m, tc.depth, 0, w); err != nil {
-								b.Fatal(err)
-							}
+		for _, mode := range []string{"cold", "warm"} {
+			for _, w := range workers {
+				b.Run(fmt.Sprintf("%s/%s/w=%d", tc.name, mode, w), func(b *testing.B) {
+					var warm layers.Model
+					if mode == "warm" {
+						warm = tc.mk()
+						if _, err := layers.ExploreIDParallel(warm, tc.depth, 0, w); err != nil {
+							b.Fatal(err)
 						}
-						var g *core.IDGraph
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							c := shared
-							if c == nil {
-								// cold: a fresh cache per iteration, its
-								// construction priced into the row.
-								c = newCache(impl)
-							}
-							var err error
-							g, err = core.ExploreIDWith(c, tc.m, tc.depth, 0, w)
-							if err != nil {
-								b.Fatal(err)
-							}
+					}
+					var g *layers.IDGraph
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						m := warm
+						if m == nil {
+							m = tc.mk()
 						}
-						b.ReportMetric(float64(g.Len()), "states")
-						b.ReportMetric(float64(g.NumEdges()), "edges")
-					})
-				}
+						var err error
+						g, err = layers.ExploreIDParallel(m, tc.depth, 0, w)
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(g.Len()), "states")
+					b.ReportMetric(float64(g.NumEdges()), "edges")
+				})
 			}
 		}
 	}
@@ -546,7 +543,7 @@ func BenchmarkResilience(b *testing.B) {
 		if _, conn := valence.SetSDiameter(inits); !conn {
 			b.Fatal("Con_0 not similarity connected")
 		}
-		f, err := layers.NewFieldParallelCtx(ctx, g, 0)
+		f, err := layers.NewFieldCtx(ctx, g)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,15 +1,16 @@
 // Command bench runs the repository's experiment benchmarks (E1–E11 and
-// the sharded/legacy exploration grid in the root package, plus the
-// certifier benchmarks in internal/valence) through `go test -bench` and
-// distills the results into a machine-readable JSON file — ns/op, B/op,
-// allocs/op, and, for benchmarks that report a "states" metric, the
-// derived states/sec throughput. The BenchmarkExplore grid's paired rows
-// are additionally reduced to a within-run sharded-vs-legacy geomean.
+// the exploration grid in the root package, plus the certifier and field
+// benchmarks in internal/valence) through `go test -bench` and distills
+// the results into a machine-readable JSON file — ns/op, B/op, allocs/op,
+// and, for benchmarks that report a "states" metric, the derived
+// states/sec throughput. Rows are keyed by (package, name, GOMAXPROCS), so
+// a -cpu list passed through GOFLAGS keeps one row per setting.
 //
 // Usage:
 //
 //	bench                       # writes BENCH_1.json in the cwd
 //	bench -out results.json -benchtime 2x
+//	GOFLAGS=-cpu=1,2 bench      # one row per benchmark and GOMAXPROCS
 //	bench -out BENCH_2.json -baseline BENCH_1.json   # print deltas too
 //	bench -profiledir profiles  # also write cpu/mem profiles per suite
 //	bench -deadline 5m          # stop between suites when the budget elapses
@@ -27,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/exec"
@@ -41,8 +43,11 @@ import (
 
 // Result is one benchmark measurement.
 type Result struct {
-	Name        string  `json:"name"`
-	Package     string  `json:"package"`
+	Name    string `json:"name"`
+	Package string `json:"package"`
+	// Procs is the GOMAXPROCS the row ran at: the -N suffix go test
+	// appends to the name, 1 when it appends none.
+	Procs       int     `json:"procs,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
@@ -64,14 +69,26 @@ type Report struct {
 	// Baseline and GeomeanSpeedup are set when -baseline was given: the
 	// baseline file name and the geometric mean of old/new ns/op across
 	// every benchmark present in both reports.
-	Baseline       string  `json:"baseline,omitempty"`
-	GeomeanSpeedup float64 `json:"geomean_speedup,omitempty"`
-	// ExploreShardedSpeedup is the geometric mean of legacy/sharded ns/op
-	// across the BenchmarkExplore grid's paired rows — the sharded
-	// successor cache's speedup over the pinned single-lock reference on
-	// the exploration-bound workload, measured within this run.
-	ExploreShardedSpeedup float64  `json:"explore_sharded_speedup,omitempty"`
-	Benchmarks            []Result `json:"benchmarks"`
+	Baseline       string   `json:"baseline,omitempty"`
+	GeomeanSpeedup float64  `json:"geomean_speedup,omitempty"`
+	Benchmarks     []Result `json:"benchmarks"`
+}
+
+// rowKey identifies one benchmark row across reports.
+type rowKey struct {
+	pkg, name string
+	procs     int
+}
+
+func keyOf(r Result) rowKey { return rowKey{r.Package, r.Name, r.Procs} }
+
+// label is the row's name as go test prints it: with the -N suffix unless
+// it ran at GOMAXPROCS 1.
+func label(r Result) string {
+	if r.Procs > 1 {
+		return fmt.Sprintf("%s-%d", r.Name, r.Procs)
+	}
+	return r.Name
 }
 
 func main() {
@@ -177,7 +194,6 @@ func run(args []string) error {
 		report.Baseline = filepath.Base(*baseline)
 		report.GeomeanSpeedup, _ = geomeanSpeedup(base, &report)
 	}
-	report.ExploreShardedSpeedup, _ = exploreSpeedup(&report)
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -187,11 +203,8 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Printf("bench: %d benchmarks -> %s\n", len(report.Benchmarks), *out)
-	if gm, n := exploreSpeedup(&report); n > 0 {
-		fmt.Printf("explore sharded/legacy geomean: %.2fx over %d paired rows\n", gm, n)
-	}
 	if base != nil {
-		printDelta(*baseline, base, &report)
+		printDelta(os.Stdout, *baseline, base, &report)
 	}
 	if interrupted != nil {
 		return resFlags.Finish(interrupted)
@@ -199,7 +212,9 @@ func run(args []string) error {
 	return nil
 }
 
-// readReport loads a previously written bench JSON document.
+// readReport loads a previously written bench JSON document. Reports
+// written before rows carried Procs ran every row at the report's
+// GOMAXPROCS, so their rows are keyed by it.
 func readReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -209,23 +224,27 @@ func readReport(path string) (*Report, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, err
 	}
+	for i := range r.Benchmarks {
+		if r.Benchmarks[i].Procs == 0 {
+			r.Benchmarks[i].Procs = max(r.GOMAXPROCS, 1)
+		}
+	}
 	return &r, nil
 }
 
 // geomeanSpeedup returns the geometric mean of old/new ns/op across every
-// benchmark present in both reports (matched by package+name), and the
-// number of shared rows. No shared rows yields (0, 0).
+// benchmark present in both reports (matched by package, name and procs),
+// and the number of shared rows. No shared rows yields (0, 0).
 func geomeanSpeedup(base, report *Report) (float64, int) {
-	type key struct{ pkg, name string }
-	old := make(map[key]float64, len(base.Benchmarks))
+	old := make(map[rowKey]float64, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
 		if r.NsPerOp > 0 {
-			old[key{r.Package, r.Name}] = r.NsPerOp
+			old[keyOf(r)] = r.NsPerOp
 		}
 	}
 	logSum, n := 0.0, 0
 	for _, r := range report.Benchmarks {
-		b, ok := old[key{r.Package, r.Name}]
+		b, ok := old[keyOf(r)]
 		if !ok || r.NsPerOp <= 0 {
 			continue
 		}
@@ -238,53 +257,24 @@ func geomeanSpeedup(base, report *Report) (float64, int) {
 	return math.Exp(logSum / float64(n)), n
 }
 
-// exploreSpeedup pairs each BenchmarkExplore ".../legacy/..." row with its
-// ".../sharded/..." twin in the same report and returns the geometric mean
-// of legacy/sharded ns/op over the pairs, with the pair count. Reports
-// without the grid yield (0, 0).
-func exploreSpeedup(report *Report) (float64, int) {
-	sharded := make(map[string]float64)
-	for _, r := range report.Benchmarks {
-		if strings.HasPrefix(r.Name, "BenchmarkExplore/") && strings.Contains(r.Name, "/sharded/") && r.NsPerOp > 0 {
-			sharded[r.Name] = r.NsPerOp
-		}
-	}
-	logSum, n := 0.0, 0
-	for _, r := range report.Benchmarks {
-		if !strings.HasPrefix(r.Name, "BenchmarkExplore/") || !strings.Contains(r.Name, "/legacy/") || r.NsPerOp <= 0 {
-			continue
-		}
-		s, ok := sharded[strings.Replace(r.Name, "/legacy/", "/sharded/", 1)]
-		if !ok {
-			continue
-		}
-		logSum += math.Log(r.NsPerOp / s)
-		n++
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return math.Exp(logSum/float64(n)), n
-}
-
-// printDelta prints a side-by-side comparison of the fresh report against a
-// baseline JSON: ns/op, states/sec where both rows carry it, every custom
-// counter-snapshot metric (e.g. cache-hit-%) present on both sides, and a
-// closing one-line geomean speedup over the shared rows. Rows only present
-// on one side are marked as new or dropped.
-func printDelta(path string, base, report *Report) {
-	type key struct{ pkg, name string }
-	old := make(map[key]Result, len(base.Benchmarks))
+// printDelta writes a side-by-side comparison of the fresh report against
+// a baseline JSON to w: ns/op, states/sec where both rows carry it, every
+// custom counter-snapshot metric (e.g. cache-hit-%) present on both sides,
+// and a closing one-line geomean speedup over the shared rows. Rows only
+// present on one side are marked as new or dropped; dropped rows are listed
+// in (package, name, procs) order.
+func printDelta(w io.Writer, path string, base, report *Report) {
+	old := make(map[rowKey]Result, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
-		old[key{r.Package, r.Name}] = r
+		old[keyOf(r)] = r
 	}
-	fmt.Printf("\ndelta vs %s (%s):\n", path, base.Benchtime)
-	fmt.Printf("%-55s %14s %14s %9s %s\n", "benchmark", "old ns/op", "new ns/op", "speedup", "states/sec old -> new")
+	fmt.Fprintf(w, "\ndelta vs %s (%s):\n", path, base.Benchtime)
+	fmt.Fprintf(w, "%-55s %14s %14s %9s %s\n", "benchmark", "old ns/op", "new ns/op", "speedup", "states/sec old -> new")
 	for _, r := range report.Benchmarks {
-		k := key{r.Package, r.Name}
+		k := keyOf(r)
 		b, ok := old[k]
 		if !ok {
-			fmt.Printf("%-55s %14s %14.0f %9s\n", r.Name, "(new)", r.NsPerOp, "-")
+			fmt.Fprintf(w, "%-55s %14s %14.0f %9s\n", label(r), "(new)", r.NsPerOp, "-")
 			continue
 		}
 		delete(old, k)
@@ -296,16 +286,30 @@ func printDelta(path string, base, report *Report) {
 		if b.StatesPerSec > 0 && r.StatesPerSec > 0 {
 			sps = fmt.Sprintf("%.0f -> %.0f (%.2fx)", b.StatesPerSec, r.StatesPerSec, r.StatesPerSec/b.StatesPerSec)
 		}
-		fmt.Printf("%-55s %14.0f %14.0f %9s %s\n", r.Name, b.NsPerOp, r.NsPerOp, speed, sps)
+		fmt.Fprintf(w, "%-55s %14.0f %14.0f %9s %s\n", label(r), b.NsPerOp, r.NsPerOp, speed, sps)
 		if extras := formatExtraDelta(b.Extra, r.Extra); extras != "" {
-			fmt.Printf("%-55s %s\n", "", extras)
+			fmt.Fprintf(w, "%-55s %s\n", "", extras)
 		}
 	}
-	for k := range old {
-		fmt.Printf("%-55s (dropped)\n", k.name)
+	dropped := make([]Result, 0, len(old))
+	for _, r := range old { //lint:nondet sorted below
+		dropped = append(dropped, r)
+	}
+	sort.Slice(dropped, func(i, j int) bool {
+		a, b := keyOf(dropped[i]), keyOf(dropped[j])
+		if a.pkg != b.pkg {
+			return a.pkg < b.pkg
+		}
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		return a.procs < b.procs
+	})
+	for _, r := range dropped {
+		fmt.Fprintf(w, "%-55s (dropped)\n", label(r))
 	}
 	if gm, n := geomeanSpeedup(base, report); n > 0 {
-		fmt.Printf("geomean speedup: %.2fx over %d shared benchmarks\n", gm, n)
+		fmt.Fprintf(w, "geomean speedup: %.2fx over %d shared benchmarks\n", gm, n)
 	}
 }
 
@@ -349,10 +353,11 @@ func parseBench(r *bytes.Buffer, pkg string) ([]Result, error) {
 		if err != nil {
 			continue
 		}
+		name, procs := trimProcSuffix(fields[0])
 		res := Result{
-			// Strip the trailing -GOMAXPROCS suffix from the name.
-			Name:       trimProcSuffix(fields[0]),
+			Name:       name,
 			Package:    pkg,
+			Procs:      procs,
 			Iterations: iters,
 		}
 		// The rest of the line is (value, unit) pairs.
@@ -385,15 +390,17 @@ func parseBench(r *bytes.Buffer, pkg string) ([]Result, error) {
 	return out, sc.Err()
 }
 
-// trimProcSuffix removes the "-N" GOMAXPROCS suffix go test appends to
-// benchmark names.
-func trimProcSuffix(name string) string {
+// trimProcSuffix splits the "-N" GOMAXPROCS suffix go test appends to
+// benchmark names off name and returns N; go test appends none at
+// GOMAXPROCS 1, so a name without one reports 1.
+func trimProcSuffix(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil || n < 1 {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], n
 }

@@ -7,7 +7,7 @@
 // (seed × fault point × fault kind) cell with a seeded chaos plan armed
 // and the run supervised by resilient.Supervisor: retries back off and
 // resume from the attempt's checkpoint, budget/memory faults step down
-// the degradation ladder (fewer workers, then the scalar field kernel).
+// the degradation ladder (fewer exploration workers).
 // Every supervised run must recover and reproduce the reference summary
 // bit for bit — verdict, witness, Explored, field masks, knowledge
 // classes. The report is emitted as JSON (-out) and the process exits 1
@@ -78,7 +78,7 @@ func run(args []string) error {
 	fs.IntVar(&o.spec.Bound, "bound", 2, "protocol decision bound")
 	fs.IntVar(&o.depth, "depth", 2, "exploration depth")
 	fs.IntVar(&o.workers, "workers", 2, "full-width worker count attempts start from")
-	fs.IntVar(&o.seeds, "seeds", 18, "seeds swept; cases = seeds x 7 fault points x 4 fault kinds")
+	fs.IntVar(&o.seeds, "seeds", 18, "seeds swept; cases = seeds x 6 fault points x 4 fault kinds")
 	maxHit := fs.Uint64("max-hit", 3, "seeded fault hits fall in [1, max-hit]")
 	fs.StringVar(&o.out, "out", "", "write the JSON campaign report to `file`")
 	fs.BoolVar(&o.crash, "crash", false, "run the subprocess SIGKILL crash harness instead of the sweep")
@@ -138,7 +138,7 @@ func witnessSummary(w *valence.Witness) string {
 }
 
 // pipeline runs the full layered analysis under one attempt, honoring the
-// attempt's degraded worker width and kernel choice, and summarizes every
+// attempt's degraded worker width, and summarizes every
 // result. The summary must be bit-identical across fault-free, recovered,
 // and degraded runs — that is the property the campaign asserts.
 func pipeline(a *resilient.Attempt, m core.Model, depth, n int) (string, error) {
@@ -150,12 +150,7 @@ func pipeline(a *resilient.Attempt, m core.Model, depth, n int) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	var f *valence.Field
-	if a.Scalar {
-		f, err = valence.NewFieldScalarCtx(a.Ctx, g)
-	} else {
-		f, err = valence.NewFieldParallelCtx(a.Ctx, g, a.Workers)
-	}
+	f, err := valence.NewFieldCtx(a.Ctx, g)
 	if err != nil {
 		return "", err
 	}

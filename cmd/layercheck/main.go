@@ -49,7 +49,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := core.Explore(m, *depth, 2_000_000)
+	g, err := core.ExploreID(m, *depth, 2_000_000)
 	if err != nil {
 		if !errors.Is(err, core.ErrNodeBudget) {
 			return err
@@ -99,7 +99,7 @@ func run(args []string) error {
 }
 
 // runJSON emits one LayerJSON per analyzed state, grouped by depth.
-func runJSON(m core.Model, g *core.Graph, o *valence.Oracle, depth, bound int) error {
+func runJSON(m core.Model, g *core.IDGraph, o *valence.Oracle, depth, bound int) error {
 	type entry struct {
 		Depth int               `json:"depth"`
 		Layer *report.LayerJSON `json:"layer"`

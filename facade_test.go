@@ -34,7 +34,7 @@ func TestFacadeModelConstructors(t *testing.T) {
 
 func TestFacadeAnalysisHelpers(t *testing.T) {
 	m := layers.MobileS1(layers.FloodSet{Rounds: 2}, 3)
-	g, err := layers.Explore(m, 1, 0)
+	g, err := layers.ExploreID(m, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

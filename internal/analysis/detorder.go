@@ -9,8 +9,8 @@ import (
 
 // DetOrder enforces the determinism contract of the engine packages: the
 // golden experiment outputs, the bit-identical parallel/serial equivalence
-// of ExploreParallel and NewFieldParallel, and the witness equality of
-// CertifyGraph vs Certify all assume that every traversal the engine makes
+// of ExploreIDParallel, and the witness equality of CertifyGraph vs
+// Certify all assume that every traversal the engine makes
 // is a pure function of the model. Three constructs silently break that:
 //
 //   - ranging over a map (iteration order is randomized per run),

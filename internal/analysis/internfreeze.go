@@ -7,8 +7,7 @@ import (
 )
 
 // InternFreeze enforces the immutability contract of interned state values.
-// The shared successor caches (core.SuccessorCache / core.KeyIndex) hand
-// out dense ids for states keyed by their canonical Key() at intern time
+// The shared successor cache (core.SuccessorCache) hands out dense ids for states keyed by their canonical Key() at intern time
 // and alias the state values across every analysis that runs over the same
 // model; a field write after interning desynchronizes the value from its
 // registered key and corrupts every memo table joined on the id. The
@@ -90,7 +89,7 @@ func checkInternedWrite(pass *Pass, memo map[*types.Named]bool, lhs ast.Expr) {
 			named, ok := recv.(*types.Named)
 			if ok && isInternedStateType(named, memo) {
 				pass.Reportf(e.Pos(),
-					"write to field %s of interned state type %s outside a constructor/clone: interned states are aliased by the shared successor cache and must stay immutable after KeyIndex assigns their id",
+					"write to field %s of interned state type %s outside a constructor/clone: interned states are aliased by the shared successor cache and must stay immutable after the cache assigns their id",
 					e.Sel.Name, named.Obj().Name())
 			}
 			return

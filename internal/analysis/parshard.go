@@ -8,9 +8,9 @@ import (
 )
 
 // ParShard enforces worker-spawn hygiene at the engine's parallel fan-out
-// sites (ExploreParallel's frontier shards, NewFieldParallel's layer
-// sweeps, CertifyParallel). Two bugs recur in hand-rolled worker pools and
-// both destroy the engine's bit-identical parallel/serial equivalence or
+// sites (ExploreIDParallel's frontier-warming shards, the worker pool
+// behind them). Two bugs recur in hand-rolled worker pools and both
+// destroy the engine's bit-identical parallel/serial equivalence or
 // deadlock it outright:
 //
 //   - capturing the loop variable in a `go func(){...}()` body: the

@@ -123,24 +123,13 @@ func suiteDrivers(g *core.IDGraph) map[string]driver {
 		},
 		"field.layer": {
 			run: func(ctx *resilient.Ctx) (string, error) {
-				f, err := valence.NewFieldParallelCtx(ctx, g, 2)
+				f, err := valence.NewFieldCtx(ctx, g)
 				if err != nil {
 					return "", err
 				}
 				return hashBytes(f.Masks()), nil
 			},
 			hit: 2,
-		},
-		"field.shard": {
-			run: func(ctx *resilient.Ctx) (string, error) {
-				f, err := valence.NewFieldParallelCtx(ctx, g, 2)
-				if err != nil {
-					return "", err
-				}
-				return hashBytes(f.Masks()), nil
-			},
-			hit:           1,
-			poolContained: true,
 		},
 		"decision.field.layer": {
 			run: func(ctx *resilient.Ctx) (string, error) {
@@ -307,7 +296,7 @@ func pipeline(ctx *resilient.Ctx) (s string, err error) {
 	if err != nil {
 		return "", err
 	}
-	f, err := valence.NewFieldParallelCtx(ctx, g, 2)
+	f, err := valence.NewFieldCtx(ctx, g)
 	if err != nil {
 		return "", err
 	}

@@ -48,23 +48,6 @@ func TestExploreBudgetReachedDepth(t *testing.T) {
 	if got := g.ReachedDepth(); got > g.Depth {
 		t.Errorf("ReachedDepth() = %d exceeds bound %d", got, g.Depth)
 	}
-	// The legacy view agrees, and the error message names the same depth.
-	if lg := g.Legacy(); lg.ReachedDepth() != g.ReachedDepth() {
-		t.Errorf("Legacy().ReachedDepth() = %d, want %d", lg.ReachedDepth(), g.ReachedDepth())
-	}
-}
-
-// TestGraphReachedDepthHandBuilt covers the fallback for Graphs not built
-// by Explore (no dense form): the deepest DepthOf entry wins.
-func TestGraphReachedDepthHandBuilt(t *testing.T) {
-	g := &core.Graph{DepthOf: map[string]int{"a": 0, "b": 1, "c": 4}}
-	if got := g.ReachedDepth(); got != 4 {
-		t.Errorf("ReachedDepth() = %d, want 4", got)
-	}
-	empty := &core.Graph{}
-	if got := empty.ReachedDepth(); got != -1 {
-		t.Errorf("empty ReachedDepth() = %d, want -1", got)
-	}
 }
 
 // TestExploreObsCounters checks the exploration instrumentation: node and

@@ -153,13 +153,7 @@ func DecodeExploreCheckpoint(data []byte) (*ExploreCheckpoint, error) {
 // an uninterrupted run: the CSR prefix comes straight from the snapshot and
 // the continuation sees the identical frontier in the identical order.
 func ResumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers int) (*IDGraph, error) {
-	return resumeExploreID(ctx, CacheOf(m), m, ck, workers)
-}
-
-// resumeExploreID is ResumeExploreID against an explicit successor cache;
-// ExploreIDCtxWith routes resumes here so an exploration started on a given
-// Interner continues on it.
-func resumeExploreID(ctx *resilient.Ctx, c Interner, m Model, ck *ExploreCheckpoint, workers int) (*IDGraph, error) {
+	c := CacheOf(m)
 	rec := obs.Active()
 	defer obs.Span(rec, "explore.time")()
 	tr := obs.Trace()

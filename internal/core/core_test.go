@@ -14,24 +14,24 @@ func TestExploreDepthAndCounts(t *testing.T) {
 	const n = 3
 	p := protocols.FloodSet{Rounds: 2}
 	m := mobile.New(p, n)
-	g, err := core.Explore(m, 2, 0)
+	g, err := core.ExploreID(m, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(g.InitKeys); got != 1<<n {
-		t.Errorf("init keys = %d, want %d", got, 1<<n)
+	if got := len(g.Inits); got != 1<<n {
+		t.Errorf("inits = %d, want %d", got, 1<<n)
 	}
 	if got := len(g.StatesAtDepth(0)); got != 1<<n {
 		t.Errorf("states at depth 0 = %d, want %d", got, 1<<n)
 	}
 	// Every depth-0 state has recorded edges; deepest states have none.
-	for _, k := range g.InitKeys {
-		if len(g.Edges[k]) == 0 {
-			t.Errorf("initial state %q has no recorded edges", k)
+	for _, u := range g.Inits {
+		if _, to := g.Out(u); len(to) == 0 {
+			t.Errorf("initial state %q has no recorded edges", g.Keys[u])
 		}
 	}
-	for _, x := range g.StatesAtDepth(2) {
-		if len(g.Edges[x.Key()]) != 0 {
+	for _, u := range g.Layer(2) {
+		if _, to := g.Out(u); len(to) != 0 {
 			t.Error("frontier state has recorded edges")
 		}
 	}
@@ -44,7 +44,7 @@ func TestExploreBudget(t *testing.T) {
 	const n = 3
 	p := protocols.FloodSet{Rounds: 3}
 	m := mobile.New(p, n)
-	g, err := core.Explore(m, 3, 10)
+	g, err := core.ExploreID(m, 3, 10)
 	if !errors.Is(err, core.ErrNodeBudget) {
 		t.Errorf("err = %v, want ErrNodeBudget", err)
 	}
@@ -52,8 +52,8 @@ func TestExploreBudget(t *testing.T) {
 	if g == nil || g.Len() != 10 {
 		t.Fatalf("partial graph = %v, want 10 nodes", g)
 	}
-	if len(g.InitKeys) != 1<<n {
-		t.Errorf("partial graph lost init keys: %d", len(g.InitKeys))
+	if len(g.Inits) != 1<<n {
+		t.Errorf("partial graph lost inits: %d", len(g.Inits))
 	}
 }
 

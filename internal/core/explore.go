@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/resilient"
 )
 
-// ErrNodeBudget is returned by Explore when the reachable state graph
+// ErrNodeBudget is returned by ExploreID when the reachable state graph
 // exceeds the configured node budget before the depth bound is reached. The
 // partial graph explored so far is returned alongside the wrapped error, so
 // callers can report how far exploration got. As a resilient.Sentinel it
@@ -24,177 +22,30 @@ var ErrNodeBudget = resilient.Sentinel("core: exploration exceeded node budget")
 // Deprecated: use ErrNodeBudget.
 var ErrDepthExceeded = ErrNodeBudget
 
-// Edge is one labeled edge of an explored state graph, identified by state
-// keys.
-type Edge struct {
-	Action string
-	To     string
-}
-
-// Graph is the explicit reachable state graph of a model, explored
-// breadth-first to a depth bound, viewed through string keys. It is the
-// substrate for the connectivity and valence analyses. Graphs built by
-// Explore also carry the dense-id form (Dense) that id-based analyses
-// prefer.
-type Graph struct {
-	// Nodes maps a state key to the state.
-	Nodes map[string]State
-	// Edges maps a state key to its outgoing labeled edges, in successor
-	// order. Only states at depth < Depth have edges recorded.
-	Edges map[string][]Edge
-	// DepthOf maps a state key to the first (minimum) layer depth at which
-	// the state was reached.
-	DepthOf map[string]int
-	// InitKeys are the keys of the initial states, in Inits order
-	// (duplicates removed, first occurrence kept).
-	InitKeys []string
-	// Depth is the exploration depth bound.
-	Depth int
-
-	// dense is the IDGraph this view was built from, when built by Explore.
-	dense *IDGraph
-
-	// byDepth caches StatesAtDepth buckets (sorted by key), built lazily
-	// from DepthOf on first use.
-	depthOnce sync.Once
-	byDepth   map[int][]State
-}
-
-// Dense returns the dense-id form of the graph, or nil for a hand-built
-// Graph.
-func (g *Graph) Dense() *IDGraph { return g.dense }
-
-// Explore builds the reachable state graph of m to the given depth,
-// drawing successors from the model's shared cache when it has one.
-// maxNodes bounds the total number of distinct states; 0 means no bound.
-// If the budget is exhausted it returns the partial graph explored so far
-// together with ErrNodeBudget (wrapped).
-func Explore(m Model, depth, maxNodes int) (*Graph, error) {
-	ig, err := ExploreID(m, depth, maxNodes)
-	return ig.Legacy(), err
-}
-
-// ExploreParallel is Explore with each BFS frontier's successor enumeration
-// sharded across workers goroutines (workers <= 0 means GOMAXPROCS).
-// Per-worker results are merged deterministically in frontier order, so the
-// resulting graph — node set, edge order, depths, InitKeys, and any
-// budget-exhaustion point — is bit-identical to Explore's.
-func ExploreParallel(m Model, depth, maxNodes, workers int) (*Graph, error) {
-	ig, err := ExploreIDParallel(m, depth, maxNodes, workers)
-	return ig.Legacy(), err
-}
-
-// ExploreCtx is Explore under a cancellation context; see ExploreIDCtx for
-// the cancellation, checkpoint, and resume contract. The partial graph
-// accompanying an interruption error is a valid Graph over the completed
-// layers.
-func ExploreCtx(ctx *resilient.Ctx, m Model, depth, maxNodes int) (*Graph, error) {
-	ig, err := ExploreIDCtx(ctx, m, depth, maxNodes, 1)
-	if ig == nil {
-		return nil, err
-	}
-	return ig.Legacy(), err
-}
-
-// ExploreParallelCtx is ExploreParallel under a cancellation context; see
-// ExploreIDCtx for the cancellation, checkpoint, and resume contract.
-func ExploreParallelCtx(ctx *resilient.Ctx, m Model, depth, maxNodes, workers int) (*Graph, error) {
-	ig, err := ExploreIDCtx(ctx, m, depth, maxNodes, workers)
-	if ig == nil {
-		return nil, err
-	}
-	return ig.Legacy(), err
-}
-
-// StatesAtDepth returns the states first reached at exactly depth d, in a
-// deterministic order: BFS discovery order for graphs built by Explore
-// (served straight from the dense graph's contiguous LayerSpan window — no
-// bucket maps, no sorting, no copying), and sorted key order for hand-built
-// graphs. Callers must not modify the returned slice, and for hand-built
-// graphs must not mutate DepthOf/Nodes after the first call (buckets are
-// computed once and cached).
-func (g *Graph) StatesAtDepth(d int) []State {
-	if g.dense != nil {
-		if d < 0 || d >= g.dense.NumLayers() {
-			return nil
-		}
-		if lo, hi, ok := g.dense.LayerSpan(d); ok {
-			return g.dense.States[lo:hi]
-		}
-		// Some layer is not a contiguous id run — impossible for graphs
-		// built by Explore (the layout pass verifies the BFS numbering
-		// invariant), but a caller could assemble an IDGraph by hand; fall
-		// through to the sorted-bucket path.
-	}
-	g.depthOnce.Do(func() {
-		keysAt := make(map[int][]string)
-		for k, kd := range g.DepthOf {
-			keysAt[kd] = append(keysAt[kd], k)
-		}
-		g.byDepth = make(map[int][]State, len(keysAt))
-		for depth, keys := range keysAt {
-			sort.Strings(keys)
-			out := make([]State, 0, len(keys))
-			for _, k := range keys {
-				out = append(out, g.Nodes[k])
-			}
-			g.byDepth[depth] = out
-		}
-	})
-	return g.byDepth[d]
-}
-
-// Len returns the number of distinct states in the graph.
-func (g *Graph) Len() int { return len(g.Nodes) }
-
-// ReachedDepth returns the deepest layer actually populated: Depth for a
-// completed exploration with states at every layer, and the depth the
-// search got to before the node budget ran out for a partial graph
-// returned alongside ErrNodeBudget. -1 for an empty graph.
-func (g *Graph) ReachedDepth() int {
-	if g.dense != nil {
-		return g.dense.ReachedDepth()
-	}
-	max := -1
-	for _, d := range g.DepthOf { //lint:nondet max fold is order-insensitive
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // CheckDeterminism verifies that the model's successor function is
 // deterministic on every explored state: a second invocation returns the
 // same labeled successors in the same order. Admissibility (the paper's
 // pasting condition) holds by construction for R_S when S is a function of
 // the state alone; determinism is the executable face of that requirement.
 // When the model carries a successor cache the check bypasses it, so the
-// raw successor function is what is re-invoked.
-func (g *Graph) CheckDeterminism(m Model) error {
-	var s Successor = m
-	if c, ok := any(m).(interface{ Cache() *SuccessorCache }); ok {
-		if cache := c.Cache(); cache != nil {
-			s = cache.Uncached()
+// raw successor function is what is re-invoked. Nodes are checked in id
+// order, so a failure always reports the same offending state.
+func (g *IDGraph) CheckDeterminism(m Model) error {
+	s := CacheOf(m).Uncached()
+	for u := range g.States {
+		actions, to := g.Out(uint32(u))
+		if len(to) == 0 {
+			continue
 		}
-	}
-	// Iterate in sorted key order so a failure always reports the same
-	// offending state, not whichever the map happened to yield first.
-	keys := make([]string, 0, len(g.Edges))
-	for k := range g.Edges {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		edges := g.Edges[k]
-		again := s.Successors(g.Nodes[k])
-		if len(again) != len(edges) {
-			return fmt.Errorf("core: successor count changed for state %q: %d then %d", k, len(edges), len(again))
+		k := g.Keys[u]
+		again := s.Successors(g.States[u])
+		if len(again) != len(to) {
+			return fmt.Errorf("core: successor count changed for state %q: %d then %d", k, len(to), len(again))
 		}
 		for i, sc := range again {
-			if sc.Action != edges[i].Action || sc.State.Key() != edges[i].To {
+			if sc.Action != actions[i] || sc.State.Key() != g.Keys[to[i]] {
 				return fmt.Errorf("core: successor %d changed for state %q: (%s,%s) then (%s,%s)",
-					i, k, edges[i].Action, edges[i].To, sc.Action, sc.State.Key())
+					i, k, actions[i], g.Keys[to[i]], sc.Action, sc.State.Key())
 			}
 		}
 	}

@@ -15,8 +15,7 @@ import (
 // IDGraph is the dense-id form of an explored reachable state graph: nodes
 // are uint32 ids assigned in BFS discovery order (deterministic for a
 // deterministic model), and edges live in flat CSR arrays instead of
-// per-key maps. It is the substrate the string-keyed Graph is built from;
-// analyses that sweep the whole graph should prefer this form.
+// per-key maps. It is the one graph type the analyses sweep.
 type IDGraph struct {
 	// Depth is the exploration depth bound.
 	Depth int
@@ -37,10 +36,9 @@ type IDGraph struct {
 	EdgeAction []string
 	EdgeTo     []uint32
 	// Cache is the successor cache the exploration drew from (the model's
-	// shared sharded cache when it has one, or the explicit Interner handed
-	// to ExploreIDWith); later passes over the same model reuse its
-	// enumeration work.
-	Cache Interner
+	// shared cache when it has one); later passes over the same model reuse
+	// its enumeration work.
+	Cache *SuccessorCache
 
 	// ParentOf[u] is the node from which u was first discovered during the
 	// BFS (-1 for initial nodes); parentEdge[u] is the CSR index of that
@@ -270,6 +268,25 @@ func (g *IDGraph) LayerSpan(d int) (lo, hi uint32, ok bool) {
 	return s.lo, s.hi, true
 }
 
+// StatesAtDepth returns the states first reached at exactly depth d, in BFS
+// discovery order: the States window of LayerSpan(d), shared with the graph
+// (callers must not modify it). A graph whose layers are not contiguous id
+// runs gets a fresh slice in Layer(d) order instead.
+func (g *IDGraph) StatesAtDepth(d int) []State {
+	if lo, hi, ok := g.LayerSpan(d); ok {
+		return g.States[lo:hi]
+	}
+	layer := g.Layer(d)
+	if layer == nil {
+		return nil
+	}
+	out := make([]State, len(layer))
+	for i, u := range layer {
+		out[i] = g.States[u]
+	}
+	return out
+}
+
 // Aux returns the auxiliary analysis value cached on g under key, building
 // it with build on first use. Analyses derive immutable per-graph indexes
 // (bit-planes, check tables) from the CSR arrays; caching them on the graph
@@ -393,22 +410,6 @@ func ExploreIDParallel(m Model, depth, maxNodes, workers int) (*IDGraph, error) 
 // layer boundary instead of starting fresh; the finished graph is
 // bit-identical to an uninterrupted run's.
 func ExploreIDCtx(ctx *resilient.Ctx, m Model, depth, maxNodes, workers int) (*IDGraph, error) {
-	return ExploreIDCtxWith(ctx, CacheOf(m), m, depth, maxNodes, workers)
-}
-
-// ExploreIDWith is ExploreIDParallel drawing from an explicit successor
-// cache instead of the model's embedded one. The equivalence property tests
-// and the cmd/bench sharded/legacy grid use it to run the same model
-// against different Interner implementations; regular callers should let
-// the model supply its shared cache.
-func ExploreIDWith(c Interner, m Model, depth, maxNodes, workers int) (*IDGraph, error) {
-	return ExploreIDCtxWith(nil, c, m, depth, maxNodes, workers)
-}
-
-// ExploreIDCtxWith is ExploreIDCtx drawing from an explicit successor
-// cache. A checkpoint resume carried by ctx continues against the same
-// cache.
-func ExploreIDCtxWith(ctx *resilient.Ctx, c Interner, m Model, depth, maxNodes, workers int) (*IDGraph, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -419,9 +420,10 @@ func ExploreIDCtxWith(ctx *resilient.Ctx, c Interner, m Model, depth, maxNodes, 
 		}
 		if ck.Matches(m, depth, maxNodes) {
 			ctx.TakeResume(resilient.TagExplore)
-			return resumeExploreID(ctx, c, m, ck, workers)
+			return ResumeExploreID(ctx, m, ck, workers)
 		}
 	}
+	c := CacheOf(m)
 	rec := obs.Active()
 	defer obs.Span(rec, "explore.time")()
 	tr := obs.Trace()
@@ -608,19 +610,17 @@ func (g *IDGraph) finishExplore(rec obs.Recorder, budgetHit bool) {
 	rec.Set("cache.hits", st.Hits)
 	rec.Set("cache.enumerations", int64(st.Enumerations))
 	rec.Set("cache.interned_bytes", int64(st.InternedBytes))
-	if len(st.PerShard) > 0 {
-		states := make([]int64, len(st.PerShard))
-		hits := make([]int64, len(st.PerShard))
-		enums := make([]int64, len(st.PerShard))
-		for i, sc := range st.PerShard {
-			states[i], hits[i], enums[i] = int64(sc.States), sc.Hits, sc.Enumerations
-		}
-		rec.Event("cache.shards",
-			obs.F{Key: "shards", Value: st.Shards},
-			obs.F{Key: "states", Value: states},
-			obs.F{Key: "hits", Value: hits},
-			obs.F{Key: "enumerations", Value: enums})
+	states := make([]int64, len(st.PerShard))
+	hits := make([]int64, len(st.PerShard))
+	enums := make([]int64, len(st.PerShard))
+	for i, sc := range st.PerShard {
+		states[i], hits[i], enums[i] = int64(sc.States), sc.Hits, sc.Enumerations
 	}
+	rec.Event("cache.shards",
+		obs.F{Key: "shards", Value: st.Shards},
+		obs.F{Key: "states", Value: states},
+		obs.F{Key: "hits", Value: hits},
+		obs.F{Key: "enumerations", Value: enums})
 	name, fields := "explore.done", []obs.F{
 		{Key: "nodes", Value: g.Len()},
 		{Key: "edges", Value: g.NumEdges()},
@@ -641,7 +641,7 @@ func (g *IDGraph) finishExplore(rec obs.Recorder, budgetHit bool) {
 // untouched: the caller treats any error as an interruption at the top of
 // the layer, and a resumed run simply re-warms. The serial merge that
 // follows reads the warmed entries in frontier order.
-func warmFrontier(ctx *resilient.Ctx, c Interner, g *IDGraph, frontier []uint32, workers int, parent obs.SpanID) error {
+func warmFrontier(ctx *resilient.Ctx, c *SuccessorCache, g *IDGraph, frontier []uint32, workers int, parent obs.SpanID) error {
 	if workers > len(frontier) {
 		workers = len(frontier)
 	}
@@ -668,36 +668,4 @@ func warmFrontier(ctx *resilient.Ctx, c Interner, g *IDGraph, frontier []uint32,
 		}
 		return nil
 	})
-}
-
-// Legacy materializes the string-keyed Graph view of the dense graph. The
-// two share State values; the maps are freshly built.
-func (g *IDGraph) Legacy() *Graph {
-	out := &Graph{
-		Nodes:   make(map[string]State, len(g.States)),
-		Edges:   make(map[string][]Edge, len(g.States)),
-		DepthOf: make(map[string]int, len(g.States)),
-		Depth:   g.Depth,
-		dense:   g,
-	}
-	for u, s := range g.States {
-		k := g.Keys[u]
-		out.Nodes[k] = s
-		out.DepthOf[k] = int(g.DepthOf[u])
-	}
-	for u := range g.States {
-		lo, hi := g.EdgeStart[u], g.EdgeStart[u+1]
-		if lo == hi {
-			continue
-		}
-		edges := make([]Edge, 0, hi-lo)
-		for e := lo; e < hi; e++ {
-			edges = append(edges, Edge{Action: g.EdgeAction[e], To: g.Keys[g.EdgeTo[e]]})
-		}
-		out.Edges[g.Keys[u]] = edges
-	}
-	for _, u := range g.Inits {
-		out.InitKeys = append(out.InitKeys, g.Keys[u])
-	}
-	return out
 }

@@ -11,32 +11,27 @@ import (
 	"repro/internal/syncmp"
 )
 
-// graphsIdentical asserts the two string-keyed graphs are bit-identical:
-// same node set, same edge lists (order included), same depths, same init
-// keys.
-func graphsIdentical(t *testing.T, serial, parallel *core.Graph) {
+// graphsIdentical asserts the two dense graphs are bit-identical: same
+// node numbering and keys, same depths, same inits, same CSR edges (order
+// included), same discovery parents.
+func graphsIdentical(t *testing.T, serial, parallel *core.IDGraph) {
 	t.Helper()
-	if len(serial.Nodes) != len(parallel.Nodes) {
-		t.Fatalf("node count: serial %d, parallel %d", len(serial.Nodes), len(parallel.Nodes))
-	}
-	for k := range serial.Nodes {
-		if _, ok := parallel.Nodes[k]; !ok {
-			t.Fatalf("parallel graph missing node %q", k)
-		}
+	if !reflect.DeepEqual(serial.Keys, parallel.Keys) {
+		t.Fatalf("keys differ: serial %d nodes, parallel %d", serial.Len(), parallel.Len())
 	}
 	if !reflect.DeepEqual(serial.DepthOf, parallel.DepthOf) {
-		t.Fatal("DepthOf maps differ")
+		t.Fatal("DepthOf differs")
 	}
-	if !reflect.DeepEqual(serial.InitKeys, parallel.InitKeys) {
-		t.Fatal("InitKeys differ")
+	if !reflect.DeepEqual(serial.Inits, parallel.Inits) {
+		t.Fatal("Inits differ")
 	}
-	if len(serial.Edges) != len(parallel.Edges) {
-		t.Fatalf("edge-map size: serial %d, parallel %d", len(serial.Edges), len(parallel.Edges))
+	if !reflect.DeepEqual(serial.EdgeStart, parallel.EdgeStart) ||
+		!reflect.DeepEqual(serial.EdgeAction, parallel.EdgeAction) ||
+		!reflect.DeepEqual(serial.EdgeTo, parallel.EdgeTo) {
+		t.Fatal("CSR edges differ")
 	}
-	for k, se := range serial.Edges {
-		if !reflect.DeepEqual(se, parallel.Edges[k]) {
-			t.Fatalf("edge order differs at %q", k)
-		}
+	if !reflect.DeepEqual(serial.ParentOf, parallel.ParentOf) {
+		t.Fatal("ParentOf differs")
 	}
 }
 
@@ -55,12 +50,12 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range models {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := core.Explore(tc.m, tc.depth, 0)
+			serial, err := core.ExploreID(tc.m, tc.depth, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 1, 2, 3, 8} {
-				par, err := core.ExploreParallel(tc.m, tc.depth, 0, workers)
+				par, err := core.ExploreIDParallel(tc.m, tc.depth, 0, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -73,11 +68,11 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 func TestExploreParallelBudgetMatchesSerial(t *testing.T) {
 	const budget = 25
 	mkModel := func() core.Model { return mobile.New(protocols.FloodSet{Rounds: 3}, 3) }
-	serial, serr := core.Explore(mkModel(), 3, budget)
+	serial, serr := core.ExploreID(mkModel(), 3, budget)
 	if !errors.Is(serr, core.ErrNodeBudget) {
 		t.Fatalf("serial err = %v", serr)
 	}
-	par, perr := core.ExploreParallel(mkModel(), 3, budget, 4)
+	par, perr := core.ExploreIDParallel(mkModel(), 3, budget, 4)
 	if !errors.Is(perr, core.ErrNodeBudget) {
 		t.Fatalf("parallel err = %v", perr)
 	}
@@ -93,16 +88,16 @@ func TestSuccessorCacheSharing(t *testing.T) {
 	if c != core.CacheOf(m) {
 		t.Fatal("model did not share one cache across CacheOf calls")
 	}
-	g, err := core.Explore(m, 2, 0)
+	g, err := core.ExploreID(m, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Dense() == nil || g.Dense().Cache != c {
+	if g.Cache != c {
 		t.Fatal("explored graph not drawing from the model's shared cache")
 	}
 	after := c.Enumerations()
 	// A second pass over the same model re-enumerates nothing.
-	if _, err := core.Explore(m, 2, 0); err != nil {
+	if _, err := core.ExploreID(m, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if c.Enumerations() != after {
@@ -144,17 +139,16 @@ func TestIDGraphStructure(t *testing.T) {
 	if total != ig.Len() {
 		t.Fatalf("layers cover %d of %d nodes", total, ig.Len())
 	}
-	// CSR edges agree with the legacy map view.
-	leg := ig.Legacy()
+	// Every edge goes from its source's layer into the next one or an
+	// earlier one: BFS records edges only for nodes above the bound.
 	for u := range ig.States {
-		actions, to := ig.Out(uint32(u))
-		edges := leg.Edges[ig.Keys[u]]
-		if len(actions) != len(edges) {
-			t.Fatalf("node %d: %d CSR edges, %d legacy edges", u, len(actions), len(edges))
+		_, to := ig.Out(uint32(u))
+		if len(to) > 0 && int(ig.DepthOf[u]) >= ig.Depth {
+			t.Fatalf("node %d at the depth bound has %d recorded edges", u, len(to))
 		}
-		for i := range edges {
-			if edges[i].Action != actions[i] || edges[i].To != ig.Keys[to[i]] {
-				t.Fatalf("node %d edge %d differs between CSR and legacy", u, i)
+		for _, v := range to {
+			if ig.DepthOf[v] > ig.DepthOf[u]+1 {
+				t.Fatalf("edge %d -> %d skips a layer", u, v)
 			}
 		}
 	}
@@ -162,7 +156,7 @@ func TestIDGraphStructure(t *testing.T) {
 
 func TestStatesAtDepthCached(t *testing.T) {
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.Explore(m, 2, 0)
+	g, err := core.ExploreID(m, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,41 +168,21 @@ func TestStatesAtDepthCached(t *testing.T) {
 	if &first[0] != &second[0] {
 		t.Error("StatesAtDepth rebuilt its bucket on the second call")
 	}
-	// Explore-built graphs serve the dense layer window in BFS discovery
-	// order: exactly the Layer(1) nodes, in that order, with no copying.
-	dense := g.Dense()
-	layer := dense.Layer(1)
+	// Explored graphs serve the layer window in BFS discovery order:
+	// exactly the Layer(1) nodes, in that order, with no copying.
+	layer := g.Layer(1)
 	if len(first) != len(layer) {
-		t.Fatalf("depth-1 bucket has %d states, dense layer %d nodes", len(first), len(layer))
+		t.Fatalf("depth-1 bucket has %d states, layer %d nodes", len(first), len(layer))
+	}
+	if &first[0] != &g.States[layer[0]] {
+		t.Error("StatesAtDepth copied instead of sharing the States window")
 	}
 	for i, u := range layer {
-		if first[i] != dense.States[u] {
-			t.Fatalf("bucket[%d] is not dense layer node %d", i, u)
+		if first[i] != g.States[u] {
+			t.Fatalf("bucket[%d] is not layer node %d", i, u)
 		}
 	}
 	if g.StatesAtDepth(3) != nil || g.StatesAtDepth(-1) != nil {
 		t.Fatal("out-of-range depth should yield nil")
-	}
-}
-
-func TestStatesAtDepthHandBuilt(t *testing.T) {
-	// A hand-assembled Graph (no dense form) keeps the sorted-key path.
-	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.Explore(m, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hand := &core.Graph{Nodes: g.Nodes, Edges: g.Edges, DepthOf: g.DepthOf, InitKeys: g.InitKeys, Depth: g.Depth}
-	first := hand.StatesAtDepth(1)
-	if len(first) != len(g.StatesAtDepth(1)) {
-		t.Fatalf("hand-built bucket has %d states, dense %d", len(first), len(g.StatesAtDepth(1)))
-	}
-	for i := 1; i < len(first); i++ {
-		if first[i-1].Key() >= first[i].Key() {
-			t.Fatal("hand-built bucket not sorted by key")
-		}
-	}
-	if &first[0] != &hand.StatesAtDepth(1)[0] {
-		t.Error("hand-built bucket rebuilt on second call")
 	}
 }

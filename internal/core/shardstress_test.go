@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -23,7 +24,7 @@ func stressModel() core.Model { return mobile.New(protocols.FloodSet{Rounds: 2},
 // the shards in different orders), and exercising the whole read surface —
 // ID, SuccessorsID, SuccessorsOf, StateOf, KeyOf, Len, Stats — along the
 // way.
-func bfsWalk(t *testing.T, c core.Interner, m core.Model, depth, rot int) {
+func bfsWalk(t *testing.T, c *core.SuccessorCache, m core.Model, depth, rot int) {
 	type node struct {
 		id uint32
 		x  core.State
@@ -86,7 +87,7 @@ func bfsWalk(t *testing.T, c core.Interner, m core.Model, depth, rot int) {
 // internTable flattens a cache into key -> "action->toKey" rows by walking
 // the model BFS (not the id space, which would enumerate past the walked
 // depth), so two caches are comparable regardless of id assignment order.
-func internTable(c core.Interner, m core.Model, depth int) map[string][]string {
+func internTable(c *core.SuccessorCache, m core.Model, depth int) map[string][]string {
 	type node struct {
 		id uint32
 		x  core.State
@@ -120,11 +121,44 @@ func internTable(c core.Interner, m core.Model, depth int) map[string][]string {
 	return table
 }
 
+// refTable is internTable's reference twin: the same breadth-first walk
+// over the raw successor function with a plain key set, no cache at all.
+// It returns the table and the set of keys the walk reached.
+func refTable(raw core.Successor, m core.Model, depth int) (map[string][]string, map[string]bool) {
+	table := make(map[string][]string)
+	seen := make(map[string]bool)
+	var frontier []core.State
+	for _, x := range m.Inits() {
+		if k := x.Key(); !seen[k] {
+			seen[k] = true
+			frontier = append(frontier, x)
+		}
+	}
+	for d := 0; d < depth && len(frontier) > 0; d++ {
+		var next []core.State
+		for _, x := range frontier {
+			succs := raw.Successors(x)
+			row := make([]string, 0, len(succs))
+			for _, s := range succs {
+				k := s.State.Key()
+				row = append(row, s.Action+"->"+k)
+				if !seen[k] {
+					seen[k] = true
+					next = append(next, s.State)
+				}
+			}
+			table[x.Key()] = row
+		}
+		frontier = next
+	}
+	return table, seen
+}
+
 // TestShardedCacheStress hammers one sharded cache from GOMAXPROCS (at
 // least 4) goroutines running interleaved BFS walks in different orders,
 // then asserts the final intern table — the key set and every key's ordered
-// successor list — matches a serial run against the legacy single-lock
-// reference. Run under -race (the race target covers ./internal/...), this
+// successor list — matches a serial cache-free walk of the raw successor
+// function. Run under -race (the race target covers ./internal/...), this
 // is the data-race certificate for the lock-free read paths.
 func TestShardedCacheStress(t *testing.T) {
 	m := stressModel()
@@ -148,8 +182,7 @@ func TestShardedCacheStress(t *testing.T) {
 		return
 	}
 
-	ref := core.NewLegacyCache(raw)
-	want := internTable(ref, m, stressDepth)
+	want, wantKeys := refTable(raw, m, stressDepth)
 	got := internTable(sharded, m, stressDepth)
 	if len(want) != len(got) {
 		t.Fatalf("intern table size: sharded %d, reference %d", len(got), len(want))
@@ -168,16 +201,17 @@ func TestShardedCacheStress(t *testing.T) {
 			}
 		}
 	}
-	if sharded.Len() != ref.Len() {
-		t.Fatalf("interned %d states, reference %d", sharded.Len(), ref.Len())
+	if sharded.Len() != len(wantKeys) {
+		t.Fatalf("interned %d states, reference %d", sharded.Len(), len(wantKeys))
 	}
 
 	// The stripes' counters must be coherent: first-writer-wins means each
-	// entry's enumeration is counted exactly once, so the total matches the
-	// serial reference, and the per-shard breakdown sums to the totals.
+	// entry's enumeration is counted exactly once, so the total is the
+	// number of states the walks expanded, and the per-shard breakdown sums
+	// to the totals.
 	st := sharded.Stats()
-	if st.Enumerations != ref.Stats().Enumerations {
-		t.Fatalf("enumerations %d, reference %d", st.Enumerations, ref.Stats().Enumerations)
+	if st.Enumerations != len(want) {
+		t.Fatalf("enumerations %d, reference %d expanded states", st.Enumerations, len(want))
 	}
 	if st.Shards != len(st.PerShard) {
 		t.Fatalf("Shards %d but PerShard has %d rows", st.Shards, len(st.PerShard))
@@ -198,32 +232,26 @@ func TestShardedCacheStress(t *testing.T) {
 	}
 }
 
-// TestShardedCacheKeySet pins that sorted key sets agree between the
-// sharded cache and the legacy reference after identical serial use — the
-// single-goroutine face of the stress property, cheap enough to run
-// everywhere.
+// TestShardedCacheKeySet pins that the sorted key set of a serially used
+// sharded cache equals the reference walk's — the single-goroutine face of
+// the stress property, cheap enough to run everywhere.
 func TestShardedCacheKeySet(t *testing.T) {
 	m := stressModel()
 	raw := core.CacheOf(m).Uncached()
 	sharded := core.NewSuccessorCache(raw)
-	ref := core.NewLegacyCache(raw)
 	internTable(sharded, m, stressDepth)
-	internTable(ref, m, stressDepth)
-	if sharded.Len() != ref.Len() {
-		t.Fatalf("interned %d states, reference %d", sharded.Len(), ref.Len())
+	_, wantKeys := refTable(raw, m, stressDepth)
+	got := make([]string, sharded.Len())
+	for i := range got {
+		got[i] = sharded.KeyOf(uint32(i))
 	}
-	keys := func(c core.Interner) []string {
-		out := make([]string, c.Len())
-		for i := range out {
-			out[i] = c.KeyOf(uint32(i))
-		}
-		sort.Strings(out)
-		return out
+	want := make([]string, 0, len(wantKeys))
+	for k := range wantKeys {
+		want = append(want, k)
 	}
-	sk, rk := keys(sharded), keys(ref)
-	for i := range sk {
-		if sk[i] != rk[i] {
-			t.Fatalf("key set diverges at %d: %q vs %q", i, sk[i], rk[i])
-		}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("key sets differ: sharded %d keys, reference %d", len(got), len(want))
 	}
 }

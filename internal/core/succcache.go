@@ -49,8 +49,7 @@ const (
 // and assigned in first-intern order from one atomic allocator, so their
 // numeric values depend on access order and must not be used as
 // externally-visible identifiers; they are join keys for memo tables and
-// dense arrays only. LegacyCache preserves the original single-lock
-// implementation as the pinned reference for equivalence tests.
+// dense arrays only.
 //
 // The successor slices returned by the cache are shared: callers must not
 // modify them.
@@ -433,11 +432,9 @@ type CacheStats struct {
 	Enumerations int
 	// InternedBytes is the total size of the interned key strings.
 	InternedBytes int
-	// Shards is the shard/stripe count (1 for the single-table
-	// LegacyCache, which reports no per-shard breakdown).
+	// Shards is the shard/stripe count.
 	Shards int
-	// PerShard breaks States/Hits/Enumerations down by shard index; nil
-	// for implementations without striping.
+	// PerShard breaks States/Hits/Enumerations down by shard index.
 	PerShard []ShardCounters
 }
 

@@ -224,17 +224,11 @@ func BivalentChain(m core.Model, o *Oracle, horizon func(int) int, target int) (
 // the distinct decided output simplexes of fully-decided states, keyed by
 // simplex Key.
 func CollectDecidedSimplexes(m core.Model, depth, maxNodes int) (map[string]simplex.Simplex, error) {
-	g, err := core.Explore(m, depth, maxNodes)
+	g, err := core.ExploreID(m, depth, maxNodes)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]simplex.Simplex)
-	for _, x := range g.Nodes { //lint:nondet builds a keyed map; result independent of visit order
-		if s, ok := DecidedSimplex(x); ok && s.Size() > 0 {
-			out[s.Key()] = s
-		}
-	}
-	return out, nil
+	return CollectDecidedSimplexesGraph(g), nil
 }
 
 // CollectDecidedSimplexesGraph returns the distinct decided output

@@ -24,11 +24,11 @@ func TestConsensusCoveringMatchesBinaryValence(t *testing.T) {
 	bin := valence.NewOracle(m)
 	gen := decision.NewOracle(m, decision.ConsensusCovering(n))
 
-	g, err := core.Explore(m, rounds, 0)
+	g, err := core.ExploreID(m, rounds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range g.Nodes {
+	for _, x := range g.States {
 		s := x.(*syncmp.State)
 		h := rounds - s.Round()
 		bv := bin.Valences(x, h)
@@ -254,7 +254,7 @@ func TestLemma76MeasuredDiameters(t *testing.T) {
 	const n, tt, depth = 3, 2, 2
 	p := protocols.FullInfo{}
 	m := syncmp.NewSt(p, n, tt)
-	g, err := core.Explore(m, depth, 0)
+	g, err := core.ExploreID(m, depth, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +285,6 @@ func TestLemma76MeasuredDiameters(t *testing.T) {
 
 // collectToDepth returns the states first reached at exactly depth d. With
 // the round number in the environment, every state's depth is unique.
-func collectToDepth(g *core.Graph, d int) []core.State {
+func collectToDepth(g *core.IDGraph, d int) []core.State {
 	return g.StatesAtDepth(d)
 }

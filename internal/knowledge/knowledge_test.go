@@ -14,7 +14,7 @@ import (
 // reached at the given round.
 func statesAtRound(t *testing.T, m core.Model, round int) []core.State {
 	t.Helper()
-	g, err := core.Explore(m, round, 0)
+	g, err := core.ExploreID(m, round, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,10 @@ func TestClassValenceSweepsField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := valence.NewField(g)
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const round = 1 // = t-1: the last round with bivalent states
 	classes := knowledge.NewClassesLayer(g, round)
 	classValence := classes.ClassValence(f.LayerMasks(round))

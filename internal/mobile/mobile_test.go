@@ -141,11 +141,11 @@ func TestBivalentChainMobile(t *testing.T) {
 func TestNoFiniteFailure(t *testing.T) {
 	const n = 3
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, n)
-	g, err := core.Explore(m, 2, 0)
+	g, err := core.ExploreID(m, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range g.Nodes {
+	for _, x := range g.States {
 		for i := 0; i < n; i++ {
 			if x.FailedAt(i) {
 				t.Fatalf("process %d failed at state %q", i, x.Key())

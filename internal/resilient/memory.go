@@ -10,8 +10,7 @@ import (
 // memory limit. It wraps ErrPartial — the engine that observed it stops at
 // a checkpointable boundary with its partial state intact — and the
 // Supervisor's default classifier treats it as a degradation signal:
-// step down workers, then fall back to scalar kernels, rather than retry
-// at full width into the same wall.
+// step down workers rather than retry at full width into the same wall.
 var ErrMemory = Sentinel("resilient: memory pressure")
 
 // softMemLimit holds the soft heap limit in bytes; 0 (the default)

@@ -21,8 +21,8 @@ const (
 	// Retry backs off and runs another attempt, resuming from the
 	// checkpoint the failed attempt attached.
 	Retry
-	// Degrade steps down the degradation ladder — halve the workers, and
-	// once at one worker fall back to scalar kernels — before retrying.
+	// Degrade steps down the degradation ladder — halve the workers —
+	// before retrying.
 	// Resource errors (memory pressure, node/valence budgets) land here:
 	// retrying at full width would hit the same wall.
 	Degrade
@@ -92,9 +92,6 @@ type Attempt struct {
 	N int
 	// Workers is the worker count after degradation steps.
 	Workers int
-	// Scalar directs the op to use scalar kernels instead of the
-	// bit-plane ones — the ladder's last rung.
-	Scalar bool
 	// Resumed reports whether Ctx carries a resume snapshot.
 	Resumed bool
 }
@@ -132,7 +129,6 @@ func (s *Supervisor) Run(ctx *Ctx, name string, op func(*Attempt) error) (RunSta
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	scalar := false
 	jitter := s.Seed
 	rec := obs.Active()
 	tr := obs.Trace()
@@ -156,7 +152,7 @@ func (s *Supervisor) Run(ctx *Ctx, name string, op func(*Attempt) error) (RunSta
 			}
 			return stats, perr
 		}
-		attempt := &Attempt{N: n, Workers: workers, Scalar: scalar, Resumed: len(pending) > 0}
+		attempt := &Attempt{N: n, Workers: workers, Resumed: len(pending) > 0}
 		stats.Attempts++
 		if attempt.Resumed {
 			stats.Resumes++
@@ -173,8 +169,7 @@ func (s *Supervisor) Run(ctx *Ctx, name string, op func(*Attempt) error) (RunSta
 				rec.Event("supervisor.done",
 					obs.F{Key: "op", Value: name},
 					obs.F{Key: "attempts", Value: n},
-					obs.F{Key: "workers", Value: workers},
-					obs.F{Key: "scalar", Value: scalar})
+					obs.F{Key: "workers", Value: workers})
 			}
 			return stats, nil
 		}
@@ -213,30 +208,19 @@ func (s *Supervisor) Run(ctx *Ctx, name string, op func(*Attempt) error) (RunSta
 			}
 			return stats, fmt.Errorf("resilient: supervisor wall-clock budget %s exhausted after %d attempts: %w", s.Budget, n, err)
 		}
-		if decision == Degrade {
-			stepped := true
-			switch {
-			case workers > 1:
-				workers /= 2
-			case !scalar:
-				scalar = true
-			default:
-				// Ladder exhausted (already serial scalar): keep retrying
-				// within the attempt budget — the fault may still be
-				// transient — but no step was taken, so none is counted.
-				stepped = false
-			}
-			if stepped {
-				stats.Degrades++
-				if rec != nil {
-					rec.Add("supervisor.degrades", 1)
-					rec.Event("supervisor.degrade",
-						obs.F{Key: "op", Value: name},
-						obs.F{Key: "attempt", Value: n},
-						obs.F{Key: "workers", Value: workers},
-						obs.F{Key: "scalar", Value: scalar},
-						obs.F{Key: "cause", Value: err.Error()})
-				}
+		// Once serial, the ladder is exhausted: keep retrying within the
+		// attempt budget — the fault may still be transient — but no step
+		// is taken, so none is counted.
+		if decision == Degrade && workers > 1 {
+			workers /= 2
+			stats.Degrades++
+			if rec != nil {
+				rec.Add("supervisor.degrades", 1)
+				rec.Event("supervisor.degrade",
+					obs.F{Key: "op", Value: name},
+					obs.F{Key: "attempt", Value: n},
+					obs.F{Key: "workers", Value: workers},
+					obs.F{Key: "cause", Value: err.Error()})
 			}
 		}
 		// Harvest the failed attempt's checkpoint: it becomes the next
@@ -267,7 +251,6 @@ func (s *Supervisor) Run(ctx *Ctx, name string, op func(*Attempt) error) (RunSta
 				obs.F{Key: "backoff_ns", Value: backoff.Nanoseconds()},
 				obs.F{Key: "resumed", Value: len(pending) > 0},
 				obs.F{Key: "workers", Value: workers},
-				obs.F{Key: "scalar", Value: scalar},
 				obs.F{Key: "cause", Value: err.Error()})
 		}
 		s.sleep(ctx, backoff)

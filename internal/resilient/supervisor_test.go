@@ -189,8 +189,7 @@ func TestSupervisorDeterministicBackoff(t *testing.T) {
 }
 
 // TestSupervisorDegradationLadder: resource errors step the attempt width
-// down 8→4→2→1, then flip to scalar kernels, then keep retrying at the
-// bottom rung.
+// down 8→4→2→1, then keep retrying at the bottom rung.
 func TestSupervisorDegradationLadder(t *testing.T) {
 	budget := resilient.Sentinel("test: node budget")
 	var slept []time.Duration
@@ -202,13 +201,9 @@ func TestSupervisorDegradationLadder(t *testing.T) {
 		},
 		Workers: 8,
 	}
-	type rung struct {
-		workers int
-		scalar  bool
-	}
-	var seen []rung
+	var seen []int
 	stats, err := sup.Run(resilient.Background(), "op", func(a *resilient.Attempt) error {
-		seen = append(seen, rung{a.Workers, a.Scalar})
+		seen = append(seen, a.Workers)
 		if a.N < 7 {
 			return fmt.Errorf("oom at width %d: %w", a.Workers, budget)
 		}
@@ -217,17 +212,17 @@ func TestSupervisorDegradationLadder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	want := []rung{{8, false}, {4, false}, {2, false}, {1, false}, {1, true}, {1, true}, {1, true}}
+	want := []int{8, 4, 2, 1, 1, 1, 1}
 	if len(seen) != len(want) {
 		t.Fatalf("saw %d attempts, want %d", len(seen), len(want))
 	}
 	for i := range want {
 		if seen[i] != want[i] {
-			t.Errorf("attempt %d ran at %+v, want %+v", i+1, seen[i], want[i])
+			t.Errorf("attempt %d ran at width %d, want %d", i+1, seen[i], want[i])
 		}
 	}
-	if stats.Degrades != 4 {
-		t.Errorf("degrades = %d, want 4 (no step counted once the ladder is exhausted)", stats.Degrades)
+	if stats.Degrades != 3 {
+		t.Errorf("degrades = %d, want 3 (no step counted once the ladder is exhausted)", stats.Degrades)
 	}
 }
 

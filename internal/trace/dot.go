@@ -22,69 +22,63 @@ type DOTOptions struct {
 
 // GraphDOT renders an explored state graph in Graphviz DOT format: one
 // node per state (labeled with its decision/failure flags by default), one
-// edge per layer action. Nodes are emitted in deterministic (key-sorted)
+// edge per layer action. Nodes are emitted in deterministic (depth, key)
 // order, ranked by depth.
-func GraphDOT(g *core.Graph, opts DOTOptions) string {
+func GraphDOT(g *core.IDGraph, opts DOTOptions) string {
 	label := opts.NodeLabel
 	if label == nil {
 		label = FormatState
 	}
-	keys := make([]string, 0, len(g.Nodes))
-	for k := range g.Nodes {
-		keys = append(keys, k)
+	nodes := make([]uint32, g.Len())
+	for u := range nodes {
+		nodes[u] = uint32(u)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if g.DepthOf[keys[i]] != g.DepthOf[keys[j]] {
-			return g.DepthOf[keys[i]] < g.DepthOf[keys[j]]
+	sort.Slice(nodes, func(i, j int) bool {
+		a, b := nodes[i], nodes[j]
+		if g.DepthOf[a] != g.DepthOf[b] {
+			return g.DepthOf[a] < g.DepthOf[b]
 		}
-		return keys[i] < keys[j]
+		return g.Keys[a] < g.Keys[b]
 	})
-	if opts.MaxNodes > 0 && len(keys) > opts.MaxNodes {
-		keys = keys[:opts.MaxNodes]
+	if opts.MaxNodes > 0 && len(nodes) > opts.MaxNodes {
+		nodes = nodes[:opts.MaxNodes]
 	}
-	kept := make(map[string]int, len(keys))
-	for i, k := range keys {
-		kept[k] = i
+	kept := make(map[uint32]int, len(nodes))
+	for i, u := range nodes {
+		kept[u] = i
 	}
 
 	var b strings.Builder
 	b.WriteString("digraph layers {\n  rankdir=TB;\n  node [shape=box,fontname=\"monospace\"];\n")
-	byDepth := make(map[int][]string)
-	for _, k := range keys {
-		byDepth[g.DepthOf[k]] = append(byDepth[g.DepthOf[k]], k)
-	}
-	var depths []int
-	for d := range byDepth {
-		depths = append(depths, d)
-	}
-	sort.Ints(depths)
-	for _, d := range depths {
-		fmt.Fprintf(&b, "  { rank=same;")
-		for _, k := range byDepth[d] {
-			fmt.Fprintf(&b, " n%d;", kept[k])
+	// nodes is depth-sorted, so each depth's rank group is one run.
+	for i := 0; i < len(nodes); {
+		d := g.DepthOf[nodes[i]]
+		b.WriteString("  { rank=same;")
+		for ; i < len(nodes) && g.DepthOf[nodes[i]] == d; i++ {
+			fmt.Fprintf(&b, " n%d;", i)
 		}
 		b.WriteString(" }\n")
 	}
-	for _, k := range keys {
+	for i, u := range nodes {
 		shape := ""
-		if opts.HighlightKeys[k] {
+		if opts.HighlightKeys[g.Keys[u]] {
 			shape = ",peripheries=2"
 		}
-		fmt.Fprintf(&b, "  n%d [label=%q%s];\n", kept[k], fmt.Sprintf("d%d: %s", g.DepthOf[k], label(g.Nodes[k])), shape)
+		fmt.Fprintf(&b, "  n%d [label=%q%s];\n", i, fmt.Sprintf("d%d: %s", g.DepthOf[u], label(g.States[u])), shape)
 	}
 	truncated := false
-	for _, k := range keys {
-		src := kept[k]
-		for _, e := range g.Edges[k] {
-			dst, ok := kept[e.To]
+	for src, u := range nodes {
+		actions, to := g.Out(u)
+		for e, v := range to {
+			dst, ok := kept[v]
 			if !ok {
 				truncated = true
 				continue
 			}
-			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", src, dst, e.Action)
+			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", src, dst, actions[e])
 		}
 	}
-	if truncated || (opts.MaxNodes > 0 && len(g.Nodes) > opts.MaxNodes) {
+	if truncated || (opts.MaxNodes > 0 && g.Len() > opts.MaxNodes) {
 		b.WriteString("  ellipsis [label=\"…\",shape=plaintext];\n")
 	}
 	b.WriteString("}\n")

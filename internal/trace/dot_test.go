@@ -10,10 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-func exploreMobile(t *testing.T, depth int) *core.Graph {
+func exploreMobile(t *testing.T, depth int) *core.IDGraph {
 	t.Helper()
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.Explore(m, depth, 0)
+	g, err := core.ExploreID(m, depth, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,7 @@ func TestGraphDOTDeterministic(t *testing.T) {
 
 func TestGraphDOTTruncationAndHighlight(t *testing.T) {
 	g := exploreMobile(t, 2)
-	var some string
-	for k := range g.Nodes {
-		some = k
-		break
-	}
+	some := g.Keys[0]
 	dot := trace.GraphDOT(g, trace.DOTOptions{
 		MaxNodes:      5,
 		HighlightKeys: map[string]bool{some: true},

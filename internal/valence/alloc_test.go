@@ -25,13 +25,19 @@ func allocGraph(t testing.TB, n int) *core.IDGraph {
 }
 
 // TestFieldSweepZeroAlloc proves the tentpole's allocation claim for the
-// field: after arena warmup, a serial Sweep.Field over a fixed graph is
-// 0 allocs/op.
+// field: after arena warmup, a Sweep.Field over a fixed graph is 0
+// allocs/op.
 func TestFieldSweepZeroAlloc(t *testing.T) {
 	g := allocGraph(t, 4)
 	var s valence.Sweep
-	s.Field(g, 1) // warm the arena and the per-graph caches
-	if avg := testing.AllocsPerRun(50, func() { s.Field(g, 1) }); avg != 0 {
+	if _, err := s.Field(g); err != nil { // warm the arena and the per-graph caches
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		if _, err := s.Field(g); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
 		t.Fatalf("steady-state field sweep: %v allocs/op, want 0 (arena %d bytes)", avg, s.Bytes())
 	}
 }
@@ -64,10 +70,13 @@ func TestCertifyGraphZeroAlloc(t *testing.T) {
 func TestSweepResultsMatchPackageLevel(t *testing.T) {
 	g := allocGraph(t, 3)
 	var s valence.Sweep
-	wantF := valence.NewField(g)
-	gotF := s.Field(g, 1)
+	wantF := newField(t, g)
+	gotF, err := s.Field(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want, got := wantF.Masks(), gotF.Masks(); string(want) != string(got) {
-		t.Fatal("Sweep.Field masks differ from NewField")
+		t.Fatal("Sweep.Field masks differ from NewFieldCtx")
 	}
 	wantW, err := valence.CertifyGraph(g, 0)
 	if err != nil {

@@ -1,6 +1,7 @@
 package valence_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,13 +13,25 @@ import (
 	"repro/internal/valence"
 )
 
+// certifyParallel is the parallel certification pipeline CertifyFast runs:
+// explore the model's graph with workers goroutines, then certify it with
+// the graph certifier.
+func certifyParallel(m core.Model, bound, maxVisits, workers int) (*valence.Witness, error) {
+	g, err := core.ExploreIDParallel(m, bound, 0, workers)
+	if err != nil {
+		return nil, err
+	}
+	return valence.CertifyGraph(g, maxVisits)
+}
+
 // TestCertifyParallelPropertyMatchesSerial is the determinism property of
-// CertifyParallel: across randomized models (family, size, protocol
-// parameters, bound) and worker counts, the parallel certifier must return
-// the same verdict as the serial one, and on violation the same
-// earliest-init witness — same violating initial state and the identical
-// action sequence leading to the violation. Run it under -race to also
-// exercise the shared successor cache from concurrent workers.
+// parallel certification: across randomized models (family, size, protocol
+// parameters, bound) and exploration worker counts, certifying the
+// parallel-explored graph must return the same verdict as the serial
+// recursive certifier, and on violation the same earliest-init witness —
+// same violating initial state and the identical action sequence leading
+// to the violation. Run it under -race to also exercise the shared
+// successor cache from concurrent workers.
 func TestCertifyParallelPropertyMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 
@@ -55,7 +68,7 @@ func TestCertifyParallelPropertyMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range workers {
-				par, err := valence.CertifyParallel(m, bound, 0, w)
+				par, err := certifyParallel(m, bound, 0, w)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -80,5 +93,41 @@ func TestCertifyParallelPropertyMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCertifyParallelMatchesSequential: on one correct and one refuted
+// protocol, parallel certification returns the serial verdict, visit count
+// and witness at every worker count.
+func TestCertifyParallelMatchesSequential(t *testing.T) {
+	mOK := syncmp.NewSt(protocols.FloodSet{Rounds: 2}, 3, 1)
+	mBad := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
+	sOK, err := valence.Certify(mOK, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sBad, err := valence.Certify(mBad, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		pOK, err := certifyParallel(mOK, 2, 0, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		witnessesIdentical(t, sOK, pOK)
+		pBad, err := certifyParallel(mBad, 2, 0, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		witnessesIdentical(t, sBad, pBad)
+	}
+}
+
+// TestCertifyParallelBudget: the visit budget propagates as ErrBudget.
+func TestCertifyParallelBudget(t *testing.T) {
+	m := syncmp.NewSt(protocols.FloodSet{Rounds: 3}, 4, 2)
+	if _, err := certifyParallel(m, 3, 5, 4); !errors.Is(err, valence.ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 }

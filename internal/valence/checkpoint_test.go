@@ -198,18 +198,25 @@ func TestCertifyCheckpointValidation(t *testing.T) {
 }
 
 // TestFieldCheckpointRandomCuts interrupts the layer sweep at every layer
-// boundary in turn, for serial and pooled sweeps, and requires the resumed
-// field's mask array to be byte-identical to an uninterrupted one.
+// boundary in turn and requires the resumed field's mask array to be
+// byte-identical to an uninterrupted one. The resume runs over a freshly
+// explored graph, as a restarted process would, explored with w workers:
+// the checkpoint's graph fingerprint must match across exploration widths.
 func TestFieldCheckpointRandomCuts(t *testing.T) {
-	g := ckptGraph(t, mobile.New(protocols.FloodSet{Rounds: 2}, 3), 2)
-	want := valence.NewField(g)
+	mk := func() core.Model { return mobile.New(protocols.FloodSet{Rounds: 2}, 3) }
+	g := ckptGraph(t, mk(), 2)
+	want := newField(t, g)
 	layers := g.NumLayers()
 	for cut := 1; cut <= layers; cut++ {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("cut%d-w%d", cut, workers), func(t *testing.T) {
+				fresh, err := core.ExploreIDParallel(mk(), 2, 0, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
 				plan := chaos.NewPlan().Set("field.layer", chaos.Rule{Hit: uint64(cut), Kind: chaos.KindCancel})
 				chaos.Arm(plan)
-				_, perr := valence.NewFieldParallelCtx(nil, g, workers)
+				_, perr := valence.NewFieldCtx(nil, g)
 				chaos.Disarm()
 				if len(plan.Fired()) != 1 {
 					t.Fatalf("plan fired %d faults, want 1", len(plan.Fired()))
@@ -217,7 +224,7 @@ func TestFieldCheckpointRandomCuts(t *testing.T) {
 				if !errors.Is(perr, resilient.ErrPartial) {
 					t.Fatalf("err = %v, want ErrPartial family", perr)
 				}
-				got, rerr := valence.NewFieldParallelCtx(resumeCtx(t, perr), g, workers)
+				got, rerr := valence.NewFieldCtx(resumeCtx(t, perr), fresh)
 				if rerr != nil {
 					t.Fatalf("resume failed: %v", rerr)
 				}
@@ -226,30 +233,5 @@ func TestFieldCheckpointRandomCuts(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestFieldShardPanicContained injects a panic into a pooled shard worker:
-// the fault is contained as a *resilient.PanicError, the layer-boundary
-// checkpoint resumes, and the masks still match.
-func TestFieldShardPanicContained(t *testing.T) {
-	g := ckptGraph(t, mobile.New(protocols.FloodSet{Rounds: 2}, 3), 2)
-	want := valence.NewField(g)
-	chaos.Arm(chaos.NewPlan().Set("field.shard", chaos.Rule{Hit: 1, Kind: chaos.KindPanic}))
-	_, perr := valence.NewFieldParallelCtx(nil, g, 2)
-	chaos.Disarm()
-	if !errors.Is(perr, resilient.ErrPartial) {
-		t.Fatalf("err = %v, want ErrPartial family", perr)
-	}
-	var pe *resilient.PanicError
-	if !errors.As(perr, &pe) {
-		t.Fatalf("shard panic not contained as PanicError: %v", perr)
-	}
-	got, rerr := valence.NewFieldParallelCtx(resumeCtx(t, perr), g, 2)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if !bytes.Equal(want.Masks(), got.Masks()) {
-		t.Fatal("resumed field masks differ after contained panic")
 	}
 }

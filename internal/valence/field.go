@@ -2,7 +2,6 @@ package valence
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/arena"
@@ -38,17 +37,14 @@ import (
 // consecutively) are folded with word-wide ORs over the planes instead of
 // per-edge bit probes.
 //
-// The per-layer propagation is sharded across workers on whole-word
-// boundaries: no two workers ever read-modify-write the same plane word,
-// and on graded graphs (every edge goes depth d -> d+1) a node's mask
-// depends only on the already-finished deeper layer, so the parallel write
-// order cannot change the result — the field is deterministic and
-// bit-identical across worker counts. Graphs that are not graded — the
-// asynchronous families can produce same-depth shortcut edges at small n,
-// and hand-built graphs can do anything — fall back to serial reverse
-// sweeps iterated to fixpoint (masks grow monotonically under OR, so the
-// iteration converges); there the mask means "valence within the explored
-// graph": the OR of decided bits over every reachable recorded node.
+// On graded graphs (every edge goes depth d -> d+1) a node's mask depends
+// only on the already-finished deeper layer, so one reverse pass over the
+// layers is exact. Graphs that are not graded — the asynchronous families
+// can produce same-depth shortcut edges at small n, and hand-built graphs
+// can do anything — fall back to serial reverse sweeps iterated to
+// fixpoint (masks grow monotonically under OR, so the iteration
+// converges); there the mask means "valence within the explored graph":
+// the OR of decided bits over every reachable recorded node.
 type Field struct {
 	g *core.IDGraph
 	// fp is the graph's cached decided-bit planes (shared, immutable).
@@ -57,97 +53,33 @@ type Field struct {
 	// Arena-backed when the sweep came from a Sweep; see the arena package
 	// for the lifetime rule.
 	plane0, plane1 []uint64
-	// scalarKernel forces per-node serial sweeps instead of the
-	// word-parallel span kernel — the degradation ladder's last rung
-	// (see NewFieldScalarCtx). The result is bit-identical either way.
-	scalarKernel bool
 }
-
-// fieldShardMin is the minimum number of layer nodes per worker shard worth
-// a goroutine; below it the per-layer sweep runs serially. Shards are
-// always cut on 64-node word boundaries so no two workers touch the same
-// plane word (TestFieldShardWordAlignment runs this under -race).
-const fieldShardMin = 256
 
 // runMin is the shortest run of consecutive child ids folded with word-wide
 // ORs over the planes instead of per-edge bit probes.
 const runMin = 16
 
-// NewField computes the valence field of g with a serial sweep.
-func NewField(g *core.IDGraph) *Field { return NewFieldParallel(g, 1) }
-
-// NewFieldParallel computes the valence field of g with each layer's
-// OR-propagation sharded across workers goroutines (workers <= 0 means
-// GOMAXPROCS). The result is bit-identical for every worker count.
-func NewFieldParallel(g *core.IDGraph, workers int) *Field {
-	ctx := resilient.Background()
-	for {
-		f, err := NewFieldParallelCtx(ctx, g, workers)
-		if err == nil {
-			return f
-		}
-		// This context never cancels, so the error is an injected chaos
-		// fault. Each armed rule fires once, so feeding the checkpoint back
-		// (or plain retrying, when none is attached) converges to the
-		// complete field.
-		if ck, ok := resilient.CheckpointFrom(err); ok {
-			if sections, serr := ck.Sections(); serr == nil {
-				ctx.SetResume(sections)
-			}
-		}
-	}
-}
-
-// NewFieldCtx is NewField under a cancellation context.
-func NewFieldCtx(ctx *resilient.Ctx, g *core.IDGraph) (*Field, error) {
-	return NewFieldParallelCtx(ctx, g, 1)
-}
-
-// NewFieldScalarCtx computes the valence field with the serial scalar
-// kernel: per-node bit probes (Field.nodeBits) in place of the
-// word-parallel span sweep, no worker pool. It is the degradation ladder's
-// last rung — the memory floor is two plane words per 64 nodes with no
-// shard bookkeeping — and shares the layer loop, context polling, and
-// TagField checkpoints with the plane kernel, so a sweep interrupted under
-// one kernel resumes under the other and the result is bit-identical to
-// NewFieldParallel for every graph.
-func NewFieldScalarCtx(ctx *resilient.Ctx, g *core.IDGraph) (*Field, error) {
-	f := &Field{scalarKernel: true}
-	err := f.compute(ctx, g, 1, nil)
-	return f, err
-}
-
-// NewFieldParallelCtx is NewFieldParallel under a cancellation context,
-// polled (with the chaos field.layer fault point) once per layer; pool
-// workers additionally poll per shard (field.shard), and a panicking shard
-// is contained into a *resilient.PanicError. An interruption returns the
-// partial field alongside an error carrying a resilient.Checkpointer with
-// the masks computed so far and the next unfinished layer; resuming with
-// that snapshot (resilient.TagField, validated against a fingerprint of
-// the graph) yields a field bit-identical to an uninterrupted sweep's.
-// Re-sweeping the interrupted layer is idempotent, so shard-level cuts
-// need no finer snapshot than the layer index.
+// NewFieldCtx computes the valence field of g under a cancellation context
+// (nil never cancels), polled with the chaos field.layer fault point and
+// the soft memory gate once per layer. An interruption returns the partial
+// field alongside an error carrying a resilient.Checkpointer with the masks
+// computed so far and the next unfinished layer; resuming with that
+// snapshot (resilient.TagField, validated against a fingerprint of the
+// graph) yields a field bit-identical to an uninterrupted sweep's.
 //
 // Non-graded graphs fall back to serial fixpoint iteration, which polls
 // the context once per pass but is not checkpointed (the fallback exists
 // for small, hand-built, or shortcut-edged graphs).
-func NewFieldParallelCtx(ctx *resilient.Ctx, g *core.IDGraph, workers int) (*Field, error) {
+func NewFieldCtx(ctx *resilient.Ctx, g *core.IDGraph) (*Field, error) {
 	f := &Field{}
-	err := f.compute(ctx, g, workers, nil)
+	err := f.compute(ctx, g, nil)
 	return f, err
 }
 
 // compute runs the sweep into f, allocating the planes from ar when
 // non-nil (the Sweep zero-alloc path) and from the heap otherwise. It is
-// the shared engine behind NewFieldParallelCtx and Sweep.Field.
-func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, workers int, ar *arena.Arena) error {
-	// Auto mode (workers <= 0) applies the fieldShardMin heuristic per
-	// layer; an explicit worker count is honored as given, so tests and
-	// callers with odd workloads control the sharding exactly.
-	auto := workers <= 0
-	if auto {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// the shared engine behind NewFieldCtx and Sweep.Field.
+func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, ar *arena.Arena) error {
 	rec := obs.Active()
 	defer obs.Span(rec, "field.time")()
 	tr := obs.Trace()
@@ -159,9 +91,6 @@ func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, workers int, ar *ar
 	words := (g.Len() + 63) / 64
 	if rec != nil {
 		rec.Add("field.sweeps", 1)
-		if f.scalarKernel {
-			rec.Add("field.sweeps.scalar", 1)
-		}
 		rec.Add("field.nodes", int64(g.Len()))
 		rec.Add("field.words", int64(2*words))
 	}
@@ -197,8 +126,8 @@ func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, workers int, ar *ar
 			}
 			if err := resilient.MemPressure(); err != nil {
 				// Same checkpointable boundary as a cancellation: the
-				// Supervisor resumes the sweep degraded (fewer workers,
-				// then the scalar kernel) instead of failing it.
+				// Supervisor resumes the sweep degraded instead of
+				// failing it.
 				return f.interrupted(rec, d, err)
 			}
 			var lsp obs.TraceSpan
@@ -209,25 +138,18 @@ func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, workers int, ar *ar
 			if rec != nil {
 				t0 = time.Now() //lint:nondet feeds layer-timing instrumentation only
 			}
-			width, imbalance, err := f.sweepLayer(ctx, d, workers, auto, rec != nil, lsp.ID)
+			width := f.sweepLayer(d)
 			if tr != nil {
 				tr.End(lsp)
-			}
-			if err != nil {
-				return f.interrupted(rec, d, err)
 			}
 			if rec != nil {
 				elapsed := time.Since(t0)
 				rec.Observe("field.layer.time", elapsed)
 				rec.Record("field.layer.width", int64(width))
-				if imbalance > 0 {
-					rec.Record("field.worker.imbalance_pct", imbalance)
-				}
 				rec.Event("field.layer",
 					obs.F{Key: "depth", Value: d},
 					obs.F{Key: "width", Value: width},
-					obs.F{Key: "ns", Value: elapsed.Nanoseconds()},
-					obs.F{Key: "imbalance_pct", Value: imbalance})
+					obs.F{Key: "ns", Value: elapsed.Nanoseconds()})
 			}
 		}
 		return nil
@@ -296,95 +218,20 @@ func (f *Field) interrupted(rec obs.Recorder, nextLayer int, cause error) error 
 	return resilient.WithCheckpoint(err, ck)
 }
 
-// sweepLayer computes the masks of one finished-children layer, sharding
-// across pool workers when the layer is large enough to pay for
-// goroutines (auto mode) or exactly as requested (explicit workers).
-// Shards are whole-word ranges of the planes, so no two workers ever
-// read-modify-write the same uint64. With measure set it times each shard
-// and returns the worker-imbalance ratio, max shard time over mean shard
-// time, in percent (100 = perfectly balanced; 0 when the layer ran
-// serially or unmeasured).
-func (f *Field) sweepLayer(ctx *resilient.Ctx, d, workers int, auto, measure bool, parent obs.SpanID) (width int, imbalancePct int64, err error) {
-	g := f.g
-	if f.scalarKernel {
-		layer := g.Layer(d)
-		f.sweepNodes(layer)
-		return len(layer), 0, nil
-	}
-	lo, hi, contiguous := g.LayerSpan(d)
+// sweepLayer computes the masks of one finished-children layer and
+// returns its width: the word-parallel span sweep over the layer's id
+// window, or per-node bit writes when the layer is not one contiguous
+// window (possible only for hand-assembled graphs; BFS exploration always
+// numbers layers consecutively).
+func (f *Field) sweepLayer(d int) int {
+	lo, hi, contiguous := f.g.LayerSpan(d)
 	if !contiguous {
-		// A graded graph whose layer is not one id window (possible only
-		// for hand-assembled graphs; BFS exploration always numbers layers
-		// consecutively): sweep serially with per-node bit writes — word
-		// sharding needs the window invariant.
-		layer := g.Layer(d)
+		layer := f.g.Layer(d)
 		f.sweepNodes(layer)
-		return len(layer), 0, nil
+		return len(layer)
 	}
-	width = int(hi - lo)
-	if max := width / fieldShardMin; auto && workers > max {
-		workers = max
-	}
-	if workers > width {
-		workers = width
-	}
-	if workers <= 1 {
-		f.sweepSpan(lo, hi)
-		return width, 0, nil
-	}
-	// Shards are whole-word ranges; a span narrower than the worker count's
-	// word budget simply yields fewer shards (never a sub-word split), and
-	// explicit worker counts still route through the pool so cancellation
-	// and fault-injection semantics are uniform.
-	w0, w1 := int(lo>>6), int(hi+63)>>6
-	per := (w1 - w0 + workers - 1) / workers
-	nShards := (w1 - w0 + per - 1) / per
-	var shardNs []int64
-	if measure {
-		shardNs = make([]int64, nShards)
-	}
-	pool := resilient.Pool{Workers: workers}
-	err = pool.Run(ctx, nShards, func(sctx *resilient.Ctx, w int) error {
-		if cerr := chaos.Check(sctx, "field.shard"); cerr != nil {
-			return cerr
-		}
-		if str := obs.Trace(); str != nil {
-			defer str.End(str.BeginLane("field.shard", parent, w+1))
-		}
-		a := uint32((w0 + w*per) << 6)
-		b := uint32((w0 + (w+1)*per) << 6)
-		if a < lo {
-			a = lo
-		}
-		if b > hi {
-			b = hi
-		}
-		if shardNs != nil {
-			t0 := time.Now() //lint:nondet feeds shard-timing instrumentation only
-			f.sweepSpan(a, b)
-			shardNs[w] = time.Since(t0).Nanoseconds()
-			return nil
-		}
-		f.sweepSpan(a, b)
-		return nil
-	})
-	if err != nil {
-		return width, 0, err
-	}
-	if shardNs == nil {
-		return width, 0, nil
-	}
-	var max, total int64
-	for _, ns := range shardNs {
-		total += ns
-		if ns > max {
-			max = ns
-		}
-	}
-	if total == 0 {
-		return width, 0, nil
-	}
-	return width, max * 100 * int64(len(shardNs)) / total, nil
+	f.sweepSpan(lo, hi)
+	return int(hi - lo)
 }
 
 // sweepSpan computes the plane bits of the node-id window [a, b) — same-
@@ -393,8 +240,6 @@ func (f *Field) sweepLayer(ctx *resilient.Ctx, d, workers int, auto, measure boo
 // edges, where a word is shared with a neighboring layer, it merges under
 // a mask that preserves the deeper layer's already-final bits (the
 // shallower side's stale bits are overwritten when that layer is swept).
-// Each plane word is written by exactly one worker — shards are whole-word
-// ranges — so concurrent spans never touch the same uint64.
 //lint:hotpath
 func (f *Field) sweepSpan(a, b uint32) {
 	g := f.g
@@ -490,7 +335,7 @@ func orRange(p0, p1 []uint64, lo, hi uint32) (uint64, uint64) {
 }
 
 // sweepNodes is the non-contiguous-layer fallback: per-node bit writes in
-// slice order, serial only.
+// slice order.
 //lint:hotpath
 func (f *Field) sweepNodes(part []uint32) {
 	for _, u := range part {

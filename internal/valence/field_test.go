@@ -3,7 +3,6 @@ package valence_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/asyncmp"
@@ -17,6 +16,16 @@ import (
 	"repro/internal/syncmp"
 	"repro/internal/valence"
 )
+
+// newField sweeps the valence field of g, failing the test on any error.
+func newField(t testing.TB, g *core.IDGraph) *valence.Field {
+	t.Helper()
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
 
 // fieldModels builds one instance of each of the repository's nine model
 // types. rounds parameterizes the protocol; heavy marks the families whose
@@ -49,13 +58,10 @@ func fieldModels(n, tf, rounds int) []struct {
 // TestFieldPropertyMatchesOracle is the defining property of the valence
 // field: for a graph explored to depth B, the field mask of every node
 // equals Oracle.Valences(state, B-depth) — the residual exploration depth
-// is the valence horizon. Checked across all nine model types, n in
-// {2,3,4}, and worker counts {1, 4, GOMAXPROCS}; the sharded sweeps must
-// also be bit-identical across worker counts. Run under -race to exercise
-// the parallel layer sharding.
+// is the valence horizon. Checked across all nine model types and n in
+// {2,3,4}.
 func TestFieldPropertyMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 
 	for _, n := range []int{2, 3, 4} {
 		tf := 1
@@ -74,7 +80,7 @@ func TestFieldPropertyMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := valence.NewField(g)
+				ref := newField(t, g)
 				if g.Graded() {
 					// Exact horizon semantics: field mask == Valences at
 					// the residual exploration depth.
@@ -96,14 +102,6 @@ func TestFieldPropertyMatchesOracle(t *testing.T) {
 						want := reachableDecided(g, uint32(u))
 						if got := ref.Mask(uint32(u)); got != want {
 							t.Fatalf("node %d: fixpoint mask %02b != closure %02b", u, got, want)
-						}
-					}
-				}
-				for _, w := range workerCounts {
-					f := valence.NewFieldParallel(g, w)
-					for u := 0; u < g.Len(); u++ {
-						if f.Mask(uint32(u)) != ref.Mask(uint32(u)) {
-							t.Fatalf("workers=%d: mask of node %d differs from serial", w, u)
 						}
 					}
 				}
@@ -145,7 +143,7 @@ func TestFieldConsumers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := valence.NewField(g)
+	f := newField(t, g)
 	o := valence.NewOracle(m)
 	horizon := valence.DecreasingHorizon(bound, 0)
 
@@ -234,7 +232,7 @@ func TestFieldBivalentAtBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := valence.NewField(g)
+	f := newField(t, g)
 	u, exec, ok := f.BivalentAtBound(1)
 	if !ok {
 		t.Fatal("no bivalent state at layer 1")

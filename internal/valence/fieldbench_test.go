@@ -11,8 +11,9 @@ import (
 )
 
 // BenchmarkFieldSweep is the kernel-level micro-benchmark grid for the
-// valence field: scalar reference engine vs bit-plane sweep, serial vs
-// parallel, graded vs fixpoint-fallback graphs. Every row reports
+// valence field: the scalar reference engine (test code) vs the bit-plane
+// sweep, heap vs arena planes, graded vs fixpoint-fallback graphs. Every
+// row reports
 // states/sec and allocs/op, so a kernel regression shows up here without
 // running the full cmd/bench suite (`make benchfield` runs the grid in
 // -benchtime=1x smoke mode on every tier1 pass).
@@ -45,7 +46,7 @@ func BenchmarkFieldSweep(b *testing.B) {
 		b.Run(name+"/scalar", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(valence.ScalarMasks(g)) != g.Len() {
+				if len(scalarMasks(g)) != g.Len() {
 					b.Fatal("size mismatch")
 				}
 			}
@@ -54,16 +55,7 @@ func BenchmarkFieldSweep(b *testing.B) {
 		b.Run(name+"/planes-serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if valence.NewField(g).Len() != g.Len() {
-					b.Fatal("size mismatch")
-				}
-			}
-			perSec(b, g)
-		})
-		b.Run(name+"/planes-parallel", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if valence.NewFieldParallel(g, 2).Len() != g.Len() {
+				if newField(b, g).Len() != g.Len() {
 					b.Fatal("size mismatch")
 				}
 			}
@@ -71,12 +63,14 @@ func BenchmarkFieldSweep(b *testing.B) {
 		})
 		b.Run(name+"/planes-arena", func(b *testing.B) {
 			var s valence.Sweep
-			s.Field(g, 1) // warm
+			if _, err := s.Field(g); err != nil { // warm
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if s.Field(g, 1).Len() != g.Len() {
-					b.Fatal("size mismatch")
+				if f, err := s.Field(g); err != nil || f.Len() != g.Len() {
+					b.Fatal("size mismatch", err)
 				}
 			}
 			perSec(b, g)
@@ -87,7 +81,7 @@ func BenchmarkFieldSweep(b *testing.B) {
 	b.Run("fixpoint/chain=300/scalar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if len(valence.ScalarMasks(g)) != g.Len() {
+			if len(scalarMasks(g)) != g.Len() {
 				b.Fatal("size mismatch")
 			}
 		}
@@ -96,7 +90,7 @@ func BenchmarkFieldSweep(b *testing.B) {
 	b.Run("fixpoint/chain=300/planes", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if valence.NewField(g).Len() != g.Len() {
+			if newField(b, g).Len() != g.Len() {
 				b.Fatal("size mismatch")
 			}
 		}

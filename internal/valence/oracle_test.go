@@ -16,12 +16,12 @@ func TestValenceMonotoneInHorizon(t *testing.T) {
 	const n, rounds = 3, 2
 	p := protocols.FloodSet{Rounds: rounds}
 	m := mobile.New(p, n)
-	g, err := core.Explore(m, rounds, 0)
+	g, err := core.ExploreID(m, rounds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := valence.NewOracle(m)
-	for _, x := range g.Nodes {
+	for _, x := range g.States {
 		prev := uint8(0)
 		for h := 0; h <= rounds+1; h++ {
 			cur := o.Valences(x, h)
@@ -39,12 +39,12 @@ func TestValenceZeroHorizonIsDecisions(t *testing.T) {
 	const n, rounds = 3, 2
 	p := protocols.FloodSet{Rounds: rounds}
 	m := mobile.New(p, n)
-	g, err := core.Explore(m, rounds, 0)
+	g, err := core.ExploreID(m, rounds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := valence.NewOracle(m)
-	for _, x := range g.Nodes {
+	for _, x := range g.States {
 		if got, want := o.Valences(x, 0), uint8(core.DecidedValues(x)&0b11); got != want {
 			t.Fatalf("Valences(x,0) = %02b, want %02b", got, want)
 		}

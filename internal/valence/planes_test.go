@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -13,6 +12,40 @@ import (
 	"repro/internal/resilient"
 	"repro/internal/valence"
 )
+
+// scalarMasks is the field's reference engine: the original one-byte-per-
+// node reverse sweep. Same transfer function, same layer order, same
+// fixpoint fallback as the bit-plane field; no planes, no words, no
+// caching.
+func scalarMasks(g *core.IDGraph) []uint8 {
+	masks := make([]uint8, g.Len())
+	node := func(u uint32) uint8 {
+		m := uint8(core.DecidedValues(g.States[u]) & 0b11)
+		lo, hi := g.EdgeStart[u], g.EdgeStart[u+1]
+		for e := lo; e < hi && m != valence.V0|valence.V1; e++ {
+			m |= masks[g.EdgeTo[e]]
+		}
+		return m
+	}
+	if g.Graded() {
+		for d := g.NumLayers() - 1; d >= 0; d-- {
+			for _, u := range g.Layer(d) {
+				masks[u] = node(u)
+			}
+		}
+		return masks
+	}
+	for changed := true; changed; {
+		changed = false
+		for u := g.Len() - 1; u >= 0; u-- {
+			if m := node(uint32(u)) | masks[u]; m != masks[u] {
+				masks[u] = m
+				changed = true
+			}
+		}
+	}
+	return masks
+}
 
 // wmState is a node of the synthetic wide graded model: layer, index within
 // the layer, and an optional decided value (-1 = undecided). Two dummy
@@ -38,7 +71,7 @@ func (s wmState) FailedAt(int) bool { return false }
 // wideModel is a graded model with `width` nodes at every layer: node
 // (d, i) steps to (d+1, i) and (d+1, (i+1) mod width), and the layer at
 // `depth` decides idx mod 2. Its layers are wide enough to span several
-// 64-node words, which is what the word-aligned sharding tests need.
+// 64-node words, which is what the word-boundary tests need.
 type wideModel struct{ width, depth int }
 
 func (m wideModel) Name() string { return "test/wide" }
@@ -111,14 +144,11 @@ func (m chainModel) Successors(x core.State) []core.Succ {
 	return []core.Succ{{Action: "s", State: chState{id: s.id - 1, decide: -1}}}
 }
 
-// TestFieldShardWordAlignment sweeps a graph whose layers span several
-// 64-node words with explicit worker counts and requires bit-identity with
-// the serial sweep and the scalar reference engine. Run under -race (the
-// Makefile race target does), it is the guard the shard geometry is pinned
-// by: shards must be cut on whole-word boundaries, and a reintroduced
-// sub-word split would make two workers read-modify-write the same plane
-// word — a write-write race the detector flags even when the masks happen
-// to come out right.
+// TestFieldShardWordAlignment sweeps a graph whose 200-node layers span
+// several 64-node words and start mid-word, and requires bit-identity with
+// the scalar reference engine. Every layer boundary cuts a plane word, so
+// the span sweep's masked partial-word merge must keep the deeper layer's
+// already-final bits while it writes the shallower layer's.
 func TestFieldShardWordAlignment(t *testing.T) {
 	g, err := core.ExploreID(wideModel{width: 200, depth: 3}, 3, 0)
 	if err != nil {
@@ -130,19 +160,11 @@ func TestFieldShardWordAlignment(t *testing.T) {
 	if lo, hi, ok := g.LayerSpan(1); !ok || hi-lo != 200 {
 		t.Fatalf("LayerSpan(1) = [%d,%d) ok=%v, want a 200-node window", lo, hi, ok)
 	}
-	scalar := valence.ScalarMasks(g)
-	serial := valence.NewField(g)
-	if !bytes.Equal(serial.Masks(), scalar) {
-		t.Fatal("serial bit-plane field differs from scalar reference")
+	if lo, _, _ := g.LayerSpan(1); lo%64 == 0 {
+		t.Fatalf("layer 1 starts at word-aligned id %d; the fixture needs a mid-word boundary", lo)
 	}
-	// 200-node layers occupy 4 plane words, so worker counts 2..4 produce
-	// genuinely concurrent word-range shards (explicit counts bypass the
-	// fieldShardMin heuristic).
-	for _, workers := range []int{2, 3, 4, runtime.GOMAXPROCS(0)} {
-		f := valence.NewFieldParallel(g, workers)
-		if !bytes.Equal(f.Masks(), scalar) {
-			t.Fatalf("workers=%d: sharded field differs from scalar reference", workers)
-		}
+	if !bytes.Equal(newField(t, g).Masks(), scalarMasks(g)) {
+		t.Fatal("bit-plane field differs from scalar reference")
 	}
 }
 
@@ -164,8 +186,8 @@ func TestFieldFixpointWordBoundary(t *testing.T) {
 	if g.Len() != k+2 {
 		t.Fatalf("graph has %d nodes, want %d", g.Len(), k+2)
 	}
-	f := valence.NewField(g)
-	scalar := valence.ScalarMasks(g)
+	f := newField(t, g)
+	scalar := scalarMasks(g)
 	if !bytes.Equal(f.Masks(), scalar) {
 		t.Fatal("fixpoint bit-plane field differs from scalar reference")
 	}
@@ -176,12 +198,11 @@ func TestFieldFixpointWordBoundary(t *testing.T) {
 	}
 }
 
-// TestFieldMatchesScalarPlanes is the tentpole's pinning property: across
-// all nine model families, graded and fixpoint graphs, worker counts
-// {1, 2, GOMAXPROCS}, and a checkpoint/resume cut, the bit-plane field is
-// bit-for-bit identical to the retained scalar reference engine.
+// TestFieldMatchesScalarPlanes is the field's pinning property: across all
+// nine model families, graded and fixpoint graphs, heap and arena planes,
+// and a checkpoint/resume cut, the bit-plane field is bit-for-bit
+// identical to the scalar reference engine.
 func TestFieldMatchesScalarPlanes(t *testing.T) {
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, n := range []int{2, 3} {
 		for _, mc := range fieldModels(n, 1, 2) {
 			depth := 2
@@ -193,17 +214,18 @@ func TestFieldMatchesScalarPlanes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				scalar := valence.ScalarMasks(g)
-				for _, workers := range workerCounts {
-					f := valence.NewFieldParallel(g, workers)
-					if !bytes.Equal(f.Masks(), scalar) {
-						t.Fatalf("workers=%d: bit-plane field differs from scalar (graded=%v)", workers, g.Graded())
-					}
+				scalar := scalarMasks(g)
+				if !bytes.Equal(newField(t, g).Masks(), scalar) {
+					t.Fatalf("bit-plane field differs from scalar (graded=%v)", g.Graded())
 				}
 				// A reused Sweep (arena-backed planes) must agree too.
 				var s valence.Sweep
 				for i := 0; i < 2; i++ {
-					if !bytes.Equal(s.Field(g, 1).Masks(), scalar) {
+					f, err := s.Field(g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(f.Masks(), scalar) {
 						t.Fatalf("sweep pass %d: arena-backed field differs from scalar", i)
 					}
 				}
@@ -215,12 +237,12 @@ func TestFieldMatchesScalarPlanes(t *testing.T) {
 				plan := chaos.NewPlan().Set("field.layer",
 					chaos.Rule{Hit: uint64(1 + g.NumLayers()/2), Kind: chaos.KindCancel})
 				chaos.Arm(plan)
-				_, perr := valence.NewFieldParallelCtx(nil, g, 2)
+				_, perr := valence.NewFieldCtx(nil, g)
 				chaos.Disarm()
 				if !errors.Is(perr, resilient.ErrPartial) {
 					t.Fatalf("cut err = %v, want ErrPartial family", perr)
 				}
-				got, rerr := valence.NewFieldParallelCtx(resumeCtx(t, perr), g, 2)
+				got, rerr := valence.NewFieldCtx(resumeCtx(t, perr), g)
 				if rerr != nil {
 					t.Fatal(rerr)
 				}

@@ -17,8 +17,7 @@ import (
 // the *Field, its planes, the *Witness — is valid only until the next call
 // on the same Sweep. Callers that need to keep a result across calls must
 // copy it out (Field.Masks materializes one). A Sweep is not safe for
-// concurrent use; the parallel field sweep inside a single call is fine
-// because only the coordinator allocates and workers write disjoint words.
+// concurrent use.
 //
 // The zero value is ready to use.
 type Sweep struct {
@@ -27,21 +26,17 @@ type Sweep struct {
 	c  graphCertifier
 }
 
-// Field computes the valence field of g (workers as in NewFieldParallel;
-// pass 1 for the serial zero-alloc path) into reused, arena-backed planes.
-// The result is bit-identical to NewFieldParallel's.
-func (s *Sweep) Field(g *core.IDGraph, workers int) *Field {
+// Field computes the valence field of g into reused, arena-backed planes.
+// The result is bit-identical to NewFieldCtx's, and so are the errors: an
+// injected chaos fault or the soft memory gate interrupts the sweep, and
+// the partial field is not returned.
+func (s *Sweep) Field(g *core.IDGraph) (*Field, error) {
 	s.ar.Reset()
 	s.publishBytes()
-	// A nil resilient context never cancels and chaos fault points read it
-	// as inactive, so the only error source is an injected fault — absent
-	// here — and the loop below is the same converge-on-retry shape as
-	// NewFieldParallel's.
-	for {
-		if err := s.f.compute(nil, g, workers, &s.ar); err == nil {
-			return &s.f
-		}
+	if err := s.f.compute(nil, g, &s.ar); err != nil {
+		return nil, err
 	}
+	return &s.f, nil
 }
 
 // CertifyGraph certifies g exactly as the package-level CertifyGraph, with

@@ -24,7 +24,7 @@ type WidthProfile struct {
 // BivalenceWidth explores the model to the given depth and classifies
 // every reachable state's valence with horizon(depth) lookahead.
 func BivalenceWidth(m core.Model, o *Oracle, horizon HorizonFunc, depth, maxNodes int) (*WidthProfile, error) {
-	g, err := core.Explore(m, depth, maxNodes)
+	g, err := core.ExploreID(m, depth, maxNodes)
 	if err != nil {
 		return nil, err
 	}

@@ -58,8 +58,6 @@ type (
 	Execution = core.Execution
 	// Step is one transition of an execution.
 	Step = core.Step
-	// Graph is an explored reachable state graph.
-	Graph = core.Graph
 )
 
 // Protocol interfaces re-exports.
@@ -184,24 +182,10 @@ func ConstHorizon(h int) HorizonFunc { return valence.ConstHorizon(h) }
 // horizon for protocols deciding within `bound` layers.
 func DecreasingHorizon(bound, min int) HorizonFunc { return valence.DecreasingHorizon(bound, min) }
 
-// ErrNodeBudget is returned (wrapped) by Explore and ExploreParallel when
+// ErrNodeBudget is returned (wrapped) by ExploreID and its variants when
 // the node budget is exhausted; the partial graph explored so far is
 // returned alongside it.
 var ErrNodeBudget = core.ErrNodeBudget
-
-// Explore builds the reachable state graph of a model to the given depth;
-// maxNodes caps the node count (0 = unbounded). On budget exhaustion the
-// partial graph is returned together with a wrapped ErrNodeBudget.
-func Explore(m Model, depth, maxNodes int) (*Graph, error) {
-	return core.Explore(m, depth, maxNodes)
-}
-
-// ExploreParallel is Explore with successor enumeration sharded across
-// `workers` goroutines (workers <= 0 means GOMAXPROCS). The resulting graph
-// is bit-identical to Explore's: same node set, edge order, and depths.
-func ExploreParallel(m Model, depth, maxNodes, workers int) (*Graph, error) {
-	return core.ExploreParallel(m, depth, maxNodes, workers)
-}
 
 // IDGraph is the interned CSR state graph: dense uint32 node ids, flat
 // edge arrays, per-depth layers, and parent pointers for witness walkback.
@@ -212,7 +196,9 @@ type IDGraph = core.IDGraph
 type Field = valence.Field
 
 // ExploreID builds the interned CSR state graph of a model to the given
-// depth; maxNodes caps the node count (0 = unbounded).
+// depth; maxNodes caps the node count (0 = unbounded). On budget
+// exhaustion the partial graph is returned together with a wrapped
+// ErrNodeBudget.
 func ExploreID(m Model, depth, maxNodes int) (*IDGraph, error) {
 	return core.ExploreID(m, depth, maxNodes)
 }
@@ -223,14 +209,6 @@ func ExploreID(m Model, depth, maxNodes int) (*IDGraph, error) {
 func ExploreIDParallel(m Model, depth, maxNodes, workers int) (*IDGraph, error) {
 	return core.ExploreIDParallel(m, depth, maxNodes, workers)
 }
-
-// NewField computes the valence field of an explored graph: every node's
-// mask in one deepest-first sweep, no recursion, no maps.
-func NewField(g *IDGraph) *Field { return valence.NewField(g) }
-
-// NewFieldParallel is NewField with each layer's OR-propagation sharded
-// across `workers` goroutines; the result is bit-identical.
-func NewFieldParallel(g *IDGraph, workers int) *Field { return valence.NewFieldParallel(g, workers) }
 
 // ErrNotGraded is returned by CertifyGraph for graphs with same-depth
 // shortcut edges (which the asynchronous models produce at small n).
@@ -277,8 +255,7 @@ var (
 type Supervisor = resilient.Supervisor
 
 // Attempt is what a supervised op receives: the attempt's child context
-// (carrying any resume snapshot) plus the degraded worker/kernel
-// parameters to honor.
+// (carrying any resume snapshot) plus the degraded worker count to honor.
 type Attempt = resilient.Attempt
 
 // Policy configures a Supervisor (attempt/backoff/budget limits,
@@ -304,13 +281,6 @@ var ErrMemory = resilient.ErrMemory
 // as a degradation signal.
 func SetSoftMemLimit(bytes int64) { resilient.SetSoftMemLimit(bytes) }
 
-// NewFieldScalarCtx computes the valence field with the serial scalar
-// kernel — the degradation ladder's last rung. The result is bit-identical
-// to NewFieldParallel's, and the two kernels share checkpoints.
-func NewFieldScalarCtx(ctx *Ctx, g *IDGraph) (*Field, error) {
-	return valence.NewFieldScalarCtx(ctx, g)
-}
-
 // Background returns a cancelable context with no deadline.
 func Background() *Ctx { return resilient.Background() }
 
@@ -334,20 +304,11 @@ func LoadCheckpoint(path string) ([]resilient.Section, error) {
 	return resilient.LoadFile(path)
 }
 
-// ExploreCtx is Explore under a cancellation context: on interruption the
-// error wraps ErrPartial and carries a resumable checkpoint.
-func ExploreCtx(ctx *Ctx, m Model, depth, maxNodes int) (*Graph, error) {
-	return core.ExploreCtx(ctx, m, depth, maxNodes)
-}
-
-// ExploreParallelCtx is ExploreParallel under a cancellation context.
-func ExploreParallelCtx(ctx *Ctx, m Model, depth, maxNodes, workers int) (*Graph, error) {
-	return core.ExploreParallelCtx(ctx, m, depth, maxNodes, workers)
-}
-
-// ExploreIDCtx is ExploreIDParallel under a cancellation context; a
-// checkpoint loaded into ctx resumes the interrupted exploration and the
-// finished graph is bit-identical to an uninterrupted run's.
+// ExploreIDCtx is ExploreIDParallel under a cancellation context: on
+// interruption the error wraps ErrPartial and carries a resumable
+// checkpoint; a checkpoint loaded into ctx resumes the interrupted
+// exploration and the finished graph is bit-identical to an uninterrupted
+// run's.
 func ExploreIDCtx(ctx *Ctx, m Model, depth, maxNodes, workers int) (*IDGraph, error) {
 	return core.ExploreIDCtx(ctx, m, depth, maxNodes, workers)
 }
@@ -363,15 +324,19 @@ func CertifyFastCtx(ctx *Ctx, m Model, bound, maxVisits int) (*Witness, error) {
 	return valence.CertifyFastCtx(ctx, m, bound, maxVisits)
 }
 
-// NewFieldCtx is NewField under a cancellation context.
+// NewFieldCtx computes the valence field of an explored graph — every
+// node's mask in one deepest-first sweep, no recursion, no maps — under a
+// cancellation context (nil never cancels), with checkpoint/resume of the
+// sweep.
 func NewFieldCtx(ctx *Ctx, g *IDGraph) (*Field, error) {
 	return valence.NewFieldCtx(ctx, g)
 }
 
-// NewFieldParallelCtx is NewFieldParallel under a cancellation context,
-// with checkpoint/resume of the sweep.
+// NewFieldParallelCtx is NewFieldCtx; workers is ignored.
+//
+// Deprecated: use NewFieldCtx.
 func NewFieldParallelCtx(ctx *Ctx, g *IDGraph, workers int) (*Field, error) {
-	return valence.NewFieldParallelCtx(ctx, g, workers)
+	return NewFieldCtx(ctx, g)
 }
 
 // NewKnowledgeClassesLayer computes the common-knowledge partition of one

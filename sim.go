@@ -123,12 +123,6 @@ func CertifyFrom(m Model, inits []State, bound, maxVisits int) (*Witness, error)
 	return valence.CertifyFrom(m, inits, bound, maxVisits)
 }
 
-// CertifyParallel runs Certify's per-initial-state searches concurrently
-// and returns the same (deterministic) verdict.
-func CertifyParallel(m Model, bound, maxVisitsPerRoot, workers int) (*Witness, error) {
-	return valence.CertifyParallel(m, bound, maxVisitsPerRoot, workers)
-}
-
 // DecisionDepth is the decision-time landscape of a protocol's runs.
 type DecisionDepth = valence.DecisionDepth
 

@@ -61,12 +61,14 @@ func TestSlowParallelCertifyAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := layers.CertifyParallel(m, tt+1, 0, 8)
+	// CertifyFast explores the graph with GOMAXPROCS workers before the
+	// graph certifier runs.
+	par, err := layers.CertifyFast(m, tt+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Kind != par.Kind {
-		t.Errorf("sequential %v != parallel %v", seq.Kind, par.Kind)
+	if seq.Kind != par.Kind || seq.Explored != par.Explored {
+		t.Errorf("sequential (%v, %d) != parallel (%v, %d)", seq.Kind, seq.Explored, par.Kind, par.Explored)
 	}
 }
 
