@@ -52,7 +52,8 @@ const (
 // dense arrays only.
 //
 // The successor slices returned by the cache are shared: callers must not
-// modify them.
+// modify them. Their states are canonical: succs[i].State is the value
+// StateOf(ids[i]) returns.
 type SuccessorCache struct {
 	fn Successor
 
@@ -359,7 +360,9 @@ func (c *SuccessorCache) SuccessorsOf(id uint32, x State) (succs []Succ, ids []u
 	}
 	// Enumerate outside any lock; a concurrent duplicate enumeration is
 	// harmless (the successor function is deterministic) and the first
-	// writer wins.
+	// writer wins. Each recorded successor is the state interned under its
+	// id, so an enumerated duplicate (most successors are) is garbage as
+	// soon as this call returns instead of living as long as the cache.
 	raw := c.fn.Successors(x)
 	rawIDs := make([]uint32, len(raw))
 	bp := c.keyBuf()
@@ -367,6 +370,7 @@ func (c *SuccessorCache) SuccessorsOf(id uint32, x State) (succs []Succ, ids []u
 	for i := range raw {
 		buf = AppendKeyOf(raw[i].State, buf[:0])
 		rawIDs[i] = c.internKey(buf, raw[i].State)
+		raw[i].State = c.StateOf(rawIDs[i])
 	}
 	c.release(bp, buf)
 	st := &c.stripes[stripeOf(id)]

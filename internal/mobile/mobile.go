@@ -16,7 +16,6 @@ package mobile
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/proto"
@@ -28,17 +27,23 @@ import (
 // analysis pass over the same model value.
 type Model struct {
 	*core.SuccessorCache
-	p     proto.SyncProtocol
-	n     int
-	name  string
-	inits core.InitMemo
+	p      proto.SyncProtocol
+	n      int
+	name   string
+	labels []string // syncmp.PrefixLabels(n)
+	inits  core.InitMemo
 }
 
 var _ core.Model = (*Model)(nil)
 
 // New returns M^mf with the S1 layering for protocol p on n processes.
 func New(p proto.SyncProtocol, n int) *Model {
-	m := &Model{p: p, n: n, name: fmt.Sprintf("mobile/S1(n=%d,%s)", n, p.Name())}
+	m := &Model{
+		p:      p,
+		n:      n,
+		name:   fmt.Sprintf("mobile/S1(n=%d,%s)", n, p.Name()),
+		labels: syncmp.PrefixLabels(n),
+	}
 	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
 	return m
 }
@@ -78,23 +83,19 @@ func (m *Model) Initial(inputs []int) *syncmp.State {
 
 // successors enumerates one successor per action (j,[k]); the embedded
 // cache serves Successors. The failure-free successors x(j,[0]) coincide
-// for all j and are emitted once, labeled "noop".
+// for all j and are emitted once, labeled "noop". All actions share one
+// syncmp.RoundMemo.
 func (m *Model) successors(x core.State) []core.Succ {
 	s, ok := x.(*syncmp.State)
 	if !ok {
 		return nil
 	}
+	r := syncmp.NewRoundMemo(m.p, s, false, false, false)
 	out := make([]core.Succ, 0, m.n*m.n+1)
-	out = append(out, core.Succ{
-		Action: "noop",
-		State:  syncmp.ApplyAction(m.p, s, 0, 0, false, false),
-	})
+	out = append(out, core.Succ{Action: "noop", State: r.Omit(0, 0)})
 	for j := 0; j < m.n; j++ {
 		for k := 1; k <= m.n; k++ {
-			out = append(out, core.Succ{
-				Action: "(" + strconv.Itoa(j) + ",[" + strconv.Itoa(k) + "])",
-				State:  syncmp.ApplyAction(m.p, s, j, syncmp.OmitMask(k), false, false),
-			})
+			out = append(out, core.Succ{Action: m.labels[j*m.n+k-1], State: r.Omit(j, syncmp.OmitMask(k))})
 		}
 	}
 	return out
@@ -103,7 +104,8 @@ func (m *Model) successors(x core.State) []core.Succ {
 // Apply exposes a single arbitrary environment action (j, G) of the full
 // model M^mf (not restricted to the S1 prefix sets), for the layering
 // legality tests: every S1 action must be an M^mf action, and sequences of
-// M^mf actions generate the full model.
+// M^mf actions generate the full model. It is a one-action
+// syncmp.RoundMemo.
 func (m *Model) Apply(x *syncmp.State, j int, omitTo uint64) *syncmp.State {
 	return syncmp.ApplyAction(m.p, x, j, omitTo, false, false)
 }
@@ -120,6 +122,8 @@ type FullModel struct {
 	p     proto.SyncProtocol
 	n     int
 	name  string
+	// labels[j<<n + g] is the label of action (j, G=g), g >= 1.
+	labels []string
 }
 
 var _ core.Model = (*FullModel)(nil)
@@ -131,6 +135,12 @@ func NewFull(p proto.SyncProtocol, n int) *FullModel {
 		p:     p,
 		n:     n,
 		name:  fmt.Sprintf("mobile/full(n=%d,%s)", n, p.Name()),
+	}
+	m.labels = make([]string, n<<uint(n))
+	for j := 0; j < n; j++ {
+		for g := 1; g < 1<<uint(n); g++ {
+			m.labels[j<<uint(n)+g] = fmt.Sprintf("(%d,G=%0*b)", j, n, g)
+		}
 	}
 	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
 	return m
@@ -150,22 +160,18 @@ func (m *FullModel) Initial(inputs []int) *syncmp.State { return m.inner.Initial
 
 // successors enumerates one successor per (j, G) with G any non-empty
 // subset, plus the failure-free action; the embedded cache serves
-// Successors.
+// Successors. All actions share one syncmp.RoundMemo.
 func (m *FullModel) successors(x core.State) []core.Succ {
 	s, ok := x.(*syncmp.State)
 	if !ok {
 		return nil
 	}
-	out := []core.Succ{{
-		Action: "noop",
-		State:  syncmp.ApplyAction(m.p, s, 0, 0, false, false),
-	}}
+	r := syncmp.NewRoundMemo(m.p, s, false, false, false)
+	out := make([]core.Succ, 0, len(m.labels)-m.n+1)
+	out = append(out, core.Succ{Action: "noop", State: r.Omit(0, 0)})
 	for j := 0; j < m.n; j++ {
 		for g := uint64(1); g < 1<<uint(m.n); g++ {
-			out = append(out, core.Succ{
-				Action: fmt.Sprintf("(%d,G=%0*b)", j, m.n, g),
-				State:  syncmp.ApplyAction(m.p, s, j, g, false, false),
-			})
+			out = append(out, core.Succ{Action: m.labels[j<<uint(m.n)+int(g)], State: r.Omit(j, g)})
 		}
 	}
 	return out

@@ -7,12 +7,16 @@
 // exactly if their encodings are equal. This makes any protocol's states
 // directly usable as the paper's local states L_i — the framework observes
 // them only through equality, decisions, and the model's transition rules.
+//
+// The codec sits under every protocol step, so each encoder and decoder
+// allocates only its result: sizes are counted in a first pass and the
+// output is written into one exactly-sized buffer.
 package proto
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -25,49 +29,115 @@ var ErrBadEncoding = errors.New("proto: bad encoding")
 // using length prefixes. Join is injective: distinct field sequences yield
 // distinct strings, regardless of field contents.
 func Join(fields ...string) string {
-	var b strings.Builder
 	size := 0
 	for _, f := range fields {
-		size += len(f) + 8
+		size += intLen(len(f)) + 1 + len(f)
 	}
+	var b strings.Builder
 	b.Grow(size)
+	var num [20]byte
 	for _, f := range fields {
-		b.WriteString(strconv.Itoa(len(f)))
+		b.Write(strconv.AppendInt(num[:0], int64(len(f)), 10))
 		b.WriteByte(':')
 		b.WriteString(f)
 	}
 	return b.String()
 }
 
-// Split decodes a string produced by Join back into its fields.
+// AppendJoin appends Join(fields...) to dst. Join is a concatenation of
+// per-field encodings, so AppendJoin(AppendJoin(dst, a...), b...) appends
+// Join(a..., b...).
+func AppendJoin(dst []byte, fields ...string) []byte {
+	for _, f := range fields {
+		dst = strconv.AppendInt(dst, int64(len(f)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, f...)
+	}
+	return dst
+}
+
+// Split decodes a string produced by Join back into its fields. The
+// fields are substrings of s.
 func Split(s string) ([]string, error) {
-	var fields []string
-	for len(s) > 0 {
+	count, err := countFields(s)
+	if err != nil || count == 0 {
+		return nil, err
+	}
+	fields := make([]string, count)
+	for i := range fields {
 		colon := strings.IndexByte(s, ':')
-		if colon < 0 {
-			return nil, fmt.Errorf("missing length prefix in %q: %w", s, ErrBadEncoding)
-		}
-		n, err := strconv.Atoi(s[:colon])
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad length prefix in %q: %w", s, ErrBadEncoding)
-		}
+		n, _ := strconv.Atoi(s[:colon])
 		s = s[colon+1:]
-		if len(s) < n {
-			return nil, fmt.Errorf("truncated field in %q: %w", s, ErrBadEncoding)
-		}
-		fields = append(fields, s[:n])
-		s = s[n:]
+		fields[i], s = s[:n], s[n:]
 	}
 	return fields, nil
 }
 
-// JoinInts encodes a sequence of integers canonically (order-preserving).
-func JoinInts(xs ...int) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
+// countFields validates a Join encoding and returns its field count.
+func countFields(s string) (int, error) {
+	count := 0
+	for len(s) > 0 {
+		colon := strings.IndexByte(s, ':')
+		if colon < 0 {
+			return 0, fmt.Errorf("missing length prefix in %q: %w", s, ErrBadEncoding)
+		}
+		n, err := strconv.Atoi(s[:colon])
+		if err != nil || n < 0 {
+			return 0, fmt.Errorf("bad length prefix in %q: %w", s, ErrBadEncoding)
+		}
+		s = s[colon+1:]
+		if len(s) < n {
+			return 0, fmt.Errorf("truncated field in %q: %w", s, ErrBadEncoding)
+		}
+		s = s[n:]
+		count++
 	}
-	return strings.Join(parts, ",")
+	return count, nil
+}
+
+// JoinInts encodes a sequence of integers canonically (order-preserving).
+func JoinInts(xs ...int) string { return joinInts(xs, false) }
+
+// joinInts writes xs comma-separated into one exactly-sized string,
+// skipping each element equal to its predecessor when dedup is set.
+func joinInts(xs []int, dedup bool) string {
+	size := 0
+	for i, x := range xs {
+		if dedup && i > 0 && x == xs[i-1] {
+			continue
+		}
+		if size > 0 {
+			size++
+		}
+		size += intLen(x)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var num [20]byte
+	for i, x := range xs {
+		if dedup && i > 0 && x == xs[i-1] {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(',')
+		}
+		b.Write(strconv.AppendInt(num[:0], int64(x), 10))
+	}
+	return b.String()
+}
+
+// intLen is the length of strconv.Itoa(x).
+func intLen(x int) int {
+	n := 1
+	u := uint64(x)
+	if x < 0 {
+		n++
+		u = -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // SplitInts decodes a JoinInts encoding.
@@ -75,34 +145,40 @@ func SplitInts(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
+	out := make([]int, 0, strings.Count(s, ",")+1)
+	for {
+		p, rest, more := strings.Cut(s, ",")
 		x, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("bad int %q: %w", p, ErrBadEncoding)
 		}
-		out[i] = x
+		out = append(out, x)
+		if !more {
+			return out, nil
+		}
+		s = rest
 	}
-	return out, nil
 }
+
+// smallSet is the largest set EncodeIntSet sorts in a stack buffer.
+const smallSet = 64
 
 // EncodeIntSet encodes a set of integers canonically: sorted ascending with
 // duplicates removed.
 func EncodeIntSet(xs []int) string {
-	if len(xs) == 0 {
-		return ""
+	if slices.IsSorted(xs) {
+		return joinInts(xs, true)
 	}
-	sorted := make([]int, len(xs))
+	var buf [smallSet]int
+	var sorted []int
+	if len(xs) <= smallSet {
+		sorted = buf[:len(xs)]
+	} else {
+		sorted = make([]int, len(xs))
+	}
 	copy(sorted, xs)
-	sort.Ints(sorted)
-	uniq := sorted[:1]
-	for _, x := range sorted[1:] {
-		if x != uniq[len(uniq)-1] {
-			uniq = append(uniq, x)
-		}
-	}
-	return JoinInts(uniq...)
+	slices.Sort(sorted)
+	return joinInts(sorted, true)
 }
 
 // DecodeIntSet decodes an EncodeIntSet encoding into a sorted slice.

@@ -8,6 +8,13 @@ package proto
 // (Send), the environment decides which messages to drop, and then every
 // process consumes the vector of messages that actually arrived (Deliver).
 // Local states are canonical strings (see the package comment).
+//
+// Send, Deliver and Decide must be pure functions of their arguments: equal
+// arguments give equal results, and nothing is retained between calls
+// (Deliver must not keep its in slice, which the caller reuses). The
+// models rely on this to compute one round per source state and share its
+// Send vectors and Deliver results among all of the state's successors
+// (syncmp.RoundMemo); ValidateSync checks it on small systems.
 type SyncProtocol interface {
 	// Name identifies the protocol.
 	Name() string

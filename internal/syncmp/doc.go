@@ -18,7 +18,10 @@
 //   - S^t: S1 while fewer than t processes are failed, and the single
 //     failure-free action afterwards (Section 6).
 //
-// The round mechanics (ApplyAction, Round) are exported so that the mobile
-// failure model M^mf (package mobile) can reuse them with its own failure
-// semantics.
+// The round mechanics (RoundMemo, ApplyAction) are exported so that the
+// mobile failure model M^mf (package mobile) can reuse them with its own
+// failure semantics. Every model enumerates a state's successors through
+// one RoundMemo, which runs the round's Sends once and each distinct
+// receiver inbox's Deliver once; ApplyAction is a one-action memo, and
+// Round is the plain single-action definition the memo is tested against.
 package syncmp

@@ -2,7 +2,6 @@ package syncmp
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/proto"
@@ -20,6 +19,7 @@ type Model struct {
 	budget  bool // true for S^t: stop failing once t processes are failed
 	general bool // general omission: failed processes also stop receiving
 	name    string
+	labels  []string // PrefixLabels(n)
 	inits   core.InitMemo
 }
 
@@ -38,8 +38,10 @@ func NewS1(p proto.SyncProtocol, n int) *Model {
 	})
 }
 
-// finishModel wires the model's embedded successor cache.
+// finishModel precomputes the action labels and wires the model's embedded
+// successor cache.
 func finishModel(m *Model) *Model {
+	m.labels = PrefixLabels(m.n)
 	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
 	return m
 }
@@ -113,17 +115,16 @@ func (m *Model) Initial(inputs []int) *State {
 // Successors. Actions are labeled "noop" for the failure-free round and
 // "(j,[k])" for process j omitting to the first k processes (k >= 1).
 // Processes already failed generate no new actions: they are silenced
-// regardless, so their actions would duplicate "noop".
+// regardless, so their actions would duplicate "noop". All actions share
+// one RoundMemo.
 func (m *Model) successors(x core.State) []core.Succ {
 	s, ok := x.(*State)
 	if !ok {
 		return nil
 	}
+	r := NewRoundMemo(m.p, s, true, true, m.general)
 	out := make([]core.Succ, 0, m.n*m.n+1)
-	out = append(out, core.Succ{
-		Action: "noop",
-		State:  ApplyActionMode(m.p, s, 0, 0, true, true, m.general),
-	})
+	out = append(out, core.Succ{Action: "noop", State: r.Omit(0, 0)})
 	if m.budget && s.FailedCount() >= m.t {
 		return out
 	}
@@ -132,10 +133,7 @@ func (m *Model) successors(x core.State) []core.Succ {
 			continue
 		}
 		for k := 1; k <= m.n; k++ {
-			out = append(out, core.Succ{
-				Action: "(" + strconv.Itoa(j) + ",[" + strconv.Itoa(k) + "])",
-				State:  ApplyActionMode(m.p, s, j, OmitMask(k), true, true, m.general),
-			})
+			out = append(out, core.Succ{Action: m.labels[j*m.n+k-1], State: r.Omit(j, OmitMask(k))})
 		}
 	}
 	return out

@@ -2,7 +2,6 @@ package syncmp
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -22,6 +21,7 @@ type MultiModel struct {
 	t           int
 	maxPerRound int
 	name        string
+	labels      []string // PrefixLabels(n)
 	inits       core.InitMemo
 }
 
@@ -36,6 +36,7 @@ func NewStMulti(p proto.SyncProtocol, n, t, maxPerRound int) *MultiModel {
 		t:           t,
 		maxPerRound: maxPerRound,
 		name:        fmt.Sprintf("syncmp/StMulti(n=%d,t=%d,c=%d,%s)", n, t, maxPerRound, p.Name()),
+		labels:      PrefixLabels(n),
 	}
 	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
 	return m
@@ -78,38 +79,24 @@ type Omission struct {
 }
 
 // ApplyMulti applies one round in which every listed process fails
-// simultaneously (and previously-failed processes stay silenced).
+// simultaneously (and previously-failed processes stay silenced). It is a
+// one-action RoundMemo.
 func (m *MultiModel) ApplyMulti(x *State, oms []Omission) *State {
-	failNow := uint64(0)
-	masks := make(map[int]uint64, len(oms))
-	for _, om := range oms {
-		failNow |= 1 << uint(om.J)
-		masks[om.J] = OmitMask(om.K)
-	}
-	drop := func(from, to int) bool {
-		if x.failed&(1<<uint(from)) != 0 {
-			return true
-		}
-		if mask, ok := masks[from]; ok {
-			return mask&(1<<uint(to)) != 0
-		}
-		return false
-	}
-	next := Round(m.p, x.locals, drop)
-	return NewState(m.p, x.round+1, next, x.failed|failNow, true, x.inputs)
+	return NewRoundMemo(m.p, x, true, true, false).omitMany(oms)
 }
 
 // successors enumerates the failure-free round plus every combination of
 // up to maxPerRound new failures within the remaining budget; the embedded
-// cache serves Successors.
+// cache serves Successors. All actions share one RoundMemo.
 func (m *MultiModel) successors(x core.State) []core.Succ {
 	s, ok := x.(*State)
 	if !ok {
 		return nil
 	}
+	r := NewRoundMemo(m.p, s, true, true, false)
 	out := []core.Succ{{
 		Action: "noop",
-		State:  m.ApplyMulti(s, nil),
+		State:  r.omitMany(nil),
 	}}
 	budget := m.t - s.FailedCount()
 	limit := m.maxPerRound
@@ -126,8 +113,8 @@ func (m *MultiModel) successors(x core.State) []core.Succ {
 	build = func(start int, oms []Omission) {
 		if len(oms) > 0 {
 			out = append(out, core.Succ{
-				Action: omissionLabel(oms),
-				State:  m.ApplyMulti(s, oms),
+				Action: m.omissionLabel(oms),
+				State:  r.omitMany(oms),
 			})
 		}
 		if len(oms) == limit {
@@ -144,10 +131,11 @@ func (m *MultiModel) successors(x core.State) []core.Succ {
 	return out
 }
 
-func omissionLabel(oms []Omission) string {
+// omissionLabel joins the omissions' (j,[k]) labels with "+".
+func (m *MultiModel) omissionLabel(oms []Omission) string {
 	parts := make([]string, len(oms))
 	for i, om := range oms {
-		parts[i] = "(" + strconv.Itoa(om.J) + ",[" + strconv.Itoa(om.K) + "])"
+		parts[i] = m.labels[om.J*m.n+om.K-1]
 	}
 	return strings.Join(parts, "+")
 }

@@ -1,6 +1,8 @@
 package syncmp
 
 import (
+	"strconv"
+
 	"repro/internal/proto"
 )
 
@@ -11,6 +13,10 @@ type DropFunc func(from, to int) bool
 // Round executes one synchronous round of protocol p from the given local
 // states: every process emits its messages, drop filters them, and every
 // process consumes what arrived. It returns the next local states.
+//
+// The models build their successors through RoundMemo, which shares one
+// round among all actions from a state; Round is the plain, single-action
+// definition the memo is tested against.
 func Round(p proto.SyncProtocol, locals []string, drop DropFunc) []string {
 	n := len(locals)
 	sends := make([][]string, n)
@@ -41,6 +47,20 @@ func OmitMask(k int) uint64 {
 	return (uint64(1) << uint(k)) - 1
 }
 
+// PrefixLabels returns the labels "(j,[k])" of every prefix action (process
+// j omits to the first k processes) with 0 <= j < n and 1 <= k <= n, at
+// index j*n + k-1, so a model can label its edges without building a
+// string per edge.
+func PrefixLabels(n int) []string {
+	out := make([]string, 0, n*n)
+	for j := 0; j < n; j++ {
+		for k := 1; k <= n; k++ {
+			out = append(out, "("+strconv.Itoa(j)+",["+strconv.Itoa(k)+"])")
+		}
+	}
+	return out
+}
+
 // ApplyAction applies the environment action (j, G) to state x under
 // protocol p: messages from j to the processes in omitTo are lost this
 // round. If silenceFailed is true, all messages from processes already
@@ -56,21 +76,8 @@ func ApplyAction(p proto.SyncProtocol, x *State, j int, omitTo uint64, record, s
 // ApplyActionMode is ApplyAction with an explicit failure mode: when
 // generalOmission is true, processes already recorded as failed also lose
 // their incoming messages (general omission) instead of only their
-// outgoing ones (sending omission, the paper's model).
+// outgoing ones (sending omission, the paper's model). It is a one-action
+// RoundMemo.
 func ApplyActionMode(p proto.SyncProtocol, x *State, j int, omitTo uint64, record, silenceFailed, generalOmission bool) *State {
-	drop := func(from, to int) bool {
-		if silenceFailed && x.failed&(1<<uint(from)) != 0 {
-			return true
-		}
-		if generalOmission && x.failed&(1<<uint(to)) != 0 {
-			return true
-		}
-		return from == j && omitTo&(1<<uint(to)) != 0
-	}
-	next := Round(p, x.locals, drop)
-	failed := x.failed
-	if record && omitTo != 0 {
-		failed |= 1 << uint(j)
-	}
-	return NewState(p, x.round+1, next, failed, x.trackEn, x.inputs)
+	return NewRoundMemo(p, x, record, silenceFailed, generalOmission).Omit(j, omitTo)
 }

@@ -49,16 +49,21 @@ func NewState(p proto.Decider, round int, locals []string, failed uint64, trackE
 			s.decided[i] = core.Undecided
 		}
 	}
-	if trackEnv {
-		s.envKey = proto.Join("r"+strconv.Itoa(round), "f"+strconv.FormatUint(failed, 16))
-	} else {
-		s.envKey = proto.Join("r" + strconv.Itoa(round))
-	}
+	s.envKey = envKeyOf(round, failed, trackEnv)
 	fields := make([]string, 0, n+1)
 	fields = append(fields, s.envKey)
 	fields = append(fields, s.locals...)
 	s.key = proto.Join(fields...)
 	return s
+}
+
+// envKeyOf encodes a state's environment: the round number, plus the
+// failed set when the environment tracks it.
+func envKeyOf(round int, failed uint64, trackEnv bool) string {
+	if trackEnv {
+		return proto.Join("r"+strconv.Itoa(round), "f"+strconv.FormatUint(failed, 16))
+	}
+	return proto.Join("r" + strconv.Itoa(round))
 }
 
 // N implements core.State.
