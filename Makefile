@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build test tier1 race vet lint vettool chaos campaign crash coldbench loc bench benchfield benchexplore obsreport profile clean
+.PHONY: all build fmt test tier1 race vet lint vettool chaos campaign crash coldbench loc bench benchfield benchexplore obsreport profile clean
 
 all: tier1
 
 build:
 	$(GO) build ./...
+
+# fmt fails, listing the offending files, when any Go file in the module
+# (test files and analyzer fixtures included) is not gofmt-formatted.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -76,7 +81,7 @@ coldbench:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './coldbench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
-# tier1 is the gate every change must keep green: full build, vet, the
+# tier1 is the gate every change must keep green: full build, gofmt, vet, the
 # engine-invariant lint suite, the complete test suite (including the
 # golden experiment outputs in the root package), the race detector over
 # the internal packages that use concurrency (parallel exploration, the
@@ -86,7 +91,7 @@ loc:
 # chaos campaign and SIGKILL crash harness, the cold benchmark harness's
 # tests, a one-iteration smoke pass of the field and exploration
 # micro-benchmarks, and the traced-run obsreport round trip.
-tier1: build vet lint test race chaos campaign crash coldbench benchfield benchexplore obsreport
+tier1: build fmt vet lint test race chaos campaign crash coldbench benchfield benchexplore obsreport
 
 # bench regenerates BENCH_6.json from the E1–E11 experiment benchmarks,
 # the exploration grid, the certifier and field-kernel benchmarks, the

@@ -138,4 +138,9 @@ func TestFacadeValidators(t *testing.T) {
 	if vs := layers.ValidateSMProtocol(layers.SMVote{Phases: 2}, 3, 2); len(vs) != 0 {
 		t.Errorf("SMVote flagged: %v", vs)
 	}
+	for _, p := range []layers.MPProtocol{layers.MPFlood{Phases: 2}, layers.MPFullInfo{}} {
+		if vs := layers.ValidateMPProtocol(p, 3, 3); len(vs) != 0 {
+			t.Errorf("%s flagged: %v", p.Name(), vs)
+		}
+	}
 }

@@ -68,9 +68,9 @@ type cfgBuilder struct {
 }
 
 type cfgLoopCtx struct {
-	label        string
-	brk, cont    *Block
-	isLoop       bool // switch/select push a ctx with only brk
+	label     string
+	brk, cont *Block
+	isLoop    bool // switch/select push a ctx with only brk
 }
 
 type pendingGoto struct {

@@ -26,8 +26,8 @@ type LoadedPackage struct {
 	DepOnly bool
 	Fset    *token.FileSet
 	Files   []*ast.File
-	Pkg        *types.Package
-	Info       *types.Info
+	Pkg     *types.Package
+	Info    *types.Info
 }
 
 // Loader loads module packages for analysis. It shells out to `go list

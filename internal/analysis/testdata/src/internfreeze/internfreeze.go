@@ -42,8 +42,8 @@ func CloneWithFailure(s *State, i int) *State {
 
 // BadMutate writes interned fields outside a constructor: flagged.
 func BadMutate(s *State, v string) {
-	s.key = v // want "write to field key of interned state type State"
-	s.locals[0] = v // want "write to field locals of interned state type State"
+	s.key = v          // want "write to field key of interned state type State"
+	s.locals[0] = v    // want "write to field locals of interned state type State"
 	s.failed[1] = true // want "write to field failed of interned state type State"
 }
 

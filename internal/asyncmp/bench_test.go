@@ -5,21 +5,36 @@ import (
 	"testing"
 
 	"repro/internal/asyncmp"
+	"repro/internal/core"
 	"repro/internal/protocols"
 )
 
+// BenchmarkSuccessors enumerates the raw (uncached) successors of an
+// initial state under each layering: one phase memo per call.
 func BenchmarkSuccessors(b *testing.B) {
+	p := protocols.MPFlood{Phases: 2}
 	for _, n := range []int{3, 4} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			m := asyncmp.New(protocols.MPFlood{Phases: 2}, n)
-			x := m.Initial(make([]int, n))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := m.Successors(x); len(got) == 0 {
-					b.Fatal("no successors")
-				}
+		for _, c := range []struct {
+			name string
+			m    interface {
+				core.Model
+				Initial([]int) *asyncmp.State
 			}
-		})
+		}{
+			{"Sper", asyncmp.New(p, n)},
+			{"Ssync", asyncmp.NewSynchronic(p, n)},
+		} {
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				raw := core.CacheOf(c.m).Uncached()
+				x := c.m.Initial(make([]int, n))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if got := raw.Successors(x); len(got) == 0 {
+						b.Fatal("no successors")
+					}
+				}
+			})
+		}
 	}
 }
 

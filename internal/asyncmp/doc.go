@@ -46,4 +46,24 @@
 //
 // Every S^per-run has all processes but at most one performing local phases
 // infinitely often, and the model displays no finite failure.
+//
+// # Shared immutable records
+//
+// A State points to immutable records: one environment record (the
+// channel histories and the environment key) and one record per process
+// (protocol state, consumption counters, local key, decision). Successors
+// share them. In both layerings every action gives each process at most
+// one local phase, sent from the source state, so an action is a set of
+// processes that phase plus, for each, the set of senders whose fresh
+// message it receives. One phase memo per source state serves every
+// action: it calls Send once per process, Receive (and Decide) once per
+// distinct receiver inbox, and builds one environment record per set of
+// processes that phased. An extended history is a fresh copy with its
+// capacity capped at its length, so no two states ever alias a history
+// that one of them could extend, and each unchanged channel reuses its
+// encoding from the source's environment key. A successor then costs its
+// State, its slice of process records and its key. Sequential, WithPair,
+// Apply and ApplyAbsent are one-action memos; ApplyOps, which executes
+// primitive send and receive events on a mutable copy of the state, is the
+// independent reference the memo is tested against.
 package asyncmp

@@ -4,107 +4,114 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/proto"
 )
 
-// Model is the asynchronous message-passing model with the permutation
-// layering S^per. It implements core.Model. Successor enumeration is
+// layering is what the two layerings share: the protocol, the initial
+// states, and a successor function that applies a precomputed action
+// table through one phaseMemo per source state. Successor enumeration is
 // memoized in an embedded per-model cache shared by every analysis pass
 // over the same model value.
-type Model struct {
+type layering struct {
 	*core.SuccessorCache
-	p     proto.MPProtocol
-	n     int
-	name  string
-	inits core.InitMemo
+	p       proto.MPProtocol
+	n       int
+	name    string
+	inits   core.InitMemo
+	actions func() []action
 }
 
-var _ core.Model = (*Model)(nil)
-
-// New returns the model for protocol p on n processes.
-func New(p proto.MPProtocol, n int) *Model {
-	m := &Model{p: p, n: n, name: fmt.Sprintf("asyncmp/Sper(n=%d,%s)", n, p.Name())}
-	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
-	return m
+// init sets up a layering in place. The action table is built on first
+// use: S^per's has O(n·n!) actions, which a model that is only named or
+// asked for its initial states should not pay for.
+func (l *layering) init(p proto.MPProtocol, n int, name string, actions func() []action) {
+	l.p, l.n, l.name, l.actions = p, n, name, sync.OnceValue(actions)
+	l.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(l.successors))
 }
 
 // Name implements core.Model.
-func (m *Model) Name() string { return m.name }
+func (l *layering) Name() string { return l.name }
 
 // Protocol returns the protocol the model runs.
-func (m *Model) Protocol() proto.MPProtocol { return m.p }
+func (l *layering) Protocol() proto.MPProtocol { return l.p }
 
 // N returns the number of processes.
-func (m *Model) N() int { return m.n }
+func (l *layering) N() int { return l.n }
 
 // Inits implements core.Model: Con_0 in binary counting order, all channels
 // empty.
-func (m *Model) Inits() []core.State {
-	return m.inits.Get(func() []core.State {
-		out := make([]core.State, 0, 1<<uint(m.n))
-		for a := 0; a < 1<<uint(m.n); a++ {
-			inputs := make([]int, m.n)
-			for i := 0; i < m.n; i++ {
+func (l *layering) Inits() []core.State {
+	return l.inits.Get(func() []core.State {
+		out := make([]core.State, 0, 1<<uint(l.n))
+		for a := 0; a < 1<<uint(l.n); a++ {
+			inputs := make([]int, l.n)
+			for i := 0; i < l.n; i++ {
 				inputs[i] = (a >> uint(i)) & 1
 			}
-			out = append(out, m.Initial(inputs))
+			out = append(out, l.Initial(inputs))
 		}
 		return out
 	})
 }
 
 // Initial builds the initial state for an explicit input assignment.
-func (m *Model) Initial(inputs []int) *State {
-	hist := make([][][]string, m.n)
-	consumed := make([][]int, m.n)
-	plocal := make([]string, m.n)
-	for i := 0; i < m.n; i++ {
-		hist[i] = make([][]string, m.n)
-		consumed[i] = make([]int, m.n)
-		plocal[i] = m.p.Init(m.n, i, inputs[i])
+func (l *layering) Initial(inputs []int) *State {
+	hist := make([][][]string, l.n)
+	consumed := make([][]int, l.n)
+	plocal := make([]string, l.n)
+	for i := 0; i < l.n; i++ {
+		hist[i] = make([][]string, l.n)
+		consumed[i] = make([]int, l.n)
+		plocal[i] = l.p.Init(l.n, i, inputs[i])
 	}
-	return newState(m.p, hist, consumed, plocal, append([]int(nil), inputs...))
+	return newState(l.p, hist, consumed, plocal, append([]int(nil), inputs...))
 }
 
-// phaseSend emits process i's messages (computed from its pre-phase state).
-func (m *Model) phaseSend(w *working, i int) {
-	outs := m.p.Send(w.plocal[i])
-	for d := 0; d < w.n && d < len(outs); d++ {
-		if d == i || outs[d] == "" {
-			continue
-		}
-		w.hist[i][d] = append(w.hist[i][d], outs[d])
+// successors applies the model's action table to x through one phase
+// memo; the embedded cache serves Successors.
+func (l *layering) successors(x core.State) []core.Succ {
+	s, ok := x.(*State)
+	if !ok {
+		return nil
 	}
+	r := newPhaseMemo(l.p, s)
+	actions := l.actions()
+	out := make([]core.Succ, len(actions))
+	for i := range actions {
+		out[i] = core.Succ{Action: actions[i].label, State: r.next(&actions[i])}
+	}
+	return out
 }
 
-// phaseReceive delivers everything outstanding for i and updates its state.
-func (m *Model) phaseReceive(w *working, i int) {
-	in := make([][]string, w.n)
-	for j := 0; j < w.n; j++ {
-		in[j] = w.hist[j][i][w.consumed[i][j]:]
-		w.consumed[i][j] = len(w.hist[j][i])
-	}
-	w.plocal[i] = m.p.Receive(w.plocal[i], in)
+// apply is the one-action memo behind Sequential, WithPair, Apply and
+// ApplyAbsent.
+func (l *layering) apply(x *State, a action) *State {
+	return newPhaseMemo(l.p, x).next(&a)
 }
 
-// phase performs one complete local phase of process i: send (from the
-// pre-phase state), then receive everything outstanding.
-func (m *Model) phase(w *working, i int) {
-	m.phaseSend(w, i)
-	m.phaseReceive(w, i)
+// Model is the asynchronous message-passing model with the permutation
+// layering S^per. It implements core.Model.
+type Model struct {
+	layering
+}
+
+var _ core.Model = (*Model)(nil)
+
+// New returns the model for protocol p on n processes.
+func New(p proto.MPProtocol, n int) *Model {
+	m := &Model{}
+	m.init(p, n, fmt.Sprintf("asyncmp/Sper(n=%d,%s)", n, p.Name()), func() []action { return perActions(n) })
+	return m
 }
 
 // Sequential applies the local phases of the given processes in order (an
 // action of the first or second type). The slice may list fewer than n
-// processes.
+// processes, each at most once.
 func (m *Model) Sequential(x *State, order []int) *State {
-	w := x.thaw()
-	for _, i := range order {
-		m.phase(w, i)
-	}
-	return w.freeze(m.p, x.inputs)
+	return m.apply(x, sequential(m.n, order))
 }
 
 // WithPair applies the action [order[0..k-1], {order[k],order[k+1]},
@@ -113,57 +120,35 @@ func (m *Model) Sequential(x *State, order []int) *State {
 // then both receive everything outstanding (including each other's fresh
 // message).
 func (m *Model) WithPair(x *State, order []int, k int) *State {
-	w := x.thaw()
-	for idx := 0; idx < len(order); idx++ {
-		if idx == k {
-			a, b := order[k], order[k+1]
-			m.phaseSend(w, a)
-			m.phaseSend(w, b)
-			m.phaseReceive(w, a)
-			m.phaseReceive(w, b)
-			idx++
-			continue
-		}
-		m.phase(w, order[idx])
-	}
-	return w.freeze(m.p, x.inputs)
+	return m.apply(x, withPair(m.n, order, k))
 }
 
-// successors enumerates one successor per action of the three types; the
-// embedded cache serves Successors. Full permutations are labeled
-// "[0,1,2]", drop-one actions omit one process ("[0,2]"), and
-// concurrent-pair actions mark the block ("[0,{1,2}]"); pairs are emitted
-// once, with the block in ascending order.
-func (m *Model) successors(x core.State) []core.Succ {
-	s, ok := x.(*State)
-	if !ok {
-		return nil
-	}
-	var out []core.Succ
-	perms := permutations(m.n)
+// perActions is the S^per action table: one action per full permutation
+// ("[0,1,2]"), per drop-one sequence ("[0,2]") and per concurrent-pair
+// action ("[0,{1,2}]"), in that order. Drop-one sequences drop the last
+// process of a permutation, so every ordered (n-1)-sequence arises exactly
+// once; pairs are emitted once, with the block in ascending order.
+func perActions(n int) []action {
+	perms := permutations(n)
+	out := make([]action, 0, 2*len(perms)+(n-1)*len(perms)/2)
 	for _, p := range perms {
-		out = append(out, core.Succ{
-			Action: permLabel(p, -1),
-			State:  m.Sequential(s, p),
-		})
+		a := sequential(n, p)
+		a.label = permLabel(p, -1)
+		out = append(out, a)
 	}
 	for _, p := range perms {
-		// Drop the last process of the permutation: every ordered
-		// (n-1)-sequence arises exactly once this way.
-		out = append(out, core.Succ{
-			Action: permLabel(p[:m.n-1], -1),
-			State:  m.Sequential(s, p[:m.n-1]),
-		})
+		a := sequential(n, p[:n-1])
+		a.label = permLabel(p[:n-1], -1)
+		out = append(out, a)
 	}
 	for _, p := range perms {
-		for k := 0; k+1 < m.n; k++ {
+		for k := 0; k+1 < n; k++ {
 			if p[k] > p[k+1] {
 				continue // emit each unordered block once
 			}
-			out = append(out, core.Succ{
-				Action: permLabel(p, k),
-				State:  m.WithPair(s, p, k),
-			})
+			a := withPair(n, p, k)
+			a.label = permLabel(p, k)
+			out = append(out, a)
 		}
 	}
 	return out

@@ -6,19 +6,35 @@ import (
 )
 
 // State is a global state of the asynchronous message-passing model: the
-// cumulative channel histories (environment), each process's protocol state
-// and per-channel consumption counters (local states). Immutable after
-// construction.
+// environment (the cumulative channel histories) and each process's local
+// state (protocol state and per-channel consumption counters). A state and
+// the records it points to are immutable, which is what lets successors
+// share them.
 type State struct {
-	n        int
-	hist     [][][]string // hist[from][to] = every message ever sent from->to
-	consumed [][]int      // consumed[to][from] = prefix of hist[from][to] delivered
-	plocal   []string     // protocol states
-	decided  []int
-	inputs   []int
-	localKey []string
-	envKey   string
+	env    *env
+	procs  []*proc
+	inputs []int
+	key    string
+}
+
+// env is the environment's local state. hist[from*n+to] is every message
+// ever sent from one process to another, oldest first; each history's
+// capacity equals its length, so extending one always copies and siblings
+// never alias. key is Join(Join(hist[0]...), ..., Join(hist[n*n-1]...)).
+type env struct {
+	hist [][]string
+	key  string
+}
+
+// proc is one process's local state: its protocol state, how far it has
+// consumed each incoming channel (consumed[from] is the delivered prefix
+// of hist[from*n+i]), its local-state key Join(local, JoinInts(consumed...))
+// and its decision (core.Undecided if none).
+type proc struct {
+	local    string
+	consumed []int
 	key      string
+	decided  int
 }
 
 var (
@@ -26,67 +42,78 @@ var (
 	_ core.Input = (*State)(nil)
 )
 
-// newState assembles an immutable state from owned (not aliased) slices.
+// newState assembles a state from scratch out of owned (not aliased)
+// slices: hist[from][to] is the from->to history, consumed[to][from] the
+// prefix of it delivered to to.
 func newState(p proto.Decider, hist [][][]string, consumed [][]int, plocal []string, inputs []int) *State {
 	n := len(plocal)
-	s := &State{
-		n:        n,
-		hist:     hist,
-		consumed: consumed,
-		plocal:   plocal,
-		decided:  make([]int, n),
-		inputs:   inputs,
-		localKey: make([]string, n),
-	}
-	for i, l := range plocal {
-		if v, ok := p.Decide(l); ok {
-			s.decided[i] = v
-		} else {
-			s.decided[i] = core.Undecided
-		}
-	}
-	// Environment: the channel histories.
-	chans := make([]string, 0, n*n)
+	e := &env{hist: make([][]string, n*n)}
+	encs := make([]string, n*n)
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
-			chans = append(chans, proto.Join(hist[from][to]...))
+			h := hist[from][to]
+			e.hist[from*n+to] = h[:len(h):len(h)]
+			encs[from*n+to] = proto.Join(h...)
 		}
 	}
-	s.envKey = proto.Join(chans...)
-	// Locals: protocol state plus consumption counters.
-	for i := 0; i < n; i++ {
-		s.localKey[i] = proto.Join(plocal[i], proto.JoinInts(consumed[i]...))
+	e.key = proto.Join(encs...)
+	procs := make([]*proc, n)
+	for i := range procs {
+		procs[i] = newProc(p, plocal[i], consumed[i])
 	}
-	fields := make([]string, 0, n+1)
-	fields = append(fields, s.envKey)
-	fields = append(fields, s.localKey...)
-	s.key = proto.Join(fields...)
+	s, _ := assemble(e, procs, inputs, nil)
 	return s
 }
 
+// newProc builds a process record, taking ownership of consumed.
+func newProc(p proto.Decider, local string, consumed []int) *proc {
+	r := &proc{
+		local:    local,
+		consumed: consumed,
+		key:      proto.Join(local, proto.JoinInts(consumed...)),
+		decided:  core.Undecided,
+	}
+	if v, ok := p.Decide(local); ok {
+		r.decided = v
+	}
+	return r
+}
+
+// assemble builds the state with environment e and process records procs,
+// appending its key Join(e.key, procs[0].key, ...) into buf, which it
+// returns for reuse.
+func assemble(e *env, procs []*proc, inputs []int, buf []byte) (*State, []byte) {
+	buf = proto.AppendJoin(buf[:0], e.key)
+	for _, r := range procs {
+		buf = proto.AppendJoin(buf, r.key)
+	}
+	return &State{env: e, procs: procs, inputs: inputs, key: string(buf)}, buf
+}
+
 // N implements core.State.
-func (s *State) N() int { return s.n }
+func (s *State) N() int { return len(s.procs) }
 
 // Key implements core.State.
 func (s *State) Key() string { return s.key }
 
 // AppendKey implements core.KeyAppender: the key is precomputed at
 // construction, so the fast path is a copy of the cached bytes.
+//
 //lint:hotpath
 func (s *State) AppendKey(dst []byte) []byte { return append(dst, s.key...) }
 
 // EnvKey implements core.State.
-func (s *State) EnvKey() string { return s.envKey }
+func (s *State) EnvKey() string { return s.env.key }
 
 // Local implements core.State.
-func (s *State) Local(i int) string { return s.localKey[i] }
+func (s *State) Local(i int) string { return s.procs[i].key }
 
 // Decided implements core.State.
 func (s *State) Decided(i int) (int, bool) {
-	if s.decided[i] == core.Undecided {
-		return core.Undecided, false
+	if d := s.procs[i].decided; d != core.Undecided {
+		return d, true
 	}
-	return s.decided[i], true
+	return core.Undecided, false
 }
 
 // FailedAt implements core.State: the model displays no finite failure.
@@ -96,48 +123,14 @@ func (s *State) FailedAt(int) bool { return false }
 func (s *State) InputOf(i int) int { return s.inputs[i] }
 
 // ProtocolState returns process i's protocol state.
-func (s *State) ProtocolState(i int) string { return s.plocal[i] }
+func (s *State) ProtocolState(i int) string { return s.procs[i].local }
 
 // Outstanding returns the messages outstanding for process i, per sender.
 func (s *State) Outstanding(i int) [][]string {
-	out := make([][]string, s.n)
-	for j := 0; j < s.n; j++ {
-		pending := s.hist[j][i][s.consumed[i][j]:]
-		out[j] = append([]string(nil), pending...)
+	n := len(s.procs)
+	out := make([][]string, n)
+	for j := range out {
+		out[j] = append([]string(nil), s.env.hist[j*n+i][s.procs[i].consumed[j]:]...)
 	}
 	return out
-}
-
-// working is a mutable copy of a state used while applying a layer action.
-type working struct {
-	n        int
-	hist     [][][]string
-	consumed [][]int
-	plocal   []string
-}
-
-func (s *State) thaw() *working {
-	w := &working{
-		n:        s.n,
-		hist:     make([][][]string, s.n),
-		consumed: make([][]int, s.n),
-		plocal:   append([]string(nil), s.plocal...),
-	}
-	for from := 0; from < s.n; from++ {
-		w.hist[from] = make([][]string, s.n)
-		for to := 0; to < s.n; to++ {
-			// Histories are append-only; a shallow copy of the slice header
-			// would alias the backing array across sibling successors, so
-			// copy explicitly.
-			w.hist[from][to] = append([]string(nil), s.hist[from][to]...)
-		}
-	}
-	for to := 0; to < s.n; to++ {
-		w.consumed[to] = append([]int(nil), s.consumed[to]...)
-	}
-	return w
-}
-
-func (w *working) freeze(p proto.Decider, inputs []int) *State {
-	return newState(p, w.hist, w.consumed, w.plocal, inputs)
 }

@@ -28,15 +28,15 @@ import (
 //     delayed, not lost, the crucial difference from the synchronous
 //     mobile-failure model.
 //
+// Every process sends from its pre-round state, so a round is a layer of
+// at most one local phase per process and enumerates through the same
+// phaseMemo as S^per.
+//
 // In every round at least n-1 processes send and receive a full round of
 // messages, so the submodel is fair and nearly synchronous; consensus is
 // still impossible (the package tests certify the refutation).
 type Synchronic struct {
-	*core.SuccessorCache
-	p     proto.MPProtocol
-	n     int
-	name  string
-	inits core.InitMemo
+	layering
 }
 
 var _ core.Model = (*Synchronic)(nil)
@@ -44,132 +44,38 @@ var _ core.Model = (*Synchronic)(nil)
 // NewSynchronic returns the synchronic message-passing model for protocol
 // p on n processes.
 func NewSynchronic(p proto.MPProtocol, n int) *Synchronic {
-	m := &Synchronic{p: p, n: n, name: fmt.Sprintf("asyncmp/Ssync(n=%d,%s)", n, p.Name())}
-	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
+	m := &Synchronic{}
+	m.init(p, n, fmt.Sprintf("asyncmp/Ssync(n=%d,%s)", n, p.Name()), func() []action { return syncActions(n) })
 	return m
-}
-
-// Name implements core.Model.
-func (m *Synchronic) Name() string { return m.name }
-
-// N returns the number of processes.
-func (m *Synchronic) N() int { return m.n }
-
-// Inits implements core.Model: Con_0 in binary counting order.
-func (m *Synchronic) Inits() []core.State {
-	return m.inits.Get(func() []core.State {
-		out := make([]core.State, 0, 1<<uint(m.n))
-		for a := 0; a < 1<<uint(m.n); a++ {
-			inputs := make([]int, m.n)
-			for i := 0; i < m.n; i++ {
-				inputs[i] = (a >> uint(i)) & 1
-			}
-			out = append(out, m.Initial(inputs))
-		}
-		return out
-	})
-}
-
-// Initial builds the initial state for an explicit input assignment.
-func (m *Synchronic) Initial(inputs []int) *State {
-	hist := make([][][]string, m.n)
-	consumed := make([][]int, m.n)
-	plocal := make([]string, m.n)
-	for i := 0; i < m.n; i++ {
-		hist[i] = make([][]string, m.n)
-		consumed[i] = make([]int, m.n)
-		plocal[i] = m.p.Init(m.n, i, inputs[i])
-	}
-	return newState(m.p, hist, consumed, plocal, append([]int(nil), inputs...))
-}
-
-// receiveAll delivers everything outstanding for process i.
-func (m *Synchronic) receiveAll(w *working, i int) {
-	in := make([][]string, w.n)
-	for j := 0; j < w.n; j++ {
-		in[j] = w.hist[j][i][w.consumed[i][j]:]
-		w.consumed[i][j] = len(w.hist[j][i])
-	}
-	w.plocal[i] = m.p.Receive(w.plocal[i], in)
-}
-
-// sendAll emits process i's round messages (from its pre-round state).
-func (m *Synchronic) sendAll(w *working, i int, pre string) {
-	outs := m.p.Send(pre)
-	for d := 0; d < w.n && d < len(outs); d++ {
-		if d == i || outs[d] == "" {
-			continue
-		}
-		w.hist[i][d] = append(w.hist[i][d], outs[d])
-	}
 }
 
 // Apply performs the virtual round of action (j,k): proper sends, early
 // receivers (proper id < k) before j's sends, then j's sends, then the late
 // receivers (j and proper id >= k).
 func (m *Synchronic) Apply(x *State, j, k int) *State {
-	w := x.thaw()
-	// W1: proper processes send, from their pre-round states.
-	for i := 0; i < m.n; i++ {
-		if i != j {
-			m.sendAll(w, i, x.plocal[i])
-		}
-	}
-	// R1: proper early receivers — before j's round message exists, so
-	// "everything outstanding" excludes it naturally.
-	for i := 0; i < m.n; i++ {
-		if i != j && i < k {
-			m.receiveAll(w, i)
-		}
-	}
-	// W2: the slow process sends (from its pre-round state).
-	m.sendAll(w, j, x.plocal[j])
-	// R2: the late receivers.
-	for i := 0; i < m.n; i++ {
-		if i != j && i >= k {
-			m.receiveAll(w, i)
-		}
-	}
-	m.receiveAll(w, j)
-	return w.freeze(m.p, x.inputs)
+	return m.apply(x, synchronicRound(m.n, j, k))
 }
 
 // ApplyAbsent performs the virtual round of action (j,A): the proper
 // processes send and receive; j does nothing.
 func (m *Synchronic) ApplyAbsent(x *State, j int) *State {
-	w := x.thaw()
-	for i := 0; i < m.n; i++ {
-		if i != j {
-			m.sendAll(w, i, x.plocal[i])
-		}
-	}
-	for i := 0; i < m.n; i++ {
-		if i != j {
-			m.receiveAll(w, i)
-		}
-	}
-	return w.freeze(m.p, x.inputs)
+	return m.apply(x, absentRound(m.n, j))
 }
 
-// successors enumerates S(x) = { x(j,k) } ∪ { x(j,A) }, mirroring the
-// shared-memory synchronic layering; the embedded cache serves Successors.
-func (m *Synchronic) successors(x core.State) []core.Succ {
-	s, ok := x.(*State)
-	if !ok {
-		return nil
-	}
-	out := make([]core.Succ, 0, m.n*(m.n+2))
-	for j := 0; j < m.n; j++ {
-		for k := 0; k <= m.n; k++ {
-			out = append(out, core.Succ{
-				Action: "(" + strconv.Itoa(j) + "," + strconv.Itoa(k) + ")",
-				State:  m.Apply(s, j, k),
-			})
+// syncActions is the synchronic action table S(x) = { x(j,k) } ∪ { x(j,A) },
+// mirroring the shared-memory synchronic layering: for each j, the actions
+// (j,0) … (j,n) and then (j,A).
+func syncActions(n int) []action {
+	out := make([]action, 0, n*(n+2))
+	for j := 0; j < n; j++ {
+		for k := 0; k <= n; k++ {
+			a := synchronicRound(n, j, k)
+			a.label = "(" + strconv.Itoa(j) + "," + strconv.Itoa(k) + ")"
+			out = append(out, a)
 		}
-		out = append(out, core.Succ{
-			Action: "(" + strconv.Itoa(j) + ",A)",
-			State:  m.ApplyAbsent(s, j),
-		})
+		a := absentRound(n, j)
+		a.label = "(" + strconv.Itoa(j) + ",A)"
+		out = append(out, a)
 	}
 	return out
 }

@@ -84,6 +84,7 @@ type KeyAppender interface {
 // provides it, through a Key() fallback shim otherwise. The result must be
 // byte-identical either way; the successor cache checks the two agree when
 // it first interns a state.
+//
 //lint:hotpath
 func AppendKeyOf(x State, dst []byte) []byte {
 	if a, ok := x.(KeyAppender); ok {

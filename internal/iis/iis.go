@@ -75,6 +75,7 @@ func (s *State) Key() string { return s.key }
 
 // AppendKey implements core.KeyAppender: the key is precomputed at
 // construction, so the fast path is a copy of the cached bytes.
+//
 //lint:hotpath
 func (s *State) AppendKey(dst []byte) []byte { return append(dst, s.key...) }
 

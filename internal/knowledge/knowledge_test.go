@@ -178,7 +178,7 @@ func (r *quadRef) find(a int) int {
 	}
 	return a
 }
-func (r *quadRef) union(a, b int)        { r.parent[r.find(a)] = r.find(b) }
+func (r *quadRef) union(a, b int)          { r.parent[r.find(a)] = r.find(b) }
 func (r *quadRef) connected(a, b int) bool { return r.find(a) == r.find(b) }
 func (r *quadRef) count() int {
 	c := 0

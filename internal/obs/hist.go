@@ -72,6 +72,7 @@ func histBucketBounds(i int) (lo, hi int64) {
 // Record adds one sample. Negative samples clamp to zero (durations and
 // sizes are non-negative by construction; a clock hiccup must not corrupt
 // the bucket table).
+//
 //lint:hotpath
 func (h *Histogram) Record(v int64) {
 	if v < 0 {

@@ -65,12 +65,26 @@ func Split(s string) ([]string, error) {
 	}
 	fields := make([]string, count)
 	for i := range fields {
-		colon := strings.IndexByte(s, ':')
-		n, _ := strconv.Atoi(s[:colon])
-		s = s[colon+1:]
-		fields[i], s = s[:n], s[n:]
+		fields[i], s, _ = Cut(s)
 	}
 	return fields, nil
+}
+
+// Cut splits the first field off a Join encoding without allocating: for
+// s = Join(f, rest...) it returns f, Join(rest...) and true. It validates
+// the field as Split does and reports false if s does not start with a
+// valid field.
+func Cut(s string) (field, rest string, ok bool) {
+	colon := strings.IndexByte(s, ':')
+	if colon < 0 {
+		return "", "", false
+	}
+	n, err := strconv.Atoi(s[:colon])
+	if err != nil || n < 0 || len(s)-colon-1 < n {
+		return "", "", false
+	}
+	s = s[colon+1:]
+	return s[:n], s[n:], true
 }
 
 // countFields validates a Join encoding and returns its field count.
@@ -145,16 +159,31 @@ func SplitInts(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
-	out := make([]int, 0, strings.Count(s, ",")+1)
+	out, err := AppendInts(make([]int, 0, strings.Count(s, ",")+1), s)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AppendInts appends the integers of a JoinInts encoding to dst, which
+// lets a caller decode into a buffer it owns. On a malformed encoding it
+// returns dst unchanged (none of s appended) and the error; only that path
+// allocates beyond dst's growth.
+func AppendInts(dst []int, s string) ([]int, error) {
+	if s == "" {
+		return dst, nil
+	}
+	n := len(dst)
 	for {
 		p, rest, more := strings.Cut(s, ",")
 		x, err := strconv.Atoi(p)
 		if err != nil {
-			return nil, fmt.Errorf("bad int %q: %w", p, ErrBadEncoding)
+			return dst[:n], fmt.Errorf("bad int %q: %w", p, ErrBadEncoding)
 		}
-		out = append(out, x)
+		dst = append(dst, x)
 		if !more {
-			return out, nil
+			return dst, nil
 		}
 		s = rest
 	}

@@ -146,7 +146,8 @@ func TestCodecMatchesReference(t *testing.T) {
 }
 
 // TestCodecAllocatesOnlyResult pins every encoder and decoder at one
-// allocation, its result.
+// allocation, its result, and the forms that cut or decode into a caller's
+// buffer at none.
 func TestCodecAllocatesOnlyResult(t *testing.T) {
 	long := strings.Repeat("x", 200)
 	enc := Join("r12", long, "0,1,4,9")
@@ -165,6 +166,15 @@ func TestCodecAllocatesOnlyResult(t *testing.T) {
 	for _, c := range cases {
 		if got := testing.AllocsPerRun(100, c.f); got > 1 {
 			t.Errorf("%s: %.0f allocs/op, want at most 1", c.name, got)
+		}
+	}
+	buf := make([]int, 0, 8)
+	for name, f := range map[string]func(){
+		"Cut":        func() { _, _, _ = Cut(enc) },
+		"AppendInts": func() { _, _ = AppendInts(buf[:0], "0,1,4,9,-12,100") },
+	} {
+		if got := testing.AllocsPerRun(100, f); got != 0 {
+			t.Errorf("%s: %.0f allocs/op, want 0", name, got)
 		}
 	}
 }

@@ -72,6 +72,14 @@ type SMProtocol interface {
 // message-passing model with the paper's local phases: first all outstanding
 // messages sent to the process are delivered, then the process sends at most
 // one message to each distinct destination.
+//
+// Send, Receive and Decide must be pure functions of their arguments: equal
+// arguments give equal results, and nothing is retained between calls.
+// Receive must neither keep nor modify its in slices, which alias the
+// model's channel histories and inbox buffers the caller reuses. The models
+// rely on this to compute one layer per source state and share its Send
+// vectors and Receive results among all of the state's successors (the
+// asyncmp phase memo); ValidateMP checks it on small systems.
 type MPProtocol interface {
 	// Name identifies the protocol.
 	Name() string

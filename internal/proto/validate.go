@@ -133,6 +133,118 @@ func ValidateSM(p SMProtocol, n, phases int) []Violation {
 	return out
 }
 
+// ValidateMP is ValidateSync's analogue for message-passing protocols: it
+// runs `rounds` rounds on every binary input assignment, in each of which
+// every process sends from its pre-round state and then receives the
+// messages sent to it that round. Besides the determinism, send-length and
+// write-once checks, it runs every assignment a second time the way the
+// asynchronous models call Receive — all inboxes in one reused buffer that
+// is overwritten after each call — and reports a protocol whose run then
+// changes: it keeps or modifies its inbox, or is not pure. A Receive that
+// writes to its inbox is also reported directly.
+func ValidateMP(p MPProtocol, n, rounds int) []Violation {
+	var out []Violation
+	report := func(rule, format string, args ...any) {
+		out = append(out, Violation{Rule: rule, Detail: fmt.Sprintf(format, args...)})
+	}
+	for a := 0; a < 1<<uint(n); a++ {
+		clean := runMP(p, n, rounds, a, report)
+		if reused := runMP(p, n, rounds, a, nil); !equalStrings(reused, clean) {
+			report("receive-retains-input", "inputs %0*b: the run changes when inbox buffers are reused", n, a)
+		}
+	}
+	return out
+}
+
+// clobbered overwrites a reused inbox buffer after each Receive.
+const clobbered = "\x00clobbered"
+
+// runMP runs ValidateMP's rounds from input assignment a and returns every
+// local state the run passes through. With report set it hands Receive
+// fresh inboxes and reports contract violations; with report nil it hands
+// Receive one reused buffer, overwritten after each call.
+func runMP(p MPProtocol, n, rounds, a int, report func(rule, format string, args ...any)) []string {
+	check := report != nil
+	locals := make([]string, n)
+	decided := make([]int, n)
+	for i := range locals {
+		input := (a >> uint(i)) & 1
+		locals[i] = p.Init(n, i, input)
+		if check && p.Init(n, i, input) != locals[i] {
+			report("init-determinism", "Init(%d,%d,%d) differs across calls", n, i, input)
+		}
+		decided[i] = -1
+		if v, ok := p.Decide(locals[i]); ok {
+			decided[i] = v
+		}
+	}
+	trace := append([]string(nil), locals...)
+	in, cells := make([][]string, n), make([]string, n)
+	for r := 0; r < rounds; r++ {
+		sends := make([][]string, n)
+		for i, l := range locals {
+			sends[i] = p.Send(l)
+			if !check {
+				continue
+			}
+			if again := p.Send(l); !equalStrings(again, sends[i]) {
+				report("send-determinism", "inputs %0*b round %d process %d", n, a, r, i)
+			}
+			if len(sends[i]) < n {
+				report("send-length", "inputs %0*b round %d process %d: %d < n=%d", n, a, r, i, len(sends[i]), n)
+			}
+		}
+		next := make([]string, n)
+		for i := range locals {
+			if check {
+				in, cells = make([][]string, n), make([]string, n)
+			}
+			fillInbox(in, cells, sends, i)
+			next[i] = p.Receive(locals[i], in)
+			if !check {
+				for j := range cells {
+					cells[j], in[j] = clobbered, cells[j:j+1]
+				}
+				continue
+			}
+			fresh := make([][]string, n)
+			fillInbox(fresh, make([]string, n), sends, i)
+			for j := range in {
+				if !equalStrings(in[j], fresh[j]) {
+					report("receive-modifies-input", "inputs %0*b round %d process %d", n, a, r, i)
+					break
+				}
+			}
+			if again := p.Receive(locals[i], fresh); again != next[i] {
+				report("receive-determinism", "inputs %0*b round %d process %d", n, a, r, i)
+			}
+			v, ok := p.Decide(next[i])
+			switch {
+			case decided[i] >= 0 && (!ok || v != decided[i]):
+				report("write-once", "inputs %0*b round %d process %d: %d then (%d,%v)",
+					n, a, r, i, decided[i], v, ok)
+			case decided[i] < 0 && ok:
+				decided[i] = v
+			}
+		}
+		locals = next
+		trace = append(trace, locals...)
+	}
+	return trace
+}
+
+// fillInbox sets in to receiver i's inbox for the round's sends: in[j] is
+// j's message to i, held in cells[j], or nil if there is none.
+func fillInbox(in [][]string, cells []string, sends [][]string, i int) {
+	for j := range in {
+		in[j] = nil
+		if j != i && i < len(sends[j]) && sends[j][i] != "" {
+			cells[j] = sends[j][i]
+			in[j] = cells[j : j+1 : j+1]
+		}
+	}
+}
+
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

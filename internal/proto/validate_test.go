@@ -1,6 +1,7 @@
 package proto_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -86,3 +87,99 @@ func (flickerSM) Observe(s string, _ []string) string {
 	return s + "x"
 }
 func (flickerSM) Decide(s string) (int, bool) { return len(s) % 2, true }
+
+func TestValidateMPCleanProtocols(t *testing.T) {
+	for _, p := range []proto.MPProtocol{
+		protocols.MPFlood{Phases: 2},
+		protocols.MPFullInfo{},
+		protocols.MPCoordinator{Phases: 3},
+	} {
+		if vs := proto.ValidateMP(p, 3, 3); len(vs) != 0 {
+			t.Errorf("%s: %d violations, first: %v", p.Name(), len(vs), vs[0])
+		}
+	}
+}
+
+// TestValidateMPCatchesImpureAndRetaining: a Receive that counts its calls
+// breaks determinism, one that keeps its inbox (read back by the next Send)
+// changes the run once the caller reuses its inbox buffers, and one that
+// writes to its inbox is caught doing so.
+func TestValidateMPCatchesImpureAndRetaining(t *testing.T) {
+	for _, c := range []struct {
+		p    proto.MPProtocol
+		rule string
+	}{
+		{&countingReceiver{}, "receive-determinism"},
+		{&retainingReceiver{}, "receive-retains-input"},
+		{modifyingReceiver{}, "receive-modifies-input"},
+	} {
+		rules := map[string]bool{}
+		for _, v := range proto.ValidateMP(c.p, 2, 2) {
+			rules[v.Rule] = true
+		}
+		if !rules[c.rule] {
+			t.Errorf("%s: no %s violation among %v", c.p.Name(), c.rule, rules)
+		}
+		if c.rule == "receive-retains-input" && len(rules) != 1 {
+			t.Errorf("%s: want only %s, got %v", c.p.Name(), c.rule, rules)
+		}
+	}
+}
+
+// countingReceiver appends a global call count to its state on every
+// Receive.
+type countingReceiver struct{ calls int }
+
+func (*countingReceiver) Name() string                 { return "counting" }
+func (*countingReceiver) Init(n, id, input int) string { return "c" }
+func (*countingReceiver) Send(s string) []string       { return []string{s, s} }
+func (c *countingReceiver) Receive(s string, _ [][]string) string {
+	c.calls++
+	return s + strings.Repeat("+", c.calls%3)
+}
+func (*countingReceiver) Decide(string) (int, bool) { return 0, false }
+
+// retainingReceiver keeps each inbox, keyed by the state Receive returns,
+// and broadcasts it from that state's Send: pure only as long as no caller
+// reuses an inbox.
+type retainingReceiver struct{ kept map[string][][]string }
+
+func (*retainingReceiver) Name() string                 { return "retaining" }
+func (*retainingReceiver) Init(n, id, input int) string { return proto.Join("r", strconv.Itoa(id)) }
+func (r *retainingReceiver) Send(s string) []string {
+	msg := s
+	for _, msgs := range r.kept[s] {
+		msg += strings.Join(msgs, ",")
+	}
+	return []string{msg, msg}
+}
+func (r *retainingReceiver) Receive(s string, in [][]string) string {
+	fields := []string{s}
+	for _, msgs := range in {
+		fields = append(fields, msgs...)
+	}
+	next := proto.Join(fields...)
+	if r.kept == nil {
+		r.kept = map[string][][]string{}
+	}
+	r.kept[next] = in
+	return next
+}
+func (*retainingReceiver) Decide(string) (int, bool) { return 0, false }
+
+// modifyingReceiver consumes its inbox by blanking it.
+type modifyingReceiver struct{}
+
+func (modifyingReceiver) Name() string                 { return "modifying" }
+func (modifyingReceiver) Init(n, id, input int) string { return strconv.Itoa(id) }
+func (modifyingReceiver) Send(s string) []string       { return []string{s, s} }
+func (modifyingReceiver) Receive(s string, in [][]string) string {
+	for _, msgs := range in {
+		for k, m := range msgs {
+			s += m
+			msgs[k] = ""
+		}
+	}
+	return s
+}
+func (modifyingReceiver) Decide(string) (int, bool) { return 0, false }

@@ -31,24 +31,20 @@ func (s SMVote) Init(n, id, input int) string {
 
 // WriteValue implements proto.SMProtocol: publish W.
 func (s SMVote) WriteValue(state string) string {
-	_, w := parsePhaseSet(state)
+	var buf [setBuf]int
+	_, w := parsePhaseSet(state, buf[:0])
 	return proto.EncodeIntSet(w)
 }
 
 // Observe implements proto.SMProtocol: adopt the union of all registers.
+// A malformed register value is ignored.
 func (s SMVote) Observe(state string, regs []string) string {
-	phase, w := parsePhaseSet(state)
+	var buf [setBuf]int
+	phase, w := parsePhaseSet(state, buf[:0])
 	for _, r := range regs {
-		if r == "" {
-			continue
-		}
-		vs, err := proto.DecodeIntSet(r)
-		if err != nil {
-			continue
-		}
-		w = append(w, vs...)
+		w, _ = proto.AppendInts(w, r)
 	}
-	return proto.Join(strconv.Itoa(phase+1), proto.EncodeIntSet(w))
+	return formatPhaseSet(phase+1, w)
 }
 
 // Decide implements proto.SMProtocol.
@@ -79,23 +75,22 @@ func (p MPFlood) Init(n, id, input int) string {
 
 // Send implements proto.MPProtocol: broadcast W.
 func (p MPFlood) Send(state string) []string {
-	_, w := parsePhaseSet(state)
+	var buf [setBuf]int
+	_, w := parsePhaseSet(state, buf[:0])
 	return broadcast(proto.EncodeIntSet(w))
 }
 
-// Receive implements proto.MPProtocol: union everything delivered.
+// Receive implements proto.MPProtocol: union everything delivered. A
+// malformed message is ignored.
 func (p MPFlood) Receive(state string, in [][]string) string {
-	phase, w := parsePhaseSet(state)
+	var buf [setBuf]int
+	phase, w := parsePhaseSet(state, buf[:0])
 	for _, msgs := range in {
 		for _, msg := range msgs {
-			vs, err := proto.DecodeIntSet(msg)
-			if err != nil {
-				continue
-			}
-			w = append(w, vs...)
+			w, _ = proto.AppendInts(w, msg)
 		}
 	}
-	return proto.Join(strconv.Itoa(phase+1), proto.EncodeIntSet(w))
+	return formatPhaseSet(phase+1, w)
 }
 
 // Decide implements proto.MPProtocol.
@@ -160,36 +155,3 @@ func (MPFullInfo) Receive(state string, in [][]string) string {
 
 // Decide implements proto.MPProtocol: never.
 func (MPFullInfo) Decide(string) (int, bool) { return 0, false }
-
-// parsePhaseSet decodes the "phase | W" state shared by the flooding
-// protocols.
-func parsePhaseSet(state string) (phase int, w []int) {
-	fields, err := proto.Split(state)
-	if err != nil || len(fields) != 2 {
-		return 0, nil
-	}
-	phase, err = strconv.Atoi(fields[0])
-	if err != nil {
-		return 0, nil
-	}
-	w, err = proto.DecodeIntSet(fields[1])
-	if err != nil {
-		return phase, nil
-	}
-	return phase, w
-}
-
-// decideMinAfter decides min(W) once the phase counter reaches bound.
-func decideMinAfter(state string, bound int) (int, bool) {
-	phase, w := parsePhaseSet(state)
-	if phase < bound || len(w) == 0 {
-		return 0, false
-	}
-	min := w[0]
-	for _, v := range w[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min, true
-}

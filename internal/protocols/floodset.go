@@ -44,60 +44,27 @@ func (f FloodSet) Init(n, id, input int) string {
 
 // Send implements proto.SyncProtocol: broadcast W.
 func (f FloodSet) Send(state string) []string {
-	round, w := f.parse(state)
-	_ = round
-	msg := proto.EncodeIntSet(w)
+	var buf [setBuf]int
+	_, w := parsePhaseSet(state, buf[:0])
 	// The number of processes is not recorded in the state; emit a
 	// broadcast vector sized by demand: the model only indexes out[j] for
 	// j < n, so we use a self-describing broadcast.
-	return broadcast(msg)
+	return broadcast(proto.EncodeIntSet(w))
 }
 
-// Deliver implements proto.SyncProtocol.
+// Deliver implements proto.SyncProtocol. A malformed message is ignored.
 func (f FloodSet) Deliver(state string, in []string) string {
-	round, w := f.parse(state)
+	var buf [setBuf]int
+	round, w := parsePhaseSet(state, buf[:0])
 	for _, m := range in {
-		if m == "" {
-			continue
-		}
-		vs, err := proto.DecodeIntSet(m)
-		if err != nil {
-			continue // malformed messages are ignored
-		}
-		w = append(w, vs...)
+		w, _ = proto.AppendInts(w, m)
 	}
-	return proto.Join(strconv.Itoa(round+1), proto.EncodeIntSet(w))
+	return formatPhaseSet(round+1, w)
 }
 
 // Decide implements proto.SyncProtocol: after Rounds rounds, decide min(W).
 func (f FloodSet) Decide(state string) (int, bool) {
-	round, w := f.parse(state)
-	if round < f.Rounds || len(w) == 0 {
-		return 0, false
-	}
-	min := w[0]
-	for _, v := range w[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min, true
-}
-
-func (f FloodSet) parse(state string) (round int, w []int) {
-	fields, err := proto.Split(state)
-	if err != nil || len(fields) != 2 {
-		return 0, nil
-	}
-	round, err = strconv.Atoi(fields[0])
-	if err != nil {
-		return 0, nil
-	}
-	w, err = proto.DecodeIntSet(fields[1])
-	if err != nil {
-		return round, nil
-	}
-	return round, w
+	return decideMinAfter(state, f.Rounds)
 }
 
 // broadcast returns a virtual send vector that yields msg for every index.

@@ -240,6 +240,7 @@ func (f *Field) sweepLayer(d int) int {
 // edges, where a word is shared with a neighboring layer, it merges under
 // a mask that preserves the deeper layer's already-final bits (the
 // shallower side's stale bits are overwritten when that layer is swept).
+//
 //lint:hotpath
 func (f *Field) sweepSpan(a, b uint32) {
 	g := f.g
@@ -336,6 +337,7 @@ func orRange(p0, p1 []uint64, lo, hi uint32) (uint64, uint64) {
 
 // sweepNodes is the non-contiguous-layer fallback: per-node bit writes in
 // slice order.
+//
 //lint:hotpath
 func (f *Field) sweepNodes(part []uint32) {
 	for _, u := range part {
@@ -350,6 +352,7 @@ func (f *Field) sweepNodes(part []uint32) {
 // all recorded children bits, early-exiting once both are set. Used by the
 // fallback paths (fixpoint, non-contiguous layers); the span sweep inlines
 // the same computation.
+//
 //lint:hotpath
 func (f *Field) nodeBits(u uint32) (m0, m1 uint64) {
 	g := f.g

@@ -9,8 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/iis"
 	"repro/internal/mobile"
-	"repro/internal/protocols"
 	"repro/internal/proto"
+	"repro/internal/protocols"
 	"repro/internal/shmem"
 	"repro/internal/snapshot"
 	"repro/internal/syncmp"

@@ -389,3 +389,10 @@ func ValidateSyncProtocol(p SyncProtocol, n, rounds int) []ProtocolViolation {
 func ValidateSMProtocol(p SMProtocol, n, phases int) []ProtocolViolation {
 	return proto.ValidateSM(p, n, phases)
 }
+
+// ValidateMPProtocol is ValidateSyncProtocol's message-passing analogue.
+// It also checks that Receive neither keeps nor modifies its inbox, which
+// the asynchronous models reuse between calls.
+func ValidateMPProtocol(p MPProtocol, n, rounds int) []ProtocolViolation {
+	return proto.ValidateMP(p, n, rounds)
+}
