@@ -106,3 +106,81 @@ func TestHolderElectionUnsolvable(t *testing.T) {
 		t.Error("holder-election reported 1-thick connected")
 	}
 }
+
+// TestZooFourSolvable is experiment E7 at n = 4 for the six solvable
+// tasks: each must come out 1-thick connected under its own budget.
+// Renaming(4) has 840 options per input and budget 1, so only the
+// canonical Δ′ = Δ can witness it, and that witness must keep every
+// option. The other three tasks of Zoo(4) give no verdict and are not
+// tested: consensus(4) and holder-election(4) exhaust the 10⁶-candidate
+// budget, and majority(5) has 32 inputs, past the 16-input cap of the
+// subset enumeration.
+func TestZooFourSolvable(t *testing.T) {
+	solvable := map[string]bool{
+		"2-set-agreement(n=4)":  true,
+		"identity(n=4)":         true,
+		"constant-0(n=4)":       true,
+		"leader-election(n=4)":  true,
+		"epsilon-flag(n=4)":     true,
+		"renaming(n=4,names=7)": true,
+	}
+	checked := 0
+	for _, task := range tasks.Zoo(4) {
+		p := task.Problem
+		if !solvable[p.Name] {
+			continue
+		}
+		checked++
+		budget := task.SubproblemBudget
+		if budget == 0 {
+			budget = 1_000_000
+		}
+		delta, ok, err := p.KThickConnected(1, budget)
+		if err != nil || !ok {
+			t.Errorf("%s: KThickConnected = %v, %v; want 1-thick connected", p.Name, ok, err)
+			continue
+		}
+		if p.Name != "renaming(n=4,names=7)" {
+			continue
+		}
+		if budget != 1 || len(p.Inputs) != 16 {
+			t.Fatalf("%s: budget %d, %d inputs; want 1 and 16", p.Name, budget, len(p.Inputs))
+		}
+		for _, in := range p.Inputs {
+			got, want := delta(in), p.Delta(in)
+			if len(got) != len(want) {
+				t.Fatalf("%s: Δ′(%s) has %d options, Δ has %d", p.Name, in, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Key() != want[i].Key() {
+					t.Fatalf("%s: Δ′(%s)[%d] = %s, Δ has %s", p.Name, in, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if checked != len(solvable) {
+		t.Errorf("checked %d tasks of Zoo(4), want %d", checked, len(solvable))
+	}
+}
+
+// TestKThickConnectedAllocs guards the k-thick kernel's allocations over
+// one E7 sweep, KThickConnected(1, ·) on every task of Zoo(3). Building a
+// Complex per input subset and candidate Δ′ made 463,403 allocations per
+// sweep; the kernel makes 1,769.
+func TestKThickConnectedAllocs(t *testing.T) {
+	zoo := tasks.Zoo(3)
+	allocs := testing.AllocsPerRun(3, func() {
+		for _, task := range zoo {
+			budget := task.SubproblemBudget
+			if budget == 0 {
+				budget = 1_000_000
+			}
+			if _, _, err := task.Problem.KThickConnected(1, budget); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 5000 {
+		t.Errorf("one Zoo(3) sweep made %.0f allocations, want at most 5000", allocs)
+	}
+}
