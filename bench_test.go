@@ -87,7 +87,7 @@ func BenchmarkE2_MobileImpossibility(b *testing.B) {
 			b.ResetTimer()
 			var explored int
 			for i := 0; i < b.N; i++ {
-				w, err := layers.CertifyGraph(g, 0)
+				w, err := layers.CertifyGraphCtx(nil, g, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -134,7 +134,7 @@ func BenchmarkE3_ShmemSynchronic(b *testing.B) {
 		b.ResetTimer()
 		var explored int
 		for i := 0; i < b.N; i++ {
-			w, err := layers.CertifyGraph(g, 0)
+			w, err := layers.CertifyGraphCtx(nil, g, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func BenchmarkE4_PermutationLayering(b *testing.B) {
 		b.ResetTimer()
 		var explored int
 		for i := 0; i < b.N; i++ {
-			w, err := layers.CertifyGraph(g, 0)
+			w, err := layers.CertifyGraphCtx(nil, g, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -200,7 +200,7 @@ func BenchmarkE5_SyncLowerBound(b *testing.B) {
 			b.ResetTimer()
 			var explored int
 			for i := 0; i < b.N; i++ {
-				w, err := layers.CertifyGraph(g, 0)
+				w, err := layers.CertifyGraphCtx(nil, g, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -222,7 +222,7 @@ func BenchmarkE5_SyncLowerBound(b *testing.B) {
 			b.ResetTimer()
 			var depth int
 			for i := 0; i < b.N; i++ {
-				w, err := layers.CertifyGraph(g, 0)
+				w, err := layers.CertifyGraphCtx(nil, g, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -382,7 +382,7 @@ func BenchmarkE9_Extensions(b *testing.B) {
 		b.ResetTimer()
 		var explored int
 		for i := 0; i < b.N; i++ {
-			w, err := layers.CertifyGraph(g, 0)
+			w, err := layers.CertifyGraphCtx(nil, g, 0)
 			if err != nil || w.Kind != layers.OK {
 				b.Fatal(err, w.Kind)
 			}
@@ -671,7 +671,7 @@ func BenchmarkObsPhases(b *testing.B) {
 		defer obs.Disable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w, err := layers.CertifyGraph(g, 0)
+			w, err := layers.CertifyGraphCtx(nil, g, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -42,7 +42,7 @@ func run(args []string) error {
 		t       = fs.Int("t", 1, "failure budget (sync-st)")
 		bound   = fs.Int("bound", 2, "protocol decision bound (layers)")
 		target  = fs.Int("target", -1, "bivalent chain target depth (default bound-1)")
-		visits  = fs.Int("budget", 5_000_000, "certification visit budget (0 = unbounded)")
+		visits  = fs.Int("budget", 5_000_000, "certifier visit budget; exploring to the bound is not budgeted (0 = unbounded)")
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON (keys replayable through the model)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -53,7 +53,7 @@ func run(args []string) error {
 		return err
 	}
 
-	w, err := valence.Certify(m, *bound, *visits)
+	w, err := valence.Certify(nil, m, *bound, *visits)
 	if err != nil {
 		return err
 	}

@@ -146,7 +146,7 @@ func pipeline(a *resilient.Attempt, m core.Model, depth, n int) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	w, err := valence.CertifyGraphCtx(a.Ctx, g, 0)
+	w, err := valence.CertifyGraph(a.Ctx, g, 0)
 	if err != nil {
 		return "", err
 	}

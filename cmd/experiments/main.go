@@ -141,7 +141,7 @@ func e2(ctx *layers.Ctx) error {
 				simOK = false
 			}
 		}
-		w, err := layers.CertifyFastCtx(ctx, m, cfg.b, 0)
+		w, err := valence.Certify(ctx, m, cfg.b, 0)
 		if err != nil {
 			return err
 		}
@@ -173,7 +173,7 @@ func e3(ctx *layers.Ctx) error {
 	fmt.Println("n  P  verdict")
 	for _, ph := range []int{1, 2} {
 		mm := layers.SharedMemory(layers.SMVote{Phases: ph}, n)
-		w, err := layers.Certify(mm, ph, 0)
+		w, err := valence.Certify(ctx, mm, ph, 0)
 		if err != nil {
 			return err
 		}
@@ -197,7 +197,7 @@ func e4(ctx *layers.Ctx) error {
 	fmt.Println("n  P  verdict")
 	for _, ph := range []int{1, 2} {
 		m := layers.AsyncMessagePassing(layers.MPFlood{Phases: ph}, n)
-		w, err := layers.Certify(m, ph, 0)
+		w, err := valence.Certify(ctx, m, ph, 0)
 		if err != nil {
 			return err
 		}
@@ -208,7 +208,7 @@ func e4(ctx *layers.Ctx) error {
 	}
 	// The IIS extension model (Corollary 7.3's list).
 	iisM := layers.IteratedImmediateSnapshot(layers.SMVote{Phases: 1}, n)
-	w, err := layers.Certify(iisM, 1, 0)
+	w, err := valence.Certify(ctx, iisM, 1, 0)
 	if err != nil {
 		return err
 	}
@@ -226,12 +226,12 @@ func e5(ctx *layers.Ctx) error {
 		// certified second, so a -journal run's final certify.done event
 		// carries the Explored count this table prints.
 		fast := layers.SyncSt(layers.FloodSet{Rounds: cfg.t}, cfg.n, cfg.t)
-		wf, err := layers.CertifyFastCtx(ctx, fast, cfg.t, 50_000_000)
+		wf, err := valence.Certify(ctx, fast, cfg.t, 50_000_000)
 		if err != nil {
 			return err
 		}
 		good := layers.SyncSt(layers.FloodSet{Rounds: cfg.t + 1}, cfg.n, cfg.t)
-		wg, err := layers.CertifyFastCtx(ctx, good, cfg.t+1, 50_000_000)
+		wg, err := valence.Certify(ctx, good, cfg.t+1, 50_000_000)
 		if err != nil {
 			return err
 		}
@@ -365,7 +365,7 @@ func e9(ctx *layers.Ctx) error {
 	{
 		const n, tt = 4, 2
 		m := layers.SyncSt(layers.EarlyFloodSet{MaxRounds: tt + 1}, n, tt)
-		w, err := layers.Certify(m, tt+1, 0)
+		w, err := valence.Certify(ctx, m, tt+1, 0)
 		if err != nil {
 			return err
 		}
@@ -410,11 +410,11 @@ func e10(ctx *layers.Ctx) error {
 	}
 	two := tasks.KSetAgreement(n, 2).Problem.Delta
 	one := tasks.BinaryConsensus(n).Problem.Delta
-	w2, err := layers.CertifyTask(m, inits, two, 1, 0)
+	w2, err := decision.CertifyTask(ctx, m, inits, two, 1, 0)
 	if err != nil {
 		return err
 	}
-	w1, err := layers.CertifyTask(m, inits, one, 1, 0)
+	w1, err := decision.CertifyTask(ctx, m, inits, one, 1, 0)
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,7 @@ func run(args []string) error {
 	var (
 		n      = fs.Int("n", 4, "number of processes (>= t+2)")
 		t      = fs.Int("t", 2, "failure budget")
-		visits = fs.Int("budget", 10_000_000, "certification visit budget (0 = unbounded)")
+		visits = fs.Int("budget", 10_000_000, "certifier visit budget; exploring to the bound is not budgeted (0 = unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -46,7 +46,7 @@ func run(args []string) error {
 	// Upper bound: FloodSet with t+1 rounds is correct.
 	good := protocols.FloodSet{Rounds: *t + 1}
 	mGood := syncmp.NewSt(good, *n, *t)
-	w, err := valence.Certify(mGood, *t+1, *visits)
+	w, err := valence.Certify(nil, mGood, *t+1, *visits)
 	if err != nil {
 		return err
 	}
@@ -58,7 +58,7 @@ func run(args []string) error {
 	// Lower bound: the t-round variant must fail.
 	fast := protocols.FloodSet{Rounds: *t}
 	mFast := syncmp.NewSt(fast, *n, *t)
-	w, err = valence.Certify(mFast, *t, *visits)
+	w, err = valence.Certify(nil, mFast, *t, *visits)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ package layers_test
 // tests, so the public API surface stays wired to the internals.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -142,5 +143,26 @@ func TestFacadeValidators(t *testing.T) {
 		if vs := layers.ValidateMPProtocol(p, 3, 3); len(vs) != 0 {
 			t.Errorf("%s flagged: %v", p.Name(), vs)
 		}
+	}
+}
+
+// TestFacadeCertifyGraphCtxRefusesNonGraded: the facade's CertifyGraphCtx
+// still refuses a non-graded graph with ErrNotGraded (the cold benchmark
+// records gradedness through it), while Certify certifies the same model.
+func TestFacadeCertifyGraphCtxRefusesNonGraded(t *testing.T) {
+	m := layers.AsyncMessagePassing(layers.MPFlood{Phases: 2}, 2)
+	g, err := layers.ExploreID(m, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := layers.CertifyGraphCtx(nil, g, 0); !errors.Is(err, layers.ErrNotGraded) {
+		t.Fatalf("CertifyGraphCtx err = %v, want ErrNotGraded", err)
+	}
+	w, err := layers.Certify(m, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Kind != layers.UndecidedAtBound {
+		t.Errorf("Certify = %v, want undecided at bound", w.Kind)
 	}
 }

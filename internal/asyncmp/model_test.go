@@ -140,7 +140,7 @@ func TestLayerValenceConnected(t *testing.T) {
 func TestCertifyMPFloodRefuted(t *testing.T) {
 	for _, phases := range []int{1, 2} {
 		m := newModel(3, phases)
-		w, err := valence.Certify(m, phases, 4_000_000)
+		w, err := valence.Certify(nil, m, phases, 4_000_000)
 		if err != nil {
 			t.Fatalf("phases=%d: %v", phases, err)
 		}

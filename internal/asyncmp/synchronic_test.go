@@ -101,7 +101,7 @@ func TestSynchronicLayerValenceConnected(t *testing.T) {
 func TestSynchronicCertifyRefuted(t *testing.T) {
 	for _, phases := range []int{1, 2} {
 		m := asyncmp.NewSynchronic(protocols.MPFlood{Phases: phases}, 3)
-		w, err := valence.Certify(m, phases, 4_000_000)
+		w, err := valence.Certify(nil, m, phases, 4_000_000)
 		if err != nil {
 			t.Fatalf("phases=%d: %v", phases, err)
 		}

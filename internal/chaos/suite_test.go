@@ -112,7 +112,7 @@ func suiteDrivers(g *core.IDGraph) map[string]driver {
 		},
 		"certify.visit": {
 			run: func(ctx *resilient.Ctx) (string, error) {
-				w, err := valence.CertifyGraphCtx(ctx, g, 0)
+				w, err := valence.CertifyGraph(ctx, g, 0)
 				if err != nil {
 					return "", err
 				}
@@ -292,7 +292,7 @@ func pipeline(ctx *resilient.Ctx) (s string, err error) {
 	if err != nil {
 		return "", err
 	}
-	w, err := valence.CertifyGraphCtx(ctx, g, 0)
+	w, err := valence.CertifyGraph(ctx, g, 0)
 	if err != nil {
 		return "", err
 	}

@@ -23,7 +23,8 @@ import (
 // exhaustion is a final verdict, not a resumable cut.
 type ExploreCheckpoint struct {
 	// Model, Depth, MaxNodes echo the interrupted call's arguments; a resume
-	// must match all three (see Matches) or the snapshot is ignored.
+	// must match all three and the model's initial states (see Matches) or
+	// the snapshot is ignored.
 	Model    string
 	Depth    int
 	MaxNodes int
@@ -46,10 +47,30 @@ type ExploreCheckpoint struct {
 }
 
 // Matches reports whether the snapshot belongs to this (model, depth,
-// maxNodes) call. Engines check it before consuming a resume section so a
+// maxNodes) call: the name and arguments agree, and so do the root keys,
+// because one model name covers runs from different initial states
+// (WithInits). Engines check it before consuming a resume section so a
 // snapshot for a different run is left untouched.
 func (ck *ExploreCheckpoint) Matches(m Model, depth, maxNodes int) bool {
-	return ck.Model == m.Name() && ck.Depth == depth && ck.MaxNodes == maxNodes
+	if ck.Model != m.Name() || ck.Depth != depth || ck.MaxNodes != maxNodes {
+		return false
+	}
+	keys, inits := ck.keys, ck.inits
+	if ck.g != nil {
+		keys, inits = ck.g.Keys, ck.g.Inits
+	}
+	// Exploration seeds the roots from m's initial states in order,
+	// duplicates dropped.
+	roots := make(map[string]bool, len(inits))
+	for _, x := range m.Inits() {
+		if k := x.Key(); !roots[k] {
+			if len(roots) == len(inits) || keys[inits[len(roots)]] != k {
+				return false
+			}
+			roots[k] = true
+		}
+	}
+	return len(roots) == len(inits)
 }
 
 // Sections encodes the snapshot as the resilient.TagExplore checkpoint

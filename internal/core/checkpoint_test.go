@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 
@@ -210,4 +211,68 @@ func TestBudgetSentinelFamily(t *testing.T) {
 	if !errors.Is(err, resilient.ErrPartial) {
 		t.Fatalf("budget error does not wrap resilient.ErrPartial: %v", err)
 	}
+}
+
+// TestExploreCheckpointMatchesRoots: an explore checkpoint cut from m is
+// refused for the same model restricted to some of its initial states —
+// same name, depth and budget, other roots — and the run explores fresh;
+// a checkpoint written by an earlier build of the same encoding, cut from
+// m, still resumes m to the uninterrupted graph, and the cut encodes to
+// the same bytes today.
+func TestExploreCheckpointMatchesRoots(t *testing.T) {
+	const depth = 3
+	chaos.Arm(chaos.NewPlan().Set("explore.layer", chaos.Rule{Hit: 2, Kind: chaos.KindCancel}))
+	_, perr := core.ExploreIDCtx(nil, newCkptModel(), depth, 0, 1)
+	chaos.Disarm()
+
+	m := newCkptModel()
+	sub := core.WithInits(m, m.Inits()[:1])
+	ctx := roundTrip(t, perr)
+	g, err := core.ExploreIDCtx(ctx, sub, depth, 0, 1)
+	if err != nil {
+		t.Fatalf("snapshot of other roots was not ignored: %v", err)
+	}
+	if ctx.PeekResume(resilient.TagExplore) == nil {
+		t.Fatal("snapshot of other roots was consumed")
+	}
+	fresh, err := core.ExploreID(core.WithInits(newCkptModel(), newCkptModel().Inits()[:1]), depth, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idGraphsIdentical(t, fresh, g)
+
+	parent, err := os.ReadFile("testdata/explore-mobile-n3-depth3-cut2.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, _ := resilient.CheckpointFrom(perr)
+	sections, err := ck.Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := resilient.WriteSections(&buf, sections); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), parent) {
+		t.Error("explore checkpoint encoding changed")
+	}
+	back, err := resilient.ReadSections(bytes.NewReader(parent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx = resilient.Background()
+	ctx.SetResume(back)
+	resumed, err := core.ExploreIDCtx(ctx, newCkptModel(), depth, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.PeekResume(resilient.TagExplore) != nil {
+		t.Fatal("stored snapshot was not consumed")
+	}
+	full, err := core.ExploreID(newCkptModel(), depth, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idGraphsIdentical(t, full, resumed)
 }

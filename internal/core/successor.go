@@ -102,3 +102,23 @@ func (e *Execution) Extend(action string, to State) *Execution {
 	steps = append(steps, Step{Action: action, State: to})
 	return &Execution{Init: e.Init, Steps: steps}
 }
+
+// WithInits returns m with its initial states replaced by inits: the same
+// successor function, name and successor cache, and the runs from inits
+// only (a multivalued Con_0, one suspicious input assignment).
+func WithInits(m Model, inits []State) Model {
+	return &withInits{Model: m, inits: inits, cache: CacheOf(m)}
+}
+
+type withInits struct {
+	Model
+	inits []State
+	cache *SuccessorCache // m's, or a private one when m has none
+}
+
+// Inits implements Model.
+func (w *withInits) Inits() []State { return append([]State(nil), w.inits...) }
+
+// Cache advertises m's successor cache through the CacheOf protocol, so
+// the restricted model shares m's enumeration work.
+func (w *withInits) Cache() *SuccessorCache { return w.cache }

@@ -2,9 +2,11 @@ package decision
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/resilient"
 	"repro/internal/simplex"
 	"repro/internal/valence"
 )
@@ -53,115 +55,107 @@ type TaskWitness struct {
 // some simplex in delta(input simplex of the run). Agreement is NOT
 // required — that is the point of general decision problems.
 //
-// The initial states must expose their inputs (core.Input). maxVisits caps
-// the search (0 = unbounded).
-func CertifyTask(m core.Model, inits []core.State, delta simplex.DeltaFunc, bound, maxVisits int) (*TaskWitness, error) {
+// It runs valence.Search over core.WithInits(m, inits), so ctx interrupts
+// and resumes it as it does valence.Certify. The initial states must
+// expose their inputs (core.Input). maxVisits caps the search's visits
+// (0 = unbounded); the exploration to the bound is never capped.
+func CertifyTask(ctx *resilient.Ctx, m core.Model, inits []core.State, delta simplex.DeltaFunc, bound, maxVisits int) (*TaskWitness, error) {
+	g, err := core.ExploreIDCtx(ctx, core.WithInits(m, inits), bound, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	// Exploration reports itself; the certify.task span and timer cover
+	// the search, as certify.time does for consensus.
 	rec := obs.Active()
 	defer obs.Span(rec, "certify.task.time")()
 	if tr := obs.Trace(); tr != nil {
 		defer tr.End(tr.Begin("certify.task", 0))
 	}
-	c := &taskCertifier{
-		m:         m,
-		delta:     delta,
-		bound:     bound,
-		maxVisits: maxVisits,
-		memo:      make(map[string]bool),
+	req, err := newTaskRequirement(g, delta)
+	if err != nil {
+		return nil, err
 	}
-	for _, init := range inits {
-		in, ok := init.(core.Input)
-		if !ok {
-			return nil, fmt.Errorf("decision: initial state does not expose inputs")
-		}
-		vals := make([]int, init.N())
-		for i := range vals {
-			vals[i] = in.InputOf(i)
-		}
-		inputSimplex := simplex.FromValues(vals)
-		allowed := delta(inputSimplex)
-		if len(allowed) == 0 {
-			return nil, fmt.Errorf("decision: Δ(%s) is empty", inputSimplex)
-		}
-		exec := &core.Execution{Init: init}
-		w, err := c.dfs(init, bound, inputSimplex.Key(), allowed, exec)
-		if err != nil {
-			return nil, err
-		}
-		if w != nil {
-			w.Explored = c.visits
-			c.finish(rec, w)
-			return w, nil
-		}
+	v, explored, err := valence.Search(ctx, g, maxVisits, req)
+	if err != nil {
+		return nil, err
 	}
-	w := &TaskWitness{Kind: TaskOK, Explored: c.visits}
-	c.finish(rec, w)
+	w := &TaskWitness{Kind: TaskOK}
+	if v != nil {
+		switch v.Check {
+		case valence.StateCheck:
+			w = checkPartialOutput(v.Exec.Last(), req.allowed[v.Class])
+		case valence.DecideCheck:
+			w = &TaskWitness{Kind: TaskUndecidedAtBound, Detail: v.Detail}
+		default:
+			w = &TaskWitness{Kind: TaskDecisionChanged, Detail: v.Detail}
+		}
+		w.Exec = v.Exec
+	}
+	w.Explored = explored
+	if rec != nil {
+		rec.Add("certify.task.runs", 1)
+		rec.Add("certify.task.visits", int64(explored))
+		rec.Event("certify.task.done",
+			obs.F{Key: "verdict", Value: w.Kind.String()},
+			obs.F{Key: "explored", Value: w.Explored})
+	}
 	return w, nil
 }
 
-// finish publishes the task certification's counters and emits
-// certify.task.done, the task analogue of the consensus certifiers'
-// certify.done event.
-func (c *taskCertifier) finish(rec obs.Recorder, w *TaskWitness) {
-	if rec == nil {
-		return
-	}
-	rec.Add("certify.task.runs", 1)
-	rec.Add("certify.task.visits", int64(c.visits))
-	rec.Event("certify.task.done",
-		obs.F{Key: "verdict", Value: w.Kind.String()},
-		obs.F{Key: "explored", Value: w.Explored},
-		obs.F{Key: "memo", Value: len(c.memo)})
+// taskRequirement is CertifyTask's valence.Requirement: a run's class
+// numbers its input simplex, and a state fails when the decisions of its
+// non-failed processes extend no simplex Δ allows for that input.
+type taskRequirement struct {
+	states  []core.State
+	class   []uint64            // per root
+	allowed [][]simplex.Simplex // per class: Δ(input simplex)
 }
 
-type taskCertifier struct {
-	m         core.Model
-	delta     simplex.DeltaFunc
-	bound     int
-	maxVisits int
-	visits    int
-	memo      map[string]bool // (stateKey|depth|inputKey) -> subtree clean
+// newTaskRequirement numbers the distinct input simplexes of g's roots in
+// root order and evaluates Δ once on each.
+func newTaskRequirement(g *core.IDGraph, delta simplex.DeltaFunc) (*taskRequirement, error) {
+	r := &taskRequirement{states: g.States, class: make([]uint64, len(g.Inits))}
+	classOf := make(map[string]uint64)
+	for i, u := range g.Inits {
+		in, ok := g.States[u].(core.Input)
+		if !ok {
+			return nil, fmt.Errorf("decision: initial state does not expose inputs")
+		}
+		vals := make([]int, g.States[u].N())
+		for p := range vals {
+			vals[p] = in.InputOf(p)
+		}
+		input := simplex.FromValues(vals)
+		c, seen := classOf[input.Key()]
+		if !seen {
+			allowed := delta(input)
+			if len(allowed) == 0 {
+				return nil, fmt.Errorf("decision: Δ(%s) is empty", input)
+			}
+			c = uint64(len(r.allowed))
+			classOf[input.Key()] = c
+			r.allowed = append(r.allowed, allowed)
+		}
+		r.class[i] = c
+	}
+	return r, nil
 }
 
-func (c *taskCertifier) dfs(x core.State, remaining int, inputKey string, allowed []simplex.Simplex, exec *core.Execution) (*TaskWitness, error) {
-	mk := fmt.Sprintf("%s|%d|%s", x.Key(), remaining, inputKey)
-	if c.memo[mk] {
-		return nil, nil
-	}
-	c.visits++
-	if c.maxVisits > 0 && c.visits > c.maxVisits {
-		return nil, fmt.Errorf("after %d visits: %w", c.visits, valence.ErrBudget)
-	}
+// Class implements valence.Requirement.
+func (r *taskRequirement) Class(i int) uint64 { return r.class[i] }
 
-	// Partial-output check: the decisions made so far by non-failed
-	// processes must be extendable to an allowed output (i.e. be a face of
-	// some simplex in Δ(input)).
-	if w := checkPartialOutput(x, allowed); w != nil {
-		w.Exec = exec
-		return w, nil
-	}
-	if remaining == 0 {
-		if !core.AllDecided(x) {
-			return &TaskWitness{
-				Kind:   TaskUndecidedAtBound,
-				Exec:   exec,
-				Detail: fmt.Sprintf("a non-failed process is undecided after %d layers", c.bound),
-			}, nil
-		}
-		c.memo[mk] = true
-		return nil, nil
-	}
-	for _, s := range c.m.Successors(x) {
-		if w := checkTaskWriteOnce(x, s.State); w != nil {
-			w.Exec = exec.Extend(s.Action, s.State)
-			return w, nil
-		}
-		w, err := c.dfs(s.State, remaining-1, inputKey, allowed, exec.Extend(s.Action, s.State))
-		if err != nil || w != nil {
-			return w, err
-		}
-	}
-	c.memo[mk] = true
-	return nil, nil
+// Fails implements valence.Requirement.
+func (r *taskRequirement) Fails(v uint32, c uint64) bool {
+	return checkPartialOutput(r.states[v], r.allowed[c]) != nil
+}
+
+// ID implements valence.Requirement: a hash of the allowed outputs, so
+// the certify checkpoints of different tasks over one graph never resume
+// each other.
+func (r *taskRequirement) ID() uint64 {
+	h := fnv.New64a()
+	fmt.Fprint(h, r.allowed)
+	return h.Sum64()
 }
 
 // checkPartialOutput verifies the decided-so-far simplex is a face of some
@@ -192,21 +186,4 @@ func checkPartialOutput(x core.State, allowed []simplex.Simplex) *TaskWitness {
 		Kind:   TaskOutputViolation,
 		Detail: fmt.Sprintf("decisions %s extend no simplex of Δ(input)", partial),
 	}
-}
-
-func checkTaskWriteOnce(x, y core.State) *TaskWitness {
-	for i := 0; i < x.N(); i++ {
-		v, ok := x.Decided(i)
-		if !ok {
-			continue
-		}
-		w, ok2 := y.Decided(i)
-		if !ok2 || w != v {
-			return &TaskWitness{
-				Kind:   TaskDecisionChanged,
-				Detail: fmt.Sprintf("process %d had decided %d but successor reports (%d,%v)", i, v, w, ok2),
-			}
-		}
-	}
-	return nil
 }

@@ -3,10 +3,12 @@ package decision_test
 import (
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/decision"
 	"repro/internal/mobile"
 	"repro/internal/protocols"
+	"repro/internal/resilient"
 	"repro/internal/syncmp"
 	"repro/internal/tasks"
 )
@@ -42,7 +44,7 @@ func TestTwoSetAgreementSolvableInMobile(t *testing.T) {
 	m := mobile.New(p, n)
 	inits := ternaryInits(n, func(in []int) core.State { return m.Initial(in) })
 	delta := tasks.KSetAgreement(n, 2).Problem.Delta
-	w, err := decision.CertifyTask(m, inits, delta, 1, 0)
+	w, err := decision.CertifyTask(nil, m, inits, delta, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestConsensusTaskRefutedInMobile(t *testing.T) {
 	m := mobile.New(p, n)
 	inits := ternaryInits(n, func(in []int) core.State { return m.Initial(in) })
 	delta := tasks.BinaryConsensus(n).Problem.Delta // reads values from the input simplex
-	w, err := decision.CertifyTask(m, inits, delta, 1, 0)
+	w, err := decision.CertifyTask(nil, m, inits, delta, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestTwoSetBoundaryWithTwoFailures(t *testing.T) {
 	// search small): three 2s and the values 0 and 1 on the two processes
 	// that will fail.
 	witness := []core.State{m.Initial([]int{2, 2, 2, 0, 1})}
-	w, err := decision.CertifyTask(m, witness, delta, 1, 0)
+	w, err := decision.CertifyTask(nil, m, witness, delta, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestTwoSetBoundaryWithTwoFailures(t *testing.T) {
 	// over the full ternary input space.
 	single := syncmp.NewStMulti(p, n, 2, 1)
 	inits := ternaryInits(n, func(in []int) core.State { return single.Initial(in) })
-	w, err = decision.CertifyTask(single, inits, delta, 1, 0)
+	w, err = decision.CertifyTask(nil, single, inits, delta, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestTwoSetBoundaryWithTwoFailures(t *testing.T) {
 	// prefix structure of the omission sets yields at most three reception
 	// classes among the nonfaulty.
 	delta3 := tasks.KSetAgreement(n, 3).Problem.Delta
-	w, err = decision.CertifyTask(m, witness, delta3, 1, 0)
+	w, err = decision.CertifyTask(nil, m, witness, delta3, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestCertifyTaskIdentity(t *testing.T) {
 	m := mobile.New(p, n)
 	inits := []core.State{m.Initial([]int{0, 1, 1})}
 	delta := tasks.Identity(n).Problem.Delta
-	w, err := decision.CertifyTask(m, inits, delta, 1, 0)
+	w, err := decision.CertifyTask(nil, m, inits, delta, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func TestCertifyTaskWriteOnce(t *testing.T) {
 	inits := []core.State{m.Initial([]int{0, 0, 0})}
 	// Permissive Δ: anything binary goes.
 	delta := tasks.KSetAgreement(n, n).Problem.Delta
-	w, err := decision.CertifyTask(m, inits, delta, 2, 0)
+	w, err := decision.CertifyTask(nil, m, inits, delta, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +173,58 @@ func TestTaskWitnessKindStrings(t *testing.T) {
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), s)
+		}
+	}
+}
+
+// TestCertifyTaskResumesOnlyItsTask: E10 certifies two tasks over one
+// graph, so a certify checkpoint cut from one task must not resume the
+// other; it resumes its own task to the uninterrupted verdict.
+func TestCertifyTaskResumesOnlyItsTask(t *testing.T) {
+	const n = 3
+	m := mobile.New(protocols.FloodSet{Rounds: 1}, n)
+	inits := ternaryInits(n, func(in []int) core.State { return m.Initial(in) })
+	two := tasks.KSetAgreement(n, 2).Problem.Delta
+	one := tasks.BinaryConsensus(n).Problem.Delta
+	wantTwo, err := decision.CertifyTask(nil, m, inits, two, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOne, err := decision.CertifyTask(nil, m, inits, one, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos.Arm(chaos.NewPlan().Set("certify.visit", chaos.Rule{Hit: 5, Kind: chaos.KindCancel}))
+	_, perr := decision.CertifyTask(nil, m, inits, two, 1, 0)
+	chaos.Disarm()
+	ck, ok := resilient.CheckpointFrom(perr)
+	if !ok {
+		t.Fatalf("no checkpoint attached to %v", perr)
+	}
+	sections, err := ck.Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := resilient.Background()
+	ctx.SetResume(sections)
+	gotOne, err := decision.CertifyTask(ctx, m, inits, one, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.PeekResume(resilient.TagCertify) == nil {
+		t.Fatal("the 2-set agreement checkpoint resumed the consensus task")
+	}
+	gotTwo, err := decision.CertifyTask(ctx, m, inits, two, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.PeekResume(resilient.TagCertify) != nil {
+		t.Fatal("the 2-set agreement checkpoint was not resumed")
+	}
+	for _, c := range []struct{ want, got *decision.TaskWitness }{{wantOne, gotOne}, {wantTwo, gotTwo}} {
+		if c.got.Kind != c.want.Kind || c.got.Detail != c.want.Detail || c.got.Explored != c.want.Explored {
+			t.Errorf("verdict (%v, %q, %d), want (%v, %q, %d)",
+				c.got.Kind, c.got.Detail, c.got.Explored, c.want.Kind, c.want.Detail, c.want.Explored)
 		}
 	}
 }

@@ -33,16 +33,12 @@ func CheckThickNecessity(m core.Model, inits []core.State, n, k, depth, maxNodes
 	if len(inits) > 16 {
 		return nil, fmt.Errorf("decision: %d initial states; subset enumeration capped at 16", len(inits))
 	}
-	// Similarity adjacency over the initial states.
-	adj := make([][]bool, len(inits))
-	for i := range adj {
-		adj[i] = make([]bool, len(inits))
-		for j := range adj[i] {
-			if i == j {
-				continue
-			}
-			if _, ok := core.Similar(inits[i], inits[j]); ok {
-				adj[i][j] = true
+	// Similarity adjacency over the initial states, one neighbour mask each.
+	adj := make([]uint32, len(inits))
+	for i := range inits {
+		for j := range inits {
+			if _, ok := core.Similar(inits[i], inits[j]); ok && i != j {
+				adj[i] |= 1 << uint(j)
 			}
 		}
 	}
@@ -51,8 +47,7 @@ func CheckThickNecessity(m core.Model, inits []core.State, n, k, depth, maxNodes
 	// same order regardless of map iteration.
 	perInit := make([][]simplex.Simplex, len(inits))
 	for i, x := range inits {
-		single := &singleInitModel{Model: m, init: x}
-		decided, err := CollectDecidedSimplexes(single, depth, maxNodes)
+		decided, err := CollectDecidedSimplexes(core.WithInits(m, []core.State{x}), depth, maxNodes)
 		if err != nil {
 			return nil, err
 		}
@@ -62,8 +57,8 @@ func CheckThickNecessity(m core.Model, inits []core.State, n, k, depth, maxNodes
 	}
 
 	report := &NecessityReport{}
-	for mask := 1; mask < 1<<uint(len(inits)); mask++ {
-		if !maskConnected(adj, mask) {
+	for mask := uint32(1); mask < 1<<uint(len(inits)); mask++ {
+		if !simplex.SubsetConnected(adj, mask) {
 			continue
 		}
 		report.Subsets++
@@ -87,48 +82,4 @@ func CheckThickNecessity(m core.Model, inits []core.State, n, k, depth, maxNodes
 		}
 	}
 	return report, nil
-}
-
-// singleInitModel restricts a model to one initial state.
-type singleInitModel struct {
-	core.Model
-	init core.State
-}
-
-// Inits implements core.Model.
-func (s *singleInitModel) Inits() []core.State { return []core.State{s.init} }
-
-// maskConnected reports whether the masked vertices induce a connected
-// subgraph of adj.
-func maskConnected(adj [][]bool, mask int) bool {
-	n := len(adj)
-	start, count := -1, 0
-	for i := 0; i < n; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			if start < 0 {
-				start = i
-			}
-			count++
-		}
-	}
-	if count <= 1 {
-		return true
-	}
-	seen := 1 << uint(start)
-	stack := []int{start}
-	reached := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for v := 0; v < n; v++ {
-			bit := 1 << uint(v)
-			if mask&bit == 0 || seen&bit != 0 || !adj[u][v] {
-				continue
-			}
-			seen |= bit
-			reached++
-			stack = append(stack, v)
-		}
-	}
-	return reached == count
 }

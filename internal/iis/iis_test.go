@@ -93,7 +93,7 @@ func TestOneRoundSubdivisionConnected(t *testing.T) {
 func TestConsensusRefutedInIIS(t *testing.T) {
 	for _, phases := range []int{1, 2} {
 		m := iis.New(protocols.SMVote{Phases: phases}, 3)
-		w, err := valence.Certify(m, phases, 4_000_000)
+		w, err := valence.Certify(nil, m, phases, 4_000_000)
 		if err != nil {
 			t.Fatalf("phases=%d: %v", phases, err)
 		}

@@ -185,7 +185,7 @@ func TestS1IsSubmodelOfFull(t *testing.T) {
 // model (more adversary freedom).
 func TestFullModelRefutation(t *testing.T) {
 	m := mobile.NewFull(protocols.FloodSet{Rounds: 2}, 3)
-	w, err := valence.Certify(m, 2, 0)
+	w, err := valence.Certify(nil, m, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

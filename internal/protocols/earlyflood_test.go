@@ -21,7 +21,7 @@ func TestEarlyFloodSetCertified(t *testing.T) {
 		bound := c.tt + 1
 		p := protocols.EarlyFloodSet{MaxRounds: bound}
 		m := syncmp.NewSt(p, c.n, c.tt)
-		w, err := valence.Certify(m, bound, 0)
+		w, err := valence.Certify(nil, m, bound, 0)
 		if err != nil {
 			t.Fatalf("n=%d t=%d: %v", c.n, c.tt, err)
 		}
@@ -72,7 +72,7 @@ func TestEarlyFloodSetCannotBeatLowerBound(t *testing.T) {
 	const n, tt = 3, 1
 	p := protocols.EarlyFloodSet{MaxRounds: tt}
 	m := syncmp.NewSt(p, n, tt)
-	w, err := valence.Certify(m, tt, 0)
+	w, err := valence.Certify(nil, m, tt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestEIGMatchesFloodSetDecisions(t *testing.T) {
 func TestEIGCertifiedAndRefuted(t *testing.T) {
 	const n, tt = 3, 1
 	good := syncmp.NewSt(protocols.EIG{Rounds: tt + 1}, n, tt)
-	w, err := valence.Certify(good, tt+1, 0)
+	w, err := valence.Certify(nil, good, tt+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestEIGCertifiedAndRefuted(t *testing.T) {
 		t.Errorf("EIG(t+1) refuted: %v (%s)", w.Kind, w.Detail)
 	}
 	fast := syncmp.NewSt(protocols.EIG{Rounds: tt}, n, tt)
-	w, err = valence.Certify(fast, tt, 0)
+	w, err = valence.Certify(nil, fast, tt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestEIGStateDistinguishesProvenance(t *testing.T) {
 func TestConstantDeciderValidityViolation(t *testing.T) {
 	const n, tt = 3, 1
 	m := syncmp.NewSt(protocols.ConstantDecider{Value: 0}, n, tt)
-	w, err := valence.Certify(m, 1, 0)
+	w, err := valence.Certify(nil, m, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestConstantDeciderValidityViolation(t *testing.T) {
 func TestFlickerDeciderWriteOnceViolation(t *testing.T) {
 	const n, tt = 3, 1
 	m := syncmp.NewSt(protocols.FlickerDecider{}, n, tt)
-	w, err := valence.Certify(m, 2, 0)
+	w, err := valence.Certify(nil, m, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMPCoordinatorRefuted(t *testing.T) {
 	const n = 3
 	for _, phases := range []int{1, 2} {
 		m := asyncmp.New(protocols.MPCoordinator{Phases: phases}, n)
-		w, err := valence.Certify(m, phases, 4_000_000)
+		w, err := valence.Certify(nil, m, phases, 4_000_000)
 		if err != nil {
 			t.Fatalf("phases=%d: %v", phases, err)
 		}

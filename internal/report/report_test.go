@@ -17,7 +17,7 @@ import (
 func refuted(t *testing.T) (*valence.Witness, core.Model) {
 	t.Helper()
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	w, err := valence.Certify(m, 2, 0)
+	w, err := valence.Certify(nil, m, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestReplayRejectsDivergence(t *testing.T) {
 func TestOKWitnessOmitsExecution(t *testing.T) {
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
 	// A single univalent root certifies.
-	w, err := valence.CertifyFrom(m, m.Inits()[:1], 2, 0)
+	w, err := valence.Certify(nil, core.WithInits(m, m.Inits()[:1]), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

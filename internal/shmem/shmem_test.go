@@ -93,7 +93,7 @@ func TestLayerReport(t *testing.T) {
 func TestCertifySMVoteRefuted(t *testing.T) {
 	for _, phases := range []int{1, 2} {
 		m := newModel(3, phases)
-		w, err := valence.Certify(m, phases, 2_000_000)
+		w, err := valence.Certify(nil, m, phases, 2_000_000)
 		if err != nil {
 			t.Fatalf("phases=%d: %v", phases, err)
 		}

@@ -54,7 +54,7 @@ func TestDiamondIdentitySnapshot(t *testing.T) {
 func TestCertifySnapshotRefuted(t *testing.T) {
 	for _, phases := range []int{1, 2} {
 		m := snapshot.New(protocols.SMVote{Phases: phases}, 3)
-		w, err := valence.Certify(m, phases, 4_000_000)
+		w, err := valence.Certify(nil, m, phases, 4_000_000)
 		if err != nil {
 			t.Fatalf("phases=%d: %v", phases, err)
 		}

@@ -169,7 +169,7 @@ func TestStateKeyDistinguishesFailedSet(t *testing.T) {
 func TestGeneralOmissionVariant(t *testing.T) {
 	const n, tt = 3, 1
 	good := syncmp.NewStGeneral(protocols.FloodSet{Rounds: tt + 1}, n, tt)
-	w, err := valence.Certify(good, tt+1, 0)
+	w, err := valence.Certify(nil, good, tt+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestGeneralOmissionVariant(t *testing.T) {
 		t.Errorf("FloodSet(t+1) under general omission: %v (%s)", w.Kind, w.Detail)
 	}
 	fast := syncmp.NewStGeneral(protocols.FloodSet{Rounds: tt}, n, tt)
-	w, err = valence.Certify(fast, tt, 0)
+	w, err = valence.Certify(nil, fast, tt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

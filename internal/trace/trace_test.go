@@ -14,7 +14,7 @@ func TestFormatExecution(t *testing.T) {
 	const n, tt = 3, 1
 	p := protocols.FloodSet{Rounds: tt}
 	m := syncmp.NewSt(p, n, tt)
-	w, err := valence.Certify(m, tt, 0)
+	w, err := valence.Certify(nil, m, tt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

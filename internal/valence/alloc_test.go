@@ -78,7 +78,7 @@ func TestSweepResultsMatchPackageLevel(t *testing.T) {
 	if want, got := wantF.Masks(), gotF.Masks(); string(want) != string(got) {
 		t.Fatal("Sweep.Field masks differ from NewFieldCtx")
 	}
-	wantW, err := valence.CertifyGraph(g, 0)
+	wantW, err := valence.CertifyGraph(nil, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

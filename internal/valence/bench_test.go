@@ -94,6 +94,8 @@ func BenchmarkAnalyzeLayer(b *testing.B) {
 	}
 }
 
+// BenchmarkCertify is the whole pipeline Certify runs on each call:
+// exploration over the model's warm successor cache, then the certifier.
 func BenchmarkCertify(b *testing.B) {
 	for _, cfg := range []struct{ n, t int }{{3, 1}, {4, 2}, {5, 1}} {
 		b.Run(fmt.Sprintf("floodset/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
@@ -101,7 +103,7 @@ func BenchmarkCertify(b *testing.B) {
 			b.ReportAllocs()
 			var explored int
 			for i := 0; i < b.N; i++ {
-				w, err := valence.Certify(m, cfg.t+1, 0)
+				w, err := valence.Certify(nil, m, cfg.t+1, 0)
 				if err != nil || w.Kind != valence.OK {
 					b.Fatal(err, w.Kind)
 				}
@@ -112,10 +114,9 @@ func BenchmarkCertify(b *testing.B) {
 	}
 }
 
-// BenchmarkCertifyGraph is the sweep-based certifier over a pre-built CSR
-// graph — the steady-state cost of re-certifying once the state graph is
-// materialized (the recursive rows above pay successor enumeration and
-// string-key memo lookups on every run). n=6 was impractical before.
+// BenchmarkCertifyGraph is the certifier alone over a pre-built CSR graph
+// — the steady-state cost of re-certifying once the state graph is
+// materialized (the rows above also re-explore on every run).
 func BenchmarkCertifyGraph(b *testing.B) {
 	for _, cfg := range []struct{ n, t int }{{3, 1}, {4, 2}, {5, 1}, {6, 1}} {
 		b.Run(fmt.Sprintf("floodset/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
@@ -128,7 +129,7 @@ func BenchmarkCertifyGraph(b *testing.B) {
 			b.ResetTimer()
 			var explored int
 			for i := 0; i < b.N; i++ {
-				w, err := valence.CertifyGraph(g, 0)
+				w, err := valence.CertifyGraph(nil, g, 0)
 				if err != nil || w.Kind != valence.OK {
 					b.Fatal(err, w.Kind)
 				}

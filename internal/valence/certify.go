@@ -3,6 +3,7 @@ package valence
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/resilient"
@@ -46,7 +47,8 @@ type Witness struct {
 	Kind   WitnessKind
 	Exec   *core.Execution // nil when Kind == OK
 	Detail string
-	// Explored is the number of (state, depth) pairs visited.
+	// Explored is the number of certifier visits: (state, depth, input
+	// mask) triples.
 	Explored int
 }
 
@@ -60,129 +62,110 @@ var ErrBudget = resilient.Sentinel("valence: certification exceeded state budget
 // state that have decided agree), validity (every decision is some process's
 // input in that run), decision (every process non-failed at the
 // bound-layer state has decided by then), and write-once stability of
-// decisions across each transition. maxVisits bounds the total number of
-// (state, remaining-depth) visits across all initial states (0 = no bound).
-//
-// The first violation found (scanning initial states in Inits order and
-// successors in enumeration order) is returned with its witness execution.
-func Certify(m core.Model, bound, maxVisits int) (*Witness, error) {
-	return CertifyFrom(m, m.Inits(), bound, maxVisits)
+// decisions across each transition. It explores the model's graph, polling
+// ctx at layer boundaries, and runs CertifyGraph over it; whichever phase
+// is interrupted attaches its checkpoint to the error. maxVisits bounds
+// the certifier's visits (0 = no bound), not the exploration, which always
+// runs to the bound. To certify from other initial states, certify
+// core.WithInits(m, inits).
+func Certify(ctx *resilient.Ctx, m core.Model, bound, maxVisits int) (*Witness, error) {
+	g, err := core.ExploreIDCtx(ctx, m, bound, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	return CertifyGraph(ctx, g, maxVisits)
 }
 
-// CertifyFrom is Certify over an explicit set of initial states — e.g. a
-// multivalued Con_0 built with a model's Initial method, or a single
-// suspicious input assignment.
-func CertifyFrom(m core.Model, inits []core.State, bound, maxVisits int) (*Witness, error) {
+// CertifyGraph certifies consensus over every run of an explored graph:
+// Search with agreement and validity under the run's input-value mask as
+// the state check, answered from the graph's cached planes (certPlanesOf)
+// with one word test per visit. The first violation found (roots in Inits
+// order, successors in enumeration order) is returned with its witness.
+func CertifyGraph(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int) (*Witness, error) {
+	return new(graphCertifier).certify(ctx, g, maxVisits, nil)
+}
+
+// certify runs one consensus certification on a (possibly reused)
+// certifier, allocating from ar when non-nil. A run failing the state
+// check is explained by re-running checkState on its last state. It emits
+// the certify span, certify.start, certify.time and certify.done.
+func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int, ar *arena.Arena) (*Witness, error) {
 	rec := obs.Active()
-	defer obs.Span(rec, "certify.time")()
-	c := newCertifier(m, bound, maxVisits)
-	for _, init := range inits {
-		inputs := inputMask(init)
-		exec := &core.Execution{Init: init}
-		w, err := c.dfs(c.cache.ID(init), init, bound, inputs, exec)
-		if err != nil {
-			return nil, err
-		}
-		if w != nil {
-			w.Explored = c.visits
-			c.finish(rec, w)
-			return w, nil
-		}
+	var span obs.TraceSpan
+	if tr := obs.Trace(); tr != nil {
+		span = tr.Begin("certify", 0)
+		defer tr.End(span)
 	}
-	w := &Witness{Kind: OK, Explored: c.visits}
+	if rec != nil {
+		defer obs.Span(rec, "certify.time")()
+		rec.Event("certify.start",
+			obs.F{Key: "engine", Value: "graph"},
+			obs.F{Key: "nodes", Value: g.Len()},
+			obs.F{Key: "edges", Value: g.NumEdges()},
+			obs.F{Key: "depth", Value: g.Depth},
+			obs.F{Key: "roots", Value: len(g.Inits)})
+	}
+	v, err := c.search(ctx, g, maxVisits, certPlanesOf(g), ar, span.ID)
+	if err != nil {
+		return nil, err
+	}
+	c.ok = Witness{Kind: OK}
+	w := &c.ok
+	if v != nil {
+		switch v.Check {
+		case StateCheck:
+			w = checkState(v.Exec.Last(), v.Class)
+		case DecideCheck:
+			w = &Witness{Kind: UndecidedAtBound, Detail: v.Detail}
+		default:
+			action := v.Exec.Steps[v.Exec.Len()-1].Action
+			w = &Witness{Kind: DecisionChanged, Detail: fmt.Sprintf("%s (action %s)", v.Detail, action)}
+		}
+		w.Exec = v.Exec
+	}
+	w.Explored = c.visits
 	c.finish(rec, w)
 	return w, nil
 }
 
-// finish publishes the recursive certifier's counters and emits
-// certify.done, mirroring the graph engine's event so journals read the
-// same whichever engine ran.
-func (c *certifier) finish(rec obs.Recorder, w *Witness) {
+// finish publishes the certification's counters and emits certify.done.
+// The visited-bitset density — visits over (nodes × class bitsets) — is
+// how full the memo got: near 100% means the search was bound by the
+// graph, not by pruning. On a non-graded graph, where nodes are visited
+// at several lags, it can exceed 100%.
+func (c *graphCertifier) finish(rec obs.Recorder, w *Witness) {
 	if rec == nil {
 		return
 	}
 	rec.Add("certify.runs", 1)
 	rec.Add("certify.visits", int64(c.visits))
 	rec.Set("certify.explored", int64(c.visits))
+	densityPct := int64(0)
+	if cells := int64(c.g.Len()) * int64(len(c.visited)); cells > 0 {
+		densityPct = int64(c.visits) * 100 / cells
+	}
+	rec.Set("certify.bitset_density_pct", densityPct)
 	rec.Event("certify.done",
-		obs.F{Key: "engine", Value: "recursive"},
+		obs.F{Key: "engine", Value: "graph"},
 		obs.F{Key: "verdict", Value: w.Kind.String()},
 		obs.F{Key: "explored", Value: w.Explored},
-		obs.F{Key: "memo", Value: len(c.memo)})
+		obs.F{Key: "bitsets", Value: len(c.visited)},
+		obs.F{Key: "density_pct", Value: densityPct})
 }
 
-// certMemoKey keys the certified-clean memo on the state's dense cache id
-// instead of its canonical key string — smaller keys, no per-visit hashing
-// of long state strings.
-type certMemoKey struct {
-	id     uint32
-	depth  int32
-	inputs uint64
+// Class implements Requirement: a consensus run's class is its root's
+// input-value mask.
+func (cp *certPlanes) Class(i int) uint64 { return cp.rootInputs[i] }
+
+// Fails implements Requirement with checkState, asked only of a node the
+// planes flag: one with a decided value outside the inputs, or with two
+// non-failed processes decided differently.
+func (cp *certPlanes) Fails(v uint32, inputs uint64) bool {
+	return (cp.dvals[v]&^inputs != 0 || cp.bit(cp.agreeBad, v)) && checkState(cp.states[v], inputs) != nil
 }
 
-type certifier struct {
-	m         core.Model
-	cache     *core.SuccessorCache
-	bound     int
-	maxVisits int
-	visits    int
-	memo      map[certMemoKey]bool // true = subtree certified clean
-}
-
-// newCertifier builds a certifier drawing successors from the model's
-// shared cache (a private one if the model has none). The memo table is
-// always private to the certifier.
-func newCertifier(m core.Model, bound, maxVisits int) *certifier {
-	return &certifier{
-		m:         m,
-		cache:     core.CacheOf(m),
-		bound:     bound,
-		maxVisits: maxVisits,
-		memo:      make(map[certMemoKey]bool),
-	}
-}
-
-func (c *certifier) dfs(id uint32, x core.State, remaining int, inputs uint64, exec *core.Execution) (*Witness, error) {
-	mk := certMemoKey{id: id, depth: int32(remaining), inputs: inputs}
-	if c.memo[mk] {
-		return nil, nil
-	}
-	c.visits++
-	if c.maxVisits > 0 && c.visits > c.maxVisits {
-		return nil, fmt.Errorf("after %d visits: %w", c.visits, ErrBudget)
-	}
-
-	if w := checkState(x, inputs); w != nil {
-		w.Exec = exec
-		return w, nil
-	}
-	if remaining == 0 {
-		if !core.AllDecided(x) {
-			return &Witness{
-				Kind:   UndecidedAtBound,
-				Exec:   exec,
-				Detail: fmt.Sprintf("a non-failed process is undecided after %d layers", c.bound),
-			}, nil
-		}
-		c.memo[mk] = true
-		return nil, nil
-	}
-	succs, sids := c.cache.SuccessorsOf(id, x)
-	for i := range succs {
-		s := succs[i]
-		if w := checkWriteOnce(x, s.State); w != nil {
-			w.Exec = exec.Extend(s.Action, s.State)
-			w.Detail = fmt.Sprintf("%s (action %s)", w.Detail, s.Action)
-			return w, nil
-		}
-		w, err := c.dfs(sids[i], s.State, remaining-1, inputs, exec.Extend(s.Action, s.State))
-		if err != nil || w != nil {
-			return w, err
-		}
-	}
-	c.memo[mk] = true
-	return nil, nil
-}
+// ID implements Requirement.
+func (cp *certPlanes) ID() uint64 { return 0 }
 
 // checkState checks agreement and validity at a single state.
 func checkState(x core.State, inputs uint64) *Witness {

@@ -11,76 +11,74 @@ import (
 	"repro/internal/resilient"
 )
 
-// ErrNotGraded is returned by CertifyGraph when the graph has an edge that
-// does not go from depth d to depth d+1. On such graphs the certifier's
-// per-node visited bitsets would not be equivalent to the recursive
-// (state, remaining-depth) memo; use Certify instead.
-var ErrNotGraded = errors.New("valence: graph is not graded")
-
-// CertifyGraph certifies the consensus requirements over a fully explored
-// state graph in one forward pass: agreement and validity on nodes,
-// write-once stability on edges, and decision on the deepest layer, exactly
-// as Certify does over bound = g.Depth layers. Instead of re-enumerating
-// successors per state with a map[...(id, depth, inputs)]bool memo, it
-// walks the CSR arrays with one visited bitset per input mask (on a graded
-// graph a node's remaining depth is determined by its id, so (node, inputs)
-// is the whole memo key). The witness execution is reconstructed from the
-// DFS stack only when a violation is found.
-//
-// The per-visit and per-edge consensus checks are answered from the graph's
-// cached check planes (certPlanesOf): one word test per visited node and
-// one bit test per edge replace the State interface scans, which run only
-// on the rare dirty node or edge to rebuild the exact witness. The planes
-// are derived once per graph and amortized across certifications, the same
-// way the key index and gradedness are.
-//
-// Roots are scanned in Inits order and edges in enumeration order — the
-// same search order as Certify — so the verdict, witness execution, and
-// Explored count are bit-for-bit identical to the recursive certifier's.
-// g must be explored with no node budget; maxVisits bounds the total
-// number of node visits across all roots (0 = no bound).
-func CertifyGraph(g *core.IDGraph, maxVisits int) (*Witness, error) {
-	return CertifyGraphCtx(nil, g, maxVisits)
+// Requirement is what a certification checks besides the requirements
+// Search checks on every run itself — decisions are write-once, and every
+// process non-failed at the bound has decided. Consensus (CertifyGraph)
+// and decision tasks (decision.CertifyTask) implement it.
+type Requirement interface {
+	// Class returns the class of the runs from root i, through which alone
+	// the state check sees a run (consensus: the input-value mask; a task:
+	// the input simplex). Runs of one class share visited bits.
+	Class(i int) uint64
+	// Fails reports whether node v fails the state check in class c.
+	Fails(v uint32, c uint64) bool
+	// ID keys certify checkpoints to the requirement (0 for consensus).
+	ID() uint64
 }
 
-// CertifyGraphCtx is CertifyGraph under a cancellation context, polled (with
-// the chaos certify.visit fault point) at every root boundary and every 256
-// DFS steps. An interruption
-// returns an error wrapping ErrCanceled/ErrDeadline (or ErrBudget for an
-// injected budget fault) that carries a resilient.Checkpointer snapshotting
-// the per-input-mask visited bitsets, the DFS stack, and the root cursor;
-// resuming with that snapshot (resilient.TagCertify, validated against a
-// fingerprint of the graph) finishes with a verdict, witness, and Explored
-// count bit-identical to an uninterrupted run's.
-func CertifyGraphCtx(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int) (*Witness, error) {
-	c := &graphCertifier{}
-	return c.certify(ctx, g, maxVisits, nil)
+// Check names the check a violating run fails at its end.
+type Check int
+
+// The checks Search makes along a run.
+const (
+	StateCheck     Check = iota + 1 // Requirement.Fails at the last state
+	DecideCheck                     // a process is undecided at the bound
+	WriteOnceCheck                  // a decision changed across the last step
+)
+
+// Violation is the first violating run Search finds: Exec from its root to
+// where Check failed, and the run's Class. Detail explains a failed shared
+// check (DecideCheck, WriteOnceCheck); the requirement explains its own.
+type Violation struct {
+	Exec   *core.Execution
+	Check  Check
+	Class  uint64
+	Detail string
 }
 
-// certify runs one certification on a (possibly reused) certifier,
+// Search certifies req and the shared requirements over every run of g,
+// up to g.Depth layers, roots in Inits order and edges in enumeration
+// order. It returns the first violating run (nil if none) and the number
+// of visits, one per (class, node, lag), where a node's lag on a run is
+// the run's length there minus the node's first-discovery depth: exactly
+// the (state, remaining depth, inputs) memo of a search that re-enumerates
+// successors, on graded graphs (lag always 0) and on the rest. maxVisits
+// bounds the visits (0 = no bound); g must be explored with no node budget.
+//
+// Search polls ctx and the chaos certify.visit point at every root and
+// every 256 steps. An interruption returns an error wrapping ErrCanceled
+// or ErrDeadline (ErrBudget for an injected budget fault) with a
+// resilient.Checkpointer of the visited bitsets, DFS stack and root
+// cursor; resuming it (resilient.TagCertify, keyed to g and req.ID)
+// finishes bit-identical to an uninterrupted run. Its callers report the
+// certification: Search emits only the resume and interrupt events.
+func Search(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int, req Requirement) (*Violation, int, error) {
+	var c graphCertifier
+	v, err := c.search(ctx, g, maxVisits, req, nil, 0)
+	return v, c.visits, err
+}
+
+// search runs one certification on a (possibly reused) certifier,
 // allocating visited bitsets from ar when non-nil (the Sweep zero-alloc
-// path) and from the heap otherwise.
-func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int, ar *arena.Arena) (*Witness, error) {
-	if !g.Graded() {
-		return nil, ErrNotGraded
-	}
+// path) and from the heap otherwise. Under a trace, each root gets a
+// certify.root span below span; span 0 records none.
+func (c *graphCertifier) search(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int, req Requirement, ar *arena.Arena, span obs.SpanID) (*Violation, error) {
 	rec := obs.Active()
 	tr := obs.Trace()
-	var root obs.TraceSpan
-	if tr != nil {
-		root = tr.Begin("certify", 0)
-		defer tr.End(root)
+	if span == 0 {
+		tr = nil
 	}
-	if rec != nil {
-		defer obs.Span(rec, "certify.time")()
-		rec.Event("certify.start",
-			obs.F{Key: "engine", Value: "graph"},
-			obs.F{Key: "nodes", Value: g.Len()},
-			obs.F{Key: "edges", Value: g.NumEdges()},
-			obs.F{Key: "depth", Value: g.Depth},
-			obs.F{Key: "roots", Value: len(g.Inits)})
-	}
-	c.g, c.ctx, c.maxVisits, c.ar = g, ctx, maxVisits, ar
+	c.g, c.ctx, c.req, c.maxVisits, c.ar = g, ctx, req, maxVisits, ar
 	c.cp = certPlanesOf(g)
 	c.visits, c.steps, c.rootIdx = 0, 0, 0
 	c.bs, c.stack = nil, c.stack[:0]
@@ -95,7 +93,7 @@ func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits 
 		if err != nil {
 			return nil, err
 		}
-		if ck.Matches(g, maxVisits) {
+		if ck.Matches(g, req, maxVisits) {
 			ctx.TakeResume(resilient.TagCertify)
 			ck.restore(c)
 			startRoot, midRoot = c.rootIdx, len(c.stack) > 0
@@ -116,97 +114,36 @@ func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits 
 		if err := c.stop(); err != nil {
 			return nil, err
 		}
-		var (
-			w   *Witness
-			err error
-		)
 		var rsp obs.TraceSpan
 		if tr != nil {
-			rsp = tr.Begin("certify.root", root.ID)
+			rsp = tr.Begin("certify.root", span)
 		}
-		if ri == startRoot && midRoot {
-			// Continue the interrupted root exactly where the stack left it:
-			// its root node and bitset are re-derived, not re-entered.
-			c.root = g.Inits[ri]
-			c.inputs = c.cp.rootInputs[ri]
-			c.bs = c.bitset(c.inputs)
-			w, err = c.loop()
-		} else {
-			w, err = c.run(g.Inits[ri])
+		c.root = g.Inits[ri]
+		c.class = req.Class(ri)
+		c.bs = c.visited[c.class]
+		var v *Violation
+		var err error
+		// An interrupted root continues exactly where its stack left off.
+		if ri != startRoot || !midRoot {
+			c.stack = c.stack[:0]
+			v, err = c.visit(c.root, 0, -1)
+		}
+		if v == nil && err == nil {
+			v, err = c.loop()
 		}
 		if tr != nil {
 			tr.End(rsp)
 		}
-		if err != nil {
-			return nil, err
-		}
-		if w != nil {
-			w.Explored = c.visits
-			c.finish(rec, w)
-			return w, nil
+		if v != nil || err != nil {
+			return v, err
 		}
 	}
-	c.ok = Witness{Kind: OK, Explored: c.visits}
-	c.finish(rec, &c.ok)
-	return &c.ok, nil
-}
-
-// finish publishes the certification's counters and emits certify.done.
-// The visited-bitset density — visits over (nodes × input-mask bitsets) —
-// is how full the memo got: near 100% means the search was bound by the
-// graph, not by pruning.
-func (c *graphCertifier) finish(rec obs.Recorder, w *Witness) {
-	if rec == nil {
-		return
-	}
-	rec.Add("certify.runs", 1)
-	rec.Add("certify.visits", int64(c.visits))
-	rec.Set("certify.explored", int64(c.visits))
-	densityPct := int64(0)
-	if cells := int64(c.g.Len()) * int64(len(c.visited)); cells > 0 {
-		densityPct = int64(c.visits) * 100 / cells
-	}
-	rec.Set("certify.bitset_density_pct", densityPct)
-	rec.Event("certify.done",
-		obs.F{Key: "engine", Value: "graph"},
-		obs.F{Key: "verdict", Value: w.Kind.String()},
-		obs.F{Key: "explored", Value: w.Explored},
-		obs.F{Key: "bitsets", Value: len(c.visited)},
-		obs.F{Key: "density_pct", Value: densityPct})
-}
-
-// CertifyFast is Certify through the graph-backed engine: it materializes
-// the model's state graph to `bound` layers (deterministically, drawing on
-// the model's shared successor cache) and runs CertifyGraph over it,
-// falling back to the recursive Certify when the explored graph is not
-// graded. Verdict and witness are identical to Certify's; the difference
-// is that the whole graph is explored up front rather than lazily, which
-// is faster for certifications that visit most of it.
-func CertifyFast(m core.Model, bound, maxVisits int) (*Witness, error) {
-	return CertifyFastCtx(nil, m, bound, maxVisits)
-}
-
-// CertifyFastCtx is CertifyFast under a cancellation context, threaded
-// through both phases: the exploration checks it at layer boundaries, the
-// certification at root boundaries and every 256 DFS steps, and whichever
-// phase is interrupted
-// attaches its own checkpoint to the error. A resumed run re-derives the
-// already-complete phase deterministically (re-exploring is bit-identical),
-// so one saved certify snapshot suffices to finish the whole call.
-func CertifyFastCtx(ctx *resilient.Ctx, m core.Model, bound, maxVisits int) (*Witness, error) {
-	g, err := core.ExploreIDCtx(ctx, m, bound, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	w, err := CertifyGraphCtx(ctx, g, maxVisits)
-	if errors.Is(err, ErrNotGraded) {
-		return Certify(m, bound, maxVisits)
-	}
-	return w, err
+	return nil, nil
 }
 
 // gframe is one DFS stack entry: a node being expanded, the CSR edge it was
 // entered through (-1 for the root), and the cursor of its next out-edge.
+// A frame's index in the stack is the length of the run to its node.
 type gframe struct {
 	node uint32
 	via  int32
@@ -216,6 +153,7 @@ type gframe struct {
 type graphCertifier struct {
 	g         *core.IDGraph
 	ctx       *resilient.Ctx
+	req       Requirement
 	cp        *certPlanes
 	ar        *arena.Arena
 	maxVisits int
@@ -225,60 +163,32 @@ type graphCertifier struct {
 	steps int
 	// rootIdx is the cursor into g.Inits, part of the checkpoint.
 	rootIdx int
-	// visited[inputs] is the per-input-mask node bitset replacing the
-	// recursive certifier's map[certMemoKey]bool.
+	// visited[class] is the class's visited bitset: bit lag·N + u marks
+	// node u visited at that lag, N = g.Len(). It holds one N-bit plane
+	// per lag reached so far, so on a graded graph it is N bits.
 	visited map[uint64][]uint64
 	bs      []uint64
 	root    uint32
-	inputs  uint64
+	class   uint64
 	stack   []gframe
 	// ok is the reused all-clear verdict, so a clean certification on a
 	// warmed certifier allocates nothing.
 	ok Witness
 }
 
-// bitset returns (creating on first use) the visited bitset for an input
-// mask.
-func (c *graphCertifier) bitset(inputs uint64) []uint64 {
-	bs := c.visited[inputs]
-	if bs == nil {
-		words := (c.g.Len() + 63) / 64
-		if c.ar != nil {
-			bs = c.ar.Words(words)
-		} else {
-			bs = make([]uint64, words)
-		}
-		c.visited[inputs] = bs
+// words allocates n zeroed words from the arena, or the heap without one.
+func (c *graphCertifier) words(n int) []uint64 {
+	if c.ar != nil {
+		return c.ar.Words(n)
 	}
-	return bs
-}
-
-// run certifies the subgraph reachable from one root.
-func (c *graphCertifier) run(root uint32) (*Witness, error) {
-	g := c.g
-	c.inputs = c.cp.rootInputs[c.rootIdx]
-	c.bs = c.bitset(c.inputs)
-	c.root = root
-	c.stack = c.stack[:0]
-
-	if c.seen(root) {
-		return nil, nil
-	}
-	if w, err := c.enter(root, -1); w != nil || err != nil {
-		return w, err
-	}
-	if int(g.DepthOf[root]) >= g.Depth {
-		return nil, nil
-	}
-	c.stack = append(c.stack, gframe{node: root, via: -1, next: g.EdgeStart[root]})
-	return c.loop()
+	return make([]uint64, n)
 }
 
 // loop drains the DFS stack. It is the shared tail of a fresh root and a
-// checkpoint resume: everything it needs — stack, bitset, root, inputs —
+// checkpoint resume: everything it needs — stack, bitset, root, class —
 // is certifier state, and every 256th iteration is an interruption point
 // whose cut is exactly that state.
-func (c *graphCertifier) loop() (*Witness, error) {
+func (c *graphCertifier) loop() (*Violation, error) {
 	g := c.g
 	cp := c.cp
 	for len(c.stack) > 0 {
@@ -297,23 +207,15 @@ func (c *graphCertifier) loop() (*Witness, error) {
 		e := top.next
 		top.next++
 		v := g.EdgeTo[e]
+		// The edge plane is precomputed; the original check confirms a
+		// dirty edge.
 		if cp.bit(cp.woBad, e) {
-			// Dirty edge (precomputed: a decision changes across it):
-			// rebuild the exact witness with the original check.
 			if w := checkWriteOnce(g.States[u], g.States[v]); w != nil {
-				w.Exec = c.execTo(int32(e))
-				w.Detail = fmt.Sprintf("%s (action %s)", w.Detail, g.EdgeAction[e])
-				return w, nil
+				return &Violation{Exec: c.execTo(int32(e)), Check: WriteOnceCheck, Class: c.class, Detail: w.Detail}, nil
 			}
 		}
-		if c.seen(v) {
-			continue
-		}
-		if w, err := c.enter(v, int32(e)); w != nil || err != nil {
+		if w, err := c.visit(v, len(c.stack), int32(e)); w != nil || err != nil {
 			return w, err
-		}
-		if int(g.DepthOf[v]) < g.Depth {
-			c.stack = append(c.stack, gframe{node: v, via: int32(e), next: g.EdgeStart[v]})
 		}
 	}
 	return nil, nil
@@ -343,31 +245,31 @@ func (c *graphCertifier) stop() error {
 	return resilient.WithCheckpoint(werr, c.checkpoint())
 }
 
-// enter performs the first (and only) visit of a node: mark it, count it,
-// and check the state-local requirements — agreement and validity always,
-// decision when the node sits at the bound. The checks are plane reads; a
-// node flagged dirty re-runs the original checkState to build the exact
-// witness (and to stay correct even if the flag over-approximated).
-func (c *graphCertifier) enter(v uint32, via int32) (*Witness, error) {
-	c.mark(v)
+// visit enters node v at run length depth through edge via (-1 for the
+// root), unless v was visited at that lag before: it marks and counts the
+// visit, checks the requirement's state check always and decision at the
+// bound, and pushes v for expansion below the bound.
+func (c *graphCertifier) visit(v uint32, depth int, via int32) (*Violation, error) {
+	lag := depth - int(c.g.DepthOf[v])
+	if c.seen(v, lag) {
+		return nil, nil
+	}
+	c.mark(v, lag)
 	c.visits++
 	if c.maxVisits > 0 && c.visits > c.maxVisits {
 		return nil, fmt.Errorf("after %d visits: %w", c.visits, ErrBudget)
 	}
-	cp := c.cp
-	if cp.dvals[v]&^c.inputs != 0 || cp.bit(cp.agreeBad, v) {
-		if w := checkState(c.g.States[v], c.inputs); w != nil {
-			w.Exec = c.execTo(via)
-			return w, nil
+	if c.req.Fails(v, c.class) {
+		return &Violation{Exec: c.execTo(via), Check: StateCheck, Class: c.class}, nil
+	}
+	if depth >= c.g.Depth {
+		if !c.cp.bit(c.cp.allDec, v) {
+			return &Violation{Exec: c.execTo(via), Check: DecideCheck, Class: c.class,
+				Detail: fmt.Sprintf("a non-failed process is undecided after %d layers", c.g.Depth)}, nil
 		}
+		return nil, nil
 	}
-	if int(c.g.DepthOf[v]) >= c.g.Depth && !cp.bit(cp.allDec, v) {
-		return &Witness{
-			Kind:   UndecidedAtBound,
-			Exec:   c.execTo(via),
-			Detail: fmt.Sprintf("a non-failed process is undecided after %d layers", c.g.Depth),
-		}, nil
-	}
+	c.stack = append(c.stack, gframe{node: v, via: via, next: c.g.EdgeStart[v]})
 	return nil, nil
 }
 
@@ -387,10 +289,21 @@ func (c *graphCertifier) execTo(finalEdge int32) *core.Execution {
 	return &core.Execution{Init: g.States[c.root], Steps: steps}
 }
 
-func (c *graphCertifier) seen(u uint32) bool {
-	return c.bs[u>>6]&(1<<(u&63)) != 0
+// seen reports whether node u was visited at a lag: bit lag·N + u.
+func (c *graphCertifier) seen(u uint32, lag int) bool {
+	i := lag*c.g.Len() + int(u)
+	return i>>6 < len(c.bs) && c.bs[i>>6]&(1<<(i&63)) != 0
 }
 
-func (c *graphCertifier) mark(u uint32) {
-	c.bs[u>>6] |= 1 << (u & 63)
+// mark sets u's bit at a lag, creating the class's bitset on its first
+// visit and growing it by whole lag planes when the lag is new.
+func (c *graphCertifier) mark(u uint32, lag int) {
+	i := lag*c.g.Len() + int(u)
+	if i>>6 >= len(c.bs) {
+		grown := c.words(((lag+1)*c.g.Len() + 63) / 64)
+		copy(grown, c.bs)
+		c.bs = grown
+		c.visited[c.class] = grown
+	}
+	c.bs[i>>6] |= 1 << (i & 63)
 }

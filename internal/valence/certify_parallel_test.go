@@ -13,15 +13,15 @@ import (
 	"repro/internal/valence"
 )
 
-// certifyParallel is the parallel certification pipeline CertifyFast runs:
-// explore the model's graph with workers goroutines, then certify it with
-// the graph certifier.
+// certifyParallel is the certification pipeline Certify runs, with the
+// exploration's worker count fixed: explore the model's graph with
+// workers goroutines, then certify it.
 func certifyParallel(m core.Model, bound, maxVisits, workers int) (*valence.Witness, error) {
 	g, err := core.ExploreIDParallel(m, bound, 0, workers)
 	if err != nil {
 		return nil, err
 	}
-	return valence.CertifyGraph(g, maxVisits)
+	return valence.CertifyGraph(nil, g, maxVisits)
 }
 
 // TestCertifyParallelPropertyMatchesSerial is the determinism property of
@@ -63,7 +63,7 @@ func TestCertifyParallelPropertyMatchesSerial(t *testing.T) {
 		m := fam.build(rounds, n, tf)
 		name := fmt.Sprintf("trial%02d-%s-n%d-t%d-r%d-b%d", trial, fam.name, n, tf, rounds, bound)
 		t.Run(name, func(t *testing.T) {
-			serial, err := valence.Certify(m, bound, 0)
+			serial, err := valence.CertifyRef(m, bound, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,11 +102,11 @@ func TestCertifyParallelPropertyMatchesSerial(t *testing.T) {
 func TestCertifyParallelMatchesSequential(t *testing.T) {
 	mOK := syncmp.NewSt(protocols.FloodSet{Rounds: 2}, 3, 1)
 	mBad := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	sOK, err := valence.Certify(mOK, 2, 0)
+	sOK, err := valence.CertifyRef(mOK, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sBad, err := valence.Certify(mBad, 2, 0)
+	sBad, err := valence.CertifyRef(mBad, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestCertifyFloodSetCorrect(t *testing.T) {
 	for _, c := range cases {
 		p := protocols.FloodSet{Rounds: c.tt + 1}
 		m := syncmp.NewSt(p, c.n, c.tt)
-		w, err := valence.Certify(m, c.tt+1, 0)
+		w, err := valence.Certify(nil, m, c.tt+1, 0)
 		if err != nil {
 			t.Fatalf("n=%d t=%d: %v", c.n, c.tt, err)
 		}
@@ -42,7 +42,7 @@ func TestCertifyFloodSetTooFast(t *testing.T) {
 	for _, c := range cases {
 		p := protocols.FloodSet{Rounds: c.tt}
 		m := syncmp.NewSt(p, c.n, c.tt)
-		w, err := valence.Certify(m, c.tt, 0)
+		w, err := valence.Certify(nil, m, c.tt, 0)
 		if err != nil {
 			t.Fatalf("n=%d t=%d: %v", c.n, c.tt, err)
 		}
@@ -64,7 +64,7 @@ func TestCertifyMobileNeverOK(t *testing.T) {
 	for _, rounds := range []int{1, 2, 3} {
 		p := protocols.FloodSet{Rounds: rounds}
 		m := mobile.New(p, 3)
-		w, err := valence.Certify(m, rounds, 0)
+		w, err := valence.Certify(nil, m, rounds, 0)
 		if err != nil {
 			t.Fatalf("rounds=%d: %v", rounds, err)
 		}
@@ -80,7 +80,7 @@ func TestCertifyMobileNeverOK(t *testing.T) {
 func TestWitnessExecutionReplays(t *testing.T) {
 	p := protocols.FloodSet{Rounds: 1}
 	m := syncmp.NewSt(p, 3, 1)
-	w, err := valence.Certify(m, 1, 0)
+	w, err := valence.Certify(nil, m, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestWitnessExecutionReplays(t *testing.T) {
 func TestCertifyBudget(t *testing.T) {
 	p := protocols.FloodSet{Rounds: 3}
 	m := syncmp.NewSt(p, 4, 2)
-	if _, err := valence.Certify(m, 3, 10); err == nil {
+	if _, err := valence.Certify(nil, m, 3, 10); err == nil {
 		t.Error("want budget error with maxVisits=10")
 	}
 }

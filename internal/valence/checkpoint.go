@@ -43,10 +43,11 @@ func graphFingerprint(g *core.IDGraph) uint64 {
 	return h.Sum64()
 }
 
-// CertifyCheckpoint is the resumable snapshot of an interrupted
-// CertifyGraphCtx: the root cursor, visit and step counters, the DFS stack
-// of the in-flight root, and every per-input-mask visited bitset, keyed to
-// the graph by fingerprint.
+// CertifyCheckpoint is the resumable snapshot of an interrupted Search:
+// the root cursor, visit and step counters, the DFS stack of the in-flight
+// root, and every per-class visited bitset, keyed to the graph and the
+// requirement by fingerprint: the graph fingerprint XOR the requirement's
+// ID, which leaves a consensus checkpoint's the bare graph fingerprint.
 type CertifyCheckpoint struct {
 	Fingerprint uint64
 	MaxVisits   int
@@ -60,7 +61,7 @@ type CertifyCheckpoint struct {
 // checkpoint snapshots the certifier at the current cut.
 func (c *graphCertifier) checkpoint() *CertifyCheckpoint {
 	return &CertifyCheckpoint{
-		Fingerprint: graphFingerprint(c.g),
+		Fingerprint: graphFingerprint(c.g) ^ c.req.ID(),
 		MaxVisits:   c.maxVisits,
 		RootIdx:     c.rootIdx,
 		Visits:      c.visits,
@@ -79,14 +80,14 @@ func (ck *CertifyCheckpoint) restore(c *graphCertifier) {
 	c.visited = ck.Visited
 }
 
-// Matches reports whether the snapshot belongs to this (graph, maxVisits)
-// call.
-func (ck *CertifyCheckpoint) Matches(g *core.IDGraph, maxVisits int) bool {
-	return ck.MaxVisits == maxVisits && ck.Fingerprint == graphFingerprint(g)
+// Matches reports whether the snapshot belongs to this (graph,
+// requirement, maxVisits) call.
+func (ck *CertifyCheckpoint) Matches(g *core.IDGraph, req Requirement, maxVisits int) bool {
+	return ck.MaxVisits == maxVisits && ck.Fingerprint == graphFingerprint(g)^req.ID()
 }
 
 // Sections encodes the snapshot as the resilient.TagCertify section.
-// Bitsets are written in sorted input-mask order so the payload is
+// Bitsets are written in sorted class order so the payload is
 // deterministic.
 func (ck *CertifyCheckpoint) Sections() ([]resilient.Section, error) {
 	size := 64 + 12*len(ck.Stack)

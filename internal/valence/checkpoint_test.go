@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
+	"repro/internal/asyncmp"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/mobile"
@@ -112,7 +114,7 @@ func TestCertifyCheckpointRandomCuts(t *testing.T) {
 			// inside the run — a rule that never fires would test nothing.
 			probe := chaos.NewPlan().Set("certify.visit", chaos.Rule{Hit: ^uint64(0), Kind: chaos.KindCancel})
 			chaos.Arm(probe)
-			want, err := valence.CertifyGraph(g, 0)
+			want, err := valence.CertifyGraph(nil, g, 0)
 			chaos.Disarm()
 			if err != nil {
 				t.Fatal(err)
@@ -125,7 +127,7 @@ func TestCertifyCheckpointRandomCuts(t *testing.T) {
 				hit := 1 + uint64(rng.Int63n(int64(polls)))
 				plan := chaos.NewPlan().Set("certify.visit", chaos.Rule{Hit: hit, Kind: chaos.KindCancel})
 				chaos.Arm(plan)
-				_, perr := valence.CertifyGraphCtx(nil, g, 0)
+				_, perr := valence.CertifyGraph(nil, g, 0)
 				chaos.Disarm()
 				if len(plan.Fired()) != 1 {
 					t.Fatalf("hit=%d: plan fired %d faults, want 1 (polls estimate %d)", hit, len(plan.Fired()), polls)
@@ -133,7 +135,7 @@ func TestCertifyCheckpointRandomCuts(t *testing.T) {
 				if !errors.Is(perr, resilient.ErrPartial) {
 					t.Fatalf("hit=%d: err = %v, want ErrPartial family", hit, perr)
 				}
-				got, rerr := valence.CertifyGraphCtx(resumeCtx(t, perr), ckptGraph(t, tc.m(), tc.bound), 0)
+				got, rerr := valence.CertifyGraph(resumeCtx(t, perr), ckptGraph(t, tc.m(), tc.bound), 0)
 				if rerr != nil {
 					t.Fatalf("hit=%d: resume failed: %v", hit, rerr)
 				}
@@ -148,17 +150,17 @@ func TestCertifyCheckpointRandomCuts(t *testing.T) {
 // resumable checkpoint, and a resumed run still matches the baseline.
 func TestCertifyCheckpointBudgetFault(t *testing.T) {
 	g := ckptGraph(t, mobile.New(protocols.FloodSet{Rounds: 2}, 3), 2)
-	want, err := valence.CertifyGraph(g, 0)
+	want, err := valence.CertifyGraph(nil, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chaos.Arm(chaos.NewPlan().Set("certify.visit", chaos.Rule{Hit: 3, Kind: chaos.KindBudget}))
-	_, perr := valence.CertifyGraphCtx(nil, g, 0)
+	_, perr := valence.CertifyGraph(nil, g, 0)
 	chaos.Disarm()
 	if !errors.Is(perr, valence.ErrBudget) || !errors.Is(perr, resilient.ErrPartial) {
 		t.Fatalf("err = %v, want ErrBudget wrapping ErrPartial", perr)
 	}
-	got, rerr := valence.CertifyGraphCtx(resumeCtx(t, perr), g, 0)
+	got, rerr := valence.CertifyGraph(resumeCtx(t, perr), g, 0)
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
@@ -171,16 +173,16 @@ func TestCertifyCheckpointBudgetFault(t *testing.T) {
 func TestCertifyCheckpointValidation(t *testing.T) {
 	g := ckptGraph(t, mobile.New(protocols.FloodSet{Rounds: 2}, 3), 2)
 	chaos.Arm(chaos.NewPlan().Set("certify.visit", chaos.Rule{Hit: 2, Kind: chaos.KindCancel}))
-	_, perr := valence.CertifyGraphCtx(nil, g, 0)
+	_, perr := valence.CertifyGraph(nil, g, 0)
 	chaos.Disarm()
 
 	other := ckptGraph(t, syncmp.NewSt(protocols.FloodSet{Rounds: 2}, 3, 1), 2)
 	ctx := resumeCtx(t, perr)
-	want, err := valence.CertifyGraph(other, 0)
+	want, err := valence.CertifyGraph(nil, other, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := valence.CertifyGraphCtx(ctx, other, 0)
+	got, err := valence.CertifyGraph(ctx, other, 0)
 	if err != nil {
 		t.Fatalf("mismatched snapshot was not ignored: %v", err)
 	}
@@ -233,5 +235,113 @@ func TestFieldCheckpointRandomCuts(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCertifyCheckpointParentBytes: on a graded graph a certify cut
+// encodes to the same bytes as a checkpoint written by an earlier build
+// of this encoding (testdata, cut mid-stack at the second poll), and
+// resuming that stored checkpoint finishes with the uninterrupted verdict.
+func TestCertifyCheckpointParentBytes(t *testing.T) {
+	mk := func() core.Model { return syncmp.NewSt(protocols.FloodSet{Rounds: 3}, 5, 2) }
+	g := ckptGraph(t, mk(), 3)
+	want, err := valence.CertifyGraph(nil, g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos.Arm(chaos.NewPlan().Set("certify.visit", chaos.Rule{Hit: 2, Kind: chaos.KindCancel}))
+	_, perr := valence.CertifyGraph(nil, g, 0)
+	chaos.Disarm()
+	ck, ok := resilient.CheckpointFrom(perr)
+	if !ok {
+		t.Fatalf("no checkpoint attached to %v", perr)
+	}
+	sections, err := ck.Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := resilient.WriteSections(&buf, sections); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile("testdata/certify-syncst-n5-t2-hit2.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), stored) {
+		t.Fatal("certify checkpoint of a graded graph encodes to different bytes")
+	}
+	back, err := resilient.ReadSections(bytes.NewReader(stored))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := resilient.Background()
+	ctx.SetResume(back)
+	got, err := valence.CertifyGraph(ctx, ckptGraph(t, mk(), 3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.PeekResume(resilient.TagCertify) != nil {
+		t.Fatal("stored checkpoint was not consumed")
+	}
+	witnessesIdentical(t, want, got)
+}
+
+// TestCertifyResumeNonGraded cuts Certify on non-graded graphs at every
+// interruption point in turn — every explore layer, every certify root and
+// every 256-step poll — resumes each cut in a fresh model, and requires
+// the uninterrupted witness and Explored count. ownInput walks every run
+// to OK, long enough to pass the step polls; MPFlood stops at a witness.
+func TestCertifyResumeNonGraded(t *testing.T) {
+	cases := []struct {
+		name  string
+		m     func() core.Model
+		bound int
+		walks bool // certifies OK, passing step polls past the root polls
+	}{
+		{"own-input-n2-b4", func() core.Model { return uniformOnly(asyncmp.New(ownInput{}, 2)) }, 4, true},
+		{"mpflood-n2-b3", func() core.Model { return asyncmp.New(protocols.MPFlood{Phases: 3}, 2) }, 3, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := ckptGraph(t, tc.m(), tc.bound)
+			if g.Graded() {
+				t.Fatal("graph is graded")
+			}
+			want, err := valence.Certify(nil, tc.m(), tc.bound, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, point := range []string{"explore.layer", "certify.visit"} {
+				probe := chaos.NewPlan().Set(point, chaos.Rule{Hit: ^uint64(0), Kind: chaos.KindCancel})
+				chaos.Arm(probe)
+				_, err := valence.Certify(nil, tc.m(), tc.bound, 0)
+				chaos.Disarm()
+				if err != nil {
+					t.Fatal(err)
+				}
+				polls := probe.Hits(point)
+				if polls == 0 {
+					t.Fatalf("%s: no polls", point)
+				}
+				if tc.walks && point == "certify.visit" && polls <= uint64(len(g.Inits)) {
+					t.Fatalf("%d certify polls for %d roots: no step poll", polls, len(g.Inits))
+				}
+				for hit := uint64(1); hit <= polls; hit++ {
+					plan := chaos.NewPlan().Set(point, chaos.Rule{Hit: hit, Kind: chaos.KindCancel})
+					chaos.Arm(plan)
+					_, perr := valence.Certify(nil, tc.m(), tc.bound, 0)
+					chaos.Disarm()
+					if !errors.Is(perr, resilient.ErrPartial) {
+						t.Fatalf("%s hit %d: err = %v, want ErrPartial family", point, hit, perr)
+					}
+					got, rerr := valence.Certify(resumeCtx(t, perr), tc.m(), tc.bound, 0)
+					if rerr != nil {
+						t.Fatalf("%s hit %d: resume failed: %v", point, hit, rerr)
+					}
+					witnessesIdentical(t, want, got)
+				}
+			}
+		})
 	}
 }

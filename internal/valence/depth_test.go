@@ -83,7 +83,7 @@ func TestCertifyFromMultivalued(t *testing.T) {
 		return inits
 	}
 	good := syncmp.NewSt(protocols.FloodSet{Rounds: tt + 1}, n, tt)
-	w, err := valence.CertifyFrom(good, build(good), tt+1, 0)
+	w, err := valence.Certify(nil, core.WithInits(good, build(good)), tt+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCertifyFromMultivalued(t *testing.T) {
 		t.Errorf("ternary FloodSet(t+1): %v (%s)", w.Kind, w.Detail)
 	}
 	fast := syncmp.NewSt(protocols.FloodSet{Rounds: tt}, n, tt)
-	w, err = valence.CertifyFrom(fast, build(fast), tt, 0)
+	w, err = valence.Certify(nil, core.WithInits(fast, build(fast)), tt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,14 +73,12 @@ type certPlanes struct {
 	// allDec bit u: AllDecided holds at node u's state (the decision
 	// requirement at the bound layer).
 	allDec []uint64
-	// anyDec bit u: some process — failed or not — has decided at node u.
-	// checkWriteOnce can only fire on an edge whose source has a decided
-	// process, so the edge pass skips sources without this bit.
-	anyDec []uint64
 	// woBad bit e (edge-indexed): checkWriteOnce fires on CSR edge e.
 	woBad []uint64
 	// rootInputs[i] is inputMask of g.Inits[i]'s state.
 	rootInputs []uint64
+	// states is g.States, for the exact checks on dirty nodes.
+	states []core.State
 }
 
 func (cp *certPlanes) bit(plane []uint64, i uint32) bool {
@@ -103,9 +101,9 @@ func certPlanesOf(g *core.IDGraph) *certPlanes {
 			dvals:      make([]uint64, g.Len()),
 			agreeBad:   make([]uint64, words),
 			allDec:     make([]uint64, words),
-			anyDec:     make([]uint64, words),
 			woBad:      make([]uint64, (g.NumEdges()+63)/64),
 			rootInputs: make([]uint64, len(g.Inits)),
+			states:     g.States,
 		}
 		for u, x := range g.States {
 			bit := uint64(1) << (uint(u) & 63)
@@ -141,17 +139,11 @@ func certPlanesOf(g *core.IDGraph) *certPlanes {
 			if allDecided {
 				cp.allDec[u>>6] |= bit
 			}
-			if anyDecided {
-				cp.anyDec[u>>6] |= bit
+			if !anyDecided {
+				continue // checkWriteOnce can fire on no edge out of u
 			}
-		}
-		for u := 0; u < g.Len(); u++ {
-			if !cp.bit(cp.anyDec, uint32(u)) {
-				continue // no decided process: no edge out of u can fire
-			}
-			lo, hi := g.EdgeStart[u], g.EdgeStart[u+1]
-			for e := lo; e < hi; e++ {
-				if checkWriteOnce(g.States[u], g.States[g.EdgeTo[e]]) != nil {
+			for e := g.EdgeStart[u]; e < g.EdgeStart[u+1]; e++ {
+				if checkWriteOnce(x, g.States[g.EdgeTo[e]]) != nil {
 					cp.woBad[e>>6] |= 1 << (e & 63)
 				}
 			}

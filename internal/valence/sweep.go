@@ -39,8 +39,8 @@ func (s *Sweep) Field(g *core.IDGraph) (*Field, error) {
 	return &s.f, nil
 }
 
-// CertifyGraph certifies g exactly as the package-level CertifyGraph, with
-// visited bitsets drawn from the reused arena.
+// CertifyGraph certifies g exactly as the package-level CertifyGraph (with
+// no context), with visited bitsets drawn from the reused arena.
 func (s *Sweep) CertifyGraph(g *core.IDGraph, maxVisits int) (*Witness, error) {
 	s.ar.Reset()
 	s.publishBytes()

@@ -27,6 +27,7 @@
 package layers
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/asyncmp"
@@ -156,10 +157,11 @@ func NewOracle(s Successor) *Oracle { return valence.NewOracle(s) }
 
 // Certify exhaustively checks the consensus requirements (agreement,
 // validity, decision-by-bound, write-once decisions) over all runs of the
-// layered submodel up to `bound` layers. maxVisits caps the search (0 =
-// unbounded).
+// layered submodel up to `bound` layers: it explores the model's IDGraph
+// and certifies every run over it. maxVisits caps the certifier's visits
+// (0 = unbounded); the exploration to the bound is never capped.
 func Certify(m Model, bound, maxVisits int) (*Witness, error) {
-	return valence.Certify(m, bound, maxVisits)
+	return valence.Certify(nil, m, bound, maxVisits)
 }
 
 // AnalyzeLayer reports the similarity and valence structure of S(x), with
@@ -210,25 +212,9 @@ func ExploreIDParallel(m Model, depth, maxNodes, workers int) (*IDGraph, error) 
 	return core.ExploreIDParallel(m, depth, maxNodes, workers)
 }
 
-// ErrNotGraded is returned by CertifyGraph for graphs with same-depth
+// ErrNotGraded is returned by CertifyGraphCtx for graphs with same-depth
 // shortcut edges (which the asynchronous models produce at small n).
-var ErrNotGraded = valence.ErrNotGraded
-
-// CertifyGraph certifies consensus by one forward pass over an already
-// materialized graph, with per-(node, input-mask) visited bitsets instead
-// of the recursive certifier's memo map. The witness is identical to
-// Certify's bit for bit. Graded graphs only (ErrNotGraded otherwise).
-func CertifyGraph(g *IDGraph, maxVisits int) (*Witness, error) {
-	return valence.CertifyGraph(g, maxVisits)
-}
-
-// CertifyFast is Certify through the graph-backed engine: it explores the
-// model's IDGraph in parallel and runs CertifyGraph, falling back to the
-// recursive certifier for non-graded graphs. The witness is identical to
-// Certify's.
-func CertifyFast(m Model, bound, maxVisits int) (*Witness, error) {
-	return valence.CertifyFast(m, bound, maxVisits)
-}
+var ErrNotGraded = errors.New("layers: graph is not graded")
 
 // Ctx is the framework's lightweight cancellation context: a done channel
 // plus an optional deadline, polled by the engines at layer/shard
@@ -313,15 +299,16 @@ func ExploreIDCtx(ctx *Ctx, m Model, depth, maxNodes, workers int) (*IDGraph, er
 	return core.ExploreIDCtx(ctx, m, depth, maxNodes, workers)
 }
 
-// CertifyGraphCtx is CertifyGraph under a cancellation context, with
-// checkpoint/resume of the certification pass.
+// CertifyGraphCtx certifies consensus over an already materialized graph
+// graded by depth, under a cancellation context, with checkpoint/resume of
+// the certification pass; the witness is Certify's bit for bit. It refuses
+// a non-graded graph with ErrNotGraded, although the engine beneath it
+// certifies every graph.
 func CertifyGraphCtx(ctx *Ctx, g *IDGraph, maxVisits int) (*Witness, error) {
-	return valence.CertifyGraphCtx(ctx, g, maxVisits)
-}
-
-// CertifyFastCtx is CertifyFast under a cancellation context.
-func CertifyFastCtx(ctx *Ctx, m Model, bound, maxVisits int) (*Witness, error) {
-	return valence.CertifyFastCtx(ctx, m, bound, maxVisits)
+	if !g.Graded() {
+		return nil, ErrNotGraded
+	}
+	return valence.CertifyGraph(ctx, g, maxVisits)
 }
 
 // NewFieldCtx computes the valence field of an explored graph — every

@@ -1,6 +1,7 @@
 package layers
 
 import (
+	"repro/internal/core"
 	"repro/internal/decision"
 	"repro/internal/knowledge"
 	"repro/internal/sim"
@@ -112,15 +113,18 @@ const (
 // problem Δ over the layered submodel from the given initial states:
 // write-once decisions, everyone non-failed decided by the bound, and the
 // decided simplex a face of some simplex of Δ(input). Agreement is not
-// required — that is the point of general decision problems.
+// required — that is the point of general decision problems. maxVisits
+// caps the certifier's visits (0 = unbounded); the exploration to the
+// bound is never capped.
 func CertifyTask(m Model, inits []State, delta DeltaFunc, bound, maxVisits int) (*TaskWitness, error) {
-	return decision.CertifyTask(m, inits, delta, bound, maxVisits)
+	return decision.CertifyTask(nil, m, inits, delta, bound, maxVisits)
 }
 
 // CertifyFrom is Certify over an explicit set of initial states — e.g. a
-// multivalued Con_0 built with a model's Initial method.
+// multivalued Con_0 built with a model's Initial method. maxVisits caps
+// the certifier's visits, as in Certify.
 func CertifyFrom(m Model, inits []State, bound, maxVisits int) (*Witness, error) {
-	return valence.CertifyFrom(m, inits, bound, maxVisits)
+	return valence.Certify(nil, core.WithInits(m, inits), bound, maxVisits)
 }
 
 // DecisionDepth is the decision-time landscape of a protocol's runs.

@@ -51,19 +51,27 @@ func TestSlowEarlyFloodSetN5(t *testing.T) {
 	}
 }
 
+// TestSlowParallelCertifyAgrees checks that certifying over a graph explored
+// in parallel agrees with certifying over a serially explored one; the
+// engine itself is checked against the recursive reference at this
+// configuration in internal/valence.
 func TestSlowParallelCertifyAgrees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep sweep")
 	}
 	const n, tt = 5, 2
 	m := layers.SyncSt(layers.FloodSet{Rounds: tt + 1}, n, tt)
-	seq, err := layers.Certify(m, tt+1, 0)
+	g, err := layers.ExploreID(m, tt+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CertifyFast explores the graph with GOMAXPROCS workers before the
-	// graph certifier runs.
-	par, err := layers.CertifyFast(m, tt+1, 0)
+	seq, err := layers.CertifyGraphCtx(nil, g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Certify explores the graph with GOMAXPROCS workers before the graph
+	// certifier runs.
+	par, err := layers.Certify(m, tt+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
