@@ -403,23 +403,30 @@ func BenchmarkE9_Extensions(b *testing.B) {
 }
 
 // BenchmarkExplore — the exploration front-end itself over the sharded
-// successor cache (grid: 3 models × {cold, warm} × worker counts). cold
+// successor cache (grid: models × {cold, warm} × worker counts). cold
 // rows build a fresh model, and with it a fresh cache, every iteration and
 // pay first-sight interning and enumeration; warm rows re-explore one model
 // over its already-populated cache — the steady state every multi-pass
 // analysis (explore → certify → field → diameter) lives in, where the
 // memoized-hit path is the whole per-node cache cost. Worker counts shard
 // the frontier warming; on a single-CPU host the w>1 rows only add
-// scheduling overhead.
+// scheduling overhead. The two cold-only rows are sized where the
+// synchronous models' memos matter: syncst/n=7 is the sync_lowerbound
+// coldbench model, where most Deliver calls repeat across source states,
+// and syncst-fullinfo is the guard row where every delivery is new, so the
+// model-wide Deliver memo is pure overhead there.
 func BenchmarkExplore(b *testing.B) {
 	grid := []struct {
-		name  string
-		mk    func() layers.Model
-		depth int
+		name     string
+		mk       func() layers.Model
+		depth    int
+		coldOnly bool
 	}{
-		{"mobile/n=4", func() layers.Model { return layers.MobileS1(protocols.FloodSet{Rounds: 2}, 4) }, 2},
-		{"syncst/n=4/t=2", func() layers.Model { return layers.SyncSt(protocols.FloodSet{Rounds: 3}, 4, 2) }, 3},
-		{"shmem/n=3", func() layers.Model { return layers.SharedMemory(protocols.SMVote{Phases: 2}, 3) }, 2},
+		{"mobile/n=4", func() layers.Model { return layers.MobileS1(protocols.FloodSet{Rounds: 2}, 4) }, 2, false},
+		{"syncst/n=4/t=2", func() layers.Model { return layers.SyncSt(protocols.FloodSet{Rounds: 3}, 4, 2) }, 3, false},
+		{"shmem/n=3", func() layers.Model { return layers.SharedMemory(protocols.SMVote{Phases: 2}, 3) }, 2, false},
+		{"syncst/n=7/t=2", func() layers.Model { return layers.SyncSt(protocols.FloodSet{Rounds: 3}, 7, 2) }, 3, true},
+		{"syncst-fullinfo/n=5/t=2", func() layers.Model { return layers.SyncSt(protocols.FullInfo{}, 5, 2) }, 3, true},
 	}
 	var workers []int
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -433,6 +440,9 @@ func BenchmarkExplore(b *testing.B) {
 	}
 	for _, tc := range grid {
 		for _, mode := range []string{"cold", "warm"} {
+			if mode == "warm" && tc.coldOnly {
+				continue
+			}
 			for _, w := range workers {
 				b.Run(fmt.Sprintf("%s/%s/w=%d", tc.name, mode, w), func(b *testing.B) {
 					var warm layers.Model

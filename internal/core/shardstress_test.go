@@ -159,12 +159,25 @@ func refTable(raw core.Successor, m core.Model, depth int) (map[string][]string,
 // then asserts the final intern table — the key set and every key's ordered
 // successor list — matches a serial cache-free walk of the raw successor
 // function. Run under -race (the race target covers ./internal/...), this
-// is the data-race certificate for the lock-free read paths.
+// is the data-race certificate for the lock-free read paths. It hammers
+// two caches: a plain one over the raw successor function, and a second
+// model instance's own key-first cache, whose local-state table the walks
+// share (and to which m's initial states are foreign).
 func TestShardedCacheStress(t *testing.T) {
 	m := stressModel()
 	raw := core.CacheOf(m).Uncached()
-	sharded := core.NewSuccessorCache(raw)
+	for _, tc := range []struct {
+		name    string
+		sharded *core.SuccessorCache
+	}{
+		{"plain", core.NewSuccessorCache(raw)},
+		{"keyed", core.CacheOf(stressModel())},
+	} {
+		t.Run(tc.name, func(t *testing.T) { stressCache(t, m, raw, tc.sharded) })
+	}
+}
 
+func stressCache(t *testing.T, m core.Model, raw core.Successor, sharded *core.SuccessorCache) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4

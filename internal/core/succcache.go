@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/maphash"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,20 +26,25 @@ const (
 )
 
 // SuccessorCache is a shared, id-keyed successor memo. It interns every
-// state it sees (by canonical Key) into a dense uint32 id and records each
-// state's labeled successors the first time they are enumerated, so a sweep
-// that explores, then certifies, then measures diameters enumerates each
-// state's successors once instead of once per pass. The model types embed
-// one cache per model instance, which makes the sharing automatic for every
-// consumer of the same model value.
+// state it sees (by its model's cache key) into a dense uint32 id and
+// records each state's labeled successors the first time they are
+// enumerated, so a sweep that explores, then certifies, then measures
+// diameters enumerates each state's successors once instead of once per
+// pass. The model types embed one cache per model instance, which makes the
+// sharing automatic for every consumer of the same model value.
 //
-// The table is hash-sharded and lock-striped: keys are spread over numShards
-// shards by a seeded hash, each guarded by its own mutex, and every shard
-// additionally publishes a read-only snapshot of its key table through an
-// atomic pointer. The memoized fast paths — an ID lookup that hits a
-// published snapshot, a SuccessorsOf call on an already-enumerated entry,
-// StateOf, KeyOf — therefore take zero locks; only first-sight interning and
-// first enumeration touch a mutex, and then only the one shard (or stripe)
+// Enumeration is key-first (KeyedSuccessor): the model names each
+// successor by its cache key, the cache probes it, and the model builds
+// only the successors the cache has not seen. A plain Successor's cache key
+// is its canonical Key; the synchronous models key a state by its round,
+// failed set and local-state ids. KeyOf always returns the canonical Key.
+//
+// The key table is an Index: hash-sharded and lock-striped, with every
+// shard publishing a read-only snapshot through an atomic pointer. The
+// memoized fast paths — an ID lookup that hits a published snapshot, a
+// SuccessorsOf call on an already-enumerated entry, StateOf, KeyOf —
+// therefore take zero locks; only first-sight interning and first
+// enumeration touch a mutex, and then only the one shard (or stripe)
 // involved. Per-shard locks are never held while acquiring another shard's
 // lock (the parshard analyzer enforces this).
 //
@@ -55,21 +58,19 @@ const (
 // modify them. Their states are canonical: succs[i].State is the value
 // StateOf(ids[i]) returns.
 type SuccessorCache struct {
-	fn Successor
-
-	// seed keys the shard hash; shard placement is per-process random but
-	// never observable (ids come from the global allocator, not the shard).
-	seed maphash.Seed
+	keyed KeyedSuccessor
+	// raw is the uncached successor function: the plain Successor, or the
+	// keyed enumeration against the zero Prober.
+	raw Successor
+	// plain marks a cache over a plain Successor, whose cache key is the
+	// canonical Key itself.
+	plain bool
 
 	// next allocates dense ids across all shards.
 	next atomic.Uint32
 
-	// dir is the chunked entry directory: chunk c holds chunkMin<<c entries,
-	// and the directory slice is republished atomically on growth, so
-	// readers index entries with one atomic load and no lock. growMu
-	// serializes growth only.
-	dir    atomic.Pointer[[][]cacheEntry]
-	growMu sync.Mutex
+	// entries holds one slot per id.
+	entries Slots[cacheEntry]
 
 	// bytes totals the interned key lengths.
 	bytes atomic.Int64
@@ -81,28 +82,8 @@ type SuccessorCache struct {
 	// nothing in steady state.
 	bufs sync.Pool
 
-	shards  [numShards]internShard
+	index   Index
 	stripes [numShards]entryStripe
-}
-
-// internShard is one lock-striped slice of the key table.
-type internShard struct {
-	mu sync.Mutex
-	// dirty is the authoritative key -> id table, guarded by mu.
-	dirty map[string]uint32
-	// clean is the atomically published read-path snapshot of dirty. It is
-	// immutable after publication; lock-free lookups read it with one
-	// atomic load. Republished when dirty doubles past the last snapshot
-	// (amortized O(n) total copying) and by Publish at pass boundaries.
-	clean atomic.Pointer[map[string]uint32]
-	// published is len(dirty) at the last publication.
-	published int
-	// pend mirrors len(dirty) - published (maintained under mu, read
-	// atomically) so Publish can skip untouched shards without locking.
-	pend atomic.Int32
-	// Pad shards onto separate cache lines; the mutexes and snapshot
-	// pointers are the contended words.
-	_ [32]byte
 }
 
 // entryStripe guards first-publication of entry successor lists (striped by
@@ -126,10 +107,23 @@ type cacheEntry struct {
 	done  atomic.Bool
 }
 
-// NewSuccessorCache returns an empty cache over the raw successor function
-// fn.
+// NewSuccessorCache returns an empty cache over the plain successor
+// function fn, keyed by canonical Key.
 func NewSuccessorCache(fn Successor) *SuccessorCache {
-	c := &SuccessorCache{fn: fn, seed: maphash.MakeSeed()}
+	c := newCache(plainKeyed{fn}, fn)
+	c.plain = true
+	return c
+}
+
+// NewKeyedCache returns an empty cache over the key-first successor
+// function k.
+func NewKeyedCache(k KeyedSuccessor) *SuccessorCache {
+	return newCache(k, uncachedKeyed{k})
+}
+
+func newCache(k KeyedSuccessor, raw Successor) *SuccessorCache {
+	c := &SuccessorCache{keyed: k, raw: raw}
+	c.index.init(shardBits)
 	c.bufs.New = func() any {
 		b := make([]byte, 0, 128)
 		return &b
@@ -155,7 +149,41 @@ func (c *SuccessorCache) Cache() *SuccessorCache { return c }
 
 // Uncached returns the raw successor function beneath the cache, for
 // callers (CheckDeterminism) that need to observe repeated enumeration.
-func (c *SuccessorCache) Uncached() Successor { return c.fn }
+// For a keyed model it is the same enumeration run against the zero
+// Prober, which builds every successor.
+func (c *SuccessorCache) Uncached() Successor { return c.raw }
+
+// plainKeyed runs a plain Successor through the key-first loop: it keys
+// each already-built successor with AppendKey.
+type plainKeyed struct{ fn Successor }
+
+func (a plainKeyed) AppendCacheKey(dst []byte, x State) []byte { return AppendKeyOf(x, dst) }
+
+func (a plainKeyed) SuccessorsKeyed(x State, p Prober) ([]Succ, []uint32) {
+	raw := a.fn.Successors(x)
+	ids := make([]uint32, len(raw))
+	if p.c == nil {
+		return raw, ids
+	}
+	bp := p.c.keyBuf()
+	buf := (*bp)[:0]
+	for i := range raw {
+		buf = AppendKeyOf(raw[i].State, buf[:0])
+		ids[i] = p.c.internKey(buf, raw[i].State)
+		raw[i].State = p.c.StateOf(ids[i])
+	}
+	p.c.release(bp, buf)
+	return raw, ids
+}
+
+// uncachedKeyed is a keyed model's raw successor function: its enumeration
+// against the zero Prober.
+type uncachedKeyed struct{ k KeyedSuccessor }
+
+func (u uncachedKeyed) Successors(x State) []Succ {
+	succs, _ := u.k.SuccessorsKeyed(x, Prober{})
+	return succs
+}
 
 // stripeOf maps a dense id to its entry stripe. Ids are striped by
 // chunkMin-sized block, not by low bits: BFS-ordered sweeps touch roughly
@@ -165,48 +193,11 @@ func (c *SuccessorCache) Uncached() Successor { return c.fn }
 // contiguous frontier ranges) still land on distinct stripes.
 func stripeOf(id uint32) uint32 { return (id >> chunkMinBits) & shardMask }
 
-// entryLoc splits a dense id into its chunk coordinates: chunk c covers ids
-// [chunkMin*(2^c - 1), chunkMin*(2^(c+1) - 1)).
-func entryLoc(id uint32) (chunk, off uint32) {
-	x := (id >> chunkMinBits) + 1
-	chunk = uint32(bits.Len32(x)) - 1
-	base := (uint32(1)<<chunk - 1) << chunkMinBits
-	return chunk, id - base
-}
-
 // entry returns the slot of id. The id must have been obtained from this
 // cache, which guarantees (transitively, through whichever synchronized
 // path delivered the id) that its chunk is published and its state/key
 // writes are visible.
-func (c *SuccessorCache) entry(id uint32) *cacheEntry {
-	chunk, off := entryLoc(id)
-	dir := *c.dir.Load()
-	return &dir[chunk][off]
-}
-
-// ensureEntry returns the slot of a freshly allocated id, growing the chunk
-// directory if the id is the first of a new chunk. Lock order: callers hold
-// one shard mutex; growMu nests inside it and inside nothing else.
-func (c *SuccessorCache) ensureEntry(id uint32) *cacheEntry {
-	chunk, off := entryLoc(id)
-	if d := c.dir.Load(); d != nil && int(chunk) < len(*d) {
-		return &(*d)[chunk][off]
-	}
-	c.growMu.Lock()
-	var cur [][]cacheEntry
-	if d := c.dir.Load(); d != nil {
-		cur = *d
-	}
-	for int(chunk) >= len(cur) {
-		next := make([][]cacheEntry, len(cur)+1)
-		copy(next, cur)
-		next[len(cur)] = make([]cacheEntry, chunkMin<<uint(len(cur)))
-		c.dir.Store(&next)
-		cur = next
-	}
-	c.growMu.Unlock()
-	return &cur[chunk][off]
-}
+func (c *SuccessorCache) entry(id uint32) *cacheEntry { return c.entries.At(id) }
 
 // keyBuf borrows a pooled key buffer; release returns it grown.
 func (c *SuccessorCache) keyBuf() *[]byte { return c.bufs.Get().(*[]byte) }
@@ -219,66 +210,67 @@ func (c *SuccessorCache) release(bp *[]byte, buf []byte) {
 // ID interns x and returns its dense id without enumerating successors.
 func (c *SuccessorCache) ID(x State) uint32 {
 	bp := c.keyBuf()
-	key := AppendKeyOf(x, (*bp)[:0])
+	key := c.keyed.AppendCacheKey((*bp)[:0], x)
 	id := c.internKey(key, x)
 	c.release(bp, key)
 	return id
 }
 
-// internKey returns the id under the canonical key bytes, interning x on
-// first sight. The hot path — a key already visible in its shard's
-// published snapshot — takes zero locks and zero allocations (the
-// string(key) conversions below are lookup-only and do not materialize).
+// internKey returns the id under the cache key bytes, interning x on first
+// sight. The hot path — a key already visible in its shard's published
+// snapshot — takes zero locks and zero allocations; any other key is
+// looked up again under the shard's mutex, and filed if still absent.
 func (c *SuccessorCache) internKey(key []byte, x State) uint32 {
-	sh := &c.shards[maphash.Bytes(c.seed, key)&shardMask]
-	if snap := sh.clean.Load(); snap != nil {
-		if id, ok := (*snap)[string(key)]; ok {
-			return id
-		}
-	}
-	return c.internSlow(sh, key, x)
-}
-
-// internSlow is the locked tail of internKey: consult the authoritative
-// table, then intern on a true miss.
-func (c *SuccessorCache) internSlow(sh *internShard, key []byte, x State) uint32 {
-	sh.mu.Lock()
-	if id, ok := sh.dirty[string(key)]; ok {
-		sh.mu.Unlock()
+	sh := c.index.shard(key)
+	if id, ok := sh.lookup(key); ok {
 		return id
 	}
-	ks := x.Key()
-	if ks != string(key) {
-		sh.mu.Unlock()
-		panic(fmt.Sprintf("core: %T.AppendKey diverged from Key: %q vs %q", x, key, ks))
-	}
-	id := c.next.Add(1) - 1
-	e := c.ensureEntry(id)
-	e.state, e.key = x, ks
-	if sh.dirty == nil {
-		sh.dirty = make(map[string]uint32, 8)
-	}
-	sh.dirty[ks] = id
-	c.bytes.Add(int64(len(ks)))
-	if len(sh.dirty) >= 2*sh.published {
-		sh.publishLocked()
-	} else {
-		sh.pend.Store(int32(len(sh.dirty) - sh.published))
-	}
-	sh.mu.Unlock()
-	return id
+	return c.insert(sh, key, x)
 }
 
-// publishLocked snapshots dirty into a fresh immutable map and publishes
-// it. The caller holds the shard mutex.
-func (sh *internShard) publishLocked() {
-	snap := make(map[string]uint32, len(sh.dirty))
-	for k, v := range sh.dirty { //lint:nondet copying into a map is order-insensitive
-		snap[k] = v
+// insert files x under key in shard sh unless an equal state is filed
+// there already, and returns the id filed.
+func (c *SuccessorCache) insert(sh *internShard, key []byte, x State) uint32 {
+	ks := c.checkKey(key, x)
+	mk := func(string) uint32 {
+		id := c.next.Add(1) - 1
+		e := c.entries.Grow(id)
+		e.state, e.key = x, ks
+		c.bytes.Add(int64(len(ks)))
+		return id
 	}
-	sh.clean.Store(&snap)
-	sh.published = len(sh.dirty)
-	sh.pend.Store(0)
+	if c.plain {
+		// The cache key is the canonical key: file the state's own string.
+		return sh.intern(ks, mk)
+	}
+	return sh.intern(string(key), mk)
+}
+
+// checkKey returns x's canonical key, and panics when x, about to be
+// interned under key, would not be found under it again: when its
+// AppendKey diverges from its Key, or when its model's cache key for it,
+// rebuilt from the state, differs from key (for the synchronous models:
+// when its local ids do not name its local strings). It allocates nothing
+// beyond what Key does.
+func (c *SuccessorCache) checkKey(key []byte, x State) string {
+	ks := x.Key()
+	if c.plain {
+		if ks != string(key) {
+			panic(fmt.Sprintf("core: %T.AppendKey diverged from Key: %q vs %q", x, key, ks))
+		}
+		return ks
+	}
+	bp := c.keyBuf()
+	buf := AppendKeyOf(x, (*bp)[:0])
+	if ks != string(buf) {
+		panic(fmt.Sprintf("core: %T.AppendKey diverged from Key: %q vs %q", x, buf, ks))
+	}
+	buf = c.keyed.AppendCacheKey(buf[:0], x)
+	if string(buf) != string(key) {
+		panic(fmt.Sprintf("core: %T cache key diverged from its state %q: %x vs %x", x, ks, key, buf))
+	}
+	c.release(bp, buf)
+	return ks
 }
 
 // Publish brings every shard's lock-free snapshot up to date with its
@@ -299,8 +291,8 @@ func (c *SuccessorCache) Publish() {
 	var sp obs.TraceSpan
 	published := 0
 	var t0 time.Time
-	for i := range c.shards {
-		sh := &c.shards[i]
+	for i := range c.index.shards {
+		sh := &c.index.shards[i]
 		if sh.pend.Load() == 0 {
 			continue
 		}
@@ -361,18 +353,10 @@ func (c *SuccessorCache) SuccessorsOf(id uint32, x State) (succs []Succ, ids []u
 	// Enumerate outside any lock; a concurrent duplicate enumeration is
 	// harmless (the successor function is deterministic) and the first
 	// writer wins. Each recorded successor is the state interned under its
-	// id, so an enumerated duplicate (most successors are) is garbage as
-	// soon as this call returns instead of living as long as the cache.
-	raw := c.fn.Successors(x)
-	rawIDs := make([]uint32, len(raw))
-	bp := c.keyBuf()
-	buf := (*bp)[:0]
-	for i := range raw {
-		buf = AppendKeyOf(raw[i].State, buf[:0])
-		rawIDs[i] = c.internKey(buf, raw[i].State)
-		raw[i].State = c.StateOf(rawIDs[i])
-	}
-	c.release(bp, buf)
+	// id, so a successor the cache already holds is never built (keyed
+	// models) or is garbage as soon as this call returns (plain ones)
+	// instead of living as long as the cache.
+	raw, rawIDs := c.keyed.SuccessorsKeyed(x, Prober{c})
 	st := &c.stripes[stripeOf(id)]
 	st.mu.Lock()
 	if e.done.Load() {
@@ -461,8 +445,8 @@ func (c *SuccessorCache) Stats() CacheStats {
 		Shards:        numShards,
 		PerShard:      make([]ShardCounters, numShards),
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
+	for i := range c.index.shards {
+		sh := &c.index.shards[i]
 		sh.mu.Lock()
 		st.PerShard[i].States = len(sh.dirty)
 		sh.mu.Unlock()

@@ -26,6 +26,58 @@ type Successor interface {
 	Successors(x State) []Succ
 }
 
+// KeyedSuccessor is the key-first face of a successor function, for models
+// that can name a successor before building it. For every successor the
+// model writes the successor's cache key into a buffer it reuses and asks
+// the Prober for the state filed under it; it builds the State only when
+// the probe misses, and files it with Prober.Intern. The successor cache
+// enumerates every model through this interface: a plain Successor enters
+// through an adapter that keys each already-built successor with
+// AppendKey.
+type KeyedSuccessor interface {
+	// AppendCacheKey appends the key the cache files x under. Two states
+	// of the model are equal exactly if their cache keys are. A model may
+	// key the states it built from what it memoized while building them,
+	// but it must key any other state from its Local, EnvKey and round
+	// strings, so that an equal state built elsewhere gets the same key.
+	AppendCacheKey(dst []byte, x State) []byte
+
+	// SuccessorsKeyed enumerates S(x) key-first through p and returns the
+	// labeled successors with the ids p resolved them to, aligned. With the
+	// zero Prober every probe misses, so every successor is built.
+	SuccessorsKeyed(x State, p Prober) ([]Succ, []uint32)
+}
+
+// Prober resolves successor cache keys during a key-first enumeration:
+// against a successor cache, or, for the zero Prober, against nothing.
+type Prober struct{ c *SuccessorCache }
+
+// Probe returns the id and the canonical state filed under key, or
+// ok == false when none is (always, for the zero Prober).
+//
+//lint:hotpath
+func (p Prober) Probe(key []byte) (id uint32, x State, ok bool) {
+	if p.c == nil {
+		return 0, nil, false
+	}
+	if id, ok = p.c.index.Get(key); !ok {
+		return 0, nil, false
+	}
+	return id, p.c.StateOf(id), true
+}
+
+// Intern files x, a state built after Probe(key) missed, under key and
+// returns its id and canonical state. Another worker may have filed an
+// equal state first; its id and state are returned then. The zero Prober
+// files nothing and returns x itself.
+func (p Prober) Intern(key []byte, x State) (uint32, State) {
+	if p.c == nil {
+		return 0, x
+	}
+	id := p.c.insert(p.c.index.shard(key), key, x)
+	return id, p.c.StateOf(id)
+}
+
 // SuccessorFunc adapts a function to the Successor interface.
 type SuccessorFunc func(State) []Succ
 

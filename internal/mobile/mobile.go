@@ -27,6 +27,7 @@ import (
 // analysis pass over the same model value.
 type Model struct {
 	*core.SuccessorCache
+	tab    *syncmp.Table
 	p      proto.SyncProtocol
 	n      int
 	name   string
@@ -43,8 +44,9 @@ func New(p proto.SyncProtocol, n int) *Model {
 		n:      n,
 		name:   fmt.Sprintf("mobile/S1(n=%d,%s)", n, p.Name()),
 		labels: syncmp.PrefixLabels(n),
+		tab:    syncmp.NewTable(p, n),
 	}
-	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
+	m.SuccessorCache = core.NewKeyedCache(m)
 	return m
 }
 
@@ -78,36 +80,41 @@ func (m *Model) Initial(inputs []int) *syncmp.State {
 	for i := range locals {
 		locals[i] = m.p.Init(m.n, i, inputs[i])
 	}
-	return syncmp.NewState(m.p, 0, locals, 0, false, inputs)
+	return m.tab.NewState(0, locals, 0, false, inputs)
 }
 
-// successors enumerates one successor per action (j,[k]); the embedded
-// cache serves Successors. The failure-free successors x(j,[0]) coincide
-// for all j and are emitted once, labeled "noop". All actions share one
-// syncmp.RoundMemo.
-func (m *Model) successors(x core.State) []core.Succ {
+// AppendCacheKey implements core.KeyedSuccessor through the model's
+// local-state table.
+func (m *Model) AppendCacheKey(dst []byte, x core.State) []byte {
+	return m.tab.AppendCacheKey(dst, x)
+}
+
+// SuccessorsKeyed implements core.KeyedSuccessor: one successor per action
+// (j,[k]); the embedded cache serves Successors. The failure-free
+// successors x(j,[0]) coincide for all j and are emitted once, labeled
+// "noop". All actions share one syncmp.RoundMemo.
+func (m *Model) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
 	s, ok := x.(*syncmp.State)
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	r := syncmp.NewRoundMemo(m.p, s, false, false, false)
-	out := make([]core.Succ, 0, m.n*m.n+1)
-	out = append(out, core.Succ{Action: "noop", State: r.Omit(0, 0)})
+	r := m.tab.Memo(s, p, m.n*m.n+1, false, false, false)
+	r.Omit("noop", 0, 0)
 	for j := 0; j < m.n; j++ {
 		for k := 1; k <= m.n; k++ {
-			out = append(out, core.Succ{Action: m.labels[j*m.n+k-1], State: r.Omit(j, syncmp.OmitMask(k))})
+			r.Omit(m.labels[j*m.n+k-1], j, syncmp.OmitMask(k))
 		}
 	}
-	return out
+	return r.Done()
 }
 
 // Apply exposes a single arbitrary environment action (j, G) of the full
 // model M^mf (not restricted to the S1 prefix sets), for the layering
 // legality tests: every S1 action must be an M^mf action, and sequences of
 // M^mf actions generate the full model. It is a one-action
-// syncmp.RoundMemo.
+// syncmp.RoundMemo over the model's table, without a cache.
 func (m *Model) Apply(x *syncmp.State, j int, omitTo uint64) *syncmp.State {
-	return syncmp.ApplyAction(m.p, x, j, omitTo, false, false)
+	return m.tab.Apply(x, j, omitTo, false, false, false)
 }
 
 // FullModel is M^mf itself: every environment action (j, G) with an
@@ -119,7 +126,6 @@ func (m *Model) Apply(x *syncmp.State, j int, omitTo uint64) *syncmp.State {
 type FullModel struct {
 	*core.SuccessorCache
 	inner *Model
-	p     proto.SyncProtocol
 	n     int
 	name  string
 	// labels[j<<n + g] is the label of action (j, G=g), g >= 1.
@@ -132,7 +138,6 @@ var _ core.Model = (*FullModel)(nil)
 func NewFull(p proto.SyncProtocol, n int) *FullModel {
 	m := &FullModel{
 		inner: New(p, n),
-		p:     p,
 		n:     n,
 		name:  fmt.Sprintf("mobile/full(n=%d,%s)", n, p.Name()),
 	}
@@ -142,7 +147,7 @@ func NewFull(p proto.SyncProtocol, n int) *FullModel {
 			m.labels[j<<uint(n)+g] = fmt.Sprintf("(%d,G=%0*b)", j, n, g)
 		}
 	}
-	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
+	m.SuccessorCache = core.NewKeyedCache(m)
 	return m
 }
 
@@ -158,21 +163,26 @@ func (m *FullModel) Inits() []core.State { return m.inner.Inits() }
 // Initial builds the initial state for an explicit input assignment.
 func (m *FullModel) Initial(inputs []int) *syncmp.State { return m.inner.Initial(inputs) }
 
-// successors enumerates one successor per (j, G) with G any non-empty
-// subset, plus the failure-free action; the embedded cache serves
-// Successors. All actions share one syncmp.RoundMemo.
-func (m *FullModel) successors(x core.State) []core.Succ {
+// AppendCacheKey implements core.KeyedSuccessor through the S1 submodel's
+// local-state table, which the two models share.
+func (m *FullModel) AppendCacheKey(dst []byte, x core.State) []byte {
+	return m.inner.tab.AppendCacheKey(dst, x)
+}
+
+// SuccessorsKeyed implements core.KeyedSuccessor: one successor per (j, G)
+// with G any non-empty subset, plus the failure-free action; the embedded
+// cache serves Successors. All actions share one syncmp.RoundMemo.
+func (m *FullModel) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
 	s, ok := x.(*syncmp.State)
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	r := syncmp.NewRoundMemo(m.p, s, false, false, false)
-	out := make([]core.Succ, 0, len(m.labels)-m.n+1)
-	out = append(out, core.Succ{Action: "noop", State: r.Omit(0, 0)})
+	r := m.inner.tab.Memo(s, p, len(m.labels)-m.n+1, false, false, false)
+	r.Omit("noop", 0, 0)
 	for j := 0; j < m.n; j++ {
 		for g := uint64(1); g < 1<<uint(m.n); g++ {
-			out = append(out, core.Succ{Action: m.labels[j<<uint(m.n)+int(g)], State: r.Omit(j, g)})
+			r.Omit(m.labels[j<<uint(m.n)+int(g)], j, g)
 		}
 	}
-	return out
+	return r.Done()
 }

@@ -10,11 +10,13 @@ package proto
 // Local states are canonical strings (see the package comment).
 //
 // Send, Deliver and Decide must be pure functions of their arguments: equal
-// arguments give equal results, and nothing is retained between calls
-// (Deliver must not keep its in slice, which the caller reuses). The
-// models rely on this to compute one round per source state and share its
-// Send vectors and Deliver results among all of the state's successors
-// (syncmp.RoundMemo); ValidateSync checks it on small systems.
+// arguments give equal results whatever was called before, and nothing is
+// retained between calls (Deliver must neither keep nor modify its in
+// slice, which the caller reuses). The models rely on this to call Decide
+// and Send once per distinct local state and Deliver once per distinct
+// (local state, inbox) pair, and to reuse those results for every source
+// state and successor in which the same arguments recur (syncmp.Table);
+// ValidateSync checks it on small systems.
 type SyncProtocol interface {
 	// Name identifies the protocol.
 	Name() string

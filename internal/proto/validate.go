@@ -27,64 +27,113 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 //
 // It runs the protocol for `rounds` failure-free rounds on every binary
 // input assignment for n processes and returns all violations found.
+// Besides the checks above it runs every assignment a second time the way
+// the synchronous models' memos call Deliver — every inbox in one reused
+// buffer that is overwritten after each call, receivers in reverse order,
+// after the first run has made every call once — and reports a protocol
+// whose run then changes: it keeps or modifies its inbox, or its answers
+// depend on the calls made before (the models share one Deliver result
+// among every source state that presents the same local state and inbox).
+// A Deliver that writes to its inbox is also reported directly.
 func ValidateSync(p SyncProtocol, n, rounds int) []Violation {
 	var out []Violation
 	report := func(rule, format string, args ...any) {
 		out = append(out, Violation{Rule: rule, Detail: fmt.Sprintf(format, args...)})
 	}
 	for a := 0; a < 1<<uint(n); a++ {
-		locals := make([]string, n)
-		for i := 0; i < n; i++ {
-			input := (a >> uint(i)) & 1
-			locals[i] = p.Init(n, i, input)
-			if again := p.Init(n, i, input); again != locals[i] {
-				report("init-determinism", "Init(%d,%d,%d) differs across calls", n, i, input)
-			}
-		}
-		decided := make([]int, n)
-		for i := range decided {
-			decided[i] = -1
-			if v, ok := p.Decide(locals[i]); ok {
-				decided[i] = v
-			}
-		}
-		for r := 0; r < rounds; r++ {
-			sends := make([][]string, n)
-			for i, l := range locals {
-				sends[i] = p.Send(l)
-				if again := p.Send(l); !equalStrings(again, sends[i]) {
-					report("send-determinism", "inputs %0*b round %d process %d", n, a, r, i)
-				}
-				if len(sends[i]) < n {
-					report("send-length", "inputs %0*b round %d process %d: %d < n=%d",
-						n, a, r, i, len(sends[i]), n)
-				}
-			}
-			next := make([]string, n)
-			for j := 0; j < n; j++ {
-				in := make([]string, n)
-				for i := 0; i < n; i++ {
-					if i != j && j < len(sends[i]) {
-						in[i] = sends[i][j]
-					}
-				}
-				next[j] = p.Deliver(locals[j], in)
-				if again := p.Deliver(locals[j], in); again != next[j] {
-					report("deliver-determinism", "inputs %0*b round %d process %d", n, a, r, j)
-				}
-				v, ok := p.Decide(next[j])
-				switch {
-				case decided[j] >= 0 && (!ok || v != decided[j]):
-					report("write-once", "inputs %0*b round %d process %d: %d then (%d,%v)",
-						n, a, r, j, decided[j], v, ok)
-				case decided[j] < 0 && ok:
-					decided[j] = v
-				}
-			}
-			locals = next
+		clean := runSync(p, n, rounds, a, report)
+		if reused := runSync(p, n, rounds, a, nil); !equalStrings(reused, clean) {
+			report("deliver-history", "inputs %0*b: the run changes when Deliver's inbox buffer is reused and receivers run in reverse order", n, a)
 		}
 	}
 	return out
+}
+
+// runSync runs ValidateSync's rounds from input assignment a and returns
+// every local state the run passes through, in process order. With report
+// set it hands Deliver fresh inboxes and reports contract violations; with
+// report nil it runs the receivers in reverse order through one reused
+// inbox buffer, overwritten after each call.
+func runSync(p SyncProtocol, n, rounds, a int, report func(rule, format string, args ...any)) []string {
+	check := report != nil
+	locals := make([]string, n)
+	decided := make([]int, n)
+	for i := range locals {
+		input := (a >> uint(i)) & 1
+		locals[i] = p.Init(n, i, input)
+		if check && p.Init(n, i, input) != locals[i] {
+			report("init-determinism", "Init(%d,%d,%d) differs across calls", n, i, input)
+		}
+		decided[i] = -1
+		if v, ok := p.Decide(locals[i]); ok {
+			decided[i] = v
+		}
+	}
+	trace := append([]string(nil), locals...)
+	in := make([]string, n)
+	for r := 0; r < rounds; r++ {
+		sends := make([][]string, n)
+		for i, l := range locals {
+			sends[i] = p.Send(l)
+			if !check {
+				continue
+			}
+			if again := p.Send(l); !equalStrings(again, sends[i]) {
+				report("send-determinism", "inputs %0*b round %d process %d", n, a, r, i)
+			}
+			if len(sends[i]) < n {
+				report("send-length", "inputs %0*b round %d process %d: %d < n=%d",
+					n, a, r, i, len(sends[i]), n)
+			}
+		}
+		next := make([]string, n)
+		for k := 0; k < n; k++ {
+			j := k
+			if !check {
+				j = n - 1 - k
+			} else {
+				in = make([]string, n)
+			}
+			fillSyncInbox(in, sends, j)
+			next[j] = p.Deliver(locals[j], in)
+			if !check {
+				for i := range in {
+					in[i] = clobbered
+				}
+				continue
+			}
+			fresh := make([]string, n)
+			fillSyncInbox(fresh, sends, j)
+			if !equalStrings(in, fresh) {
+				report("deliver-modifies-input", "inputs %0*b round %d process %d", n, a, r, j)
+			}
+			if again := p.Deliver(locals[j], fresh); again != next[j] {
+				report("deliver-determinism", "inputs %0*b round %d process %d", n, a, r, j)
+			}
+			v, ok := p.Decide(next[j])
+			switch {
+			case decided[j] >= 0 && (!ok || v != decided[j]):
+				report("write-once", "inputs %0*b round %d process %d: %d then (%d,%v)",
+					n, a, r, j, decided[j], v, ok)
+			case decided[j] < 0 && ok:
+				decided[j] = v
+			}
+		}
+		locals = next
+		trace = append(trace, locals...)
+	}
+	return trace
+}
+
+// fillSyncInbox sets in to receiver j's inbox for the round's sends: in[i]
+// is i's message to j, "" for j itself or a missing message.
+func fillSyncInbox(in []string, sends [][]string, j int) {
+	for i := range in {
+		in[i] = ""
+		if i != j && j < len(sends[i]) {
+			in[i] = sends[i][j]
+		}
+	}
 }
 
 // ValidateSM is ValidateSync's analogue for shared-memory protocols: it

@@ -24,6 +24,86 @@ func TestValidateSyncCleanProtocols(t *testing.T) {
 	}
 }
 
+// TestValidateSyncShippedProtocols: every shipped synchronous protocol
+// keeps the purity contract the models' model-wide Deliver memo relies on.
+// FlickerDecider is built to break write-once and nothing else.
+func TestValidateSyncShippedProtocols(t *testing.T) {
+	afterOne := protocols.DecideRule{
+		P:        protocols.FullInfo{},
+		RuleName: "zero-after-one-round",
+		Rule:     func(s string) (int, bool) { return 0, strings.HasPrefix(s, "1:V") },
+	}
+	for _, p := range []proto.SyncProtocol{
+		protocols.FloodSet{Rounds: 3},
+		protocols.EarlyFloodSet{MaxRounds: 3},
+		protocols.EIG{Rounds: 3},
+		protocols.FullInfo{},
+		afterOne,
+		protocols.ConstantDecider{Value: 1},
+		protocols.FlickerDecider{},
+	} {
+		for _, v := range proto.ValidateSync(p, 3, 3) {
+			if v.Rule != "write-once" || p.Name() != (protocols.FlickerDecider{}).Name() {
+				t.Errorf("%s: %v", p.Name(), v)
+			}
+		}
+	}
+}
+
+// TestValidateSyncCatchesHistoryAndInboxWrites: a Deliver whose answer
+// depends on how many distinct (state, inbox) pairs it has seen passes the
+// call-and-repeat determinism check, and is caught by the reversed
+// reused-buffer rerun; a Deliver that blanks its inbox is caught doing so.
+func TestValidateSyncCatchesHistoryAndInboxWrites(t *testing.T) {
+	for _, c := range []struct {
+		p    proto.SyncProtocol
+		rule string
+	}{
+		{&historyDeliver{seen: map[string]bool{}}, "deliver-history"},
+		{blankingDeliver{}, "deliver-modifies-input"},
+	} {
+		rules := map[string]bool{}
+		for _, v := range proto.ValidateSync(c.p, 3, 3) {
+			rules[v.Rule] = true
+		}
+		if !rules[c.rule] {
+			t.Errorf("%s: no %s violation among %v", c.p.Name(), c.rule, rules)
+		}
+		if c.rule == "deliver-history" && len(rules) != 1 {
+			t.Errorf("%s: want only %s, got %v", c.p.Name(), c.rule, rules)
+		}
+	}
+}
+
+// historyDeliver tags each Deliver result with the number of distinct
+// (state, inbox) pairs seen so far: repeating a call at once repeats its
+// answer, but a memo shared across source states would freeze the first.
+type historyDeliver struct{ seen map[string]bool }
+
+func (*historyDeliver) Name() string                 { return "history" }
+func (*historyDeliver) Init(n, id, input int) string { return strconv.Itoa(input) }
+func (*historyDeliver) Send(s string) []string       { return []string{s, s, s} }
+func (h *historyDeliver) Deliver(s string, in []string) string {
+	h.seen[proto.Join(append([]string{s}, in...)...)] = true
+	return strconv.Itoa(len(h.seen) % 4)
+}
+func (*historyDeliver) Decide(string) (int, bool) { return 0, false }
+
+// blankingDeliver consumes its inbox by blanking it.
+type blankingDeliver struct{}
+
+func (blankingDeliver) Name() string                 { return "blanking" }
+func (blankingDeliver) Init(n, id, input int) string { return strconv.Itoa(id) }
+func (blankingDeliver) Send(s string) []string       { return []string{s, s, s} }
+func (blankingDeliver) Deliver(s string, in []string) string {
+	for i, m := range in {
+		s += m
+		in[i] = ""
+	}
+	return s[:1]
+}
+func (blankingDeliver) Decide(string) (int, bool) { return 0, false }
+
 func TestValidateSyncCatchesWriteOnce(t *testing.T) {
 	vs := proto.ValidateSync(protocols.FlickerDecider{}, 3, 3)
 	if len(vs) == 0 {

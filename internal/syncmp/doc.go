@@ -18,10 +18,18 @@
 //   - S^t: S1 while fewer than t processes are failed, and the single
 //     failure-free action afterwards (Section 6).
 //
-// The round mechanics (RoundMemo, ApplyAction) are exported so that the
-// mobile failure model M^mf (package mobile) can reuse them with its own
-// failure semantics. Every model enumerates a state's successors through
-// one RoundMemo, which runs the round's Sends once and each distinct
-// receiver inbox's Deliver once; ApplyAction is a one-action memo, and
-// Round is the plain single-action definition the memo is tested against.
+// The round mechanics (Table, RoundMemo, ApplyAction) are exported so that
+// the mobile failure model M^mf (package mobile) can reuse them with its
+// own failure semantics. Every model owns a Table that gives each
+// canonical local-state string and message a dense id and memoizes the
+// protocol on them: Decide and Send once per local state, and Deliver once
+// per (receiver local state, inbox) across the whole model. A state's
+// successors are enumerated key-first through one RoundMemo, which
+// resolves every receiver's next local id, probes the model's successor
+// cache with the key (round, failed set, local ids), and builds a State
+// only for a successor the cache has not seen. Ids stay inside the
+// process: Key is still the canonical string, and a state built elsewhere
+// (NewState, ApplyAction, another model's Initial) is keyed from its
+// strings. ApplyAction is a one-action memo over a fresh table, and Round
+// is the plain single-action definition the memo is tested against.
 package syncmp

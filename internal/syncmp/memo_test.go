@@ -175,6 +175,19 @@ func TestRoundMemoMatchesRound(t *testing.T) {
 	}
 }
 
+// TestRoundMemoMatchesRoundAtMemoSize runs the same check on the coldbench
+// sync_lowerbound and mobile_refute models, where the model-wide Deliver
+// memo answers most lookups from other source states.
+func TestRoundMemoMatchesRoundAtMemoSize(t *testing.T) {
+	p := protocols.FloodSet{Rounds: 3}
+	models := memoModels(p, 7)
+	st := refRule{trackEnv: true, budget: 2}
+	models["St"] = memoModel{syncmp.NewSt(p, 7, 2), func(x *syncmp.State) []refSucc { return refPrefix(p, x, st, 1) }}
+	for _, name := range []string{"St", "mobile/S1"} {
+		t.Run(name, func(t *testing.T) { checkMemoModel(t, models[name], 7) })
+	}
+}
+
 func checkMemoModel(t *testing.T, mm memoModel, n int) {
 	raw := mm.m.Uncached()
 	var frontier []*syncmp.State

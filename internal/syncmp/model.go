@@ -13,6 +13,7 @@ import (
 // by every analysis pass over the same model value.
 type Model struct {
 	*core.SuccessorCache
+	tab     *Table
 	p       proto.SyncProtocol
 	n       int
 	t       int
@@ -38,11 +39,12 @@ func NewS1(p proto.SyncProtocol, n int) *Model {
 	})
 }
 
-// finishModel precomputes the action labels and wires the model's embedded
-// successor cache.
+// finishModel precomputes the action labels and wires the model's
+// local-state table and embedded successor cache.
 func finishModel(m *Model) *Model {
 	m.labels = PrefixLabels(m.n)
-	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
+	m.tab = NewTable(m.p, m.n)
+	m.SuccessorCache = core.NewKeyedCache(m)
 	return m
 }
 
@@ -108,35 +110,38 @@ func (m *Model) Initial(inputs []int) *State {
 	for i := range locals {
 		locals[i] = m.p.Init(m.n, i, inputs[i])
 	}
-	return NewState(m.p, 0, locals, 0, true, inputs)
+	return m.tab.NewState(0, locals, 0, true, inputs)
 }
 
-// successors enumerates the labeled successors; the embedded cache serves
-// Successors. Actions are labeled "noop" for the failure-free round and
-// "(j,[k])" for process j omitting to the first k processes (k >= 1).
+// AppendCacheKey implements core.KeyedSuccessor through the model's table.
+func (m *Model) AppendCacheKey(dst []byte, x core.State) []byte {
+	return m.tab.AppendCacheKey(dst, x)
+}
+
+// SuccessorsKeyed implements core.KeyedSuccessor; the embedded cache
+// serves Successors. Actions are labeled "noop" for the failure-free round
+// and "(j,[k])" for process j omitting to the first k processes (k >= 1).
 // Processes already failed generate no new actions: they are silenced
 // regardless, so their actions would duplicate "noop". All actions share
 // one RoundMemo.
-func (m *Model) successors(x core.State) []core.Succ {
+func (m *Model) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
 	s, ok := x.(*State)
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	r := NewRoundMemo(m.p, s, true, true, m.general)
-	out := make([]core.Succ, 0, m.n*m.n+1)
-	out = append(out, core.Succ{Action: "noop", State: r.Omit(0, 0)})
-	if m.budget && s.FailedCount() >= m.t {
-		return out
-	}
-	for j := 0; j < m.n; j++ {
-		if s.FailedAt(j) {
-			continue
-		}
-		for k := 1; k <= m.n; k++ {
-			out = append(out, core.Succ{Action: m.labels[j*m.n+k-1], State: r.Omit(j, OmitMask(k))})
+	r := m.tab.Memo(s, p, m.n*m.n+1, true, true, m.general)
+	r.Omit("noop", 0, 0)
+	if !m.budget || s.FailedCount() < m.t {
+		for j := 0; j < m.n; j++ {
+			if s.FailedAt(j) {
+				continue
+			}
+			for k := 1; k <= m.n; k++ {
+				r.Omit(m.labels[j*m.n+k-1], j, OmitMask(k))
+			}
 		}
 	}
-	return out
+	return r.Done()
 }
 
 // binaryInputs decodes assignment index a into a binary input vector.

@@ -16,6 +16,7 @@ import (
 // run's total failures.
 type MultiModel struct {
 	*core.SuccessorCache
+	tab         *Table
 	p           proto.SyncProtocol
 	n           int
 	t           int
@@ -37,8 +38,9 @@ func NewStMulti(p proto.SyncProtocol, n, t, maxPerRound int) *MultiModel {
 		maxPerRound: maxPerRound,
 		name:        fmt.Sprintf("syncmp/StMulti(n=%d,t=%d,c=%d,%s)", n, t, maxPerRound, p.Name()),
 		labels:      PrefixLabels(n),
+		tab:         NewTable(p, n),
 	}
-	m.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(m.successors))
+	m.SuccessorCache = core.NewKeyedCache(m)
 	return m
 }
 
@@ -68,7 +70,7 @@ func (m *MultiModel) Initial(inputs []int) *State {
 	for i := range locals {
 		locals[i] = m.p.Init(m.n, i, inputs[i])
 	}
-	return NewState(m.p, 0, locals, 0, true, inputs)
+	return m.tab.NewState(0, locals, 0, true, inputs)
 }
 
 // Omission is one process's new failure in a round: j omits to the prefix
@@ -80,24 +82,30 @@ type Omission struct {
 
 // ApplyMulti applies one round in which every listed process fails
 // simultaneously (and previously-failed processes stay silenced). It is a
-// one-action RoundMemo.
+// one-action RoundMemo over the model's table, without a cache.
 func (m *MultiModel) ApplyMulti(x *State, oms []Omission) *State {
-	return NewRoundMemo(m.p, x, true, true, false).omitMany(oms)
+	r := m.tab.Memo(x, core.Prober{}, 1, true, true, false)
+	r.omitMany("", oms)
+	succs, _ := r.Done()
+	return succs[0].State.(*State)
 }
 
-// successors enumerates the failure-free round plus every combination of
-// up to maxPerRound new failures within the remaining budget; the embedded
-// cache serves Successors. All actions share one RoundMemo.
-func (m *MultiModel) successors(x core.State) []core.Succ {
+// AppendCacheKey implements core.KeyedSuccessor through the model's table.
+func (m *MultiModel) AppendCacheKey(dst []byte, x core.State) []byte {
+	return m.tab.AppendCacheKey(dst, x)
+}
+
+// SuccessorsKeyed implements core.KeyedSuccessor: the failure-free round
+// plus every combination of up to maxPerRound new failures within the
+// remaining budget; the embedded cache serves Successors. All actions
+// share one RoundMemo.
+func (m *MultiModel) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
 	s, ok := x.(*State)
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	r := NewRoundMemo(m.p, s, true, true, false)
-	out := []core.Succ{{
-		Action: "noop",
-		State:  r.omitMany(nil),
-	}}
+	r := m.tab.Memo(s, p, m.n*m.n+1, true, true, false)
+	r.omitMany("noop", nil)
 	budget := m.t - s.FailedCount()
 	limit := m.maxPerRound
 	if budget < limit {
@@ -112,10 +120,7 @@ func (m *MultiModel) successors(x core.State) []core.Succ {
 	var build func(start int, oms []Omission)
 	build = func(start int, oms []Omission) {
 		if len(oms) > 0 {
-			out = append(out, core.Succ{
-				Action: m.omissionLabel(oms),
-				State:  r.omitMany(oms),
-			})
+			r.omitMany(m.omissionLabel(oms), oms)
 		}
 		if len(oms) == limit {
 			return
@@ -128,7 +133,7 @@ func (m *MultiModel) successors(x core.State) []core.Succ {
 		}
 	}
 	build(0, nil)
-	return out
+	return r.Done()
 }
 
 // omissionLabel joins the omissions' (j,[k]) labels with "+".

@@ -15,8 +15,9 @@ type DropFunc func(from, to int) bool
 // process consumes what arrived. It returns the next local states.
 //
 // The models build their successors through RoundMemo, which shares one
-// round among all actions from a state; Round is the plain, single-action
-// definition the memo is tested against.
+// round among all actions from a state and one Deliver result among all
+// states; Round is the plain, single-action definition the memo is tested
+// against.
 func Round(p proto.SyncProtocol, locals []string, drop DropFunc) []string {
 	n := len(locals)
 	sends := make([][]string, n)
@@ -77,7 +78,8 @@ func ApplyAction(p proto.SyncProtocol, x *State, j int, omitTo uint64, record, s
 // generalOmission is true, processes already recorded as failed also lose
 // their incoming messages (general omission) instead of only their
 // outgoing ones (sending omission, the paper's model). It is a one-action
-// RoundMemo.
+// RoundMemo over a fresh table for p: the successor carries that table's
+// ids, so a model it is handed to keys it from its strings.
 func ApplyActionMode(p proto.SyncProtocol, x *State, j int, omitTo uint64, record, silenceFailed, generalOmission bool) *State {
-	return NewRoundMemo(p, x, record, silenceFailed, generalOmission).Omit(j, omitTo)
+	return NewTable(p, x.n).Apply(x, j, omitTo, record, silenceFailed, generalOmission)
 }

@@ -20,6 +20,10 @@ type State struct {
 	inputs  []int  // initial inputs of the run (reporting metadata; not in Key)
 	key     string
 	envKey  string
+	// tab is the local-state table whose ids ids holds, one per process;
+	// nil for a state built by NewState. The ids never reach Key.
+	tab *Table
+	ids []uint32
 }
 
 var (
@@ -32,22 +36,30 @@ var (
 // environment state; when false (the mobile model M^mf) the environment
 // consists of the round number only and failed must be 0.
 func NewState(p proto.Decider, round int, locals []string, failed uint64, trackEnv bool, inputs []int) *State {
+	decided := make([]int, len(locals))
+	for i, l := range locals {
+		decided[i] = core.Undecided
+		if v, ok := p.Decide(l); ok {
+			decided[i] = v
+		}
+	}
+	return newState(round, append([]string(nil), locals...), decided, failed, trackEnv, inputs, nil, nil)
+}
+
+// newState assembles a state from its own locals and decisions, carrying
+// the local ids ids of table tab (nil for none).
+func newState(round int, locals []string, decided []int, failed uint64, trackEnv bool, inputs []int, tab *Table, ids []uint32) *State {
 	n := len(locals)
 	s := &State{
 		n:       n,
 		round:   round,
-		locals:  append([]string(nil), locals...),
+		locals:  locals,
 		failed:  failed,
 		trackEn: trackEnv,
-		decided: make([]int, n),
+		decided: decided,
 		inputs:  append([]int(nil), inputs...),
-	}
-	for i, l := range locals {
-		if v, ok := p.Decide(l); ok {
-			s.decided[i] = v
-		} else {
-			s.decided[i] = core.Undecided
-		}
+		tab:     tab,
+		ids:     ids,
 	}
 	s.envKey = envKeyOf(round, failed, trackEnv)
 	fields := make([]string, 0, n+1)

@@ -194,6 +194,31 @@ func TestShardedLegacyGraphEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardedEquivalenceAtMemoSize: the synchronous models at the size
+// where their local-state tables and model-wide Deliver memo actually hit
+// (the coldbench sync_lowerbound and mobile_refute models) explore
+// bit-identically to the reference, which builds every successor through
+// the raw successor function and interns it by canonical key, at 1, 2 and
+// 8 workers.
+func TestShardedEquivalenceAtMemoSize(t *testing.T) {
+	sp := protocols.FloodSet{Rounds: 3}
+	for _, tc := range []equivCase{
+		{"SyncSt FloodSet(3) n=7 t=2", func() core.Model { return syncmp.NewSt(sp, 7, 2) }, 3},
+		{"MobileS1 FloodSet(3) n=7", func() core.Model { return mobile.New(sp, 7) }, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := refExplore(tc.mk(), tc.depth, 0)
+			for _, w := range []int{1, 2, 8} {
+				g, err := core.ExploreIDParallel(tc.mk(), tc.depth, 0, w)
+				if err != nil {
+					t.Fatalf("w=%d: %v", w, err)
+				}
+				sameGraph(t, ref, g)
+			}
+		})
+	}
+}
+
 // TestShardedLegacyBudgetEquivalence: a node budget must cut the engine at
 // the reference's point — same partial graph, and ErrNodeBudget — because
 // the budget check sits in the deterministic merge, not in the cache.
