@@ -625,7 +625,10 @@ func BenchmarkE11_CommonKnowledge(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		classes := layers.NewKnowledgeClassesLayer(g, rounds)
+		classes, err := layers.NewKnowledgeClassesLayer(nil, g, rounds)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, x := range states {
 			v := -1
 			for p := 0; p < n; p++ {

@@ -53,12 +53,16 @@ func run(args []string) error {
 		return err
 	}
 
-	w, err := valence.Certify(nil, m, *bound, *visits)
+	g, err := core.ExploreIDCtx(nil, m, *bound, 0, 0)
+	if err != nil {
+		return err
+	}
+	w, err := valence.CertifyGraph(nil, g, *visits)
 	if err != nil {
 		return err
 	}
 	if *jsonOut {
-		return runJSON(m, w, *bound, *target)
+		return runJSON(m, g, w, *bound, *target)
 	}
 	fmt.Printf("== certifying consensus over %s (bound %d) ==\n", m.Name(), *bound)
 	fmt.Printf("verdict: %s\n", w.Kind)
@@ -75,12 +79,15 @@ func run(args []string) error {
 		tgt = 0
 	}
 	fmt.Printf("\n== bivalent chain (Theorem 4.2), target %d layers ==\n", tgt)
-	o := valence.NewOracle(m)
-	ch, err := valence.BivalentChain(m, o, valence.DecreasingHorizon(*bound, 1), tgt)
+	f, err := chainField(m, g, tgt)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("reached %d of %d layers (valence memo: %d entries)\n", ch.Reached, tgt, o.MemoLen())
+	ch, err := f.BivalentChain(tgt)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("reached %d of %d layers (valence field: %d nodes)\n", ch.Reached, tgt, f.Len())
 	fmt.Print(trace.FormatExecution(ch.Exec))
 	if ch.Stuck != nil {
 		fmt.Printf("chain stuck: layer had %d states, %d bivalent, valence-connected=%v\n",
@@ -90,18 +97,35 @@ func run(args []string) error {
 	return nil
 }
 
+// chainField sweeps the valence field a chain of target layers reads: the
+// certified graph g, explored to the bound, when the chain ends inside it,
+// and otherwise a graph explored to target+1, so that every chain state,
+// the last included, is judged at least one layer ahead.
+func chainField(m core.Model, g *core.IDGraph, target int) (*valence.Field, error) {
+	if target+1 > g.Depth {
+		var err error
+		if g, err = core.ExploreIDCtx(nil, m, target+1, 0, 0); err != nil {
+			return nil, err
+		}
+	}
+	return valence.NewFieldCtx(nil, g)
+}
+
 // runJSON emits the certification witness and the bivalent chain as one
 // JSON document, with exact state keys so the runs replay through the
 // model.
-func runJSON(m core.Model, w *valence.Witness, bound, target int) error {
+func runJSON(m core.Model, g *core.IDGraph, w *valence.Witness, bound, target int) error {
 	if target < 0 {
 		target = bound - 1
 	}
 	if target < 0 {
 		target = 0
 	}
-	o := valence.NewOracle(m)
-	ch, err := valence.BivalentChain(m, o, valence.DecreasingHorizon(bound, 1), target)
+	f, err := chainField(m, g, target)
+	if err != nil {
+		return err
+	}
+	ch, err := f.BivalentChain(target)
 	if err != nil {
 		return err
 	}

@@ -154,11 +154,11 @@ func pipeline(a *resilient.Attempt, m core.Model, depth, n int) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	masks, err := decision.FieldValencesCtx(a.Ctx, g, decision.ConsensusCovering(n))
+	masks, err := decision.FieldValences(a.Ctx, g, decision.ConsensusCovering(n))
 	if err != nil {
 		return "", err
 	}
-	c, err := knowledge.NewClassesCtx(a.Ctx, g.States)
+	c, err := knowledge.NewClasses(a.Ctx, g.States)
 	if err != nil {
 		return "", err
 	}

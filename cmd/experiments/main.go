@@ -88,15 +88,20 @@ func run(args []string) error {
 		})
 		return err
 	}
+	ran := false
 	for _, e := range all {
 		if *only != "" && !strings.EqualFold(*only, e.id) {
 			continue
 		}
+		ran = true
 		fmt.Printf("== %s — %s ==\n", e.id, e.hdr)
 		if err := runOne(e.id, e.fn); err != nil {
 			return resFlags.Finish(fmt.Errorf("%s: %w", e.id, err))
 		}
 		fmt.Println()
+	}
+	if !ran {
+		return fmt.Errorf("unknown experiment %q (want E1..E11)", *only)
 	}
 	return nil
 }
@@ -134,10 +139,19 @@ func e2(ctx *layers.Ctx) error {
 	fmt.Println("n  B  layers-sim-conn  verdict               witness-depth  visits")
 	for _, cfg := range []struct{ n, b int }{{3, 2}, {3, 3}, {4, 2}} {
 		m := layers.MobileS1(layers.FloodSet{Rounds: cfg.b}, cfg.n)
-		o := layers.NewOracle(m)
+		// The initial layers' successors are judged within horizon B, so
+		// the field's graph goes one layer past the certified bound.
+		g, err := layers.ExploreIDCtx(ctx, m, cfg.b+1, 0, 0)
+		if err != nil {
+			return err
+		}
+		f, err := layers.NewFieldCtx(ctx, g)
+		if err != nil {
+			return err
+		}
 		simOK := true
-		for _, x := range m.Inits() {
-			if r := layers.AnalyzeLayer(m, o, x, cfg.b); !r.SimilarityConnected || !r.ValenceConnected {
+		for _, u := range g.Inits {
+			if r := f.AnalyzeNode(u); !r.SimilarityConnected || !r.ValenceConnected {
 				simOK = false
 			}
 		}
@@ -250,16 +264,20 @@ func e6(ctx *layers.Ctx) error {
 		rounds := cfg.t + 1
 		p := layers.FloodSet{Rounds: rounds}
 		m := layers.SyncSt(p, cfg.n, cfg.t)
-		g, err := layers.ExploreIDCtx(ctx, m, rounds-1, 0, 1)
+		g, err := layers.ExploreIDCtx(ctx, m, rounds, 0, 1)
 		if err != nil {
 			return err
 		}
-		o := layers.NewOracle(m)
+		f, err := layers.NewFieldCtx(ctx, g)
+		if err != nil {
+			return err
+		}
 		checked := 0
 		for d := 0; d < rounds; d++ {
-			for _, x := range g.StatesAtDepth(d) {
-				succs := m.Successors(x)
-				if _, ok := o.Univalent(succs[0].State, rounds-d-1); !ok {
+			for _, u := range g.Layer(d) {
+				// The first successor is the failure-free round.
+				_, to := g.Out(u)
+				if mask := f.Mask(to[0]); mask != valence.V0 && mask != valence.V1 {
 					return fmt.Errorf("n=%d t=%d: non-univalent failure-free successor at depth %d", cfg.n, cfg.t, d)
 				}
 				checked++
@@ -338,14 +356,18 @@ func e9(ctx *layers.Ctx) error {
 		if err != nil {
 			return err
 		}
-		o := layers.NewOracle(m)
+		field, err := layers.NewFieldCtx(ctx, g)
+		if err != nil {
+			return err
+		}
 		checked, bivalent := 0, 0
 		for d := 0; d <= rounds; d++ {
-			for _, x := range g.StatesAtDepth(d) {
+			for _, u := range g.Layer(d) {
 				checked++
-				if !o.Bivalent(x, rounds-d) {
+				if !field.Bivalent(u) {
 					continue
 				}
+				x := g.States[u]
 				bivalent++
 				f := 0
 				for i := 0; i < n; i++ {
@@ -437,7 +459,10 @@ func e11(ctx *layers.Ctx) error {
 	for _, u := range g.Layer(rounds) {
 		states = append(states, g.States[u])
 	}
-	classes := layers.NewKnowledgeClassesLayer(g, rounds)
+	classes, err := layers.NewKnowledgeClassesLayer(ctx, g, rounds)
+	if err != nil {
+		return err
+	}
 	ck := 0
 	for _, x := range states {
 		v := -1

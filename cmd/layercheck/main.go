@@ -12,7 +12,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,28 +48,33 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := core.ExploreID(m, *depth, 2_000_000)
+	// A successor at depth d+1 of a state at depth d is judged within
+	// horizon max(bound-d, 1): the rest of the protocol's decision bound,
+	// and at least one layer past the deepest analyzed successors. The
+	// field holds exactly that when the graph is explored to
+	// max(bound+1, depth+2).
+	g, err := core.ExploreIDCtx(nil, m, max(*bound+1, *depth+2), 2_000_000, 0)
 	if err != nil {
-		if !errors.Is(err, core.ErrNodeBudget) {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "layercheck: %v; analyzing the partial graph\n", err)
+		return err
 	}
-	o := valence.NewOracle(m)
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		return err
+	}
 
 	if *jsonOut {
-		return runJSON(m, g, o, *depth, *bound)
+		return runJSON(m.Name(), f, *depth)
 	}
-	fmt.Printf("model %s: analyzing layers of %d state(s) to depth %d\n", m.Name(), g.Len(), *depth)
+	states := 0
+	for d := 0; d <= *depth; d++ {
+		states += len(g.Layer(d))
+	}
+	fmt.Printf("model %s: analyzing layers of %d state(s) to depth %d\n", m.Name(), states, *depth)
 	var analyzed, simConn, valConn int
 	maxDiam := 0
 	for d := 0; d <= *depth; d++ {
-		for _, x := range g.StatesAtDepth(d) {
-			h := *bound - d
-			if h < 1 {
-				h = 1
-			}
-			r := valence.AnalyzeLayer(m, o, x, h)
+		for _, u := range g.Layer(d) {
+			r := f.AnalyzeNode(u)
 			analyzed++
 			if r.SimilarityConnected {
 				simConn++
@@ -99,7 +103,7 @@ func run(args []string) error {
 }
 
 // runJSON emits one LayerJSON per analyzed state, grouped by depth.
-func runJSON(m core.Model, g *core.IDGraph, o *valence.Oracle, depth, bound int) error {
+func runJSON(model string, f *valence.Field, depth int) error {
 	type entry struct {
 		Depth int               `json:"depth"`
 		Layer *report.LayerJSON `json:"layer"`
@@ -107,16 +111,12 @@ func runJSON(m core.Model, g *core.IDGraph, o *valence.Oracle, depth, bound int)
 	doc := struct {
 		Model  string  `json:"model"`
 		Layers []entry `json:"layers"`
-	}{Model: m.Name()}
+	}{Model: model}
 	for d := 0; d <= depth; d++ {
-		for _, x := range g.StatesAtDepth(d) {
-			h := bound - d
-			if h < 1 {
-				h = 1
-			}
+		for _, u := range f.Graph().Layer(d) {
 			doc.Layers = append(doc.Layers, entry{
 				Depth: d,
-				Layer: report.NewLayer(valence.AnalyzeLayer(m, o, x, h)),
+				Layer: report.NewLayer(f.AnalyzeNode(u)),
 			})
 		}
 	}

@@ -46,7 +46,11 @@ func run(args []string) error {
 	// Upper bound: FloodSet with t+1 rounds is correct.
 	good := protocols.FloodSet{Rounds: *t + 1}
 	mGood := syncmp.NewSt(good, *n, *t)
-	w, err := valence.Certify(nil, mGood, *t+1, *visits)
+	gGood, err := core.ExploreIDCtx(nil, mGood, *t+1, 0, 0)
+	if err != nil {
+		return err
+	}
+	w, err := valence.CertifyGraph(nil, gGood, *visits)
 	if err != nil {
 		return err
 	}
@@ -69,10 +73,14 @@ func run(args []string) error {
 	fmt.Printf("detail: %s\nadversary run:\n%s", w.Detail, trace.FormatExecution(w.Exec))
 
 	// Lemma 6.1: the bivalent chain against the CORRECT protocol, showing
-	// decision cannot complete before round t+1.
+	// decision cannot complete before round t+1. Its valences come from the
+	// graph certified above, explored to the t+1 bound.
 	fmt.Printf("\nLemma 6.1 bivalent chain against FloodSet(%d):\n", *t+1)
-	o := valence.NewOracle(mGood)
-	ch, err := valence.BivalentChain(mGood, o, valence.DecreasingHorizon(*t+1, 1), *t-1)
+	f, err := valence.NewFieldCtx(nil, gGood)
+	if err != nil {
+		return err
+	}
+	ch, err := f.BivalentChain(*t - 1)
 	if err != nil {
 		return err
 	}

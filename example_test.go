@@ -36,12 +36,22 @@ func ExampleCertify_lowerBound() {
 	// t rounds:   agreement violation
 }
 
-// ExampleBivalentChain builds the Theorem 4.2 adversary run: layer by
-// layer, always into a bivalent successor.
-func ExampleBivalentChain() {
+// ExampleField_BivalentChain builds the Theorem 4.2 adversary run: layer
+// by layer, always into a bivalent successor, reading valences off the
+// field of the graph explored to the decision bound.
+func ExampleField_BivalentChain() {
 	m := layers.MobileS1(layers.FloodSet{Rounds: 3}, 3)
-	o := layers.NewOracle(m)
-	ch, err := layers.BivalentChain(m, o, layers.DecreasingHorizon(3, 1), 2)
+	g, err := layers.ExploreIDCtx(nil, m, 3, 0, 0)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	f, err := layers.NewFieldCtx(nil, g)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	ch, err := f.BivalentChain(2)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -53,12 +63,21 @@ func ExampleBivalentChain() {
 	// stuck: false
 }
 
-// ExampleAnalyzeLayer reports the similarity and valence structure of one
-// layer S(x) — Lemma 5.1 for a single initial state.
-func ExampleAnalyzeLayer() {
+// ExampleField_AnalyzeNode reports the similarity and valence structure of
+// one layer S(x) — Lemma 5.1 for a single initial state.
+func ExampleField_AnalyzeNode() {
 	m := layers.MobileS1(layers.FloodSet{Rounds: 2}, 3)
-	o := layers.NewOracle(m)
-	r := layers.AnalyzeLayer(m, o, m.Inits()[1], 2)
+	g, err := layers.ExploreIDCtx(nil, m, 3, 0, 0)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	f, err := layers.NewFieldCtx(nil, g)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	r := f.AnalyzeNode(g.Inits[1])
 	fmt.Println("similarity connected:", r.SimilarityConnected)
 	fmt.Println("valence connected:", r.ValenceConnected)
 	// Output:

@@ -50,10 +50,19 @@ func sharedMemory(n int) error {
 		return fmt.Errorf("bridge does not agree modulo %d", j)
 	}
 
-	// Every synchronic layer is valence connected.
-	o := layers.NewOracle(m)
-	for _, init := range m.Inits() {
-		if r := layers.AnalyzeLayer(m, o, init, phases); !r.ValenceConnected {
+	// Every synchronic layer is valence connected: its states are judged
+	// within the full phase bound, so the field's graph goes one layer
+	// past it.
+	g, err := layers.ExploreIDCtx(nil, m, phases+1, 0, 0)
+	if err != nil {
+		return err
+	}
+	f, err := layers.NewFieldCtx(nil, g)
+	if err != nil {
+		return err
+	}
+	for _, u := range g.Inits {
+		if r := f.AnalyzeNode(u); !r.ValenceConnected {
 			return fmt.Errorf("S^rw layer not valence connected")
 		}
 	}

@@ -59,12 +59,17 @@ func run() error {
 	}
 	fmt.Println("EarlyFloodSet certified at bound t+1 — early decisions are free")
 
-	// The adversary's room: bivalent states per layer.
-	o := layers.NewOracle(plain)
-	p, err := layers.BivalenceWidth(plain, o, layers.DecreasingHorizon(rb, 0), rb, 0)
+	// The adversary's room: bivalent states per layer, each judged within
+	// the rounds left to the bound.
+	g, err := layers.ExploreIDCtx(nil, plain, rb, 0, 0)
 	if err != nil {
 		return err
 	}
+	f, err := layers.NewFieldCtx(nil, g)
+	if err != nil {
+		return err
+	}
+	p := f.Width()
 	fmt.Println("\nbivalence width in S^t (states bivalent/total per layer):")
 	for depth := range p.States {
 		fmt.Printf("  layer %d: %d/%d bivalent, %d univalent-0, %d univalent-1\n",
@@ -74,18 +79,22 @@ func run() error {
 	// Wasted faults: with two failures allowed per round (t=2), a bivalent
 	// state at round r still satisfies r <= failures <= t-1.
 	multi := layers.SyncStMulti(layers.FloodSet{Rounds: 3}, 4, 2, 2)
-	om := layers.NewOracle(multi)
-	g, err := layers.ExploreID(multi, 3, 0)
+	g, err = layers.ExploreIDCtx(nil, multi, 3, 0, 0)
+	if err != nil {
+		return err
+	}
+	field, err := layers.NewFieldCtx(nil, g)
 	if err != nil {
 		return err
 	}
 	violations := 0
 	bivalent := 0
 	for depth := 0; depth <= 3; depth++ {
-		for _, x := range g.StatesAtDepth(depth) {
-			if !om.Bivalent(x, 3-depth) {
+		for _, u := range g.Layer(depth) {
+			if !field.Bivalent(u) {
 				continue
 			}
+			x := g.States[u]
 			bivalent++
 			f := 0
 			for i := 0; i < 4; i++ {

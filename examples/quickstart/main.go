@@ -34,32 +34,36 @@ func run() error {
 	m := layers.MobileS1(p, n)
 	fmt.Printf("model: %s\n\n", m.Name())
 
+	// Explore every run to the decision bound once and sweep the valence
+	// field over it: a state at depth d gets its valence within the
+	// remaining rounds-d layers, and every step below reads that field.
+	g, err := layers.ExploreIDCtx(nil, m, rounds, 0, 0)
+	if err != nil {
+		return err
+	}
+	f, err := layers.NewFieldCtx(nil, g)
+	if err != nil {
+		return err
+	}
+
 	// 2. Lemma 5.1: every S1 layer over the initial states is similarity
 	// connected, hence valence connected.
-	o := layers.NewOracle(m)
-	for _, x := range m.Inits() {
-		r := layers.AnalyzeLayer(m, o, x, rounds)
+	for _, u := range g.Inits {
+		r := f.AnalyzeNode(u)
 		if !r.SimilarityConnected || !r.ValenceConnected {
-			return fmt.Errorf("layer connectivity failed at %s", layers.FormatState(x))
+			return fmt.Errorf("layer connectivity failed at %s", layers.FormatState(g.States[u]))
 		}
 	}
-	fmt.Printf("Lemma 5.1: all %d initial layers similarity+valence connected\n", len(m.Inits()))
+	fmt.Printf("Lemma 5.1: all %d initial layers similarity+valence connected\n", len(g.Inits))
 
 	// 3. Lemma 3.6: a bivalent initial state exists.
-	var init layers.State
-	for _, x := range m.Inits() {
-		if o.Bivalent(x, rounds) {
-			init = x
-			break
-		}
-	}
-	if init == nil {
+	if _, _, ok := f.BivalentAtBound(0); !ok {
 		return fmt.Errorf("no bivalent initial state (Lemma 3.6 violated)")
 	}
 	fmt.Printf("Lemma 3.6: found a bivalent initial state\n\n")
 
 	// 4. Theorem 4.2: extend bivalence layer by layer.
-	ch, err := layers.BivalentChain(m, o, layers.DecreasingHorizon(rounds, 1), rounds-1)
+	ch, err := f.BivalentChain(rounds - 1)
 	if err != nil {
 		return err
 	}
@@ -69,8 +73,9 @@ func run() error {
 	fmt.Printf("Theorem 4.2: bivalent chain of %d layers (nobody decides):\n%s\n",
 		ch.Reached, layers.FormatExecution(ch.Exec))
 
-	// 5. Corollary 5.2: certification must find a violation.
-	w, err := layers.Certify(m, rounds, 0)
+	// 5. Corollary 5.2: certification of the same graph must find a
+	// violation.
+	w, err := layers.CertifyGraphCtx(nil, g, 0)
 	if err != nil {
 		return err
 	}

@@ -36,7 +36,11 @@ func run() error {
 	// Upper bound: t+1 rounds suffice.
 	good := layers.FloodSet{Rounds: t + 1}
 	mGood := layers.SyncSt(good, n, t)
-	w, err := layers.Certify(mGood, t+1, 0)
+	gGood, err := layers.ExploreIDCtx(nil, mGood, t+1, 0, 0)
+	if err != nil {
+		return err
+	}
+	w, err := layers.CertifyGraphCtx(nil, gGood, 0)
 	if err != nil {
 		return err
 	}
@@ -58,9 +62,13 @@ func run() error {
 	}
 	fmt.Printf("adversary run:\n%s\n", layers.FormatExecution(w.Exec))
 
-	// Lemma 6.1: the bivalent chain against the correct protocol.
-	o := layers.NewOracle(mGood)
-	ch, err := layers.BivalentChain(mGood, o, layers.DecreasingHorizon(t+1, 1), t-1)
+	// Lemma 6.1: the bivalent chain against the correct protocol, over the
+	// valence field of the graph certified above.
+	f, err := layers.NewFieldCtx(nil, gGood)
+	if err != nil {
+		return err
+	}
+	ch, err := f.BivalentChain(t - 1)
 	if err != nil {
 		return err
 	}

@@ -16,12 +16,13 @@ import (
 func TestPublicAPIMobileStory(t *testing.T) {
 	const n, rounds = 3, 2
 	m := layers.MobileS1(layers.FloodSet{Rounds: rounds}, n)
-	o := layers.NewOracle(m)
+	f := fieldTo(t, m, rounds)
+	g := f.Graph()
 
 	// E1: Con_0 structure.
 	bivalent := 0
-	for _, x := range m.Inits() {
-		if o.Bivalent(x, rounds) {
+	for _, u := range g.Inits {
+		if f.Bivalent(u) {
 			bivalent++
 		}
 	}
@@ -29,14 +30,14 @@ func TestPublicAPIMobileStory(t *testing.T) {
 		t.Fatal("no bivalent initial state (Lemma 3.6)")
 	}
 
-	// E2: layer connectivity + refutation.
-	for _, x := range m.Inits() {
-		r := layers.AnalyzeLayer(m, o, x, rounds)
+	// E2: layer connectivity + refutation, over the same graph.
+	for _, u := range g.Inits {
+		r := f.AnalyzeNode(u)
 		if !r.SimilarityConnected || !r.ValenceConnected {
 			t.Fatal("S1 layer connectivity failed (Lemma 5.1)")
 		}
 	}
-	w, err := layers.Certify(m, rounds, 0)
+	w, err := layers.CertifyGraphCtx(nil, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +108,7 @@ func TestPublicAPIAsyncModels(t *testing.T) {
 func TestPublicAPIBivalentChain(t *testing.T) {
 	const n, rounds = 3, 3
 	m := layers.MobileS1(layers.FloodSet{Rounds: rounds}, n)
-	o := layers.NewOracle(m)
-	ch, err := layers.BivalentChain(m, o, layers.DecreasingHorizon(rounds, 1), rounds-1)
+	ch, err := fieldTo(t, m, rounds).BivalentChain(rounds - 1)
 	if err != nil {
 		t.Fatal(err)
 	}

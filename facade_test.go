@@ -33,6 +33,21 @@ func TestFacadeModelConstructors(t *testing.T) {
 	}
 }
 
+// fieldTo explores m to depth through the facade and sweeps the valence
+// field of the graph.
+func fieldTo(t *testing.T, m layers.Model, depth int) *layers.Field {
+	t.Helper()
+	g, err := layers.ExploreIDCtx(nil, m, depth, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := layers.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestFacadeAnalysisHelpers(t *testing.T) {
 	m := layers.MobileS1(layers.FloodSet{Rounds: 2}, 3)
 	g, err := layers.ExploreID(m, 1, 0)
@@ -46,15 +61,11 @@ func TestFacadeAnalysisHelpers(t *testing.T) {
 	if !layers.AgreeModulo(x, y, 0) {
 		t.Error("inits 0 and 1 should agree modulo process 0")
 	}
-	if h := layers.ConstHorizon(3); h(0) != 3 || h(9) != 3 {
-		t.Error("ConstHorizon broken")
-	}
-	o := layers.NewOracle(m)
-	p, err := layers.BivalenceWidth(m, o, layers.ConstHorizon(2), 1, 0)
+	f, err := layers.NewFieldCtx(nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.States[0] != 8 {
+	if p := f.Width(); p.States[0] != 8 {
 		t.Errorf("width profile depth 0 = %d states", p.States[0])
 	}
 	w, err := layers.CertifyFrom(m, []layers.State{x}, 2, 0)
@@ -83,8 +94,7 @@ func TestFacadeSimHelpers(t *testing.T) {
 	if !out.AllDecided {
 		t.Error("all-zero run undecided")
 	}
-	o := layers.NewOracle(m)
-	adv := layers.NewAdversaryScheduler(o, layers.DecreasingHorizon(2, 1))
+	adv := layers.NewAdversaryScheduler(fieldTo(t, m, 2))
 	if adv.Name() == "" {
 		t.Error("unnamed scheduler")
 	}

@@ -106,16 +106,35 @@ func TestDiamondNotSimilar(t *testing.T) {
 	}
 }
 
+// fieldOf explores m to depth and sweeps its valence field: a node at
+// depth d holds its valence within depth-d layers.
+func fieldOf(t *testing.T, m core.Model, depth int) *valence.Field {
+	t.Helper()
+	g, err := core.ExploreIDCtx(nil, m, depth, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestSharedValenceViaCommonSuccessor checks x[p1..pn] ~v x[p1..pn-1]
-// directly with the valence oracle, as the diamond argument predicts.
+// (Definition 3.1: some value is a valence of both) on the valence field,
+// as the diamond argument predicts.
 func TestSharedValenceViaCommonSuccessor(t *testing.T) {
 	const n, phases = 3, 2
 	m := newModel(n, phases)
-	o := valence.NewOracle(m)
+	f := fieldOf(t, m, phases+1)
 	x := m.Initial([]int{0, 1, 1})
-	full := m.Sequential(x, []int{0, 1, 2})
-	head := m.Sequential(x, []int{0, 1})
-	if !o.SharedValence(full, head, phases) {
+	full, ok1 := f.MaskOf(m.Sequential(x, []int{0, 1, 2}))
+	head, ok2 := f.MaskOf(m.Sequential(x, []int{0, 1}))
+	if !ok1 || !ok2 {
+		t.Fatal("diamond tops not reached in one layer")
+	}
+	if full&head == 0 {
 		t.Error("x[p1..pn] and x[p1..pn-1] share no valence")
 	}
 }
@@ -125,11 +144,10 @@ func TestSharedValenceViaCommonSuccessor(t *testing.T) {
 func TestLayerValenceConnected(t *testing.T) {
 	const n, phases = 3, 2
 	m := newModel(n, phases)
-	o := valence.NewOracle(m)
-	for _, x := range m.Inits() {
-		r := valence.AnalyzeLayer(m, o, x, phases)
-		if !r.ValenceConnected {
-			t.Errorf("init %q: S^per layer not valence connected", x.Key())
+	f := fieldOf(t, m, phases+1)
+	for _, u := range f.Graph().Inits {
+		if r := f.AnalyzeNode(u); !r.ValenceConnected {
+			t.Errorf("init %q: S^per layer not valence connected", f.Graph().Keys[u])
 		}
 	}
 }

@@ -87,10 +87,10 @@ func TestSynchronicDelayedNotLost(t *testing.T) {
 func TestSynchronicLayerValenceConnected(t *testing.T) {
 	const n, phases = 3, 2
 	m := asyncmp.NewSynchronic(protocols.MPFlood{Phases: phases}, n)
-	o := valence.NewOracle(m)
-	for _, x := range m.Inits() {
-		if r := valence.AnalyzeLayer(m, o, x, phases); !r.ValenceConnected {
-			t.Errorf("init %q: synchronic MP layer not valence connected", x.Key())
+	f := fieldOf(t, m, phases+1)
+	for _, u := range f.Graph().Inits {
+		if r := f.AnalyzeNode(u); !r.ValenceConnected {
+			t.Errorf("init %q: synchronic MP layer not valence connected", f.Graph().Keys[u])
 		}
 	}
 }

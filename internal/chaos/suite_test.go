@@ -133,7 +133,7 @@ func suiteDrivers(g *core.IDGraph) map[string]driver {
 		},
 		"decision.field.layer": {
 			run: func(ctx *resilient.Ctx) (string, error) {
-				masks, err := decision.FieldValencesCtx(ctx, g, decision.ConsensusCovering(3))
+				masks, err := decision.FieldValences(ctx, g, decision.ConsensusCovering(3))
 				if err != nil {
 					return "", err
 				}
@@ -143,7 +143,7 @@ func suiteDrivers(g *core.IDGraph) map[string]driver {
 		},
 		"knowledge.bucket": {
 			run: func(ctx *resilient.Ctx) (string, error) {
-				c, err := knowledge.NewClassesCtx(ctx, g.States)
+				c, err := knowledge.NewClasses(ctx, g.States)
 				if err != nil {
 					return "", err
 				}
@@ -300,11 +300,11 @@ func pipeline(ctx *resilient.Ctx) (s string, err error) {
 	if err != nil {
 		return "", err
 	}
-	masks, err := decision.FieldValencesCtx(ctx, g, decision.ConsensusCovering(3))
+	masks, err := decision.FieldValences(ctx, g, decision.ConsensusCovering(3))
 	if err != nil {
 		return "", err
 	}
-	c, err := knowledge.NewClassesCtx(ctx, g.States)
+	c, err := knowledge.NewClasses(ctx, g.States)
 	if err != nil {
 		return "", err
 	}

@@ -55,12 +55,10 @@ type IDGraph struct {
 	// order.
 	layers [][]uint32
 
-	byKeyOnce   sync.Once
-	byKey       map[string]uint32
-	byCacheOnce sync.Once
-	byCache     []uint32
-	gradedOnce  sync.Once
-	graded      bool
+	byKeyOnce  sync.Once
+	byKey      map[string]uint32
+	gradedOnce sync.Once
+	graded     bool
 
 	layoutOnce sync.Once
 	spans      []idSpan
@@ -73,7 +71,7 @@ type IDGraph struct {
 // idSpan is a half-open node-id window [lo, hi).
 type idSpan struct{ lo, hi uint32 }
 
-// noNode is the "absent" sentinel of the dense cache-id -> node tables.
+// noNode is the "absent" sentinel of the dense cache-id -> node table.
 const noNode = ^uint32(0)
 
 // cidTable maps dense cache ids to graph node ids without hashing: cache
@@ -187,35 +185,6 @@ func (g *IDGraph) NodeByKey(key string) (uint32, bool) {
 	})
 	u, ok := g.byKey[key]
 	return u, ok
-}
-
-// NodeOfCacheID returns the node whose state has the given id in Cache.
-// Analyses memoized on cache ids (the valence Oracle) use this to join
-// against a materialized graph without hashing state keys. Cache ids are
-// dense, so the lazily built index is a direct-indexed array: each join is
-// one bounds check and one load.
-func (g *IDGraph) NodeOfCacheID(cid uint32) (uint32, bool) {
-	g.byCacheOnce.Do(func() {
-		maxCID := uint32(0)
-		for _, c := range g.cacheIDs {
-			if c > maxCID {
-				maxCID = c
-			}
-		}
-		idx := make([]uint32, int(maxCID)+1)
-		for i := range idx {
-			idx[i] = noNode
-		}
-		for u, c := range g.cacheIDs {
-			idx[c] = uint32(u)
-		}
-		g.byCache = idx
-	})
-	if int(cid) >= len(g.byCache) {
-		return 0, false
-	}
-	u := g.byCache[cid]
-	return u, u != noNode
 }
 
 // layout runs the CSR layout pass once: it checks that every depth layer is

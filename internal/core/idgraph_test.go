@@ -73,10 +73,6 @@ func TestIDGraphLookupsAndGraded(t *testing.T) {
 		if v, ok := g.NodeByKey(g.Keys[u]); !ok || v != uint32(u) {
 			t.Fatalf("NodeByKey(%q) = (%d,%v), want %d", g.Keys[u], v, ok, u)
 		}
-		cid := g.Cache.ID(g.States[u])
-		if v, ok := g.NodeOfCacheID(cid); !ok || v != uint32(u) {
-			t.Fatalf("NodeOfCacheID(%d) = (%d,%v), want %d", cid, v, ok, u)
-		}
 	}
 	if _, ok := g.NodeByKey("no such key"); ok {
 		t.Error("NodeByKey matched a missing key")

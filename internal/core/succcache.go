@@ -275,7 +275,7 @@ func (c *SuccessorCache) checkKey(key []byte, x State) string {
 
 // Publish brings every shard's lock-free snapshot up to date with its
 // authoritative table. The exploration engine calls it at pass boundaries
-// so later passes (oracle queries, certification joins, re-explorations)
+// so later passes (ID lookups, certification joins, re-explorations)
 // resolve every interned key without touching a shard mutex. Shards with
 // nothing pending are skipped without locking, so re-running a pass over a
 // fully published cache costs one atomic load per shard.

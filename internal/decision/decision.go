@@ -115,63 +115,11 @@ func DecidedSimplex(x core.State) (simplex.Simplex, bool) {
 	return s, true
 }
 
-// Oracle computes horizon-bounded generalized valence with respect to a
-// covering, with memoization on (state key, horizon).
-type Oracle struct {
-	succ  core.Successor
-	cover Covering
-	memo  map[memoKey]uint8
-}
-
-type memoKey struct {
-	key     string
-	horizon int
-}
-
 // Valence bits.
 const (
 	v0 uint8 = 1 << 0
 	v1 uint8 = 1 << 1
 )
-
-// NewOracle returns a generalized-valence oracle for the covering.
-func NewOracle(succ core.Successor, cover Covering) *Oracle {
-	return &Oracle{succ: succ, cover: cover, memo: make(map[memoKey]uint8)}
-}
-
-// Valences returns the generalized valence mask of x within the horizon:
-// bit 0 (1) is set if some execution of at most horizon layers extending x
-// reaches a fully-decided state whose decided simplex lies in O_0 (O_1).
-func (o *Oracle) Valences(x core.State, horizon int) uint8 {
-	k := memoKey{key: x.Key(), horizon: horizon}
-	if v, ok := o.memo[k]; ok {
-		return v
-	}
-	var mask uint8
-	if s, decided := DecidedSimplex(x); decided {
-		if o.cover.O0.Has(s) {
-			mask |= v0
-		}
-		if o.cover.O1.Has(s) {
-			mask |= v1
-		}
-	}
-	if mask != v0|v1 && horizon > 0 {
-		for _, s := range o.succ.Successors(x) {
-			mask |= o.Valences(s.State, horizon-1)
-			if mask == v0|v1 {
-				break
-			}
-		}
-	}
-	o.memo[k] = mask
-	return mask
-}
-
-// Bivalent reports generalized bivalence within the horizon.
-func (o *Oracle) Bivalent(x core.State, horizon int) bool {
-	return o.Valences(x, horizon) == v0|v1
-}
 
 // ErrNoBivalentInit mirrors the classical construction: no initial state is
 // bivalent with respect to the covering.
@@ -186,30 +134,34 @@ type Chain struct {
 	StuckAt int
 }
 
-// BivalentChain runs the Lemma 7.1 construction: starting from a
-// generalized-bivalent initial state, repeatedly pick a generalized-
-// bivalent successor, for `target` layers, computing valences with
-// horizon(d) lookahead at depth d.
-func BivalentChain(m core.Model, o *Oracle, horizon func(int) int, target int) (*Chain, error) {
-	var x core.State
-	for _, init := range m.Inits() {
-		if o.Bivalent(init, horizon(0)) {
-			x = init
+// BivalentChain runs the Lemma 7.1 construction over the generalized
+// valence masks FieldValences computed for g: starting from the first
+// generalized-bivalent initial node, repeatedly step to the first
+// generalized-bivalent successor along the CSR edges, for `target` layers.
+// A node at depth d is judged within its horizon g.Depth-d, so target must
+// be at most g.Depth.
+func BivalentChain(g *core.IDGraph, masks []uint8, target int) (*Chain, error) {
+	if target > g.Depth {
+		return nil, fmt.Errorf("decision: chain target %d exceeds graph depth %d", target, g.Depth)
+	}
+	u, found := uint32(0), false
+	for _, r := range g.Inits {
+		if masks[r] == v0|v1 {
+			u, found = r, true
 			break
 		}
 	}
-	if x == nil {
+	if !found {
 		return nil, ErrNoBivalentInit
 	}
-	exec := &core.Execution{Init: x}
+	exec := &core.Execution{Init: g.States[u]}
 	for d := 0; d < target; d++ {
-		h := horizon(d + 1)
-		found := false
-		for _, s := range m.Successors(x) {
-			if o.Bivalent(s.State, h) {
-				exec = exec.Extend(s.Action, s.State)
-				x = s.State
-				found = true
+		actions, to := g.Out(u)
+		found = false
+		for i, v := range to {
+			if masks[v] == v0|v1 {
+				exec = exec.Extend(actions[i], g.States[v])
+				u, found = v, true
 				break
 			}
 		}
@@ -252,29 +204,19 @@ func CollectDecidedSimplexesGraph(g *core.IDGraph) map[string]simplex.Simplex {
 
 // FieldValences computes the generalized valence mask of every node of an
 // explored graph in one bottom-up sweep, the covering analogue of
-// valence.NewField: masks[u] holds the OR over u's reachable closure (in
+// valence.NewFieldCtx: masks[u] holds the OR over u's reachable closure (in
 // the explored graph) of the base masks assigned by the covering to
-// fully-decided states. On a graded graph (every edge advancing one
-// layer) masks[u] equals Oracle.Valences(g.States[u], g.Depth-depth(u))
-// exactly; otherwise the sweep falls back to a fixpoint loop and the mask
-// is the valence within the explored graph.
-func FieldValences(g *core.IDGraph, cover Covering) []uint8 {
-	for {
-		masks, err := FieldValencesCtx(nil, g, cover)
-		if err == nil {
-			return masks
-		}
-		// A nil context never cancels, so the error is an injected chaos
-		// fault; each armed rule fires once, so retrying converges.
-	}
-}
-
-// FieldValencesCtx is FieldValences under a cancellation context, polled
-// (with the chaos decision.field.layer fault point) once per layer on
-// graded graphs and once per pass in the fixpoint fallback. An
-// interruption returns the partial masks computed so far — layers deeper
-// than the cut are final on graded graphs — alongside the wrapped cause.
-func FieldValencesCtx(ctx *resilient.Ctx, g *core.IDGraph, cover Covering) ([]uint8, error) {
+// fully-decided states. On a graded graph (every edge advancing one layer)
+// masks[u] is the generalized valence of g.States[u] within horizon
+// g.Depth-depth(u) exactly; otherwise the sweep falls back to a fixpoint
+// loop and the mask is the valence within the explored graph.
+//
+// ctx (nil never cancels) is polled, with the chaos decision.field.layer
+// fault point, once per layer on graded graphs and once per pass in the
+// fixpoint fallback. An interruption returns the partial masks computed so
+// far — layers deeper than the cut are final on graded graphs — alongside
+// the wrapped cause.
+func FieldValences(ctx *resilient.Ctx, g *core.IDGraph, cover Covering) ([]uint8, error) {
 	rec := obs.Active()
 	defer obs.Span(rec, "decision.field.time")()
 	if tr := obs.Trace(); tr != nil {

@@ -15,26 +15,28 @@ import (
 // machinery against Section 3: in a model/protocol where agreement holds
 // (FloodSet(t+1) under S^t), all decided simplexes are constant, the
 // consensus covering is a genuine covering, and generalized valence must
-// coincide with classical binary valence on every reachable state.
+// coincide with classical binary valence on every reachable state: the
+// generalized masks equal the valence field's.
 func TestConsensusCoveringMatchesBinaryValence(t *testing.T) {
 	const n, tt = 3, 1
 	rounds := tt + 1
 	p := protocols.FloodSet{Rounds: rounds}
 	m := syncmp.NewSt(p, n, tt)
-	bin := valence.NewOracle(m)
-	gen := decision.NewOracle(m, decision.ConsensusCovering(n))
-
-	g, err := core.ExploreID(m, rounds, 0)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range g.States {
-		s := x.(*syncmp.State)
-		h := rounds - s.Round()
-		bv := bin.Valences(x, h)
-		gv := gen.Valences(x, h)
-		if bv != gv {
-			t.Errorf("round %d state: binary valence %02b != generalized %02b", s.Round(), bv, gv)
+	bin, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := decision.FieldValences(nil, g, decision.ConsensusCovering(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, x := range g.States {
+		if bv, gv := bin.Mask(uint32(u)), gen[u]; bv != gv {
+			t.Errorf("round %d state: binary valence %02b != generalized %02b", x.(*syncmp.State).Round(), bv, gv)
 		}
 	}
 }
@@ -71,16 +73,24 @@ func TestMinValueCoveringUnivalentInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := decision.NewOracle(m, decision.MinValueCovering(decided))
-	mixed := m.Initial([]int{0, 1, 1})
-	if o.Bivalent(mixed, rounds) {
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks, err := decision.FieldValences(nil, g, decision.MinValueCovering(decided))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, _ := g.NodeByKey(m.Initial([]int{0, 1, 1}).Key())
+	if masks[mixed] == 0b11 {
 		t.Error("mixed-input state bivalent under min-value covering; every full simplex contains the 0")
 	}
 }
 
 // TestLemma71ChainMobile runs the generalized bivalent chain (Lemma 7.1) in
-// M^mf under the by-process covering of the actually-decided simplexes and
-// checks it reaches its target.
+// M^mf under the by-process covering of the actually-decided simplexes,
+// checks it reaches its target, and pins it step for step to the recursive
+// reference chain.
 func TestLemma71ChainMobile(t *testing.T) {
 	const n, rounds = 3, 3
 	p := protocols.FloodSet{Rounds: rounds}
@@ -93,13 +103,15 @@ func TestLemma71ChainMobile(t *testing.T) {
 	if ok, reason := decision.CheckCovering(cov, decided); !ok {
 		t.Fatalf("by-process covering rejected: %s", reason)
 	}
-	o := decision.NewOracle(m, cov)
-	ch, err := decision.BivalentChain(m, o, func(d int) int {
-		if h := rounds - d; h > 1 {
-			return h
-		}
-		return 1
-	}, rounds-1)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks, err := decision.FieldValences(nil, g, cov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := decision.BivalentChain(g, masks, rounds-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +120,25 @@ func TestLemma71ChainMobile(t *testing.T) {
 	}
 	if ch.Reached != rounds-1 {
 		t.Errorf("reached %d, want %d", ch.Reached, rounds-1)
+	}
+	// The recursive reference at the same horizons builds the same chain.
+	ref, err := decision.OracleBivalentChain(m, decision.NewOracle(m, cov), func(d int) int {
+		if h := rounds - d; h > 1 {
+			return h
+		}
+		return 1
+	}, rounds-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Reached != ch.Reached || ref.StuckAt != ch.StuckAt || ref.Exec.Init.Key() != ch.Exec.Init.Key() {
+		t.Fatalf("chain (reached %d, stuck %d) != reference (reached %d, stuck %d)",
+			ch.Reached, ch.StuckAt, ref.Reached, ref.StuckAt)
+	}
+	for i, st := range ref.Exec.Steps {
+		if got := ch.Exec.Steps[i]; got.Action != st.Action || got.State.Key() != st.State.Key() {
+			t.Fatalf("chain step %d: %q != reference %q", i, got.Action, st.Action)
+		}
 	}
 }
 
@@ -209,7 +240,10 @@ func TestFieldValencesMatchOracle(t *testing.T) {
 				t.Fatal("expected a graded graph")
 			}
 			cover := tc.cover(g, g.States[0].N())
-			masks := decision.FieldValences(g, cover)
+			masks, err := decision.FieldValences(nil, g, cover)
+			if err != nil {
+				t.Fatal(err)
+			}
 			o := decision.NewOracle(tc.m, cover)
 			for u := 0; u < g.Len(); u++ {
 				h := g.Depth - int(g.DepthOf[u])

@@ -109,11 +109,18 @@ func TestConsensusRefutedInIIS(t *testing.T) {
 func TestIISLayerValenceConnected(t *testing.T) {
 	const n, phases = 3, 2
 	m := iis.New(protocols.SMVote{Phases: phases}, n)
-	o := valence.NewOracle(m)
-	for _, x := range m.Inits() {
-		r := valence.AnalyzeLayer(m, o, x, phases)
+	g, err := core.ExploreIDCtx(nil, m, phases+1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range g.Inits {
+		r := f.AnalyzeNode(u)
 		if !r.ValenceConnected {
-			t.Errorf("init %q: IIS layer not valence connected", x.Key())
+			t.Errorf("init %q: IIS layer not valence connected", g.Keys[u])
 		}
 	}
 }
@@ -122,8 +129,15 @@ func TestIISLayerValenceConnected(t *testing.T) {
 func TestBivalentChainIIS(t *testing.T) {
 	const n, phases = 3, 3
 	m := iis.New(protocols.SMVote{Phases: phases}, n)
-	o := valence.NewOracle(m)
-	ch, err := valence.BivalentChain(m, o, valence.DecreasingHorizon(phases, 1), phases-1)
+	g, err := core.ExploreIDCtx(nil, m, phases, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := f.BivalentChain(phases - 1)
 	if err != nil {
 		t.Fatal(err)
 	}

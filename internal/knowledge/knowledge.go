@@ -38,6 +38,10 @@ type Classes struct {
 	index  map[string]int
 }
 
+// classesCheckEvery is how many states the bucketing loop processes
+// between context polls.
+const classesCheckEvery = 1024
+
 // NewClasses computes the common-knowledge partition of the given states.
 // Two states are linked when some process, non-failed in both, has the
 // same local state in both.
@@ -47,27 +51,12 @@ type Classes struct {
 // bucket is linked, and no link exists outside a bucket, so unioning each
 // bucket's members into a chain yields exactly the pairwise partition in
 // near-linear time.
-func NewClasses(states []core.State) *Classes {
-	for {
-		c, err := NewClassesCtx(nil, states)
-		if err == nil {
-			return c
-		}
-		// A nil context never cancels, so the error is an injected chaos
-		// fault; each armed rule fires once, so retrying converges.
-	}
-}
-
-// classesCheckEvery is how many states the bucketing loop processes
-// between context polls.
-const classesCheckEvery = 1024
-
-// NewClassesCtx is NewClasses under a cancellation context, polled (with
-// the chaos knowledge.bucket fault point) every 1024 states. An
-// interruption returns the partial partition built so far — a valid
-// (coarser-than-final) partition of the states already linked — alongside
-// the wrapped cause.
-func NewClassesCtx(ctx *resilient.Ctx, states []core.State) (*Classes, error) {
+//
+// ctx (nil never cancels) is polled, with the chaos knowledge.bucket fault
+// point, every 1024 states. An interruption returns the partial partition
+// built so far — a valid (coarser-than-final) partition of the states
+// already linked — alongside the wrapped cause.
+func NewClasses(ctx *resilient.Ctx, states []core.State) (*Classes, error) {
 	rec := obs.Active()
 	defer obs.Span(rec, "knowledge.classes.time")()
 	if tr := obs.Trace(); tr != nil {
@@ -131,20 +120,20 @@ func NewClassesCtx(ctx *resilient.Ctx, states []core.State) (*Classes, error) {
 }
 
 // NewClassesLayer computes the common-knowledge partition of one depth
-// layer of a materialized state graph, in discovery order. When the layout
-// pass has verified the layer is one contiguous id window (always true for
-// explored graphs), the partition runs directly over that slice of the CSR
-// node array — no copy.
-func NewClassesLayer(g *core.IDGraph, d int) *Classes {
+// layer of a materialized state graph, in discovery order, under ctx as
+// NewClasses. When the layout pass has verified the layer is one contiguous
+// id window (always true for explored graphs), the partition runs directly
+// over that slice of the CSR node array — no copy.
+func NewClassesLayer(ctx *resilient.Ctx, g *core.IDGraph, d int) (*Classes, error) {
 	if lo, hi, ok := g.LayerSpan(d); ok {
-		return NewClasses(g.States[lo:hi:hi])
+		return NewClasses(ctx, g.States[lo:hi:hi])
 	}
 	layer := g.Layer(d)
 	states := make([]core.State, len(layer))
 	for i, u := range layer {
 		states[i] = g.States[u]
 	}
-	return NewClasses(states)
+	return NewClasses(ctx, states)
 }
 
 // SameClass reports whether two states (by key) are in the same

@@ -21,6 +21,16 @@ func statesAtRound(t *testing.T, m core.Model, round int) []core.State {
 	return g.StatesAtDepth(round)
 }
 
+// newClasses partitions states, failing the test on an error.
+func newClasses(t *testing.T, states []core.State) *knowledge.Classes {
+	t.Helper()
+	c, err := knowledge.NewClasses(nil, states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestDecisionImpliesCommonKnowledge is the Dwork–Moses connection,
 // executable: at FloodSet(t+1)'s decision round, each state's decided
 // value is common knowledge among the non-failed processes — every state
@@ -30,7 +40,7 @@ func TestDecisionImpliesCommonKnowledge(t *testing.T) {
 	rounds := tt + 1
 	m := syncmp.NewSt(protocols.FloodSet{Rounds: rounds}, n, tt)
 	states := statesAtRound(t, m, rounds)
-	classes := knowledge.NewClasses(states)
+	classes := newClasses(t, states)
 	for _, x := range states {
 		v := decidedValue(x)
 		if v == core.Undecided {
@@ -49,23 +59,30 @@ func TestNoCommonKnowledgeBeforeDecision(t *testing.T) {
 	const n, tt = 4, 2
 	rounds := tt + 1
 	m := syncmp.NewSt(protocols.FloodSet{Rounds: rounds}, n, tt)
-	o := valence.NewOracle(m)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const round = 1 // = t-1: the last round with bivalent states
-	states := statesAtRound(t, m, round)
-	classes := knowledge.NewClasses(states)
-	byKey := make(map[string]core.State, len(states))
-	for _, y := range states {
-		byKey[y.Key()] = y
+	states := g.StatesAtDepth(round)
+	classes := newClasses(t, states)
+	mask := func(key string) uint8 {
+		u, _ := g.NodeByKey(key)
+		return f.Mask(u)
 	}
 	checkedBivalent := 0
 	for _, x := range states {
-		if !o.Bivalent(x, rounds-round) {
+		if mask(x.Key()) != valence.V0|valence.V1 {
 			continue
 		}
 		checkedBivalent++
 		both := uint8(0)
 		for _, key := range classes.Class(x.Key()) {
-			both |= o.Valences(byKey[key], rounds-round)
+			both |= mask(key)
 		}
 		if both != valence.V0|valence.V1 {
 			t.Errorf("bivalent state's CK class reaches only valences %02b", both)
@@ -83,7 +100,7 @@ func TestClassesBasics(t *testing.T) {
 	const n, tt = 3, 1
 	m := syncmp.NewSt(protocols.FloodSet{Rounds: tt + 1}, n, tt)
 	inits := m.Inits()
-	classes := knowledge.NewClasses(inits)
+	classes := newClasses(t, inits)
 	if classes.Count() != 1 {
 		t.Errorf("Con_0 splits into %d CK classes, want 1", classes.Count())
 	}
@@ -119,7 +136,10 @@ func TestBucketedClassesMatchQuadratic(t *testing.T) {
 		for i, u := range layer {
 			states[i] = g.States[u]
 		}
-		fast := knowledge.NewClassesLayer(g, d)
+		fast, err := knowledge.NewClassesLayer(nil, g, d)
+		if err != nil {
+			t.Fatal(err)
+		}
 		slow := quadraticClasses(states)
 		if fast.Count() != slow.count() {
 			t.Fatalf("depth %d: %d classes != %d (quadratic)", d, fast.Count(), slow.count())
@@ -192,8 +212,8 @@ func (r *quadRef) count() int {
 
 // TestClassValenceSweepsField runs the CK-class analysis off the valence
 // field: on the last bivalent round of FloodSet (t=2), every bivalent
-// state's class valence is both bits — the field-backed form of
-// TestNoCommonKnowledgeBeforeDecision, with no per-state oracle calls.
+// state's class valence is both bits — TestNoCommonKnowledgeBeforeDecision
+// through ClassValence instead of per-class mask unions.
 func TestClassValenceSweepsField(t *testing.T) {
 	const n, tt = 4, 2
 	rounds := tt + 1
@@ -207,7 +227,10 @@ func TestClassValenceSweepsField(t *testing.T) {
 		t.Fatal(err)
 	}
 	const round = 1 // = t-1: the last round with bivalent states
-	classes := knowledge.NewClassesLayer(g, round)
+	classes, err := knowledge.NewClassesLayer(nil, g, round)
+	if err != nil {
+		t.Fatal(err)
+	}
 	classValence := classes.ClassValence(f.LayerMasks(round))
 	checkedBivalent := 0
 	for i, u := range g.Layer(round) {

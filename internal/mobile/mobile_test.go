@@ -38,21 +38,37 @@ func TestLemma51SimilarityChain(t *testing.T) {
 	}
 }
 
+// fieldOf explores m to depth and sweeps its valence field: a node at
+// depth d holds its valence within depth-d layers.
+func fieldOf(t *testing.T, m core.Model, depth int) *valence.Field {
+	t.Helper()
+	g, err := core.ExploreIDCtx(nil, m, depth, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestS1LayerSimilarityConnected checks Lemma 5.1(iii) wholesale: every S1
-// layer over every initial state is similarity connected, hence (with the
-// valence oracle) valence connected.
+// layer over every initial state is similarity connected, hence (on the
+// valence field) valence connected.
 func TestS1LayerSimilarityConnected(t *testing.T) {
 	const n, rounds = 3, 2
 	m := mobile.New(protocols.FloodSet{Rounds: rounds}, n)
-	o := valence.NewOracle(m)
-	for _, x := range m.Inits() {
-		r := valence.AnalyzeLayer(m, o, x, rounds)
+	f := fieldOf(t, m, rounds+1)
+	for _, u := range f.Graph().Inits {
+		key := f.Graph().Keys[u]
+		r := f.AnalyzeNode(u)
 		if !r.SimilarityConnected {
 			t.Errorf("init %q: S1 layer has %d similarity components, want 1",
-				x.Key(), r.SimilarityComponents)
+				key, r.SimilarityComponents)
 		}
 		if !r.ValenceConnected {
-			t.Errorf("init %q: S1 layer not valence connected", x.Key())
+			t.Errorf("init %q: S1 layer not valence connected", key)
 		}
 	}
 }
@@ -68,23 +84,16 @@ func TestLemma36InitialStates(t *testing.T) {
 	} else if d > n {
 		t.Errorf("Con_0 s-diameter = %d, want <= n = %d", d, n)
 	}
-	o := valence.NewOracle(m)
-	bivalent := false
-	for _, x := range inits {
-		if o.Bivalent(x, rounds) {
-			bivalent = true
-			break
-		}
-	}
-	if !bivalent {
+	f := fieldOf(t, m, rounds)
+	if _, _, ok := f.BivalentAtBound(0); !ok {
 		t.Error("no bivalent initial state found (Lemma 3.6)")
 	}
 	// The all-0 and all-1 initial states are univalent by validity.
-	if v, ok := o.Univalent(m.Initial([]int{0, 0, 0}), rounds); !ok || v != 0 {
-		t.Errorf("all-0 initial state: univalent = (%d,%v), want (0,true)", v, ok)
+	if mask, ok := f.MaskOf(m.Initial([]int{0, 0, 0})); !ok || mask != valence.V0 {
+		t.Errorf("all-0 initial state: mask = %02b, want 0-univalent", mask)
 	}
-	if v, ok := o.Univalent(m.Initial([]int{1, 1, 1}), rounds); !ok || v != 1 {
-		t.Errorf("all-1 initial state: univalent = (%d,%v), want (1,true)", v, ok)
+	if mask, ok := f.MaskOf(m.Initial([]int{1, 1, 1})); !ok || mask != valence.V1 {
+		t.Errorf("all-1 initial state: mask = %02b, want 1-univalent", mask)
 	}
 }
 
@@ -99,9 +108,8 @@ func TestLemma36InitialStates(t *testing.T) {
 func TestBivalentChainMobile(t *testing.T) {
 	const n, rounds = 3, 3
 	m := mobile.New(protocols.FloodSet{Rounds: rounds}, n)
-	o := valence.NewOracle(m)
 	target := rounds - 1
-	ch, err := valence.BivalentChain(m, o, valence.DecreasingHorizon(rounds, 1), target)
+	ch, err := fieldOf(t, m, rounds).BivalentChain(target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +137,7 @@ func TestBivalentChainMobile(t *testing.T) {
 	}
 	var mask uint8
 	for _, s := range m.Successors(last) {
-		mask |= o.Valences(s.State, 0)
+		mask |= uint8(core.DecidedValues(s.State) & 0b11)
 	}
 	if mask != valence.V0|valence.V1 {
 		t.Errorf("one-layer decisions from the final chain state = %02b, want both values", mask)

@@ -13,7 +13,7 @@
 //	}
 //
 // Counter and gauge names are dotted lowercase paths grouped by subsystem
-// (explore.*, cache.*, field.*, certify.*, oracle.*, knowledge.*, sim.*).
+// (explore.*, cache.*, field.*, certify.*, knowledge.*, sim.*).
 // Counters only ever grow; gauges are point-in-time snapshots; timers
 // accumulate durations of span-scoped phases.
 package obs

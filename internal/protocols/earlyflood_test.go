@@ -3,6 +3,7 @@ package protocols_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/protocols"
 	"repro/internal/sim"
 	"repro/internal/syncmp"
@@ -88,8 +89,15 @@ func TestEarlyFloodSetWorstCaseNeedsTPlus1(t *testing.T) {
 	const n, tt = 4, 2
 	p := protocols.EarlyFloodSet{MaxRounds: tt + 1}
 	m := syncmp.NewSt(p, n, tt)
-	o := valence.NewOracle(m)
-	ch, err := valence.BivalentChain(m, o, valence.DecreasingHorizon(tt+1, 1), tt-1)
+	g, err := core.ExploreIDCtx(nil, m, tt+1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := f.BivalentChain(tt - 1)
 	if err != nil {
 		t.Fatal(err)
 	}

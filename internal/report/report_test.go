@@ -77,8 +77,15 @@ func TestWitnessJSONReplayableWithKeys(t *testing.T) {
 
 func TestChainAndLayerJSON(t *testing.T) {
 	m := mobile.New(protocols.FloodSet{Rounds: 3}, 3)
-	o := valence.NewOracle(m)
-	ch, err := valence.BivalentChain(m, o, valence.DecreasingHorizon(3, 1), 2)
+	g, err := core.ExploreIDCtx(nil, m, 3, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := f.BivalentChain(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +93,7 @@ func TestChainAndLayerJSON(t *testing.T) {
 	if cj.Reached != 2 || cj.Stuck {
 		t.Errorf("chain json = %+v", cj)
 	}
-	lr := valence.AnalyzeLayer(m, o, m.Inits()[1], 3)
+	lr := f.AnalyzeNode(g.Inits[1])
 	lj := report.NewLayer(lr)
 	if lj.States != len(lr.States) || !lj.SimilarityConnected {
 		t.Errorf("layer json = %+v", lj)

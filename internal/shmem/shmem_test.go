@@ -75,14 +75,21 @@ func TestAbsentBridge(t *testing.T) {
 func TestLayerReport(t *testing.T) {
 	const n, phases = 3, 2
 	m := newModel(n, phases)
-	o := valence.NewOracle(m)
-	for _, x := range m.Inits() {
-		r := valence.AnalyzeLayer(m, o, x, phases)
+	g, err := core.ExploreIDCtx(nil, m, phases+1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range g.Inits {
+		r := f.AnalyzeNode(u)
 		if !r.ValenceConnected {
-			t.Errorf("init %q: S^rw layer not valence connected", x.Key())
+			t.Errorf("init %q: S^rw layer not valence connected", g.Keys[u])
 		}
 		if len(r.NullValentIdx) > 0 {
-			t.Errorf("init %q: null-valent layer states (horizon too small?)", x.Key())
+			t.Errorf("init %q: null-valent layer states (horizon too small?)", g.Keys[u])
 		}
 	}
 }

@@ -86,19 +86,19 @@ func (s *Script) Remaining() int { return len(s.actions) - s.pos }
 
 // Adversary is the paper's environment: it chases bivalent successors
 // (Lemma 4.1) to postpone decision as long as possible, falling back to the
-// first successor when no bivalent one exists.
+// first successor when no bivalent one exists. Valences are read off a
+// valence field, so a successor at depth d is judged within the field's
+// horizon B-d; successors outside the field's graph count as not bivalent,
+// so explore the graph at least as deep as the runs the adversary steers.
 type Adversary struct {
-	oracle  *valence.Oracle
-	horizon valence.HorizonFunc
-	depth   int
+	field *valence.Field
 }
 
 var _ Scheduler = (*Adversary)(nil)
 
-// NewAdversary returns a bivalence-chasing scheduler using the oracle with
-// per-depth horizons.
-func NewAdversary(o *valence.Oracle, horizon valence.HorizonFunc) *Adversary {
-	return &Adversary{oracle: o, horizon: horizon}
+// NewAdversary returns a bivalence-chasing scheduler reading the field.
+func NewAdversary(f *valence.Field) *Adversary {
+	return &Adversary{field: f}
 }
 
 // Name implements Scheduler.
@@ -106,10 +106,8 @@ func (a *Adversary) Name() string { return "adversary" }
 
 // Next implements Scheduler.
 func (a *Adversary) Next(_ core.State, succs []core.Succ) (int, bool) {
-	a.depth++
-	h := a.horizon(a.depth)
 	for i, s := range succs {
-		if a.oracle.Bivalent(s.State, h) {
+		if m, ok := a.field.MaskOf(s.State); ok && m == valence.V0|valence.V1 {
 			return i, true
 		}
 	}

@@ -81,20 +81,22 @@ func TestRunnerAdversaryPostponesDecision(t *testing.T) {
 	const n, rounds = 3, 3
 	p := protocols.FloodSet{Rounds: rounds}
 	m := mobile.New(p, n)
-	o := valence.NewOracle(m)
-	r := &sim.Runner{Model: m, MaxLayers: rounds - 1}
-	adv := sim.NewAdversary(o, valence.DecreasingHorizon(rounds, 1))
-	// Start from a bivalent initial state.
-	var init core.State
-	for _, x := range m.Inits() {
-		if o.Bivalent(x, rounds) {
-			init = x
-			break
-		}
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if init == nil {
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &sim.Runner{Model: m, MaxLayers: rounds - 1}
+	adv := sim.NewAdversary(f)
+	// Start from a bivalent initial state.
+	u, _, ok := f.BivalentAtBound(0)
+	if !ok {
 		t.Fatal("no bivalent initial state")
 	}
+	init := g.States[u]
 	out, err := r.Run(init, adv)
 	if err != nil {
 		t.Fatal(err)

@@ -68,10 +68,17 @@ func TestCertifySnapshotRefuted(t *testing.T) {
 func TestLayerValenceConnectedSnapshot(t *testing.T) {
 	const n, phases = 3, 2
 	m := snapshot.New(protocols.SMVote{Phases: phases}, n)
-	o := valence.NewOracle(m)
-	for _, x := range m.Inits() {
-		if r := valence.AnalyzeLayer(m, o, x, phases); !r.ValenceConnected {
-			t.Errorf("init %q: snapshot layer not valence connected", x.Key())
+	g, err := core.ExploreIDCtx(nil, m, phases+1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range g.Inits {
+		if r := f.AnalyzeNode(u); !r.ValenceConnected {
+			t.Errorf("init %q: snapshot layer not valence connected", g.Keys[u])
 		}
 	}
 }

@@ -67,6 +67,21 @@ func TestMultiMatchesSingleWhenC1(t *testing.T) {
 	}
 }
 
+// fieldOf explores m to depth and sweeps its valence field: a node at
+// depth d holds its valence within depth-d layers.
+func fieldOf(t *testing.T, m core.Model, depth int) *valence.Field {
+	t.Helper()
+	g, err := core.ExploreIDCtx(nil, m, depth, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestWastedFaults is the Section 6 closing discussion (Dwork–Moses),
 // measured: in the multi-failure model a bivalent state at round r must
 // have failed count f with r <= f <= t-1 — each round of a bivalent prefix
@@ -78,17 +93,13 @@ func TestWastedFaults(t *testing.T) {
 	rounds := tt + 1
 	p := protocols.FloodSet{Rounds: rounds}
 	m := syncmp.NewStMulti(p, n, tt, c)
-	g, err := core.ExploreID(m, rounds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := valence.NewOracle(m)
+	f := fieldOf(t, m, rounds)
 	bivalentSeen := false
 	wastedSeen := false
-	for _, x := range g.States {
+	for u, x := range f.Graph().States {
 		s := x.(*syncmp.State)
 		r := s.Round()
-		if !o.Bivalent(s, rounds-r) {
+		if !f.Bivalent(uint32(u)) {
 			continue
 		}
 		bivalentSeen = true
@@ -125,16 +136,14 @@ func TestWastedFaultsWithSlack(t *testing.T) {
 	rounds := tt + 1
 	p := protocols.FloodSet{Rounds: rounds}
 	m := syncmp.NewStMulti(p, n, tt, c)
-	g, err := core.ExploreID(m, 2, 0) // two rounds suffice for the claim
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := valence.NewOracle(m)
+	// Two rounds suffice for the claim, but valences look ahead to the
+	// decision bound.
+	f := fieldOf(t, m, rounds)
 	wasted := 0
-	for _, x := range g.States {
+	for u, x := range f.Graph().States {
 		s := x.(*syncmp.State)
 		r := s.Round()
-		if r == 0 || !o.Bivalent(s, rounds-r) {
+		if r == 0 || r > 2 || !f.Bivalent(uint32(u)) {
 			continue
 		}
 		f := s.FailedCount()

@@ -25,7 +25,7 @@ type foreignCase struct {
 // TestForeignStatesGetTheModelsIDs: a state whose local ids come from
 // another table, or that has none — built by syncmp.NewState, by
 // ApplyAction, or by a second model instance's Initial — is keyed from its
-// strings, so ID, core.WithInits and valence.NewOracle treat it as the
+// strings, so ID, core.WithInits and the valence field treat it as the
 // model's own equal state, whichever of the two the cache sees first.
 func TestForeignStatesGetTheModelsIDs(t *testing.T) {
 	p := protocols.FloodSet{Rounds: 2}
@@ -96,8 +96,16 @@ func TestForeignStatesGetTheModelsIDs(t *testing.T) {
 					if !slices.Equal(gx.Keys, gm.Keys) || !slices.Equal(gx.EdgeTo, gm.EdgeTo) || !slices.Equal(gx.EdgeAction, gm.EdgeAction) {
 						t.Fatalf("%s (foreign first %v): graph differs from the own state's", what, foreignFirst)
 					}
-					if got, want := valence.NewOracle(m).Valences(x, 3), valence.NewOracle(tc.mk()).Valences(mine, 3); got != want {
-						t.Fatalf("%s: oracle valences %b, own state %b", what, got, want)
+					fx, err := valence.NewFieldCtx(nil, gx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fm, err := valence.NewFieldCtx(nil, gm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := fx.Masks(), fm.Masks(); !slices.Equal(got, want) {
+						t.Fatalf("%s: field masks %v, own state %v", what, got, want)
 					}
 				}
 			}

@@ -11,26 +11,9 @@ import (
 	"repro/internal/valence"
 )
 
-func BenchmarkOracleValences(b *testing.B) {
-	for _, cfg := range []struct{ n, h int }{{3, 2}, {3, 3}, {4, 2}} {
-		b.Run(fmt.Sprintf("mobile/n=%d/h=%d", cfg.n, cfg.h), func(b *testing.B) {
-			m := mobile.New(protocols.FloodSet{Rounds: cfg.h}, cfg.n)
-			x := m.Initial(mixedInputs(cfg.n))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				o := valence.NewOracle(m)
-				if o.Valences(x, cfg.h) != valence.V0|valence.V1 {
-					b.Fatal("expected bivalent")
-				}
-			}
-		})
-	}
-}
-
 // naiveValences computes the horizon-bounded valence mask of x without
-// memoization, by plain DFS: the ablation baseline for the Oracle's memo
-// table. The two must agree everywhere, and the memoized oracle should
-// dominate as soon as layers share successor states.
+// memoization, by plain DFS: the reference for the reference Oracle's memo
+// table and bivalence shortcut, which must agree with it everywhere.
 func naiveValences(succ core.Successor, x core.State, horizon int) uint8 {
 	mask := uint8(core.DecidedValues(x) & 0b11)
 	if mask != valence.V0|valence.V1 && horizon > 0 {
@@ -42,25 +25,6 @@ func naiveValences(succ core.Successor, x core.State, horizon int) uint8 {
 		}
 	}
 	return mask
-}
-
-// BenchmarkAblationMemoization quantifies the DESIGN.md ablation: the
-// memoized oracle vs. the naive DFS on the same query.
-func BenchmarkAblationMemoization(b *testing.B) {
-	const n, h = 3, 3
-	m := mobile.New(protocols.FloodSet{Rounds: h}, n)
-	x := m.Initial(mixedInputs(n))
-	b.Run("memoized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			o := valence.NewOracle(m)
-			o.Valences(x, h)
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			naiveValences(m, x, h)
-		}
-	})
 }
 
 func TestNaiveMatchesOracle(t *testing.T) {
@@ -80,15 +44,21 @@ func TestNaiveMatchesOracle(t *testing.T) {
 	}
 }
 
-func BenchmarkAnalyzeLayer(b *testing.B) {
+// BenchmarkAnalyzeNode is one layer report from a cold start: explore to
+// the horizon, sweep the field, and analyze S(x) of a mixed-input state.
+func BenchmarkAnalyzeNode(b *testing.B) {
 	for _, n := range []int{3, 4} {
 		b.Run(fmt.Sprintf("syncmp/n=%d", n), func(b *testing.B) {
 			m := syncmp.NewSt(protocols.FloodSet{Rounds: 2}, n, 1)
-			x := m.Initial(mixedInputs(n))
+			key := m.Initial(mixedInputs(n)).Key()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				o := valence.NewOracle(m)
-				valence.AnalyzeLayer(m, o, x, 2)
+				g, err := core.ExploreIDCtx(nil, m, 3, 0, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				u, _ := g.NodeByKey(key)
+				newField(b, g).AnalyzeNode(u)
 			}
 		})
 	}
@@ -163,13 +133,18 @@ func BenchmarkField(b *testing.B) {
 	}
 }
 
+// BenchmarkBivalentChain is the Theorem 4.2 chain from a cold start:
+// explore to the bound, sweep the field, and walk the chain.
 func BenchmarkBivalentChain(b *testing.B) {
 	const n, rounds = 3, 4
 	m := mobile.New(protocols.FloodSet{Rounds: rounds}, n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o := valence.NewOracle(m)
-		ch, err := valence.BivalentChain(m, o, valence.DecreasingHorizon(rounds, 1), rounds-1)
+		g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ch, err := newField(b, g).BivalentChain(rounds - 1)
 		if err != nil || ch.Stuck != nil {
 			b.Fatal("chain failed")
 		}

@@ -14,28 +14,9 @@ import (
 // too small to observe decisions, or the protocol violates validity.
 var ErrNoBivalentInit = errors.New("valence: no bivalent initial state within horizon")
 
-// HorizonFunc gives the valence lookahead used for states at a given chain
-// depth. ConstHorizon and DecreasingHorizon cover the common cases.
-type HorizonFunc func(depth int) int
-
-// ConstHorizon returns the constant lookahead h at every depth.
-func ConstHorizon(h int) HorizonFunc { return func(int) int { return h } }
-
-// DecreasingHorizon returns bound-depth (floored at min): exact valence for
-// protocols whose decisions all occur within `bound` layers of the start.
-func DecreasingHorizon(bound, min int) HorizonFunc {
-	return func(depth int) int {
-		h := bound - depth
-		if h < min {
-			return min
-		}
-		return h
-	}
-}
-
 // Chain is the result of the bivalent-chain construction of Theorem 4.2 /
-// Lemma 6.1: an execution all of whose states are bivalent (within the
-// per-depth horizons).
+// Lemma 6.1: an execution all of whose states are bivalent (within their
+// horizons).
 type Chain struct {
 	// Exec is the constructed execution; its states are bivalent up to
 	// Reached layers.
@@ -47,67 +28,61 @@ type Chain struct {
 	Stuck *LayerReport
 }
 
-// BivalentChain constructs an execution of `target` layers from a bivalent
-// initial state, choosing a bivalent successor at every step (Lemma 4.1).
-// Valences at depth d are computed with lookahead horizon(d).
+// BivalentChain runs the Lemma 4.1 chain construction over the field:
+// starting from the first bivalent initial node, extend by the first
+// bivalent CSR successor at every step. Valences are the field's — horizon
+// B-d at depth d for a graph explored to B — so target must be at most the
+// graph's depth; a chain of T layers whose last state should still see
+// one layer ahead needs a graph explored to T+1.
 //
 // If at some depth no successor is bivalent, the construction stops and the
 // returned Chain carries the offending layer's report; per the paper this
 // happens exactly when S(x) fails to be valence connected (or when the
 // horizon is too small), so the report is the interesting diagnostic.
-func BivalentChain(m core.Model, o *Oracle, horizon HorizonFunc, target int) (*Chain, error) {
-	var x core.State
-	for _, init := range m.Inits() {
-		if o.Bivalent(init, horizon(0)) {
-			x = init
+func (f *Field) BivalentChain(target int) (*Chain, error) {
+	g := f.g
+	if target > g.Depth {
+		return nil, fmt.Errorf("valence: chain target %d exceeds graph depth %d", target, g.Depth)
+	}
+	var u uint32
+	found := false
+	for _, r := range g.Inits {
+		if f.Bivalent(r) {
+			u, found = r, true
 			break
 		}
 	}
-	if x == nil {
+	if !found {
 		return nil, ErrNoBivalentInit
 	}
-	exec := &core.Execution{Init: x}
+	exec := &core.Execution{Init: g.States[u]}
 	for d := 0; d < target; d++ {
-		h := horizon(d + 1)
-		var found bool
-		for _, s := range m.Successors(x) {
-			if o.Bivalent(s.State, h) {
-				exec = exec.Extend(s.Action, s.State)
-				x = s.State
-				found = true
+		actions, to := g.Out(u)
+		found = false
+		for i, v := range to {
+			if f.Bivalent(v) {
+				exec = exec.Extend(actions[i], g.States[v])
+				u, found = v, true
 				break
 			}
 		}
 		if !found {
-			return &Chain{
-				Exec:    exec,
-				Reached: d,
-				Stuck:   AnalyzeLayer(m, o, x, h),
-			}, nil
+			return &Chain{Exec: exec, Reached: d, Stuck: f.AnalyzeNode(u)}, nil
 		}
 	}
 	return &Chain{Exec: exec, Reached: target}, nil
 }
 
-// CheckBivalentUndecided verifies the conclusion of Lemma 3.1 at state x:
-// if x is bivalent (within the horizon) then at least n-t processes that are
-// non-failed at x have not decided. It returns an error describing the
-// violation, or nil.
-func CheckBivalentUndecided(o *Oracle, x core.State, horizon, t int) error {
-	if !o.Bivalent(x, horizon) {
-		return nil
-	}
-	undecided := 0
-	for i := 0; i < x.N(); i++ {
-		if x.FailedAt(i) {
-			continue
-		}
-		if _, ok := x.Decided(i); !ok {
-			undecided++
+// BivalentAtBound scans layer d in discovery order for a bivalent node —
+// bivalent within the residual horizon B-d — and returns the first one
+// together with the execution reaching it, reconstructed by parent-pointer
+// walkback. A bivalent state at a claimed decision bound is the Lemma 3.2
+// refutation witness that decision has not occurred by layer d.
+func (f *Field) BivalentAtBound(d int) (u uint32, exec *core.Execution, ok bool) {
+	for _, v := range f.g.Layer(d) {
+		if f.Bivalent(v) {
+			return v, f.g.PathTo(v), true
 		}
 	}
-	if undecided < x.N()-t {
-		return fmt.Errorf("valence: bivalent state has only %d undecided non-failed processes, want >= %d", undecided, x.N()-t)
-	}
-	return nil
+	return 0, nil, false
 }

@@ -1,3 +1,25 @@
+// Package valence implements the paper's valence machinery: horizon-bounded
+// valence of states (Section 3), connectivity analysis of layer sets
+// (Lemmas 3.3–3.5, 5.1, 5.3), the bivalent-chain constructions behind
+// Theorem 4.2 and Lemmas 6.1/7.1, and the consensus certifier that either
+// certifies a protocol over a layered submodel or produces a concrete
+// witness run (agreement violation, validity violation, undecided run, or
+// broken write-once decision).
+//
+// # Horizon-bounded valence
+//
+// The paper defines x to be v-valent if some execution extending x has a
+// nonfaulty process deciding v. For a protocol that decides within B layers
+// of the initial state in every run, all decision events occur within the
+// first B layers, so the valence of a state at depth d is determined by its
+// extensions of length B-d. One Field over the graph explored to B holds
+// exactly this bounded valence for every node, and every valence question —
+// a state's valence, a layer report, a bivalent chain, a width profile, the
+// adversary's next move — is read off it. For impossibility arguments the
+// bounded notion is the right one even without a proof of termination: a
+// state with both decisions reachable in bounded futures is bivalent
+// outright, and a bivalent state reached at the claimed decision bound is a
+// witness that decision has not occurred (Lemmas 3.1/3.2).
 package valence
 
 import (
@@ -11,19 +33,26 @@ import (
 	"repro/internal/resilient"
 )
 
-// Field is the whole-graph form of the valence Oracle: the valence mask of
-// every node of a materialized IDGraph, computed bottom-up in O(V+E) by one
-// reverse-layer dynamic-programming sweep —
+// V0 and V1 are the bits of a valence mask.
+const (
+	V0 uint8 = 1 << 0 // 0-valent
+	V1 uint8 = 1 << 1 // 1-valent
+)
+
+// Field is the valence engine: the valence mask of every node of a
+// materialized IDGraph, computed bottom-up in O(V+E) by one reverse-layer
+// dynamic-programming sweep —
 //
 //	mask[u] = decidedBits(u) | OR over CSR out-edges of children masks
 //
 // — and stored as two bit-planes: bit u of plane0 (plane1) is set when node
 // u is 0-valent (1-valent), 64 nodes per uint64 word. No maps, no
 // recursion, no per-node bytes. For a graph explored to depth B, Mask(u)
-// equals Oracle.Valences(state(u), B-depth(u)): the residual exploration
+// is node u's valence within horizon B-depth(u): the residual exploration
 // depth is exactly the valence horizon at u, so one field answers every
-// per-layer valence question the experiments ask (the
-// DecreasingHorizon(B, 0) schedule) without re-walking overlapping futures.
+// per-layer valence question without re-walking overlapping futures. To ask
+// at horizon h about a state at depth d, explore to d+h. The masks are
+// pinned to the recursive per-state test reference in oracle_ref_test.go.
 //
 // The bit-plane layout is what makes the sweep word-parallel: a layer is a
 // contiguous id window (core.LayerSpan, the BFS construction invariant
@@ -44,7 +73,12 @@ import (
 // can do anything — fall back to serial reverse sweeps iterated to
 // fixpoint (masks grow monotonically under OR, so the iteration
 // converges); there the mask means "valence within the explored graph":
-// the OR of decided bits over every reachable recorded node.
+// the OR of decided bits over every reachable recorded node. That is the
+// horizon-bounded valence whenever no same-depth shortcut lets a node
+// reach a decision more than B-depth layers ahead; otherwise the field's
+// mask is a superset (measured at n=3: equal for protocol bounds up to 3
+// explored to depth 4 in every model, a superset on 12–132 nodes of the
+// asyncmp, asyncmp-sync and snapshot graphs at bound 4, depth 4).
 type Field struct {
 	g *core.IDGraph
 	// fp is the graph's cached decided-bit planes (shared, immutable).
@@ -391,10 +425,6 @@ func (f *Field) Masks() []uint8 {
 	return out
 }
 
-// Horizon returns the valence horizon at node u: the residual exploration
-// depth B - depth(u) that Mask(u) is exact for (on graded graphs).
-func (f *Field) Horizon(u uint32) int { return f.g.Depth - int(f.g.DepthOf[u]) }
-
 // Bivalent reports whether node u is bivalent within its residual horizon.
 func (f *Field) Bivalent(u uint32) bool {
 	wi, sh := u>>6, u&63
@@ -420,128 +450,4 @@ func (f *Field) LayerMasks(d int) []uint8 {
 		out[i] = f.Mask(u)
 	}
 	return out
-}
-
-// Width classifies every node's valence into a WidthProfile by reading the
-// field — the whole-graph replacement for BivalenceWidth with the exact
-// DecreasingHorizon(B, 0) schedule.
-func (f *Field) Width() *WidthProfile {
-	nl := f.g.NumLayers()
-	p := &WidthProfile{
-		States:     make([]int, nl),
-		Bivalent:   make([]int, nl),
-		Univalent0: make([]int, nl),
-		Univalent1: make([]int, nl),
-		Null:       make([]int, nl),
-	}
-	for u := 0; u < f.g.Len(); u++ {
-		d := f.g.DepthOf[u]
-		p.States[d]++
-		switch f.Mask(uint32(u)) {
-		case V0 | V1:
-			p.Bivalent[d]++
-		case V0:
-			p.Univalent0[d]++
-		case V1:
-			p.Univalent1[d]++
-		default:
-			p.Null[d]++
-		}
-	}
-	return p
-}
-
-// AnalyzeNode is the field-backed AnalyzeLayer: the layer report of S(x)
-// for the state at node u, with successor states read off the CSR edges and
-// valences read off the field instead of per-state Oracle calls.
-func (f *Field) AnalyzeNode(u uint32) *LayerReport {
-	g := f.g
-	r := &LayerReport{}
-	actions, to := g.Out(u)
-	index := make(map[uint32]int, len(to))
-	var nodes []uint32
-	for i, v := range to {
-		j, seen := index[v]
-		if !seen {
-			j = len(r.States)
-			index[v] = j
-			nodes = append(nodes, v)
-			r.States = append(r.States, g.States[v])
-			r.Actions = append(r.Actions, nil)
-		}
-		r.Actions[j] = append(r.Actions[j], actions[i])
-	}
-
-	sg := SimilarityGraph(r.States)
-	r.SimilarityConnected = sg.Connected()
-	r.SimilarityComponents = len(sg.Components())
-	r.SDiameter, _ = sg.Diameter()
-
-	r.Valences = make([]uint8, len(nodes))
-	for i, v := range nodes {
-		r.Valences[i] = f.Mask(v)
-		switch r.Valences[i] {
-		case V0 | V1:
-			r.BivalentIdx = append(r.BivalentIdx, i)
-		case 0:
-			r.NullValentIdx = append(r.NullValentIdx, i)
-		}
-	}
-	r.ValenceConnected = ValenceConnected(r.Valences)
-	return r
-}
-
-// BivalentChain runs the Lemma 4.1 chain construction over the field:
-// starting from the first bivalent initial node, extend by the first
-// bivalent CSR successor at every step. Valences are the field's — horizon
-// B-d at depth d, the DecreasingHorizon(B, 0) schedule — so target must be
-// at most the graph's depth. Like the Oracle-backed BivalentChain, a layer
-// with no bivalent successor stops the construction and attaches that
-// layer's report as the diagnostic.
-func (f *Field) BivalentChain(target int) (*Chain, error) {
-	g := f.g
-	if target > g.Depth {
-		return nil, fmt.Errorf("valence: chain target %d exceeds graph depth %d", target, g.Depth)
-	}
-	var u uint32
-	found := false
-	for _, r := range g.Inits {
-		if f.Bivalent(r) {
-			u, found = r, true
-			break
-		}
-	}
-	if !found {
-		return nil, ErrNoBivalentInit
-	}
-	exec := &core.Execution{Init: g.States[u]}
-	for d := 0; d < target; d++ {
-		actions, to := g.Out(u)
-		found = false
-		for i, v := range to {
-			if f.Bivalent(v) {
-				exec = exec.Extend(actions[i], g.States[v])
-				u, found = v, true
-				break
-			}
-		}
-		if !found {
-			return &Chain{Exec: exec, Reached: d, Stuck: f.AnalyzeNode(u)}, nil
-		}
-	}
-	return &Chain{Exec: exec, Reached: target}, nil
-}
-
-// BivalentAtBound scans layer d in discovery order for a bivalent node —
-// bivalent within the residual horizon B-d — and returns the first one
-// together with the execution reaching it, reconstructed by parent-pointer
-// walkback. A bivalent state at a claimed decision bound is the Lemma 3.2
-// refutation witness that decision has not occurred by layer d.
-func (f *Field) BivalentAtBound(d int) (u uint32, exec *core.Execution, ok bool) {
-	for _, v := range f.g.Layer(d) {
-		if f.Bivalent(v) {
-			return v, f.g.PathTo(v), true
-		}
-	}
-	return 0, nil, false
 }

@@ -27,6 +27,17 @@ func newField(t testing.TB, g *core.IDGraph) *valence.Field {
 	return f
 }
 
+// fieldTo explores m to depth and sweeps the field of the graph: node
+// masks at depth d are valences within horizon depth-d.
+func fieldTo(t testing.TB, m core.Model, depth int) *valence.Field {
+	t.Helper()
+	g, err := core.ExploreIDCtx(nil, m, depth, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newField(t, g)
+}
+
 // fieldModels builds one instance of each of the repository's nine model
 // types. rounds parameterizes the protocol; heavy marks the families whose
 // layer branching explodes fastest, so callers can cap their depth.
@@ -133,9 +144,8 @@ func reachableDecided(g *core.IDGraph, u uint32) uint8 {
 }
 
 // TestFieldConsumers checks the field-backed consumer paths against their
-// Oracle-backed equivalents on one model: Width vs BivalenceWidth,
-// AnalyzeNode vs AnalyzeLayer, BivalentChain vs BivalentChain, and the
-// UseField fast path returning the same Valences.
+// Oracle-backed references on one model: Width vs BivalenceWidth,
+// AnalyzeNode vs AnalyzeLayer, and BivalentChain vs BivalentChain.
 func TestFieldConsumers(t *testing.T) {
 	const n, bound = 3, 3
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, n)
@@ -205,20 +215,6 @@ func TestFieldConsumers(t *testing.T) {
 		if oc.Exec.Steps[i].Action != fc.Exec.Steps[i].Action {
 			t.Errorf("chain step %d: %q vs %q", i, oc.Exec.Steps[i].Action, fc.Exec.Steps[i].Action)
 		}
-	}
-
-	// UseField: the oracle resolves graph states from the field and agrees
-	// with an unassisted oracle.
-	o2 := valence.NewOracle(m)
-	o2.UseField(f)
-	for u := 0; u < g.Len(); u++ {
-		h := g.Depth - int(g.DepthOf[u])
-		if got, want := o2.Valences(g.States[u], h), o.Valences(g.States[u], h); got != want {
-			t.Fatalf("UseField: node %d mask %02b != %02b", u, got, want)
-		}
-	}
-	if o2.MemoLen() >= o.MemoLen() {
-		t.Errorf("UseField memo %d not smaller than plain %d", o2.MemoLen(), o.MemoLen())
 	}
 }
 

@@ -6,12 +6,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // LayerReport is the result of analyzing one layer S(x): the distinct
 // successor states of x, their similarity structure, and their valence
-// structure within a horizon.
+// structure within their horizons.
 type LayerReport struct {
 	// States are the distinct successor states, in first-occurrence order
 	// of the successor enumeration.
@@ -165,20 +164,37 @@ func ValenceConnected(masks []uint8) bool {
 	return bivalent || union == V0 || union == V1
 }
 
-// AnalyzeLayer computes the full layer report for S(x) with the given
-// valence horizon applied to the successor states.
-func AnalyzeLayer(succ core.Successor, o *Oracle, x core.State, horizon int) *LayerReport {
-	states, actions := Layer(succ, x)
-	r := &LayerReport{States: states, Actions: actions}
+// AnalyzeNode computes the layer report of S(x) for the state x at node u:
+// the successor states are read off u's CSR edges (distinct targets in
+// first-edge order, each with its action labels) and their valences off
+// the field, so each successor at depth d is classified within its
+// horizon B-d.
+func (f *Field) AnalyzeNode(u uint32) *LayerReport {
+	g := f.g
+	r := &LayerReport{}
+	actions, to := g.Out(u)
+	index := make(map[uint32]int, len(to))
+	var nodes []uint32
+	for i, v := range to {
+		j, seen := index[v]
+		if !seen {
+			j = len(r.States)
+			index[v] = j
+			nodes = append(nodes, v)
+			r.States = append(r.States, g.States[v])
+			r.Actions = append(r.Actions, nil)
+		}
+		r.Actions[j] = append(r.Actions[j], actions[i])
+	}
 
-	sg := SimilarityGraph(states)
+	sg := SimilarityGraph(r.States)
 	r.SimilarityConnected = sg.Connected()
 	r.SimilarityComponents = len(sg.Components())
 	r.SDiameter, _ = sg.Diameter()
 
-	r.Valences = make([]uint8, len(states))
-	for i, s := range states {
-		r.Valences[i] = o.Valences(s, horizon)
+	r.Valences = make([]uint8, len(nodes))
+	for i, v := range nodes {
+		r.Valences[i] = f.Mask(v)
 		switch r.Valences[i] {
 		case V0 | V1:
 			r.BivalentIdx = append(r.BivalentIdx, i)
@@ -187,11 +203,6 @@ func AnalyzeLayer(succ core.Successor, o *Oracle, x core.State, horizon int) *La
 		}
 	}
 	r.ValenceConnected = ValenceConnected(r.Valences)
-	if rec := obs.Active(); rec != nil {
-		rec.Add("layer.analyses", 1)
-		rec.Add("layer.states", int64(len(states)))
-		o.PublishStats(rec)
-	}
 	return r
 }
 

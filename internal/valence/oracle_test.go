@@ -241,9 +241,6 @@ func TestWitnessKindStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), s)
 		}
 	}
-	if h := valence.ConstHorizon(4); h(0) != 4 || h(7) != 4 {
-		t.Error("ConstHorizon broken")
-	}
 	// SetSDiameter on a tiny set.
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
 	if d, conn := valence.SetSDiameter(m.Inits()[:2]); !conn || d != 1 {

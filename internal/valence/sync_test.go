@@ -21,9 +21,8 @@ func TestLemma61BivalentChainSt(t *testing.T) {
 		rounds := c.tt + 1
 		p := protocols.FloodSet{Rounds: rounds}
 		m := syncmp.NewSt(p, c.n, c.tt)
-		o := valence.NewOracle(m)
 		target := c.tt - 1
-		ch, err := valence.BivalentChain(m, o, valence.DecreasingHorizon(rounds, 1), target)
+		ch, err := fieldTo(t, m, rounds).BivalentChain(target)
 		if err != nil {
 			t.Fatalf("n=%d t=%d: %v", c.n, c.tt, err)
 		}
@@ -36,11 +35,23 @@ func TestLemma61BivalentChainSt(t *testing.T) {
 			}
 			// Lemma 3.1: at a bivalent state at least n-t non-failed
 			// processes are undecided.
-			if err := valence.CheckBivalentUndecided(o, x, rounds-depth, c.tt); err != nil {
-				t.Errorf("n=%d t=%d depth %d: %v", c.n, c.tt, depth, err)
+			if u := undecidedNonFailed(x); u < c.n-c.tt {
+				t.Errorf("n=%d t=%d depth %d: bivalent state has %d undecided non-failed processes, want >= %d",
+					c.n, c.tt, depth, u, c.n-c.tt)
 			}
 		}
 	}
+}
+
+// undecidedNonFailed counts the processes non-failed and undecided at x.
+func undecidedNonFailed(x core.State) int {
+	undecided := 0
+	for i := 0; i < x.N(); i++ {
+		if _, ok := x.Decided(i); !ok && !x.FailedAt(i) {
+			undecided++
+		}
+	}
+	return undecided
 }
 
 // TestLemma62OneMoreRound checks Lemma 6.2: from a bivalent state of
@@ -51,17 +62,13 @@ func TestLemma62OneMoreRound(t *testing.T) {
 	rounds := tt + 1
 	p := protocols.FloodSet{Rounds: rounds}
 	m := syncmp.NewSt(p, n, tt)
-	o := valence.NewOracle(m)
+	f := fieldTo(t, m, rounds)
+	g := f.Graph()
 
-	g, err := core.ExploreID(m, tt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	checked := 0
-	for _, x := range g.States {
-		s := x.(*syncmp.State)
-		depth := s.Round()
-		if !o.Bivalent(x, rounds-depth) {
+	for u, x := range g.States {
+		depth := x.(*syncmp.State).Round()
+		if depth > tt || !f.Bivalent(uint32(u)) {
 			continue
 		}
 		checked++
@@ -103,11 +110,8 @@ func TestLemma64FastUnivalence(t *testing.T) {
 		rounds := c.tt + 1
 		p := protocols.FloodSet{Rounds: rounds}
 		m := syncmp.NewSt(p, c.n, c.tt)
-		o := valence.NewOracle(m)
-		g, err := core.ExploreID(m, rounds-1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := fieldTo(t, m, rounds)
+		g := f.Graph()
 		checked := 0
 		for _, x := range g.States {
 			s := x.(*syncmp.State)
@@ -116,7 +120,7 @@ func TestLemma64FastUnivalence(t *testing.T) {
 				continue
 			}
 			y := syncmp.ApplyAction(p, s, 0, 0, true, true) // failure-free round k+1
-			if _, ok := o.Univalent(y, rounds-(k+1)); !ok {
+			if mask, ok := f.MaskOf(y); !ok || (mask != valence.V0 && mask != valence.V1) {
 				t.Errorf("n=%d t=%d: state after failure-free round %d (<=%d failures) not univalent",
 					c.n, c.tt, k+1, k)
 			}
@@ -138,9 +142,10 @@ func TestStSimilarityStructure(t *testing.T) {
 	rounds := tt + 1
 	p := protocols.FloodSet{Rounds: rounds}
 	m := syncmp.NewSt(p, n, tt)
-	o := valence.NewOracle(m)
-	for _, x := range m.Inits() {
-		r := valence.AnalyzeLayer(m, o, x, rounds)
+	f := fieldTo(t, m, rounds+1)
+	for _, u := range f.Graph().Inits {
+		x := f.Graph().States[u]
+		r := f.AnalyzeNode(u)
 		if !r.ValenceConnected {
 			t.Errorf("init %q: S^t layer not valence connected", x.Key())
 		}

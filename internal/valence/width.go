@@ -1,12 +1,8 @@
 package valence
 
-import (
-	"repro/internal/core"
-)
-
 // WidthProfile measures how much bivalence the environment has to work
 // with at each depth: the number of distinct reachable states per layer and
-// how many of them are bivalent (within the per-depth horizon). The paper's
+// how many of them are bivalent (within their horizon). The paper's
 // adversary needs one bivalent successor per layer; the profile shows the
 // whole frontier.
 type WidthProfile struct {
@@ -21,35 +17,30 @@ type WidthProfile struct {
 	Null []int
 }
 
-// BivalenceWidth explores the model to the given depth and classifies
-// every reachable state's valence with horizon(depth) lookahead.
-func BivalenceWidth(m core.Model, o *Oracle, horizon HorizonFunc, depth, maxNodes int) (*WidthProfile, error) {
-	g, err := core.ExploreID(m, depth, maxNodes)
-	if err != nil {
-		return nil, err
-	}
+// Width classifies every node's valence into a WidthProfile by reading the
+// field: a node at depth d is classified within its horizon B-d.
+func (f *Field) Width() *WidthProfile {
+	nl := f.g.NumLayers()
 	p := &WidthProfile{
-		States:     make([]int, depth+1),
-		Bivalent:   make([]int, depth+1),
-		Univalent0: make([]int, depth+1),
-		Univalent1: make([]int, depth+1),
-		Null:       make([]int, depth+1),
+		States:     make([]int, nl),
+		Bivalent:   make([]int, nl),
+		Univalent0: make([]int, nl),
+		Univalent1: make([]int, nl),
+		Null:       make([]int, nl),
 	}
-	for d := 0; d <= depth; d++ {
-		h := horizon(d)
-		for _, x := range g.StatesAtDepth(d) {
-			p.States[d]++
-			switch o.Valences(x, h) {
-			case V0 | V1:
-				p.Bivalent[d]++
-			case V0:
-				p.Univalent0[d]++
-			case V1:
-				p.Univalent1[d]++
-			default:
-				p.Null[d]++
-			}
+	for u := 0; u < f.g.Len(); u++ {
+		d := f.g.DepthOf[u]
+		p.States[d]++
+		switch f.Mask(uint32(u)) {
+		case V0 | V1:
+			p.Bivalent[d]++
+		case V0:
+			p.Univalent0[d]++
+		case V1:
+			p.Univalent1[d]++
+		default:
+			p.Null[d]++
 		}
 	}
-	return p, nil
+	return p
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/mobile"
 	"repro/internal/protocols"
 	"repro/internal/syncmp"
-	"repro/internal/valence"
 )
 
 // TestBivalenceWidthMobile: in M^mf the environment is never short of
@@ -15,11 +14,7 @@ import (
 func TestBivalenceWidthMobile(t *testing.T) {
 	const n, rounds = 3, 3
 	m := mobile.New(protocols.FloodSet{Rounds: rounds}, n)
-	o := valence.NewOracle(m)
-	p, err := valence.BivalenceWidth(m, o, valence.DecreasingHorizon(rounds, 0), rounds-1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := fieldTo(t, m, rounds).Width()
 	for d := 0; d <= rounds-1; d++ {
 		if p.Bivalent[d] == 0 {
 			t.Errorf("depth %d: no bivalent states; the adversary would be stuck", d)
@@ -45,11 +40,7 @@ func TestBivalenceWidthShrinksWithBudget(t *testing.T) {
 	const n, tt = 3, 1
 	rounds := tt + 1
 	m := syncmp.NewSt(protocols.FloodSet{Rounds: rounds}, n, tt)
-	o := valence.NewOracle(m)
-	p, err := valence.BivalenceWidth(m, o, valence.DecreasingHorizon(rounds, 0), rounds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := fieldTo(t, m, rounds).Width()
 	// Bivalence exists initially (Lemma 3.6)...
 	if p.Bivalent[0] == 0 {
 		t.Error("no bivalent initial state")

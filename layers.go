@@ -12,9 +12,11 @@
 //
 //   - Certify exhaustively checks a consensus protocol over a layered
 //     submodel and returns OK or a concrete witness run;
-//   - BivalentChain constructs the Theorem 4.2 / Lemma 6.1 adversary run;
-//   - AnalyzeLayer reports the similarity and valence structure of a layer
-//     S(x);
+//   - NewFieldCtx sweeps the valence of every state of a graph explored
+//     with ExploreIDCtx; the Field then answers every valence question:
+//     Field.BivalentChain constructs the Theorem 4.2 / Lemma 6.1 adversary
+//     run, Field.AnalyzeNode reports the similarity and valence structure
+//     of a layer S(x), Field.Width counts bivalent states per layer;
 //   - the simplex/task API evaluates the Section 7 1-thick-connectivity
 //     characterization of 1-resilient solvability;
 //   - the sim API executes runs under seeded, scripted, or adversarial
@@ -73,8 +75,6 @@ type (
 
 // Analysis vocabulary re-exports.
 type (
-	// Oracle computes horizon-bounded valence.
-	Oracle = valence.Oracle
 	// LayerReport is the connectivity analysis of one layer S(x).
 	LayerReport = valence.LayerReport
 	// Chain is a bivalent chain construction result.
@@ -83,8 +83,6 @@ type (
 	Witness = valence.Witness
 	// WitnessKind classifies certification outcomes.
 	WitnessKind = valence.WitnessKind
-	// HorizonFunc gives the valence lookahead per chain depth.
-	HorizonFunc = valence.HorizonFunc
 )
 
 // Witness kinds.
@@ -151,10 +149,6 @@ func SyncStGeneral(p SyncProtocol, n, t int) *syncmp.Model { return syncmp.NewSt
 // layers.
 func MobileFull(p SyncProtocol, n int) *mobile.FullModel { return mobile.NewFull(p, n) }
 
-// NewOracle returns a horizon-bounded valence oracle over a successor
-// function.
-func NewOracle(s Successor) *Oracle { return valence.NewOracle(s) }
-
 // Certify exhaustively checks the consensus requirements (agreement,
 // validity, decision-by-bound, write-once decisions) over all runs of the
 // layered submodel up to `bound` layers: it explores the model's IDGraph
@@ -163,26 +157,6 @@ func NewOracle(s Successor) *Oracle { return valence.NewOracle(s) }
 func Certify(m Model, bound, maxVisits int) (*Witness, error) {
 	return valence.Certify(nil, m, bound, maxVisits)
 }
-
-// AnalyzeLayer reports the similarity and valence structure of S(x), with
-// valences computed to the given lookahead horizon.
-func AnalyzeLayer(m Model, o *Oracle, x State, horizon int) *LayerReport {
-	return valence.AnalyzeLayer(m, o, x, horizon)
-}
-
-// BivalentChain constructs a bivalent execution of `target` layers (the
-// Theorem 4.2 / Lemma 6.1 adversary), choosing a bivalent successor at
-// every step.
-func BivalentChain(m Model, o *Oracle, horizon HorizonFunc, target int) (*Chain, error) {
-	return valence.BivalentChain(m, o, horizon, target)
-}
-
-// ConstHorizon returns the constant lookahead h at every chain depth.
-func ConstHorizon(h int) HorizonFunc { return valence.ConstHorizon(h) }
-
-// DecreasingHorizon returns bound-depth (floored at min), the exact
-// horizon for protocols deciding within `bound` layers.
-func DecreasingHorizon(bound, min int) HorizonFunc { return valence.DecreasingHorizon(bound, min) }
 
 // ErrNodeBudget is returned (wrapped) by ExploreID and its variants when
 // the node budget is exhausted; the partial graph explored so far is
@@ -194,7 +168,9 @@ var ErrNodeBudget = core.ErrNodeBudget
 type IDGraph = core.IDGraph
 
 // Field is the whole-graph valence field: the valence mask of every node
-// of an explored IDGraph, computed in one bottom-up O(V+E) sweep.
+// of an explored IDGraph, computed in one bottom-up O(V+E) sweep. For a
+// graph explored to depth B, a node at depth d holds its valence within
+// horizon B-d.
 type Field = valence.Field
 
 // ExploreID builds the interned CSR state graph of a model to the given
@@ -327,9 +303,10 @@ func NewFieldParallelCtx(ctx *Ctx, g *IDGraph, workers int) (*Field, error) {
 }
 
 // NewKnowledgeClassesLayer computes the common-knowledge partition of one
-// depth layer of a materialized graph, in discovery order.
-func NewKnowledgeClassesLayer(g *IDGraph, d int) *KnowledgeClasses {
-	return knowledge.NewClassesLayer(g, d)
+// depth layer of a materialized graph, in discovery order, under a
+// cancellation context (nil never cancels).
+func NewKnowledgeClassesLayer(ctx *Ctx, g *IDGraph, d int) (*KnowledgeClasses, error) {
+	return knowledge.NewClassesLayer(ctx, g, d)
 }
 
 // Similar reports the paper's similarity relation x ~s y and its

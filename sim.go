@@ -52,9 +52,10 @@ func NewRandomScheduler(seed int64) Scheduler { return sim.NewRandom(seed) }
 func NewScriptScheduler(actions []string) Scheduler { return sim.NewScript(actions) }
 
 // NewAdversaryScheduler returns the bivalence-chasing scheduler of
-// Lemma 4.1.
-func NewAdversaryScheduler(o *Oracle, horizon HorizonFunc) Scheduler {
-	return sim.NewAdversary(o, horizon)
+// Lemma 4.1, reading valences off the field; explore the field's graph at
+// least as deep as the runs it steers.
+func NewAdversaryScheduler(f *Field) Scheduler {
+	return sim.NewAdversary(f)
 }
 
 // NewCluster starts a goroutine-per-process cluster running a synchronous
@@ -139,23 +140,11 @@ func MeasureDecisionDepth(m Model, inits []State, bound, maxRuns int) (*Decision
 // WidthProfile classifies every reachable state's valence per depth.
 type WidthProfile = valence.WidthProfile
 
-// BivalenceWidth measures how many bivalent/univalent states exist at each
-// exploration depth — the adversary's room to maneuver.
-func BivalenceWidth(m Model, o *Oracle, horizon HorizonFunc, depth, maxNodes int) (*WidthProfile, error) {
-	return valence.BivalenceWidth(m, o, horizon, depth, maxNodes)
-}
-
 // Knowledge re-exports: the Dwork–Moses connection.
 
 // KnowledgeClasses partitions states into common-knowledge classes among
 // their non-failed processes.
 type KnowledgeClasses = knowledge.Classes
-
-// NewKnowledgeClasses computes the common-knowledge partition of a state
-// set (typically: all states reachable at one round).
-func NewKnowledgeClasses(states []State) *KnowledgeClasses {
-	return knowledge.NewClasses(states)
-}
 
 // DecidedValueFact is the fact "some non-failed process has decided v".
 func DecidedValueFact(v int) func(State) bool { return knowledge.DecidedValueFact(v) }

@@ -86,8 +86,7 @@ func TestSlowMobileDeepChain(t *testing.T) {
 	}
 	const n, rounds = 4, 4
 	m := layers.MobileS1(layers.FloodSet{Rounds: rounds}, n)
-	o := layers.NewOracle(m)
-	ch, err := layers.BivalentChain(m, o, layers.DecreasingHorizon(rounds, 1), rounds-1)
+	ch, err := fieldTo(t, m, rounds).BivalentChain(rounds - 1)
 	if err != nil {
 		t.Fatal(err)
 	}
