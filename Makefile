@@ -103,12 +103,11 @@ bench:
 	$(GO) run ./cmd/bench -out BENCH_6.json -baseline BENCH_5.json
 
 # benchfield smoke-runs the valence field micro-benchmark grid (scalar
-# reference vs bit-plane sweep, heap vs arena planes, graded vs fixpoint)
-# and the arena-backed certifier at one iteration per row — it validates
-# the kernels still run and report allocs, not their timings; use
-# `make bench` for real numbers.
+# reference vs bit-plane sweep, graded vs fixpoint) at one iteration per
+# row — it validates the kernels still run and report allocs, not their
+# timings; use `make bench` for real numbers.
 benchfield:
-	$(GO) test ./internal/valence -run '^$$' -bench 'BenchmarkFieldSweep|BenchmarkCertifyGraphArena' -benchtime 1x -benchmem
+	$(GO) test ./internal/valence -run '^$$' -bench 'BenchmarkFieldSweep' -benchtime 1x -benchmem
 
 # benchexplore smoke-runs the exploration grid (model × cold/warm ×
 # workers) at one iteration per row — it validates the grid still explores

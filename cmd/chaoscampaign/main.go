@@ -78,7 +78,7 @@ func run(args []string) error {
 	fs.IntVar(&o.spec.Bound, "bound", 2, "protocol decision bound")
 	fs.IntVar(&o.depth, "depth", 2, "exploration depth")
 	fs.IntVar(&o.workers, "workers", 2, "full-width worker count attempts start from")
-	fs.IntVar(&o.seeds, "seeds", 18, "seeds swept; cases = seeds x 6 fault points x 4 fault kinds")
+	fs.IntVar(&o.seeds, "seeds", 18, "seeds swept; cases = seeds x 5 fault points x 4 fault kinds")
 	maxHit := fs.Uint64("max-hit", 3, "seeded fault hits fall in [1, max-hit]")
 	fs.StringVar(&o.out, "out", "", "write the JSON campaign report to `file`")
 	fs.BoolVar(&o.crash, "crash", false, "run the subprocess SIGKILL crash harness instead of the sweep")
@@ -154,7 +154,7 @@ func pipeline(a *resilient.Attempt, m core.Model, depth, n int) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	masks, err := decision.FieldValences(a.Ctx, g, decision.ConsensusCovering(n))
+	cf, err := decision.FieldValences(a.Ctx, g, decision.ConsensusCovering(n))
 	if err != nil {
 		return "", err
 	}
@@ -163,7 +163,7 @@ func pipeline(a *resilient.Attempt, m core.Model, depth, n int) (string, error) 
 		return "", err
 	}
 	return fmt.Sprintf("%s | %s | field=%s | decision=%s | classes=%d",
-		graphSummary(g), witnessSummary(w), hashBytes(f.Masks()), hashBytes(masks), c.Count()), nil
+		graphSummary(g), witnessSummary(w), hashBytes(f.Masks()), hashBytes(cf.Masks()), c.Count()), nil
 }
 
 // caseResult is one campaign cell's outcome.

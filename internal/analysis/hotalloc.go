@@ -4,14 +4,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // HotAlloc enforces the zero-alloc contract on the engine's annotated hot
 // paths. The steady-state kernels — the AppendKey implementations, the
-// valence.Sweep bit-plane kernels, Histogram.Record — are pinned at 0
-// allocs/op by benchmarks, but a benchmark only guards the paths it
-// drives; this analyzer guards the construct level, so an allocation
+// valence field's bit-plane span sweep, the k-thick kernel's BFS,
+// Histogram.Record — allocate nothing per node or per call, and tests
+// bound their allocations, but a test only guards the paths it drives; this analyzer guards the construct level, so an allocation
 // introduced on an untested branch (or three helpers down) is caught at
 // lint time.
 //
@@ -33,9 +32,8 @@ import (
 // gets an "allocates" fact derived bottom-up over the call graph (with the
 // reason chain), so a hotpath function calling a helper that calls
 // fmt.Sprintf is reported at the hotpath call site two frames away.
-// Sanctioned allocators are exempt wherever they appear: the arena package
-// (amortized pre-sized allocation is the approved pattern), append (hot
-// paths append into caller-provided, pre-grown buffers), and the
+// Sanctioned allocators are exempt wherever they appear: append (hot
+// paths append into caller-provided, pre-grown buffers) and the
 // allocation-free stdlib kernels (sync/atomic, math, math/bits,
 // encoding/binary). Dynamic interface-method callees are trusted — their
 // implementations carry their own annotations.
@@ -235,13 +233,13 @@ func isByteSlice(t types.Type) bool {
 }
 
 // allocExemptPkg reports whether callees from the package are sanctioned
-// inside hot paths (matched by suffix so fixtures can fake arena).
+// inside hot paths.
 func allocExemptPkg(path string) bool {
 	switch path {
-	case "sync/atomic", "math", "math/bits", "encoding/binary", "arena":
+	case "sync/atomic", "math", "math/bits", "encoding/binary":
 		return true
 	}
-	return strings.HasSuffix(path, "/arena")
+	return false
 }
 
 func typeAsSignature(t types.Type) (*types.Signature, bool) {

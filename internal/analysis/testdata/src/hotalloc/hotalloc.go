@@ -7,7 +7,6 @@ package hotalloc
 import (
 	"sync/atomic"
 
-	"arena"
 	"hothelpers"
 )
 
@@ -72,11 +71,6 @@ func BadTwoFramesAway(v int) int {
 //lint:hotpath
 func GoodAppend(dst []byte, b byte) []byte {
 	return append(dst, b)
-}
-
-//lint:hotpath
-func GoodArena(a *arena.Buf, n int) []byte {
-	return a.Grab(n)
 }
 
 //lint:hotpath

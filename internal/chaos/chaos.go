@@ -1,8 +1,7 @@
 // Package chaos is the engine's deterministic fault-injection harness. The
 // long-running engines declare named fault points at their safe
 // interruption sites (explore.layer, explore.warm, certify.visit,
-// field.layer, decision.field.layer, knowledge.bucket) by
-// calling Inject; a test arms a Plan that fires a chosen fault — a panic, a
+// field.layer, knowledge.bucket) by calling Inject; a test arms a Plan that fires a chosen fault — a panic, a
 // delay, a forced cancellation, or forced budget exhaustion — on the k-th
 // hit of a point, and everything else is a single atomic load plus a nil
 // check.
@@ -141,7 +140,6 @@ func Points() []string {
 		"explore.warm",
 		"certify.visit",
 		"field.layer",
-		"decision.field.layer",
 		"knowledge.bucket",
 	}
 }

@@ -11,6 +11,7 @@
 package chaos_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -128,16 +129,6 @@ func suiteDrivers(g *core.IDGraph) map[string]driver {
 					return "", err
 				}
 				return hashBytes(f.Masks()), nil
-			},
-			hit: 2,
-		},
-		"decision.field.layer": {
-			run: func(ctx *resilient.Ctx) (string, error) {
-				masks, err := decision.FieldValences(ctx, g, decision.ConsensusCovering(3))
-				if err != nil {
-					return "", err
-				}
-				return hashBytes(masks), nil
 			},
 			hit: 2,
 		},
@@ -273,6 +264,63 @@ func TestChaosSuite(t *testing.T) {
 	}
 }
 
+// TestCoveringFieldResumesOnlyItself cuts a covering field sweep
+// (decision.FieldValences) at field.layer and resumes it from its own
+// checkpoint. A NewFieldCtx sweep over the same graph and ctx runs first
+// and must leave that checkpoint alone: the two seeds key their
+// checkpoints apart, so each resumed sweep is bit-identical to its
+// uninterrupted run.
+func TestCoveringFieldResumesOnlyItself(t *testing.T) {
+	g := suiteGraph(t)
+	cover := decision.ConsensusCovering(3)
+	want, err := decision.FieldValences(nil, g, cover)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBinary, err := valence.NewFieldCtx(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []chaos.Kind{chaos.KindCancel, chaos.KindBudget} {
+		chaos.Arm(chaos.NewPlan().Set("field.layer", chaos.Rule{Hit: 2, Kind: kind}))
+		_, cerr := decision.FieldValences(resilient.Background(), g, cover)
+		chaos.Disarm()
+		if !errors.Is(cerr, resilient.ErrPartial) {
+			t.Fatalf("%s: cut err = %v, want the ErrPartial family", kind, cerr)
+		}
+		ck, ok := resilient.CheckpointFrom(cerr)
+		if !ok {
+			t.Fatalf("%s: cut carries no checkpoint", kind)
+		}
+		sections, err := ck.Sections()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := resilient.Background()
+		ctx.SetResume(sections)
+		bf, err := valence.NewFieldCtx(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctx.PeekResume(resilient.TagField) == nil {
+			t.Fatalf("%s: NewFieldCtx took the covering sweep's checkpoint", kind)
+		}
+		if !bytes.Equal(bf.Masks(), wantBinary.Masks()) {
+			t.Fatalf("%s: NewFieldCtx masks changed beside a covering checkpoint", kind)
+		}
+		got, err := decision.FieldValences(ctx, g, cover)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctx.PeekResume(resilient.TagField) != nil {
+			t.Fatalf("%s: the covering sweep did not resume its own checkpoint", kind)
+		}
+		if !bytes.Equal(got.Masks(), want.Masks()) {
+			t.Fatalf("%s: resumed covering masks differ from an uninterrupted sweep", kind)
+		}
+	}
+}
+
 // pipeline runs the whole layered analysis — explore, certify, field,
 // decision valences, knowledge partition — under one context and
 // summarizes every result. Fault panics escaping an engine are converted
@@ -300,7 +348,7 @@ func pipeline(ctx *resilient.Ctx) (s string, err error) {
 	if err != nil {
 		return "", err
 	}
-	masks, err := decision.FieldValences(ctx, g, decision.ConsensusCovering(3))
+	cf, err := decision.FieldValences(ctx, g, decision.ConsensusCovering(3))
 	if err != nil {
 		return "", err
 	}
@@ -309,7 +357,7 @@ func pipeline(ctx *resilient.Ctx) (s string, err error) {
 		return "", err
 	}
 	return fmt.Sprintf("%s | %s | field=%s | decision=%s | classes=%d",
-		graphSummary(g), witnessSummary(w), hashBytes(f.Masks()), hashBytes(masks), c.Count()), nil
+		graphSummary(g), witnessSummary(w), hashBytes(f.Masks()), hashBytes(cf.Masks()), c.Count()), nil
 }
 
 // TestChaosRandomSeeds replays seed-keyed random plans against the full

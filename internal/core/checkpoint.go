@@ -158,6 +158,14 @@ func DecodeExploreCheckpoint(data []byte) (*ExploreCheckpoint, error) {
 			return nil, fmt.Errorf("%w: explore section init out of range", resilient.ErrBadCheckpoint)
 		}
 	}
+	// BFS numbers nodes layer by layer, so depths start at 0 and never
+	// decrease as the id grows: every layer is one contiguous id run, the
+	// IDGraph invariant the sweeps read through LayerSpan.
+	for u, d := range ck.depthOf {
+		if u == 0 && d != 0 || u > 0 && d < ck.depthOf[u-1] || int(d) > ck.Depth {
+			return nil, fmt.Errorf("%w: explore section depths are not BFS layers within depth %d", resilient.ErrBadCheckpoint, ck.Depth)
+		}
+	}
 	ck.actions = make([]string, len(actIDs))
 	for i, id := range actIDs {
 		if int(id) >= len(table) {

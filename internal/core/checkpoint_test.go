@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"reflect"
@@ -198,6 +199,73 @@ func TestResumeSectionValidation(t *testing.T) {
 
 	if _, derr := core.DecodeExploreCheckpoint([]byte{0x01, 0x02}); !errors.Is(derr, resilient.ErrBadCheckpoint) {
 		t.Fatalf("corrupt payload: err = %v, want ErrBadCheckpoint", derr)
+	}
+}
+
+// TestResumeRejectsBadDepths patches the node depths of a real cut's
+// explore section three ways — a first depth below 0, a depth past the
+// exploration bound, and a depth that decreases as the id grows — and
+// requires each section to be rejected with ErrBadCheckpoint, by the
+// decoder and by a resuming exploration, without a panic. Any of them
+// would otherwise build layers that are not contiguous id runs (or index
+// a layer at -1, or allocate 2^28 layer slices).
+func TestResumeRejectsBadDepths(t *testing.T) {
+	const depth = 3
+	chaos.Arm(chaos.NewPlan().Set("explore.layer", chaos.Rule{Hit: 2, Kind: chaos.KindCancel}))
+	partial, perr := core.ExploreIDCtx(nil, newCkptModel(), depth, 0, 1)
+	chaos.Disarm()
+	ck, ok := resilient.CheckpointFrom(perr)
+	if !ok {
+		t.Fatalf("no checkpoint attached to %v", perr)
+	}
+	sections, err := ck.Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dck, err := core.DecodeExploreCheckpoint(sections[0].Data)
+	if err != nil {
+		t.Fatalf("the unpatched cut must decode: %v", err)
+	}
+	// The depths follow the model name, the three arguments and the keys,
+	// as a length-prefixed little-endian int32 array.
+	prefix := resilient.NewEnc(0)
+	prefix.Str(dck.Model)
+	prefix.Int(dck.Depth)
+	prefix.Int(dck.MaxNodes)
+	prefix.Int(dck.NextDepth)
+	prefix.Strs(partial.Keys)
+	prefix.Int(partial.Len())
+	at := len(prefix.Bytes())
+	last := partial.Len() - 1
+	if partial.DepthOf[last] == 0 {
+		t.Fatal("the cut's last node is at depth 0; the decreasing patch needs a deeper one")
+	}
+	for _, u := range []int{0, last} {
+		if got := int32(binary.LittleEndian.Uint32(sections[0].Data[at+4*u:])); got != partial.DepthOf[u] {
+			t.Fatalf("node %d: depth %d at the computed offset, want %d", u, got, partial.DepthOf[u])
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		node  int
+		depth int32
+	}{
+		{"first depth -1", 0, -1},
+		{"depth 1<<28 past the bound", last, 1 << 28},
+		{"decreasing depth", last, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			data := append([]byte(nil), sections[0].Data...)
+			binary.LittleEndian.PutUint32(data[at+4*c.node:], uint32(c.depth))
+			if _, derr := core.DecodeExploreCheckpoint(data); !errors.Is(derr, resilient.ErrBadCheckpoint) {
+				t.Fatalf("decode: err = %v, want ErrBadCheckpoint", derr)
+			}
+			ctx := resilient.Background()
+			ctx.SetResume([]resilient.Section{{Tag: resilient.TagExplore, Data: data}})
+			if _, rerr := core.ExploreIDCtx(ctx, newCkptModel(), depth, 0, 1); !errors.Is(rerr, resilient.ErrBadCheckpoint) {
+				t.Fatalf("resume: err = %v, want ErrBadCheckpoint", rerr)
+			}
+		})
 	}
 }
 

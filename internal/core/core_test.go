@@ -57,19 +57,6 @@ func TestExploreBudget(t *testing.T) {
 	}
 }
 
-// TestErrDepthExceededAlias pins the deprecated alias for external users:
-// ErrDepthExceeded must remain the same error value as ErrNodeBudget so
-// that errors.Is works through either name.
-func TestErrDepthExceededAlias(t *testing.T) {
-	if core.ErrDepthExceeded != core.ErrNodeBudget { //lint:sentinel alias identity is the property under test
-		t.Fatal("ErrDepthExceeded is no longer an alias of ErrNodeBudget")
-	}
-	if !errors.Is(core.ErrDepthExceeded, core.ErrNodeBudget) ||
-		!errors.Is(core.ErrNodeBudget, core.ErrDepthExceeded) {
-		t.Fatal("alias identity not symmetric under errors.Is")
-	}
-}
-
 func TestExecutionAccessors(t *testing.T) {
 	const n = 3
 	p := protocols.FloodSet{Rounds: 2}

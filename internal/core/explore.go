@@ -14,14 +14,6 @@ import (
 // one degradation check.
 var ErrNodeBudget = resilient.Sentinel("core: exploration exceeded node budget")
 
-// ErrDepthExceeded is the old, misleading name for ErrNodeBudget (the
-// condition it reports is node-budget exhaustion, not a depth bound). It is
-// retained for external compatibility only; the repository itself has no
-// remaining references beyond the alias-identity pin in its tests.
-//
-// Deprecated: use ErrNodeBudget.
-var ErrDepthExceeded = ErrNodeBudget
-
 // CheckDeterminism verifies that the model's successor function is
 // deterministic on every explored state: a second invocation returns the
 // same labeled successors in the same order. Admissibility (the paper's

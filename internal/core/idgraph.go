@@ -52,7 +52,9 @@ type IDGraph struct {
 	// only).
 	cacheIDs []uint32
 	// layers[d] lists the nodes first reached at depth d, in discovery
-	// order.
+	// order: one contiguous id run per layer, in layer order, since BFS
+	// assigns ids layer by layer and resume rejects checkpoints whose
+	// depths would break that (DecodeExploreCheckpoint).
 	layers [][]uint32
 
 	byKeyOnce  sync.Once
@@ -60,16 +62,9 @@ type IDGraph struct {
 	gradedOnce sync.Once
 	graded     bool
 
-	layoutOnce sync.Once
-	spans      []idSpan
-	contiguous bool
-
 	auxMu sync.Mutex
 	aux   map[any]any
 }
-
-// idSpan is a half-open node-id window [lo, hi).
-type idSpan struct{ lo, hi uint32 }
 
 // noNode is the "absent" sentinel of the dense cache-id -> node table.
 const noNode = ^uint32(0)
@@ -187,73 +182,30 @@ func (g *IDGraph) NodeByKey(key string) (uint32, bool) {
 	return u, ok
 }
 
-// layout runs the CSR layout pass once: it checks that every depth layer is
-// one contiguous run of node ids and records the per-layer windows. BFS
-// discovery assigns ids layer by layer, so graphs built by ExploreID always
-// satisfy this; the pass turns the construction invariant into a checked
-// property the bit-parallel sweeps can rely on. With contiguous layers a
-// layer's nodes are the id range [lo, hi), its edges the CSR range
-// [EdgeStart[lo], EdgeStart[hi]) — both sequential in memory, so a sweep
-// walks EdgeStart/EdgeTo strictly forward (prefetch-friendly) and its
-// 64-node word grid is shared with the field's bit-planes.
-func (g *IDGraph) layout() {
-	g.layoutOnce.Do(func() {
-		rec := obs.Active()
-		defer obs.Span(rec, "layout.time")()
-		g.contiguous = true
-		g.spans = make([]idSpan, len(g.layers))
-		next := uint32(0)
-		for d, layer := range g.layers {
-			lo := next
-			for _, u := range layer {
-				if u != next {
-					g.contiguous = false
-				}
-				next++
-			}
-			g.spans[d] = idSpan{lo: lo, hi: next}
-		}
-		if rec != nil {
-			rec.Add("layout.passes", 1)
-			rec.Event("layout.done",
-				obs.F{Key: "layers", Value: len(g.layers)},
-				obs.F{Key: "nodes", Value: g.Len()},
-				obs.F{Key: "contiguous", Value: g.contiguous})
-		}
-	})
-}
-
-// LayerSpan returns the contiguous node-id window [lo, hi) of the depth-d
-// layer. ok is false when d is out of range or some layer of the graph is
-// not a contiguous id run (impossible for explored graphs, where BFS
-// discovery numbers each layer consecutively; the layout pass verifies it);
-// callers then fall back to Layer's slice view.
-func (g *IDGraph) LayerSpan(d int) (lo, hi uint32, ok bool) {
-	g.layout()
-	if !g.contiguous || d < 0 || d >= len(g.spans) {
-		return 0, 0, false
+// LayerSpan returns the node-id window [lo, hi) of the depth-d layer
+// ([0, 0) when d is out of range or the layer is empty). Layers are
+// contiguous id runs, so a layer's nodes are the id range [lo, hi) and its
+// edges the CSR range [EdgeStart[lo], EdgeStart[hi]) — both sequential in
+// memory, so a sweep walks EdgeStart/EdgeTo strictly forward
+// (prefetch-friendly) and its 64-node word grid is shared with the field's
+// bit-planes.
+func (g *IDGraph) LayerSpan(d int) (lo, hi uint32) {
+	layer := g.Layer(d)
+	if len(layer) == 0 {
+		return 0, 0
 	}
-	s := g.spans[d]
-	return s.lo, s.hi, true
+	return layer[0], layer[len(layer)-1] + 1
 }
 
 // StatesAtDepth returns the states first reached at exactly depth d, in BFS
 // discovery order: the States window of LayerSpan(d), shared with the graph
-// (callers must not modify it). A graph whose layers are not contiguous id
-// runs gets a fresh slice in Layer(d) order instead.
+// (callers must not modify it). It is nil when the layer is empty.
 func (g *IDGraph) StatesAtDepth(d int) []State {
-	if lo, hi, ok := g.LayerSpan(d); ok {
-		return g.States[lo:hi]
-	}
-	layer := g.Layer(d)
-	if layer == nil {
+	lo, hi := g.LayerSpan(d)
+	if lo == hi {
 		return nil
 	}
-	out := make([]State, len(layer))
-	for i, u := range layer {
-		out[i] = g.States[u]
-	}
-	return out
+	return g.States[lo:hi]
 }
 
 // Aux returns the auxiliary analysis value cached on g under key, building

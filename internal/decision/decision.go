@@ -1,19 +1,18 @@
 // Package decision implements the generalized (covering-based) valence
 // machinery of Section 7: coverings of run sets by output complexes,
-// generalized valence and bivalence, the Lemma 7.1 bivalent-chain
-// construction, and the Lemma 7.6 / Theorem 7.7 diameter recurrence.
+// generalized valence and bivalence (a valence field seeded by the
+// covering, whose BivalentChain is the Lemma 7.1 construction), and the
+// Lemma 7.6 / Theorem 7.7 diameter recurrence.
 package decision
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/resilient"
 	"repro/internal/simplex"
+	"repro/internal/valence"
 )
 
 // sortedSimplexKeys returns the keys of a decided-simplex set in sorted
@@ -115,63 +114,6 @@ func DecidedSimplex(x core.State) (simplex.Simplex, bool) {
 	return s, true
 }
 
-// Valence bits.
-const (
-	v0 uint8 = 1 << 0
-	v1 uint8 = 1 << 1
-)
-
-// ErrNoBivalentInit mirrors the classical construction: no initial state is
-// bivalent with respect to the covering.
-var ErrNoBivalentInit = errors.New("decision: no generalized-bivalent initial state within horizon")
-
-// Chain is a generalized bivalent chain (Lemma 7.1).
-type Chain struct {
-	Exec    *core.Execution
-	Reached int
-	// StuckAt is -1 if the chain reached its target; otherwise the depth at
-	// which no generalized-bivalent successor existed.
-	StuckAt int
-}
-
-// BivalentChain runs the Lemma 7.1 construction over the generalized
-// valence masks FieldValences computed for g: starting from the first
-// generalized-bivalent initial node, repeatedly step to the first
-// generalized-bivalent successor along the CSR edges, for `target` layers.
-// A node at depth d is judged within its horizon g.Depth-d, so target must
-// be at most g.Depth.
-func BivalentChain(g *core.IDGraph, masks []uint8, target int) (*Chain, error) {
-	if target > g.Depth {
-		return nil, fmt.Errorf("decision: chain target %d exceeds graph depth %d", target, g.Depth)
-	}
-	u, found := uint32(0), false
-	for _, r := range g.Inits {
-		if masks[r] == v0|v1 {
-			u, found = r, true
-			break
-		}
-	}
-	if !found {
-		return nil, ErrNoBivalentInit
-	}
-	exec := &core.Execution{Init: g.States[u]}
-	for d := 0; d < target; d++ {
-		actions, to := g.Out(u)
-		found = false
-		for i, v := range to {
-			if masks[v] == v0|v1 {
-				exec = exec.Extend(actions[i], g.States[v])
-				u, found = v, true
-				break
-			}
-		}
-		if !found {
-			return &Chain{Exec: exec, Reached: d, StuckAt: d}, nil
-		}
-	}
-	return &Chain{Exec: exec, Reached: target, StuckAt: -1}, nil
-}
-
 // CollectDecidedSimplexes explores the model to the given depth and returns
 // the distinct decided output simplexes of fully-decided states, keyed by
 // simplex Key.
@@ -202,93 +144,28 @@ func CollectDecidedSimplexesGraph(g *core.IDGraph) map[string]simplex.Simplex {
 	return out
 }
 
-// FieldValences computes the generalized valence mask of every node of an
-// explored graph in one bottom-up sweep, the covering analogue of
-// valence.NewFieldCtx: masks[u] holds the OR over u's reachable closure (in
-// the explored graph) of the base masks assigned by the covering to
-// fully-decided states. On a graded graph (every edge advancing one layer)
-// masks[u] is the generalized valence of g.States[u] within horizon
-// g.Depth-depth(u) exactly; otherwise the sweep falls back to a fixpoint
-// loop and the mask is the valence within the explored graph.
-//
-// ctx (nil never cancels) is polled, with the chaos decision.field.layer
-// fault point, once per layer on graded graphs and once per pass in the
-// fixpoint fallback. An interruption returns the partial masks computed so
-// far — layers deeper than the cut are final on graded graphs — alongside
-// the wrapped cause.
-func FieldValences(ctx *resilient.Ctx, g *core.IDGraph, cover Covering) ([]uint8, error) {
-	rec := obs.Active()
-	defer obs.Span(rec, "decision.field.time")()
-	if tr := obs.Trace(); tr != nil {
-		defer tr.End(tr.Begin("decision.field", 0))
-	}
-	if rec != nil {
-		rec.Add("decision.field.sweeps", 1)
-		rec.Add("decision.field.nodes", int64(g.Len()))
-	}
-	masks := make([]uint8, g.Len())
-	base := func(u uint32) uint8 {
+// FieldValences computes the generalized valence of every node of an
+// explored graph with respect to a covering: the valence field swept from
+// seed bits V0 (V1) on the fully-decided states whose decided simplex lies
+// in O_0 (O_1). On a graded graph the field's Mask(u) is the generalized
+// valence of g.States[u] within horizon g.Depth-depth(u) exactly;
+// otherwise the sweep falls back to the fixpoint and the mask is the
+// valence within the explored graph. Lemma 7.1's chain is the field's
+// BivalentChain, and its checkpoints resume only a sweep with the same
+// covering seed (see valence.NewFieldFrom).
+func FieldValences(ctx *resilient.Ctx, g *core.IDGraph, cover Covering) (*valence.Field, error) {
+	return valence.NewFieldFrom(ctx, g, func(x core.State) uint8 {
 		var m uint8
-		if s, decided := DecidedSimplex(g.States[u]); decided {
+		if s, decided := DecidedSimplex(x); decided {
 			if cover.O0.Has(s) {
-				m |= v0
+				m |= valence.V0
 			}
 			if cover.O1.Has(s) {
-				m |= v1
+				m |= valence.V1
 			}
 		}
 		return m
-	}
-	relax := func(u uint32) uint8 {
-		m := base(u)
-		for e := g.EdgeStart[u]; e < g.EdgeStart[u+1] && m != v0|v1; e++ {
-			m |= masks[g.EdgeTo[e]]
-		}
-		return m
-	}
-	interrupted := func(at int, cause error) ([]uint8, error) {
-		if rec != nil {
-			rec.Add("decision.field.interrupts", 1)
-			rec.Event("decision.field.interrupted",
-				obs.F{Key: "at", Value: at},
-				obs.F{Key: "cause", Value: cause.Error()})
-		}
-		return masks, fmt.Errorf("decision: field sweep interrupted at layer %d: %w", at, cause)
-	}
-	if g.Graded() {
-		for d := g.NumLayers() - 1; d >= 0; d-- {
-			if err := chaos.Check(ctx, "decision.field.layer"); err != nil {
-				return interrupted(d, err)
-			}
-			// Iterate the layer as its contiguous id window when the layout
-			// pass has verified one: the sweep then reads EdgeStart/EdgeTo
-			// strictly forward (prefetch-friendly), matching the valence
-			// field's access pattern.
-			if lo, hi, ok := g.LayerSpan(d); ok {
-				for u := lo; u < hi; u++ {
-					masks[u] = relax(u)
-				}
-			} else {
-				for _, u := range g.Layer(d) {
-					masks[u] = relax(u)
-				}
-			}
-		}
-		return masks, nil
-	}
-	for changed, pass := true, 0; changed; pass++ {
-		if err := chaos.Check(ctx, "decision.field.layer"); err != nil {
-			return interrupted(pass, err)
-		}
-		changed = false
-		for u := g.Len() - 1; u >= 0; u-- {
-			if m := relax(uint32(u)) | masks[u]; m != masks[u] {
-				masks[u] = m
-				changed = true
-			}
-		}
-	}
-	return masks, nil
+	})
 }
 
 // CheckCovering verifies the two covering conditions against a set of

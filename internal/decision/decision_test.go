@@ -1,8 +1,10 @@
 package decision_test
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/decision"
 	"repro/internal/mobile"
@@ -35,7 +37,7 @@ func TestConsensusCoveringMatchesBinaryValence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u, x := range g.States {
-		if bv, gv := bin.Mask(uint32(u)), gen[u]; bv != gv {
+		if bv, gv := bin.Mask(uint32(u)), gen.Mask(uint32(u)); bv != gv {
 			t.Errorf("round %d state: binary valence %02b != generalized %02b", x.(*syncmp.State).Round(), bv, gv)
 		}
 	}
@@ -77,20 +79,20 @@ func TestMinValueCoveringUnivalentInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks, err := decision.FieldValences(nil, g, decision.MinValueCovering(decided))
+	f, err := decision.FieldValences(nil, g, decision.MinValueCovering(decided))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mixed, _ := g.NodeByKey(m.Initial([]int{0, 1, 1}).Key())
-	if masks[mixed] == 0b11 {
+	if f.Bivalent(mixed) {
 		t.Error("mixed-input state bivalent under min-value covering; every full simplex contains the 0")
 	}
 }
 
 // TestLemma71ChainMobile runs the generalized bivalent chain (Lemma 7.1) in
-// M^mf under the by-process covering of the actually-decided simplexes,
-// checks it reaches its target, and pins it step for step to the recursive
-// reference chain.
+// M^mf under the by-process covering of the actually-decided simplexes —
+// the covering field's BivalentChain — checks it reaches its target, and
+// pins it step for step to the recursive reference chain.
 func TestLemma71ChainMobile(t *testing.T) {
 	const n, rounds = 3, 3
 	p := protocols.FloodSet{Rounds: rounds}
@@ -107,16 +109,16 @@ func TestLemma71ChainMobile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks, err := decision.FieldValences(nil, g, cov)
+	f, err := decision.FieldValences(nil, g, cov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := decision.BivalentChain(g, masks, rounds-1)
+	ch, err := f.BivalentChain(rounds - 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.StuckAt >= 0 {
-		t.Fatalf("generalized chain stuck at depth %d", ch.StuckAt)
+	if ch.Stuck != nil {
+		t.Fatalf("generalized chain stuck at depth %d", ch.Reached)
 	}
 	if ch.Reached != rounds-1 {
 		t.Errorf("reached %d, want %d", ch.Reached, rounds-1)
@@ -131,9 +133,9 @@ func TestLemma71ChainMobile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Reached != ch.Reached || ref.StuckAt != ch.StuckAt || ref.Exec.Init.Key() != ch.Exec.Init.Key() {
-		t.Fatalf("chain (reached %d, stuck %d) != reference (reached %d, stuck %d)",
-			ch.Reached, ch.StuckAt, ref.Reached, ref.StuckAt)
+	if ref.Reached != ch.Reached || ref.StuckAt >= 0 || ref.Exec.Init.Key() != ch.Exec.Init.Key() {
+		t.Fatalf("chain (reached %d) != reference (reached %d, stuck %d)",
+			ch.Reached, ref.Reached, ref.StuckAt)
 	}
 	for i, st := range ref.Exec.Steps {
 		if got := ch.Exec.Steps[i]; got.Action != st.Action || got.State.Key() != st.State.Key() {
@@ -240,19 +242,68 @@ func TestFieldValencesMatchOracle(t *testing.T) {
 				t.Fatal("expected a graded graph")
 			}
 			cover := tc.cover(g, g.States[0].N())
-			masks, err := decision.FieldValences(nil, g, cover)
+			f, err := decision.FieldValences(nil, g, cover)
 			if err != nil {
 				t.Fatal(err)
 			}
 			o := decision.NewOracle(tc.m, cover)
 			for u := 0; u < g.Len(); u++ {
 				h := g.Depth - int(g.DepthOf[u])
-				if got, want := masks[u], o.Valences(g.States[u], h); got != want {
+				if got, want := f.Mask(uint32(u)), o.Valences(g.States[u], h); got != want {
 					t.Fatalf("node %d (depth %d): field %02b != oracle %02b",
 						u, g.DepthOf[u], got, want)
 				}
 			}
 		})
+	}
+}
+
+// TestFieldValencesMatchSweepReference pins the covering field to the
+// byte-mask sweep it replaced (FieldValencesRef): byte-identical masks for
+// every CLI model at n=2 and n=3, graded and non-graded graphs, under the
+// consensus, min-value and by-process coverings.
+func TestFieldValencesMatchSweepReference(t *testing.T) {
+	graded, nonGraded := 0, 0
+	for _, n := range []int{2, 3} {
+		for _, name := range cli.Models() {
+			if name == "sync-st" && n < 3 {
+				continue // S^t needs 1 <= t <= n-2
+			}
+			m, err := cli.Build(cli.Spec{Model: name, N: n, T: 1, Bound: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := core.ExploreID(m, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Graded() {
+				graded++
+			} else {
+				nonGraded++
+			}
+			decided := decision.CollectDecidedSimplexesGraph(g)
+			for _, cc := range []struct {
+				name  string
+				cover decision.Covering
+			}{
+				{"consensus", decision.ConsensusCovering(n)},
+				{"min-value", decision.MinValueCovering(decided)},
+				{"by-process", decision.CoveringByProcess(decided, n-1)},
+			} {
+				f, err := decision.FieldValences(nil, g, cc.cover)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := f.Masks(), decision.FieldValencesRef(g, cc.cover); !bytes.Equal(got, want) {
+					t.Errorf("%s n=%d (graded=%v) %s covering: field masks differ from the sweep reference",
+						name, n, g.Graded(), cc.name)
+				}
+			}
+		}
+	}
+	if graded == 0 || nonGraded == 0 {
+		t.Fatalf("%d graded and %d non-graded graphs; the reference check needs both", graded, nonGraded)
 	}
 }
 

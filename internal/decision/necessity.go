@@ -26,9 +26,10 @@ type NecessityReport struct {
 // live protocol: for a protocol that solves its decision problem over the
 // layered submodel, the complex of decided output simplexes of the runs
 // from every similarity-connected set I of initial states must be k-thick
-// connected. It explores each subset's runs to the given depth and checks
-// the resulting complex. Subsets are enumerated from the given initial
-// states (at most 16).
+// connected. It explores each initial state's runs to the given depth
+// once and decides every subset's complex with the k-thick kernel
+// (simplex.ThickConnectedSubsets), without building it. Subsets are
+// enumerated from the given initial states (at most 16).
 func CheckThickNecessity(m core.Model, inits []core.State, n, k, depth, maxNodes int) (*NecessityReport, error) {
 	if len(inits) > 16 {
 		return nil, fmt.Errorf("decision: %d initial states; subset enumeration capped at 16", len(inits))
@@ -43,8 +44,8 @@ func CheckThickNecessity(m core.Model, inits []core.State, n, k, depth, maxNodes
 		}
 	}
 	// Per-initial-state decided simplexes (reused across subsets), flattened
-	// to key-sorted slices so every subset's complex is assembled in the
-	// same order regardless of map iteration.
+	// to key-sorted slices so the kernel interns them in the same order
+	// regardless of map iteration.
 	perInit := make([][]simplex.Simplex, len(inits))
 	for i, x := range inits {
 		decided, err := CollectDecidedSimplexes(core.WithInits(m, []core.State{x}), depth, maxNodes)
@@ -56,26 +57,19 @@ func CheckThickNecessity(m core.Model, inits []core.State, n, k, depth, maxNodes
 		}
 	}
 
-	report := &NecessityReport{}
+	var subsets []uint32
 	for mask := uint32(1); mask < 1<<uint(len(inits)); mask++ {
-		if !simplex.SubsetConnected(adj, mask) {
-			continue
+		if simplex.SubsetConnected(adj, mask) {
+			subsets = append(subsets, mask)
 		}
-		report.Subsets++
-		c := simplex.NewComplex()
-		for i := range inits {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			for _, s := range perInit[i] {
-				c.Add(s)
-			}
-		}
-		if c.ThickConnected(n, k) {
+	}
+	report := &NecessityReport{Subsets: len(subsets)}
+	for j, ok := range simplex.ThickConnectedSubsets(n, k, perInit, subsets) {
+		if ok {
 			report.Connected++
 		} else if report.FirstFailure == nil {
 			for i := range inits {
-				if mask&(1<<uint(i)) != 0 {
+				if subsets[j]&(1<<uint(i)) != 0 {
 					report.FirstFailure = append(report.FirstFailure, inits[i].Key())
 				}
 			}

@@ -121,19 +121,11 @@ func NewClasses(ctx *resilient.Ctx, states []core.State) (*Classes, error) {
 
 // NewClassesLayer computes the common-knowledge partition of one depth
 // layer of a materialized state graph, in discovery order, under ctx as
-// NewClasses. When the layout pass has verified the layer is one contiguous
-// id window (always true for explored graphs), the partition runs directly
-// over that slice of the CSR node array — no copy.
+// NewClasses. The partition runs directly over the layer's id window of
+// the CSR node array (core.IDGraph.LayerSpan) — no copy.
 func NewClassesLayer(ctx *resilient.Ctx, g *core.IDGraph, d int) (*Classes, error) {
-	if lo, hi, ok := g.LayerSpan(d); ok {
-		return NewClasses(ctx, g.States[lo:hi:hi])
-	}
-	layer := g.Layer(d)
-	states := make([]core.State, len(layer))
-	for i, u := range layer {
-		states[i] = g.States[u]
-	}
-	return NewClasses(ctx, states)
+	lo, hi := g.LayerSpan(d)
+	return NewClasses(ctx, g.States[lo:hi:hi])
 }
 
 // SameClass reports whether two states (by key) are in the same

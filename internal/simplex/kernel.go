@@ -93,6 +93,18 @@ func newThickKernel(n, k int, options [][]Simplex, subsets []uint32) *thickKerne
 // makes the complex of every subset k-thick connected. Bit b of choice[i]
 // selects option b of input i; a nil choice selects every option.
 func (kn *thickKernel) connectedUnder(choice []uint64) bool {
+	kn.choose(choice)
+	for _, mask := range kn.subsets {
+		if !kn.subsetConnected(mask) {
+			return false
+		}
+	}
+	return true
+}
+
+// choose sets each input's row to the tops of the options choice selects
+// (see connectedUnder).
+func (kn *thickKernel) choose(choice []uint64) {
 	w := kn.words
 	clear(kn.rows)
 	for i, tops := range kn.top {
@@ -103,19 +115,20 @@ func (kn *thickKernel) connectedUnder(choice []uint64) bool {
 			}
 		}
 	}
-	for _, mask := range kn.subsets {
-		clear(kn.union)
-		for m := mask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros32(m)
-			for x, v := range kn.rows[i*w : (i+1)*w] {
-				kn.union[x] |= v
-			}
-		}
-		if !kn.verdict(kn.union) {
-			return false
+}
+
+// subsetConnected reports whether the chosen tops of the inputs in mask
+// are k-thick connected.
+func (kn *thickKernel) subsetConnected(mask uint32) bool {
+	w := kn.words
+	clear(kn.union)
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		for x, v := range kn.rows[i*w : (i+1)*w] {
+			kn.union[x] |= v
 		}
 	}
-	return true
+	return kn.verdict(kn.union)
 }
 
 // verdict returns connected(set), memoized on the bytes of set.

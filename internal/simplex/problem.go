@@ -139,6 +139,20 @@ func (p *Problem) ThickConnectedWith(delta DeltaFunc, k int) (bool, error) {
 	return newThickKernel(p.N, k, options, subsets).connectedUnder(nil), nil
 }
 
+// ThickConnectedSubsets reports, for each subset (a mask over the inputs
+// of options, at most 32), whether the complex generated by every option
+// of its inputs is k-thick connected at dimension n: one verdict per
+// subset, where ThickConnectedWith asks only whether all hold.
+func ThickConnectedSubsets(n, k int, options [][]Simplex, subsets []uint32) []bool {
+	kn := newThickKernel(n, k, options, subsets)
+	kn.choose(nil)
+	out := make([]bool, len(subsets))
+	for j, mask := range subsets {
+		out[j] = kn.subsetConnected(mask)
+	}
+	return out
+}
+
 // KThickConnected implements the paper's definition: the problem is
 // k-thick-connected if some subproblem Δ' ⊆ Δ (with Δ'(s) nonempty for all
 // s) makes C_Δ'(I) k-thick-connected for every similarity-connected input

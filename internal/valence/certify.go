@@ -3,7 +3,6 @@ package valence
 import (
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/resilient"
@@ -82,14 +81,13 @@ func Certify(ctx *resilient.Ctx, m core.Model, bound, maxVisits int) (*Witness, 
 // with one word test per visit. The first violation found (roots in Inits
 // order, successors in enumeration order) is returned with its witness.
 func CertifyGraph(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int) (*Witness, error) {
-	return new(graphCertifier).certify(ctx, g, maxVisits, nil)
+	return new(graphCertifier).certify(ctx, g, maxVisits)
 }
 
-// certify runs one consensus certification on a (possibly reused)
-// certifier, allocating from ar when non-nil. A run failing the state
-// check is explained by re-running checkState on its last state. It emits
-// the certify span, certify.start, certify.time and certify.done.
-func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int, ar *arena.Arena) (*Witness, error) {
+// certify runs one consensus certification. A run failing the state check
+// is explained by re-running checkState on its last state. It emits the
+// certify span, certify.start, certify.time and certify.done.
+func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int) (*Witness, error) {
 	rec := obs.Active()
 	var span obs.TraceSpan
 	if tr := obs.Trace(); tr != nil {
@@ -105,12 +103,11 @@ func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits 
 			obs.F{Key: "depth", Value: g.Depth},
 			obs.F{Key: "roots", Value: len(g.Inits)})
 	}
-	v, err := c.search(ctx, g, maxVisits, certPlanesOf(g), ar, span.ID)
+	v, err := c.search(ctx, g, maxVisits, certPlanesOf(g), span.ID)
 	if err != nil {
 		return nil, err
 	}
-	c.ok = Witness{Kind: OK}
-	w := &c.ok
+	w := &Witness{Kind: OK}
 	if v != nil {
 		switch v.Check {
 		case StateCheck:

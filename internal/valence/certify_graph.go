@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -64,29 +63,21 @@ type Violation struct {
 // certification: Search emits only the resume and interrupt events.
 func Search(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int, req Requirement) (*Violation, int, error) {
 	var c graphCertifier
-	v, err := c.search(ctx, g, maxVisits, req, nil, 0)
+	v, err := c.search(ctx, g, maxVisits, req, 0)
 	return v, c.visits, err
 }
 
-// search runs one certification on a (possibly reused) certifier,
-// allocating visited bitsets from ar when non-nil (the Sweep zero-alloc
-// path) and from the heap otherwise. Under a trace, each root gets a
-// certify.root span below span; span 0 records none.
-func (c *graphCertifier) search(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int, req Requirement, ar *arena.Arena, span obs.SpanID) (*Violation, error) {
+// search runs one certification on a fresh certifier. Under a trace, each
+// root gets a certify.root span below span; span 0 records none.
+func (c *graphCertifier) search(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int, req Requirement, span obs.SpanID) (*Violation, error) {
 	rec := obs.Active()
 	tr := obs.Trace()
 	if span == 0 {
 		tr = nil
 	}
-	c.g, c.ctx, c.req, c.maxVisits, c.ar = g, ctx, req, maxVisits, ar
+	c.g, c.ctx, c.req, c.maxVisits = g, ctx, req, maxVisits
 	c.cp = certPlanesOf(g)
-	c.visits, c.steps, c.rootIdx = 0, 0, 0
-	c.bs, c.stack = nil, c.stack[:0]
-	if c.visited == nil {
-		c.visited = make(map[uint64][]uint64)
-	} else {
-		clear(c.visited)
-	}
+	c.visited = make(map[uint64][]uint64)
 	startRoot, midRoot := 0, false
 	if data := ctx.PeekResume(resilient.TagCertify); data != nil {
 		ck, err := DecodeCertifyCheckpoint(data)
@@ -155,7 +146,6 @@ type graphCertifier struct {
 	ctx       *resilient.Ctx
 	req       Requirement
 	cp        *certPlanes
-	ar        *arena.Arena
 	maxVisits int
 	visits    int
 	// steps counts DFS loop iterations; every 256th polls the context and
@@ -171,17 +161,6 @@ type graphCertifier struct {
 	root    uint32
 	class   uint64
 	stack   []gframe
-	// ok is the reused all-clear verdict, so a clean certification on a
-	// warmed certifier allocates nothing.
-	ok Witness
-}
-
-// words allocates n zeroed words from the arena, or the heap without one.
-func (c *graphCertifier) words(n int) []uint64 {
-	if c.ar != nil {
-		return c.ar.Words(n)
-	}
-	return make([]uint64, n)
 }
 
 // loop drains the DFS stack. It is the shared tail of a fresh root and a
@@ -300,7 +279,7 @@ func (c *graphCertifier) seen(u uint32, lag int) bool {
 func (c *graphCertifier) mark(u uint32, lag int) {
 	i := lag*c.g.Len() + int(u)
 	if i>>6 >= len(c.bs) {
-		grown := c.words(((lag+1)*c.g.Len() + 63) / 64)
+		grown := make([]uint64, ((lag+1)*c.g.Len()+63)/64)
 		copy(grown, c.bs)
 		c.bs = grown
 		c.visited[c.class] = grown

@@ -158,18 +158,22 @@ func DecodeCertifyCheckpoint(data []byte) (*CertifyCheckpoint, error) {
 
 // FieldCheckpoint is the resumable snapshot of an interrupted field sweep:
 // the masks computed so far and the next (deepest unfinished) layer, keyed
-// to the graph by fingerprint. Re-sweeping the interrupted layer is
-// idempotent — on a graded graph a layer's masks read only deeper layers —
-// so the cut needs no finer granularity than the layer index.
+// to the graph and the seed by fingerprint: the graph fingerprint XOR the
+// seed's id, which leaves a NewFieldCtx checkpoint's the bare graph
+// fingerprint. Re-sweeping the interrupted layer is idempotent — on a
+// graded graph a layer's masks read only deeper layers — so the cut needs
+// no finer granularity than the layer index.
 type FieldCheckpoint struct {
 	Fingerprint uint64
 	NextLayer   int
 	Masks       []uint8
 }
 
-// Matches reports whether the snapshot belongs to this graph.
-func (ck *FieldCheckpoint) Matches(g *core.IDGraph) bool {
-	return len(ck.Masks) == g.Len() && ck.Fingerprint == graphFingerprint(g)
+// Matches reports whether the snapshot belongs to this graph and seed id
+// and names one of its layers.
+func (ck *FieldCheckpoint) Matches(g *core.IDGraph, id uint64) bool {
+	return len(ck.Masks) == g.Len() && ck.NextLayer >= 0 && ck.NextLayer < g.NumLayers() &&
+		ck.Fingerprint == graphFingerprint(g)^id
 }
 
 // Sections encodes the snapshot as the resilient.TagField section.

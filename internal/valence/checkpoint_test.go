@@ -287,6 +287,91 @@ func TestCertifyCheckpointParentBytes(t *testing.T) {
 	witnessesIdentical(t, want, got)
 }
 
+// TestFieldCheckpointParentBytes: a NewFieldCtx cut encodes to the same
+// bytes as a checkpoint written by an earlier build (testdata, cut at the
+// second layer poll), so seeded fields left the decided field's
+// fingerprint alone. Resuming the stored checkpoint finishes with the
+// uninterrupted masks, and a covering-seeded sweep over the same graph and
+// context leaves it untouched.
+func TestFieldCheckpointParentBytes(t *testing.T) {
+	mk := func() core.Model { return syncmp.NewSt(protocols.FloodSet{Rounds: 3}, 5, 2) }
+	g := ckptGraph(t, mk(), 3)
+	want := newField(t, g).Masks()
+	chaos.Arm(chaos.NewPlan().Set("field.layer", chaos.Rule{Hit: 2, Kind: chaos.KindCancel}))
+	_, perr := valence.NewFieldCtx(nil, g)
+	chaos.Disarm()
+	ck, ok := resilient.CheckpointFrom(perr)
+	if !ok {
+		t.Fatalf("no checkpoint attached to %v", perr)
+	}
+	sections, err := ck.Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := resilient.WriteSections(&buf, sections); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile("testdata/field-syncst-n5-t2-hit2.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), stored) {
+		t.Fatal("field checkpoint encodes to different bytes")
+	}
+	back, err := resilient.ReadSections(bytes.NewReader(stored))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := resilient.Background()
+	ctx.SetResume(back)
+	fresh := ckptGraph(t, mk(), 3)
+	if _, err := valence.NewFieldFrom(ctx, fresh, byProcessSeed); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.PeekResume(resilient.TagField) == nil {
+		t.Fatal("a covering-seeded sweep took the decided field's checkpoint")
+	}
+	got, err := valence.NewFieldCtx(ctx, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.PeekResume(resilient.TagField) != nil {
+		t.Fatal("stored checkpoint was not consumed")
+	}
+	if !bytes.Equal(got.Masks(), want) {
+		t.Fatal("resumed field differs from an uninterrupted sweep")
+	}
+}
+
+// TestFieldCheckpointLayerRange: a field checkpoint matches its graph only
+// when its next layer is one of the graph's layers; an out-of-range
+// NextLayer (which a crafted file can carry) is never resumed.
+func TestFieldCheckpointLayerRange(t *testing.T) {
+	g := ckptGraph(t, syncmp.NewSt(protocols.FloodSet{Rounds: 3}, 5, 2), 3)
+	stored, err := os.ReadFile("testdata/field-syncst-n5-t2-hit2.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections, err := resilient.ReadSections(bytes.NewReader(stored))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := valence.DecodeFieldCheckpoint(sections[0].Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ck.Matches(g, 0) {
+		t.Fatalf("stored checkpoint (next layer %d) does not match its graph", ck.NextLayer)
+	}
+	for _, next := range []int{-1, g.NumLayers(), 1 << 20} {
+		ck.NextLayer = next
+		if ck.Matches(g, 0) {
+			t.Errorf("next layer %d of %d layers matched", next, g.NumLayers())
+		}
+	}
+}
+
 // TestCertifyResumeNonGraded cuts Certify on non-graded graphs at every
 // interruption point in turn — every explore layer, every certify root and
 // every 256-step poll — resumes each cut in a fresh model, and requires

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/arena"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -55,8 +54,9 @@ const (
 // pinned to the recursive per-state test reference in oracle_ref_test.go.
 //
 // The bit-plane layout is what makes the sweep word-parallel: a layer is a
-// contiguous id window (core.LayerSpan, the BFS construction invariant
-// checked by the layout pass), so the sweep computes 64 nodes' bits into
+// contiguous id window (core.LayerSpan; BFS numbers each layer
+// consecutively, and resume rejects checkpoints that would not), so the
+// sweep computes 64 nodes' bits into
 // two register accumulators and stores whole plane words — interior words
 // with a plain store, the partial words where a layer boundary cuts a word
 // with a masked merge that preserves the deeper layer's already-final bits.
@@ -66,14 +66,18 @@ const (
 // consecutively) are folded with word-wide ORs over the planes instead of
 // per-edge bit probes.
 //
+// The sweep is the same for any seed: NewFieldFrom runs it from seed
+// planes of the caller's choosing, which is how Section 7's generalized
+// valence under a covering (O₀, O₁) is computed (decision.FieldValences),
+// and with it Lemma 7.1's chain as the field's BivalentChain.
+//
 // On graded graphs (every edge goes depth d -> d+1) a node's mask depends
 // only on the already-finished deeper layer, so one reverse pass over the
 // layers is exact. Graphs that are not graded — the asynchronous families
-// can produce same-depth shortcut edges at small n, and hand-built graphs
-// can do anything — fall back to serial reverse sweeps iterated to
-// fixpoint (masks grow monotonically under OR, so the iteration
-// converges); there the mask means "valence within the explored graph":
-// the OR of decided bits over every reachable recorded node. That is the
+// can produce same-depth shortcut edges at small n — fall back to serial
+// reverse sweeps iterated to fixpoint (masks grow monotonically under OR,
+// so the iteration converges); there the mask means "valence within the
+// explored graph": the OR of seed bits over every reachable recorded node. That is the
 // horizon-bounded valence whenever no same-depth shortcut lets a node
 // reach a decision more than B-depth layers ahead; otherwise the field's
 // mask is a superset (measured at n=3: equal for protocol bounds up to 3
@@ -81,11 +85,13 @@ const (
 // asyncmp, asyncmp-sync and snapshot graphs at bound 4, depth 4).
 type Field struct {
 	g *core.IDGraph
-	// fp is the graph's cached decided-bit planes (shared, immutable).
+	// fp is the seed planes: the graph's cached decided-bit planes for
+	// NewFieldCtx, the caller's seed for NewFieldFrom (immutable).
 	fp *fieldPlanes
+	// id keys checkpoints to the seed: 0 for the decided seed, the seed
+	// planes' hash for NewFieldFrom.
+	id uint64
 	// plane0/plane1 hold the field: bit u set = V0 (V1) in node u's mask.
-	// Arena-backed when the sweep came from a Sweep; see the arena package
-	// for the lifetime rule.
 	plane0, plane1 []uint64
 }
 
@@ -103,17 +109,29 @@ const runMin = 16
 //
 // Non-graded graphs fall back to serial fixpoint iteration, which polls
 // the context once per pass but is not checkpointed (the fallback exists
-// for small, hand-built, or shortcut-edged graphs).
+// for small or shortcut-edged graphs).
 func NewFieldCtx(ctx *resilient.Ctx, g *core.IDGraph) (*Field, error) {
 	f := &Field{}
 	err := f.compute(ctx, g, nil)
 	return f, err
 }
 
-// compute runs the sweep into f, allocating the planes from ar when
-// non-nil (the Sweep zero-alloc path) and from the heap otherwise. It is
-// the shared engine behind NewFieldCtx and Sweep.Field.
-func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, ar *arena.Arena) error {
+// NewFieldFrom is NewFieldCtx with the decided bits replaced by seed: a
+// node's mask is the OR of seed(state)&(V0|V1) over the states reachable
+// from it within its horizon. It runs the same sweep — graded span sweep
+// or fixpoint, the field.layer fault point, TagField checkpoints — but its
+// checkpoints carry an id derived from the seed planes, so a seeded sweep
+// and a NewFieldCtx sweep (or two sweeps with different seeds) over the
+// same graph never resume each other's cuts.
+func NewFieldFrom(ctx *resilient.Ctx, g *core.IDGraph, seed func(core.State) uint8) (*Field, error) {
+	f := &Field{}
+	err := f.compute(ctx, g, seed)
+	return f, err
+}
+
+// compute runs the sweep into f from seed's planes, or from the graph's
+// cached decided planes when seed is nil.
+func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, seed func(core.State) uint8) error {
 	rec := obs.Active()
 	defer obs.Span(rec, "field.time")()
 	tr := obs.Trace()
@@ -129,12 +147,13 @@ func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, ar *arena.Arena) er
 		rec.Add("field.words", int64(2*words))
 	}
 	f.g = g
-	f.fp = fieldPlanesOf(g)
-	if ar != nil {
-		f.plane0, f.plane1 = ar.Words(words), ar.Words(words)
+	if seed == nil {
+		f.fp = fieldPlanesOf(g)
 	} else {
-		f.plane0, f.plane1 = make([]uint64, words), make([]uint64, words)
+		f.fp = seedPlanes(g, seed)
+		f.id = f.fp.id()
 	}
+	f.plane0, f.plane1 = make([]uint64, words), make([]uint64, words)
 	if g.Graded() {
 		start := g.NumLayers() - 1
 		if data := ctx.PeekResume(resilient.TagField); data != nil {
@@ -142,7 +161,7 @@ func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, ar *arena.Arena) er
 			if err != nil {
 				return err
 			}
-			if ck.Matches(g) {
+			if ck.Matches(g, f.id) {
 				ctx.TakeResume(resilient.TagField)
 				f.loadMasks(ck.Masks)
 				start = ck.NextLayer
@@ -172,7 +191,9 @@ func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, ar *arena.Arena) er
 			if rec != nil {
 				t0 = time.Now() //lint:nondet feeds layer-timing instrumentation only
 			}
-			width := f.sweepLayer(d)
+			lo, hi := g.LayerSpan(d)
+			f.sweepSpan(lo, hi)
+			width := int(hi - lo)
 			if tr != nil {
 				tr.End(lsp)
 			}
@@ -244,28 +265,12 @@ func (f *Field) interrupted(rec obs.Recorder, nextLayer int, cause error) error 
 			obs.F{Key: "cause", Value: cause.Error()})
 	}
 	ck := &FieldCheckpoint{
-		Fingerprint: graphFingerprint(f.g),
+		Fingerprint: graphFingerprint(f.g) ^ f.id,
 		NextLayer:   nextLayer,
 		Masks:       f.Masks(),
 	}
 	err := fmt.Errorf("valence: field sweep interrupted at layer %d: %w", nextLayer, cause)
 	return resilient.WithCheckpoint(err, ck)
-}
-
-// sweepLayer computes the masks of one finished-children layer and
-// returns its width: the word-parallel span sweep over the layer's id
-// window, or per-node bit writes when the layer is not one contiguous
-// window (possible only for hand-assembled graphs; BFS exploration always
-// numbers layers consecutively).
-func (f *Field) sweepLayer(d int) int {
-	lo, hi, contiguous := f.g.LayerSpan(d)
-	if !contiguous {
-		layer := f.g.Layer(d)
-		f.sweepNodes(layer)
-		return len(layer)
-	}
-	f.sweepSpan(lo, hi)
-	return int(hi - lo)
 }
 
 // sweepSpan computes the plane bits of the node-id window [a, b) — same-
@@ -369,23 +374,9 @@ func orRange(p0, p1 []uint64, lo, hi uint32) (uint64, uint64) {
 	return o0, o1
 }
 
-// sweepNodes is the non-contiguous-layer fallback: per-node bit writes in
-// slice order.
-//
-//lint:hotpath
-func (f *Field) sweepNodes(part []uint32) {
-	for _, u := range part {
-		m0, m1 := f.nodeBits(u)
-		wi, sh := u>>6, u&63
-		f.plane0[wi] = f.plane0[wi]&^(1<<sh) | m0<<sh
-		f.plane1[wi] = f.plane1[wi]&^(1<<sh) | m1<<sh
-	}
-}
-
-// nodeBits is the per-node transfer function on planes: decided bits OR
-// all recorded children bits, early-exiting once both are set. Used by the
-// fallback paths (fixpoint, non-contiguous layers); the span sweep inlines
-// the same computation.
+// nodeBits is the per-node transfer function on planes: seed bits OR all
+// recorded children bits, early-exiting once both are set. Used by the
+// fixpoint fallback; the span sweep inlines the same computation.
 //
 //lint:hotpath
 func (f *Field) nodeBits(u uint32) (m0, m1 uint64) {

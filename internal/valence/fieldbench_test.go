@@ -7,14 +7,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/protocols"
 	"repro/internal/syncmp"
-	"repro/internal/valence"
 )
 
 // BenchmarkFieldSweep is the kernel-level micro-benchmark grid for the
 // valence field: the scalar reference engine (test code) vs the bit-plane
-// sweep, heap vs arena planes, graded vs fixpoint-fallback graphs. Every
-// row reports
-// states/sec and allocs/op, so a kernel regression shows up here without
+// sweep, graded vs fixpoint-fallback graphs. Every row reports states/sec
+// and allocs/op, so a kernel regression shows up here without
 // running the full cmd/bench suite (`make benchfield` runs the grid in
 // -benchtime=1x smoke mode on every tier1 pass).
 func BenchmarkFieldSweep(b *testing.B) {
@@ -46,7 +44,7 @@ func BenchmarkFieldSweep(b *testing.B) {
 		b.Run(name+"/scalar", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(scalarMasks(g)) != g.Len() {
+				if len(scalarMasks(g, decidedSeed)) != g.Len() {
 					b.Fatal("size mismatch")
 				}
 			}
@@ -61,27 +59,13 @@ func BenchmarkFieldSweep(b *testing.B) {
 			}
 			perSec(b, g)
 		})
-		b.Run(name+"/planes-arena", func(b *testing.B) {
-			var s valence.Sweep
-			if _, err := s.Field(g); err != nil { // warm
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if f, err := s.Field(g); err != nil || f.Len() != g.Len() {
-					b.Fatal("size mismatch", err)
-				}
-			}
-			perSec(b, g)
-		})
 	}
 
 	g := fixpoint(300)
 	b.Run("fixpoint/chain=300/scalar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if len(scalarMasks(g)) != g.Len() {
+			if len(scalarMasks(g, decidedSeed)) != g.Len() {
 				b.Fatal("size mismatch")
 			}
 		}
@@ -96,30 +80,4 @@ func BenchmarkFieldSweep(b *testing.B) {
 		}
 		perSec(b, g)
 	})
-}
-
-// BenchmarkCertifyGraphArena is BenchmarkCertifyGraph through the reused
-// Sweep: the zero-alloc steady state the experiment drivers run in.
-func BenchmarkCertifyGraphArena(b *testing.B) {
-	for _, cfg := range []struct{ n, t int }{{5, 1}, {6, 1}} {
-		b.Run(fmt.Sprintf("floodset/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
-			m := syncmp.NewSt(protocols.FloodSet{Rounds: cfg.t + 1}, cfg.n, cfg.t)
-			g, err := core.ExploreIDParallel(m, cfg.t+1, 0, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var s valence.Sweep
-			if _, err := s.CertifyGraph(g, 0); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w, err := s.CertifyGraph(g, 0)
-				if err != nil || w.Kind != valence.OK {
-					b.Fatal(err, w.Kind)
-				}
-			}
-		})
-	}
 }

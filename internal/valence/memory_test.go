@@ -20,7 +20,7 @@ import (
 // reference's bits.
 func TestFieldScalarMemoryPressure(t *testing.T) {
 	g := ckptGraph(t, mobile.New(protocols.FloodSet{Rounds: 2}, 3), 2)
-	ref := scalarMasks(g)
+	ref := scalarMasks(g, decidedSeed)
 
 	resilient.SetSoftMemLimit(1)
 	t.Cleanup(func() { resilient.SetSoftMemLimit(0) })
@@ -40,9 +40,10 @@ func TestFieldScalarMemoryPressure(t *testing.T) {
 }
 
 // TestFieldMemoryLimitReturnsPromptly: with the soft memory limit armed,
-// both field entry points return an error wrapping ErrMemory at once. The
-// gate fails at the same layer on every poll, so an entry point that
-// retried until the sweep succeeded would never return.
+// both field entry points (the decided seed and a covering seed) return an
+// error wrapping ErrMemory at once. The gate fails at the same layer on
+// every poll, so an entry point that retried until the sweep succeeded
+// would never return.
 func TestFieldMemoryLimitReturnsPromptly(t *testing.T) {
 	g, err := core.ExploreID(syncmp.NewSt(protocols.FloodSet{Rounds: 3}, 5, 2), 3, 0)
 	if err != nil {
@@ -51,13 +52,12 @@ func TestFieldMemoryLimitReturnsPromptly(t *testing.T) {
 	resilient.SetSoftMemLimit(1)
 	t.Cleanup(func() { resilient.SetSoftMemLimit(0) })
 
-	var s valence.Sweep
 	for _, c := range []struct {
 		name  string
 		sweep func() error
 	}{
 		{"NewFieldCtx", func() error { _, err := valence.NewFieldCtx(nil, g); return err }},
-		{"Sweep.Field", func() error { _, err := s.Field(g); return err }},
+		{"NewFieldFrom", func() error { _, err := valence.NewFieldFrom(nil, g, byProcessSeed); return err }},
 	} {
 		done := make(chan error, 1)
 		go func() { done <- c.sweep() }()

@@ -1,6 +1,9 @@
 package valence
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -18,10 +21,12 @@ type (
 	certPlanesKey  struct{}
 )
 
-// fieldPlanes are the decided-bit planes of a graph: bit u of d0 (d1) is
-// set when some process that is non-failed at node u's state has decided 0
-// (1) there — DecidedValues(state)&0b11 transposed into two node-indexed
-// bit-planes. They seed the field sweep's transfer function.
+// fieldPlanes are the seed planes of a field sweep: bit u of d0 (d1) is
+// set when node u's state carries seed bit V0 (V1). For the valence field
+// the seed is DecidedValues(state)&0b11 — some process non-failed at u has
+// decided 0 (1) there — transposed into two node-indexed bit-planes; a
+// seeded field (NewFieldFrom) brings its own seed. They seed the field
+// sweep's transfer function.
 type fieldPlanes struct {
 	d0, d1 []uint64
 }
@@ -30,28 +35,45 @@ type fieldPlanes struct {
 // planes.
 func fieldPlanesOf(g *core.IDGraph) *fieldPlanes {
 	return g.Aux(fieldPlanesKey{}, func() any {
-		rec := obs.Active()
-		defer obs.Span(rec, "field.planes.time")()
-		if tr := obs.Trace(); tr != nil {
-			defer tr.End(tr.Begin("field.planes", 0))
-		}
-		words := (g.Len() + 63) / 64
-		fp := &fieldPlanes{d0: make([]uint64, words), d1: make([]uint64, words)}
-		for u, x := range g.States {
-			dv := core.DecidedValues(x)
-			bit := uint64(1) << (uint(u) & 63)
-			if dv&1 != 0 {
-				fp.d0[u>>6] |= bit
-			}
-			if dv&2 != 0 {
-				fp.d1[u>>6] |= bit
-			}
-		}
-		if rec != nil {
-			rec.Add("field.planes.builds", 1)
-		}
-		return fp
+		return seedPlanes(g, func(x core.State) uint8 { return uint8(core.DecidedValues(x) & 0b11) })
 	}).(*fieldPlanes)
+}
+
+// seedPlanes transposes seed(state)'s V0 and V1 bits over g's nodes into
+// two bit-planes: one seed call per node.
+func seedPlanes(g *core.IDGraph, seed func(core.State) uint8) *fieldPlanes {
+	rec := obs.Active()
+	defer obs.Span(rec, "field.planes.time")()
+	if tr := obs.Trace(); tr != nil {
+		defer tr.End(tr.Begin("field.planes", 0))
+	}
+	words := (g.Len() + 63) / 64
+	fp := &fieldPlanes{d0: make([]uint64, words), d1: make([]uint64, words)}
+	for u, x := range g.States {
+		m := seed(x)
+		bit := uint64(1) << (uint(u) & 63)
+		if m&V0 != 0 {
+			fp.d0[u>>6] |= bit
+		}
+		if m&V1 != 0 {
+			fp.d1[u>>6] |= bit
+		}
+	}
+	if rec != nil {
+		rec.Add("field.planes.builds", 1)
+	}
+	return fp
+}
+
+// id derives a seeded field's checkpoint id from its seed planes: an FNV
+// hash of both planes, never 0 (0 is the decided seed's id, which keeps
+// NewFieldCtx checkpoints on the bare graph fingerprint).
+func (fp *fieldPlanes) id() uint64 {
+	h := fnv.New64a()
+	// Writes to a hash.Hash never fail.
+	_ = binary.Write(h, binary.LittleEndian, fp.d0)
+	_ = binary.Write(h, binary.LittleEndian, fp.d1)
+	return h.Sum64() | 1
 }
 
 // certPlanes are the certifier's precomputed check tables: everything

@@ -14,13 +14,13 @@ import (
 )
 
 // scalarMasks is the field's reference engine: the original one-byte-per-
-// node reverse sweep. Same transfer function, same layer order, same
-// fixpoint fallback as the bit-plane field; no planes, no words, no
-// caching.
-func scalarMasks(g *core.IDGraph) []uint8 {
+// node reverse sweep from seed's bits. Same transfer function, same layer
+// order, same fixpoint fallback as the bit-plane field; no planes, no
+// words, no caching.
+func scalarMasks(g *core.IDGraph, seed func(core.State) uint8) []uint8 {
 	masks := make([]uint8, g.Len())
 	node := func(u uint32) uint8 {
-		m := uint8(core.DecidedValues(g.States[u]) & 0b11)
+		m := seed(g.States[u]) & (valence.V0 | valence.V1)
 		lo, hi := g.EdgeStart[u], g.EdgeStart[u+1]
 		for e := lo; e < hi && m != valence.V0|valence.V1; e++ {
 			m |= masks[g.EdgeTo[e]]
@@ -45,6 +45,27 @@ func scalarMasks(g *core.IDGraph) []uint8 {
 		}
 	}
 	return masks
+}
+
+// decidedSeed is NewFieldCtx's seed: the values decided by processes
+// non-failed at the state.
+func decidedSeed(x core.State) uint8 { return uint8(core.DecidedValues(x) & 0b11) }
+
+// byProcessSeed is a covering seed in the shape of decision's
+// CoveringByProcess over every decided simplex: a state whose non-failed
+// processes have all decided is seeded V0 when the last process is
+// non-failed and decided 0, and V1 otherwise; other states get no bits.
+func byProcessSeed(x core.State) uint8 {
+	last := x.N() - 1
+	for i := 0; i <= last; i++ {
+		if _, ok := x.Decided(i); !ok && !x.FailedAt(i) {
+			return 0
+		}
+	}
+	if v, _ := x.Decided(last); v == 0 && !x.FailedAt(last) {
+		return valence.V0
+	}
+	return valence.V1
 }
 
 // wmState is a node of the synthetic wide graded model: layer, index within
@@ -157,13 +178,14 @@ func TestFieldShardWordAlignment(t *testing.T) {
 	if !g.Graded() {
 		t.Fatal("wide model graph should be graded")
 	}
-	if lo, hi, ok := g.LayerSpan(1); !ok || hi-lo != 200 {
-		t.Fatalf("LayerSpan(1) = [%d,%d) ok=%v, want a 200-node window", lo, hi, ok)
+	lo, hi := g.LayerSpan(1)
+	if hi-lo != 200 {
+		t.Fatalf("LayerSpan(1) = [%d,%d), want a 200-node window", lo, hi)
 	}
-	if lo, _, _ := g.LayerSpan(1); lo%64 == 0 {
+	if lo%64 == 0 {
 		t.Fatalf("layer 1 starts at word-aligned id %d; the fixture needs a mid-word boundary", lo)
 	}
-	if !bytes.Equal(newField(t, g).Masks(), scalarMasks(g)) {
+	if !bytes.Equal(newField(t, g).Masks(), scalarMasks(g, decidedSeed)) {
 		t.Fatal("bit-plane field differs from scalar reference")
 	}
 }
@@ -187,7 +209,7 @@ func TestFieldFixpointWordBoundary(t *testing.T) {
 		t.Fatalf("graph has %d nodes, want %d", g.Len(), k+2)
 	}
 	f := newField(t, g)
-	scalar := scalarMasks(g)
+	scalar := scalarMasks(g, decidedSeed)
 	if !bytes.Equal(f.Masks(), scalar) {
 		t.Fatal("fixpoint bit-plane field differs from scalar reference")
 	}
@@ -199,10 +221,21 @@ func TestFieldFixpointWordBoundary(t *testing.T) {
 }
 
 // TestFieldMatchesScalarPlanes is the field's pinning property: across all
-// nine model families, graded and fixpoint graphs, heap and arena planes,
-// and a checkpoint/resume cut, the bit-plane field is bit-for-bit
-// identical to the scalar reference engine.
+// nine model families, graded and fixpoint graphs, the decided seed
+// (NewFieldCtx) and a covering seed (NewFieldFrom), and a
+// checkpoint/resume cut, the bit-plane field is bit-for-bit identical to
+// the scalar reference engine.
 func TestFieldMatchesScalarPlanes(t *testing.T) {
+	seeds := []struct {
+		name  string
+		seed  func(core.State) uint8
+		sweep func(*resilient.Ctx, *core.IDGraph) (*valence.Field, error)
+	}{
+		{"decided", decidedSeed, valence.NewFieldCtx},
+		{"covering", byProcessSeed, func(ctx *resilient.Ctx, g *core.IDGraph) (*valence.Field, error) {
+			return valence.NewFieldFrom(ctx, g, byProcessSeed)
+		}},
+	}
 	for _, n := range []int{2, 3} {
 		for _, mc := range fieldModels(n, 1, 2) {
 			depth := 2
@@ -214,40 +247,35 @@ func TestFieldMatchesScalarPlanes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				scalar := scalarMasks(g)
-				if !bytes.Equal(newField(t, g).Masks(), scalar) {
-					t.Fatalf("bit-plane field differs from scalar (graded=%v)", g.Graded())
-				}
-				// A reused Sweep (arena-backed planes) must agree too.
-				var s valence.Sweep
-				for i := 0; i < 2; i++ {
-					f, err := s.Field(g)
+				for _, sc := range seeds {
+					scalar := scalarMasks(g, sc.seed)
+					f, err := sc.sweep(nil, g)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(f.Masks(), scalar) {
-						t.Fatalf("sweep pass %d: arena-backed field differs from scalar", i)
+						t.Fatalf("%s seed: bit-plane field differs from scalar (graded=%v)", sc.name, g.Graded())
 					}
-				}
-				if !g.Graded() {
-					return // the fixpoint fallback is not checkpointed
-				}
-				// Cut the sweep mid-way, resume from the persisted
-				// checkpoint, and require the same bits.
-				plan := chaos.NewPlan().Set("field.layer",
-					chaos.Rule{Hit: uint64(1 + g.NumLayers()/2), Kind: chaos.KindCancel})
-				chaos.Arm(plan)
-				_, perr := valence.NewFieldCtx(nil, g)
-				chaos.Disarm()
-				if !errors.Is(perr, resilient.ErrPartial) {
-					t.Fatalf("cut err = %v, want ErrPartial family", perr)
-				}
-				got, rerr := valence.NewFieldCtx(resumeCtx(t, perr), g)
-				if rerr != nil {
-					t.Fatal(rerr)
-				}
-				if !bytes.Equal(got.Masks(), scalar) {
-					t.Fatal("resumed bit-plane field differs from scalar")
+					if !g.Graded() {
+						continue // the fixpoint fallback is not checkpointed
+					}
+					// Cut the sweep mid-way, resume from the persisted
+					// checkpoint, and require the same bits.
+					plan := chaos.NewPlan().Set("field.layer",
+						chaos.Rule{Hit: uint64(1 + g.NumLayers()/2), Kind: chaos.KindCancel})
+					chaos.Arm(plan)
+					_, perr := sc.sweep(nil, g)
+					chaos.Disarm()
+					if !errors.Is(perr, resilient.ErrPartial) {
+						t.Fatalf("%s seed: cut err = %v, want ErrPartial family", sc.name, perr)
+					}
+					got, rerr := sc.sweep(resumeCtx(t, perr), g)
+					if rerr != nil {
+						t.Fatal(rerr)
+					}
+					if !bytes.Equal(got.Masks(), scalar) {
+						t.Fatalf("%s seed: resumed bit-plane field differs from scalar", sc.name)
+					}
 				}
 			})
 		}
