@@ -51,19 +51,31 @@
 //
 // A State points to immutable records: one environment record (the
 // channel histories and the environment key) and one record per process
-// (protocol state, consumption counters, local key, decision). Successors
-// share them. In both layerings every action gives each process at most
-// one local phase, sent from the source state, so an action is a set of
+// (protocol state, consumption counters, local key, decision). Each model
+// owns an id table that files every record it builds under a dense id and
+// builds each at most once: messages and protocol states (a
+// core.LocalTable, shared with the synchronous models, which also runs
+// Decide and Send once per protocol state), channel histories (by prefix
+// history id and message id), environments (by their n² history ids) and
+// process records (by protocol-state id and consumption counters). Receive
+// runs once per (protocol state, inbox message ids) across the whole
+// model. In both layerings every action gives each process at most one
+// local phase, sent from the source state, so an action is a set of
 // processes that phase plus, for each, the set of senders whose fresh
 // message it receives. One phase memo per source state serves every
-// action: it calls Send once per process, Receive (and Decide) once per
-// distinct receiver inbox, and builds one environment record per set of
-// processes that phased. An extended history is a fresh copy with its
-// capacity capped at its length, so no two states ever alias a history
-// that one of them could extend, and each unchanged channel reuses its
-// encoding from the source's environment key. A successor then costs its
-// State, its slice of process records and its key. Sequential, WithPair,
-// Apply and ApplyAbsent are one-action memos; ApplyOps, which executes
-// primitive send and receive events on a mutable copy of the state, is the
-// independent reference the memo is tested against.
+// action: it resolves each receiver's (fresh senders) set once to a
+// process record id and each phased set once to an environment id, writes
+// the successor's cache key as (environment id, process record ids),
+// probes the model's successor cache, and only on a miss builds the
+// State, its slice of records and its canonical key. A duplicate successor
+// therefore costs no allocation. Ids never leave the process: Key,
+// checkpoints and DOT output use the canonical strings, and a state whose
+// records the table did not file (another model's Initial, an ApplyOps
+// result) is keyed from its strings, so it gets the id of the model's own
+// equal state. A history's capacity equals its length, so no two states
+// ever alias a history that one of them could extend. Sequential,
+// WithPair, Apply and ApplyAbsent are one-action memos run without a
+// cache; ApplyOps, which executes primitive send and receive events on a
+// mutable copy of the state, is the independent reference the memo is
+// tested against.
 package asyncmp

@@ -1,9 +1,10 @@
 package asyncmp
 
 import (
+	"encoding/binary"
 	"strconv"
 
-	"repro/internal/proto"
+	"repro/internal/core"
 )
 
 // action is a layer action in phase form: the set of processes that take
@@ -74,165 +75,232 @@ func absentRound(n, j int) action {
 // by every action applied to it. A phase sends from the source state, so
 // the layer's messages are common to all its actions, and a receiver's
 // inbox is its backlog plus the fresh messages of the senders in its fresh
-// set. The memo calls Send once per process, Receive (and Decide on the
-// result) once per distinct (receiver, fresh senders with a non-empty
-// message to it) pair, and builds one successor environment per set of
-// processes that took a phase. Successors share these immutable records
-// with each other and with the source: a successor costs its State, its
-// process slice and its key. The memo relies on Send, Receive and Decide
-// being pure and on Receive not retaining its inbox, whose buffers the
-// memo reuses (the proto.MPProtocol contract, checked by proto.ValidateMP).
+// set. The memo resolves each (receiver, fresh senders with a non-empty
+// message to it) pair once to the receiver's next process record id, and
+// each set of processes that took a phase once to the next environment
+// id, through the table's model-wide records and Receive memo. It then
+// writes each successor's cache key as (environment id, process record
+// ids), probes the cache, and only on a miss builds the State, its slice
+// of records and its canonical key. Successors share the table's immutable
+// records with each other and with the source.
 //
-// A memo belongs to one enumeration: it is not safe for concurrent use and
-// should be dropped once the source state's successors are built.
+// A memo belongs to one enumeration: it is not safe for concurrent use.
+// table.memo hands one out and done returns it to the table's pool.
 type phaseMemo struct {
-	p     proto.MPProtocol
-	x     *State
-	sends [][]string
+	t *table
+	p core.Prober
+	x *State
+	// env and procs are the source's records as the table filed them, and
+	// sends the processes' Send vectors as message ids (table-owned,
+	// shared).
+	env   *env
+	procs []*proc
+	sends [][]uint32
 	// live[to] is the set of senders other than to whose message to to is
 	// non-empty, so a fresh set only matters within it.
 	live []uint64
-	// encs[c] is Join(x.env.hist[c]...), a substring of x's environment
-	// key: Join is a concatenation, so an extended history's encoding is
-	// the old one followed by the new message's.
-	encs []string
-	// recs[to<<n|fresh] is receiver to's record after receiving its
-	// backlog and the fresh messages of the senders in fresh ⊆ live[to];
-	// envs[phased] is the environment after the processes in phased sent.
-	recs []*proc
-	envs []*env
-	// in is the inbox handed to Receive: in[j] is a channel history's
-	// backlog, a one-message window of j's send vector, or a window of
-	// spill holding a backlog plus the fresh message. buf holds keys
-	// while they are built.
-	in    [][]string
-	spill []string
-	buf   []byte
+	// recv[to] holds the record ids resolved for receiver to, envs the
+	// environments resolved per phased set.
+	recv [][]delivery
+	envs []phasedEnv
+	// ids holds the successor's process record ids being assembled, hists
+	// an environment's history ids, consumed a record's counters; in and
+	// spill hold the inbox handed to Receive on a memo miss.
+	ids      []uint32
+	hists    []uint32
+	consumed []int
+	in       [][]string
+	spill    []string
+	key      []byte
+	buf      []byte
+	out      []core.Succ
+	oids     []uint32
 }
 
-// newPhaseMemo starts the layer from x under protocol p.
-func newPhaseMemo(p proto.MPProtocol, x *State) *phaseMemo {
-	n := len(x.procs)
-	r := &phaseMemo{
-		p:     p,
-		x:     x,
-		sends: make([][]string, n),
-		live:  make([]uint64, n),
-		recs:  make([]*proc, n<<uint(n)),
-		envs:  make([]*env, 1<<uint(n)),
-		in:    make([][]string, n),
+// delivery is one receiver's next record id given the set of fresh
+// senders it receives from.
+type delivery struct {
+	fresh uint64
+	id    uint32
+}
+
+// phasedEnv is the environment after the processes in phased sent.
+type phasedEnv struct {
+	phased uint64
+	e      *env
+}
+
+// memo starts the layer from x, resolving successor keys through p. size
+// is the expected number of successors.
+func (t *table) memo(x *State, p core.Prober, size int) *phaseMemo {
+	r, _ := t.memos.Get().(*phaseMemo)
+	if r == nil {
+		r = &phaseMemo{t: t}
 	}
-	r.encs, _ = proto.Split(x.env.key) // a Join encoding by construction
+	n := t.n
+	r.p, r.x = p, x
+	r.env = t.ownEnv(x.env)
+	r.procs = grow(r.procs, n)
+	r.sends, r.live, r.recv = grow(r.sends, n), grow(r.live, n), grow(r.recv, n)
+	r.ids, r.hists, r.consumed = grow(r.ids, n), grow(r.hists, n*n), grow(r.consumed, n)
+	r.in = grow(r.in, n)
+	r.envs = r.envs[:0]
 	for i, rec := range x.procs {
-		r.sends[i] = p.Send(rec.local)
+		r.procs[i] = t.ownProc(rec)
+		r.sends[i] = t.locals.Sends(r.procs[i].lid)
 	}
 	for to := range r.live {
+		r.live[to] = 0
 		for i, out := range r.sends {
-			if i != to && to < len(out) && out[to] != "" {
+			if i != to && out[to] != 0 {
 				r.live[to] |= 1 << uint(i)
 			}
 		}
+		r.recv[to] = r.recv[to][:0]
 	}
+	r.out = make([]core.Succ, 0, size)
+	r.oids = make([]uint32, 0, size)
 	return r
 }
 
-// next returns the successor of the memo's source state under action a.
-func (r *phaseMemo) next(a *action) *State {
-	procs := make([]*proc, len(r.x.procs))
-	for i := range procs {
+// grow returns s resized to length n, reusing its array when it can.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// done returns the successors and ids the memo enumerated, and returns
+// the memo to its table's pool.
+func (r *phaseMemo) done() ([]core.Succ, []uint32) {
+	out, oids := r.out, r.oids
+	r.out, r.oids, r.x, r.env = nil, nil, nil, nil
+	r.t.memos.Put(r)
+	return out, oids
+}
+
+// next enumerates the successor of the memo's source state under action
+// a: it resolves the successor's ids, probes its key, and builds it on a
+// miss.
+func (r *phaseMemo) next(a *action) {
+	for i := range r.ids {
 		if a.phased&(1<<uint(i)) == 0 {
-			procs[i] = r.x.procs[i]
+			r.ids[i] = r.procs[i].id
 			continue
 		}
-		procs[i] = r.receive(i, a.fresh[i]&r.live[i])
+		r.ids[i] = r.receive(i, a.fresh[i]&r.live[i])
 	}
-	s, buf := assemble(r.environment(a.phased), procs, r.x.inputs, r.buf)
+	e := r.environment(a.phased)
+	id, st, ok := r.probe(e)
+	if !ok {
+		id, st = r.p.Intern(r.key, r.build(e))
+	}
+	r.out = append(r.out, core.Succ{Action: a.label, State: st})
+	r.oids = append(r.oids, id)
+}
+
+// probe writes the key of the successor with environment e and process
+// record ids r.ids and looks it up: the path every duplicate successor
+// ends on.
+//
+//lint:hotpath
+func (r *phaseMemo) probe(e *env) (uint32, core.State, bool) {
+	r.key = appendStateKey(r.key[:0], e.id, r.ids)
+	return r.p.Probe(r.key)
+}
+
+// build assembles the successor with environment e and process record ids
+// r.ids: its record slice and canonical key, built once.
+func (r *phaseMemo) build(e *env) *State {
+	procs := make([]*proc, len(r.ids))
+	for i, id := range r.ids {
+		procs[i] = r.t.procs.at(id)
+	}
+	s, buf := assemble(e, procs, r.x.inputs, r.buf)
 	r.buf = buf
+	r.t.built.Add(1)
 	return s
 }
 
-// receive returns receiver to's record after it receives its backlog and
-// the fresh messages of the senders in fresh, computing it on the first
-// request.
-func (r *phaseMemo) receive(to int, fresh uint64) *proc {
-	n := len(r.x.procs)
-	slot := to<<uint(n) | int(fresh)
-	if rec := r.recs[slot]; rec != nil {
-		return rec
-	}
-	src := r.x.procs[to]
-	consumed := make([]int, n)
-	spill := r.spill[:0]
-	for j := range r.in {
-		h := r.x.env.hist[j*n+to]
-		consumed[j] = len(h)
-		backlog := h[src.consumed[j]:]
-		switch {
-		case fresh&(1<<uint(j)) == 0:
-			r.in[j] = backlog
-		case len(backlog) == 0:
-			consumed[j]++
-			r.in[j] = r.sends[j][to : to+1 : to+1]
-		default:
-			consumed[j]++
-			start := len(spill)
-			spill = append(append(spill, backlog...), r.sends[j][to])
-			r.in[j] = spill[start:len(spill):len(spill)]
+// receive returns receiver to's record id after it receives its backlog
+// and the fresh messages of the senders in fresh: from the memo's own
+// list, else through the table's model-wide Receive memo and records.
+func (r *phaseMemo) receive(to int, fresh uint64) uint32 {
+	for _, d := range r.recv[to] {
+		if d.fresh == fresh {
+			return d.id
 		}
 	}
+	n, src := r.t.n, r.procs[to]
+	buf := binary.AppendUvarint(r.buf[:0], uint64(src.lid))
+	for j := range r.consumed {
+		h := r.t.hists.at(r.env.hists[j*n+to])
+		backlog := h.ids[src.consumed[j]:]
+		got := fresh&(1<<uint(j)) != 0
+		r.consumed[j] = len(h.ids)
+		if got {
+			r.consumed[j]++
+		}
+		buf = binary.AppendUvarint(buf, uint64(r.consumed[j]-src.consumed[j]))
+		for _, m := range backlog {
+			buf = binary.AppendUvarint(buf, uint64(m))
+		}
+		if got {
+			buf = binary.AppendUvarint(buf, uint64(r.sends[j][to]))
+		}
+	}
+	lid, ok := r.t.receive.Get(buf)
+	if !ok {
+		lid = r.receiveSlow(buf, to, fresh)
+	}
+	rec, buf := r.t.process(lid, r.consumed, buf)
+	r.buf = buf
+	r.recv[to] = append(r.recv[to], delivery{fresh: fresh, id: rec.id})
+	return rec.id
+}
+
+// receiveSlow runs Receive for a memo key the table has not seen and
+// returns the receiver's next local id. The inbox it hands Receive holds,
+// per sender j, a channel history's backlog, or a window of spill holding
+// the backlog plus j's fresh message.
+func (r *phaseMemo) receiveSlow(key []byte, to int, fresh uint64) uint32 {
+	n, src := r.t.n, r.procs[to]
+	spill := r.spill[:0]
+	for j := range r.in {
+		backlog := r.env.hist[j*n+to][src.consumed[j]:]
+		if fresh&(1<<uint(j)) == 0 {
+			r.in[j] = backlog
+			continue
+		}
+		start := len(spill)
+		spill = append(append(spill, backlog...), r.t.locals.Message(r.sends[j][to]))
+		r.in[j] = spill[start:len(spill):len(spill)]
+	}
 	r.spill = spill
-	rec := newProc(r.p, r.p.Receive(src.local, r.in), consumed)
-	r.recs[slot] = rec
-	return rec
+	next := r.t.locals.LocalID(r.t.p.Receive(src.local, r.in))
+	return r.t.receive.Intern(key, func(string) uint32 { return next })
 }
 
 // environment returns the environment after the processes in phased sent
-// their messages, computing it on the first request.
+// their messages: from the memo's own list, else through the table's
+// model-wide histories and environments.
 func (r *phaseMemo) environment(phased uint64) *env {
-	if e := r.envs[phased]; e != nil {
-		return e
-	}
-	n := len(r.x.procs)
-	src := r.x.env.hist
-	size := 0
-	for c, h := range src {
-		if r.extends(c, phased) {
-			size += len(h) + 1
+	for _, d := range r.envs {
+		if d.phased == phased {
+			return d.e
 		}
 	}
-	slab := make([]string, 0, size)
-	e := &env{hist: make([][]string, len(src))}
-	buf := r.buf[:0]
-	for c, h := range src {
-		enc := r.encs[c]
-		if !r.extends(c, phased) {
-			e.hist[c] = h
-			buf = proto.AppendJoin(buf, enc)
-			continue
+	n, buf := r.t.n, r.buf
+	for c, h := range r.env.hists {
+		from, to := c/n, c%n
+		if phased&r.live[to]&(1<<uint(from)) != 0 {
+			h, buf = r.t.extend(h, r.sends[from][to], buf)
 		}
-		m := r.sends[c/n][c%n]
-		start := len(slab)
-		slab = append(append(slab, h...), m)
-		e.hist[c] = slab[start:len(slab):len(slab)]
-		buf = strconv.AppendInt(buf, int64(len(enc)+joinLen(m)), 10)
-		buf = proto.AppendJoin(append(append(buf, ':'), enc...), m)
+		r.hists[c] = h
 	}
-	e.key = string(buf)
+	e, buf := r.t.environment(r.hists, buf)
 	r.buf = buf
-	r.envs[phased] = e
+	r.envs = append(r.envs, phasedEnv{phased: phased, e: e})
 	return e
-}
-
-// extends reports whether channel c gains a message when the processes in
-// phased send.
-func (r *phaseMemo) extends(c int, phased uint64) bool {
-	n := len(r.x.procs)
-	from, to := c/n, c%n
-	return phased&r.live[to]&(1<<uint(from)) != 0
-}
-
-// joinLen is len(proto.Join(f)).
-func joinLen(f string) int {
-	var num [20]byte
-	return len(strconv.AppendInt(num[:0], int64(len(f)), 10)) + 1 + len(f)
 }

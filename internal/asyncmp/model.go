@@ -10,13 +10,14 @@ import (
 	"repro/internal/proto"
 )
 
-// layering is what the two layerings share: the protocol, the initial
-// states, and a successor function that applies a precomputed action
-// table through one phaseMemo per source state. Successor enumeration is
-// memoized in an embedded per-model cache shared by every analysis pass
-// over the same model value.
+// layering is what the two layerings share: the protocol, the model's id
+// table, the initial states, and a key-first successor function that
+// applies a precomputed action table through one phaseMemo per source
+// state. Successor enumeration is memoized in an embedded per-model cache
+// shared by every analysis pass over the same model value.
 type layering struct {
 	*core.SuccessorCache
+	tab     *table
 	p       proto.MPProtocol
 	n       int
 	name    string
@@ -29,7 +30,8 @@ type layering struct {
 // asked for its initial states should not pay for.
 func (l *layering) init(p proto.MPProtocol, n int, name string, actions func() []action) {
 	l.p, l.n, l.name, l.actions = p, n, name, sync.OnceValue(actions)
-	l.SuccessorCache = core.NewSuccessorCache(core.SuccessorFunc(l.successors))
+	l.tab = newTable(p, n)
+	l.SuccessorCache = core.NewKeyedCache(l)
 }
 
 // Name implements core.Model.
@@ -58,38 +60,37 @@ func (l *layering) Inits() []core.State {
 }
 
 // Initial builds the initial state for an explicit input assignment.
-func (l *layering) Initial(inputs []int) *State {
-	hist := make([][][]string, l.n)
-	consumed := make([][]int, l.n)
-	plocal := make([]string, l.n)
-	for i := 0; i < l.n; i++ {
-		hist[i] = make([][]string, l.n)
-		consumed[i] = make([]int, l.n)
-		plocal[i] = l.p.Init(l.n, i, inputs[i])
-	}
-	return newState(l.p, hist, consumed, plocal, append([]int(nil), inputs...))
+func (l *layering) Initial(inputs []int) *State { return l.tab.initial(inputs) }
+
+// AppendCacheKey implements core.KeyedSuccessor through the model's table.
+func (l *layering) AppendCacheKey(dst []byte, x core.State) []byte {
+	return l.tab.AppendCacheKey(dst, x)
 }
 
-// successors applies the model's action table to x through one phase
-// memo; the embedded cache serves Successors.
-func (l *layering) successors(x core.State) []core.Succ {
+// SuccessorsKeyed implements core.KeyedSuccessor: it applies the model's
+// action table to x through one phase memo; the embedded cache serves
+// Successors.
+func (l *layering) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
 	s, ok := x.(*State)
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	r := newPhaseMemo(l.p, s)
 	actions := l.actions()
-	out := make([]core.Succ, len(actions))
+	r := l.tab.memo(s, p, len(actions))
 	for i := range actions {
-		out[i] = core.Succ{Action: actions[i].label, State: r.next(&actions[i])}
+		r.next(&actions[i])
 	}
-	return out
+	return r.done()
 }
 
 // apply is the one-action memo behind Sequential, WithPair, Apply and
-// ApplyAbsent.
+// ApplyAbsent: the phase memo run against the zero core.Prober, without a
+// cache.
 func (l *layering) apply(x *State, a action) *State {
-	return newPhaseMemo(l.p, x).next(&a)
+	r := l.tab.memo(x, core.Prober{}, 1)
+	r.next(&a)
+	succs, _ := r.done()
+	return succs[0].State.(*State)
 }
 
 // Model is the asynchronous message-passing model with the permutation

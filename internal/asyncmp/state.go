@@ -21,20 +21,30 @@ type State struct {
 // ever sent from one process to another, oldest first; each history's
 // capacity equals its length, so extending one always copies and siblings
 // never alias. key is Join(Join(hist[0]...), ..., Join(hist[n*n-1]...)).
+// A record its model's table filed carries the table, its id there and
+// its channels' history ids; one built from scratch (newState) has a nil
+// tab.
 type env struct {
-	hist [][]string
-	key  string
+	hist  [][]string
+	key   string
+	tab   *table
+	id    uint32
+	hists []uint32
 }
 
 // proc is one process's local state: its protocol state, how far it has
 // consumed each incoming channel (consumed[from] is the delivered prefix
 // of hist[from*n+i]), its local-state key Join(local, JoinInts(consumed...))
-// and its decision (core.Undecided if none).
+// and its decision (core.Undecided if none). A record its model's table
+// filed carries the table, its id there and its protocol state's local
+// id; one built from scratch (newState) has a nil tab.
 type proc struct {
 	local    string
 	consumed []int
 	key      string
 	decided  int
+	tab      *table
+	id, lid  uint32
 }
 
 var (
@@ -67,16 +77,16 @@ func newState(p proto.Decider, hist [][][]string, consumed [][]int, plocal []str
 
 // newProc builds a process record, taking ownership of consumed.
 func newProc(p proto.Decider, local string, consumed []int) *proc {
-	r := &proc{
-		local:    local,
-		consumed: consumed,
-		key:      proto.Join(local, proto.JoinInts(consumed...)),
-		decided:  core.Undecided,
-	}
+	r := &proc{local: local, consumed: consumed, key: procKey(local, consumed), decided: core.Undecided}
 	if v, ok := p.Decide(local); ok {
 		r.decided = v
 	}
 	return r
+}
+
+// procKey is a process's local-state key.
+func procKey(local string, consumed []int) string {
+	return proto.Join(local, proto.JoinInts(consumed...))
 }
 
 // assemble builds the state with environment e and process records procs,

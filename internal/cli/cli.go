@@ -21,7 +21,7 @@ type Spec struct {
 	// Model is one of "mobile", "sync-s1", "sync-st", "shmem", "asyncmp",
 	// "iis".
 	Model string
-	// N is the number of processes (2..6 are practical).
+	// N is the number of processes, 2..MaxN (2..6 are practical).
 	N int
 	// T is the failure budget (sync-st only).
 	T int
@@ -32,6 +32,13 @@ type Spec struct {
 	FullInfo bool
 }
 
+// MaxN is the largest process count Build accepts. Every model enumerates
+// its 2^n initial states up front (65,536 at n=16) and keeps process sets
+// in uint64 masks, so beyond it a model either exhausts memory building
+// Con_0 or silently wraps its masks: at n=64 a model has no initial state,
+// and at n=63 building them panics.
+const MaxN = 16
+
 // Models lists the accepted model names.
 func Models() []string {
 	return []string{"mobile", "sync-s1", "sync-st", "shmem", "asyncmp", "asyncmp-sync", "iis", "snapshot"}
@@ -39,8 +46,8 @@ func Models() []string {
 
 // Build resolves the spec.
 func Build(s Spec) (core.Model, error) {
-	if s.N < 2 {
-		return nil, fmt.Errorf("cli: n must be >= 2, got %d", s.N)
+	if s.N < 2 || s.N > MaxN {
+		return nil, fmt.Errorf("cli: n must be in 2..%d, got %d", MaxN, s.N)
 	}
 	if s.Bound < 1 && !s.FullInfo {
 		return nil, fmt.Errorf("cli: bound must be >= 1, got %d", s.Bound)

@@ -12,9 +12,9 @@ import (
 // hash, each guarded by its own mutex, and every shard also publishes a
 // read-only snapshot of its table through an atomic pointer, so a lookup
 // of a published key takes no lock and allocates nothing. Inserts lock one
-// shard. The successor cache files its states in one; the synchronous
-// models file their local states, messages and Deliver results in others,
-// sized to what they hold.
+// shard. The successor cache files its states in one; the message-passing
+// models file their local states, messages, Deliver and Receive results
+// and asynchronous records in others, sized to what they hold.
 //
 // The zero Index is not usable; call NewIndex.
 type Index struct {

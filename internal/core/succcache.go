@@ -37,7 +37,8 @@ const (
 // successor by its cache key, the cache probes it, and the model builds
 // only the successors the cache has not seen. A plain Successor's cache key
 // is its canonical Key; the synchronous models key a state by its round,
-// failed set and local-state ids. KeyOf always returns the canonical Key.
+// failed set and local-state ids, the asynchronous ones by its environment
+// and process record ids. KeyOf always returns the canonical Key.
 //
 // The key table is an Index: hash-sharded and lock-striped, with every
 // shard publishing a read-only snapshot through an atomic pointer. The
@@ -249,8 +250,8 @@ func (c *SuccessorCache) insert(sh *internShard, key []byte, x State) uint32 {
 // checkKey returns x's canonical key, and panics when x, about to be
 // interned under key, would not be found under it again: when its
 // AppendKey diverges from its Key, or when its model's cache key for it,
-// rebuilt from the state, differs from key (for the synchronous models:
-// when its local ids do not name its local strings). It allocates nothing
+// rebuilt from the state, differs from key (for the message-passing
+// models: when its ids do not name its strings). It allocates nothing
 // beyond what Key does.
 func (c *SuccessorCache) checkKey(key []byte, x State) string {
 	ks := x.Key()

@@ -76,12 +76,15 @@ type SMProtocol interface {
 // one message to each distinct destination.
 //
 // Send, Receive and Decide must be pure functions of their arguments: equal
-// arguments give equal results, and nothing is retained between calls.
-// Receive must neither keep nor modify its in slices, which alias the
-// model's channel histories and inbox buffers the caller reuses. The models
-// rely on this to compute one layer per source state and share its Send
-// vectors and Receive results among all of the state's successors (the
-// asyncmp phase memo); ValidateMP checks it on small systems.
+// arguments give equal results whatever was called before, and nothing is
+// retained between calls. Receive must neither keep nor modify its in
+// slices, which alias the model's channel histories and inbox buffers the
+// caller reuses. The models rely on this to call Decide and Send once per
+// distinct local state and Receive once per distinct (local state, inbox)
+// pair, and to reuse those results for every source state, in either
+// asynchronous layering, and every successor in which the same arguments
+// recur (the asyncmp id table, as syncmp.Table does for Deliver);
+// ValidateMP checks it on small systems.
 type MPProtocol interface {
 	// Name identifies the protocol.
 	Name() string

@@ -188,8 +188,11 @@ func ValidateSM(p SMProtocol, n, phases int) []Violation {
 // messages sent to it that round. Besides the determinism, send-length and
 // write-once checks, it runs every assignment a second time the way the
 // asynchronous models call Receive — all inboxes in one reused buffer that
-// is overwritten after each call — and reports a protocol whose run then
-// changes: it keeps or modifies its inbox, or is not pure. A Receive that
+// is overwritten after each call, after the first run has made every call
+// once — and reports a protocol whose run then changes: it keeps or
+// modifies its inbox, or its answers depend on the calls made before (the
+// models share one Receive result among every source state, in either
+// layering, that presents the same local state and inbox). A Receive that
 // writes to its inbox is also reported directly.
 func ValidateMP(p MPProtocol, n, rounds int) []Violation {
 	var out []Violation

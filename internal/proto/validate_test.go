@@ -182,19 +182,24 @@ func TestValidateMPCleanProtocols(t *testing.T) {
 
 // TestValidateMPCatchesImpureAndRetaining: a Receive that counts its calls
 // breaks determinism, one that keeps its inbox (read back by the next Send)
-// changes the run once the caller reuses its inbox buffers, and one that
-// writes to its inbox is caught doing so.
+// changes the run once the caller reuses its inbox buffers, one that
+// writes to its inbox is caught doing so, and one whose answers depend on
+// the (state, inbox) pairs seen before, which the models' model-wide
+// Receive memo would freeze at their first answer, changes the run the
+// second time round.
 func TestValidateMPCatchesImpureAndRetaining(t *testing.T) {
 	for _, c := range []struct {
 		p    proto.MPProtocol
+		n    int
 		rule string
 	}{
-		{&countingReceiver{}, "receive-determinism"},
-		{&retainingReceiver{}, "receive-retains-input"},
-		{modifyingReceiver{}, "receive-modifies-input"},
+		{&countingReceiver{}, 2, "receive-determinism"},
+		{&retainingReceiver{}, 2, "receive-retains-input"},
+		{modifyingReceiver{}, 2, "receive-modifies-input"},
+		{&historyReceiver{seen: map[string]bool{}}, 3, "receive-retains-input"},
 	} {
 		rules := map[string]bool{}
-		for _, v := range proto.ValidateMP(c.p, 2, 2) {
+		for _, v := range proto.ValidateMP(c.p, c.n, c.n) {
 			rules[v.Rule] = true
 		}
 		if !rules[c.rule] {
@@ -246,6 +251,24 @@ func (r *retainingReceiver) Receive(s string, in [][]string) string {
 	return next
 }
 func (*retainingReceiver) Decide(string) (int, bool) { return 0, false }
+
+// historyReceiver tags each Receive result with the number of distinct
+// (state, inbox) pairs seen so far: repeating a call at once repeats its
+// answer, but a memo shared across source states would freeze the first.
+type historyReceiver struct{ seen map[string]bool }
+
+func (*historyReceiver) Name() string                 { return "history" }
+func (*historyReceiver) Init(n, id, input int) string { return strconv.Itoa(input) }
+func (*historyReceiver) Send(s string) []string       { return []string{s, s, s} }
+func (h *historyReceiver) Receive(s string, in [][]string) string {
+	fields := []string{s}
+	for _, msgs := range in {
+		fields = append(fields, proto.Join(msgs...))
+	}
+	h.seen[proto.Join(fields...)] = true
+	return strconv.Itoa(len(h.seen) % 4)
+}
+func (*historyReceiver) Decide(string) (int, bool) { return 0, false }
 
 // modifyingReceiver consumes its inbox by blanking it.
 type modifyingReceiver struct{}

@@ -86,7 +86,7 @@ func (t *Table) Memo(x *State, p core.Prober, size int, record, silenceFailed, g
 	r.ids, r.in, r.strs = grow(r.ids, n), grow(r.in, n), grow(r.strs, n)
 	r.envs = r.envs[:0]
 	for i, id := range r.src {
-		r.sends[i] = t.sends(id)
+		r.sends[i] = t.locals.Sends(id)
 	}
 	all := uint64(1)<<uint(n) - 1
 	for to := 0; to < n; to++ {
@@ -221,8 +221,7 @@ func (r *RoundMemo) build(failed uint64) *State {
 	decided := make([]int, n)
 	ids := make([]uint32, n)
 	for i, id := range r.ids {
-		e := r.t.locals.ents.At(id)
-		locals[i], decided[i], ids[i] = e.s, e.decided, id
+		locals[i], decided[i], ids[i] = r.t.locals.Local(id), r.t.locals.Decided(id), id
 	}
 	env := r.envKey(failed)
 	r.buf = proto.AppendJoin(proto.AppendJoin(r.buf[:0], env), locals...)

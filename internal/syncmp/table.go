@@ -2,22 +2,20 @@ package syncmp
 
 import (
 	"encoding/binary"
-	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/proto"
 )
 
-// Table is a synchronous model's local-state table. It gives every
-// canonical local-state string a dense uint32 id, every message string a
-// dense message id (0 is "no message"), and memoizes the protocol on them:
-// Decide and Send (as message ids) once per local id, and Deliver once per
-// (receiver local id, inbox message ids) across the whole model, whatever
-// source state the inbox arises in. That is legal because the protocol's
-// steps are pure functions of their arguments (the proto.SyncProtocol
-// contract, checked by proto.ValidateSync).
+// Table is a synchronous model's local-state table: a core.LocalTable,
+// which gives every canonical local-state string and message a dense id
+// and memoizes Decide and Send once per local id, plus the model-wide
+// Deliver memo, which runs Deliver once per (receiver local id, inbox
+// message ids) across the whole model, whatever source state the inbox
+// arises in. That is legal because the protocol's steps are pure functions
+// of their arguments (the proto.SyncProtocol contract, checked by
+// proto.ValidateSync).
 //
 // Ids never leave the process: states keep their canonical strings, and
 // Key is built from those. The table is append-only and safe for
@@ -25,117 +23,18 @@ import (
 // core.Slots), and its inserts lock one shard.
 type Table struct {
 	p      proto.SyncProtocol
-	n      int
-	locals strTab
-	msgs   strTab
+	locals *core.LocalTable
 	// deliver maps a deliverKey to the receiver's next local id.
 	deliver *core.Index
 	memos   sync.Pool
 }
 
-// strTab interns strings as dense ids. It files each string under its
-// 64-bit hash, so that republishing a snapshot copies 8-byte keys rather
-// than the strings, which grow with every round under full information; a
-// string whose hash slot holds another string is filed by value in
-// collide.
-type strTab struct {
-	// decide, when set, runs on every new string (the local states).
-	decide          proto.Decider
-	seed            maphash.Seed
-	byHash, collide *core.Index
-	next            atomic.Uint32
-	ents            core.Slots[localEntry]
-}
-
-// localEntry is one interned string's memo. For a local state: its
-// decision, and its Send vector as message ids (filled on first use).
-type localEntry struct {
-	s       string
-	decided int
-	sends   atomic.Pointer[[]uint32]
-}
-
-// newStrTab returns an empty string table whose hash index has
-// 1<<shardBits shards; a collision index needs only one.
-func newStrTab(decide proto.Decider, shardBits int) strTab {
-	return strTab{decide: decide, seed: maphash.MakeSeed(), byHash: core.NewIndex(shardBits), collide: core.NewIndex(0)}
-}
-
-// id returns the id of s, interning it on first sight.
-func (x *strTab) id(s string) uint32 {
-	var kb [8]byte
-	binary.LittleEndian.PutUint64(kb[:], maphash.String(x.seed, s))
-	id, ok := x.byHash.Get(kb[:])
-	if !ok {
-		dec := x.decision(s)
-		id = x.byHash.Intern(kb[:], func(string) uint32 { return x.add(s, dec) })
-	}
-	if x.ents.At(id).s == s {
-		return id
-	}
-	dec := x.decision(s)
-	return x.collide.Intern([]byte(s), func(string) uint32 { return x.add(s, dec) })
-}
-
-// decision runs Decide on a string about to be filed, before any index
-// lock is taken.
-func (x *strTab) decision(s string) int {
-	if x.decide != nil {
-		if v, ok := x.decide.Decide(s); ok {
-			return v
-		}
-	}
-	return core.Undecided
-}
-
-// add files s, with its decision, under the next id. It runs under an
-// index shard mutex.
-func (x *strTab) add(s string, decided int) uint32 {
-	id := x.next.Add(1) - 1
-	e := x.ents.Grow(id)
-	e.s, e.decided = s, decided
-	return id
-}
-
 // NewTable returns an empty table for protocol p on n processes. Its
-// indexes are sized to what they hold on the paper's models: a few dozen
-// local states and messages, and thousands of distinct inboxes (full
-// information grows all three, and the shards then grow with it).
+// Deliver index is sized to what it holds on the paper's models: thousands
+// of distinct inboxes (full information grows it, and the shards then grow
+// with it).
 func NewTable(p proto.SyncProtocol, n int) *Table {
-	t := &Table{p: p, n: n, locals: newStrTab(p, 2), msgs: newStrTab(nil, 2), deliver: core.NewIndex(3)}
-	t.msgs.id("")
-	return t
-}
-
-// local returns the id of local state s, interning it (and running Decide
-// on it) on first sight.
-func (t *Table) local(s string) uint32 { return t.locals.id(s) }
-
-// str returns the string of local id id.
-func (t *Table) str(id uint32) string { return t.locals.ents.At(id).s }
-
-// sends returns local id's Send vector as message ids, one per process,
-// running Send on the first request. The slice is shared: callers must
-// not modify it.
-func (t *Table) sends(id uint32) []uint32 {
-	e := t.locals.ents.At(id)
-	if v := e.sends.Load(); v != nil {
-		return *v
-	}
-	out := t.p.Send(e.s)
-	v := make([]uint32, t.n)
-	for j := range v {
-		switch {
-		case j >= len(out):
-		case j > 0 && out[j] == out[j-1]:
-			v[j] = v[j-1] // a broadcast: hash its message once
-		default:
-			v[j] = t.msgs.id(out[j])
-		}
-	}
-	// A racing first request stores an equal vector.
-	e.sends.Store(&v)
-	return v
+	return &Table{p: p, locals: core.NewLocalTable(p, n), deliver: core.NewIndex(3)}
 }
 
 // deliverKey appends the model-wide Deliver memo key: the receiver's local
@@ -155,9 +54,9 @@ func deliverKey(dst []byte, recv uint32, in []uint32) []byte {
 // returns the receiver's next local id.
 func (t *Table) deliverSlow(key []byte, recv uint32, in []uint32, strs []string) uint32 {
 	for i, m := range in {
-		strs[i] = t.msgs.ents.At(m).s
+		strs[i] = t.locals.Message(m)
 	}
-	next := t.local(t.p.Deliver(t.str(recv), strs))
+	next := t.locals.LocalID(t.p.Deliver(t.locals.Local(recv), strs))
 	return t.deliver.Intern(key, func(string) uint32 { return next })
 }
 
@@ -194,7 +93,7 @@ func (t *Table) owns(x *State) bool {
 		return false
 	}
 	for i, id := range x.ids {
-		if t.str(id) != x.locals[i] {
+		if t.locals.Local(id) != x.locals[i] {
 			return false
 		}
 	}
@@ -215,7 +114,7 @@ func (t *Table) AppendCacheKey(dst []byte, x core.State) []byte {
 	}
 	dst = appendStateKey(dst, s.round, s.failed, s.trackEn, nil)
 	for _, l := range s.locals {
-		dst = binary.AppendUvarint(dst, uint64(t.local(l)))
+		dst = binary.AppendUvarint(dst, uint64(t.locals.LocalID(l)))
 	}
 	return dst
 }
@@ -226,7 +125,7 @@ func (t *Table) idsOf(dst []uint32, x *State) []uint32 {
 		return append(dst, x.ids...)
 	}
 	for _, l := range x.locals {
-		dst = append(dst, t.local(l))
+		dst = append(dst, t.locals.LocalID(l))
 	}
 	return dst
 }
@@ -240,9 +139,8 @@ func (t *Table) NewState(round int, locals []string, failed uint64, trackEnv boo
 	decided := make([]int, n)
 	ids := make([]uint32, n)
 	for i, l := range locals {
-		ids[i] = t.local(l)
-		e := t.locals.ents.At(ids[i])
-		own[i], decided[i] = e.s, e.decided
+		ids[i] = t.locals.LocalID(l)
+		own[i], decided[i] = t.locals.Local(ids[i]), t.locals.Decided(ids[i])
 	}
 	return newState(round, own, decided, failed, trackEnv, inputs, t, ids)
 }

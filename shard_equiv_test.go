@@ -194,17 +194,19 @@ func TestShardedLegacyGraphEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalenceAtMemoSize: the synchronous models at the size
-// where their local-state tables and model-wide Deliver memo actually hit
-// (the coldbench sync_lowerbound and mobile_refute models) explore
-// bit-identically to the reference, which builds every successor through
-// the raw successor function and interns it by canonical key, at 1, 2 and
-// 8 workers.
+// TestShardedEquivalenceAtMemoSize: the message-passing models at the
+// size where their id tables and model-wide Deliver and Receive memos
+// actually hit (the coldbench sync_lowerbound, mobile_refute and
+// async_nongraded models) explore bit-identically to the reference, which
+// builds every successor through the raw successor function and interns it
+// by canonical key, at 1, 2 and 8 workers.
 func TestShardedEquivalenceAtMemoSize(t *testing.T) {
 	sp := protocols.FloodSet{Rounds: 3}
 	for _, tc := range []equivCase{
 		{"SyncSt FloodSet(3) n=7 t=2", func() core.Model { return syncmp.NewSt(sp, 7, 2) }, 3},
 		{"MobileS1 FloodSet(3) n=7", func() core.Model { return mobile.New(sp, 7) }, 3},
+		{"Sper MPFlood(3) n=3", func() core.Model { return asyncmp.New(protocols.MPFlood{Phases: 3}, 3) }, 3},
+		{"Ssync MPFlood(4) n=3", func() core.Model { return asyncmp.NewSynchronic(protocols.MPFlood{Phases: 4}, 3) }, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := refExplore(tc.mk(), tc.depth, 0)
