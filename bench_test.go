@@ -43,7 +43,7 @@ func BenchmarkE1_InitialConnectivity(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			p := protocols.FloodSet{Rounds: 2}
 			m := layers.MobileS1(p, n)
-			g, err := layers.ExploreIDParallel(m, 2, 0, 0)
+			g, err := layers.ExploreIDCtx(nil, m, 2, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func BenchmarkE2_MobileImpossibility(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/B=%d", cfg.n, cfg.bound), func(b *testing.B) {
 			p := protocols.FloodSet{Rounds: cfg.bound}
 			m := layers.MobileS1(p, cfg.n)
-			g, err := layers.ExploreIDParallel(m, cfg.bound, 0, 0)
+			g, err := layers.ExploreIDCtx(nil, m, cfg.bound, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func BenchmarkE3_ShmemSynchronic(b *testing.B) {
 	b.Run("layer-analysis/n=3", func(b *testing.B) {
 		p := protocols.SMVote{Phases: 2}
 		m := layers.SharedMemory(p, 3)
-		g, err := layers.ExploreIDParallel(m, 3, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, 3, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func BenchmarkE3_ShmemSynchronic(b *testing.B) {
 	b.Run("certify/n=3/B=1", func(b *testing.B) {
 		p := protocols.SMVote{Phases: 1}
 		m := layers.SharedMemory(p, 3)
-		g, err := layers.ExploreIDParallel(m, 1, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, 1, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func BenchmarkE4_PermutationLayering(b *testing.B) {
 	b.Run("certify/n=3/B=1", func(b *testing.B) {
 		p := protocols.MPFlood{Phases: 1}
 		m := layers.AsyncMessagePassing(p, 3)
-		g, err := layers.ExploreIDParallel(m, 1, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, 1, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func BenchmarkE5_SyncLowerBound(b *testing.B) {
 		b.Run(fmt.Sprintf("certify/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
 			p := protocols.FloodSet{Rounds: cfg.t + 1}
 			m := layers.SyncSt(p, cfg.n, cfg.t)
-			g, err := layers.ExploreIDParallel(m, cfg.t+1, 0, 0)
+			g, err := layers.ExploreIDCtx(nil, m, cfg.t+1, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -215,7 +215,7 @@ func BenchmarkE5_SyncLowerBound(b *testing.B) {
 		b.Run(fmt.Sprintf("refute/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
 			p := protocols.FloodSet{Rounds: cfg.t}
 			m := layers.SyncSt(p, cfg.n, cfg.t)
-			g, err := layers.ExploreIDParallel(m, cfg.t, 0, 0)
+			g, err := layers.ExploreIDCtx(nil, m, cfg.t, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -247,7 +247,7 @@ func BenchmarkE6_FastUnivalence(b *testing.B) {
 			rounds := cfg.t + 1
 			p := protocols.FloodSet{Rounds: rounds}
 			m := layers.SyncSt(p, cfg.n, cfg.t)
-			g, err := layers.ExploreIDParallel(m, rounds, 0, 0)
+			g, err := layers.ExploreIDCtx(nil, m, rounds, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -302,7 +302,7 @@ func BenchmarkE8_DiameterRecurrence(b *testing.B) {
 	const n, t, depth = 3, 2, 2
 	p := protocols.FullInfo{}
 	m := layers.SyncSt(p, n, t)
-	g, err := layers.ExploreIDParallel(m, depth, 0, 0)
+	g, err := layers.ExploreIDCtx(nil, m, depth, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func BenchmarkE9_Extensions(b *testing.B) {
 	b.Run("wasted-faults/n=4/t=2/c=2", func(b *testing.B) {
 		const n, tt, c, rounds = 4, 2, 2, 3
 		m := layers.SyncStMulti(protocols.FloodSet{Rounds: rounds}, n, tt, c)
-		g, err := layers.ExploreIDParallel(m, rounds, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, rounds, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -375,7 +375,7 @@ func BenchmarkE9_Extensions(b *testing.B) {
 	})
 	b.Run("early-decision/n=4/t=2", func(b *testing.B) {
 		m := layers.SyncSt(layers.EarlyFloodSet{MaxRounds: 3}, 4, 2)
-		g, err := layers.ExploreIDParallel(m, 3, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, 3, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -448,7 +448,7 @@ func BenchmarkExplore(b *testing.B) {
 					var warm layers.Model
 					if mode == "warm" {
 						warm = tc.mk()
-						if _, err := layers.ExploreIDParallel(warm, tc.depth, 0, w); err != nil {
+						if _, err := layers.ExploreIDCtx(nil, warm, tc.depth, 0, w); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -460,7 +460,7 @@ func BenchmarkExplore(b *testing.B) {
 							m = tc.mk()
 						}
 						var err error
-						g, err = layers.ExploreIDParallel(m, tc.depth, 0, w)
+						g, err = layers.ExploreIDCtx(nil, m, tc.depth, 0, w)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -544,7 +544,7 @@ func BenchmarkResilience(b *testing.B) {
 		}
 	})
 	m := layers.MobileS1(protocols.FloodSet{Rounds: 2}, 5)
-	g, err := layers.ExploreIDParallel(m, 2, 0, 0)
+	g, err := layers.ExploreIDCtx(nil, m, 2, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func BenchmarkE11_CommonKnowledge(b *testing.B) {
 	const n, tt = 3, 1
 	rounds := tt + 1
 	m := layers.SyncSt(layers.FloodSet{Rounds: rounds}, n, tt)
-	g, err := layers.ExploreIDParallel(m, rounds, 0, 0)
+	g, err := layers.ExploreIDCtx(nil, m, rounds, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -662,7 +662,7 @@ func BenchmarkObsPhases(b *testing.B) {
 		defer obs.Disable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := layers.ExploreIDParallel(m, 2, 0, 0); err != nil {
+			if _, err := layers.ExploreIDCtx(nil, m, 2, 0, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -675,7 +675,7 @@ func BenchmarkObsPhases(b *testing.B) {
 	b.Run("certify/n=4/t=2", func(b *testing.B) {
 		p := protocols.FloodSet{Rounds: 3}
 		m := layers.SyncSt(p, 4, 2)
-		g, err := layers.ExploreIDParallel(m, 3, 0, 0)
+		g, err := layers.ExploreIDCtx(nil, m, 3, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -375,7 +375,7 @@ func runCrash(o options) error {
 	if err != nil {
 		return err
 	}
-	gref, err := core.ExploreID(m, o.depth, 0)
+	gref, err := core.ExploreIDCtx(nil, m, o.depth, 0, 1)
 	if err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -21,13 +22,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	var (
 		model = fs.String("model", "sync-st", "model: "+strings.Join(cli.Models(), "|"))
@@ -40,6 +41,9 @@ func run(args []string) error {
 	obsFlags := cli.RegisterObs(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *runs < 1 {
+		return fmt.Errorf("-runs must be >= 1, got %d", *runs)
 	}
 	stopObs, err := obsFlags.Start()
 	if err != nil {
@@ -55,16 +59,16 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("model:               %s\n", m.Name())
-	fmt.Printf("runs:                %d (%d per initial state, seed %d)\n", st.Runs, *runs, *seed)
-	fmt.Printf("fully decided:       %d/%d\n", st.Decided, st.Runs)
-	fmt.Printf("agreement held:      %d/%d\n", st.AgreementOK, st.Runs)
-	fmt.Printf("agreement violated:  %d\n", st.Violations)
-	fmt.Printf("avg layers per run:  %.2f (max %d)\n", float64(st.TotalLayers)/float64(st.Runs), st.MaxLayersToEnd)
+	fmt.Fprintf(out, "model:               %s\n", m.Name())
+	fmt.Fprintf(out, "runs:                %d (%d per initial state, seed %d)\n", st.Runs, *runs, *seed)
+	fmt.Fprintf(out, "fully decided:       %d/%d\n", st.Decided, st.Runs)
+	fmt.Fprintf(out, "agreement held:      %d/%d\n", st.AgreementOK, st.Runs)
+	fmt.Fprintf(out, "agreement violated:  %d\n", st.Violations)
+	fmt.Fprintf(out, "avg layers per run:  %.2f (max %d)\n", float64(st.TotalLayers)/float64(st.Runs), st.MaxLayersToEnd)
 	if st.Violations > 0 {
-		fmt.Println("note: violations are expected for consensus candidates in the asynchronous")
-		fmt.Println("and mobile models (Corollaries 5.2/5.4) and for too-fast synchronous ones")
-		fmt.Println("(Corollary 6.3); use cmd/bivalence for the exhaustive witness.")
+		fmt.Fprintln(out, "note: violations are expected for consensus candidates in the asynchronous")
+		fmt.Fprintln(out, "and mobile models (Corollaries 5.2/5.4) and for too-fast synchronous ones")
+		fmt.Fprintln(out, "(Corollary 6.3); use cmd/bivalence for the exhaustive witness.")
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/decision"
@@ -21,25 +22,33 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "solvability:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("solvability", flag.ContinueOnError)
 	var (
-		n      = fs.Int("n", 3, "number of processes (2 or 3 for exhaustive subproblem search)")
-		t      = fs.Int("t", 1, "rounds for the Theorem 7.7 diameter bound")
+		n      = fs.Int("n", 3, "number of processes, 2..4 (2 or 3 for exhaustive subproblem search)")
+		t      = fs.Int("t", 1, "rounds for the Theorem 7.7 diameter bound (>= 0)")
 		budget = fs.Int("budget", 1_000_000, "subproblem search budget")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Beyond n=4 the zoo's binary-input tasks exceed the simplex package's
+	// input limit; below 2 the literature's verdicts do not apply.
+	if *n < 2 || *n > 4 {
+		return fmt.Errorf("-n must be in 2..4, got %d", *n)
+	}
+	if *t < 0 {
+		return fmt.Errorf("-t must be >= 0, got %d", *t)
+	}
 
-	fmt.Printf("1-thick connectivity (<=> 1-resilient solvability, Cor 7.3), n=%d:\n", *n)
-	fmt.Printf("%-28s %-12s %-12s %-6s %s\n", "task", "checker", "literature", "agree", "min-k")
+	fmt.Fprintf(out, "1-thick connectivity (<=> 1-resilient solvability, Cor 7.3), n=%d:\n", *n)
+	fmt.Fprintf(out, "%-28s %-12s %-12s %-6s %s\n", "task", "checker", "literature", "agree", "min-k")
 	mismatches := 0
 	for _, task := range tasks.Zoo(*n) {
 		b := task.SubproblemBudget
@@ -66,12 +75,12 @@ func run(args []string) error {
 		if k, err := task.Problem.MinThickness(b); err == nil {
 			minK = fmt.Sprintf("%d", k)
 		}
-		fmt.Printf("%-28s %-12s %-12s %-6s %s\n", task.Problem.Name, verdict, want, agree, minK)
+		fmt.Fprintf(out, "%-28s %-12s %-12s %-6s %s\n", task.Problem.Name, verdict, want, agree, minK)
 	}
 
-	fmt.Printf("\nTheorem 7.7 diameter bound d_X^t for t=%d rounds, d(I)=%d inputs diameter:\n", *t, *n)
+	fmt.Fprintf(out, "\nTheorem 7.7 diameter bound d_X^t for t=%d rounds, d(I)=%d inputs diameter:\n", *t, *n)
 	for dI := 1; dI <= *n; dI++ {
-		fmt.Printf("  d(I)=%d: d_X^%d = %d\n", dI, *t, decision.DiameterBound(dI, *n, *t))
+		fmt.Fprintf(out, "  d(I)=%d: d_X^%d = %d\n", dI, *t, decision.DiameterBound(dI, *n, *t))
 	}
 	if mismatches > 0 {
 		return fmt.Errorf("%d verdict mismatch(es)", mismatches)

@@ -52,6 +52,9 @@ func run(args []string, out *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *depth < 0 {
+		return fmt.Errorf("-depth must be >= 0, got %d", *depth)
+	}
 	stopObs, err := obsFlags.Start()
 	if err != nil {
 		return err

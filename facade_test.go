@@ -50,7 +50,7 @@ func fieldTo(t *testing.T, m layers.Model, depth int) *layers.Field {
 
 func TestFacadeAnalysisHelpers(t *testing.T) {
 	m := layers.MobileS1(layers.FloodSet{Rounds: 2}, 3)
-	g, err := layers.ExploreID(m, 1, 0)
+	g, err := layers.ExploreIDCtx(nil, m, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestFacadeValidators(t *testing.T) {
 // records gradedness through it), while Certify certifies the same model.
 func TestFacadeCertifyGraphCtxRefusesNonGraded(t *testing.T) {
 	m := layers.AsyncMessagePassing(layers.MPFlood{Phases: 2}, 2)
-	g, err := layers.ExploreID(m, 2, 0)
+	g, err := layers.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

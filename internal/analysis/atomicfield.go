@@ -10,9 +10,8 @@ import (
 // is owned by the atomic protocol everywhere, and a plain read or write of
 // it is a data race — one -race only catches when a test actually
 // interleaves the two accesses. This is the static complement the obs
-// layer's counters rely on: Histogram.counts, the journal drop counters,
-// and the sharded cache's published snapshots are all correct only because
-// no path touches them non-atomically.
+// layer's counters rely on: Histogram.counts and the journal drop counters
+// are correct only because no path touches them non-atomically.
 //
 // Mechanically: the analyzer collects every field f such that &x.f (or
 // &x.f[i]) appears as an argument to a sync/atomic function, exports a

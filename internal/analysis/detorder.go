@@ -9,7 +9,7 @@ import (
 
 // DetOrder enforces the determinism contract of the engine packages: the
 // golden experiment outputs, the bit-identical parallel/serial equivalence
-// of ExploreIDParallel, and the witness equality of the certifier and
+// of ExploreIDCtx, and the witness equality of the certifier and
 // its recursive test oracle all assume that every traversal the engine makes
 // is a pure function of the model. Three constructs silently break that:
 //

@@ -8,7 +8,7 @@ import (
 )
 
 // ParShard enforces worker-spawn hygiene at the engine's parallel fan-out
-// sites (ExploreIDParallel's frontier-warming shards, the worker pool
+// sites (parallel exploration's frontier-warming shards, the worker pool
 // behind them). Two bugs recur in hand-rolled worker pools and both
 // destroy the engine's bit-identical parallel/serial equivalence or
 // deadlock it outright:

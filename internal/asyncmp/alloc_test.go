@@ -70,7 +70,7 @@ func TestColdExploreAllocsPerEdge(t *testing.T) {
 	} {
 		edges := 0
 		allocs := testing.AllocsPerRun(3, func() {
-			g, err := core.ExploreIDParallel(c.mk(), c.depth, 0, 1)
+			g, err := core.ExploreIDCtx(nil, c.mk(), c.depth, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,7 +56,7 @@ func TestExploreCheckpointParentBytes(t *testing.T) {
 	if ctx.PeekResume(resilient.TagExplore) != nil {
 		t.Fatal("stored snapshot was not consumed")
 	}
-	full, err := core.ExploreID(mk(), depth, 0)
+	full, err := core.ExploreIDCtx(nil, mk(), depth, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,9 @@ import (
 //
 // The records are the ones states point to, built once per id. Ids never
 // leave the process: Key is still the canonical string. The table is
-// append-only and safe for concurrent use, like its core.LocalTable.
+// append-only and safe for concurrent use, like its core.LocalTable: a
+// lookup or insert locks one core.Index shard, and reading a record
+// (core.Slots) takes no lock.
 type table struct {
 	p      proto.MPProtocol
 	n      int

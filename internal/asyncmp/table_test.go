@@ -94,7 +94,7 @@ func TestForeignStatesGetTheModelsIDs(t *testing.T) {
 // explore explores m to depth 2.
 func explore(t *testing.T, m core.Model) *core.IDGraph {
 	t.Helper()
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestBuildsOnlyMisses(t *testing.T) {
 		{"Sper MPFlood(3) n=3", &New(protocols.MPFlood{Phases: 3}, 3).layering, 3},
 		{"Ssync MPFlood(4) n=3", &NewSynchronic(protocols.MPFlood{Phases: 4}, 3).layering, 4},
 	} {
-		g, err := core.ExploreIDParallel(c.l, c.depth, 0, 1)
+		g, err := core.ExploreIDCtx(nil, c.l, c.depth, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func suiteModel() core.Model { return mobile.New(protocols.FloodSet{Rounds: 2}, 
 // suiteGraph materializes the fixture graph with chaos disarmed.
 func suiteGraph(t *testing.T) *core.IDGraph {
 	t.Helper()
-	g, err := core.ExploreID(suiteModel(), 2, 0)
+	g, err := core.ExploreIDCtx(nil, suiteModel(), 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 func TestExploreBudgetReachedDepth(t *testing.T) {
 	const n = 3
 	m := mobile.New(protocols.FloodSet{Rounds: 3}, n)
-	g, err := core.ExploreID(m, 3, 40)
+	g, err := core.ExploreIDCtx(nil, m, 3, 40, 1)
 	if !errors.Is(err, core.ErrNodeBudget) {
 		t.Fatalf("err = %v, want ErrNodeBudget", err)
 	}
@@ -62,7 +62,7 @@ func TestExploreObsCounters(t *testing.T) {
 	defer obs.Disable()
 
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestExploreObsBudgetEvent(t *testing.T) {
 	defer obs.Disable()
 
 	m := mobile.New(protocols.FloodSet{Rounds: 3}, 3)
-	g, err := core.ExploreID(m, 3, 25)
+	g, err := core.ExploreIDCtx(nil, m, 3, 25, 1)
 	if !errors.Is(err, core.ErrNodeBudget) {
 		t.Fatalf("err = %v, want ErrNodeBudget", err)
 	}

@@ -176,12 +176,12 @@ func DecodeExploreCheckpoint(data []byte) (*ExploreCheckpoint, error) {
 	return ck, nil
 }
 
-// ResumeExploreID restores the snapshot against m and finishes the
+// resumeExploreID restores the snapshot against m and finishes the
 // exploration from the saved layer boundary. Node numbering, edge order,
 // depths, and any later budget or interruption point are bit-identical to
 // an uninterrupted run: the CSR prefix comes straight from the snapshot and
 // the continuation sees the identical frontier in the identical order.
-func ResumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers int) (*IDGraph, error) {
+func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers int) (*IDGraph, error) {
 	c := CacheOf(m)
 	rec := obs.Active()
 	defer obs.Span(rec, "explore.time")()

@@ -94,7 +94,7 @@ func roundTrip(t *testing.T, err error) *resilient.Ctx {
 // bit-identical to an uninterrupted run's.
 func TestExploreCheckpointResumeEveryLayer(t *testing.T) {
 	const depth = 3
-	full, err := core.ExploreID(newCkptModel(), depth, 0)
+	full, err := core.ExploreIDCtx(nil, newCkptModel(), depth, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestExploreCheckpointResumeEveryLayer(t *testing.T) {
 // resume to the uninterrupted graph.
 func TestExploreWarmFaultsResumable(t *testing.T) {
 	const depth = 3
-	full, err := core.ExploreID(newCkptModel(), depth, 0)
+	full, err := core.ExploreIDCtx(nil, newCkptModel(), depth, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestExploreCanceledContext(t *testing.T) {
 	if partial.ReachedDepth() != 0 {
 		t.Fatalf("pre-canceled run reached depth %d", partial.ReachedDepth())
 	}
-	full, ferr := core.ExploreID(newCkptModel(), 2, 0)
+	full, ferr := core.ExploreIDCtx(nil, newCkptModel(), 2, 0, 1)
 	if ferr != nil {
 		t.Fatal(ferr)
 	}
@@ -194,7 +194,7 @@ func TestResumeSectionValidation(t *testing.T) {
 	if ctx.PeekResume(resilient.TagExplore) == nil {
 		t.Fatal("mismatched snapshot was consumed")
 	}
-	full, _ := core.ExploreID(newCkptModel(), 2, 0)
+	full, _ := core.ExploreIDCtx(nil, newCkptModel(), 2, 0, 1)
 	idGraphsIdentical(t, full, g)
 
 	if _, derr := core.DecodeExploreCheckpoint([]byte{0x01, 0x02}); !errors.Is(derr, resilient.ErrBadCheckpoint) {
@@ -272,7 +272,7 @@ func TestResumeRejectsBadDepths(t *testing.T) {
 // TestBudgetSentinelFamily: ErrNodeBudget keeps its identity under
 // errors.Is and now joins the ErrPartial degradation family.
 func TestBudgetSentinelFamily(t *testing.T) {
-	_, err := core.ExploreID(newCkptModel(), 3, 10)
+	_, err := core.ExploreIDCtx(nil, newCkptModel(), 3, 10, 1)
 	if !errors.Is(err, core.ErrNodeBudget) {
 		t.Fatalf("err = %v, want ErrNodeBudget", err)
 	}
@@ -303,7 +303,7 @@ func TestExploreCheckpointMatchesRoots(t *testing.T) {
 	if ctx.PeekResume(resilient.TagExplore) == nil {
 		t.Fatal("snapshot of other roots was consumed")
 	}
-	fresh, err := core.ExploreID(core.WithInits(newCkptModel(), newCkptModel().Inits()[:1]), depth, 0)
+	fresh, err := core.ExploreIDCtx(nil, core.WithInits(newCkptModel(), newCkptModel().Inits()[:1]), depth, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestExploreCheckpointMatchesRoots(t *testing.T) {
 	if ctx.PeekResume(resilient.TagExplore) != nil {
 		t.Fatal("stored snapshot was not consumed")
 	}
-	full, err := core.ExploreID(newCkptModel(), depth, 0)
+	full, err := core.ExploreIDCtx(nil, newCkptModel(), depth, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func TestExploreDepthAndCounts(t *testing.T) {
 	const n = 3
 	p := protocols.FloodSet{Rounds: 2}
 	m := mobile.New(p, n)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestExploreBudget(t *testing.T) {
 	const n = 3
 	p := protocols.FloodSet{Rounds: 3}
 	m := mobile.New(p, n)
-	g, err := core.ExploreID(m, 3, 10)
+	g, err := core.ExploreIDCtx(nil, m, 3, 10, 1)
 	if !errors.Is(err, core.ErrNodeBudget) {
 		t.Errorf("err = %v, want ErrNodeBudget", err)
 	}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/resilient"
 )
 
-// ErrNodeBudget is returned by ExploreID when the reachable state graph
+// ErrNodeBudget is returned by ExploreIDCtx when the reachable state graph
 // exceeds the configured node budget before the depth bound is reached. The
 // partial graph explored so far is returned alongside the wrapped error, so
 // callers can report how far exploration got. As a resilient.Sentinel it

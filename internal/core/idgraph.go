@@ -298,33 +298,25 @@ func (g *IDGraph) padEdgeStart() {
 	}
 }
 
-// ExploreID builds the dense-id reachable state graph of m to the given
+// ExploreIDCtx builds the dense-id reachable state graph of m to the given
 // depth, drawing successors from the model's shared cache when it has one.
 // maxNodes bounds the number of distinct states (0 = no bound); on budget
 // exhaustion the partial graph explored so far is returned alongside the
 // wrapped ErrNodeBudget.
-func ExploreID(m Model, depth, maxNodes int) (*IDGraph, error) {
-	return ExploreIDCtx(nil, m, depth, maxNodes, 1)
-}
-
-// ExploreIDParallel is ExploreID with the successor enumeration of each
-// frontier sharded across workers goroutines (workers <= 0 means
-// GOMAXPROCS). Per-worker results land in the shared successor cache and
-// are merged in frontier order by a single goroutine, so the resulting
-// graph — node numbering, edge order, depths, and any budget-exhaustion
-// point — is bit-identical to ExploreID's.
-func ExploreIDParallel(m Model, depth, maxNodes, workers int) (*IDGraph, error) {
-	return ExploreIDCtx(nil, m, depth, maxNodes, workers)
-}
-
-// ExploreIDCtx is ExploreIDParallel under a cancellation context.
-// Cancellation (and the chaos explore.layer fault point) is checked once
-// per layer, so a live run pays one atomic load per BFS depth; worker
-// goroutines additionally poll per shard. When the context fires, the
-// partial graph explored to the last completed layer is returned alongside
-// a wrapped ErrCanceled/ErrDeadline carrying a resilient.Checkpointer for
-// the cut, and the unresolved frontier is the deepest populated layer
-// (g.Layer(g.ReachedDepth())).
+//
+// The successor enumeration of each frontier is sharded across workers
+// goroutines (workers <= 0 means GOMAXPROCS). Per-worker results land in
+// the shared successor cache and are merged in frontier order by a single
+// goroutine, so the resulting graph — node numbering, edge order, depths,
+// and any budget-exhaustion point — is the same for every worker count.
+//
+// A nil ctx never cancels. Cancellation (and the chaos explore.layer fault
+// point) is checked once per layer, so a live run pays one atomic load per
+// BFS depth; worker goroutines additionally poll per shard. When the
+// context fires, the partial graph explored to the last completed layer is
+// returned alongside a wrapped ErrCanceled/ErrDeadline carrying a
+// resilient.Checkpointer for the cut, and the unresolved frontier is the
+// deepest populated layer (g.Layer(g.ReachedDepth())).
 //
 // If ctx carries a resume snapshot (resilient.TagExplore) matching this
 // model, depth, and budget, exploration continues from the snapshot's
@@ -341,7 +333,7 @@ func ExploreIDCtx(ctx *resilient.Ctx, m Model, depth, maxNodes, workers int) (*I
 		}
 		if ck.Matches(m, depth, maxNodes) {
 			ctx.TakeResume(resilient.TagExplore)
-			return ResumeExploreID(ctx, m, ck, workers)
+			return resumeExploreID(ctx, m, ck, workers)
 		}
 	}
 	c := CacheOf(m)
@@ -500,7 +492,6 @@ func stopPoint(ctx *resilient.Ctx, point string) error {
 // holding a -checkpoint path can persist the cut and resume it later.
 func (g *IDGraph) interrupted(m Model, rec obs.Recorder, nextDepth, maxNodes int, cause error) (*IDGraph, error) {
 	g.padEdgeStart()
-	g.Cache.Publish()
 	if rec != nil {
 		rec.Add("explore.interrupts", 1)
 		rec.Event("explore.interrupted",
@@ -514,15 +505,12 @@ func (g *IDGraph) interrupted(m Model, rec obs.Recorder, nextDepth, maxNodes int
 	return g, resilient.WithCheckpoint(err, ck)
 }
 
-// finishExplore brings the cache's lock-free snapshots up to date (so the
-// passes that follow an exploration resolve every key without a shard
-// mutex), publishes the exploration's final counters — including the shared
-// successor cache's hit/fill/interned-bytes view and its per-shard
+// finishExplore records the exploration's final counters — including the
+// shared successor cache's hit/fill/interned-bytes view and its per-shard
 // breakdown — and emits the closing journal event. budgetHit marks a
 // partial graph returned with ErrNodeBudget; the event then carries the
 // depth actually reached so the journal explains how far the search got.
 func (g *IDGraph) finishExplore(rec obs.Recorder, budgetHit bool) {
-	g.Cache.Publish()
 	if rec == nil {
 		return
 	}

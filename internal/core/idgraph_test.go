@@ -15,7 +15,7 @@ import (
 // with exactly DepthOf steps (parents are BFS, so paths are shortest).
 func TestIDGraphParentWalkback(t *testing.T) {
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestIDGraphParentWalkback(t *testing.T) {
 
 func TestIDGraphLookupsAndGraded(t *testing.T) {
 	m := shmem.New(protocols.SMFullInfo{}, 3)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,11 @@ import (
 
 // Index is an append-only, hash-sharded map from byte strings to uint32
 // values. Keys are spread over a power-of-two number of shards by a seeded
-// hash, each guarded by its own mutex, and every shard also publishes a
-// read-only snapshot of its table through an atomic pointer, so a lookup
-// of a published key takes no lock and allocates nothing. Inserts lock one
-// shard. The successor cache files its states in one; the message-passing
-// models file their local states, messages, Deliver and Receive results
-// and asynchronous records in others, sized to what they hold.
+// hash, and each shard is one map guarded by its own mutex: a lookup or an
+// insert locks one shard, and a lookup allocates nothing. The successor
+// cache files its states in one; the message-passing models file their
+// local states, messages, Deliver and Receive results and asynchronous
+// records in others, sized to what they hold.
 //
 // The zero Index is not usable; call NewIndex.
 type Index struct {
@@ -28,25 +27,15 @@ type Index struct {
 // internShard is one lock-striped slice of an Index.
 type internShard struct {
 	mu sync.Mutex
-	// dirty is the authoritative key -> value table, guarded by mu.
-	dirty map[string]uint32
-	// clean is the atomically published read-path snapshot of dirty. It is
-	// immutable after publication; lock-free lookups read it with one
-	// atomic load. Republished when dirty doubles past the last snapshot
-	// (amortized O(n) total copying) and by Publish at pass boundaries.
-	clean atomic.Pointer[map[string]uint32]
-	// published is len(dirty) at the last publication.
-	published int
-	// pend mirrors len(dirty) - published (maintained under mu, read
-	// atomically) so Publish can skip untouched shards without locking.
-	pend atomic.Int32
-	// Pad shards onto separate cache lines; the mutexes and snapshot
-	// pointers are the contended words.
-	_ [32]byte
+	// m is the shard's key -> value table, guarded by mu.
+	m map[string]uint32
+	// Pad shards onto separate cache lines; the mutexes are the contended
+	// words.
+	_ [48]byte
 }
 
-// NewIndex returns an empty index with 1<<shardBits shards. Every shard
-// publishes its own snapshots, so an index that stays small wants few.
+// NewIndex returns an empty index with 1<<shardBits shards. An index
+// that stays small wants few.
 func NewIndex(shardBits int) *Index {
 	x := &Index{}
 	x.init(shardBits)
@@ -59,18 +48,14 @@ func (x *Index) init(shardBits int) {
 	x.mask = uint64(len(x.shards) - 1)
 }
 
-// Get returns the value filed under key. A key in its shard's published
-// snapshot costs one atomic load; a key filed since then is found under
-// the shard's mutex.
+// Get returns the value filed under key, looked up under its shard's
+// mutex.
 //
 //lint:hotpath
 func (x *Index) Get(key []byte) (uint32, bool) {
 	sh := x.shard(key)
-	if v, ok := sh.lookup(key); ok {
-		return v, true
-	}
 	sh.mu.Lock()
-	v, ok := sh.dirty[string(key)]
+	v, ok := sh.m[string(key)]
 	sh.mu.Unlock()
 	return v, ok
 }
@@ -80,17 +65,6 @@ func (x *Index) Get(key []byte) (uint32, bool) {
 //lint:hotpath
 func (x *Index) shard(key []byte) *internShard {
 	return &x.shards[maphash.Bytes(x.seed, key)&x.mask]
-}
-
-// lookup looks key up in the shard's published snapshot, without a lock.
-//
-//lint:hotpath
-func (sh *internShard) lookup(key []byte) (uint32, bool) {
-	if snap := sh.clean.Load(); snap != nil {
-		v, ok := (*snap)[string(key)]
-		return v, ok
-	}
-	return 0, false
 }
 
 // Intern returns the value filed under key, filing mk's result there
@@ -106,37 +80,15 @@ func (x *Index) Intern(key []byte, mk func(key string) uint32) uint32 {
 func (sh *internShard) intern(key string, mk func(key string) uint32) uint32 {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if v, ok := sh.dirty[key]; ok {
+	if v, ok := sh.m[key]; ok {
 		return v
 	}
-	return sh.addLocked(key, mk(key))
-}
-
-// addLocked files v under key and republishes the snapshot once the table
-// has doubled since the last one. The caller holds the shard mutex.
-func (sh *internShard) addLocked(key string, v uint32) uint32 {
-	if sh.dirty == nil {
-		sh.dirty = make(map[string]uint32, 8)
+	if sh.m == nil {
+		sh.m = make(map[string]uint32, 8)
 	}
-	sh.dirty[key] = v
-	if len(sh.dirty) >= 2*sh.published {
-		sh.publishLocked()
-	} else {
-		sh.pend.Store(int32(len(sh.dirty) - sh.published))
-	}
+	v := mk(key)
+	sh.m[key] = v
 	return v
-}
-
-// publishLocked snapshots dirty into a fresh immutable map and publishes
-// it. The caller holds the shard mutex.
-func (sh *internShard) publishLocked() {
-	snap := make(map[string]uint32, len(sh.dirty))
-	for k, v := range sh.dirty { //lint:nondet copying into a map is order-insensitive
-		snap[k] = v
-	}
-	sh.clean.Store(&snap)
-	sh.published = len(sh.dirty)
-	sh.pend.Store(0)
 }
 
 // Slots is an append-only array indexed by dense uint32 ids. It grows in

@@ -25,8 +25,9 @@ type Stepper interface {
 // it.
 //
 // Ids never leave the process: states keep their canonical strings. The
-// table is append-only and safe for concurrent use; its lookups take no
-// lock (Index snapshots and Slots), and its inserts lock one shard.
+// table is append-only and safe for concurrent use: a string's lookup or
+// insert locks one Index shard, and reading an id's entry (Slots) takes no
+// lock.
 type LocalTable struct {
 	p      Stepper
 	n      int
@@ -86,10 +87,9 @@ func (t *LocalTable) Sends(id uint32) []uint32 {
 }
 
 // strTab interns strings as dense ids. It files each string under its
-// 64-bit hash, so that republishing a snapshot copies 8-byte keys rather
-// than the strings, which grow with every round under full information; a
-// string whose hash slot holds another string is filed by value in
-// collide.
+// 64-bit hash, so that its index keys stay 8 bytes however long a string
+// grows (full-information views grow with every round); a string whose
+// hash slot holds another string is filed by value in collide.
 type strTab struct {
 	// decide, when set, runs on every new string (the local states).
 	decide          func(string) (int, bool)

@@ -14,7 +14,7 @@ import (
 // resuming yields the bit-identical graph. This is the engine half of the
 // supervisor's degradation ladder.
 func TestExploreMemoryPressureCheckpoints(t *testing.T) {
-	full, err := core.ExploreID(newCkptModel(), 3, 0)
+	full, err := core.ExploreIDCtx(nil, newCkptModel(), 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

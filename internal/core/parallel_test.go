@@ -50,12 +50,12 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range models {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := core.ExploreID(tc.m, tc.depth, 0)
+			serial, err := core.ExploreIDCtx(nil, tc.m, tc.depth, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 1, 2, 3, 8} {
-				par, err := core.ExploreIDParallel(tc.m, tc.depth, 0, workers)
+				par, err := core.ExploreIDCtx(nil, tc.m, tc.depth, 0, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -68,11 +68,11 @@ func TestExploreParallelMatchesSerial(t *testing.T) {
 func TestExploreParallelBudgetMatchesSerial(t *testing.T) {
 	const budget = 25
 	mkModel := func() core.Model { return mobile.New(protocols.FloodSet{Rounds: 3}, 3) }
-	serial, serr := core.ExploreID(mkModel(), 3, budget)
+	serial, serr := core.ExploreIDCtx(nil, mkModel(), 3, budget, 1)
 	if !errors.Is(serr, core.ErrNodeBudget) {
 		t.Fatalf("serial err = %v", serr)
 	}
-	par, perr := core.ExploreIDParallel(mkModel(), 3, budget, 4)
+	par, perr := core.ExploreIDCtx(nil, mkModel(), 3, budget, 4)
 	if !errors.Is(perr, core.ErrNodeBudget) {
 		t.Fatalf("parallel err = %v", perr)
 	}
@@ -88,7 +88,7 @@ func TestSuccessorCacheSharing(t *testing.T) {
 	if c != core.CacheOf(m) {
 		t.Fatal("model did not share one cache across CacheOf calls")
 	}
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSuccessorCacheSharing(t *testing.T) {
 	}
 	after := c.Enumerations()
 	// A second pass over the same model re-enumerates nothing.
-	if _, err := core.ExploreID(m, 2, 0); err != nil {
+	if _, err := core.ExploreIDCtx(nil, m, 2, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if c.Enumerations() != after {
@@ -119,7 +119,7 @@ func TestSuccessorCacheSharing(t *testing.T) {
 
 func TestIDGraphStructure(t *testing.T) {
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	ig, err := core.ExploreID(m, 2, 0)
+	ig, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestIDGraphStructure(t *testing.T) {
 
 func TestStatesAtDepthCached(t *testing.T) {
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,8 @@ func refTable(raw core.Successor, m core.Model, depth int) (map[string][]string,
 // then asserts the final intern table — the key set and every key's ordered
 // successor list — matches a serial cache-free walk of the raw successor
 // function. Run under -race (the race target covers ./internal/...), this
-// is the data-race certificate for the lock-free read paths. It hammers
+// is the data-race certificate for the cache's concurrent paths: interning
+// under the shard locks and the lock-free entry reads. It hammers
 // two caches: a plain one over the raw successor function, and a second
 // model instance's own key-first cache, whose local-state table the walks
 // share (and to which m's initial states are foreign).

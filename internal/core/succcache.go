@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // Shard geometry. The shard count is a power of two so a key hash selects a
@@ -40,14 +37,13 @@ const (
 // failed set and local-state ids, the asynchronous ones by its environment
 // and process record ids. KeyOf always returns the canonical Key.
 //
-// The key table is an Index: hash-sharded and lock-striped, with every
-// shard publishing a read-only snapshot through an atomic pointer. The
-// memoized fast paths — an ID lookup that hits a published snapshot, a
-// SuccessorsOf call on an already-enumerated entry, StateOf, KeyOf —
-// therefore take zero locks; only first-sight interning and first
-// enumeration touch a mutex, and then only the one shard (or stripe)
-// involved. Per-shard locks are never held while acquiring another shard's
-// lock (the parshard analyzer enforces this).
+// The key table is an Index: hash-sharded, one map per shard under its
+// own mutex, so an ID lookup locks the one shard its key hashes to. The
+// memoized reads that follow — a SuccessorsOf call on an already-enumerated
+// entry, StateOf, KeyOf — read the entry slots and take no lock; first
+// enumeration locks the entry's stripe. Per-shard locks are never held
+// while acquiring another shard's lock (the parshard analyzer enforces
+// this).
 //
 // A SuccessorCache is safe for concurrent use. Ids are dense (0..Len()-1)
 // and assigned in first-intern order from one atomic allocator, so their
@@ -218,20 +214,20 @@ func (c *SuccessorCache) ID(x State) uint32 {
 }
 
 // internKey returns the id under the cache key bytes, interning x on first
-// sight. The hot path — a key already visible in its shard's published
-// snapshot — takes zero locks and zero allocations; any other key is
-// looked up again under the shard's mutex, and filed if still absent.
+// sight. A key already filed costs one shard lock and no allocation; any
+// other key is checked against x outside the lock, then filed under it if
+// still absent.
 func (c *SuccessorCache) internKey(key []byte, x State) uint32 {
-	sh := c.index.shard(key)
-	if id, ok := sh.lookup(key); ok {
+	if id, ok := c.index.Get(key); ok {
 		return id
 	}
-	return c.insert(sh, key, x)
+	return c.insert(key, x)
 }
 
-// insert files x under key in shard sh unless an equal state is filed
-// there already, and returns the id filed.
-func (c *SuccessorCache) insert(sh *internShard, key []byte, x State) uint32 {
+// insert files x under key unless an equal state is filed there already,
+// and returns the id filed.
+func (c *SuccessorCache) insert(key []byte, x State) uint32 {
+	sh := c.index.shard(key)
 	ks := c.checkKey(key, x)
 	mk := func(string) uint32 {
 		id := c.next.Add(1) - 1
@@ -272,58 +268,6 @@ func (c *SuccessorCache) checkKey(key []byte, x State) string {
 	}
 	c.release(bp, buf)
 	return ks
-}
-
-// Publish brings every shard's lock-free snapshot up to date with its
-// authoritative table. The exploration engine calls it at pass boundaries
-// so later passes (ID lookups, certification joins, re-explorations)
-// resolve every interned key without touching a shard mutex. Shards with
-// nothing pending are skipped without locking, so re-running a pass over a
-// fully published cache costs one atomic load per shard.
-//
-// With instrumentation on, a publish that actually snapshots at least one
-// shard is wrapped in a cache.publish span and each snapshotted shard's
-// rebuild latency lands in the cache.publish.shard.time histogram — the
-// per-shard view that shows a hot shard (skewed key hash) stalling the
-// pass boundary.
-func (c *SuccessorCache) Publish() {
-	rec := obs.Active()
-	tr := obs.Trace()
-	var sp obs.TraceSpan
-	published := 0
-	var t0 time.Time
-	for i := range c.index.shards {
-		sh := &c.index.shards[i]
-		if sh.pend.Load() == 0 {
-			continue
-		}
-		if rec != nil {
-			t0 = time.Now() //lint:nondet feeds shard-publish latency instrumentation only
-		}
-		sh.mu.Lock()
-		snapped := false
-		if len(sh.dirty) > sh.published {
-			if tr != nil && sp.ID == 0 {
-				sp = tr.Begin("cache.publish", 0)
-			}
-			sh.publishLocked()
-			snapped = true
-		}
-		sh.mu.Unlock()
-		if snapped {
-			published++
-			if rec != nil {
-				rec.Observe("cache.publish.shard.time", time.Since(t0))
-			}
-		}
-	}
-	if tr != nil {
-		tr.End(sp)
-	}
-	if rec != nil && published > 0 {
-		rec.Add("cache.publishes", 1)
-		rec.Record("cache.publish.shards", int64(published))
-	}
 }
 
 // Successors implements Successor, memoized. The returned slice is shared;
@@ -449,7 +393,7 @@ func (c *SuccessorCache) Stats() CacheStats {
 	for i := range c.index.shards {
 		sh := &c.index.shards[i]
 		sh.mu.Lock()
-		st.PerShard[i].States = len(sh.dirty)
+		st.PerShard[i].States = len(sh.m)
 		sh.mu.Unlock()
 	}
 	for i := range c.stripes {

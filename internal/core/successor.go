@@ -74,7 +74,7 @@ func (p Prober) Intern(key []byte, x State) (uint32, State) {
 	if p.c == nil {
 		return 0, x
 	}
-	id := p.c.insert(p.c.index.shard(key), key, x)
+	id := p.c.insert(key, x)
 	return id, p.c.StateOf(id)
 }
 

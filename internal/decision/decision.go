@@ -118,7 +118,7 @@ func DecidedSimplex(x core.State) (simplex.Simplex, bool) {
 // the distinct decided output simplexes of fully-decided states, keyed by
 // simplex Key.
 func CollectDecidedSimplexes(m core.Model, depth, maxNodes int) (map[string]simplex.Simplex, error) {
-	g, err := core.ExploreID(m, depth, maxNodes)
+	g, err := core.ExploreIDCtx(nil, m, depth, maxNodes, 1)
 	if err != nil {
 		return nil, err
 	}

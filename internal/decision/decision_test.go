@@ -234,7 +234,7 @@ func TestFieldValencesMatchOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, err := core.ExploreID(tc.m, tc.depth, 0)
+			g, err := core.ExploreIDCtx(nil, tc.m, tc.depth, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +273,7 @@ func TestFieldValencesMatchSweepReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := core.ExploreID(m, 2, 0)
+			g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +316,7 @@ func TestCollectDecidedSimplexesGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.ExploreID(m, rounds, 0)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestLemma76MeasuredDiameters(t *testing.T) {
 	const n, tt, depth = 3, 2, 2
 	p := protocols.FullInfo{}
 	m := syncmp.NewSt(p, n, tt)
-	g, err := core.ExploreID(m, depth, 0)
+	g, err := core.ExploreIDCtx(nil, m, depth, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

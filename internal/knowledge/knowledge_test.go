@@ -14,7 +14,7 @@ import (
 // reached at the given round.
 func statesAtRound(t *testing.T, m core.Model, round int) []core.State {
 	t.Helper()
-	g, err := core.ExploreID(m, round, 0)
+	g, err := core.ExploreIDCtx(nil, m, round, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestClassesBasics(t *testing.T) {
 func TestBucketedClassesMatchQuadratic(t *testing.T) {
 	const n, tt = 4, 2
 	m := syncmp.NewSt(protocols.FloodSet{Rounds: tt + 1}, n, tt)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestClassValenceSweepsField(t *testing.T) {
 	const n, tt = 4, 2
 	rounds := tt + 1
 	m := syncmp.NewSt(protocols.FloodSet{Rounds: rounds}, n, tt)
-	g, err := core.ExploreID(m, rounds, 0)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func TestBivalentChainMobile(t *testing.T) {
 func TestNoFiniteFailure(t *testing.T) {
 	const n = 3
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, n)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

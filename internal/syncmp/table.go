@@ -19,8 +19,8 @@ import (
 //
 // Ids never leave the process: states keep their canonical strings, and
 // Key is built from those. The table is append-only and safe for
-// concurrent use; its lookups take no lock (core.Index snapshots and
-// core.Slots), and its inserts lock one shard.
+// concurrent use: a lookup or insert locks one core.Index shard, and
+// reading an id's entry (core.Slots) takes no lock.
 type Table struct {
 	p      proto.SyncProtocol
 	locals *core.LocalTable

@@ -85,11 +85,11 @@ func TestForeignStatesGetTheModelsIDs(t *testing.T) {
 					if idX != idMine {
 						t.Fatalf("%s (foreign first %v): id %d, model's own state %d", what, foreignFirst, idX, idMine)
 					}
-					gx, err := core.ExploreID(core.WithInits(m, []core.State{x}), 2, 0)
+					gx, err := core.ExploreIDCtx(nil, core.WithInits(m, []core.State{x}), 2, 0, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					gm, err := core.ExploreID(core.WithInits(tc.mk(), []core.State{mine}), 2, 0)
+					gm, err := core.ExploreIDCtx(nil, core.WithInits(tc.mk(), []core.State{mine}), 2, 0, 1)
 					if err != nil {
 						t.Fatal(err)
 					}

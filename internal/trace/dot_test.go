@@ -13,7 +13,7 @@ import (
 func exploreMobile(t *testing.T, depth int) *core.IDGraph {
 	t.Helper()
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.ExploreID(m, depth, 0)
+	g, err := core.ExploreIDCtx(nil, m, depth, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func allocGraph(t testing.TB, n int) *core.IDGraph {
 	t.Helper()
 	m := syncmp.NewSt(protocols.FloodSet{Rounds: 2}, n, 1)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

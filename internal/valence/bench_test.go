@@ -30,7 +30,7 @@ func naiveValences(succ core.Successor, x core.State, horizon int) uint8 {
 func TestNaiveMatchesOracle(t *testing.T) {
 	const n, rounds = 3, 2
 	m := mobile.New(protocols.FloodSet{Rounds: rounds}, n)
-	g, err := core.ExploreID(m, rounds, 0)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func BenchmarkCertifyGraph(b *testing.B) {
 	for _, cfg := range []struct{ n, t int }{{3, 1}, {4, 2}, {5, 1}, {6, 1}} {
 		b.Run(fmt.Sprintf("floodset/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
 			m := syncmp.NewSt(protocols.FloodSet{Rounds: cfg.t + 1}, cfg.n, cfg.t)
-			g, err := core.ExploreIDParallel(m, cfg.t+1, 0, 0)
+			g, err := core.ExploreIDCtx(nil, m, cfg.t+1, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func BenchmarkField(b *testing.B) {
 	for _, cfg := range []struct{ n, t int }{{4, 2}, {6, 1}} {
 		b.Run(fmt.Sprintf("floodset/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
 			m := syncmp.NewSt(protocols.FloodSet{Rounds: cfg.t + 1}, cfg.n, cfg.t)
-			g, err := core.ExploreIDParallel(m, cfg.t+1, 0, 0)
+			g, err := core.ExploreIDCtx(nil, m, cfg.t+1, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

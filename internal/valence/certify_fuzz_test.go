@@ -234,7 +234,7 @@ func TestCertifyWalksEveryLag(t *testing.T) {
 		func() core.Model { return asyncmp.NewSynchronic(ownInput{}, n) },
 	} {
 		m := uniformOnly(mk())
-		g, err := core.ExploreID(m, bound, 0)
+		g, err := core.ExploreIDCtx(nil, m, bound, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

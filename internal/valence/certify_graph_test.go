@@ -129,7 +129,7 @@ func TestCertifyNonGradedMatchesRecursive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := core.ExploreID(tc.m(), tc.bound, 0)
+			g, err := core.ExploreIDCtx(nil, tc.m(), tc.bound, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestCertifyGraphBudget(t *testing.T) {
 func TestCertifyGraphNotGraded(t *testing.T) {
 	// asyncmp at n=2 produces same-depth shortcut edges (see field tests).
 	m := asyncmp.New(protocols.MPFlood{Phases: 2}, 2)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // exploration's worker count fixed: explore the model's graph with
 // workers goroutines, then certify it.
 func certifyParallel(m core.Model, bound, maxVisits, workers int) (*valence.Witness, error) {
-	g, err := core.ExploreIDParallel(m, bound, 0, workers)
+	g, err := core.ExploreIDCtx(nil, m, bound, 0, workers)
 	if err != nil {
 		return nil, err
 	}

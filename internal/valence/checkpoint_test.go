@@ -22,7 +22,7 @@ import (
 // ckptGraph materializes the standard graded fixture for checkpoint tests.
 func ckptGraph(t *testing.T, m core.Model, bound int) *core.IDGraph {
 	t.Helper()
-	g, err := core.ExploreID(m, bound, 0)
+	g, err := core.ExploreIDCtx(nil, m, bound, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFieldCheckpointRandomCuts(t *testing.T) {
 	for cut := 1; cut <= layers; cut++ {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("cut%d-w%d", cut, workers), func(t *testing.T) {
-				fresh, err := core.ExploreIDParallel(mk(), 2, 0, workers)
+				fresh, err := core.ExploreIDCtx(nil, mk(), 2, 0, workers)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -87,7 +87,7 @@ func TestFieldPropertyMatchesOracle(t *testing.T) {
 			}
 			name := fmt.Sprintf("%s-n%d-t%d-r%d-d%d", mc.name, n, tf, rounds, depth)
 			t.Run(name, func(t *testing.T) {
-				g, err := core.ExploreID(mc.m, depth, 0)
+				g, err := core.ExploreIDCtx(nil, mc.m, depth, 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +149,7 @@ func reachableDecided(g *core.IDGraph, u uint32) uint8 {
 func TestFieldConsumers(t *testing.T) {
 	const n, bound = 3, 3
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, n)
-	g, err := core.ExploreID(m, bound, 0)
+	g, err := core.ExploreIDCtx(nil, m, bound, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestFieldConsumers(t *testing.T) {
 // actually reaches the reported node.
 func TestFieldBivalentAtBound(t *testing.T) {
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
-	g, err := core.ExploreID(m, 2, 0)
+	g, err := core.ExploreIDCtx(nil, m, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,14 @@ import (
 func BenchmarkFieldSweep(b *testing.B) {
 	graded := func(n, t int) *core.IDGraph {
 		m := syncmp.NewSt(protocols.FloodSet{Rounds: t + 1}, n, t)
-		g, err := core.ExploreIDParallel(m, t+1, 0, 0)
+		g, err := core.ExploreIDCtx(nil, m, t+1, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return g
 	}
 	fixpoint := func(k int) *core.IDGraph {
-		g, err := core.ExploreID(chainModel{k: k}, 1, 0)
+		g, err := core.ExploreIDCtx(nil, chainModel{k: k}, 1, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestFieldScalarMemoryPressure(t *testing.T) {
 // every poll, so an entry point that retried until the sweep succeeded
 // would never return.
 func TestFieldMemoryLimitReturnsPromptly(t *testing.T) {
-	g, err := core.ExploreID(syncmp.NewSt(protocols.FloodSet{Rounds: 3}, 5, 2), 3, 0)
+	g, err := core.ExploreIDCtx(nil, syncmp.NewSt(protocols.FloodSet{Rounds: 3}, 5, 2), 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

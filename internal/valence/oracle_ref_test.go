@@ -209,7 +209,7 @@ func CheckBivalentUndecided(o *Oracle, x core.State, horizon, t int) error {
 // BivalenceWidth explores the model to the given depth and classifies
 // every reachable state's valence with horizon(depth) lookahead.
 func BivalenceWidth(m core.Model, o *Oracle, horizon HorizonFunc, depth, maxNodes int) (*WidthProfile, error) {
-	g, err := core.ExploreID(m, depth, maxNodes)
+	g, err := core.ExploreIDCtx(nil, m, depth, maxNodes, 1)
 	if err != nil {
 		return nil, err
 	}

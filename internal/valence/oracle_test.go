@@ -16,7 +16,7 @@ func TestValenceMonotoneInHorizon(t *testing.T) {
 	const n, rounds = 3, 2
 	p := protocols.FloodSet{Rounds: rounds}
 	m := mobile.New(p, n)
-	g, err := core.ExploreID(m, rounds, 0)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestValenceZeroHorizonIsDecisions(t *testing.T) {
 	const n, rounds = 3, 2
 	p := protocols.FloodSet{Rounds: rounds}
 	m := mobile.New(p, n)
-	g, err := core.ExploreID(m, rounds, 0)
+	g, err := core.ExploreIDCtx(nil, m, rounds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

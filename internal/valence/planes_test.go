@@ -171,7 +171,7 @@ func (m chainModel) Successors(x core.State) []core.Succ {
 // the span sweep's masked partial-word merge must keep the deeper layer's
 // already-final bits while it writes the shallower layer's.
 func TestFieldShardWordAlignment(t *testing.T) {
-	g, err := core.ExploreID(wideModel{width: 200, depth: 3}, 3, 0)
+	g, err := core.ExploreIDCtx(nil, wideModel{width: 200, depth: 3}, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestFieldShardWordAlignment(t *testing.T) {
 // engine and to the known answer — every node 0-valent.
 func TestFieldFixpointWordBoundary(t *testing.T) {
 	const k = 100
-	g, err := core.ExploreID(chainModel{k: k}, 1, 0)
+	g, err := core.ExploreIDCtx(nil, chainModel{k: k}, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestFieldMatchesScalarPlanes(t *testing.T) {
 				depth = 1
 			}
 			t.Run(fmt.Sprintf("%s-n%d-d%d", mc.name, n, depth), func(t *testing.T) {
-				g, err := core.ExploreID(mc.m, depth, 0)
+				g, err := core.ExploreIDCtx(nil, mc.m, depth, 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -60,7 +60,7 @@ func TestSimilarityGraphMatchesQuadratic(t *testing.T) {
 	}
 	// E1 layers: every depth of the mobile FloodSet graph at n=4.
 	m1 := mobile.New(protocols.FloodSet{Rounds: 2}, 4)
-	g1, err := core.ExploreID(m1, 2, 0)
+	g1, err := core.ExploreIDCtx(nil, m1, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSimilarityGraphMatchesQuadratic(t *testing.T) {
 	}
 	// E4 layers: the asynchronous message-passing model at n=3.
 	m2 := asyncmp.New(protocols.MPFlood{Phases: 1}, 3)
-	g2, err := core.ExploreID(m2, 2, 0)
+	g2, err := core.ExploreIDCtx(nil, m2, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,8 +158,8 @@ func Certify(m Model, bound, maxVisits int) (*Witness, error) {
 	return valence.Certify(nil, m, bound, maxVisits)
 }
 
-// ErrNodeBudget is returned (wrapped) by ExploreID and its variants when
-// the node budget is exhausted; the partial graph explored so far is
+// ErrNodeBudget is returned (wrapped) by ExploreIDCtx when the node
+// budget is exhausted; the partial graph explored so far is
 // returned alongside it.
 var ErrNodeBudget = core.ErrNodeBudget
 
@@ -172,21 +172,6 @@ type IDGraph = core.IDGraph
 // graph explored to depth B, a node at depth d holds its valence within
 // horizon B-d.
 type Field = valence.Field
-
-// ExploreID builds the interned CSR state graph of a model to the given
-// depth; maxNodes caps the node count (0 = unbounded). On budget
-// exhaustion the partial graph is returned together with a wrapped
-// ErrNodeBudget.
-func ExploreID(m Model, depth, maxNodes int) (*IDGraph, error) {
-	return core.ExploreID(m, depth, maxNodes)
-}
-
-// ExploreIDParallel is ExploreID with successor enumeration sharded across
-// `workers` goroutines (workers <= 0 means GOMAXPROCS); the graph is
-// bit-identical to ExploreID's.
-func ExploreIDParallel(m Model, depth, maxNodes, workers int) (*IDGraph, error) {
-	return core.ExploreIDParallel(m, depth, maxNodes, workers)
-}
 
 // ErrNotGraded is returned by CertifyGraphCtx for graphs with same-depth
 // shortcut edges (which the asynchronous models produce at small n).
@@ -266,11 +251,15 @@ func LoadCheckpoint(path string) ([]resilient.Section, error) {
 	return resilient.LoadFile(path)
 }
 
-// ExploreIDCtx is ExploreIDParallel under a cancellation context: on
-// interruption the error wraps ErrPartial and carries a resumable
-// checkpoint; a checkpoint loaded into ctx resumes the interrupted
-// exploration and the finished graph is bit-identical to an uninterrupted
-// run's.
+// ExploreIDCtx builds the interned CSR state graph of a model to the given
+// depth; maxNodes caps the node count (0 = unbounded). On budget
+// exhaustion the partial graph is returned together with a wrapped
+// ErrNodeBudget. Successor enumeration is sharded across `workers`
+// goroutines (workers <= 0 means GOMAXPROCS); the graph is the same for
+// every worker count. A nil ctx never cancels; on interruption the error
+// wraps ErrPartial and carries a resumable checkpoint, and a checkpoint
+// loaded into ctx resumes the interrupted exploration to a graph
+// bit-identical to an uninterrupted run's.
 func ExploreIDCtx(ctx *Ctx, m Model, depth, maxNodes, workers int) (*IDGraph, error) {
 	return core.ExploreIDCtx(ctx, m, depth, maxNodes, workers)
 }

@@ -184,7 +184,7 @@ func TestShardedLegacyGraphEquivalence(t *testing.T) {
 				t.Fatal("empty or cut reference graph")
 			}
 			for _, w := range workerCounts() {
-				g, err := core.ExploreIDParallel(tc.mk(), tc.depth, 0, w)
+				g, err := core.ExploreIDCtx(nil, tc.mk(), tc.depth, 0, w)
 				if err != nil {
 					t.Fatalf("w=%d: %v", w, err)
 				}
@@ -211,7 +211,7 @@ func TestShardedEquivalenceAtMemoSize(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := refExplore(tc.mk(), tc.depth, 0)
 			for _, w := range []int{1, 2, 8} {
-				g, err := core.ExploreIDParallel(tc.mk(), tc.depth, 0, w)
+				g, err := core.ExploreIDCtx(nil, tc.mk(), tc.depth, 0, w)
 				if err != nil {
 					t.Fatalf("w=%d: %v", w, err)
 				}
@@ -236,7 +236,7 @@ func TestShardedLegacyBudgetEquivalence(t *testing.T) {
 				t.Fatalf("reference cut at %d nodes (hit=%v), want %d", len(ref.keys), ref.budgetHit, budget)
 			}
 			for _, w := range workerCounts() {
-				g, err := core.ExploreIDParallel(tc.mk(), tc.depth, budget, w)
+				g, err := core.ExploreIDCtx(nil, tc.mk(), tc.depth, budget, w)
 				if !errors.Is(err, core.ErrNodeBudget) {
 					t.Fatalf("w=%d: %v, want ErrNodeBudget", w, err)
 				}

@@ -61,7 +61,7 @@ func TestSlowParallelCertifyAgrees(t *testing.T) {
 	}
 	const n, tt = 5, 2
 	m := layers.SyncSt(layers.FloodSet{Rounds: tt + 1}, n, tt)
-	g, err := layers.ExploreID(m, tt+1, 0)
+	g, err := layers.ExploreIDCtx(nil, m, tt+1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
