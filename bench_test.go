@@ -649,17 +649,26 @@ func BenchmarkE11_CommonKnowledge(b *testing.B) {
 }
 
 // BenchmarkObsPhases — instrumented engine rows: the E1/E5-shaped explore
-// and certify bodies re-run with a live Metrics recorder, reporting the
-// per-iteration latency tail (p50/p99 straight from the engine's own
-// log-bucketed phase histograms) alongside ns/op. The uninstrumented
-// E-rows above stay the disabled-overhead baseline; these rows are where
-// BENCH_6.json carries the phase latency distributions.
+// and certify bodies re-run with a live Metrics recorder and a tracer over
+// it, as cli.ObsFlags installs them, reporting the per-iteration latency
+// tail (p50/p99 straight from the span.explore and span.certify
+// histograms) alongside ns/op. The uninstrumented E-rows above stay the
+// disabled-overhead baseline.
 func BenchmarkObsPhases(b *testing.B) {
+	enable := func() *obs.Metrics {
+		met := obs.NewMetrics()
+		obs.EnableTrace(obs.NewTracer(met, nil))
+		obs.Enable(met)
+		return met
+	}
+	disable := func() {
+		obs.DisableTrace()
+		obs.Disable()
+	}
 	b.Run("explore/n=5", func(b *testing.B) {
 		m := layers.MobileS1(protocols.FloodSet{Rounds: 2}, 5)
-		met := obs.NewMetrics()
-		obs.Enable(met)
-		defer obs.Disable()
+		met := enable()
+		defer disable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := layers.ExploreIDCtx(nil, m, 2, 0, 0); err != nil {
@@ -667,7 +676,7 @@ func BenchmarkObsPhases(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if h := met.Timer("explore.time"); h != nil {
+		if h := met.Timer("span.explore"); h != nil {
 			b.ReportMetric(float64(h.Quantile(0.50)), "p50_ns")
 			b.ReportMetric(float64(h.Quantile(0.99)), "p99_ns")
 		}
@@ -679,9 +688,8 @@ func BenchmarkObsPhases(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		met := obs.NewMetrics()
-		obs.Enable(met)
-		defer obs.Disable()
+		met := enable()
+		defer disable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			w, err := layers.CertifyGraphCtx(nil, g, 0)
@@ -693,7 +701,7 @@ func BenchmarkObsPhases(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if h := met.Timer("certify.time"); h != nil {
+		if h := met.Timer("span.certify"); h != nil {
 			b.ReportMetric(float64(h.Quantile(0.50)), "p50_ns")
 			b.ReportMetric(float64(h.Quantile(0.99)), "p99_ns")
 		}

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -28,29 +29,40 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bivalence:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bivalence", flag.ContinueOnError)
 	var (
 		model   = fs.String("model", "mobile", "model: "+strings.Join(cli.Models(), "|"))
 		n       = fs.Int("n", 3, "number of processes")
 		t       = fs.Int("t", 1, "failure budget (sync-st)")
 		bound   = fs.Int("bound", 2, "protocol decision bound (layers)")
-		target  = fs.Int("target", -1, "bivalent chain target depth (default bound-1)")
+		target  = fs.Int("target", -1, "bivalent chain target depth (-1 = bound-1)")
 		visits  = fs.Int("budget", 5_000_000, "certifier visit budget; exploring to the bound is not budgeted (0 = unbounded)")
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON (keys replayable through the model)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *target < -1 {
+		return fmt.Errorf("-target must be >= -1, got %d", *target)
+	}
+	if *visits < 0 {
+		return fmt.Errorf("-budget must be >= 0, got %d", *visits)
+	}
 	m, err := cli.Build(cli.Spec{Model: *model, N: *n, T: *t, Bound: *bound})
 	if err != nil {
 		return err
+	}
+	// Build accepts bound >= 1 only, so the default target is >= 0.
+	tgt := *target
+	if tgt == -1 {
+		tgt = *bound - 1
 	}
 
 	g, err := core.ExploreIDCtx(nil, m, *bound, 0, 0)
@@ -62,23 +74,16 @@ func run(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		return runJSON(m, g, w, *bound, *target)
+		return runJSON(out, m, g, w, *bound, tgt)
 	}
-	fmt.Printf("== certifying consensus over %s (bound %d) ==\n", m.Name(), *bound)
-	fmt.Printf("verdict: %s\n", w.Kind)
+	fmt.Fprintf(out, "== certifying consensus over %s (bound %d) ==\n", m.Name(), *bound)
+	fmt.Fprintf(out, "verdict: %s\n", w.Kind)
 	if w.Kind != valence.OK {
-		fmt.Printf("detail:  %s\n", w.Detail)
-		fmt.Printf("witness run (%d layers):\n%s", w.Exec.Len(), trace.FormatExecution(w.Exec))
+		fmt.Fprintf(out, "detail:  %s\n", w.Detail)
+		fmt.Fprintf(out, "witness run (%d layers):\n%s", w.Exec.Len(), trace.FormatExecution(w.Exec))
 	}
 
-	tgt := *target
-	if tgt < 0 {
-		tgt = *bound - 1
-	}
-	if tgt < 0 {
-		tgt = 0
-	}
-	fmt.Printf("\n== bivalent chain (Theorem 4.2), target %d layers ==\n", tgt)
+	fmt.Fprintf(out, "\n== bivalent chain (Theorem 4.2), target %d layers ==\n", tgt)
 	f, err := chainField(m, g, tgt)
 	if err != nil {
 		return err
@@ -87,10 +92,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("reached %d of %d layers (valence field: %d nodes)\n", ch.Reached, tgt, f.Len())
-	fmt.Print(trace.FormatExecution(ch.Exec))
+	fmt.Fprintf(out, "reached %d of %d layers (valence field: %d nodes)\n", ch.Reached, tgt, f.Len())
+	fmt.Fprint(out, trace.FormatExecution(ch.Exec))
 	if ch.Stuck != nil {
-		fmt.Printf("chain stuck: layer had %d states, %d bivalent, valence-connected=%v\n",
+		fmt.Fprintf(out, "chain stuck: layer had %d states, %d bivalent, valence-connected=%v\n",
 			len(ch.Stuck.States), len(ch.Stuck.BivalentIdx), ch.Stuck.ValenceConnected)
 		return fmt.Errorf("bivalent chain could not reach target depth")
 	}
@@ -114,13 +119,7 @@ func chainField(m core.Model, g *core.IDGraph, target int) (*valence.Field, erro
 // runJSON emits the certification witness and the bivalent chain as one
 // JSON document, with exact state keys so the runs replay through the
 // model.
-func runJSON(m core.Model, g *core.IDGraph, w *valence.Witness, bound, target int) error {
-	if target < 0 {
-		target = bound - 1
-	}
-	if target < 0 {
-		target = 0
-	}
+func runJSON(out io.Writer, m core.Model, g *core.IDGraph, w *valence.Witness, bound, target int) error {
 	f, err := chainField(m, g, target)
 	if err != nil {
 		return err
@@ -141,5 +140,5 @@ func runJSON(m core.Model, g *core.IDGraph, w *valence.Witness, bound, target in
 		Certify: report.NewWitness(w, key),
 		Chain:   report.NewChain(ch, key),
 	}
-	return report.Write(os.Stdout, doc)
+	return report.Write(out, doc)
 }

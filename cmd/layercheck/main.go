@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -24,13 +25,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "layercheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("layercheck", flag.ContinueOnError)
 	var (
 		model   = fs.String("model", "mobile", "model: "+strings.Join(cli.Models(), "|"))
@@ -43,6 +44,9 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *depth < 0 {
+		return fmt.Errorf("-depth must be >= 0, got %d", *depth)
 	}
 	m, err := cli.Build(cli.Spec{Model: *model, N: *n, T: *t, Bound: *bound})
 	if err != nil {
@@ -63,13 +67,13 @@ func run(args []string) error {
 	}
 
 	if *jsonOut {
-		return runJSON(m.Name(), f, *depth)
+		return runJSON(out, m.Name(), f, *depth)
 	}
 	states := 0
 	for d := 0; d <= *depth; d++ {
 		states += len(g.Layer(d))
 	}
-	fmt.Printf("model %s: analyzing layers of %d state(s) to depth %d\n", m.Name(), states, *depth)
+	fmt.Fprintf(out, "model %s: analyzing layers of %d state(s) to depth %d\n", m.Name(), states, *depth)
 	var analyzed, simConn, valConn int
 	maxDiam := 0
 	for d := 0; d <= *depth; d++ {
@@ -86,16 +90,16 @@ func run(args []string) error {
 				maxDiam = r.SDiameter
 			}
 			if *verbose {
-				fmt.Printf("  depth=%d |S(x)|=%d sim-conn=%v (components=%d, s-diam=%d) val-conn=%v bivalent=%d null=%d\n",
+				fmt.Fprintf(out, "  depth=%d |S(x)|=%d sim-conn=%v (components=%d, s-diam=%d) val-conn=%v bivalent=%d null=%d\n",
 					d, len(r.States), r.SimilarityConnected, r.SimilarityComponents,
 					r.SDiameter, r.ValenceConnected, len(r.BivalentIdx), len(r.NullValentIdx))
 			}
 		}
 	}
-	fmt.Printf("layers analyzed:        %d\n", analyzed)
-	fmt.Printf("similarity connected:   %d/%d\n", simConn, analyzed)
-	fmt.Printf("valence connected:      %d/%d\n", valConn, analyzed)
-	fmt.Printf("max layer s-diameter:   %d\n", maxDiam)
+	fmt.Fprintf(out, "layers analyzed:        %d\n", analyzed)
+	fmt.Fprintf(out, "similarity connected:   %d/%d\n", simConn, analyzed)
+	fmt.Fprintf(out, "valence connected:      %d/%d\n", valConn, analyzed)
+	fmt.Fprintf(out, "max layer s-diameter:   %d\n", maxDiam)
 	if valConn != analyzed {
 		return fmt.Errorf("%d layer(s) not valence connected (horizon too small, or theory violated)", analyzed-valConn)
 	}
@@ -103,7 +107,7 @@ func run(args []string) error {
 }
 
 // runJSON emits one LayerJSON per analyzed state, grouped by depth.
-func runJSON(model string, f *valence.Field, depth int) error {
+func runJSON(out io.Writer, model string, f *valence.Field, depth int) error {
 	type entry struct {
 		Depth int               `json:"depth"`
 		Layer *report.LayerJSON `json:"layer"`
@@ -120,5 +124,5 @@ func runJSON(model string, f *valence.Field, depth int) error {
 			})
 		}
 	}
-	return report.Write(os.Stdout, doc)
+	return report.Write(out, doc)
 }

@@ -13,8 +13,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/protocols"
 	"repro/internal/syncmp"
@@ -23,13 +25,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lowerbound:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("lowerbound", flag.ContinueOnError)
 	var (
 		n      = fs.Int("n", 4, "number of processes (>= t+2)")
@@ -39,8 +41,14 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *n > cli.MaxN {
+		return fmt.Errorf("-n must be <= %d, got %d", cli.MaxN, *n)
+	}
 	if *t < 1 || *t > *n-2 {
 		return fmt.Errorf("need 1 <= t <= n-2, got n=%d t=%d", *n, *t)
+	}
+	if *visits < 0 {
+		return fmt.Errorf("-budget must be >= 0, got %d", *visits)
 	}
 
 	// Upper bound: FloodSet with t+1 rounds is correct.
@@ -54,7 +62,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("FloodSet(%d rounds), n=%d t=%d: %s (%d state-visits)\n", *t+1, *n, *t, w.Kind, w.Explored)
+	fmt.Fprintf(out, "FloodSet(%d rounds), n=%d t=%d: %s (%d state-visits)\n", *t+1, *n, *t, w.Kind, w.Explored)
 	if w.Kind != valence.OK {
 		return fmt.Errorf("the t+1-round protocol was refuted; this contradicts the classical upper bound")
 	}
@@ -66,16 +74,16 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("FloodSet(%d rounds), n=%d t=%d: %s\n", *t, *n, *t, w.Kind)
+	fmt.Fprintf(out, "FloodSet(%d rounds), n=%d t=%d: %s\n", *t, *n, *t, w.Kind)
 	if w.Kind == valence.OK {
 		return fmt.Errorf("the t-round protocol was certified; this contradicts Corollary 6.3")
 	}
-	fmt.Printf("detail: %s\nadversary run:\n%s", w.Detail, trace.FormatExecution(w.Exec))
+	fmt.Fprintf(out, "detail: %s\nadversary run:\n%s", w.Detail, trace.FormatExecution(w.Exec))
 
 	// Lemma 6.1: the bivalent chain against the CORRECT protocol, showing
 	// decision cannot complete before round t+1. Its valences come from the
 	// graph certified above, explored to the t+1 bound.
-	fmt.Printf("\nLemma 6.1 bivalent chain against FloodSet(%d):\n", *t+1)
+	fmt.Fprintf(out, "\nLemma 6.1 bivalent chain against FloodSet(%d):\n", *t+1)
 	f, err := valence.NewFieldCtx(nil, gGood)
 	if err != nil {
 		return err
@@ -84,12 +92,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(trace.FormatExecution(ch.Exec))
+	fmt.Fprint(out, trace.FormatExecution(ch.Exec))
 	if ch.Stuck != nil {
 		return fmt.Errorf("chain stuck at depth %d", ch.Reached)
 	}
 	last := ch.Exec.Last()
-	fmt.Printf("after %d layers: %d processes failed, bivalent, nobody decided -> ", ch.Reached, core.FailedCount(last))
-	fmt.Println("two more rounds are needed (Lemma 6.2): the t+1 bound is tight")
+	fmt.Fprintf(out, "after %d layers: %d processes failed, bivalent, nobody decided -> ", ch.Reached, core.FailedCount(last))
+	fmt.Fprintln(out, "two more rounds are needed (Lemma 6.2): the t+1 bound is tight")
 	return nil
 }

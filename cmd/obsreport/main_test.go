@@ -35,7 +35,7 @@ func traceJournal(t *testing.T) string {
 	tr.End(cert)
 	m.Add("explore.nodes", 204)
 	m.Add("certify.visits", 57)
-	m.Observe("explore.layer.time", 1234567)
+	m.Record("explore.layer.width", 17)
 	m.Event("run.done")
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestReportRendersPhaseTable(t *testing.T) {
 	out := stdout.String()
 	for _, want := range []string{
 		"PHASE ATTRIBUTION", "explore.layer", "explore.warm.shard", "certify",
-		"HISTOGRAMS", "explore.layer.time", "span.explore",
+		"HISTOGRAMS", "explore.layer.width", "span.explore",
 		"COUNTERS", "explore.nodes", "certify.visits",
 	} {
 		if !strings.Contains(out, want) {

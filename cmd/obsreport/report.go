@@ -1,6 +1,6 @@
 // Command obsreport analyzes the JSONL run-event journals written by the
-// engine tools (-journal, -trace): it attributes run time to phases from
-// the span tree, tabulates counters and latency histograms from the final
+// engine tools (-journal; every journal holds the phase spans): it
+// attributes run time to phases from the span tree, tabulates counters and latency histograms from the final
 // snapshot, exports spans to Chrome Trace Event Format for Perfetto, and
 // diffs two journals for phase-time regressions.
 //

@@ -15,9 +15,11 @@ import (
 
 // ObsFlags holds the shared observability flags of the command-line tools.
 type ObsFlags struct {
-	// Stats prints the final counter/gauge/timer table to stderr on stop.
+	// Stats prints the final counter/gauge/histogram table to stderr on
+	// stop.
 	Stats bool
-	// Journal, when non-empty, is the path of a JSONL run-event journal.
+	// Journal, when non-empty, is the path of a JSONL run-event journal;
+	// it holds the engines' events and their phase spans.
 	Journal string
 	// Pprof, when non-empty, is an address serving net/http/pprof and
 	// /debug/vars (e.g. ":6060").
@@ -25,23 +27,19 @@ type ObsFlags struct {
 	// Progress, when positive, prints a brief counter snapshot to stderr at
 	// that interval while the run is live.
 	Progress time.Duration
-	// Trace enables hierarchical span tracing; spans land in the journal as
-	// span.begin/span.end events, so it requires -journal.
-	Trace bool
 	// RuntimeSample, when positive, samples runtime/metrics (goroutines,
 	// heap, GC) at that interval, emitting runtime.sample journal events.
 	RuntimeSample time.Duration
 }
 
-// RegisterObs registers the shared -stats/-journal/-pprof/-progress flags
-// on a flag set.
+// RegisterObs registers the shared -stats/-journal/-pprof/-progress/
+// -runtime-sample flags on a flag set.
 func RegisterObs(fs *flag.FlagSet) *ObsFlags {
 	f := &ObsFlags{}
 	fs.BoolVar(&f.Stats, "stats", false, "print final engine counters to stderr")
 	fs.StringVar(&f.Journal, "journal", "", "write a JSONL run-event journal to `file`")
 	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof and /debug/vars on `addr` (e.g. :6060)")
 	fs.DurationVar(&f.Progress, "progress", 0, "print a counter snapshot to stderr every `interval`")
-	fs.BoolVar(&f.Trace, "trace", false, "journal hierarchical phase spans (requires -journal; analyze with cmd/obsreport)")
 	fs.DurationVar(&f.RuntimeSample, "runtime-sample", 0, "journal a runtime.sample (goroutines, heap, GC) every `interval`")
 	return f
 }
@@ -52,22 +50,21 @@ var expvarOnce sync.Once
 // Enabled reports whether any observability surface was requested.
 func (f *ObsFlags) Enabled() bool {
 	return f.Stats || f.Journal != "" || f.Pprof != "" || f.Progress > 0 ||
-		f.Trace || f.RuntimeSample > 0
+		f.RuntimeSample > 0
 }
 
 // Start activates the requested observability surfaces: it installs a
-// metrics recorder as the process-wide obs recorder, attaches the journal
-// file, publishes the metrics under expvar and starts the pprof server,
-// and launches the progress ticker. The returned stop function tears all
-// of it down (and prints the -stats table); it must be called before the
-// tool prints its final output. When no surface was requested Start is a
-// no-op and the engines keep their nil-recorder fast path.
+// metrics recorder as the process-wide obs recorder and a span tracer over
+// the same metrics, attaches the journal file, publishes the metrics under
+// expvar and starts the pprof server, and launches the progress ticker.
+// Every span feeds its span.<name> histogram and, with a journal, lands
+// there as a span.begin/span.end pair. The returned stop function tears
+// all of it down (and prints the -stats table); it must be called before
+// the tool prints its final output. When no surface was requested Start is
+// a no-op and the engines keep their nil-recorder fast path.
 func (f *ObsFlags) Start() (stop func(), err error) {
 	if !f.Enabled() {
 		return func() {}, nil
-	}
-	if f.Trace && f.Journal == "" {
-		return nil, fmt.Errorf("obs: -trace requires -journal (spans are journal events)")
 	}
 	m := obs.NewMetrics()
 
@@ -111,14 +108,12 @@ func (f *ObsFlags) Start() (stop func(), err error) {
 		}()
 	}
 
-	if f.Trace {
-		obs.EnableTrace(obs.NewTracer(m, journal))
-	}
 	var samplerStop func()
 	if f.RuntimeSample > 0 {
 		samplerStop = obs.StartRuntimeSampler(m, f.RuntimeSample)
 	}
 
+	obs.EnableTrace(obs.NewTracer(m, journal))
 	obs.Enable(m)
 	return func() {
 		if samplerStop != nil {

@@ -184,7 +184,6 @@ func DecodeExploreCheckpoint(data []byte) (*ExploreCheckpoint, error) {
 func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers int) (*IDGraph, error) {
 	c := CacheOf(m)
 	rec := obs.Active()
-	defer obs.Span(rec, "explore.time")()
 	tr := obs.Trace()
 	var root obs.TraceSpan
 	if tr != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/obs"
@@ -338,7 +337,6 @@ func ExploreIDCtx(ctx *resilient.Ctx, m Model, depth, maxNodes, workers int) (*I
 	}
 	c := CacheOf(m)
 	rec := obs.Active()
-	defer obs.Span(rec, "explore.time")()
 	tr := obs.Trace()
 	var root obs.TraceSpan
 	if tr != nil {
@@ -391,7 +389,6 @@ func ExploreIDCtx(ctx *resilient.Ctx, m Model, depth, maxNodes, workers int) (*I
 func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTable, frontier []uint32, startDepth, maxNodes, workers int, rec obs.Recorder, parent obs.SpanID) (*IDGraph, error) {
 	c := g.Cache
 	tr := obs.Trace()
-	var lt0 time.Time
 	for d := startDepth; d < g.Depth && len(frontier) > 0; d++ {
 		if err := stopPoint(ctx, "explore.layer"); err != nil {
 			return g.interrupted(m, rec, d, maxNodes, err)
@@ -399,9 +396,6 @@ func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTa
 		var lsp obs.TraceSpan
 		if tr != nil {
 			lsp = tr.Begin("explore.layer", parent)
-		}
-		if rec != nil {
-			lt0 = time.Now() //lint:nondet feeds layer-timing instrumentation only
 		}
 		if workers > 1 {
 			if err := warmFrontier(ctx, c, g, frontier, workers, lsp.ID); err != nil {
@@ -445,7 +439,6 @@ func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTa
 			rec.Add("explore.nodes", int64(len(next)))
 			rec.Add("explore.edges", int64(len(g.EdgeTo)-edgesBefore))
 			rec.Set("explore.frontier", int64(len(next)))
-			rec.Observe("explore.layer.time", time.Since(lt0))
 			rec.Record("explore.layer.width", int64(len(frontier)))
 			headroom := int64(-1)
 			if maxNodes > 0 {

@@ -64,10 +64,9 @@ func CertifyTask(ctx *resilient.Ctx, m core.Model, inits []core.State, delta sim
 	if err != nil {
 		return nil, err
 	}
-	// Exploration reports itself; the certify.task span and timer cover
-	// the search, as certify.time does for consensus.
+	// Exploration reports itself; the certify.task span covers the
+	// search, as the certify span does for consensus.
 	rec := obs.Active()
-	defer obs.Span(rec, "certify.task.time")()
 	if tr := obs.Trace(); tr != nil {
 		defer tr.End(tr.Begin("certify.task", 0))
 	}

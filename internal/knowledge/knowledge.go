@@ -58,7 +58,6 @@ const classesCheckEvery = 1024
 // already linked — alongside the wrapped cause.
 func NewClasses(ctx *resilient.Ctx, states []core.State) (*Classes, error) {
 	rec := obs.Active()
-	defer obs.Span(rec, "knowledge.classes.time")()
 	if tr := obs.Trace(); tr != nil {
 		defer tr.End(tr.Begin("knowledge.classes", 0))
 	}

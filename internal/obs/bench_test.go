@@ -15,10 +15,10 @@ var (
 	sinkRecorder obs.Recorder
 )
 
-// BenchmarkObsDisabledSpan prices a span instrumentation site with tracing
-// off: one atomic load plus a nil check. This is the cost every engine
-// phase pays per operation when -trace is not given; the observability
-// contract budgets it at <= 2 ns/op.
+// BenchmarkObsDisabledSpan prices a span instrumentation site with obs
+// disabled: one atomic load plus a nil check. This is the cost every
+// engine phase pays per operation when no observability flag is given;
+// the observability contract budgets it at <= 2 ns/op.
 func BenchmarkObsDisabledSpan(b *testing.B) {
 	obs.DisableTrace()
 	for i := 0; i < b.N; i++ {

@@ -11,9 +11,9 @@ import (
 )
 
 // Metrics is the standard Recorder: lock-free named atomic counters and
-// gauges, log-bucketed latency histograms behind the timers, unitless
-// value histograms behind Record, and an optional journal sink for
-// events. The zero value is not usable; use NewMetrics.
+// gauges, log-bucketed latency histograms behind the timers the tracer
+// feeds, unitless value histograms behind Record, and an optional journal
+// sink for events. The zero value is not usable; use NewMetrics.
 //
 // Metrics implements expvar.Var (String returns the JSON snapshot), so a
 // command can expose it at /debug/vars with expvar.Publish without obs
@@ -108,8 +108,9 @@ func hist(tab *sync.Map, name string) *Histogram {
 	return p.(*Histogram)
 }
 
-// Observe implements Recorder: one duration sample into the timer's
-// log-bucketed nanosecond histogram.
+// Observe records one duration sample into the timer's log-bucketed
+// nanosecond histogram. The tracer feeds it, one span.<name> sample per
+// span.
 func (m *Metrics) Observe(timer string, d time.Duration) {
 	hist(&m.timers, timer).Record(d.Nanoseconds())
 }

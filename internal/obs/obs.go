@@ -1,6 +1,7 @@
 // Package obs is the engine's zero-dependency observability layer: named
-// atomic counters, gauges, and timers behind a Recorder interface, plus a
-// structured JSONL run-event journal with monotonic timestamps.
+// atomic counters, gauges, and value histograms behind a Recorder
+// interface, hierarchical phase spans behind a Tracer, and a structured
+// JSONL run-event journal with monotonic timestamps.
 //
 // The package-level recorder is disabled by default. Hot paths load it once
 // per operation (obs.Active()) and pay a single nil-check when
@@ -14,14 +15,12 @@
 //
 // Counter and gauge names are dotted lowercase paths grouped by subsystem
 // (explore.*, cache.*, field.*, certify.*, knowledge.*, sim.*).
-// Counters only ever grow; gauges are point-in-time snapshots; timers
-// accumulate durations of span-scoped phases.
+// Counters only ever grow; gauges are point-in-time snapshots. Phases are
+// timed only by spans (see Tracer): each span's duration lands in the
+// span.<name> latency histogram.
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Recorder receives engine instrumentation. Implementations must be safe
 // for concurrent use: the parallel exploration and field sweeps record from
@@ -31,9 +30,6 @@ type Recorder interface {
 	Add(counter string, delta int64)
 	// Set stores a named gauge value.
 	Set(gauge string, v int64)
-	// Observe accumulates one duration sample into a named timer's
-	// latency histogram.
-	Observe(timer string, d time.Duration)
 	// Record accumulates one unitless sample (a width, a ratio, an
 	// imbalance percentage) into a named value histogram.
 	Record(sample string, v int64)
@@ -70,16 +66,3 @@ func Enable(r Recorder) { active.Store(recorderBox{r: r}) }
 
 // Disable turns instrumentation off; Active returns nil afterwards.
 func Disable() { active.Store(recorderBox{}) }
-
-// Span starts a span-scoped phase probe: it returns a func that, when
-// called, records the elapsed time into the named timer. Safe on a nil
-// recorder (returns a no-op), so call sites can unconditionally
-//
-//	defer obs.Span(rec, "explore.time")()
-func Span(r Recorder, timer string) func() {
-	if r == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { r.Observe(timer, time.Since(t0)) }
-}

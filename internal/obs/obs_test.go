@@ -85,17 +85,32 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
+// TestSpan: a tracer without a journal still times its spans into the
+// span.<name> histogram, and writes no event, not even to the journal its
+// metrics carry.
 func TestSpan(t *testing.T) {
+	var buf bytes.Buffer
+	j := obs.NewJournal(&buf)
 	m := obs.NewMetrics()
-	done := obs.Span(m, "phase")
+	m.SetJournal(j)
+	tr := obs.NewTracer(m, nil)
+	sp := tr.Begin("phase", 0)
 	time.Sleep(time.Millisecond)
-	done()
+	tr.End(sp)
+	tr.End(tr.BeginLane("phase.shard", sp.ID, 1))
 	snap := m.Snapshot()
-	if snap["phase.count"] != 1 || snap["phase.total_ns"] <= 0 {
-		t.Errorf("span snapshot = %v", snap)
+	if snap["span.phase.count"] != 1 || snap["span.phase.total_ns"] < time.Millisecond.Nanoseconds() {
+		t.Errorf("span.phase not fed: %v", snap)
 	}
-	// Span on a nil recorder is a usable no-op.
-	obs.Span(nil, "phase")()
+	if snap["span.phase.shard.count"] != 1 {
+		t.Errorf("span.phase.shard not fed: %v", snap)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if j.Len() != 0 || buf.Len() != 0 {
+		t.Errorf("tracer without a journal emitted %d events: %q", j.Len(), buf.String())
+	}
 }
 
 func TestWriteTextSortedAndJSON(t *testing.T) {

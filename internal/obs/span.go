@@ -24,11 +24,12 @@ type TraceSpan struct {
 	t0         time.Time
 }
 
-// Tracer journals hierarchical spans as span.begin/span.end events and
-// feeds each span's duration into the metrics' span.<name> latency
-// histogram. Span events carry no counter snapshot — a span is cheap by
-// design (two journal lines and one histogram record) so the engines can
-// afford one per layer, shard, or phase.
+// Tracer is the engines' one phase timer: it feeds each span's duration
+// into the metrics' span.<name> latency histogram and, when a journal is
+// attached, journals the span as a span.begin/span.end event pair. Span
+// events carry no counter snapshot — a span is cheap by design (two
+// journal lines and one histogram record) so the engines can afford one
+// per layer, shard, or phase.
 //
 // Lanes model the engine's worker structure: lane 0 is the coordinating
 // goroutine, lane k a parallel worker/shard. The Chrome-trace exporter
@@ -36,16 +37,18 @@ type TraceSpan struct {
 // side by side in Perfetto.
 //
 // The process-wide tracer follows the Recorder contract exactly: Trace()
-// returns nil when tracing is off, and the disabled cost at every
-// instrumentation site is that one nil check.
+// returns nil when instrumentation is off, and the disabled cost at every
+// instrumentation site is that one nil check. cli.ObsFlags installs a
+// tracer whenever it installs a recorder.
 type Tracer struct {
 	next atomic.Uint64
 	m    *Metrics
 	j    *Journal
 }
 
-// NewTracer returns a tracer journaling spans to j (required) and feeding
-// span-duration histograms into m (optional, may be nil).
+// NewTracer returns a tracer feeding span-duration histograms into m and
+// journaling spans to j. Either may be nil: without a journal the tracer
+// writes no events, without metrics it records no histogram.
 func NewTracer(m *Metrics, j *Journal) *Tracer {
 	return &Tracer{m: m, j: j}
 }
@@ -56,7 +59,7 @@ type tracerBox struct{ t *Tracer }
 
 var activeTracer atomic.Value // tracerBox
 
-// Trace returns the process-wide tracer, or nil when span tracing is
+// Trace returns the process-wide tracer, or nil when instrumentation is
 // disabled (the default).
 func Trace() *Tracer {
 	if b, ok := activeTracer.Load().(tracerBox); ok {
@@ -86,12 +89,14 @@ func (t *Tracer) BeginLane(name string, parent SpanID, lane int) TraceSpan {
 		lane:   lane,
 		t0:     time.Now(),
 	}
-	t.j.Emit("span.begin", []F{
-		{Key: "span", Value: uint64(s.ID)},
-		{Key: "parent", Value: uint64(s.Parent)},
-		{Key: "name", Value: name},
-		{Key: "lane", Value: lane},
-	}, nil)
+	if t.j != nil {
+		t.j.Emit("span.begin", []F{
+			{Key: "span", Value: uint64(s.ID)},
+			{Key: "parent", Value: uint64(s.Parent)},
+			{Key: "name", Value: name},
+			{Key: "lane", Value: lane},
+		}, nil)
+	}
 	return s
 }
 
@@ -104,12 +109,14 @@ func (t *Tracer) End(s TraceSpan) {
 		return
 	}
 	d := time.Since(s.t0)
-	t.j.Emit("span.end", []F{
-		{Key: "span", Value: uint64(s.ID)},
-		{Key: "name", Value: s.name},
-		{Key: "lane", Value: s.lane},
-		{Key: "dur_ns", Value: d.Nanoseconds()},
-	}, nil)
+	if t.j != nil {
+		t.j.Emit("span.end", []F{
+			{Key: "span", Value: uint64(s.ID)},
+			{Key: "name", Value: s.name},
+			{Key: "lane", Value: s.lane},
+			{Key: "dur_ns", Value: d.Nanoseconds()},
+		}, nil)
+	}
 	if t.m != nil {
 		t.m.Observe("span."+s.name, d)
 	}

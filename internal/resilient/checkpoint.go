@@ -148,7 +148,9 @@ func ReadSections(r io.Reader) ([]Section, error) {
 // fault. To fall back across saved generations instead, use Store.Load.
 func LoadFile(path string) ([]Section, error) {
 	rec := obs.Active()
-	defer obs.Span(rec, "checkpoint.load")()
+	if tr := obs.Trace(); tr != nil {
+		defer tr.End(tr.Begin("checkpoint.load", 0))
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

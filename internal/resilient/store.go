@@ -57,7 +57,6 @@ func (s *Store) Save(sections []Section) error {
 		return errors.New("resilient: store has no path")
 	}
 	rec := obs.Active()
-	defer obs.Span(rec, "checkpoint.save.time")()
 	if tr := obs.Trace(); tr != nil {
 		defer tr.End(tr.Begin("checkpoint.save", 0))
 	}

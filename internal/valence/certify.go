@@ -86,7 +86,7 @@ func CertifyGraph(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int) (*Witness,
 
 // certify runs one consensus certification. A run failing the state check
 // is explained by re-running checkState on its last state. It emits the
-// certify span, certify.start, certify.time and certify.done.
+// certify span, certify.start and certify.done.
 func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits int) (*Witness, error) {
 	rec := obs.Active()
 	var span obs.TraceSpan
@@ -95,7 +95,6 @@ func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits 
 		defer tr.End(span)
 	}
 	if rec != nil {
-		defer obs.Span(rec, "certify.time")()
 		rec.Event("certify.start",
 			obs.F{Key: "engine", Value: "graph"},
 			obs.F{Key: "nodes", Value: g.Len()},

@@ -133,7 +133,6 @@ func NewFieldFrom(ctx *resilient.Ctx, g *core.IDGraph, seed func(core.State) uin
 // cached decided planes when seed is nil.
 func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, seed func(core.State) uint8) error {
 	rec := obs.Active()
-	defer obs.Span(rec, "field.time")()
 	tr := obs.Trace()
 	var root obs.TraceSpan
 	if tr != nil {
@@ -198,13 +197,11 @@ func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, seed func(core.Stat
 				tr.End(lsp)
 			}
 			if rec != nil {
-				elapsed := time.Since(t0)
-				rec.Observe("field.layer.time", elapsed)
 				rec.Record("field.layer.width", int64(width))
 				rec.Event("field.layer",
 					obs.F{Key: "depth", Value: d},
 					obs.F{Key: "width", Value: width},
-					obs.F{Key: "ns", Value: elapsed.Nanoseconds()})
+					obs.F{Key: "ns", Value: time.Since(t0).Nanoseconds()})
 			}
 		}
 		return nil

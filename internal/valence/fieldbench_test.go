@@ -12,9 +12,9 @@ import (
 // BenchmarkFieldSweep is the kernel-level micro-benchmark grid for the
 // valence field: the scalar reference engine (test code) vs the bit-plane
 // sweep, graded vs fixpoint-fallback graphs. Every row reports states/sec
-// and allocs/op, so a kernel regression shows up here without
-// running the full cmd/bench suite (`make benchfield` runs the grid in
-// -benchtime=1x smoke mode on every tier1 pass).
+// and allocs/op, so a kernel regression shows up here without a cold
+// end-to-end run (`make benchfield` runs the grid in -benchtime=1x smoke
+// mode on every tier1 pass).
 func BenchmarkFieldSweep(b *testing.B) {
 	graded := func(n, t int) *core.IDGraph {
 		m := syncmp.NewSt(protocols.FloodSet{Rounds: t + 1}, n, t)

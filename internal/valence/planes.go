@@ -43,7 +43,6 @@ func fieldPlanesOf(g *core.IDGraph) *fieldPlanes {
 // two bit-planes: one seed call per node.
 func seedPlanes(g *core.IDGraph, seed func(core.State) uint8) *fieldPlanes {
 	rec := obs.Active()
-	defer obs.Span(rec, "field.planes.time")()
 	if tr := obs.Trace(); tr != nil {
 		defer tr.End(tr.Begin("field.planes", 0))
 	}
@@ -114,7 +113,6 @@ func (cp *certPlanes) bit(plane []uint64, i uint32) bool {
 func certPlanesOf(g *core.IDGraph) *certPlanes {
 	return g.Aux(certPlanesKey{}, func() any {
 		rec := obs.Active()
-		defer obs.Span(rec, "certify.planes.time")()
 		if tr := obs.Trace(); tr != nil {
 			defer tr.End(tr.Begin("certify.planes", 0))
 		}
