@@ -24,10 +24,10 @@ const (
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("obsreport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	top := fs.Int("top", 10, "show the `k` largest counters")
+	top := fs.Int("top", 10, "show the `k` largest counters (0 shows all)")
 	chrome := fs.String("chrome", "", "export spans to `file` in Chrome Trace Event Format (load in Perfetto)")
 	diff := fs.String("diff", "", "compare phase times against baseline journal `file`; exits 1 on regression")
-	threshold := fs.Float64("threshold", 2.0, "-diff regression ratio: fail when a phase slows by at least this `factor`")
+	threshold := fs.Float64("threshold", 2.0, "-diff regression ratio, above 1: fail when a phase slows by at least this `factor`")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: obsreport [flags] journal.jsonl\n")
 		fmt.Fprintf(stderr, "       obsreport -diff baseline.jsonl [flags] journal.jsonl\n\n")
@@ -38,6 +38,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
+		return exitError
+	}
+	// A ratio of at most 1 makes a journal regress against itself.
+	if !(*threshold > 1) {
+		fmt.Fprintf(stderr, "obsreport: -threshold must be greater than 1, got %g\n", *threshold)
+		return exitError
+	}
+	if *top < 0 {
+		fmt.Fprintf(stderr, "obsreport: -top must be at least 0, got %d\n", *top)
 		return exitError
 	}
 

@@ -213,6 +213,32 @@ func TestDiffExitsNonZeroOnRegression(t *testing.T) {
 	}
 }
 
+// TestRejectsBadFlags: a -threshold of at most 1 (or NaN) would make a
+// journal regress against itself, and a negative -top has no meaning;
+// each exits 2 with an error naming its flag before any journal is read
+// (the journals named here do not exist), and prints nothing to stdout.
+func TestRejectsBadFlags(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.jsonl")
+	for _, args := range [][]string{
+		{"-threshold", "1", "-diff", missing, missing},
+		{"-threshold", "0.5", "-diff", missing, missing},
+		{"-threshold", "-1", "-diff", missing, missing},
+		{"-threshold", "NaN", missing},
+		{"-top", "-3", missing},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != exitError {
+			t.Errorf("%v: exit %d, want %d", args, code, exitError)
+		}
+		if flag := args[0]; !strings.Contains(stderr.String(), flag) || strings.Contains(stderr.String(), "missing.jsonl") {
+			t.Errorf("%v: stderr %q does not name %s alone", args, stderr.String(), flag)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: stdout %q, want nothing", args, stdout.String())
+		}
+	}
+}
+
 func TestParseFailureExitsNonZero(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "bad.jsonl")
 	if err := os.WriteFile(bad, []byte("{\"event\":\"ok\"}\nnot json at all\n"), 0o644); err != nil {

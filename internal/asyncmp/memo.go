@@ -279,7 +279,7 @@ func (r *phaseMemo) receiveSlow(key []byte, to int, fresh uint64) uint32 {
 	}
 	r.spill = spill
 	next := r.t.locals.LocalID(r.t.p.Receive(src.local, r.in))
-	return r.t.receive.Intern(key, func(string) uint32 { return next })
+	return r.t.receive.Intern(key, func() uint32 { return next })
 }
 
 // environment returns the environment after the processes in phased sent

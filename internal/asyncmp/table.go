@@ -24,8 +24,8 @@ import (
 // The records are the ones states point to, built once per id. Ids never
 // leave the process: Key is still the canonical string. The table is
 // append-only and safe for concurrent use, like its core.LocalTable: a
-// lookup or insert locks one core.Index shard, and reading a record
-// (core.Slots) takes no lock.
+// lookup takes no lock, an insert locks one core.Index shard, and reading
+// a record (core.Slots) takes no lock.
 type table struct {
 	p      proto.MPProtocol
 	n      int
@@ -70,7 +70,7 @@ func (r *recTab[T]) at(id uint32) T { return *r.slots.At(id) }
 // and runs under an index shard mutex, at most once per key. An equal
 // record filed first by another worker keeps its id.
 func (r *recTab[T]) add(key []byte, mk func(id uint32) T) uint32 {
-	return r.index.Intern(key, func(string) uint32 {
+	return r.index.Intern(key, func() uint32 {
 		id := r.next.Add(1) - 1
 		*r.slots.Grow(id) = mk(id)
 		return id

@@ -1,94 +1,226 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"hash/maphash"
 	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
-// Index is an append-only, hash-sharded map from byte strings to uint32
-// values. Keys are spread over a power-of-two number of shards by a seeded
-// hash, and each shard is one map guarded by its own mutex: a lookup or an
-// insert locks one shard, and a lookup allocates nothing. The successor
-// cache files its states in one; the message-passing models file their
-// local states, messages, Deliver and Receive results and asynchronous
-// records in others, sized to what they hold.
+// Index is an append-only, hash-sharded table from byte strings to uint32
+// values whose lookups take no lock. A key's seeded 64-bit hash picks its
+// shard (low bits) and its tag (high 32 bits). Each shard is a power-of-two
+// open addressing table, linearly probed from the slot the tag's low bits
+// name and doubled at ¾ load, and an arena of records: a filed key's value,
+// its length and its bytes, one after another. A slot is one atomic word
+// holding the tag and where the key's record starts. The arena is a byte
+// slice, so the garbage collector scans no key. The successor cache files
+// its states in one; the message-passing models file their local states,
+// messages, Deliver and Receive results and asynchronous records in
+// others, sized to what they hold.
+//
+// An insert locks its shard, appends its record and then publishes its
+// slot with one atomic store. Growth, under the same mutex, builds the
+// doubled table (or arena), copies the old one into it and publishes it
+// with one pointer store; the old one is never written again. So a Get
+// finds every key whose Intern returned before the Get began. A Get that
+// races the insert of its own key may miss it; Intern, which looks again
+// under the mutex, then returns the value filed.
 //
 // The zero Index is not usable; call NewIndex.
 type Index struct {
-	// seed keys the shard hash; shard placement is per-process random but
-	// never observable.
-	seed   maphash.Seed
-	mask   uint64
-	shards []internShard
+	// seed keys the hash; placement is per-process random but never
+	// observable.
+	seed maphash.Seed
+	mask uint64 // shard mask
+	// keyOf, when set, returns the key the caller filed under a value: the
+	// index then keeps no key bytes and confirms a tag match against it.
+	keyOf  func(v uint32) string
+	shards []indexShard
 }
 
-// internShard is one lock-striped slice of an Index.
-type internShard struct {
+// indexShard is one slice of an Index. Readers load tab and recs without
+// the mutex; inserts and growth hold it.
+type indexShard struct {
 	mu sync.Mutex
-	// m is the shard's key -> value table, guarded by mu.
-	m map[string]uint32
-	// Pad shards onto separate cache lines; the mutexes are the contended
-	// words.
-	_ [48]byte
+	// tab is the slot table, nil until the first insert. A slot is 0 when
+	// empty, else the key's tag above its record's offset plus 1, so the
+	// slot alone says where it belongs when the table grows.
+	tab atomic.Pointer[[]atomic.Uint64]
+	// recs is the record arena, nil until the first insert; the first used
+	// bytes hold the records of the n keys filed.
+	recs atomic.Pointer[[]byte]
+	n    uint32
+	used uint32
+	// Pad shards onto separate cache lines.
+	_ [32]byte
 }
 
-// NewIndex returns an empty index with 1<<shardBits shards. An index
-// that stays small wants few.
+// A record is the value and the key length, little-endian, then the key
+// bytes (none in comparison mode). A shard's first table has minSlots
+// slots and its first arena minArena bytes.
+const (
+	recHeader = 8
+	minSlots  = 8
+	minArena  = 256
+)
+
+// NewIndex returns an empty index with 1<<shardBits shards. A shard costs
+// nothing until its first insert.
 func NewIndex(shardBits int) *Index {
 	x := &Index{}
-	x.init(shardBits)
+	x.init(shardBits, nil)
 	return x
 }
 
-func (x *Index) init(shardBits int) {
+// init sets up an empty index; keyOf, when set, puts it in comparison
+// mode.
+func (x *Index) init(shardBits int, keyOf func(v uint32) string) {
 	x.seed = maphash.MakeSeed()
-	x.shards = make([]internShard, 1<<shardBits)
+	x.shards = make([]indexShard, 1<<shardBits)
 	x.mask = uint64(len(x.shards) - 1)
+	x.keyOf = keyOf
 }
 
-// Get returns the value filed under key, looked up under its shard's
-// mutex.
+// Get returns the value filed under key, without locking.
 //
 //lint:hotpath
 func (x *Index) Get(key []byte) (uint32, bool) {
-	sh := x.shard(key)
-	sh.mu.Lock()
-	v, ok := sh.m[string(key)]
-	sh.mu.Unlock()
-	return v, ok
+	h := maphash.Bytes(x.seed, key)
+	return x.find(&x.shards[h&x.mask], h, key)
 }
 
-// shard returns key's shard.
+// find probes shard sh for key, whose hash is h. It loads the arena after
+// the slot that names a record, so the arena holds that record.
 //
 //lint:hotpath
-func (x *Index) shard(key []byte) *internShard {
-	return &x.shards[maphash.Bytes(x.seed, key)&x.mask]
+func (x *Index) find(sh *indexShard, h uint64, key []byte) (uint32, bool) {
+	t := sh.tab.Load()
+	if t == nil {
+		return 0, false
+	}
+	slots, tag := *t, h>>32
+	mask := uint64(len(slots) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		w := slots[i].Load()
+		if w == 0 {
+			return 0, false
+		}
+		if w>>32 != tag {
+			continue
+		}
+		rec := (*sh.recs.Load())[uint32(w)-1:]
+		v := binary.LittleEndian.Uint32(rec)
+		if x.keyOf != nil {
+			if equalString(key, x.keyOf(v)) {
+				return v, true
+			}
+		} else if n := binary.LittleEndian.Uint32(rec[4:]); bytes.Equal(rec[recHeader:recHeader+n], key) {
+			return v, true
+		}
+	}
+}
+
+// equalString reports whether key holds the bytes of s. It compares them
+// a chunk at a time through a stack buffer, because converting either
+// side would allocate.
+//
+//lint:hotpath
+func equalString(key []byte, s string) bool {
+	if len(key) != len(s) {
+		return false
+	}
+	var buf [256]byte
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		if !bytes.Equal(buf[:n], key[:n]) {
+			return false
+		}
+		key, s = key[n:], s[n:]
+	}
+	return true
 }
 
 // Intern returns the value filed under key, filing mk's result there
 // first if the key is absent. mk runs under the key's shard mutex, at most
-// once per key, and receives the key as the string the index keeps; it
-// must not touch the index's other shards. Callers intern after Get
-// missed, so the key string it builds is almost never wasted.
-func (x *Index) Intern(key []byte, mk func(key string) uint32) uint32 {
-	return x.shard(key).intern(string(key), mk)
-}
-
-// intern is Intern on the key's shard, for a key already a string.
-func (sh *internShard) intern(key string, mk func(key string) uint32) uint32 {
+// once per key; it may take a Slots growth lock, and no lock of the index.
+// Callers intern after Get missed.
+func (x *Index) Intern(key []byte, mk func() uint32) uint32 {
+	h := maphash.Bytes(x.seed, key)
+	sh := &x.shards[h&x.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if v, ok := sh.m[key]; ok {
+	if v, ok := x.find(sh, h, key); ok {
 		return v
 	}
-	if sh.m == nil {
-		sh.m = make(map[string]uint32, 8)
+	v := mk()
+	if x.keyOf != nil {
+		key = nil
 	}
-	v := mk(key)
-	sh.m[key] = v
+	off := sh.file(v, key)
+	sh.n++
+	var t []atomic.Uint64
+	if p := sh.tab.Load(); p != nil {
+		t = *p
+	}
+	if 4*uint64(sh.n) > 3*uint64(len(t)) {
+		t = sh.grow(t)
+	}
+	place(t, h>>32<<32|uint64(off)+1)
 	return v
+}
+
+// file appends the record of value v and key to sh's arena, doubling the
+// arena when full, and returns the record's offset. It runs under the
+// shard mutex.
+func (sh *indexShard) file(v uint32, key []byte) uint32 {
+	var a []byte
+	if p := sh.recs.Load(); p != nil {
+		a = *p
+	}
+	off := sh.used
+	end := uint64(off) + recHeader + uint64(len(key))
+	if end >= 1<<32 {
+		panic("core: an index shard's records outgrew 4 GiB")
+	}
+	if end > uint64(len(a)) {
+		next := make([]byte, max(2*len(a), minArena, int(end)))
+		copy(next, a[:off])
+		sh.recs.Store(&next)
+		a = next
+	}
+	binary.LittleEndian.PutUint32(a[off:], v)
+	binary.LittleEndian.PutUint32(a[off+4:], uint32(len(key)))
+	copy(a[off+recHeader:], key)
+	sh.used = uint32(end)
+	return off
+}
+
+// grow replaces sh's table old (nil before the first insert) by one of
+// twice the size holding every slot, and returns it. It runs under the
+// shard mutex; readers still probing old find every key filed before.
+func (sh *indexShard) grow(old []atomic.Uint64) []atomic.Uint64 {
+	t := make([]atomic.Uint64, max(minSlots, 2*len(old)))
+	for i := range old {
+		if w := old[i].Load(); w != 0 {
+			place(t, w)
+		}
+	}
+	sh.tab.Store(&t)
+	return t
+}
+
+// place stores slot word w in the first free slot of t from the one its
+// tag names. It runs under the shard mutex.
+func place(t []atomic.Uint64, w uint64) {
+	mask := uint64(len(t) - 1)
+	i := (w >> 32) & mask
+	for t[i].Load() != 0 {
+		i = (i + 1) & mask
+	}
+	t[i].Store(w)
 }
 
 // Slots is an append-only array indexed by dense uint32 ids. It grows in

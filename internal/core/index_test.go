@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mobile"
+	"repro/internal/protocols"
+	"repro/internal/shmem"
 )
 
 // TestIndexConcurrentIntern races GOMAXPROCS (at least 4) goroutines over
@@ -17,8 +20,8 @@ import (
 // its own offset and half of them in reverse order, so each key is
 // contended by all but one goroutine. A goroutine Gets each key, Interns
 // it on a miss, and Interns every third key even on a hit. Every key's mk
-// must run exactly once, with the key it is filed under, and every
-// goroutine must read the value filed there.
+// must run exactly once, and every goroutine must read the value filed
+// there.
 func TestIndexConcurrentIntern(t *testing.T) {
 	for _, bits := range []int{0, 3} {
 		t.Run(fmt.Sprintf("shards=%d", 1<<bits), func(t *testing.T) {
@@ -56,10 +59,7 @@ func raceIndex(t *testing.T, x *core.Index) {
 				buf = strconv.AppendInt(buf[:0], int64(k), 10)
 				v, ok := x.Get(buf)
 				if !ok || k%3 == 0 {
-					v = x.Intern(buf, func(key string) uint32 {
-						if key != strconv.Itoa(k) {
-							t.Errorf("key %d: mk got key %q", k, key)
-						}
+					v = x.Intern(buf, func() uint32 {
 						calls[k].Add(1)
 						return next.Add(1) - 1
 					})
@@ -94,4 +94,103 @@ func raceIndex(t *testing.T, x *core.Index) {
 	if n := next.Load(); n != keys {
 		t.Fatalf("mk ran %d times over %d keys", n, keys)
 	}
+}
+
+// TestIndexGrowthUnderReaders files keys one at a time into an empty
+// index, which takes every shard through every growth, while readers Get
+// the keys whose Intern has already returned: none may be missed, and each
+// read must be the value filed. It runs on a plain index and on one in
+// comparison mode, which keeps no key bytes and confirms a match against
+// the key the value names.
+func TestIndexGrowthUnderReaders(t *testing.T) {
+	keyOf := func(v uint32) string { return strconv.Itoa(int(v)) }
+	for _, bits := range []int{0, 3} {
+		t.Run(fmt.Sprintf("shards=%d", 1<<bits), func(t *testing.T) {
+			growUnderReaders(t, core.NewIndex(bits))
+		})
+		t.Run(fmt.Sprintf("compare/shards=%d", 1<<bits), func(t *testing.T) {
+			growUnderReaders(t, core.NewComparingIndex(bits, keyOf))
+		})
+	}
+}
+
+// growUnderReaders runs two writers, each filing its residue class of the
+// keys in order under the key's own number, against two readers that
+// re-read every key filed so far, newest first, until the writers finish.
+func growUnderReaders(t *testing.T, x *core.Index) {
+	const keys = 1 << 13
+	const writers, readers = 2, 2
+	var filed [writers]atomic.Int64 // keys of the class whose Intern returned
+	var writing atomic.Int32
+	writing.Store(writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer writing.Add(-1)
+			var buf []byte
+			for i := 0; w+i*writers < keys; i++ {
+				k := w + i*writers
+				buf = strconv.AppendInt(buf[:0], int64(k), 10)
+				if v := x.Intern(buf, func() uint32 { return uint32(k) }); v != uint32(k) {
+					t.Errorf("Intern(%d) = %d", k, v)
+					return
+				}
+				filed[w].Store(int64(i + 1))
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for {
+				last := writing.Load() == 0
+				for w := range filed {
+					for i := int(filed[w].Load()) - 1; i >= 0; i-- {
+						k := w + i*writers
+						buf = strconv.AppendInt(buf[:0], int64(k), 10)
+						if v, ok := x.Get(buf); !ok || v != uint32(k) {
+							t.Errorf("Get(%d) after its Intern returned = %d, %v", k, v, ok)
+							return
+						}
+					}
+				}
+				if last {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestIndexKeyStorage pins where the successor cache's index keeps its
+// keys. A plain cache (shared memory) is keyed by the canonical keys its
+// entries hold, so its index files no key bytes; a keyed cache (the mobile
+// model's id tuples) files each cache key once.
+func TestIndexKeyStorage(t *testing.T) {
+	plain := shmem.New(protocols.SMVote{Phases: 1}, 3)
+	if _, err := core.ExploreIDCtx(nil, plain, 3, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if keys := core.IndexKeyBytes(core.CacheOf(plain)); keys != 0 {
+		t.Fatalf("plain cache's index keeps %d key bytes, want none", keys)
+	}
+
+	keyed := mobile.New(protocols.FloodSet{Rounds: 3}, 3)
+	if _, err := core.ExploreIDCtx(nil, keyed, 3, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	c := core.CacheOf(keyed)
+	want := 0
+	for id := 0; id < c.Len(); id++ {
+		want += len(keyed.AppendCacheKey(nil, c.StateOf(uint32(id))))
+	}
+	if keys := core.IndexKeyBytes(c); keys != want {
+		t.Fatalf("keyed cache's index keeps %d key bytes, want %d over %d states", keys, want, c.Len())
+	}
+	t.Logf("plain: %d states; keyed: %d states, %d key bytes", core.CacheOf(plain).Len(), c.Len(), want)
 }

@@ -25,9 +25,9 @@ type Stepper interface {
 // it.
 //
 // Ids never leave the process: states keep their canonical strings. The
-// table is append-only and safe for concurrent use: a string's lookup or
-// insert locks one Index shard, and reading an id's entry (Slots) takes no
-// lock.
+// table is append-only and safe for concurrent use: a string's lookup
+// takes no lock, its insert locks one Index shard, and reading an id's
+// entry (Slots) takes no lock.
 type LocalTable struct {
 	p      Stepper
 	n      int
@@ -89,7 +89,8 @@ func (t *LocalTable) Sends(id uint32) []uint32 {
 // strTab interns strings as dense ids. It files each string under its
 // 64-bit hash, so that its index keys stay 8 bytes however long a string
 // grows (full-information views grow with every round); a string whose
-// hash slot holds another string is filed by value in collide.
+// hash slot holds another string is filed by value in collide. Lookups
+// take no lock; a new string locks one index shard.
 type strTab struct {
 	// decide, when set, runs on every new string (the local states).
 	decide          func(string) (int, bool)
@@ -120,13 +121,13 @@ func (x *strTab) id(s string) uint32 {
 	id, ok := x.byHash.Get(kb[:])
 	if !ok {
 		dec := x.decision(s)
-		id = x.byHash.Intern(kb[:], func(string) uint32 { return x.add(s, dec) })
+		id = x.byHash.Intern(kb[:], func() uint32 { return x.add(s, dec) })
 	}
 	if x.ents.At(id).s == s {
 		return id
 	}
 	dec := x.decision(s)
-	return x.collide.Intern([]byte(s), func(string) uint32 { return x.add(s, dec) })
+	return x.collide.Intern([]byte(s), func() uint32 { return x.add(s, dec) })
 }
 
 // decision runs Decide on a string about to be filed, before any index

@@ -6,17 +6,20 @@ import (
 	"sync/atomic"
 )
 
-// Shard geometry. The shard count is a power of two so a key hash selects a
-// shard with one mask; 64 shards keeps cross-worker intern collisions rare
-// up to large core counts while costing only a few kilobytes per cache.
-// Entry chunks grow geometrically from chunkMin entries, so a cache that
-// interns n states allocates O(log n) chunks and never moves an entry —
-// which is what lets the read path hold raw *cacheEntry pointers without
-// any lock.
+// Cache geometry. The key index has 1<<indexShardBits shards: its
+// lookups take no lock, so shards only spread inserts, and a few keep its
+// fixed cost small. Entries are striped over numStripes (a power of two,
+// so an id selects its stripe with one mask) for first enumeration and the
+// hit counters. Entry chunks grow geometrically from chunkMin entries, so
+// a cache that interns n states allocates O(log n) chunks and never moves
+// an entry — which is what lets the read path hold raw *cacheEntry
+// pointers without any lock.
 const (
-	shardBits = 6
-	numShards = 1 << shardBits
-	shardMask = numShards - 1
+	indexShardBits = 3
+
+	stripeBits = 6
+	numStripes = 1 << stripeBits
+	stripeMask = numStripes - 1
 
 	chunkMinBits = 6
 	chunkMin     = 1 << chunkMinBits
@@ -37,13 +40,14 @@ const (
 // failed set and local-state ids, the asynchronous ones by its environment
 // and process record ids. KeyOf always returns the canonical Key.
 //
-// The key table is an Index: hash-sharded, one map per shard under its
-// own mutex, so an ID lookup locks the one shard its key hashes to. The
-// memoized reads that follow — a SuccessorsOf call on an already-enumerated
-// entry, StateOf, KeyOf — read the entry slots and take no lock; first
-// enumeration locks the entry's stripe. Per-shard locks are never held
-// while acquiring another shard's lock (the parshard analyzer enforces
-// this).
+// The key table is an Index, whose lookups take no lock; a new key locks
+// the one index shard it hashes to. A plain cache's index keeps no key
+// bytes: it confirms a match against the canonical key the entry already
+// holds. The memoized reads that follow — a SuccessorsOf call on an
+// already-enumerated entry, StateOf, KeyOf — read the entry slots and take
+// no lock; first enumeration locks the entry's stripe. Per-shard locks are
+// never held while acquiring another shard's lock (the parshard analyzer
+// enforces this).
 //
 // A SuccessorCache is safe for concurrent use. Ids are dense (0..Len()-1)
 // and assigned in first-intern order from one atomic allocator, so their
@@ -80,7 +84,7 @@ type SuccessorCache struct {
 	bufs sync.Pool
 
 	index   Index
-	stripes [numShards]entryStripe
+	stripes [numStripes]entryStripe
 }
 
 // entryStripe guards first-publication of entry successor lists (striped by
@@ -93,7 +97,7 @@ type entryStripe struct {
 }
 
 // cacheEntry is one interned state's slot. state and key are written once
-// under the owning key shard's mutex before the id escapes; succs and ids
+// under the owning index shard's mutex before the id escapes; succs and ids
 // are written once under the id's stripe mutex and published by the atomic
 // done flag, so the memoized read path needs no lock.
 type cacheEntry struct {
@@ -107,20 +111,23 @@ type cacheEntry struct {
 // NewSuccessorCache returns an empty cache over the plain successor
 // function fn, keyed by canonical Key.
 func NewSuccessorCache(fn Successor) *SuccessorCache {
-	c := newCache(plainKeyed{fn}, fn)
-	c.plain = true
-	return c
+	return newCache(plainKeyed{fn}, fn, true)
 }
 
 // NewKeyedCache returns an empty cache over the key-first successor
 // function k.
 func NewKeyedCache(k KeyedSuccessor) *SuccessorCache {
-	return newCache(k, uncachedKeyed{k})
+	return newCache(k, uncachedKeyed{k}, false)
 }
 
-func newCache(k KeyedSuccessor, raw Successor) *SuccessorCache {
-	c := &SuccessorCache{keyed: k, raw: raw}
-	c.index.init(shardBits)
+func newCache(k KeyedSuccessor, raw Successor, plain bool) *SuccessorCache {
+	c := &SuccessorCache{keyed: k, raw: raw, plain: plain}
+	var keyOf func(uint32) string
+	if plain {
+		// The cache key is the canonical key, which every entry holds.
+		keyOf = c.KeyOf
+	}
+	c.index.init(indexShardBits, keyOf)
 	c.bufs.New = func() any {
 		b := make([]byte, 0, 128)
 		return &b
@@ -186,9 +193,9 @@ func (u uncachedKeyed) Successors(x State) []Succ {
 // chunkMin-sized block, not by low bits: BFS-ordered sweeps touch roughly
 // sequential ids, so block striping keeps a sweep's counter updates on one
 // hot cache line for chunkMin consecutive ids instead of bouncing across
-// all numShards padded lines, while parallel workers (which own disjoint
+// all numStripes padded lines, while parallel workers (which own disjoint
 // contiguous frontier ranges) still land on distinct stripes.
-func stripeOf(id uint32) uint32 { return (id >> chunkMinBits) & shardMask }
+func stripeOf(id uint32) uint32 { return (id >> chunkMinBits) & stripeMask }
 
 // entry returns the slot of id. The id must have been obtained from this
 // cache, which guarantees (transitively, through whichever synchronized
@@ -214,9 +221,9 @@ func (c *SuccessorCache) ID(x State) uint32 {
 }
 
 // internKey returns the id under the cache key bytes, interning x on first
-// sight. A key already filed costs one shard lock and no allocation; any
-// other key is checked against x outside the lock, then filed under it if
-// still absent.
+// sight. A key already filed costs no lock and no allocation; any other key
+// is checked against x outside the lock, then filed under it if still
+// absent.
 func (c *SuccessorCache) internKey(key []byte, x State) uint32 {
 	if id, ok := c.index.Get(key); ok {
 		return id
@@ -227,20 +234,14 @@ func (c *SuccessorCache) internKey(key []byte, x State) uint32 {
 // insert files x under key unless an equal state is filed there already,
 // and returns the id filed.
 func (c *SuccessorCache) insert(key []byte, x State) uint32 {
-	sh := c.index.shard(key)
 	ks := c.checkKey(key, x)
-	mk := func(string) uint32 {
+	return c.index.Intern(key, func() uint32 {
 		id := c.next.Add(1) - 1
 		e := c.entries.Grow(id)
 		e.state, e.key = x, ks
 		c.bytes.Add(int64(len(ks)))
 		return id
-	}
-	if c.plain {
-		// The cache key is the canonical key: file the state's own string.
-		return sh.intern(ks, mk)
-	}
-	return sh.intern(string(key), mk)
+	})
 }
 
 // checkKey returns x's canonical key, and panics when x, about to be
@@ -344,10 +345,11 @@ func (c *SuccessorCache) Enumerations() int {
 }
 
 // ShardCounters is one shard's slice of the cache's counters. States counts
-// the keys interned in the key shard; Hits and Enumerations count the
+// the keys interned in the index shard; Hits and Enumerations count the
 // memoized reads and raw enumerations of the entries striped to the same
 // index (keys are sharded by hash, entries striped by id block — the two
-// views share one index space of Shards stripes).
+// views share one index space of Shards stripes, and the index has fewer
+// shards than that, so the later rows count no states).
 type ShardCounters struct {
 	States       int
 	Hits         int64
@@ -387,13 +389,13 @@ func (c *SuccessorCache) Stats() CacheStats {
 	st := CacheStats{
 		States:        c.Len(),
 		InternedBytes: int(c.bytes.Load()),
-		Shards:        numShards,
-		PerShard:      make([]ShardCounters, numShards),
+		Shards:        numStripes,
+		PerShard:      make([]ShardCounters, numStripes),
 	}
 	for i := range c.index.shards {
 		sh := &c.index.shards[i]
 		sh.mu.Lock()
-		st.PerShard[i].States = len(sh.m)
+		st.PerShard[i].States = int(sh.n)
 		sh.mu.Unlock()
 	}
 	for i := range c.stripes {

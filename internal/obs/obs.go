@@ -45,24 +45,23 @@ type F struct {
 	Value any
 }
 
-// recorderBox wraps the active Recorder so atomic.Value can store a nil
-// recorder (interfaces of differing dynamic type cannot be swapped in an
-// atomic.Value directly).
+// recorderBox holds the active Recorder, so that an atomic pointer can
+// publish an interface value.
 type recorderBox struct{ r Recorder }
 
-var active atomic.Value // recorderBox
+var active atomic.Pointer[recorderBox] // nil when disabled
 
 // Active returns the process-wide recorder, or nil when instrumentation is
 // disabled (the default).
 func Active() Recorder {
-	if b, ok := active.Load().(recorderBox); ok {
+	if b := active.Load(); b != nil {
 		return b.r
 	}
 	return nil
 }
 
 // Enable installs r as the process-wide recorder.
-func Enable(r Recorder) { active.Store(recorderBox{r: r}) }
+func Enable(r Recorder) { active.Store(&recorderBox{r: r}) }
 
 // Disable turns instrumentation off; Active returns nil afterwards.
-func Disable() { active.Store(recorderBox{}) }
+func Disable() { active.Store(nil) }

@@ -53,26 +53,17 @@ func NewTracer(m *Metrics, j *Journal) *Tracer {
 	return &Tracer{m: m, j: j}
 }
 
-// tracerBox mirrors recorderBox: atomic.Value cannot swap values of
-// differing dynamic type, so the pointer is boxed.
-type tracerBox struct{ t *Tracer }
-
-var activeTracer atomic.Value // tracerBox
+var activeTracer atomic.Pointer[Tracer] // nil when disabled
 
 // Trace returns the process-wide tracer, or nil when instrumentation is
 // disabled (the default).
-func Trace() *Tracer {
-	if b, ok := activeTracer.Load().(tracerBox); ok {
-		return b.t
-	}
-	return nil
-}
+func Trace() *Tracer { return activeTracer.Load() }
 
 // EnableTrace installs t as the process-wide tracer.
-func EnableTrace(t *Tracer) { activeTracer.Store(tracerBox{t: t}) }
+func EnableTrace(t *Tracer) { activeTracer.Store(t) }
 
 // DisableTrace turns span tracing off; Trace returns nil afterwards.
-func DisableTrace() { activeTracer.Store(tracerBox{}) }
+func DisableTrace() { activeTracer.Store(nil) }
 
 // Begin starts a lane-0 span under parent (0 = root).
 func (t *Tracer) Begin(name string, parent SpanID) TraceSpan {

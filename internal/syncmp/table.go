@@ -19,8 +19,8 @@ import (
 //
 // Ids never leave the process: states keep their canonical strings, and
 // Key is built from those. The table is append-only and safe for
-// concurrent use: a lookup or insert locks one core.Index shard, and
-// reading an id's entry (core.Slots) takes no lock.
+// concurrent use: a lookup takes no lock, an insert locks one core.Index
+// shard, and reading an id's entry (core.Slots) takes no lock.
 type Table struct {
 	p      proto.SyncProtocol
 	locals *core.LocalTable
@@ -57,7 +57,7 @@ func (t *Table) deliverSlow(key []byte, recv uint32, in []uint32, strs []string)
 		strs[i] = t.locals.Message(m)
 	}
 	next := t.locals.LocalID(t.p.Deliver(t.locals.Local(recv), strs))
-	return t.deliver.Intern(key, func(string) uint32 { return next })
+	return t.deliver.Intern(key, func() uint32 { return next })
 }
 
 // Cache key tags: the first byte of a synchronous state's cache key says
