@@ -412,9 +412,11 @@ func BenchmarkE9_Extensions(b *testing.B) {
 // the frontier warming; on a single-CPU host the w>1 rows only add
 // scheduling overhead. The two cold-only rows are sized where the
 // synchronous models' memos matter: syncst/n=7 is the sync_lowerbound
-// coldbench model, where most Deliver calls repeat across source states,
-// and syncst-fullinfo is the guard row where every delivery is new, so the
-// model-wide Deliver memo is pure overhead there.
+// coldbench model, where FloodSet's set-keyed Deliver memo (proto.SetInbox)
+// runs Deliver 28 times for 3,736 distinct per-sender inboxes, and
+// syncst-fullinfo is the guard row: FullInfo keys the memo by per-sender
+// message ids and every delivery is new, so the model-wide Deliver memo is
+// pure overhead there.
 func BenchmarkExplore(b *testing.B) {
 	grid := []struct {
 		name     string

@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -48,7 +49,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "chaoscampaign:", err)
 		os.Exit(1)
 	}
@@ -62,6 +63,7 @@ type options struct {
 	maxHit  uint64
 	out     string
 	res     *cli.ResilienceFlags
+	stdout  io.Writer
 
 	crash      bool
 	crashChild bool
@@ -69,9 +71,13 @@ type options struct {
 	crashKills int
 }
 
-func run(args []string) error {
+// run parses args and runs the sweep, the crash harness or its child,
+// writing the summary lines to stdout. Counts that would make an empty or
+// meaningless run are errors naming the flag, returned before any case
+// runs.
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("chaoscampaign", flag.ContinueOnError)
-	var o options
+	o := options{stdout: stdout}
 	fs.StringVar(&o.spec.Model, "model", "mobile", fmt.Sprintf("model family %v", cli.Models()))
 	fs.IntVar(&o.spec.N, "n", 3, "number of processes")
 	fs.IntVar(&o.spec.T, "t", 1, "failure budget (sync-st only)")
@@ -89,6 +95,16 @@ func run(args []string) error {
 	o.res = cli.RegisterResilience(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case o.seeds < 1:
+		return fmt.Errorf("-seeds must be >= 1, got %d", o.seeds)
+	case *maxHit < 1:
+		return fmt.Errorf("-max-hit must be >= 1, got %d", *maxHit)
+	case o.depth < 0:
+		return fmt.Errorf("-depth must be >= 0, got %d", o.depth)
+	case o.crashKills < 1:
+		return fmt.Errorf("-crash-kills must be >= 1, got %d", o.crashKills)
 	}
 	o.maxHit = *maxHit
 	if o.res.Retries <= 0 {
@@ -307,7 +323,7 @@ func runCampaign(o options) error {
 			return err
 		}
 	}
-	fmt.Printf("campaign: %d cases (%d seeds x %d points x 4 kinds), %d fired, %d recovered, %d bit-identical, %d failures\n",
+	fmt.Fprintf(o.stdout, "campaign: %d cases (%d seeds x %d points x 4 kinds), %d fired, %d recovered, %d bit-identical, %d failures\n",
 		rep.Cases, o.seeds, len(chaos.Points()), rep.Fired, rep.Recovered, rep.Identical, rep.Failures)
 	if rep.Failures > 0 {
 		for _, r := range rep.Results {
@@ -354,7 +370,7 @@ func runCrashChild(o options) error {
 		return err
 	}
 	st := crashStore(o.crashDir)
-	out := bufio.NewWriter(os.Stdout)
+	out := bufio.NewWriter(o.stdout)
 	for i := 0; ; i++ {
 		if err := st.Save(sections); err != nil {
 			return fmt.Errorf("crash-child: save %d: %w", i, err)
@@ -410,7 +426,7 @@ func runCrash(o options) error {
 		if got := graphSummary(g); got != ref {
 			return fmt.Errorf("%s: resumed graph diverged from reference:\n got %s\nwant %s", round, got, ref)
 		}
-		fmt.Printf("crash: %s: recovered from generation %d, bit-identical\n", round, gen)
+		fmt.Fprintf(o.stdout, "crash: %s: recovered from generation %d, bit-identical\n", round, gen)
 		return nil
 	}
 
@@ -508,7 +524,7 @@ func runCrash(o options) error {
 			return err
 		}
 	}
-	fmt.Printf("crash: %d SIGKILL rounds + %d torn-write cases recovered, all bit-identical\n",
+	fmt.Fprintf(o.stdout, "crash: %d SIGKILL rounds + %d torn-write cases recovered, all bit-identical\n",
 		o.crashKills, len(mangle))
 	return nil
 }

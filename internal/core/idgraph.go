@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/chaos"
@@ -272,6 +273,20 @@ func (g *IDGraph) grow(n, edges int) {
 	}
 }
 
+// reserve grows the edge arrays by the frontier's warmed successor counts,
+// and EdgeStart by one row per frontier node, so that the merge appends a
+// layer without regrowing them.
+func (g *IDGraph) reserve(c *SuccessorCache, frontier []uint32) {
+	edges := 0
+	for _, u := range frontier {
+		succs, _ := c.recorded(g.cacheIDs[u])
+		edges += len(succs)
+	}
+	g.EdgeAction = slices.Grow(g.EdgeAction, edges)
+	g.EdgeTo = slices.Grow(g.EdgeTo, edges)
+	g.EdgeStart = slices.Grow(g.EdgeStart, len(frontier))
+}
+
 // addNode appends a node and returns its id.
 func (g *IDGraph) addNode(x State, key string, depth int, cacheID uint32) uint32 {
 	u := uint32(len(g.States))
@@ -308,6 +323,10 @@ func (g *IDGraph) padEdgeStart() {
 // the shared successor cache and are merged in frontier order by a single
 // goroutine, so the resulting graph — node numbering, edge order, depths,
 // and any budget-exhaustion point — is the same for every worker count.
+// One worker enumerates the frontier the same way, before the merge; the
+// merge reserves the layer's edges at once from the recorded lists'
+// lengths. A node budget therefore cuts the merge, not the enumeration: the
+// layer it cuts has been enumerated whole.
 //
 // A nil ctx never cancels. Cancellation (and the chaos explore.layer fault
 // point) is checked once per layer, so a live run pays one atomic load per
@@ -397,18 +416,17 @@ func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTa
 		if tr != nil {
 			lsp = tr.Begin("explore.layer", parent)
 		}
-		if workers > 1 {
-			if err := warmFrontier(ctx, c, g, frontier, workers, lsp.ID); err != nil {
-				if tr != nil {
-					tr.End(lsp)
-				}
-				return g.interrupted(m, rec, d, maxNodes, err)
+		if err := warmFrontier(ctx, c, g, frontier, workers, lsp.ID); err != nil {
+			if tr != nil {
+				tr.End(lsp)
 			}
+			return g.interrupted(m, rec, d, maxNodes, err)
 		}
+		g.reserve(c, frontier)
 		edgesBefore := len(g.EdgeTo)
 		var next []uint32
 		for _, u := range frontier {
-			succs, sids := c.SuccessorsOf(g.cacheIDs[u], g.States[u])
+			succs, sids := c.recorded(g.cacheIDs[u])
 			for i := range succs {
 				cid := sids[i]
 				v, seen := cacheToNode.get(cid)
@@ -537,17 +555,24 @@ func (g *IDGraph) finishExplore(rec obs.Recorder, budgetHit bool) {
 }
 
 // warmFrontier enumerates the successors of a frontier's nodes into the
-// shared cache, one contiguous shard per pool worker. Only the cache is
-// written (it is concurrency-safe) and cache writes are idempotent, so a
-// shard abandoned to cancellation or a contained panic leaves the graph
-// untouched: the caller treats any error as an interruption at the top of
-// the layer, and a resumed run simply re-warms. The serial merge that
-// follows reads the warmed entries in frontier order.
+// shared cache: in frontier order on one worker, else one contiguous shard
+// per pool worker. Only the cache is written (it is concurrency-safe) and
+// cache writes are idempotent, so a shard abandoned to cancellation or a
+// contained panic leaves the graph untouched: the caller treats any error
+// as an interruption at the top of the layer, and a resumed run simply
+// re-warms. The serial merge that follows reads the warmed lists in
+// frontier order (SuccessorCache.recorded).
 func warmFrontier(ctx *resilient.Ctx, c *SuccessorCache, g *IDGraph, frontier []uint32, workers int, parent obs.SpanID) error {
 	if workers > len(frontier) {
 		workers = len(frontier)
 	}
 	if workers <= 1 {
+		for _, u := range frontier {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			c.SuccessorsOf(g.cacheIDs[u], g.States[u])
+		}
 		return nil
 	}
 	shardLen := (len(frontier) + workers - 1) / workers

@@ -82,6 +82,40 @@ func TestExploreParallelBudgetMatchesSerial(t *testing.T) {
 	graphsIdentical(t, serial, par)
 }
 
+// TestCacheHitsCountReuse: Hits counts the reuse of a recorded successor
+// list, not exploration's read of the lists it has just enumerated. A cold
+// exploration reports the same counts at one and two workers, no hit and
+// one enumeration per expanded node, and re-exploring over the warm cache
+// reports one hit per expanded node and no new enumeration.
+func TestCacheHitsCountReuse(t *testing.T) {
+	const depth = 3
+	var cold []core.CacheStats
+	for _, w := range []int{1, 2} {
+		m := mobile.New(protocols.FloodSet{Rounds: 3}, 4)
+		g, err := core.ExploreIDCtx(nil, m, depth, 0, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expanded := g.Len() - len(g.Layer(depth))
+		st := g.Cache.Stats()
+		if st.Hits != 0 || st.Enumerations != expanded {
+			t.Errorf("w=%d cold: %d hits, %d enumerations; want 0 and %d", w, st.Hits, st.Enumerations, expanded)
+		}
+		cold = append(cold, st)
+		if _, err := core.ExploreIDCtx(nil, m, depth, 0, w); err != nil {
+			t.Fatal(err)
+		}
+		st = g.Cache.Stats()
+		if st.Hits != int64(expanded) || st.Enumerations != expanded {
+			t.Errorf("w=%d warm: %d hits, %d enumerations; want %d and %d", w, st.Hits, st.Enumerations, expanded, expanded)
+		}
+	}
+	if cold[0].Hits != cold[1].Hits || cold[0].Enumerations != cold[1].Enumerations {
+		t.Errorf("cold counts differ by worker count: %d/%d at w=1, %d/%d at w=2",
+			cold[0].Hits, cold[0].Enumerations, cold[1].Hits, cold[1].Enumerations)
+	}
+}
+
 func TestSuccessorCacheSharing(t *testing.T) {
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
 	c := core.CacheOf(m)

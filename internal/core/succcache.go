@@ -318,6 +318,18 @@ func (c *SuccessorCache) SuccessorsOf(id uint32, x State) (succs []Succ, ids []u
 	return raw, rawIDs
 }
 
+// recorded returns the successor list an earlier SuccessorsOf call
+// recorded for id, counting no hit: exploration's merge reads the lists its
+// own warm pass just filled, which is no reuse. It panics when none is
+// recorded.
+func (c *SuccessorCache) recorded(id uint32) ([]Succ, []uint32) {
+	e := c.entry(id)
+	if !e.done.Load() {
+		panic(fmt.Sprintf("core: successors of state %d read before they were enumerated", id))
+	}
+	return e.succs, e.ids
+}
+
 // StateOf returns the state interned under id, without locking.
 func (c *SuccessorCache) StateOf(id uint32) State { return c.entry(id).state }
 
@@ -360,7 +372,10 @@ type ShardCounters struct {
 type CacheStats struct {
 	// States is the number of distinct states interned.
 	States int
-	// Hits counts memoized successor lookups served without enumeration.
+	// Hits counts memoized successor lookups served without enumeration:
+	// reuse of a recorded list. Exploration's merge reads the lists its warm
+	// pass has just recorded without counting, so a cold exploration reports
+	// no hit at any worker count.
 	Hits int64
 	// Enumerations counts raw successor enumerations performed (the fill
 	// side of the hit/miss ledger).

@@ -16,7 +16,8 @@ package proto
 // and Send once per distinct local state and Deliver once per distinct
 // (local state, inbox) pair, and to reuse those results for every source
 // state and successor in which the same arguments recur (syncmp.Table);
-// ValidateSync checks it on small systems.
+// ValidateSync checks it on small systems. A protocol that also declares
+// SetInbox is called once per (local state, set of inbox messages).
 type SyncProtocol interface {
 	// Name identifies the protocol.
 	Name() string
@@ -40,6 +41,21 @@ type SyncProtocol interface {
 	// reports a decision, every Deliver-successor of it must report the
 	// same decision.
 	Decide(state string) (int, bool)
+}
+
+// SetInbox is implemented by a SyncProtocol whose Deliver(s, in) depends
+// only on s and on the set of distinct non-empty strings in in: not on
+// which process sent a message, how many sent it, or how many sent none.
+// A flooding protocol that unions what it receives (FloodSet) is one. The
+// synchronous models then key their Deliver memo by (local state, message
+// set) instead of (local state, inbox vector), so inboxes that differ only
+// in who sent what share one Deliver call. ValidateSync checks the
+// declaration: it reruns each Deliver on the reversed inbox and on the
+// inbox with its repeated messages blanked.
+type SetInbox interface {
+	SyncProtocol
+	// SetInbox is the declaration itself; it is never called.
+	SetInbox()
 }
 
 // SMProtocol is a deterministic process protocol for the asynchronous

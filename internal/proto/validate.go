@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Violation describes one conformance problem found by a validator.
@@ -34,7 +35,11 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 // whose run then changes: it keeps or modifies its inbox, or its answers
 // depend on the calls made before (the models share one Deliver result
 // among every source state that presents the same local state and inbox).
-// A Deliver that writes to its inbox is also reported directly.
+// A Deliver that writes to its inbox is also reported directly. For a
+// protocol that declares SetInbox it also reruns each Deliver on the
+// reversed inbox and on the inbox with every repeated message blanked, and
+// reports a result that differs (the models then share one Deliver result
+// among all inboxes with the same message set).
 func ValidateSync(p SyncProtocol, n, rounds int) []Violation {
 	var out []Violation
 	report := func(rule, format string, args ...any) {
@@ -110,6 +115,16 @@ func runSync(p SyncProtocol, n, rounds, a int, report func(rule, format string, 
 			if again := p.Deliver(locals[j], fresh); again != next[j] {
 				report("deliver-determinism", "inputs %0*b round %d process %d", n, a, r, j)
 			}
+			if _, ok := p.(SetInbox); ok {
+				rev := slices.Clone(fresh)
+				slices.Reverse(rev)
+				if p.Deliver(locals[j], rev) != next[j] {
+					report("set-inbox", "inputs %0*b round %d process %d: Deliver differs on the reversed inbox", n, a, r, j)
+				}
+				if p.Deliver(locals[j], blankRepeats(fresh)) != next[j] {
+					report("set-inbox", "inputs %0*b round %d process %d: Deliver differs once repeated messages are blanked", n, a, r, j)
+				}
+			}
 			v, ok := p.Decide(next[j])
 			switch {
 			case decided[j] >= 0 && (!ok || v != decided[j]):
@@ -134,6 +149,20 @@ func fillSyncInbox(in []string, sends [][]string, j int) {
 			in[i] = sends[i][j]
 		}
 	}
+}
+
+// blankRepeats returns a copy of in that keeps the first copy of each
+// message and blanks the others.
+func blankRepeats(in []string) []string {
+	out := make([]string, len(in))
+	seen := make(map[string]bool, len(in))
+	for i, m := range in {
+		if !seen[m] {
+			seen[m] = true
+			out[i] = m
+		}
+	}
+	return out
 }
 
 // ValidateSM is ValidateSync's analogue for shared-memory protocols: it

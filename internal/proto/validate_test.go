@@ -104,6 +104,62 @@ func (blankingDeliver) Deliver(s string, in []string) string {
 }
 func (blankingDeliver) Decide(string) (int, bool) { return 0, false }
 
+// TestValidateSyncChecksSetInbox: a protocol declaring proto.SetInbox
+// whose Deliver reads the first inbox slot, or counts the non-empty
+// messages, is reported under set-inbox and nothing else; FloodSet, which
+// declares it, validates clean.
+func TestValidateSyncChecksSetInbox(t *testing.T) {
+	for _, p := range []proto.SyncProtocol{firstSlot{}, messageCount{}} {
+		rules := map[string]bool{}
+		for _, v := range proto.ValidateSync(p, 3, 3) {
+			rules[v.Rule] = true
+		}
+		if !rules["set-inbox"] || len(rules) != 1 {
+			t.Errorf("%s: violations %v, want only set-inbox", p.Name(), rules)
+		}
+	}
+	for _, n := range []int{3, 4} {
+		if vs := proto.ValidateSync(protocols.FloodSet{Rounds: 3}, n, 3); len(vs) != 0 {
+			t.Errorf("FloodSet n=%d: %d violations, first: %v", n, len(vs), vs[0])
+		}
+	}
+}
+
+// firstSlot declares proto.SetInbox, but its next state is the message in
+// its inbox's first slot: reversing the inbox changes it.
+type firstSlot struct{}
+
+func (firstSlot) SetInbox()                    {}
+func (firstSlot) Name() string                 { return "first-slot" }
+func (firstSlot) Init(n, id, input int) string { return strconv.Itoa(input) }
+func (firstSlot) Send(s string) []string       { return []string{s, s, s} }
+func (firstSlot) Deliver(s string, in []string) string {
+	if in[0] != "" {
+		return in[0]
+	}
+	return s
+}
+func (firstSlot) Decide(string) (int, bool) { return 0, false }
+
+// messageCount declares proto.SetInbox, but its next state counts the
+// non-empty messages: blanking a repeated message changes it.
+type messageCount struct{}
+
+func (messageCount) SetInbox()                    {}
+func (messageCount) Name() string                 { return "message-count" }
+func (messageCount) Init(n, id, input int) string { return "0" }
+func (messageCount) Send(string) []string         { return []string{"m", "m", "m"} }
+func (messageCount) Deliver(s string, in []string) string {
+	k := 0
+	for _, m := range in {
+		if m != "" {
+			k++
+		}
+	}
+	return strconv.Itoa(k)
+}
+func (messageCount) Decide(string) (int, bool) { return 0, false }
+
 func TestValidateSyncCatchesWriteOnce(t *testing.T) {
 	vs := proto.ValidateSync(protocols.FlickerDecider{}, 3, 3)
 	if len(vs) == 0 {

@@ -32,7 +32,11 @@ type FloodSet struct {
 	Rounds int
 }
 
-var _ proto.SyncProtocol = FloodSet{}
+var _ proto.SetInbox = FloodSet{}
+
+// SetInbox implements proto.SetInbox: Deliver unions the sets it receives,
+// so only the distinct messages of an inbox matter.
+func (FloodSet) SetInbox() {}
 
 // Name implements proto.SyncProtocol.
 func (f FloodSet) Name() string { return "floodset(R=" + strconv.Itoa(f.Rounds) + ")" }

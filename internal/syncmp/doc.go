@@ -23,7 +23,9 @@
 // own failure semantics. Every model owns a Table that gives each
 // canonical local-state string and message a dense id and memoizes the
 // protocol on them: Decide and Send once per local state, and Deliver once
-// per (receiver local state, inbox) across the whole model. A state's
+// per (receiver local state, inbox) across the whole model, where the inbox
+// is its message per sender, or only its set of messages for a protocol
+// that declares proto.SetInbox (FloodSet). A state's
 // successors are enumerated key-first through one RoundMemo, which
 // resolves every receiver's next local id, probes the model's successor
 // cache with the key (round, failed set, local ids), and builds a State

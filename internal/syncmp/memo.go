@@ -13,9 +13,11 @@ import (
 // the send vectors are common to all successors and a receiver's inbox is
 // determined by the set of senders it loses. The memo resolves each
 // (receiver, lost senders) pair once to the receiver's next local id,
-// through the table's model-wide Deliver memo, writes each successor's
-// cache key as (round, failed set, local ids), and probes it. Only on a
-// miss does it build the successor's locals, decisions and canonical key.
+// through the table's model-wide Deliver memo (where a proto.SetInbox
+// protocol's inboxes with equal message sets share one entry), writes each
+// successor's cache key as (round, failed set, local ids), and probes it.
+// Only on a miss does it build the successor's locals, decisions and
+// canonical key.
 //
 // A memo belongs to one enumeration: it is not safe for concurrent use.
 // Table.Memo hands one out and Done returns it to the table's pool.
@@ -41,9 +43,11 @@ type RoundMemo struct {
 	// recv[to] holds the deliveries resolved for receiver to.
 	recv [][]delivery
 	// ids holds the successor's local ids being assembled; in and strs are
-	// an inbox's message ids and strings.
+	// an inbox's message ids and strings, set its sorted distinct message
+	// ids (deliverSetKey's scratch).
 	ids  []uint32
 	in   []uint32
+	set  []uint32
 	strs []string
 	envs []envEntry
 	key  []byte
@@ -83,7 +87,7 @@ func (t *Table) Memo(x *State, p core.Prober, size int, record, silenceFailed, g
 	r.sends = grow(r.sends, n)
 	r.base, r.live, r.omit = grow(r.base, n), grow(r.live, n), grow(r.omit, n)
 	r.recv = grow(r.recv, n)
-	r.ids, r.in, r.strs = grow(r.ids, n), grow(r.in, n), grow(r.strs, n)
+	r.ids, r.in, r.set, r.strs = grow(r.ids, n), grow(r.in, n), grow(r.set, n), grow(r.strs, n)
 	r.envs = r.envs[:0]
 	for i, id := range r.src {
 		r.sends[i] = t.locals.Sends(id)
@@ -190,7 +194,9 @@ func (r *RoundMemo) probe(failed uint64) (uint32, core.State, bool) {
 
 // deliver returns receiver to's next local id when it loses the messages
 // of the senders in lost (a subset of live[to]): from the memo's own list,
-// else from the table's model-wide Deliver memo, else by running Deliver.
+// else from the table's model-wide Deliver memo (keyed by the inbox's
+// message ids per sender, or by their set for a proto.SetInbox protocol),
+// else by running Deliver.
 func (r *RoundMemo) deliver(to int, lost uint64) uint32 {
 	for _, d := range r.recv[to] {
 		if d.lost == lost {
@@ -204,7 +210,11 @@ func (r *RoundMemo) deliver(to int, lost uint64) uint32 {
 			r.in[i] = r.sends[i][to]
 		}
 	}
-	r.buf = deliverKey(r.buf[:0], r.src[to], r.in)
+	if r.t.set {
+		r.buf = deliverSetKey(r.buf[:0], r.src[to], r.in, r.set)
+	} else {
+		r.buf = deliverKey(r.buf[:0], r.src[to], r.in)
+	}
 	id, ok := r.t.deliver.Get(r.buf)
 	if !ok {
 		id = r.t.deliverSlow(r.buf, r.src[to], r.in, r.strs)

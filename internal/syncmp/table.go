@@ -11,11 +11,14 @@ import (
 // Table is a synchronous model's local-state table: a core.LocalTable,
 // which gives every canonical local-state string and message a dense id
 // and memoizes Decide and Send once per local id, plus the model-wide
-// Deliver memo, which runs Deliver once per (receiver local id, inbox
-// message ids) across the whole model, whatever source state the inbox
-// arises in. That is legal because the protocol's steps are pure functions
-// of their arguments (the proto.SyncProtocol contract, checked by
-// proto.ValidateSync).
+// Deliver memo, which runs Deliver once per (receiver local id, inbox)
+// across the whole model, whatever source state the inbox arises in. The
+// memo names an inbox by its message ids, one per sender (deliverKey), or,
+// for a protocol that declares proto.SetInbox, by the set of its distinct
+// non-empty message ids (deliverSetKey), so that inboxes differing only in
+// who sent what share one call. That is legal because the protocol's steps
+// are pure functions of their arguments (the proto.SyncProtocol contract,
+// checked with the declaration by proto.ValidateSync).
 //
 // Ids never leave the process: states keep their canonical strings, and
 // Key is built from those. The table is append-only and safe for
@@ -24,17 +27,20 @@ import (
 type Table struct {
 	p      proto.SyncProtocol
 	locals *core.LocalTable
-	// deliver maps a deliverKey to the receiver's next local id.
+	// deliver maps a deliverKey, or a deliverSetKey when set, to the
+	// receiver's next local id.
 	deliver *core.Index
+	set     bool
 	memos   sync.Pool
 }
 
 // NewTable returns an empty table for protocol p on n processes. Its
-// Deliver index is sized to what it holds on the paper's models: thousands
-// of distinct inboxes (full information grows it, and the shards then grow
-// with it).
+// Deliver index is sized to what it holds on the paper's models under
+// per-sender keys: thousands of distinct inboxes (full information grows
+// it, and the shards then grow with it). Set keys need a few dozen.
 func NewTable(p proto.SyncProtocol, n int) *Table {
-	return &Table{p: p, locals: core.NewLocalTable(p, n), deliver: core.NewIndex(3)}
+	_, set := p.(proto.SetInbox)
+	return &Table{p: p, locals: core.NewLocalTable(p, n), deliver: core.NewIndex(3), set: set}
 }
 
 // deliverKey appends the model-wide Deliver memo key: the receiver's local
@@ -44,6 +50,37 @@ func NewTable(p proto.SyncProtocol, n int) *Table {
 func deliverKey(dst []byte, recv uint32, in []uint32) []byte {
 	dst = binary.AppendUvarint(dst, uint64(recv))
 	for _, m := range in {
+		dst = binary.AppendUvarint(dst, uint64(m))
+	}
+	return dst
+}
+
+// deliverSetKey appends the Deliver memo key of a proto.SetInbox protocol:
+// the receiver's local id followed by its inbox's distinct non-zero message
+// ids in increasing order. Equal strings have equal ids, so the key names
+// the inbox's set of non-empty messages. set is scratch for the sorted
+// ids, at least as long as in.
+//
+//lint:hotpath
+func deliverSetKey(dst []byte, recv uint32, in, set []uint32) []byte {
+	k := 0
+	for _, m := range in {
+		if m == 0 {
+			continue
+		}
+		i := k
+		for i > 0 && set[i-1] > m {
+			i--
+		}
+		if i > 0 && set[i-1] == m {
+			continue
+		}
+		copy(set[i+1:k+1], set[i:k])
+		set[i] = m
+		k++
+	}
+	dst = binary.AppendUvarint(dst, uint64(recv))
+	for _, m := range set[:k] {
 		dst = binary.AppendUvarint(dst, uint64(m))
 	}
 	return dst
