@@ -41,7 +41,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -count=10 -run 'TestIndex|TestShardedCache' ./internal/core
+	$(GO) test -race -count=10 -run 'TestIndex|TestShardedCache|TestRememberedGraph' ./internal/core
 	$(GO) test -race -run 'TestSharded' .
 	$(GO) test -race ./internal/obs ./internal/cli ./cmd/lint
 

@@ -66,7 +66,6 @@ func BenchmarkE1_InitialConnectivity(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(g.Len()), "states")
-			b.ReportMetric(g.Cache.Stats().HitRate()*100, "cache-hit-%")
 		})
 	}
 }
@@ -97,7 +96,6 @@ func BenchmarkE2_MobileImpossibility(b *testing.B) {
 				explored = w.Explored
 			}
 			b.ReportMetric(float64(explored), "states")
-			b.ReportMetric(g.Cache.Stats().HitRate()*100, "cache-hit-%")
 		})
 	}
 }
@@ -210,7 +208,6 @@ func BenchmarkE5_SyncLowerBound(b *testing.B) {
 				explored = w.Explored
 			}
 			b.ReportMetric(float64(explored), "states")
-			b.ReportMetric(g.Cache.Stats().HitRate()*100, "cache-hit-%")
 		})
 		b.Run(fmt.Sprintf("refute/n=%d/t=%d", cfg.n, cfg.t), func(b *testing.B) {
 			p := protocols.FloodSet{Rounds: cfg.t}
@@ -232,7 +229,6 @@ func BenchmarkE5_SyncLowerBound(b *testing.B) {
 				depth = w.Exec.Len()
 			}
 			b.ReportMetric(float64(depth), "witness-layers")
-			b.ReportMetric(g.Cache.Stats().HitRate()*100, "cache-hit-%")
 		})
 	}
 }
@@ -405,12 +401,12 @@ func BenchmarkE9_Extensions(b *testing.B) {
 // BenchmarkExplore — the exploration front-end itself over the sharded
 // successor cache (grid: models × {cold, warm} × worker counts). cold
 // rows build a fresh model, and with it a fresh cache, every iteration and
-// pay first-sight interning and enumeration; warm rows re-explore one model
-// over its already-populated cache — the steady state every multi-pass
-// analysis (explore → certify → field → diameter) lives in, where the
-// memoized-hit path is the whole per-node cache cost. Worker counts shard
-// the frontier warming; on a single-CPU host the w>1 rows only add
-// scheduling overhead. The two cold-only rows are sized where the
+// pay first-sight interning and enumeration; warm rows re-explore one
+// explored model to the same depth, which takes the graph its cache
+// remembers: seeding the roots and slicing the layers, with no layer
+// work, whatever the worker count. Worker counts shard the frontier
+// expansion; on a single-CPU host the w>1 rows only add scheduling
+// overhead. The two cold-only rows are sized where the
 // synchronous models' memos matter: syncst/n=7 is the sync_lowerbound
 // coldbench model, where FloodSet's set-keyed Deliver memo (proto.SetInbox)
 // runs Deliver 28 times for 3,736 distinct per-sender inboxes, and
@@ -654,8 +650,10 @@ func BenchmarkE11_CommonKnowledge(b *testing.B) {
 // and certify bodies re-run with a live Metrics recorder and a tracer over
 // it, as cli.ObsFlags installs them, reporting the per-iteration latency
 // tail (p50/p99 straight from the span.explore and span.certify
-// histograms) alongside ns/op. The uninstrumented E-rows above stay the
-// disabled-overhead baseline.
+// histograms) alongside ns/op. The explore row builds a fresh model every
+// iteration, since a model's second exploration takes the graph its cache
+// remembers. The uninstrumented E-rows above stay the disabled-overhead
+// baseline.
 func BenchmarkObsPhases(b *testing.B) {
 	enable := func() *obs.Metrics {
 		met := obs.NewMetrics()
@@ -668,11 +666,11 @@ func BenchmarkObsPhases(b *testing.B) {
 		obs.Disable()
 	}
 	b.Run("explore/n=5", func(b *testing.B) {
-		m := layers.MobileS1(protocols.FloodSet{Rounds: 2}, 5)
 		met := enable()
 		defer disable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			m := layers.MobileS1(protocols.FloodSet{Rounds: 2}, 5)
 			if _, err := layers.ExploreIDCtx(nil, m, 2, 0, 0); err != nil {
 				b.Fatal(err)
 			}

@@ -221,6 +221,10 @@ type campaignCase struct {
 	kind  chaos.Kind
 }
 
+// runCampaign runs the fault-free reference and every case on models of
+// their own: a model's cache remembers the graph explored on it, so a case
+// run on the reference's model would take that graph and never reach an
+// exploration fault point.
 func runCampaign(o options) error {
 	m, err := cli.Build(o.spec)
 	if err != nil {
@@ -263,6 +267,10 @@ func runCampaign(o options) error {
 		if err := ctx.Err(); err != nil {
 			return o.res.Finish(fmt.Errorf("campaign interrupted after %d cases: %w", len(rep.Results), err))
 		}
+		cm, err := cli.Build(o.spec)
+		if err != nil {
+			return err
+		}
 		plan := chaos.PlanFor(c.seed, c.point, c.kind, o.maxHit)
 		chaos.Arm(plan)
 		sup := o.res.Supervisor()
@@ -271,7 +279,7 @@ func runCampaign(o options) error {
 		sup.MaxBackoff = 50 * time.Millisecond
 		var got string
 		stats, runErr := sup.Run(ctx, c.point, func(a *resilient.Attempt) error {
-			s, perr := pipeline(a, m, o.depth, o.spec.N)
+			s, perr := pipeline(a, cm, o.depth, o.spec.N)
 			if perr != nil {
 				return perr
 			}

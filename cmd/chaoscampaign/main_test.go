@@ -34,14 +34,16 @@ func TestRejectsBadCounts(t *testing.T) {
 }
 
 // TestOneSeedCampaign: one seed sweeps every fault point and kind once,
-// and every case recovers to the fault-free summary.
+// every fault fires at its first hit (each case explores a model of its
+// own, so the exploration faults hit a real exploration), and every case
+// recovers to the fault-free summary.
 func TestOneSeedCampaign(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-seeds", "1", "-max-hit", "1"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	points := len(chaos.Points())
-	want := fmt.Sprintf("campaign: %d cases (1 seeds x %d points x 4 kinds)", 4*points, points)
+	want := fmt.Sprintf("campaign: %d cases (1 seeds x %d points x 4 kinds), %d fired,", 4*points, points, 4*points)
 	if !strings.HasPrefix(out.String(), want) || !strings.HasSuffix(out.String(), ", 0 failures\n") {
 		t.Errorf("run -seeds 1 printed %q, want %q... 0 failures", out.String(), want)
 	}

@@ -33,7 +33,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		n      = fs.Int("n", 3, "number of processes, 2..4 (2 or 3 for exhaustive subproblem search)")
 		t      = fs.Int("t", 1, "rounds for the Theorem 7.7 diameter bound (>= 0)")
-		budget = fs.Int("budget", 1_000_000, "subproblem search budget")
+		budget = fs.Int("budget", 1_000_000, "subproblem search budget (0 = unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -45,6 +45,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *t < 0 {
 		return fmt.Errorf("-t must be >= 0, got %d", *t)
+	}
+	if *budget < 0 {
+		return fmt.Errorf("-budget must be >= 0, got %d", *budget)
 	}
 
 	fmt.Fprintf(out, "1-thick connectivity (<=> 1-resilient solvability, Cor 7.3), n=%d:\n", *n)

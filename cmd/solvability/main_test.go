@@ -7,14 +7,16 @@ import (
 	"testing"
 )
 
-// TestRejectsBadFlags: n outside 2..4 and t < 0 are errors naming the
-// flag, returned before anything is printed. Unchecked, n=0 panics
-// building the zoo, n=1 reports verdict mismatches the literature does
-// not make, n>=5 builds the zoo only to hit the simplex input limit on
-// every binary-input task, and t=-1 prints a bound for -1 rounds.
+// TestRejectsBadFlags: n outside 2..4, t < 0 and budget < 0 are errors
+// naming the flag, returned before anything is printed. Unchecked, n=0
+// panics building the zoo, n=1 reports verdict mismatches the literature
+// does not make, n>=5 builds the zoo only to hit the simplex input limit
+// on every binary-input task, t=-1 prints a bound for -1 rounds, and a
+// negative budget silently lifts the search cap, as 0 does.
 func TestRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "-1"}, {"-n", "0"}, {"-n", "1"}, {"-n", "5"}, {"-n", "20"}, {"-t", "-1"},
+		{"-budget", "-1"},
 	} {
 		var out bytes.Buffer
 		err := run(args, &out)

@@ -55,6 +55,9 @@ func run(args []string, out *os.File) error {
 	if *depth < 0 {
 		return fmt.Errorf("-depth must be >= 0, got %d", *depth)
 	}
+	if *max < 0 {
+		return fmt.Errorf("-max must be >= 0, got %d", *max)
+	}
 	stopObs, err := obsFlags.Start()
 	if err != nil {
 		return err

@@ -25,6 +25,18 @@ func TestRejectsNegativeDepth(t *testing.T) {
 	}
 }
 
+// TestRejectsNegativeMax: a negative -max is an error naming the flag,
+// with nothing rendered; unchecked, it rendered every node, as 0 does.
+func TestRejectsNegativeMax(t *testing.T) {
+	out, err := runTo(t, "-max", "-1")
+	if err == nil || !strings.Contains(err.Error(), "-max must be") {
+		t.Errorf("run -max -1: err = %v, want an error naming -max", err)
+	}
+	if out != "" {
+		t.Errorf("run -max -1 rendered %q", out)
+	}
+}
+
 // runTo runs statespace with args and returns what it rendered and its
 // error.
 func runTo(t *testing.T, args ...string) (string, error) {

@@ -84,13 +84,15 @@ type driver struct {
 }
 
 // suiteDrivers maps every fault point to the entry point exercising it.
-// g is shared, pre-built with chaos disarmed.
+// g is shared, pre-built with chaos disarmed. The exploration drivers
+// explore a fresh model each run: a model's cache remembers its explored
+// graph, and a second exploration of it would take that graph and reach
+// no fault point.
 func suiteDrivers(g *core.IDGraph) map[string]driver {
-	m := suiteModel()
 	return map[string]driver{
 		"explore.layer": {
 			run: func(ctx *resilient.Ctx) (string, error) {
-				gg, err := core.ExploreIDCtx(ctx, m, 2, 0, 1)
+				gg, err := core.ExploreIDCtx(ctx, suiteModel(), 2, 0, 1)
 				if err != nil {
 					return "", err
 				}
@@ -101,7 +103,7 @@ func suiteDrivers(g *core.IDGraph) map[string]driver {
 		},
 		"explore.warm": {
 			run: func(ctx *resilient.Ctx) (string, error) {
-				gg, err := core.ExploreIDCtx(ctx, m, 2, 0, 4)
+				gg, err := core.ExploreIDCtx(ctx, suiteModel(), 2, 0, 4)
 				if err != nil {
 					return "", err
 				}

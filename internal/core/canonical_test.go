@@ -8,15 +8,16 @@ import (
 	"repro/internal/protocols"
 )
 
-// TestSuccessorsAreInterned checks that the cache records, for every
+// TestSuccessorsAreInterned checks that the cache returns, for every
 // successor, the very state interned under its id. In mobile n=3 the
 // action (0,[1]) only drops the message 0→0, which is never sent, so its
-// successor duplicates noop's: the pair must share one state value.
+// successor duplicates noop's: the pair must share one state value. A
+// second enumeration returns the same state values under the same ids.
 func TestSuccessorsAreInterned(t *testing.T) {
 	m := mobile.New(protocols.FloodSet{Rounds: 2}, 3)
 	c := core.CacheOf(m)
 	x := m.Initial([]int{0, 1, 1})
-	_, succs, ids := c.SuccessorsID(x)
+	succs, ids := c.Enumerate(x)
 	idx := map[string]int{}
 	for i, s := range succs {
 		if s.State != c.StateOf(ids[i]) {
@@ -31,10 +32,10 @@ func TestSuccessorsAreInterned(t *testing.T) {
 	if succs[noop].State != succs[dup].State {
 		t.Error("noop and (0,[1]) carry distinct state values for one id")
 	}
-	again, againIDs := c.SuccessorsOf(c.ID(x), x)
+	again, againIDs := c.Enumerate(x)
 	for i := range again {
 		if again[i].State != succs[i].State || againIDs[i] != ids[i] {
-			t.Errorf("memoized successor %d differs from the first enumeration", i)
+			t.Errorf("successor %d of the second enumeration differs from the first", i)
 		}
 	}
 }

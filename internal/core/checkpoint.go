@@ -15,8 +15,9 @@ import (
 // States themselves are not serialized — State is an interface and keys are
 // canonical — so restore re-materializes them by replaying each node's
 // discovery edge through the model's successor cache, parent before child.
-// Only discovery parents are re-enumerated; the frontier layer, which is
-// where the exploration cost lives, is restored without enumeration.
+// Each discovery parent is enumerated once, since a node's discovery parent
+// never decreases with its id; the frontier layer, which is where the
+// exploration cost lives, is restored without enumeration.
 //
 // The snapshot is only taken at layer boundaries (cancellation, deadline,
 // and the chaos explore.layer/explore.warm fault points); mid-layer budget
@@ -228,9 +229,11 @@ func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers
 		}
 	}
 	// Re-materialize states: initial states from the model, every other node
-	// by replaying its discovery edge through the successor cache. Canonical
-	// keys cross-check each step, so a drifted model fails loudly instead of
-	// resuming into a divergent graph.
+	// by replaying its discovery edge through the successor cache. BFS
+	// discovers children in their parents' order, so one enumeration of each
+	// parent serves all its children. Canonical keys cross-check each step,
+	// so a drifted model fails loudly instead of resuming into a divergent
+	// graph.
 	mismatch := func(what string) error {
 		return fmt.Errorf("%w: checkpoint does not replay against model %s (%s)", resilient.ErrBadCheckpoint, m.Name(), what)
 	}
@@ -259,6 +262,9 @@ func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers
 	if ii != len(g.Inits) {
 		return nil, mismatch("missing initial state")
 	}
+	var succs []Succ
+	var sids []uint32
+	enumerated := int32(-1)
 	for u := 0; u < n; u++ {
 		if u&1023 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -269,10 +275,13 @@ func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers
 			continue
 		}
 		p := g.ParentOf[u]
-		if p < 0 {
+		if p < 0 || int(p) >= u || g.States[p] == nil {
 			return nil, mismatch("orphan node")
 		}
-		succs, sids := c.SuccessorsOf(g.cacheIDs[p], g.States[p])
+		if p != enumerated {
+			succs, sids = c.Enumerate(g.States[p])
+			enumerated = p
+		}
 		j := int(g.parentEdge[u]) - int(g.EdgeStart[p])
 		if j < 0 || j >= len(succs) {
 			return nil, mismatch("discovery edge index")

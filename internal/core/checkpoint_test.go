@@ -16,10 +16,16 @@ import (
 )
 
 // idGraphsIdentical asserts two dense graphs are bit-identical in every
-// deterministic field: node numbering, keys, depths, layers, inits, CSR
-// edges, and discovery parents (checked through PathTo).
+// deterministic field: depth bound, node numbering, keys, depths, layers,
+// inits, CSR edges, and each node's discovery parent and discovery path.
 func idGraphsIdentical(t *testing.T, want, got *core.IDGraph) {
 	t.Helper()
+	if want.Depth != got.Depth || want.ReachedDepth() != got.ReachedDepth() {
+		t.Fatalf("depth %d reaching %d, want %d reaching %d", got.Depth, got.ReachedDepth(), want.Depth, want.ReachedDepth())
+	}
+	if !reflect.DeepEqual(want.ParentOf, got.ParentOf) {
+		t.Fatal("ParentOf differs")
+	}
 	if !reflect.DeepEqual(want.Keys, got.Keys) {
 		t.Fatal("Keys differ")
 	}
@@ -47,15 +53,14 @@ func idGraphsIdentical(t *testing.T, want, got *core.IDGraph) {
 		if want.Keys[u] != got.States[u].Key() {
 			t.Fatalf("node %d state key diverged after restore", u)
 		}
-	}
-	last := uint32(want.Len() - 1)
-	wp, gp := want.PathTo(last), got.PathTo(last)
-	if wp.Init.Key() != gp.Init.Key() || len(wp.Steps) != len(gp.Steps) {
-		t.Fatal("discovery path to last node differs")
-	}
-	for i := range wp.Steps {
-		if wp.Steps[i].Action != gp.Steps[i].Action || wp.Steps[i].State.Key() != gp.Steps[i].State.Key() {
-			t.Fatalf("discovery path step %d differs", i)
+		wp, gp := want.PathTo(uint32(u)), got.PathTo(uint32(u))
+		if wp.Init.Key() != gp.Init.Key() || len(wp.Steps) != len(gp.Steps) {
+			t.Fatalf("discovery path to node %d differs", u)
+		}
+		for i := range wp.Steps {
+			if wp.Steps[i].Action != gp.Steps[i].Action || wp.Steps[i].State.Key() != gp.Steps[i].State.Key() {
+				t.Fatalf("discovery path to node %d: step %d differs", u, i)
+			}
 		}
 	}
 }

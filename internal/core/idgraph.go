@@ -36,8 +36,9 @@ type IDGraph struct {
 	EdgeAction []string
 	EdgeTo     []uint32
 	// Cache is the successor cache the exploration drew from (the model's
-	// shared cache when it has one); later passes over the same model reuse
-	// its enumeration work.
+	// shared cache when it has one). It remembers the model's latest
+	// explored graph, so a later exploration of the same model from the
+	// same roots takes its layers from that graph.
 	Cache *SuccessorCache
 
 	// ParentOf[u] is the node from which u was first discovered during the
@@ -252,39 +253,17 @@ func (g *IDGraph) Graded() bool {
 	return g.graded
 }
 
-// grow pre-sizes the per-node arrays for about n nodes and the edge arrays
-// for about edges edges. Exploration still appends — these are capacity
-// hints, not commitments — so a hint that is too small only costs the
-// regrowth it failed to avoid, and one that is too large costs slack
-// capacity.
-func (g *IDGraph) grow(n, edges int) {
-	g.States = make([]State, 0, n)
-	g.Keys = make([]string, 0, n)
-	g.DepthOf = make([]int32, 0, n)
-	g.ParentOf = make([]int32, 0, n)
-	g.parentEdge = make([]int32, 0, n)
-	g.cacheIDs = make([]uint32, 0, n)
-	start := make([]uint32, 1, n+1)
-	start[0] = 0
-	g.EdgeStart = start
-	if edges > 0 {
-		g.EdgeAction = make([]string, 0, edges)
-		g.EdgeTo = make([]uint32, 0, edges)
-	}
-}
-
-// reserve grows the edge arrays by the frontier's warmed successor counts,
-// and EdgeStart by one row per frontier node, so that the merge appends a
-// layer without regrowing them.
-func (g *IDGraph) reserve(c *SuccessorCache, frontier []uint32) {
+// reserve grows the edge arrays by the layer's enumerated successor
+// counts, and EdgeStart by one row per frontier node, so that the merge
+// appends a layer without regrowing them.
+func (g *IDGraph) reserve(layer []expansion) {
 	edges := 0
-	for _, u := range frontier {
-		succs, _ := c.recorded(g.cacheIDs[u])
-		edges += len(succs)
+	for _, x := range layer {
+		edges += len(x.succs)
 	}
 	g.EdgeAction = slices.Grow(g.EdgeAction, edges)
 	g.EdgeTo = slices.Grow(g.EdgeTo, edges)
-	g.EdgeStart = slices.Grow(g.EdgeStart, len(frontier))
+	g.EdgeStart = slices.Grow(g.EdgeStart, len(layer))
 }
 
 // addNode appends a node and returns its id.
@@ -318,15 +297,23 @@ func (g *IDGraph) padEdgeStart() {
 // exhaustion the partial graph explored so far is returned alongside the
 // wrapped ErrNodeBudget.
 //
-// The successor enumeration of each frontier is sharded across workers
-// goroutines (workers <= 0 means GOMAXPROCS). Per-worker results land in
-// the shared successor cache and are merged in frontier order by a single
-// goroutine, so the resulting graph — node numbering, edge order, depths,
-// and any budget-exhaustion point — is the same for every worker count.
-// One worker enumerates the frontier the same way, before the merge; the
-// merge reserves the layer's edges at once from the recorded lists'
-// lengths. A node budget therefore cuts the merge, not the enumeration: the
-// layer it cuts has been enumerated whole.
+// Each layer's frontier is expanded into one successor list per frontier
+// position: by a plain loop on one worker, else by a pool of workers
+// goroutines (workers <= 0 means GOMAXPROCS), one contiguous shard each. A
+// single goroutine then merges the lists in frontier order and drops them,
+// so the resulting graph — node numbering, edge order, depths, and any
+// budget-exhaustion point — is the same for every worker count. A node
+// budget cuts the merge, not the expansion: the layer it cuts has been
+// enumerated whole.
+//
+// The model's cache remembers the latest complete graph explored without a
+// node budget to depth 1 or more. A later exploration without a budget,
+// from the same roots in the same order, reuses it. To a depth no deeper
+// than the remembered graph's, it takes that graph's first layers: it does
+// no layer work and polls no fault point. To a deeper one, it continues
+// from the remembered graph's last layer. Either way the graph is
+// bit-identical to a fresh model's, CacheStats.Hits grows by the expanded
+// nodes reused, and the journal gets one explore.reuse event.
 //
 // A nil ctx never cancels. Cancellation (and the chaos explore.layer fault
 // point) is checked once per layer, so a live run pays one atomic load per
@@ -338,8 +325,8 @@ func (g *IDGraph) padEdgeStart() {
 //
 // If ctx carries a resume snapshot (resilient.TagExplore) matching this
 // model, depth, and budget, exploration continues from the snapshot's
-// layer boundary instead of starting fresh; the finished graph is
-// bit-identical to an uninterrupted run's.
+// layer boundary instead, whatever the cache remembers; the finished graph
+// is bit-identical to an uninterrupted run's.
 func ExploreIDCtx(ctx *resilient.Ctx, m Model, depth, maxNodes, workers int) (*IDGraph, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -363,13 +350,6 @@ func ExploreIDCtx(ctx *resilient.Ctx, m Model, depth, maxNodes, workers int) (*I
 		defer tr.End(root)
 	}
 	g := &IDGraph{Depth: depth, Cache: c, EdgeStart: []uint32{0}}
-	if hint := c.Len(); hint > 0 {
-		// A warm cache approximates the graph it will yield again — the
-		// interned states bound the node count, the recorded successor lists
-		// the edge count — so sizing the arrays up front removes the
-		// append-regrowth that otherwise dominates memoized re-exploration.
-		g.grow(hint, c.EdgeHint())
-	}
 	cacheToNode := newCIDTable(c.Len())
 	var frontier []uint32
 	// Seeding runs to completion even under a canceled ctx: the checkpoint
@@ -387,6 +367,9 @@ func ExploreIDCtx(ctx *resilient.Ctx, m Model, depth, maxNodes, workers int) (*I
 		g.Inits = append(g.Inits, u)
 		frontier = append(frontier, u)
 	}
+	if last := c.last.Load(); last != nil && maxNodes == 0 && depth >= 0 && last.seededWith(g.cacheIDs) {
+		return reuse(ctx, m, last, depth, workers, rec, root.ID)
+	}
 	if rec != nil {
 		rec.Add("explore.runs", 1)
 		rec.Add("explore.nodes", int64(len(frontier)))
@@ -400,13 +383,103 @@ func ExploreIDCtx(ctx *resilient.Ctx, m Model, depth, maxNodes, workers int) (*I
 	return continueExplore(ctx, m, g, cacheToNode, frontier, 0, maxNodes, workers, rec, root.ID)
 }
 
+// reuse answers an unbudgeted exploration of m to depth from last, the
+// graph m's cache remembers for the same roots: last's first layers when
+// depth is not deeper, else last continued from its deepest layer.
+func reuse(ctx *resilient.Ctx, m Model, last *IDGraph, depth, workers int, rec obs.Recorder, parent obs.SpanID) (*IDGraph, error) {
+	g := last.prefix(min(depth, last.Depth))
+	expanded := g.above(g.Depth)
+	g.Cache.hits.Add(int64(expanded))
+	if rec != nil {
+		rec.Add("explore.reuses", 1)
+		rec.Event("explore.reuse",
+			obs.F{Key: "model", Value: m.Name()},
+			obs.F{Key: "depth", Value: depth},
+			obs.F{Key: "nodes", Value: g.Len()})
+	}
+	if depth <= last.Depth {
+		g.finishExplore(rec, false)
+		return g, nil
+	}
+	// Unpad the rows of the last layer, which the continuation expands.
+	g.EdgeStart = g.EdgeStart[: expanded+1 : expanded+1]
+	g.Depth = depth
+	return continueExplore(ctx, m, g, g.nodeTable(), g.Layer(last.Depth), last.Depth, 0, workers, rec, parent)
+}
+
+// nodeTable maps the cache ids of g's nodes to the nodes.
+func (g *IDGraph) nodeTable() *cidTable {
+	t := newCIDTable(g.Cache.Len())
+	for u, cid := range g.cacheIDs {
+		t.set(cid, uint32(u))
+	}
+	return t
+}
+
+// seededWith reports whether g's initial nodes are the states interned
+// under roots, in that order.
+func (g *IDGraph) seededWith(roots []uint32) bool {
+	if len(roots) != len(g.Inits) {
+		return false
+	}
+	for i, u := range g.Inits {
+		if g.cacheIDs[u] != roots[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// above returns the number of nodes first reached above depth d: the id at
+// which layer d starts, since depths never decrease with the id.
+func (g *IDGraph) above(d int) int {
+	u, _ := slices.BinarySearch(g.DepthOf, int32(d))
+	return u
+}
+
+// prefix returns the first layers of g, a complete exploration, as the
+// graph an exploration to depth (0 <= depth <= g.Depth) builds: the nodes
+// first reached at depth or above it, with the edges of those above it. It
+// shares g's arrays, capped so that appending to them copies, and none of
+// g's analysis caches.
+func (g *IDGraph) prefix(depth int) *IDGraph {
+	lo, hi := g.above(depth), g.above(depth+1)
+	e := g.EdgeStart[lo]
+	start := g.EdgeStart[: hi+1 : hi+1]
+	if start[hi] != e {
+		// g expanded layer depth; the prefix leaves it unexpanded.
+		start = make([]uint32, hi+1)
+		copy(start, g.EdgeStart[:lo+1])
+		for u := lo + 1; u <= hi; u++ {
+			start[u] = e
+		}
+	}
+	layers := min(depth+1, len(g.layers))
+	return &IDGraph{
+		Depth:      depth,
+		States:     g.States[:hi:hi],
+		Keys:       g.Keys[:hi:hi],
+		DepthOf:    g.DepthOf[:hi:hi],
+		Inits:      slices.Clip(g.Inits),
+		EdgeStart:  start,
+		EdgeAction: g.EdgeAction[:e:e],
+		EdgeTo:     g.EdgeTo[:e:e],
+		Cache:      g.Cache,
+		ParentOf:   g.ParentOf[:hi:hi],
+		parentEdge: g.parentEdge[:hi:hi],
+		cacheIDs:   g.cacheIDs[:hi:hi],
+		layers:     g.layers[:layers:layers],
+	}
+}
+
 // continueExplore runs the layer loop from startDepth, whose frontier is
 // the nodes first reached there, over a graph with every earlier layer
-// fully expanded. It is the shared tail of a fresh exploration and a
-// checkpoint resume. parent is the enclosing explore span (0 when tracing
-// is off); each layer becomes one explore.layer child span.
+// fully expanded. It is the shared tail of a fresh exploration, a
+// checkpoint resume and a remembered graph's continuation. parent is the
+// enclosing explore span (0 when tracing is off); each layer becomes one
+// explore.layer child span. A complete graph explored without a budget to
+// depth 1 or more becomes the one its cache remembers.
 func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTable, frontier []uint32, startDepth, maxNodes, workers int, rec obs.Recorder, parent obs.SpanID) (*IDGraph, error) {
-	c := g.Cache
 	tr := obs.Trace()
 	for d := startDepth; d < g.Depth && len(frontier) > 0; d++ {
 		if err := stopPoint(ctx, "explore.layer"); err != nil {
@@ -416,19 +489,20 @@ func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTa
 		if tr != nil {
 			lsp = tr.Begin("explore.layer", parent)
 		}
-		if err := warmFrontier(ctx, c, g, frontier, workers, lsp.ID); err != nil {
+		layer, err := g.expand(ctx, frontier, workers, lsp.ID)
+		if err != nil {
 			if tr != nil {
 				tr.End(lsp)
 			}
 			return g.interrupted(m, rec, d, maxNodes, err)
 		}
-		g.reserve(c, frontier)
+		g.reserve(layer)
 		edgesBefore := len(g.EdgeTo)
 		var next []uint32
-		for _, u := range frontier {
-			succs, sids := c.recorded(g.cacheIDs[u])
-			for i := range succs {
-				cid := sids[i]
+		for i, u := range frontier {
+			succs, sids := layer[i].succs, layer[i].ids
+			for j := range succs {
+				cid := sids[j]
 				v, seen := cacheToNode.get(cid)
 				if !seen {
 					if maxNodes > 0 && len(g.States) >= maxNodes {
@@ -439,13 +513,13 @@ func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTa
 						g.finishExplore(rec, true)
 						return g, fmt.Errorf("at depth %d (%d nodes): %w", g.ReachedDepth(), len(g.States), ErrNodeBudget)
 					}
-					v = g.addNode(succs[i].State, c.KeyOf(cid), d+1, cid)
+					v = g.addNode(succs[j].State, g.Cache.KeyOf(cid), d+1, cid)
 					g.ParentOf[v] = int32(u)
 					g.parentEdge[v] = int32(len(g.EdgeTo))
 					cacheToNode.set(cid, v)
 					next = append(next, v)
 				}
-				g.EdgeAction = append(g.EdgeAction, succs[i].Action)
+				g.EdgeAction = append(g.EdgeAction, succs[j].Action)
 				g.EdgeTo = append(g.EdgeTo, v)
 			}
 			g.EdgeStart = append(g.EdgeStart, uint32(len(g.EdgeTo)))
@@ -472,6 +546,9 @@ func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTa
 		frontier = next
 	}
 	g.padEdgeStart()
+	if maxNodes == 0 && g.Depth > 0 && g.Len() > 0 {
+		g.Cache.last.Store(g.prefix(g.Depth))
+	}
 	g.finishExplore(rec, false)
 	return g, nil
 }
@@ -517,10 +594,10 @@ func (g *IDGraph) interrupted(m Model, rec obs.Recorder, nextDepth, maxNodes int
 }
 
 // finishExplore records the exploration's final counters — including the
-// shared successor cache's hit/fill/interned-bytes view and its per-shard
-// breakdown — and emits the closing journal event. budgetHit marks a
-// partial graph returned with ErrNodeBudget; the event then carries the
-// depth actually reached so the journal explains how far the search got.
+// shared successor cache's reuse/enumeration/interned-bytes view — and
+// emits the closing journal event. budgetHit marks a partial graph
+// returned with ErrNodeBudget; the event then carries the depth actually
+// reached so the journal explains how far the search got.
 func (g *IDGraph) finishExplore(rec obs.Recorder, budgetHit bool) {
 	if rec == nil {
 		return
@@ -530,17 +607,6 @@ func (g *IDGraph) finishExplore(rec obs.Recorder, budgetHit bool) {
 	rec.Set("cache.hits", st.Hits)
 	rec.Set("cache.enumerations", int64(st.Enumerations))
 	rec.Set("cache.interned_bytes", int64(st.InternedBytes))
-	states := make([]int64, len(st.PerShard))
-	hits := make([]int64, len(st.PerShard))
-	enums := make([]int64, len(st.PerShard))
-	for i, sc := range st.PerShard {
-		states[i], hits[i], enums[i] = int64(sc.States), sc.Hits, sc.Enumerations
-	}
-	rec.Event("cache.shards",
-		obs.F{Key: "shards", Value: st.Shards},
-		obs.F{Key: "states", Value: states},
-		obs.F{Key: "hits", Value: hits},
-		obs.F{Key: "enumerations", Value: enums})
 	name, fields := "explore.done", []obs.F{
 		{Key: "nodes", Value: g.Len()},
 		{Key: "edges", Value: g.NumEdges()},
@@ -554,31 +620,38 @@ func (g *IDGraph) finishExplore(rec obs.Recorder, budgetHit bool) {
 	rec.Event(name, fields...)
 }
 
-// warmFrontier enumerates the successors of a frontier's nodes into the
-// shared cache: in frontier order on one worker, else one contiguous shard
-// per pool worker. Only the cache is written (it is concurrency-safe) and
-// cache writes are idempotent, so a shard abandoned to cancellation or a
-// contained panic leaves the graph untouched: the caller treats any error
-// as an interruption at the top of the layer, and a resumed run simply
-// re-warms. The serial merge that follows reads the warmed lists in
-// frontier order (SuccessorCache.recorded).
-func warmFrontier(ctx *resilient.Ctx, c *SuccessorCache, g *IDGraph, frontier []uint32, workers int, parent obs.SpanID) error {
+// expansion is one frontier node's enumerated successors with their cache
+// ids, held from its layer's expansion until the merge.
+type expansion struct {
+	succs []Succ
+	ids   []uint32
+}
+
+// expand enumerates the successors of a frontier's nodes into one list per
+// frontier position: in frontier order on one worker, else one contiguous
+// shard of positions per pool worker. Only the lists and the cache (which
+// is concurrency-safe) are written, so a shard abandoned to cancellation
+// or a contained panic leaves the graph untouched: the caller treats any
+// error as an interruption at the top of the layer, discarding the lists,
+// and a resumed run simply expands the layer again.
+func (g *IDGraph) expand(ctx *resilient.Ctx, frontier []uint32, workers int, parent obs.SpanID) ([]expansion, error) {
+	layer := make([]expansion, len(frontier))
 	if workers > len(frontier) {
 		workers = len(frontier)
 	}
 	if workers <= 1 {
-		for _, u := range frontier {
+		for i, u := range frontier {
 			if err := ctx.Err(); err != nil {
-				return err
+				return nil, err
 			}
-			c.SuccessorsOf(g.cacheIDs[u], g.States[u])
+			layer[i].succs, layer[i].ids = g.Cache.Enumerate(g.States[u])
 		}
-		return nil
+		return layer, nil
 	}
 	shardLen := (len(frontier) + workers - 1) / workers
 	shards := (len(frontier) + shardLen - 1) / shardLen
 	pool := resilient.Pool{Workers: workers}
-	return pool.Run(ctx, shards, func(sctx *resilient.Ctx, shard int) error {
+	return layer, pool.Run(ctx, shards, func(sctx *resilient.Ctx, shard int) error {
 		if err := stopPoint(sctx, "explore.warm"); err != nil {
 			return err
 		}
@@ -586,12 +659,9 @@ func warmFrontier(ctx *resilient.Ctx, c *SuccessorCache, g *IDGraph, frontier []
 			defer tr.End(tr.BeginLane("explore.warm.shard", parent, shard+1))
 		}
 		lo := shard * shardLen
-		hi := lo + shardLen
-		if hi > len(frontier) {
-			hi = len(frontier)
-		}
-		for _, u := range frontier[lo:hi] {
-			c.SuccessorsOf(g.cacheIDs[u], g.States[u])
+		hi := min(lo+shardLen, len(frontier))
+		for i := lo; i < hi; i++ {
+			layer[i].succs, layer[i].ids = g.Cache.Enumerate(g.States[frontier[i]])
 		}
 		return nil
 	})

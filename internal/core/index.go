@@ -223,6 +223,13 @@ func place(t []atomic.Uint64, w uint64) {
 	t[i].Store(w)
 }
 
+// Slots chunks grow geometrically from chunkMin slots, so n slots take
+// O(log n) chunks.
+const (
+	chunkMinBits = 6
+	chunkMin     = 1 << chunkMinBits
+)
+
 // Slots is an append-only array indexed by dense uint32 ids. It grows in
 // chunks of geometrically increasing size, chunk c holding chunkMin<<c
 // slots, and the chunk directory is republished atomically on growth, so

@@ -71,12 +71,13 @@ func TestKeyedCacheBuildsOnlyMisses(t *testing.T) {
 	r := &ring{size: 10, fan: 3}
 	c := core.NewKeyedCache(r)
 	frontier := []core.State{&ringState{v: 0}}
+	c.ID(frontier[0])
 	seen := map[string]bool{"v0": true}
 	edges := 0
 	for len(frontier) > 0 {
 		x := frontier[0]
 		frontier = frontier[1:]
-		succs, ids := c.SuccessorsOf(c.ID(x), x)
+		succs, ids := c.Enumerate(x)
 		for i, s := range succs {
 			edges++
 			if c.StateOf(ids[i]) != s.State || c.KeyOf(ids[i]) != s.State.Key() {
@@ -120,5 +121,5 @@ func TestCacheRejectsDivergentKeys(t *testing.T) {
 	mustPanic("plain", "AppendKey diverged from Key", func() { plain.ID(bad) })
 	keyed := core.NewKeyedCache(&ring{size: 10, fan: 2, skew: true})
 	root := &ringState{v: 0}
-	mustPanic("keyed", "cache key diverged", func() { keyed.SuccessorsOf(keyed.ID(root), root) })
+	mustPanic("keyed", "cache key diverged", func() { keyed.Enumerate(root) })
 }

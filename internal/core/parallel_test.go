@@ -35,31 +35,38 @@ func graphsIdentical(t *testing.T, serial, parallel *core.IDGraph) {
 	}
 }
 
+// TestExploreParallelMatchesSerial explores a fresh model at each worker
+// count, so that every parallel expansion is a cold one compared with a
+// cold serial one: a second exploration of one model value would take the
+// graph its cache remembers.
 func TestExploreParallelMatchesSerial(t *testing.T) {
 	models := []struct {
 		name  string
-		m     core.Model
+		m     func() core.Model
 		depth int
 	}{
-		{"mobile", mobile.New(protocols.FloodSet{Rounds: 2}, 3), 2},
-		{"mobile-full", mobile.NewFull(protocols.FloodSet{Rounds: 2}, 3), 1},
-		{"sync-s1", syncmp.NewS1(protocols.FloodSet{Rounds: 2}, 3), 2},
-		{"sync-st", syncmp.NewSt(protocols.FloodSet{Rounds: 2}, 3, 1), 2},
-		{"sync-st-general", syncmp.NewStGeneral(protocols.FloodSet{Rounds: 2}, 3, 1), 2},
-		{"sync-st-multi", syncmp.NewStMulti(protocols.FloodSet{Rounds: 2}, 3, 2, 2), 2},
+		{"mobile", func() core.Model { return mobile.New(protocols.FloodSet{Rounds: 2}, 3) }, 2},
+		{"mobile-full", func() core.Model { return mobile.NewFull(protocols.FloodSet{Rounds: 2}, 3) }, 1},
+		{"sync-s1", func() core.Model { return syncmp.NewS1(protocols.FloodSet{Rounds: 2}, 3) }, 2},
+		{"sync-st", func() core.Model { return syncmp.NewSt(protocols.FloodSet{Rounds: 2}, 3, 1) }, 2},
+		{"sync-st-general", func() core.Model { return syncmp.NewStGeneral(protocols.FloodSet{Rounds: 2}, 3, 1) }, 2},
+		{"sync-st-multi", func() core.Model { return syncmp.NewStMulti(protocols.FloodSet{Rounds: 2}, 3, 2, 2) }, 2},
 	}
 	for _, tc := range models {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := core.ExploreIDCtx(nil, tc.m, tc.depth, 0, 1)
+			serial, err := core.ExploreIDCtx(nil, tc.m(), tc.depth, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 1, 2, 3, 8} {
-				par, err := core.ExploreIDCtx(nil, tc.m, tc.depth, 0, workers)
+				par, err := core.ExploreIDCtx(nil, tc.m(), tc.depth, 0, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				graphsIdentical(t, serial, par)
+				if hits := par.Cache.Stats().Hits; hits != 0 {
+					t.Fatalf("workers=%d: %d nodes reused; the exploration was not cold", workers, hits)
+				}
 			}
 		})
 	}
@@ -82,11 +89,12 @@ func TestExploreParallelBudgetMatchesSerial(t *testing.T) {
 	graphsIdentical(t, serial, par)
 }
 
-// TestCacheHitsCountReuse: Hits counts the reuse of a recorded successor
-// list, not exploration's read of the lists it has just enumerated. A cold
-// exploration reports the same counts at one and two workers, no hit and
-// one enumeration per expanded node, and re-exploring over the warm cache
-// reports one hit per expanded node and no new enumeration.
+// TestCacheHitsCountReuse: Hits counts the expanded nodes an exploration
+// takes from the graph its cache remembers, not exploration's read of the
+// lists it has just enumerated. A cold exploration reports the same counts
+// at one and two workers, no hit and one enumeration per expanded node,
+// and re-exploring over the warm cache reports one hit per expanded node
+// and no new enumeration.
 func TestCacheHitsCountReuse(t *testing.T) {
 	const depth = 3
 	var cold []core.CacheStats
@@ -129,13 +137,13 @@ func TestSuccessorCacheSharing(t *testing.T) {
 	if g.Cache != c {
 		t.Fatal("explored graph not drawing from the model's shared cache")
 	}
-	after := c.Enumerations()
+	after := c.Stats().Enumerations
 	// A second pass over the same model re-enumerates nothing.
 	if _, err := core.ExploreIDCtx(nil, m, 2, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if c.Enumerations() != after {
-		t.Errorf("second exploration enumerated %d extra states", c.Enumerations()-after)
+	if st := c.Stats(); st.Enumerations != after {
+		t.Errorf("second exploration enumerated %d extra states", st.Enumerations-after)
 	}
 	// The cached Successors agree with the raw function.
 	x := m.Inits()[0]

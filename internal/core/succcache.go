@@ -6,32 +6,19 @@ import (
 	"sync/atomic"
 )
 
-// Cache geometry. The key index has 1<<indexShardBits shards: its
+// indexShardBits sizes the key index: 1<<indexShardBits shards. Its
 // lookups take no lock, so shards only spread inserts, and a few keep its
-// fixed cost small. Entries are striped over numStripes (a power of two,
-// so an id selects its stripe with one mask) for first enumeration and the
-// hit counters. Entry chunks grow geometrically from chunkMin entries, so
-// a cache that interns n states allocates O(log n) chunks and never moves
-// an entry — which is what lets the read path hold raw *cacheEntry
-// pointers without any lock.
-const (
-	indexShardBits = 3
+// fixed cost small.
+const indexShardBits = 3
 
-	stripeBits = 6
-	numStripes = 1 << stripeBits
-	stripeMask = numStripes - 1
-
-	chunkMinBits = 6
-	chunkMin     = 1 << chunkMinBits
-)
-
-// SuccessorCache is a shared, id-keyed successor memo. It interns every
-// state it sees (by its model's cache key) into a dense uint32 id and
-// records each state's labeled successors the first time they are
-// enumerated, so a sweep that explores, then certifies, then measures
-// diameters enumerates each state's successors once instead of once per
-// pass. The model types embed one cache per model instance, which makes the
-// sharing automatic for every consumer of the same model value.
+// SuccessorCache is a model's shared intern table and its successor memo.
+// It interns every state it sees (by its model's cache key) into a dense
+// uint32 id, and it remembers the model's latest explored graph: the CSR
+// arrays are the only record of which states succeed which. An exploration
+// of the same model from the same roots takes that graph, or continues
+// it, instead of enumerating its layers again (ExploreIDCtx). The model
+// types embed one cache per model instance, which makes the sharing
+// automatic for every consumer of the same model value.
 //
 // Enumeration is key-first (KeyedSuccessor): the model names each
 // successor by its cache key, the cache probes it, and the model builds
@@ -39,25 +26,19 @@ const (
 // is its canonical Key; the synchronous models key a state by its round,
 // failed set and local-state ids, the asynchronous ones by its environment
 // and process record ids. KeyOf always returns the canonical Key.
+// Enumerate and Successors run that enumeration every time they are
+// called; nothing records its result.
 //
 // The key table is an Index, whose lookups take no lock; a new key locks
 // the one index shard it hashes to. A plain cache's index keeps no key
 // bytes: it confirms a match against the canonical key the entry already
-// holds. The memoized reads that follow — a SuccessorsOf call on an
-// already-enumerated entry, StateOf, KeyOf — read the entry slots and take
-// no lock; first enumeration locks the entry's stripe. Per-shard locks are
-// never held while acquiring another shard's lock (the parshard analyzer
-// enforces this).
+// holds. StateOf and KeyOf read the entry slots and take no lock.
 //
 // A SuccessorCache is safe for concurrent use. Ids are dense (0..Len()-1)
 // and assigned in first-intern order from one atomic allocator, so their
 // numeric values depend on access order and must not be used as
 // externally-visible identifiers; they are join keys for memo tables and
 // dense arrays only.
-//
-// The successor slices returned by the cache are shared: callers must not
-// modify them. Their states are canonical: succs[i].State is the value
-// StateOf(ids[i]) returns.
 type SuccessorCache struct {
 	keyed KeyedSuccessor
 	// raw is the uncached successor function: the plain Successor, or the
@@ -75,37 +56,28 @@ type SuccessorCache struct {
 
 	// bytes totals the interned key lengths.
 	bytes atomic.Int64
-	// succTotal totals the lengths of recorded successor lists; explorations
-	// re-running over a warm cache use it to size their edge arrays.
-	succTotal atomic.Int64
+	// hits counts the expanded nodes explorations took from a remembered
+	// graph; enums counts enumerations.
+	hits  atomic.Int64
+	enums atomic.Int64
 
 	// bufs pools reusable key buffers so AppendKey-based lookups allocate
 	// nothing in steady state.
 	bufs sync.Pool
 
-	index   Index
-	stripes [numStripes]entryStripe
+	index Index
+
+	// last is the latest complete graph explored over this cache without
+	// a node budget and past layer 0, without its analysis caches; nil
+	// before one. It is never modified.
+	last atomic.Pointer[IDGraph]
 }
 
-// entryStripe guards first-publication of entry successor lists (striped by
-// id) and owns that stripe's hit/enumeration counters.
-type entryStripe struct {
-	mu    sync.Mutex
-	hits  atomic.Int64
-	enums atomic.Int64
-	_     [32]byte
-}
-
-// cacheEntry is one interned state's slot. state and key are written once
-// under the owning index shard's mutex before the id escapes; succs and ids
-// are written once under the id's stripe mutex and published by the atomic
-// done flag, so the memoized read path needs no lock.
+// cacheEntry is one interned state's slot, written once under the owning
+// index shard's mutex before the id escapes.
 type cacheEntry struct {
 	state State
 	key   string
-	succs []Succ
-	ids   []uint32
-	done  atomic.Bool
 }
 
 // NewSuccessorCache returns an empty cache over the plain successor
@@ -189,14 +161,6 @@ func (u uncachedKeyed) Successors(x State) []Succ {
 	return succs
 }
 
-// stripeOf maps a dense id to its entry stripe. Ids are striped by
-// chunkMin-sized block, not by low bits: BFS-ordered sweeps touch roughly
-// sequential ids, so block striping keeps a sweep's counter updates on one
-// hot cache line for chunkMin consecutive ids instead of bouncing across
-// all numStripes padded lines, while parallel workers (which own disjoint
-// contiguous frontier ranges) still land on distinct stripes.
-func stripeOf(id uint32) uint32 { return (id >> chunkMinBits) & stripeMask }
-
 // entry returns the slot of id. The id must have been obtained from this
 // cache, which guarantees (transitively, through whichever synchronized
 // path delivered the id) that its chunk is published and its state/key
@@ -271,63 +235,21 @@ func (c *SuccessorCache) checkKey(key []byte, x State) string {
 	return ks
 }
 
-// Successors implements Successor, memoized. The returned slice is shared;
-// callers must not modify it.
+// Successors implements Successor: it enumerates S(x) through the cache,
+// so every successor is the state interned under its id.
 func (c *SuccessorCache) Successors(x State) []Succ {
-	_, succs, _ := c.SuccessorsID(x)
+	succs, _ := c.Enumerate(x)
 	return succs
 }
 
-// SuccessorsID interns x and returns its id, its labeled successors, and
-// the successors' interned ids (aligned with succs).
-func (c *SuccessorCache) SuccessorsID(x State) (id uint32, succs []Succ, ids []uint32) {
-	id = c.ID(x)
-	succs, ids = c.SuccessorsOf(id, x)
-	return id, succs, ids
-}
-
-// SuccessorsOf returns the successors of the already-interned state x with
-// id id, enumerating and recording them on first use. Passing the state
-// alongside its id lets deep recursions avoid ever re-deriving a key. The
-// memoized-hit path is lock-free: one atomic flag load, one counter add.
-func (c *SuccessorCache) SuccessorsOf(id uint32, x State) (succs []Succ, ids []uint32) {
-	e := c.entry(id)
-	if e.done.Load() {
-		c.stripes[stripeOf(id)].hits.Add(1)
-		return e.succs, e.ids
-	}
-	// Enumerate outside any lock; a concurrent duplicate enumeration is
-	// harmless (the successor function is deterministic) and the first
-	// writer wins. Each recorded successor is the state interned under its
-	// id, so a successor the cache already holds is never built (keyed
-	// models) or is garbage as soon as this call returns (plain ones)
-	// instead of living as long as the cache.
-	raw, rawIDs := c.keyed.SuccessorsKeyed(x, Prober{c})
-	st := &c.stripes[stripeOf(id)]
-	st.mu.Lock()
-	if e.done.Load() {
-		succs, ids = e.succs, e.ids
-		st.mu.Unlock()
-		return succs, ids
-	}
-	e.succs, e.ids = raw, rawIDs
-	e.done.Store(true)
-	st.enums.Add(1)
-	c.succTotal.Add(int64(len(raw)))
-	st.mu.Unlock()
-	return raw, rawIDs
-}
-
-// recorded returns the successor list an earlier SuccessorsOf call
-// recorded for id, counting no hit: exploration's merge reads the lists its
-// own warm pass just filled, which is no reuse. It panics when none is
-// recorded.
-func (c *SuccessorCache) recorded(id uint32) ([]Succ, []uint32) {
-	e := c.entry(id)
-	if !e.done.Load() {
-		panic(fmt.Sprintf("core: successors of state %d read before they were enumerated", id))
-	}
-	return e.succs, e.ids
+// Enumerate returns the labeled successors of x and the ids they are
+// interned under, aligned. Each call enumerates S(x) key-first: a successor
+// the cache already holds is never built (keyed models) or is garbage as
+// soon as the call returns (plain ones), and the state returned for it is
+// the one interned under its id.
+func (c *SuccessorCache) Enumerate(x State) ([]Succ, []uint32) {
+	c.enums.Add(1)
+	return c.keyed.SuccessorsKeyed(x, Prober{c})
 }
 
 // StateOf returns the state interned under id, without locking.
@@ -339,85 +261,27 @@ func (c *SuccessorCache) KeyOf(id uint32) string { return c.entry(id).key }
 // Len returns the number of distinct states interned so far.
 func (c *SuccessorCache) Len() int { return int(c.next.Load()) }
 
-// EdgeHint returns the total length of the successor lists recorded so far
-// — an upper capacity bound for the edge arrays of a re-exploration over
-// this cache (an upper bound because the cache may hold states deeper than
-// the re-exploration's depth).
-func (c *SuccessorCache) EdgeHint() int { return int(c.succTotal.Load()) }
-
-// Enumerations returns how many raw successor enumerations the cache has
-// performed — the search effort actually paid, as opposed to the number of
-// Successors calls served.
-func (c *SuccessorCache) Enumerations() int {
-	var total int64
-	for i := range c.stripes {
-		total += c.stripes[i].enums.Load()
-	}
-	return int(total)
-}
-
-// ShardCounters is one shard's slice of the cache's counters. States counts
-// the keys interned in the index shard; Hits and Enumerations count the
-// memoized reads and raw enumerations of the entries striped to the same
-// index (keys are sharded by hash, entries striped by id block — the two
-// views share one index space of Shards stripes, and the index has fewer
-// shards than that, so the later rows count no states).
-type ShardCounters struct {
-	States       int
-	Hits         int64
-	Enumerations int64
-}
-
 // CacheStats is a point-in-time view of a successor cache's effectiveness.
 type CacheStats struct {
 	// States is the number of distinct states interned.
 	States int
-	// Hits counts memoized successor lookups served without enumeration:
-	// reuse of a recorded list. Exploration's merge reads the lists its warm
-	// pass has just recorded without counting, so a cold exploration reports
-	// no hit at any worker count.
+	// Hits counts the expanded nodes explorations took from a remembered
+	// graph instead of enumerating them. A cold exploration reports none
+	// at any worker count.
 	Hits int64
-	// Enumerations counts raw successor enumerations performed (the fill
-	// side of the hit/miss ledger).
+	// Enumerations counts successor enumerations performed: one per node
+	// an exploration expands, and one per Enumerate or Successors call.
 	Enumerations int
 	// InternedBytes is the total size of the interned key strings.
 	InternedBytes int
-	// Shards is the shard/stripe count.
-	Shards int
-	// PerShard breaks States/Hits/Enumerations down by shard index.
-	PerShard []ShardCounters
 }
 
-// HitRate returns hits / (hits + enumerations) in [0, 1], or 0 before any
-// lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + int64(s.Enumerations)
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// Stats returns the cache's current counters, including the per-shard
-// breakdown.
+// Stats returns the cache's current counters.
 func (c *SuccessorCache) Stats() CacheStats {
-	st := CacheStats{
+	return CacheStats{
 		States:        c.Len(),
+		Hits:          c.hits.Load(),
+		Enumerations:  int(c.enums.Load()),
 		InternedBytes: int(c.bytes.Load()),
-		Shards:        numStripes,
-		PerShard:      make([]ShardCounters, numStripes),
 	}
-	for i := range c.index.shards {
-		sh := &c.index.shards[i]
-		sh.mu.Lock()
-		st.PerShard[i].States = int(sh.n)
-		sh.mu.Unlock()
-	}
-	for i := range c.stripes {
-		h, e := c.stripes[i].hits.Load(), c.stripes[i].enums.Load()
-		st.PerShard[i].Hits, st.PerShard[i].Enumerations = h, e
-		st.Hits += h
-		st.Enumerations += int(e)
-	}
-	return st
 }

@@ -76,7 +76,7 @@ func (c *refCertifier) dfs(id uint32, x core.State, remaining int, inputs uint64
 		c.memo[mk] = true
 		return nil, nil
 	}
-	succs, sids := c.cache.SuccessorsOf(id, x)
+	succs, sids := c.cache.Enumerate(x)
 	for i := range succs {
 		s := succs[i]
 		if w := checkWriteOnce(x, s.State); w != nil {

@@ -25,17 +25,27 @@ type DecisionDepth struct {
 }
 
 // MeasureDecisionDepth walks every run (action path) of length `bound`
-// from each initial state and records when it first became fully decided.
-// The path count grows as |S(x)|^bound; use small bounds. maxRuns caps the
-// walk (0 = unbounded).
+// from each initial state, in order and duplicates included, and records
+// when it first became fully decided. It explores core.WithInits(m, inits)
+// to bound once and follows each run along the graph's edges. The path
+// count grows as |S(x)|^bound; use small bounds. maxRuns caps the walk (0 =
+// unbounded).
 func MeasureDecisionDepth(m core.Model, inits []core.State, bound, maxRuns int) (*DecisionDepth, error) {
+	g, err := core.ExploreIDCtx(nil, core.WithInits(m, inits), bound, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	decided := make([]bool, g.Len())
+	for u, x := range g.States {
+		decided[u] = core.AllDecided(x)
+	}
 	d := &DecisionDepth{
 		Min:       bound + 1,
 		Histogram: make([]int, bound+1),
 	}
-	var walk func(x core.State, depth int, decidedAt int) error
-	walk = func(x core.State, depth, decidedAt int) error {
-		if decidedAt < 0 && core.AllDecided(x) {
+	var walk func(u uint32, depth int, decidedAt int) error
+	walk = func(u uint32, depth, decidedAt int) error {
+		if decidedAt < 0 && decided[u] {
 			decidedAt = depth
 		}
 		if depth == bound {
@@ -56,15 +66,20 @@ func MeasureDecisionDepth(m core.Model, inits []core.State, bound, maxRuns int) 
 			}
 			return nil
 		}
-		for _, s := range m.Successors(x) {
-			if err := walk(s.State, depth+1, decidedAt); err != nil {
+		// A node on a run of depth layers was first reached at depth or
+		// above, so below the bound its edges are all recorded.
+		_, to := g.Out(u)
+		for _, v := range to {
+			if err := walk(v, depth+1, decidedAt); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for _, init := range inits {
-		if err := walk(init, 0, -1); err != nil {
+	for _, x := range inits {
+		// The graph was seeded from inits, so every one is a node.
+		u, _ := g.NodeByKey(x.Key())
+		if err := walk(u, 0, -1); err != nil {
 			return nil, err
 		}
 	}

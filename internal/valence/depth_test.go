@@ -1,9 +1,13 @@
 package valence_test
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
+	"repro/internal/asyncmp"
 	"repro/internal/core"
+	"repro/internal/mobile"
 	"repro/internal/protocols"
 	"repro/internal/syncmp"
 	"repro/internal/valence"
@@ -60,6 +64,50 @@ func TestDecisionDepthBudget(t *testing.T) {
 	m := syncmp.NewSt(protocols.FloodSet{Rounds: 2}, n, tt)
 	if _, err := valence.MeasureDecisionDepth(m, m.Inits(), 2, 3); err == nil {
 		t.Error("want budget error")
+	}
+}
+
+// TestDecisionDepthMatchesRecursive pins MeasureDecisionDepth, which
+// follows runs along the explored graph's edges, to the recursive walker
+// over the successor function: the same DecisionDepth from initial states
+// given out of order and repeated, and the same "after N runs" error under
+// a run cap, in SyncSt, MobileS1 and asynchronous message passing.
+func TestDecisionDepthMatchesRecursive(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		mk    func() core.Model
+		bound int
+	}{
+		{"sync-st-floodset", func() core.Model { return syncmp.NewSt(protocols.FloodSet{Rounds: 2}, 3, 1) }, 2},
+		{"sync-st-early", func() core.Model { return syncmp.NewSt(protocols.EarlyFloodSet{MaxRounds: 2}, 3, 1) }, 2},
+		{"mobile-s1", func() core.Model { return mobile.New(protocols.FloodSet{Rounds: 2}, 3) }, 2},
+		{"asyncmp", func() core.Model { return asyncmp.New(protocols.MPFlood{Phases: 2}, 3) }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			all := tc.mk().Inits()
+			inits := []core.State{all[5], all[0], all[5], all[3]}
+			want, err := valence.MeasureDecisionDepthRef(tc.mk(), inits, tc.bound, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := valence.MeasureDecisionDepth(tc.mk(), inits, tc.bound, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decision depth %+v, want %+v", got, want)
+			}
+			if want.Runs < 4 {
+				t.Fatalf("%d runs: too few to cap", want.Runs)
+			}
+			t.Logf("%d runs, decided at [%d,%d], %d undecided", want.Runs, want.Min, want.Max, want.Undecided)
+			limit := want.Runs / 2
+			_, wantErr := valence.MeasureDecisionDepthRef(tc.mk(), inits, tc.bound, limit)
+			_, gotErr := valence.MeasureDecisionDepth(tc.mk(), inits, tc.bound, limit)
+			if !errors.Is(wantErr, valence.ErrBudget) || gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("capped at %d runs: err %v, want %v", limit, gotErr, wantErr)
+			}
+		})
 	}
 }
 

@@ -60,7 +60,7 @@ func (o *Oracle) valences(id uint32, x core.State, horizon int) uint8 {
 	}
 	mask := uint8(core.DecidedValues(x) & 0b11)
 	if mask != V0|V1 && horizon > 0 {
-		succs, sids := o.cache.SuccessorsOf(id, x)
+		succs, sids := o.cache.Enumerate(x)
 		for i := range succs {
 			mask |= o.valences(sids[i], succs[i].State, horizon-1)
 			if mask == V0|V1 {

@@ -70,8 +70,9 @@ func TestSlowParallelCertifyAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Certify explores the graph with GOMAXPROCS workers before the graph
-	// certifier runs.
-	par, err := layers.Certify(m, tt+1, 0)
+	// certifier runs. It gets a model of its own: m would hand it the graph
+	// explored above.
+	par, err := layers.Certify(layers.SyncSt(layers.FloodSet{Rounds: tt + 1}, n, tt), tt+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
