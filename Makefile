@@ -17,15 +17,15 @@ vet:
 
 # lint runs the engine-invariant analyzer suite (internal/analysis) over
 # the whole module: detorder, internfreeze, obsguard, senterr, parshard,
-# plus the cross-function dataflow analyzers ctxpoll, spanend, hotalloc,
-# codecpair, atomicfield.
+# plus the cross-function dataflow analyzers ctxpoll, spanend, hotalloc.
 # Exit status 1 means findings; suppress a deliberate exception with a
 # //lint:<token> comment on the flagged line or the line above (the token
 # is per-analyzer: nondet, mutates, obs, sentinel, unsync, poll, span,
-# alloc, codec, atomic; //lint:hotpath is a marker that opts a function
-# into the hotalloc no-allocation obligation, not a suppression).
-# `go run ./cmd/lint -json ./...` emits machine-readable diagnostics;
-# `-stale` audits //lint: comments that no longer suppress anything.
+# alloc; //lint:hotpath is a marker that opts a function into the hotalloc
+# no-allocation obligation, not a suppression). A hatch that suppresses
+# nothing, and a //lint: comment whose first token is neither a hatch nor
+# a marker, are findings too.
+# `go run ./cmd/lint -json ./...` emits machine-readable diagnostics.
 lint:
 	$(GO) run ./cmd/lint ./...
 

@@ -311,6 +311,21 @@ func e7(ctx *layers.Ctx) error {
 			fmt.Printf("  %-28s %-11s (%s)\n", task.Problem.Name, verdict, mark)
 		}
 	}
+	// The necessity direction, measured on a protocol that solves its task:
+	// FloodSet(1) solves 2-set agreement in M^mf (E10), so the decided
+	// outputs over every similarity-connected set of binary initial states
+	// must be 1-thick connected.
+	const n, k, depth = 3, 1, 1
+	m := layers.MobileS1(layers.FloodSet{Rounds: 1}, n)
+	r, err := decision.CheckThickNecessity(m, m.Inits(), n, k, depth, 0)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("necessity: M^mf + 1-round flooding (n=%d, depth %d): decided outputs %d-thick connected over %d of %d similarity-connected initial-state sets\n",
+		n, depth, k, r.Connected, r.Subsets)
+	if r.Connected != r.Subsets {
+		return fmt.Errorf("necessity fails on the initial states %v", r.FirstFailure)
+	}
 	return nil
 }
 

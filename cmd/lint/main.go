@@ -15,12 +15,13 @@
 // properties reach the packages that consume them; diagnostics are only
 // reported for packages the patterns name.
 //
-// Two standalone flags serve tooling:
+// A standalone run also audits the escape hatches of those packages: a
+// //lint:<token> comment whose first token names an analyzer's hatch but
+// suppresses no diagnostic, and one whose first token names no hatch and
+// no marker, are each a [hatch] finding.
 //
-//	-json    emit diagnostics as a JSON array (file/line/col/analyzer/
-//	         message/suppressed), suppressed findings included
-//	-stale   audit escape hatches: list //lint:<token> comments that
-//	         suppress no diagnostic, and exit 0
+// The -json flag emits the diagnostics as a JSON array (file/line/col/
+// analyzer/message/suppressed), suppressed findings included.
 //
 // Vettool (make vettool): the binary also speaks the cmd/go unitchecker
 // protocol, so the same checks run under the build cache:
@@ -34,7 +35,8 @@
 // with VetxOnly and their exported facts serialized to VetxOutput, which
 // cmd/go hands back to dependents as PackageVetx. Test files are only
 // checked by senterr (tests may reach into iteration order and timing
-// deliberately; sentinel comparisons stay wrong everywhere).
+// deliberately; sentinel comparisons stay wrong everywhere), and hatches
+// are not audited.
 package main
 
 import (
@@ -50,7 +52,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -62,7 +63,6 @@ func main() {
 	versionFlag := flag.String("V", "", "print version (unitchecker protocol)")
 	flagsFlag := flag.Bool("flags", false, "print analyzer flags as JSON (unitchecker protocol)")
 	jsonFlag := flag.Bool("json", false, "emit diagnostics as JSON (standalone mode)")
-	staleFlag := flag.Bool("stale", false, "list stale //lint: suppressions and exit 0 (standalone mode)")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -70,18 +70,18 @@ func main() {
 	case *versionFlag != "":
 		printVersion()
 	case *flagsFlag:
-		// No tool-level flags cross the unitchecker protocol; -json and
-		// -stale are standalone conveniences.
+		// No tool-level flags cross the unitchecker protocol; -json is a
+		// standalone convenience.
 		fmt.Println("[]")
 	case flag.NArg() == 1 && strings.HasSuffix(flag.Arg(0), ".cfg"):
 		runUnitchecker(flag.Arg(0))
 	default:
-		runStandalone(flag.Args(), *jsonFlag, *staleFlag)
+		runStandalone(flag.Args(), *jsonFlag)
 	}
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: lint [-json] [-stale] [packages]   (standalone, e.g. lint ./...)\n")
+	fmt.Fprintf(os.Stderr, "usage: lint [-json] [packages]   (standalone, e.g. lint ./...)\n")
 	fmt.Fprintf(os.Stderr, "       go vet -vettool=$(which lint) [packages]\n\nanalyzers:\n")
 	for _, a := range analysis.All() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
@@ -113,21 +113,9 @@ type jsonDiag struct {
 	Suppressed bool   `json:"suppressed"`
 }
 
-// suppressTokens maps each escape-hatch token to the analyzers it serves
-// (markers like hotpath are annotations, not hatches, and are excluded).
-func suppressTokens() map[string]bool {
-	tokens := make(map[string]bool)
-	for _, a := range analysis.All() {
-		if a.Suppress != "" && !analysis.MarkerTokens[a.Suppress] {
-			tokens[a.Suppress] = true
-		}
-	}
-	return tokens
-}
-
 // runStandalone is the make-lint path: load packages via the go command and
 // report to stdout.
-func runStandalone(patterns []string, jsonOut, staleOut bool) {
+func runStandalone(patterns []string, jsonOut bool) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -141,28 +129,27 @@ func runStandalone(patterns []string, jsonOut, staleOut bool) {
 	// One fact store for the whole walk: go list -deps returns packages in
 	// dependency order, so producers always run before consumers.
 	facts := analysis.NewFactStore()
-
-	type hatch struct {
-		pos   token.Position
-		key   string
-		token string
+	hatches := make(map[string]bool) // the escape-hatch tokens, one per analyzer
+	for _, a := range analysis.All() {
+		hatches[a.Suppress] = true
 	}
-	var hatches []hatch
-	known := suppressTokens()
-	used := make(map[string]bool) // "key\x00token" pairs that suppressed something
 
 	var all []jsonDiag
 	active := 0
-	for _, pkg := range pkgs {
-		if staleOut && !pkg.DepOnly {
-			for _, c := range analysis.LintComments(pkg.Fset, pkg.Files) {
-				for _, tok := range c.Tokens {
-					if known[tok] {
-						hatches = append(hatches, hatch{pos: pkg.Fset.Position(c.Pos), key: c.Key, token: tok})
-					}
-				}
+	report := func(pos token.Position, analyzer, msg string, suppressed bool) {
+		all = append(all, jsonDiag{
+			File: pos.Filename, Line: pos.Line, Col: pos.Column,
+			Analyzer: analyzer, Message: msg, Suppressed: suppressed,
+		})
+		if !suppressed {
+			active++
+			if !jsonOut {
+				fmt.Printf("%s: [%s] %s\n", pos, analyzer, msg)
 			}
 		}
+	}
+	for _, pkg := range pkgs {
+		used := make(map[string]bool) // "key\x00token" pairs that suppressed something
 		for _, a := range analysis.All() {
 			// A dep-only package (loaded because a pattern depends on it, not
 			// matched itself) contributes facts but never diagnostics.
@@ -179,42 +166,30 @@ func runStandalone(patterns []string, jsonOut, staleOut bool) {
 				if d.Suppressed {
 					used[d.SuppressedBy+"\x00"+a.Suppress] = true
 				}
-				if !applies {
-					continue // fact-producing run outside the reporting scope
+				if applies {
+					report(pkg.Fset.Position(d.Pos), a.Name, d.Message, d.Suppressed)
 				}
-				pos := pkg.Fset.Position(d.Pos)
-				all = append(all, jsonDiag{
-					File: pos.Filename, Line: pos.Line, Col: pos.Column,
-					Analyzer: a.Name, Message: d.Message, Suppressed: d.Suppressed,
-				})
-				if !d.Suppressed {
-					active++
-					if !jsonOut && !staleOut {
-						fmt.Printf("%s: [%s] %s\n", pos, a.Name, d.Message)
-					}
-				}
+			}
+		}
+		if pkg.DepOnly {
+			continue
+		}
+		for _, c := range analysis.LintComments(pkg.Fset, pkg.Files) {
+			tok := ""
+			if len(c.Tokens) > 0 {
+				tok = c.Tokens[0]
+			}
+			switch {
+			case analysis.MarkerTokens[tok]:
+			case !hatches[tok]:
+				report(pkg.Fset.Position(c.Pos), "hatch", fmt.Sprintf("//lint:%s names no analyzer's hatch and no marker", tok), false)
+			case !used[c.Key+"\x00"+tok]:
+				report(pkg.Fset.Position(c.Pos), "hatch", fmt.Sprintf("stale //lint:%s suppresses nothing: delete it", tok), false)
 			}
 		}
 	}
 
-	switch {
-	case staleOut:
-		// Audit only: list hatches that silenced nothing; always exit 0.
-		stale := 0
-		sort.Slice(hatches, func(i, j int) bool {
-			if hatches[i].pos.Filename != hatches[j].pos.Filename {
-				return hatches[i].pos.Filename < hatches[j].pos.Filename
-			}
-			return hatches[i].pos.Line < hatches[j].pos.Line
-		})
-		for _, h := range hatches {
-			if !used[h.key+"\x00"+h.token] {
-				stale++
-				fmt.Printf("%s: stale //lint:%s suppresses nothing\n", h.pos, h.token)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "lint: %d stale suppression(s)\n", stale)
-	case jsonOut:
+	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if all == nil {
@@ -223,14 +198,11 @@ func runStandalone(patterns []string, jsonOut, staleOut bool) {
 		if err := enc.Encode(all); err != nil {
 			fatalf("encoding json: %v", err)
 		}
-		if active > 0 {
-			os.Exit(1)
-		}
-	default:
-		if active > 0 {
-			fmt.Fprintf(os.Stderr, "lint: %d finding(s)\n", active)
-			os.Exit(1)
-		}
+	} else if active > 0 {
+		fmt.Fprintf(os.Stderr, "lint: %d finding(s)\n", active)
+	}
+	if active > 0 {
+		os.Exit(1)
 	}
 }
 

@@ -125,7 +125,8 @@ func writeTree(t *testing.T, files map[string]string) string {
 }
 
 // violationModule is a synthetic module with exactly one violation per
-// PR 5-8 contract analyzer, plus a loop whose poll arrives through a
+// dataflow analyzer (ctxpoll, spanend, hotalloc), plus a loop whose poll
+// arrives through a
 // cross-package fact (chaos.Check) — a false positive there means fact
 // propagation broke in the driver under test.
 func violationModule(t *testing.T) string {
@@ -148,16 +149,6 @@ type ctxErr struct{ s string }
 func (e *ctxErr) Error() string { return e.s }
 
 var errCanceled = &ctxErr{"canceled"}
-
-type Enc struct{ buf []byte }
-
-func (e *Enc) U32(v uint32) { e.buf = append(e.buf, byte(v)) }
-func (e *Enc) Str(s string) { e.buf = append(e.buf, s...) }
-
-type Dec struct{ off int }
-
-func (d *Dec) U32() uint32 { d.off += 4; return 0 }
-func (d *Dec) Str() string { d.off++; return "" }
 `,
 		"chaos/chaos.go": `package chaos
 
@@ -212,29 +203,6 @@ func GoodLoop(ctx *resilient.Ctx, items []int) error {
 	return nil
 }
 `,
-		"internal/core/codec.go": `package core
-
-import "synthetic/resilient"
-
-type Frame struct {
-	ID   uint32
-	Name string
-}
-
-func (f *Frame) Sections(e *resilient.Enc) {
-	e.U32(f.ID)
-	e.Str(f.Name)
-}
-
-// DecodeFrame reads the sections in the wrong order: the codecpair
-// violation.
-func DecodeFrame(d *resilient.Dec) *Frame {
-	f := &Frame{}
-	f.Name = d.Str()
-	f.ID = d.U32()
-	return f
-}
-`,
 		"span/span.go": `package span
 
 import "synthetic/obs"
@@ -252,24 +220,13 @@ func Fill(n int) []byte {
 	return make([]byte, n)
 }
 `,
-		"atomicpkg/atomicpkg.go": `package atomicpkg
-
-import "sync/atomic"
-
-type counter struct{ n uint64 }
-
-func bump(c *counter) { atomic.AddUint64(&c.n, 1) }
-
-// Read touches the field plainly: the atomicfield violation.
-func Read(c *counter) uint64 { return c.n }
-`,
 	})
 }
 
-// TestLintExitCodePerNewAnalyzer plants one violation per contract analyzer
-// in a synthetic module and asserts the standalone checker exits 1 naming
-// all five — and that the loop polling through a cross-package helper is
-// NOT among the findings.
+// TestLintExitCodePerNewAnalyzer plants one violation per dataflow
+// analyzer in a synthetic module and asserts the standalone checker exits
+// 1 naming all three — and that the loop polling through a cross-package
+// helper is NOT among the findings.
 func TestLintExitCodePerNewAnalyzer(t *testing.T) {
 	bin := buildLint(t)
 	dir := violationModule(t)
@@ -284,7 +241,7 @@ func TestLintExitCodePerNewAnalyzer(t *testing.T) {
 		t.Fatalf("lint exit code = %d, want 1\n%s", code, out)
 	}
 	text := string(out)
-	for _, tag := range []string{"[ctxpoll]", "[spanend]", "[hotalloc]", "[codecpair]", "[atomicfield]"} {
+	for _, tag := range []string{"[ctxpoll]", "[spanend]", "[hotalloc]"} {
 		if !strings.Contains(text, tag) {
 			t.Errorf("lint output missing %s diagnostic:\n%s", tag, text)
 		}
@@ -295,7 +252,7 @@ func TestLintExitCodePerNewAnalyzer(t *testing.T) {
 }
 
 // TestLintVettoolPerNewAnalyzer drives the same module through the go vet
-// unitchecker protocol: all five contract analyzers must report, and the
+// unitchecker protocol: all three dataflow analyzers must report, and the
 // chaos.Check polls fact must cross packages via the .vetx files.
 func TestLintVettoolPerNewAnalyzer(t *testing.T) {
 	bin := buildLint(t)
@@ -307,7 +264,7 @@ func TestLintVettoolPerNewAnalyzer(t *testing.T) {
 		t.Fatalf("go vet -vettool on planted violations succeeded, want failure\n%s", out)
 	}
 	text := string(out)
-	for _, tag := range []string{"[ctxpoll]", "[spanend]", "[hotalloc]", "[codecpair]", "[atomicfield]"} {
+	for _, tag := range []string{"[ctxpoll]", "[spanend]", "[hotalloc]"} {
 		if !strings.Contains(text, tag) {
 			t.Errorf("go vet output missing %s diagnostic:\n%s", tag, text)
 		}
@@ -353,8 +310,8 @@ func FillQuiet(n int) []byte {
 	if err := json.Unmarshal(out, &diags); err != nil {
 		t.Fatalf("decoding -json output: %v\n%s", err, out)
 	}
-	if len(diags) < 6 {
-		t.Fatalf("got %d diagnostics, want >= 6 (5 active + 1 suppressed)\n%s", len(diags), out)
+	if len(diags) < 4 {
+		t.Fatalf("got %d diagnostics, want >= 4 (3 active + 1 suppressed)\n%s", len(diags), out)
 	}
 	analyzers := make(map[string]bool)
 	foundSuppressed := false
@@ -367,7 +324,7 @@ func FillQuiet(n int) []byte {
 			foundSuppressed = true
 		}
 	}
-	for _, want := range []string{"ctxpoll", "spanend", "hotalloc", "codecpair", "atomicfield"} {
+	for _, want := range []string{"ctxpoll", "spanend", "hotalloc"} {
 		if !analyzers[want] {
 			t.Errorf("-json output missing analyzer %q", want)
 		}
@@ -388,53 +345,79 @@ func FillQuiet(n int) []byte {
 	}
 }
 
-// TestLintStaleAudit plants one live suppression and one stale one: -stale
-// must list only the stale comment and exit 0 despite the live findings.
+// TestLintStaleAudit: every run audits the escape hatches. A tree whose
+// one hatch suppresses a finding lints clean; a planted stale
+// //lint:nondet, and a planted //lint:atomic (a hatch of no analyzer),
+// each make the run exit 1 with a [hatch] finding, in the text and in the
+// -json output.
 func TestLintStaleAudit(t *testing.T) {
 	bin := buildLint(t)
-	dir := violationModule(t)
-	stalefile := filepath.Join(dir, "hot", "stale.go")
-	if err := os.WriteFile(stalefile, []byte(`package hot
+	dir := writeTree(t, map[string]string{
+		"go.mod": "module synthetic\n\ngo 1.22\n",
+		"internal/valence/field.go": `package valence
 
-//lint:hotpath
-func Sum(xs []int) int {
+// Sum folds a map whose order does not matter: a live suppression.
+func Sum(weights map[string]int) int {
 	total := 0
-	//lint:poll nothing to suppress here
-	for _, x := range xs {
-		total += x
+	for _, w := range weights { //lint:nondet addition commutes
+		total += w
 	}
 	return total
 }
-
-func Quiet(n int) []byte {
-	return make([]byte, n) //lint:alloc suppresses nothing: Quiet is not a hot path
-}
-`), 0o666); err != nil {
-		t.Fatal(err)
+`,
+	})
+	lint := func(args ...string) (string, int) {
+		t.Helper()
+		cmd := exec.Command(bin, append(args, "./...")...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if ee, ok := err.(*exec.ExitError); ok {
+			return string(out), ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return string(out), 0
 	}
-	if err := os.WriteFile(filepath.Join(dir, "hot", "suppressed.go"), []byte(`package hot
-
-//lint:hotpath
-func FillQuiet(n int) []byte {
-	return make([]byte, n) //lint:alloc live suppression
-}
-`), 0o666); err != nil {
-		t.Fatal(err)
+	if out, code := lint(); code != 0 {
+		t.Fatalf("live suppression: exit %d, want 0\n%s", code, out)
 	}
-	cmd := exec.Command(bin, "-stale", "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("lint -stale must exit 0 even with findings present: %v\n%s", err, out)
-	}
-	text := string(out)
-	if !strings.Contains(text, "stale.go") || !strings.Contains(text, "stale //lint:poll") {
-		t.Errorf("-stale did not flag the dead poll suppression:\n%s", text)
-	}
-	if !strings.Contains(text, "stale //lint:alloc") {
-		t.Errorf("-stale did not flag the dead alloc suppression on a non-hotpath function:\n%s", text)
-	}
-	if strings.Contains(text, "suppressed.go") {
-		t.Errorf("-stale flagged the live suppression:\n%s", text)
+	for _, c := range []struct{ name, comment, want string }{
+		{"stale", "//lint:nondet nothing to suppress here", "stale //lint:nondet suppresses nothing"},
+		{"unknown", "//lint:atomic left behind by a deleted analyzer", "//lint:atomic names no analyzer's hatch"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			planted := filepath.Join(dir, "internal", "valence", "planted.go")
+			body := "package valence\n\nfunc Twice(x int) int {\n\t" + c.comment + "\n\treturn 2 * x\n}\n"
+			if err := os.WriteFile(planted, []byte(body), 0o666); err != nil {
+				t.Fatal(err)
+			}
+			defer os.Remove(planted)
+			out, code := lint()
+			if code != 1 || !strings.Contains(out, "planted.go:4:") || !strings.Contains(out, "[hatch] "+c.want) {
+				t.Errorf("text run: exit %d, want 1 with a [hatch] finding %q at planted.go:4\n%s", code, c.want, out)
+			}
+			if strings.Contains(out, "field.go") {
+				t.Errorf("the live suppression was flagged:\n%s", out)
+			}
+			out, code = lint("-json")
+			var diags []struct {
+				File       string `json:"file"`
+				Analyzer   string `json:"analyzer"`
+				Message    string `json:"message"`
+				Suppressed bool   `json:"suppressed"`
+			}
+			if err := json.Unmarshal([]byte(out), &diags); err != nil {
+				t.Fatalf("decoding -json output: %v\n%s", err, out)
+			}
+			var active []string
+			for _, d := range diags {
+				if !d.Suppressed {
+					active = append(active, d.Analyzer+": "+filepath.Base(d.File)+": "+d.Message)
+				}
+			}
+			if code != 1 || len(active) != 1 || !strings.HasPrefix(active[0], "hatch: planted.go: ") || !strings.Contains(active[0], c.want) {
+				t.Errorf("-json run: exit %d, active findings %q; want exit 1 and one hatch finding %q", code, active, c.want)
+			}
+		})
 	}
 }

@@ -15,8 +15,8 @@
 //     branch).
 //   - senterr: sentinel errors are matched with errors.Is, never ==
 //     (budget errors arrive wrapped with context).
-//   - parshard: worker spawn sites do not capture loop variables and do not
-//     fire-and-forget sends on unbuffered channels.
+//   - parshard: worker goroutines do not fire-and-forget sends on
+//     unbuffered channels, and per-shard locks never nest.
 //
 // A second generation of analyzers enforces the contracts introduced by the
 // resilience, bit-parallel, and tracing layers, built on a shared dataflow
@@ -34,18 +34,18 @@
 //     allocation-inducing constructs (composite literals, fmt calls,
 //     non-map-probe string<->[]byte conversions, closures, interface
 //     boxing), transitively through the call graph.
-//   - codecpair: RSCK checkpoint writers (Sections methods) and their
-//     Decode* readers must use the resilient.Enc/Dec section methods in
-//     exactly mirrored order.
-//   - atomicfield: a struct field accessed through sync/atomic anywhere in
-//     the package is never plainly read or written elsewhere.
+//
+// Contracts a type or a test can carry are not analyzers: obs.Histogram's
+// counters are typed atomics, so a plain access does not compile; each
+// checkpoint codec has a round-trip test that feeds every strict prefix;
+// and Go 1.22 gives every loop iteration its own variable.
 //
 // The suite runs standalone via cmd/lint (wired into make lint / tier1) and
 // through go vet -vettool. Each analyzer has an escape hatch: a comment of
 // the form //lint:<token> (e.g. //lint:nondet) on the flagged line or the
 // line directly above suppresses the diagnostic, leaving an auditable
-// marker in the source. cmd/lint -stale audits hatches that no longer
-// suppress anything.
+// marker in the source. cmd/lint reports a hatch that suppresses nothing,
+// and a //lint: comment whose first token names no hatch and no marker.
 package analysis
 
 import (
@@ -73,7 +73,7 @@ type Analyzer struct {
 // Diagnostic is one finding, positioned in the pass's FileSet. A finding
 // silenced by an escape-hatch comment is still recorded, flagged Suppressed
 // and carrying the "file:line" key of the comment that silenced it — the
-// -json output reports it and the -stale audit counts the hatch as used.
+// -json output reports it and the hatch audit counts the hatch as used.
 type Diagnostic struct {
 	Pos          token.Pos
 	Analyzer     string
@@ -98,7 +98,7 @@ type Pass struct {
 	suppressed map[string]map[string]bool
 }
 
-// posKey builds the "file:line" key the suppression index and the stale
+// posKey builds the "file:line" key the suppression index and the hatch
 // audit agree on.
 func posKey(file string, line int) string {
 	return fmt.Sprintf("%s:%d", file, line)
@@ -121,18 +121,19 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 		suppressed: make(map[string]map[string]bool),
 	}
 	for _, c := range LintComments(fset, files) {
+		if len(c.Tokens) == 0 {
+			continue
+		}
 		if p.suppressed[c.Key] == nil {
 			p.suppressed[c.Key] = make(map[string]bool)
 		}
-		for _, tok := range c.Tokens {
-			p.suppressed[c.Key][tok] = true
-		}
+		p.suppressed[c.Key][c.Tokens[0]] = true
 	}
 	return p
 }
 
 // LintComment is one //lint: comment: its position, its "file:line" key
-// (matched against Diagnostic.SuppressedBy by the stale audit), and the
+// (matched against Diagnostic.SuppressedBy by the hatch audit), and the
 // whitespace-separated tokens following the prefix. The first token is the
 // escape hatch or marker; trailing tokens are free-form rationale.
 type LintComment struct {
@@ -233,21 +234,20 @@ func RunAnalyzerFacts(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetOrder, InternFreeze, ObsGuard, SentErr, ParShard,
-		CtxPoll, SpanEnd, HotAlloc, CodecPair, AtomicField,
+		CtxPoll, SpanEnd, HotAlloc,
 	}
 }
 
 // MarkerTokens are //lint: tokens that are annotations rather than escape
 // hatches — they opt a declaration into a contract instead of silencing a
-// diagnostic, so the stale audit never reports them.
+// diagnostic, so the hatch audit never reports them.
 var MarkerTokens = map[string]bool{
 	"hotpath": true, // opts a function into hotalloc checking
 }
 
 // deterministicSuffixes are the import-path suffixes of the deterministic
 // engine packages: exploration and field sweeps there must be bit-for-bit
-// reproducible, so detorder (and the parallel-spawn hygiene of parshard)
-// applies to them.
+// reproducible, so detorder and ctxpoll apply to them.
 var deterministicSuffixes = []string{
 	"internal/core",
 	"internal/valence",
@@ -290,7 +290,7 @@ func Applies(a *Analyzer, pkgPath string) bool {
 // packages inside it.
 func FactProducer(a *Analyzer) bool {
 	switch a {
-	case CtxPoll, HotAlloc, ObsGuard, AtomicField:
+	case CtxPoll, HotAlloc, ObsGuard:
 		return true
 	}
 	return false

@@ -9,7 +9,7 @@ import (
 // Facts are how analysis results cross package boundaries: an analyzer
 // running on package P attaches a small JSON-serializable value to one of
 // P's declared objects (a function that polls cancellation, a helper that
-// allocates, a field that is atomically owned), and the same analyzer
+// allocates), and the same analyzer
 // running later on an importer of P reads it back. The standalone driver
 // carries one in-memory store across the dependency-ordered package walk;
 // the unitchecker driver serializes the store into the .vetx file go vet
@@ -18,8 +18,7 @@ import (
 // Keys are strings rather than types.Object pointers because the producer
 // and the consumer see *different* object identities for the same
 // declaration (the producer typechecks P from source, the consumer may see
-// P through export data). ObjKey and FieldKey build matching keys from
-// either view.
+// P through export data). ObjKey builds matching keys from either view.
 
 // FactStore holds every (analyzer, object) fact seen so far.
 type FactStore struct {
@@ -105,20 +104,6 @@ func ObjKey(obj types.Object) string {
 		}
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// FieldKey returns the cross-package key of a struct field:
-// "pkgpath.Type.Field". Named types only; fields of anonymous structs have
-// no stable identity to key on.
-func FieldKey(t types.Type, field string) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + field
 }
 
 // ExportFact attaches fact to key under the pass's analyzer. Facts must be

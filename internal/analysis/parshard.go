@@ -9,21 +9,14 @@ import (
 
 // ParShard enforces worker-spawn hygiene at the engine's parallel fan-out
 // sites (parallel exploration's frontier-warming shards, the worker pool
-// behind them). Two bugs recur in hand-rolled worker pools and both
-// destroy the engine's bit-identical parallel/serial equivalence or
-// deadlock it outright:
+// behind them). A goroutine spawned with a function-literal body must not
+// send on an unbuffered channel in a function that never receives from it
+// and never blocks on a sync.WaitGroup: the send either deadlocks or the
+// goroutine leaks past the barrier the merge step assumes. (Capturing the
+// loop variable needs no rule: go.mod says go 1.22, so every iteration
+// has its own variable.)
 //
-//   - capturing the loop variable in a `go func(){...}()` body: the
-//     engine's spawn sites pin each worker's shard by passing it as an
-//     argument; an implicit capture ties the worker to the loop's scoping
-//     semantics instead of its spawn-time input (and under pre-1.22
-//     semantics every worker observed the final index);
-//   - sending on an unbuffered channel from a spawned goroutine in a
-//     function that never receives from it and never blocks on a
-//     sync.WaitGroup: the send either deadlocks or the goroutine leaks
-//     past the barrier the merge step assumes.
-//
-// A third rule guards the sharded successor cache's lock order: per-shard
+// A second rule guards the sharded successor cache's lock order: per-shard
 // locks never nest. A function that acquires the lock of one shard or
 // stripe (a mutex held by a value whose type name contains "shard" or
 // "stripe") while still holding another's is one hash collision away from
@@ -33,16 +26,13 @@ import (
 // held to the end of the function, and a function literal starts a fresh
 // context (it runs on its own goroutine or after the caller returns).
 //
-// The first two checks apply to every `go` statement with a
-// function-literal body, the third to every function; //lint:unsync
-// suppresses a finding at a site with external synchronization or a
-// deliberate global acquisition order.
+// //lint:unsync suppresses a finding at a site with external
+// synchronization or a deliberate global acquisition order.
 var ParShard = &Analyzer{
 	Name:     "parshard",
 	Suppress: "unsync",
-	Doc: "flag loop-variable captures and unsynchronized unbuffered-channel sends inside " +
-		"worker goroutines spawned at parallel fan-out sites, and nested acquisitions " +
-		"of per-shard locks",
+	Doc: "flag unsynchronized unbuffered-channel sends inside worker goroutines " +
+		"spawned at parallel fan-out sites, and nested acquisitions of per-shard locks",
 	Run: runParShard,
 }
 
@@ -60,55 +50,19 @@ func runParShard(pass *Pass) error {
 	return nil
 }
 
-// checkParShardFunc inspects one function body: it records which channel
-// objects the function receives from (or whether it waits on a WaitGroup),
-// tracks loop-variable scopes, and checks every go-statement closure
-// against both rules.
+// checkParShardFunc checks every go-statement closure in one function body
+// against the unbuffered-send rule, given which channel objects the
+// function receives from and whether it waits on a WaitGroup.
 func checkParShardFunc(pass *Pass, body *ast.BlockStmt) {
 	received, waits := collectSyncFacts(pass, body)
-
-	// Walk with an explicit stack of loop-variable objects so closures know
-	// which identifiers are iteration variables of an enclosing loop.
-	var loopVars []types.Object
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		switch n := n.(type) {
-		case nil:
-			return
-		case *ast.ForStmt:
-			mark := len(loopVars)
-			if init, ok := n.Init.(*ast.AssignStmt); ok {
-				for _, lhs := range init.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok {
-						if obj := pass.TypesInfo.Defs[id]; obj != nil {
-							loopVars = append(loopVars, obj)
-						}
-					}
-				}
-			}
-			walkChildren(n, walk)
-			loopVars = loopVars[:mark]
-			return
-		case *ast.RangeStmt:
-			mark := len(loopVars)
-			for _, e := range []ast.Expr{n.Key, n.Value} {
-				if id, ok := e.(*ast.Ident); ok {
-					if obj := pass.TypesInfo.Defs[id]; obj != nil {
-						loopVars = append(loopVars, obj)
-					}
-				}
-			}
-			walkChildren(n, walk)
-			loopVars = loopVars[:mark]
-			return
-		case *ast.GoStmt:
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				checkSpawnedWorker(pass, lit, loopVars, received, waits)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GoStmt); ok {
+			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
+				checkSpawnedWorker(pass, lit, received, waits)
 			}
 		}
-		walkChildren(n, walk)
-	}
-	walk(body)
+		return true
+	})
 }
 
 // collectSyncFacts scans a function body for the synchronization constructs
@@ -148,47 +102,24 @@ func collectSyncFacts(pass *Pass, body *ast.BlockStmt) (received map[types.Objec
 	return received, waits
 }
 
-// checkSpawnedWorker applies both hygiene rules to one spawned closure.
-func checkSpawnedWorker(pass *Pass, lit *ast.FuncLit, loopVars []types.Object, received map[types.Object]bool, waits bool) {
-	inLoop := make(map[types.Object]bool, len(loopVars))
-	for _, obj := range loopVars {
-		inLoop[obj] = true
-	}
-	// Identifiers declared by the closure's own parameters shadow loop
-	// variables; Uses entries resolve to the parameter object, so the map
-	// lookup below naturally misses them.
-	reportedVars := make(map[types.Object]bool)
+// checkSpawnedWorker applies the unbuffered-send rule to one spawned
+// closure.
+func checkSpawnedWorker(pass *Pass, lit *ast.FuncLit, received map[types.Object]bool, waits bool) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			obj := pass.TypesInfo.Uses[n]
-			if obj != nil && inLoop[obj] && !reportedVars[obj] {
-				reportedVars[obj] = true
-				pass.Reportf(n.Pos(),
-					"worker goroutine captures loop variable %s: spawn sites must pin each worker's shard by passing it as a closure argument, not an implicit capture",
-					n.Name)
-			}
-		case *ast.SendStmt:
-			chExpr := unparen(n.Chan)
-			t := pass.TypeOf(chExpr)
-			if t == nil {
-				return true
-			}
-			if !isUnbufferedChan(pass, chExpr) {
-				return true
-			}
-			id, ok := chExpr.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := pass.ObjectOf(id)
-			if obj == nil || received[obj] || waits {
-				return true
-			}
-			pass.Reportf(n.Pos(),
-				"worker goroutine sends on unbuffered channel %s but the spawning function neither receives from it nor waits on a sync.WaitGroup: the send blocks past the merge barrier (buffer the channel to the worker count, or //lint:unsync if synchronized externally)",
-				id.Name)
+		send, ok := n.(*ast.SendStmt)
+		if !ok {
+			return true
 		}
+		id, ok := unparen(send.Chan).(*ast.Ident)
+		if !ok || !isUnbufferedChan(pass, id) {
+			return true
+		}
+		if obj := pass.ObjectOf(id); obj == nil || received[obj] || waits {
+			return true
+		}
+		pass.Reportf(send.Pos(),
+			"worker goroutine sends on unbuffered channel %s but the spawning function neither receives from it nor waits on a sync.WaitGroup: the send blocks past the merge barrier (buffer the channel to the worker count, or //lint:unsync if synchronized externally)",
+			id.Name)
 		return true
 	})
 }

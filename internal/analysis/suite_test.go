@@ -55,14 +55,6 @@ func TestHotAlloc(t *testing.T) {
 	analysistest.RunWithDeps(t, testdata(t), analysis.HotAlloc, "hotalloc", "hothelpers")
 }
 
-func TestCodecPair(t *testing.T) {
-	analysistest.Run(t, testdata(t), analysis.CodecPair, "codecpair")
-}
-
-func TestAtomicField(t *testing.T) {
-	analysistest.RunWithDeps(t, testdata(t), analysis.AtomicField, "atomicfield", "atomicowner")
-}
-
 func TestAppliesScoping(t *testing.T) {
 	cases := []struct {
 		analyzer *analysis.Analyzer
@@ -85,8 +77,6 @@ func TestAppliesScoping(t *testing.T) {
 		{analysis.SpanEnd, "repro/internal/core", true},
 		{analysis.SpanEnd, "repro/internal/obs", false},
 		{analysis.HotAlloc, "repro/internal/obs", true},
-		{analysis.CodecPair, "repro/internal/core", true},
-		{analysis.AtomicField, "repro/internal/obs", true},
 	}
 	for _, c := range cases {
 		if got := analysis.Applies(c.analyzer, c.pkg); got != c.want {
@@ -97,8 +87,8 @@ func TestAppliesScoping(t *testing.T) {
 
 func TestSuiteComplete(t *testing.T) {
 	all := analysis.All()
-	if len(all) != 10 {
-		t.Fatalf("All() returned %d analyzers, want 10", len(all))
+	if len(all) != 8 {
+		t.Fatalf("All() returned %d analyzers, want 8", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, a := range all {

@@ -1,40 +1,7 @@
-// Package parshard exercises the parshard analyzer: loop-variable captures
-// and unsynchronized unbuffered-channel sends inside spawned worker
-// closures are flagged; argument-passing, buffered channels, and
-// receive/WaitGroup synchronization are allowed.
+// Package parshard exercises the parshard analyzer: unsynchronized
+// unbuffered-channel sends inside spawned worker closures are flagged;
+// buffered channels and receive synchronization are allowed.
 package parshard
-
-import "sync"
-
-// BadLoopCapture spawns workers that capture the shard index: flagged.
-func BadLoopCapture(shards [][]int) []int {
-	out := make([]int, len(shards))
-	var wg sync.WaitGroup
-	for i, shard := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i] = len(shard) // want "captures loop variable i" "captures loop variable shard"
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// GoodArgumentPassing pins each worker's shard via arguments: allowed.
-func GoodArgumentPassing(shards [][]int) []int {
-	out := make([]int, len(shards))
-	var wg sync.WaitGroup
-	for i, shard := range shards {
-		wg.Add(1)
-		go func(part int, rows []int) {
-			defer wg.Done()
-			out[part] = len(rows)
-		}(i, shard)
-	}
-	wg.Wait()
-	return out
-}
 
 // BadUnbufferedSend fires-and-forgets a send on an unbuffered channel with
 // no receive and no WaitGroup: flagged.

@@ -1,6 +1,6 @@
 // Package resilient is a fixture stand-in for the engine's resilience
-// layer: the analyzers recognize Ctx, Enc, and Dec by name and package-path
-// suffix, so this stub triggers the same checks as the real package.
+// layer: ctxpoll recognizes Ctx by name and package-path suffix, so this
+// stub triggers the same checks as the real package.
 package resilient
 
 // Ctx mirrors the real cancellation context's shape.
@@ -19,30 +19,3 @@ type ctxErr struct{ s string }
 func (e *ctxErr) Error() string { return e.s }
 
 var errCanceled = &ctxErr{"canceled"}
-
-// Enc mirrors the real section encoder's method set.
-type Enc struct{ buf []byte }
-
-func (e *Enc) U32(v uint32) { e.buf = append(e.buf, byte(v)) }
-func (e *Enc) U64(v uint64) { e.buf = append(e.buf, byte(v)) }
-func (e *Enc) Int(v int)    { e.U64(uint64(v)) }
-func (e *Enc) Str(s string) { e.buf = append(e.buf, s...) }
-
-// Bytes is bookkeeping, not payload.
-func (e *Enc) Bytes() []byte { return e.buf }
-
-// Dec mirrors the real section decoder's method set.
-type Dec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *Dec) U32() uint32 { d.off += 4; return 0 }
-func (d *Dec) U64() uint64 { d.off += 8; return 0 }
-func (d *Dec) Int() int    { return int(d.U64()) }
-func (d *Dec) Str() string { d.off++; return "" }
-
-// Err and Done are bookkeeping, not payload.
-func (d *Dec) Err() error { return d.err }
-func (d *Dec) Done() bool { return d.err == nil && d.off == len(d.buf) }

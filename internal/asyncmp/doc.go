@@ -70,12 +70,13 @@
 // State, its slice of records and its canonical key. A duplicate successor
 // therefore costs no allocation. Ids never leave the process: Key,
 // checkpoints and DOT output use the canonical strings, and a state whose
-// records the table did not file (another model's Initial, an ApplyOps
-// result) is keyed from its strings, so it gets the id of the model's own
-// equal state. A history's capacity equals its length, so no two states
+// records the table did not file (another model's Initial, a state the
+// package tests build from primitive events) is keyed from its strings, so
+// it gets the id of the model's own equal state. A history's capacity equals its length, so no two states
 // ever alias a history that one of them could extend. Sequential,
 // WithPair, Apply and ApplyAbsent are one-action memos run without a
-// cache; ApplyOps, which executes primitive send and receive events on a
-// mutable copy of the state, is the independent reference the memo is
-// tested against.
+// cache. The independent reference the memo is tested against, ApplyOps,
+// executes primitive send and receive events (the textbook semantics of
+// asynchronous message passing) on a mutable copy of the state; it lives
+// in the package tests (ops_ref_test.go).
 package asyncmp

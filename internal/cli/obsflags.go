@@ -33,14 +33,15 @@ type ObsFlags struct {
 }
 
 // RegisterObs registers the shared -stats/-journal/-pprof/-progress/
-// -runtime-sample flags on a flag set.
+// -runtime-sample flags on a flag set. Parsing rejects a negative
+// interval.
 func RegisterObs(fs *flag.FlagSet) *ObsFlags {
 	f := &ObsFlags{}
 	fs.BoolVar(&f.Stats, "stats", false, "print final engine counters to stderr")
 	fs.StringVar(&f.Journal, "journal", "", "write a JSONL run-event journal to `file`")
 	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof and /debug/vars on `addr` (e.g. :6060)")
-	fs.DurationVar(&f.Progress, "progress", 0, "print a counter snapshot to stderr every `interval`")
-	fs.DurationVar(&f.RuntimeSample, "runtime-sample", 0, "journal a runtime.sample (goroutines, heap, GC) every `interval`")
+	fs.Var(duration{&f.Progress}, "progress", "print a counter snapshot to stderr every `interval`")
+	fs.Var(duration{&f.RuntimeSample}, "runtime-sample", "journal a runtime.sample (goroutines, heap, GC) every `interval`")
 	return f
 }
 

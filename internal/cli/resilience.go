@@ -46,15 +46,16 @@ type ResilienceFlags struct {
 
 // RegisterResilience registers the shared
 // -deadline/-checkpoint/-resume/-retries/-backoff/-keep-checkpoints flags
-// on a flag set.
+// on a flag set. Parsing rejects a negative duration, -retries < 0 and
+// -keep-checkpoints < 1.
 func RegisterResilience(fs *flag.FlagSet) *ResilienceFlags {
-	f := &ResilienceFlags{}
-	fs.DurationVar(&f.Deadline, "deadline", 0, "cancel the run after `duration` (0 = none)")
+	f := &ResilienceFlags{Backoff: 100 * time.Millisecond, KeepCheckpoints: 1}
+	fs.Var(duration{&f.Deadline}, "deadline", "cancel the run after `duration` (0 = none)")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "", "write a resumable snapshot to `file` when interrupted")
 	fs.StringVar(&f.Resume, "resume", "", "resume from the checkpoint `file` of an interrupted run")
-	fs.IntVar(&f.Retries, "retries", 0, "retry a failed run up to `n` times under the supervisor, resuming from checkpoints (0 = no retry)")
-	fs.DurationVar(&f.Backoff, "backoff", 100*time.Millisecond, "supervisor base backoff before the first retry (doubles per retry, seeded jitter)")
-	fs.IntVar(&f.KeepCheckpoints, "keep-checkpoints", 1, "checkpoint generations to retain at the -checkpoint path (keep-last-`k`)")
+	fs.Var(atLeast{&f.Retries, 0}, "retries", "retry a failed run up to `n` times under the supervisor, resuming from checkpoints (0 = no retry)")
+	fs.Var(duration{&f.Backoff}, "backoff", "supervisor base backoff: wait `duration` before the first retry (doubles per retry, seeded jitter)")
+	fs.Var(atLeast{&f.KeepCheckpoints, 1}, "keep-checkpoints", "checkpoint generations to retain at the -checkpoint path (keep-last-`k`)")
 	return f
 }
 

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,6 +37,37 @@ func TestResilienceFlagDefaults(t *testing.T) {
 	}
 	if f.Store() != nil {
 		t.Error("Store() non-nil without a -checkpoint path")
+	}
+}
+
+// TestSharedFlagsRejectOutOfRange: parsing the shared resilience and
+// observability flags fails, naming the flag, on a negative retry count,
+// fewer than one checkpoint generation and a negative duration, instead of
+// clamping the value or reading it as "off"; the boundary values parse.
+func TestSharedFlagsRejectOutOfRange(t *testing.T) {
+	parse := func(args ...string) error {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		cli.RegisterResilience(fs)
+		cli.RegisterObs(fs)
+		return fs.Parse(args)
+	}
+	for _, c := range [][2]string{
+		{"-retries", "-2"},
+		{"-keep-checkpoints", "0"},
+		{"-keep-checkpoints", "-3"},
+		{"-deadline", "-5s"},
+		{"-backoff", "-1s"},
+		{"-progress", "-1s"},
+		{"-runtime-sample", "-1s"},
+	} {
+		if err := parse(c[0], c[1]); err == nil || !strings.Contains(err.Error(), "flag "+c[0]+":") {
+			t.Errorf("%s %s: err = %v, want an error naming %s", c[0], c[1], err, c[0])
+		}
+	}
+	if err := parse("-retries", "0", "-keep-checkpoints", "1", "-deadline", "0s", "-backoff", "0s",
+		"-progress", "0s", "-runtime-sample", "0s"); err != nil {
+		t.Errorf("boundary values: %v", err)
 	}
 }
 

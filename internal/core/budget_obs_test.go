@@ -72,7 +72,7 @@ func TestExploreObsCounters(t *testing.T) {
 	if got := rec.Counter("explore.edges"); got != int64(g.NumEdges()) {
 		t.Errorf("explore.edges = %d, graph has %d", got, g.NumEdges())
 	}
-	if got := rec.Gauge("cache.states"); got < int64(g.Len()) {
+	if got := rec.Snapshot()["cache.states"]; got < int64(g.Len()) {
 		t.Errorf("cache.states = %d, want >= %d", got, g.Len())
 	}
 

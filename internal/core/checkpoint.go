@@ -120,7 +120,8 @@ func (ck *ExploreCheckpoint) Sections() ([]resilient.Section, error) {
 	return []resilient.Section{{Tag: resilient.TagExplore, Data: enc.Bytes()}}, nil
 }
 
-// DecodeExploreCheckpoint parses a resilient.TagExplore section payload.
+// DecodeExploreCheckpoint parses a resilient.TagExplore section payload
+// and checks that it frames a layer-boundary cut (see validate).
 func DecodeExploreCheckpoint(data []byte) (*ExploreCheckpoint, error) {
 	d := resilient.NewDec(data)
 	ck := &ExploreCheckpoint{
@@ -142,31 +143,6 @@ func DecodeExploreCheckpoint(data []byte) (*ExploreCheckpoint, error) {
 		}
 		return nil, fmt.Errorf("%w: explore section has trailing bytes", resilient.ErrBadCheckpoint)
 	}
-	n := len(ck.keys)
-	if len(ck.depthOf) != n || len(actIDs) != len(ck.edgeTo) || len(ck.edgeStart) == 0 {
-		return nil, fmt.Errorf("%w: explore section arrays disagree", resilient.ErrBadCheckpoint)
-	}
-	if ck.edgeStart[len(ck.edgeStart)-1] != uint32(len(ck.edgeTo)) || len(ck.edgeStart) > n+1 {
-		return nil, fmt.Errorf("%w: explore section edge framing is inconsistent", resilient.ErrBadCheckpoint)
-	}
-	for _, v := range ck.edgeTo {
-		if int(v) >= n {
-			return nil, fmt.Errorf("%w: explore section edge target out of range", resilient.ErrBadCheckpoint)
-		}
-	}
-	for _, u := range ck.inits {
-		if int(u) >= n {
-			return nil, fmt.Errorf("%w: explore section init out of range", resilient.ErrBadCheckpoint)
-		}
-	}
-	// BFS numbers nodes layer by layer, so depths start at 0 and never
-	// decrease as the id grows: every layer is one contiguous id run, the
-	// IDGraph invariant the sweeps read through LayerSpan.
-	for u, d := range ck.depthOf {
-		if u == 0 && d != 0 || u > 0 && d < ck.depthOf[u-1] || int(d) > ck.Depth {
-			return nil, fmt.Errorf("%w: explore section depths are not BFS layers within depth %d", resilient.ErrBadCheckpoint, ck.Depth)
-		}
-	}
 	ck.actions = make([]string, len(actIDs))
 	for i, id := range actIDs {
 		if int(id) >= len(table) {
@@ -174,7 +150,74 @@ func DecodeExploreCheckpoint(data []byte) (*ExploreCheckpoint, error) {
 		}
 		ck.actions[i] = table[id]
 	}
+	if err := ck.validate(); err != nil {
+		return nil, fmt.Errorf("%w: explore section %v", resilient.ErrBadCheckpoint, err)
+	}
 	return ck, nil
+}
+
+// validate checks that a decoded snapshot is what an interruption writes:
+// BFS numbers nodes layer by layer, so depths start at 0 and grow by at
+// most one from each id to the next (every layer is one contiguous id
+// run, the IDGraph invariant the sweeps read through LayerSpan); the
+// deepest layer is the unexpanded frontier NextDepth, below the bound;
+// EdgeStart starts at 0, never decreases, and has one row per node above
+// NextDepth; and every other node was discovered by an edge from the
+// layer above, so its first in-edge comes from there.
+func (ck *ExploreCheckpoint) validate() error {
+	n := len(ck.keys)
+	if len(ck.depthOf) != n || len(ck.actions) != len(ck.edgeTo) {
+		return fmt.Errorf("arrays disagree")
+	}
+	for _, v := range ck.edgeTo {
+		if int(v) >= n {
+			return fmt.Errorf("edge target %d out of range", v)
+		}
+	}
+	for _, u := range ck.inits {
+		if int(u) >= n {
+			return fmt.Errorf("init %d out of range", u)
+		}
+	}
+	if ck.NextDepth >= ck.Depth {
+		return fmt.Errorf("next depth %d is not below the depth bound %d", ck.NextDepth, ck.Depth)
+	}
+	above, prev := 0, int32(0)
+	for u, d := range ck.depthOf {
+		if u == 0 && d != 0 || d < prev || d > prev+1 {
+			return fmt.Errorf("depth %d of node %d does not continue the BFS layers", d, u)
+		}
+		if int(d) < ck.NextDepth {
+			above++
+		}
+		prev = d
+	}
+	if n == 0 || int(ck.depthOf[n-1]) != ck.NextDepth {
+		return fmt.Errorf("deepest layer is not the next depth %d", ck.NextDepth)
+	}
+	rows := ck.edgeStart
+	if len(rows) != above+1 || rows[0] != 0 || rows[above] != uint32(len(ck.edgeTo)) {
+		return fmt.Errorf("edge rows do not frame the %d nodes above depth %d", above, ck.NextDepth)
+	}
+	for u := 1; u < len(rows); u++ {
+		if rows[u] < rows[u-1] {
+			return fmt.Errorf("edge rows decrease at node %d", u)
+		}
+	}
+	from := make([]int32, n) // 1 + the source of each node's first in-edge
+	for u := 0; u < above; u++ {
+		for _, v := range ck.edgeTo[rows[u]:rows[u+1]] {
+			if from[v] == 0 {
+				from[v] = int32(u) + 1
+			}
+		}
+	}
+	for v, d := range ck.depthOf {
+		if d > 0 && (from[v] == 0 || ck.depthOf[from[v]-1] != d-1) {
+			return fmt.Errorf("first in-edge of node %d does not come from depth %d", v, d-1)
+		}
+	}
+	return nil
 }
 
 // resumeExploreID restores the snapshot against m and finishes the

@@ -207,13 +207,17 @@ func TestResumeSectionValidation(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsBadDepths patches the node depths of a real cut's
-// explore section three ways — a first depth below 0, a depth past the
-// exploration bound, and a depth that decreases as the id grows — and
-// requires each section to be rejected with ErrBadCheckpoint, by the
-// decoder and by a resuming exploration, without a panic. Any of them
-// would otherwise build layers that are not contiguous id runs (or index
-// a layer at -1, or allocate 2^28 layer slices).
+// TestResumeRejectsBadDepths patches the depths of a real cut's explore
+// section (the bytes of testdata/explore-mobile-n3-depth3-cut2.ckpt, see
+// TestExploreCheckpointMatchesRoots: NextDepth 1, 21 nodes, 80 edges) —
+// a first depth below 0, a depth past the exploration bound, a depth that
+// decreases as the id grows, NextDepth moved to the bound, and the
+// depth-1 layer moved to depth 2 with NextDepth 2 — and requires each
+// section to be rejected with ErrBadCheckpoint, by the decoder and by a
+// resuming exploration, without a panic. Each would otherwise build
+// layers that are not contiguous id runs (or index a layer at -1, or
+// allocate 2^28 layer slices), or resume into a graph of the wrong shape
+// that the model's cache then remembers.
 func TestResumeRejectsBadDepths(t *testing.T) {
 	const depth = 3
 	chaos.Arm(chaos.NewPlan().Set("explore.layer", chaos.Rule{Hit: 2, Kind: chaos.KindCancel}))
@@ -231,12 +235,17 @@ func TestResumeRejectsBadDepths(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the unpatched cut must decode: %v", err)
 	}
-	// The depths follow the model name, the three arguments and the keys,
-	// as a length-prefixed little-endian int32 array.
+	if dck.NextDepth != 1 || partial.Len() != 21 || partial.NumEdges() != 80 {
+		t.Fatalf("cut at next depth %d with %d nodes and %d edges, want 1, 21 and 80", dck.NextDepth, partial.Len(), partial.NumEdges())
+	}
+	// NextDepth follows the model name and two arguments as a one-byte
+	// uvarint; the depths follow it and the keys as a length-prefixed
+	// little-endian int32 array.
 	prefix := resilient.NewEnc(0)
 	prefix.Str(dck.Model)
 	prefix.Int(dck.Depth)
 	prefix.Int(dck.MaxNodes)
+	next := len(prefix.Bytes())
 	prefix.Int(dck.NextDepth)
 	prefix.Strs(partial.Keys)
 	prefix.Int(partial.Len())
@@ -250,18 +259,25 @@ func TestResumeRejectsBadDepths(t *testing.T) {
 			t.Fatalf("node %d: depth %d at the computed offset, want %d", u, got, partial.DepthOf[u])
 		}
 	}
+	setDepth := func(data []byte, u int, d int32) { binary.LittleEndian.PutUint32(data[at+4*u:], uint32(d)) }
 	for _, c := range []struct {
 		name  string
-		node  int
-		depth int32
+		patch func(data []byte)
 	}{
-		{"first depth -1", 0, -1},
-		{"depth 1<<28 past the bound", last, 1 << 28},
-		{"decreasing depth", last, 0},
+		{"first depth -1", func(data []byte) { setDepth(data, 0, -1) }},
+		{"depth 1<<28 past the bound", func(data []byte) { setDepth(data, last, 1<<28) }},
+		{"decreasing depth", func(data []byte) { setDepth(data, last, 0) }},
+		{"next depth 3", func(data []byte) { data[next] = 3 }},
+		{"depth 1 moved to 2", func(data []byte) {
+			data[next] = 2
+			for _, u := range partial.Layer(1) {
+				setDepth(data, int(u), 2)
+			}
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			data := append([]byte(nil), sections[0].Data...)
-			binary.LittleEndian.PutUint32(data[at+4*c.node:], uint32(c.depth))
+			c.patch(data)
 			if _, derr := core.DecodeExploreCheckpoint(data); !errors.Is(derr, resilient.ErrBadCheckpoint) {
 				t.Fatalf("decode: err = %v, want ErrBadCheckpoint", derr)
 			}

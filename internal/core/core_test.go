@@ -10,6 +10,18 @@ import (
 	"repro/internal/syncmp"
 )
 
+// successor returns x's successor under the action labeled action in m.
+func successor(t *testing.T, m core.Model, x core.State, action string) core.State {
+	t.Helper()
+	for _, s := range m.Successors(x) {
+		if s.Action == action {
+			return s.State
+		}
+	}
+	t.Fatalf("%s: no action %q from %s", m.Name(), action, x.Key())
+	return nil
+}
+
 func TestExploreDepthAndCounts(t *testing.T) {
 	const n = 3
 	p := protocols.FloodSet{Rounds: 2}
@@ -93,7 +105,7 @@ func TestDecidedValuesAndHelpers(t *testing.T) {
 	if core.AllDecided(x) {
 		t.Error("initial state all-decided")
 	}
-	y := syncmp.ApplyAction(p, x, 0, syncmp.OmitMask(n), true, true)
+	y := successor(t, m, x, "(0,[3])")
 	// Non-failed 1 and 2 decided 1; failed 0 decided 0 — excluded.
 	if mask := core.DecidedValues(y); mask != 0b10 {
 		t.Errorf("DecidedValues = %02b, want 10", mask)

@@ -124,7 +124,8 @@ func CacheOf(s Successor) *SuccessorCache {
 func (c *SuccessorCache) Cache() *SuccessorCache { return c }
 
 // Uncached returns the raw successor function beneath the cache, for
-// callers (CheckDeterminism) that need to observe repeated enumeration.
+// callers that need to observe repeated enumeration (the determinism check
+// in the package tests, coldbench's models.step_s replay).
 // For a keyed model it is the same enumeration run against the zero
 // Prober, which builds every successor.
 func (c *SuccessorCache) Uncached() Successor { return c.raw }

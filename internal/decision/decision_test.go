@@ -169,6 +169,18 @@ func TestCheckCovering(t *testing.T) {
 	}
 }
 
+// successor returns x's successor under the action labeled action in m.
+func successor(t *testing.T, m core.Model, x core.State, action string) core.State {
+	t.Helper()
+	for _, s := range m.Successors(x) {
+		if s.Action == action {
+			return s.State
+		}
+	}
+	t.Fatalf("%s: no action %q from %s", m.Name(), action, x.Key())
+	return nil
+}
+
 // TestDecidedSimplexExcludesFailed checks that failed processes' decisions
 // are not part of the decided output simplex.
 func TestDecidedSimplexExcludesFailed(t *testing.T) {
@@ -178,8 +190,10 @@ func TestDecidedSimplexExcludesFailed(t *testing.T) {
 	m := syncmp.NewSt(p, n, tt)
 	x := m.Initial([]int{0, 1, 1})
 	// Process 0 omits to everyone, then a failure-free round.
-	y := syncmp.ApplyAction(p, x, 0, syncmp.OmitMask(n), true, true)
-	z := syncmp.ApplyAction(p, y, 0, 0, true, true)
+	var z core.State = x
+	for _, action := range []string{"(0,[3])", "noop"} {
+		z = successor(t, m, z, action)
+	}
 	s, ok := decision.DecidedSimplex(z)
 	if !ok {
 		t.Fatal("non-failed processes should all be decided")

@@ -24,10 +24,6 @@ func (g *Undirected) AddEdge(u, v int) {
 	g.adj[v] = append(g.adj[v], u)
 }
 
-// Neighbors returns u's adjacency list (shared, not copied: callers must not
-// modify it).
-func (g *Undirected) Neighbors(u int) []int { return g.adj[u] }
-
 // Connected reports whether the graph is connected. The empty graph and the
 // single-vertex graph are connected.
 func (g *Undirected) Connected() bool {
@@ -75,27 +71,6 @@ func (g *Undirected) Components() [][]int {
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// Distances returns BFS distances from src; unreachable vertices get -1.
-func (g *Undirected) Distances(src int) []int {
-	dist := make([]int, len(g.adj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
 }
 
 // Diameter returns the largest finite BFS distance between any pair of

@@ -117,22 +117,11 @@ func TestUndirectedDisconnected(t *testing.T) {
 func TestUndirectedSelfLoopIgnored(t *testing.T) {
 	g := NewUndirected(2)
 	g.AddEdge(0, 0)
-	if len(g.Neighbors(0)) != 0 {
+	if len(g.adj[0]) != 0 {
 		t.Error("self-loop recorded")
 	}
 	if g.Connected() {
 		t.Error("graph with no real edges reported connected")
-	}
-}
-
-func TestDistances(t *testing.T) {
-	g := path(4)
-	dist := g.Distances(1)
-	want := []int{1, 0, 1, 2}
-	for i := range want {
-		if dist[i] != want[i] {
-			t.Errorf("Distances(1)[%d] = %d, want %d", i, dist[i], want[i])
-		}
 	}
 }
 

@@ -231,7 +231,11 @@ func TestClassValenceSweepsField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classValence := classes.ClassValence(f.LayerMasks(round))
+	var masks []uint8
+	for _, u := range g.Layer(round) {
+		masks = append(masks, f.Mask(u))
+	}
+	classValence := classes.ClassValence(masks)
 	checkedBivalent := 0
 	for i, u := range g.Layer(round) {
 		if !f.Bivalent(u) {

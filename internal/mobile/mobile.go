@@ -108,15 +108,6 @@ func (m *Model) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uin
 	return r.Done()
 }
 
-// Apply exposes a single arbitrary environment action (j, G) of the full
-// model M^mf (not restricted to the S1 prefix sets), for the layering
-// legality tests: every S1 action must be an M^mf action, and sequences of
-// M^mf actions generate the full model. It is a one-action
-// syncmp.RoundMemo over the model's table, without a cache.
-func (m *Model) Apply(x *syncmp.State, j int, omitTo uint64) *syncmp.State {
-	return m.tab.Apply(x, j, omitTo, false, false, false)
-}
-
 // FullModel is M^mf itself: every environment action (j, G) with an
 // arbitrary omission set G, not only the prefix sets of S1. The S1
 // submodel's layer is a subset of every FullModel layer (the executable

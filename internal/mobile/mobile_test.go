@@ -160,9 +160,6 @@ func TestNoFiniteFailure(t *testing.T) {
 			}
 		}
 	}
-	if err := g.CheckDeterminism(m); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestS1IsSubmodelOfFull: every S1 layer state appears in the full M^mf

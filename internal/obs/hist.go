@@ -31,11 +31,13 @@ const (
 //
 // There is deliberately no separate sample counter: the total is the sum
 // of the bucket counters, recomputed by the (cold) reporting paths, so the
-// (hot) Record pays one atomic add fewer.
+// (hot) Record pays one atomic add fewer. The counters are typed atomics,
+// so a plain read or write of one does not compile, and go vet rejects a
+// copy of a Histogram.
 type Histogram struct {
-	counts [histBuckets]int64
-	sum    int64
-	max    int64
+	counts [histBuckets]atomic.Int64
+	sum    atomic.Int64
+	max    atomic.Int64
 }
 
 // histBucketOf maps a non-negative value to its bucket index. Values below
@@ -78,11 +80,11 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	atomic.AddInt64(&h.counts[histBucketOf(v)], 1)
-	atomic.AddInt64(&h.sum, v)
+	h.counts[histBucketOf(v)].Add(1)
+	h.sum.Add(v)
 	for {
-		cur := atomic.LoadInt64(&h.max)
-		if v <= cur || atomic.CompareAndSwapInt64(&h.max, cur, v) {
+		cur := h.max.Load()
+		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			break
 		}
 	}
@@ -94,16 +96,16 @@ func (h *Histogram) Record(v int64) {
 func (h *Histogram) Count() int64 {
 	var total int64
 	for i := range h.counts {
-		total += atomic.LoadInt64(&h.counts[i])
+		total += h.counts[i].Load()
 	}
 	return total
 }
 
 // Sum returns the sum of all recorded samples.
-func (h *Histogram) Sum() int64 { return atomic.LoadInt64(&h.sum) }
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Max returns the largest recorded sample (0 when empty).
-func (h *Histogram) Max() int64 { return atomic.LoadInt64(&h.max) }
+func (h *Histogram) Max() int64 { return h.max.Load() }
 
 // Quantile returns an upper bound on the q-quantile (0 <= q <= 1) of the
 // recorded samples: the upper edge of the bucket holding the q-th sample,
@@ -120,7 +122,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	var counts [histBuckets]int64
 	var total int64
 	for i := range h.counts {
-		c := atomic.LoadInt64(&h.counts[i])
+		c := h.counts[i].Load()
 		counts[i] = c
 		total += c
 	}
@@ -143,13 +145,13 @@ func (h *Histogram) Quantile(q float64) int64 {
 		seen += c
 		if seen >= rank {
 			_, hi := histBucketBounds(i)
-			if max := atomic.LoadInt64(&h.max); hi > max {
+			if max := h.max.Load(); hi > max {
 				hi = max
 			}
 			return hi
 		}
 	}
-	return atomic.LoadInt64(&h.max)
+	return h.max.Load()
 }
 
 // Buckets calls fn for every non-empty bucket in increasing value order
@@ -157,7 +159,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 // tables and the monotonicity tests.
 func (h *Histogram) Buckets(fn func(lo, hi, count int64)) {
 	for i := range h.counts {
-		c := atomic.LoadInt64(&h.counts[i])
+		c := h.counts[i].Load()
 		if c == 0 {
 			continue
 		}

@@ -159,14 +159,6 @@ func (m *Metrics) Counter(name string) int64 {
 	return 0
 }
 
-// Gauge returns the current value of a gauge (0 if never set).
-func (m *Metrics) Gauge(name string) int64 {
-	if p, ok := m.gauges.Load(name); ok {
-		return atomic.LoadInt64(p.(*int64))
-	}
-	return 0
-}
-
 // Snapshot returns every counter and gauge by name. Timers contribute six
 // derived entries — <name>.count, <name>.total_ns, <name>.max_ns, and the
 // histogram quantiles <name>.p50_ns/.p90_ns/.p99_ns — and value
@@ -230,18 +222,6 @@ func (m *Metrics) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the snapshot as one sorted-key JSON object — the same
-// shape expvar serves, so /debug/vars consumers can parse either.
-func (m *Metrics) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(m.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
 }
 
 // String implements expvar.Var.

@@ -6,16 +6,39 @@ import (
 	"testing/quick"
 
 	"repro/internal/asyncmp"
+	"repro/internal/proto"
 	"repro/internal/protocols"
 	"repro/internal/syncmp"
 	"repro/internal/valence"
 )
 
+// round runs one synchronous round of p from locals: every process emits
+// its messages, drop (nil: none) loses some, and every process delivers
+// what arrived.
+func round(p proto.SyncProtocol, locals []string, drop func(from, to int) bool) []string {
+	n := len(locals)
+	sends := make([][]string, n)
+	for i, l := range locals {
+		sends[i] = p.Send(l)
+	}
+	next := make([]string, n)
+	for j := range locals {
+		in := make([]string, n)
+		for i := range locals {
+			if i != j && (drop == nil || !drop(i, j)) {
+				in[i] = sends[i][j]
+			}
+		}
+		next[j] = p.Deliver(locals[j], in)
+	}
+	return next
+}
+
 func TestFloodSetFailureFree(t *testing.T) {
 	p := protocols.FloodSet{Rounds: 2}
 	locals := []string{p.Init(3, 0, 1), p.Init(3, 1, 0), p.Init(3, 2, 1)}
 	for r := 0; r < 2; r++ {
-		locals = syncmp.Round(p, locals, nil)
+		locals = round(p, locals, nil)
 	}
 	for i, l := range locals {
 		v, ok := p.Decide(l)
@@ -59,8 +82,8 @@ func TestEIGMatchesFloodSetDecisions(t *testing.T) {
 			fl = append(fl, fs.Init(3, i, in))
 		}
 		for r := 0; r < 2; r++ {
-			el = syncmp.Round(eig, el, nil)
-			fl = syncmp.Round(fs, fl, nil)
+			el = round(eig, el, nil)
+			fl = round(fs, fl, nil)
 		}
 		for i := range inputs {
 			ev, eok := eig.Decide(el[i])
@@ -102,16 +125,16 @@ func TestEIGStateDistinguishesProvenance(t *testing.T) {
 	eig := protocols.EIG{Rounds: 2}
 	l := []string{eig.Init(3, 0, 0), eig.Init(3, 1, 1), eig.Init(3, 2, 1)}
 	// Schedule A: process 1's message to 0 dropped in round 1.
-	a := syncmp.Round(eig, l, func(from, to int) bool { return from == 1 && to == 0 })
+	a := round(eig, l, func(from, to int) bool { return from == 1 && to == 0 })
 	// Schedule B: process 2's message to 0 dropped in round 1.
-	b := syncmp.Round(eig, l, func(from, to int) bool { return from == 2 && to == 0 })
+	b := round(eig, l, func(from, to int) bool { return from == 2 && to == 0 })
 	if a[0] == b[0] {
 		t.Error("EIG states merged across different provenance")
 	}
 	fs := protocols.FloodSet{Rounds: 2}
 	fl := []string{fs.Init(3, 0, 0), fs.Init(3, 1, 1), fs.Init(3, 2, 1)}
-	fa := syncmp.Round(fs, fl, func(from, to int) bool { return from == 1 && to == 0 })
-	fb := syncmp.Round(fs, fl, func(from, to int) bool { return from == 2 && to == 0 })
+	fa := round(fs, fl, func(from, to int) bool { return from == 1 && to == 0 })
+	fb := round(fs, fl, func(from, to int) bool { return from == 2 && to == 0 })
 	if fa[0] != fb[0] {
 		t.Error("FloodSet should merge these executions (same value sets)")
 	}
@@ -149,8 +172,8 @@ func TestFullInfoDistinguishesEverything(t *testing.T) {
 	// differed — here, dropping different messages.
 	p := protocols.FullInfo{}
 	l := []string{p.Init(3, 0, 0), p.Init(3, 1, 1), p.Init(3, 2, 1)}
-	a := syncmp.Round(p, l, func(from, to int) bool { return from == 1 && to == 0 })
-	b := syncmp.Round(p, l, func(from, to int) bool { return from == 2 && to == 0 })
+	a := round(p, l, func(from, to int) bool { return from == 1 && to == 0 })
+	b := round(p, l, func(from, to int) bool { return from == 2 && to == 0 })
 	if a[0] == b[0] {
 		t.Error("full-information states merged")
 	}

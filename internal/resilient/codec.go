@@ -117,6 +117,18 @@ func (d *Dec) Int() int {
 	return int(v)
 }
 
+// Count reads the length of a sequence whose items each take at least per
+// bytes, rejecting a length that the bytes left cannot hold: a corrupt
+// count never sizes an allocation beyond the payload.
+func (d *Dec) Count(per int) int {
+	n := d.Int()
+	if d.err == nil && n > (len(d.buf)-d.off)/per {
+		d.err2("count (more items than bytes left)")
+		return 0
+	}
+	return n
+}
+
 // U32 reads a fixed-width uint32.
 func (d *Dec) U32() uint32 {
 	if d.err != nil {
@@ -147,12 +159,8 @@ func (d *Dec) U64() uint64 {
 
 // Str reads a length-prefixed string.
 func (d *Dec) Str() string {
-	n := d.Int()
+	n := d.Count(1)
 	if d.err != nil {
-		return ""
-	}
-	if d.off+n > len(d.buf) {
-		d.err2("string body")
 		return ""
 	}
 	s := string(d.buf[d.off : d.off+n])
@@ -162,12 +170,8 @@ func (d *Dec) Str() string {
 
 // U32s reads a length-prefixed []uint32.
 func (d *Dec) U32s() []uint32 {
-	n := d.Int()
+	n := d.Count(4)
 	if d.err != nil || n == 0 {
-		return nil
-	}
-	if d.off+4*n > len(d.buf) {
-		d.err2("[]uint32 body")
 		return nil
 	}
 	out := make([]uint32, n)
@@ -180,12 +184,8 @@ func (d *Dec) U32s() []uint32 {
 
 // I32s reads a length-prefixed []int32.
 func (d *Dec) I32s() []int32 {
-	n := d.Int()
+	n := d.Count(4)
 	if d.err != nil || n == 0 {
-		return nil
-	}
-	if d.off+4*n > len(d.buf) {
-		d.err2("[]int32 body")
 		return nil
 	}
 	out := make([]int32, n)
@@ -198,12 +198,8 @@ func (d *Dec) I32s() []int32 {
 
 // Raw reads a length-prefixed byte slice (copied).
 func (d *Dec) Raw() []byte {
-	n := d.Int()
+	n := d.Count(1)
 	if d.err != nil || n == 0 {
-		return nil
-	}
-	if d.off+n > len(d.buf) {
-		d.err2("raw body")
 		return nil
 	}
 	out := make([]byte, n)
@@ -212,14 +208,14 @@ func (d *Dec) Raw() []byte {
 	return out
 }
 
-// Strs reads a length-prefixed []string.
+// Strs reads a length-prefixed []string, stopping at the first error.
 func (d *Dec) Strs() []string {
-	n := d.Int()
+	n := d.Count(1) // a string takes at least its length byte
 	if d.err != nil {
 		return nil
 	}
 	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		out = append(out, d.Str())
 	}
 	return out

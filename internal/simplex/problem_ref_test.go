@@ -73,9 +73,9 @@ func subsetConnectedRef(adj *graph.Undirected, mask int) bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range adj.Neighbors(u) {
+		for v := 0; v < adj.Len(); v++ {
 			bit := 1 << uint(v)
-			if mask&bit == 0 || seen&bit != 0 {
+			if mask&bit == 0 || seen&bit != 0 || len(adj.Path(u, v)) != 2 {
 				continue
 			}
 			seen |= bit

@@ -18,7 +18,7 @@
 //   - S^t: S1 while fewer than t processes are failed, and the single
 //     failure-free action afterwards (Section 6).
 //
-// The round mechanics (Table, RoundMemo, ApplyAction) are exported so that
+// The round mechanics (Table, RoundMemo) are exported so that
 // the mobile failure model M^mf (package mobile) can reuse them with its
 // own failure semantics. Every model owns a Table that gives each
 // canonical local-state string and message a dense id and memoizes the
@@ -31,7 +31,8 @@
 // cache with the key (round, failed set, local ids), and builds a State
 // only for a successor the cache has not seen. Ids stay inside the
 // process: Key is still the canonical string, and a state built elsewhere
-// (NewState, ApplyAction, another model's Initial) is keyed from its
-// strings. ApplyAction is a one-action memo over a fresh table, and Round
-// is the plain single-action definition the memo is tested against.
+// (NewState, another model's Initial) is keyed from its strings. The plain
+// single-action Round the memo is tested against, and the one-action
+// entry points ApplyAction and ApplyMulti, live in the package tests
+// (round_ref_test.go).
 package syncmp

@@ -256,9 +256,16 @@ func TestApplyActionIsOneActionMemo(t *testing.T) {
 	if err := sameState(w, refNext(p, y, rule, map[int]uint64{0: syncmp.OmitMask(2), 3: syncmp.OmitMask(4)})); err != nil {
 		t.Fatal(err)
 	}
-	mob := mobile.New(p, 4)
-	mx := mob.Initial([]int{1, 0, 0, 1})
-	if err := sameState(mob.Apply(mx, 2, 0b1011), refNext(p, mx, refRule{}, map[int]uint64{2: 0b1011})); err != nil {
+	// M^mf's action (2, G=1011), picked by its label.
+	full := mobile.NewFull(p, 4)
+	mx := full.Initial([]int{1, 0, 0, 1})
+	var mz *syncmp.State
+	for _, s := range full.Successors(mx) {
+		if s.Action == "(2,G=1011)" {
+			mz = s.State.(*syncmp.State)
+		}
+	}
+	if err := sameState(mz, refNext(p, mx, refRule{}, map[int]uint64{2: 0b1011})); err != nil {
 		t.Fatal(err)
 	}
 }

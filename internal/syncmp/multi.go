@@ -80,16 +80,6 @@ type Omission struct {
 	K int
 }
 
-// ApplyMulti applies one round in which every listed process fails
-// simultaneously (and previously-failed processes stay silenced). It is a
-// one-action RoundMemo over the model's table, without a cache.
-func (m *MultiModel) ApplyMulti(x *State, oms []Omission) *State {
-	r := m.tab.Memo(x, core.Prober{}, 1, true, true, false)
-	r.omitMany("", oms)
-	succs, _ := r.Done()
-	return succs[0].State.(*State)
-}
-
 // AppendCacheKey implements core.KeyedSuccessor through the model's table.
 func (m *MultiModel) AppendCacheKey(dst []byte, x core.State) []byte {
 	return m.tab.AppendCacheKey(dst, x)

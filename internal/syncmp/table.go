@@ -181,14 +181,3 @@ func (t *Table) NewState(round int, locals []string, failed uint64, trackEnv boo
 	}
 	return newState(round, own, decided, failed, trackEnv, inputs, t, ids)
 }
-
-// Apply is the one-action round: it applies the environment action in
-// which process j's messages to the processes in omitTo are lost, under
-// the failure rule of Memo's flags, building the successor through the
-// table's memos without a cache.
-func (t *Table) Apply(x *State, j int, omitTo uint64, record, silenceFailed, generalOmission bool) *State {
-	r := t.Memo(x, core.Prober{}, 1, record, silenceFailed, generalOmission)
-	r.Omit("", j, omitTo)
-	succs, _ := r.Done()
-	return succs[0].State.(*State)
-}

@@ -1,9 +1,43 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
+
+// FormatExecutionVerbose additionally shows a digest of every local state.
+func FormatExecutionVerbose(e *core.Execution, localWidth int) string {
+	var b strings.Builder
+	writeState := func(label string, x core.State) {
+		fmt.Fprintf(&b, "%s %s\n", label, FormatState(x))
+		for i := 0; i < x.N(); i++ {
+			fmt.Fprintf(&b, "    p%d: %s\n", i, digest(x.Local(i), localWidth))
+		}
+	}
+	writeState("layer 0:", e.Init)
+	for i, step := range e.Steps {
+		writeState(fmt.Sprintf("layer %d: %s", i+1, step.Action), step.State)
+	}
+	return b.String()
+}
+
+// digest shortens a canonical state string for display. Widths too small
+// to hold the "..." ellipsis degrade to a plain prefix cut.
+func digest(s string, max int) string {
+	if len(s) <= max {
+		return s
+	}
+	if max <= 3 {
+		if max < 0 {
+			max = 0
+		}
+		return s[:max]
+	}
+	return s[:max-3] + "..."
+}
 
 func TestDigestClampsSmallWidths(t *testing.T) {
 	const s = "abcdefghij"

@@ -10,23 +10,7 @@ import (
 	"repro/internal/core"
 )
 
-// digest shortens a canonical state string for display. Widths too small
-// to hold the "..." ellipsis degrade to a plain prefix cut.
-func digest(s string, max int) string {
-	if len(s) <= max {
-		return s
-	}
-	if max <= 3 {
-		if max < 0 {
-			max = 0
-		}
-		return s[:max]
-	}
-	return s[:max-3] + "..."
-}
-
-// FormatState renders one state: per-process decision/failure flags and a
-// digest of each local state.
+// FormatState renders one state: per-process decision and failure flags.
 func FormatState(x core.State) string {
 	var b strings.Builder
 	for i := 0; i < x.N(); i++ {
@@ -53,22 +37,6 @@ func FormatExecution(e *core.Execution) string {
 	fmt.Fprintf(&b, "layer 0: %s\n", FormatState(e.Init))
 	for i, step := range e.Steps {
 		fmt.Fprintf(&b, "layer %d: %-14s %s\n", i+1, step.Action, FormatState(step.State))
-	}
-	return b.String()
-}
-
-// FormatExecutionVerbose additionally shows a digest of every local state.
-func FormatExecutionVerbose(e *core.Execution, localWidth int) string {
-	var b strings.Builder
-	writeState := func(label string, x core.State) {
-		fmt.Fprintf(&b, "%s %s\n", label, FormatState(x))
-		for i := 0; i < x.N(); i++ {
-			fmt.Fprintf(&b, "    p%d: %s\n", i, digest(x.Local(i), localWidth))
-		}
-	}
-	writeState("layer 0:", e.Init)
-	for i, step := range e.Steps {
-		writeState(fmt.Sprintf("layer %d: %s", i+1, step.Action), step.State)
 	}
 	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/protocols"
 	"repro/internal/syncmp"
 	"repro/internal/trace"
@@ -35,7 +36,12 @@ func TestFormatStateFlags(t *testing.T) {
 	p := protocols.FloodSet{Rounds: 1}
 	m := syncmp.NewSt(p, 3, 1)
 	x := m.Initial([]int{0, 1, 1})
-	y := syncmp.ApplyAction(p, x, 0, syncmp.OmitMask(3), true, true)
+	var y core.State
+	for _, s := range m.Successors(x) {
+		if s.Action == "(0,[3])" {
+			y = s.State
+		}
+	}
 	s := trace.FormatState(y)
 	if !strings.Contains(s, "p0†") {
 		t.Errorf("failed marker missing in %q", s)

@@ -133,15 +133,17 @@ func DecodeCertifyCheckpoint(data []byte) (*CertifyCheckpoint, error) {
 		Visits:      d.Int(),
 		Steps:       d.Int(),
 	}
-	nStack := d.Int()
+	// Each count is bounded by the bytes left: a frame takes 12 bytes, a
+	// visited class at least 9 (its mask and its word count), a word 8.
+	nStack := d.Count(12)
 	for i := 0; i < nStack && d.Err() == nil; i++ {
 		ck.Stack = append(ck.Stack, gframe{node: d.U32(), via: int32(d.U32()), next: d.U32()})
 	}
-	nMasks := d.Int()
+	nMasks := d.Count(9)
 	ck.Visited = make(map[uint64][]uint64, nMasks)
 	for i := 0; i < nMasks && d.Err() == nil; i++ {
 		m := d.U64()
-		words := make([]uint64, d.Int())
+		words := make([]uint64, d.Count(8))
 		for j := range words {
 			words[j] = d.U64()
 		}

@@ -428,14 +428,3 @@ func (f *Field) MaskOf(x core.State) (uint8, bool) {
 	}
 	return f.Mask(u), true
 }
-
-// LayerMasks returns the masks of depth-d nodes in discovery order (a fresh
-// slice), ready for ValenceConnected.
-func (f *Field) LayerMasks(d int) []uint8 {
-	layer := f.g.Layer(d)
-	out := make([]uint8, len(layer))
-	for i, u := range layer {
-		out[i] = f.Mask(u)
-	}
-	return out
-}

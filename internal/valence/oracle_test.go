@@ -154,7 +154,7 @@ func TestCheckBivalentUndecided(t *testing.T) {
 	// process 2 (the sole 0-holder) omits to {0,1} in round 1 and to {0}
 	// in round 2: decisions are 1,0,0 — every process decided, mask = both.
 	x := m.Initial([]int{1, 1, 0})
-	y := m.Apply(m.Apply(x, 2, syncmp.OmitMask(2)), 2, syncmp.OmitMask(1))
+	y := successor(t, m, successor(t, m, x, "(2,[2])"), "(2,[1])")
 	if !o.Bivalent(y, 0) {
 		t.Fatal("schedule did not produce disagreement")
 	}

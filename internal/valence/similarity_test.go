@@ -27,11 +27,16 @@ func quadraticSimilarityGraph(states []core.State) *graph.Undirected {
 	return g
 }
 
-// edgeSet normalizes a graph to its sorted, deduplicated edge list.
+// edgeSet normalizes a graph to its sorted, deduplicated edge list. A
+// vertex's neighbours come first in its component's BFS order, each one
+// step away.
 func edgeSet(g *graph.Undirected) []string {
 	seen := make(map[string]bool)
 	for u := 0; u < g.Len(); u++ {
-		for _, v := range g.Neighbors(u) {
+		for _, v := range g.Component(u)[1:] {
+			if len(g.Path(u, v)) != 2 {
+				break
+			}
 			a, b := u, v
 			if a > b {
 				a, b = b, a
