@@ -5,9 +5,9 @@
 // pipeline — explore, certify, field sweep, decision valences, knowledge
 // partition — once fault-free for a reference summary, then once per
 // (seed × fault point × fault kind) cell with a seeded chaos plan armed
-// and the run supervised by resilient.Supervisor: retries back off and
-// resume from the attempt's checkpoint, budget/memory faults step down
-// the degradation ladder (fewer exploration workers).
+// and the run supervised by resilient.Supervisor: every fault in the
+// ErrPartial family (panic, cancel, injected budget exhaustion) backs off
+// and retries from the attempt's checkpoint at the same worker count.
 // Every supervised run must recover and reproduce the reference summary
 // bit for bit — verdict, witness, Explored, field masks, knowledge
 // classes. The report is emitted as JSON (-out) and the process exits 1
@@ -83,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&o.spec.T, "t", 1, "failure budget (sync-st only)")
 	fs.IntVar(&o.spec.Bound, "bound", 2, "protocol decision bound")
 	fs.IntVar(&o.depth, "depth", 2, "exploration depth")
-	fs.IntVar(&o.workers, "workers", 2, "full-width worker count attempts start from")
+	fs.IntVar(&o.workers, "workers", 2, "exploration worker count of every run")
 	fs.IntVar(&o.seeds, "seeds", 18, "seeds swept; cases = seeds x 5 fault points x 4 fault kinds")
 	maxHit := fs.Uint64("max-hit", 3, "seeded fault hits fall in [1, max-hit]")
 	fs.StringVar(&o.out, "out", "", "write the JSON campaign report to `file`")
@@ -153,28 +153,28 @@ func witnessSummary(w *valence.Witness) string {
 	return s
 }
 
-// pipeline runs the full layered analysis under one attempt, honoring the
-// attempt's degraded worker width, and summarizes every
-// result. The summary must be bit-identical across fault-free, recovered,
-// and degraded runs — that is the property the campaign asserts.
-func pipeline(a *resilient.Attempt, m core.Model, depth, n int) (string, error) {
-	g, err := core.ExploreIDCtx(a.Ctx, m, depth, 0, a.Workers)
+// pipeline runs the full layered analysis under ctx, exploring with the
+// given worker count, and summarizes every result. The summary must be
+// bit-identical across fault-free and recovered runs — that is the
+// property the campaign asserts.
+func pipeline(ctx *resilient.Ctx, m core.Model, depth, n, workers int) (string, error) {
+	g, err := core.ExploreIDCtx(ctx, m, depth, 0, workers)
 	if err != nil {
 		return "", err
 	}
-	w, err := valence.CertifyGraph(a.Ctx, g, 0)
+	w, err := valence.CertifyGraph(ctx, g, 0)
 	if err != nil {
 		return "", err
 	}
-	f, err := valence.NewFieldCtx(a.Ctx, g)
+	f, err := valence.NewFieldCtx(ctx, g)
 	if err != nil {
 		return "", err
 	}
-	cf, err := decision.FieldValences(a.Ctx, g, decision.ConsensusCovering(n))
+	cf, err := decision.FieldValences(ctx, g, decision.ConsensusCovering(n))
 	if err != nil {
 		return "", err
 	}
-	c, err := knowledge.NewClasses(a.Ctx, g.States)
+	c, err := knowledge.NewClasses(ctx, g.States)
 	if err != nil {
 		return "", err
 	}
@@ -192,7 +192,6 @@ type caseResult struct {
 	Attempts  int    `json:"attempts"`
 	Retries   int    `json:"retries"`
 	Resumes   int    `json:"resumes"`
-	Degrades  int    `json:"degrades"`
 	Recovered bool   `json:"recovered"`
 	Identical bool   `json:"identical"`
 	Err       string `json:"err,omitempty"`
@@ -236,8 +235,8 @@ func runCampaign(o options) error {
 	}
 	defer stopRes()
 
-	// Fault-free reference, chaos disarmed, full width.
-	ref, err := pipeline(&resilient.Attempt{Ctx: ctx, N: 1, Workers: o.workers}, m, o.depth, o.spec.N)
+	// Fault-free reference, chaos disarmed.
+	ref, err := pipeline(ctx, m, o.depth, o.spec.N, o.workers)
 	if err != nil {
 		return fmt.Errorf("fault-free reference run failed: %w", err)
 	}
@@ -275,11 +274,10 @@ func runCampaign(o options) error {
 		chaos.Arm(plan)
 		sup := o.res.Supervisor()
 		sup.Seed = c.seed
-		sup.Workers = o.workers
 		sup.MaxBackoff = 50 * time.Millisecond
 		var got string
 		stats, runErr := sup.Run(ctx, c.point, func(a *resilient.Attempt) error {
-			s, perr := pipeline(a, cm, o.depth, o.spec.N)
+			s, perr := pipeline(a.Ctx, cm, o.depth, o.spec.N, o.workers)
 			if perr != nil {
 				return perr
 			}
@@ -297,7 +295,6 @@ func runCampaign(o options) error {
 			Attempts:  stats.Attempts,
 			Retries:   stats.Retries,
 			Resumes:   stats.Resumes,
-			Degrades:  stats.Degrades,
 			Recovered: runErr == nil,
 			Identical: runErr == nil && got == ref,
 		}

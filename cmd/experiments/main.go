@@ -75,9 +75,9 @@ func run(args []string) error {
 		{"E11", e11, "Common knowledge at decision (Dwork–Moses)"},
 	}
 	// With -retries the per-experiment run goes through the supervisor:
-	// a retryable failure (panic, deadline, chaos fault) backs off,
-	// resumes from the attempt's checkpoint, and tries again; repeated
-	// budget or memory-pressure errors step down the degradation ladder.
+	// a failure in the ErrPartial family (panic, deadline, chaos fault,
+	// exhausted budget) backs off, resumes from the attempt's checkpoint,
+	// and tries again.
 	sup := resFlags.Supervisor()
 	runOne := func(id string, fn func(*layers.Ctx) error) error {
 		if resFlags.Retries <= 0 {
@@ -317,7 +317,7 @@ func e7(ctx *layers.Ctx) error {
 	// must be 1-thick connected.
 	const n, k, depth = 3, 1, 1
 	m := layers.MobileS1(layers.FloodSet{Rounds: 1}, n)
-	r, err := decision.CheckThickNecessity(m, m.Inits(), n, k, depth, 0)
+	r, err := decision.CheckThickNecessity(ctx, m, m.Inits(), n, k, depth, 0)
 	if err != nil {
 		return err
 	}

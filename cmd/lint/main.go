@@ -211,11 +211,11 @@ type unitConfig struct {
 	ID          string
 	Dir         string
 	ImportPath  string
+	ModulePath  string
 	GoVersion   string
 	GoFiles     []string
 	ImportMap   map[string]string
 	PackageFile map[string]string
-	Standard    map[string]bool
 	PackageVetx map[string]string
 	VetxOutput  string
 	VetxOnly    bool
@@ -241,11 +241,13 @@ func runUnitchecker(cfgPath string) {
 		basePath, isVariant = basePath[:i], true
 	}
 
-	// Dependency units are vetted only for their facts. Standard-library
-	// units get an empty facts file (analyzers treat the stdlib
-	// intrinsically); everything else is analyzed from source by the
-	// fact-producing analyzers so helper properties reach dependents.
-	if cfg.VetxOnly && (cfg.Standard[basePath] || len(cfg.GoFiles) == 0) {
+	// Dependency units are vetted only for their facts. A unit outside
+	// every module is the standard library, which the standalone driver
+	// does not load either: it gets an empty facts file (analyzers treat
+	// the stdlib intrinsically). Every module unit is analyzed from source
+	// by the fact-producing analyzers so helper properties reach
+	// dependents.
+	if cfg.VetxOnly && (cfg.ModulePath == "" || len(cfg.GoFiles) == 0) {
 		writeVetx(cfg.VetxOutput, nil)
 		return
 	}

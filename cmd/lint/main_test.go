@@ -274,6 +274,35 @@ func TestLintVettoolPerNewAnalyzer(t *testing.T) {
 	}
 }
 
+// TestLintHotpathStdlibCallClean: a //lint:hotpath function that calls
+// bytes.Equal lints clean under both drivers. Both treat the standard
+// library intrinsically; a vettool driver that analyzed the bytes unit
+// from source would flag its []byte -> string conversions through the
+// call.
+func TestLintHotpathStdlibCallClean(t *testing.T) {
+	bin := buildLint(t)
+	dir := writeTree(t, map[string]string{
+		"go.mod": "module synthetic\n\ngo 1.22\n",
+		"hot/hot.go": `package hot
+
+import "bytes"
+
+// Same compares two keys without allocating.
+//lint:hotpath
+func Same(a, b []byte) bool {
+	return bytes.Equal(a, b)
+}
+`,
+	})
+	for _, argv := range [][]string{{bin, "./..."}, {"go", "vet", "-vettool=" + bin, "./..."}} {
+		cmd := exec.Command(argv[0], argv[1:]...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("%s: %v\n%s", strings.Join(argv, " "), err, out)
+		}
+	}
+}
+
 // TestLintJSONRoundTrip checks -json output: every diagnostic from the
 // synthetic module decodes with file/line/analyzer/message populated,
 // suppressed findings are included and marked, and the document re-encodes

@@ -371,102 +371,6 @@ func isPanicCall(e ast.Expr) bool {
 	return ok && id.Name == "panic"
 }
 
-// Dominators returns the immediate-dominator array over Blocks (indexed by
-// Block.Index; the entry dominates itself, unreachable blocks get -1),
-// computed with the Cooper–Harvey–Kennedy iterative algorithm over a
-// reverse postorder.
-func (c *CFG) Dominators() []int {
-	n := len(c.Blocks)
-	// Reverse postorder over successor edges.
-	order := make([]*Block, 0, n)
-	seen := make([]bool, n)
-	var dfs func(*Block)
-	dfs = func(b *Block) {
-		seen[b.Index] = true
-		for _, e := range b.Succs {
-			if !seen[e.To.Index] {
-				dfs(e.To)
-			}
-		}
-		order = append(order, b)
-	}
-	dfs(c.Entry)
-	// order is postorder; reverse it.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	rpoNum := make([]int, n)
-	for i, b := range order {
-		rpoNum[b.Index] = i
-	}
-	preds := make([][]*Block, n)
-	for _, b := range c.Blocks {
-		if !seen[b.Index] {
-			continue
-		}
-		for _, e := range b.Succs {
-			preds[e.To.Index] = append(preds[e.To.Index], b)
-		}
-	}
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[c.Entry.Index] = c.Entry.Index
-	intersect := func(a, bb int) int {
-		for a != bb {
-			for rpoNum[a] > rpoNum[bb] {
-				a = idom[a]
-			}
-			for rpoNum[bb] > rpoNum[a] {
-				bb = idom[bb]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order {
-			if b == c.Entry {
-				continue
-			}
-			newIdom := -1
-			for _, p := range preds[b.Index] {
-				if idom[p.Index] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p.Index
-				} else {
-					newIdom = intersect(newIdom, p.Index)
-				}
-			}
-			if newIdom != -1 && idom[b.Index] != newIdom {
-				idom[b.Index] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether block a dominates block b under idom (as
-// returned by Dominators).
-func Dominates(idom []int, a, b int) bool {
-	if idom[b] == -1 {
-		return false
-	}
-	for {
-		if b == a {
-			return true
-		}
-		if b == idom[b] {
-			return false
-		}
-		b = idom[b]
-	}
-}
-
 // PathQuery parameterizes barrier-avoiding reachability over the CFG.
 type PathQuery struct {
 	// Barrier reports whether executing node n discharges the property the

@@ -38,46 +38,6 @@ func callBarrier(name string) func(ast.Node) bool {
 	}
 }
 
-func TestCFGDominators(t *testing.T) {
-	// A diamond: the entry dominates everything; neither arm dominates the
-	// join; the join is dominated by the branch head.
-	cfg := analysis.BuildCFG(parseBody(t, `
-	x := 0
-	if x > 0 {
-		a()
-	} else {
-		b()
-	}
-	c()
-`))
-	idom := cfg.Dominators()
-	if len(idom) != len(cfg.Blocks) {
-		t.Fatalf("Dominators returned %d entries for %d blocks", len(idom), len(cfg.Blocks))
-	}
-	find := func(name string) *analysis.Block {
-		t.Helper()
-		for _, b := range cfg.Blocks {
-			for _, n := range b.Nodes {
-				if callBarrier(name)(n) {
-					return b
-				}
-			}
-		}
-		t.Fatalf("no block contains a call of %s", name)
-		return nil
-	}
-	entry, aBlk, bBlk, join := cfg.Entry, find("a"), find("b"), find("c")
-	if !analysis.Dominates(idom, entry.Index, join.Index) {
-		t.Errorf("entry must dominate the join")
-	}
-	if analysis.Dominates(idom, aBlk.Index, join.Index) || analysis.Dominates(idom, bBlk.Index, join.Index) {
-		t.Errorf("neither branch arm may dominate the join")
-	}
-	if !analysis.Dominates(idom, entry.Index, aBlk.Index) || !analysis.Dominates(idom, entry.Index, bBlk.Index) {
-		t.Errorf("entry must dominate both arms")
-	}
-}
-
 func TestCFGPathExistsBarrier(t *testing.T) {
 	// poll() covers only the true arm: a barrier-avoiding path to the exit
 	// exists through the else arm.

@@ -8,10 +8,8 @@ import (
 	"os/signal"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/resilient"
-	"repro/internal/valence"
 )
 
 // ExitForced is the exit code of the second-stage (forced) SIGINT path.
@@ -69,16 +67,14 @@ func (f *ResilienceFlags) Store() *resilient.Store {
 }
 
 // Supervisor builds the retry supervisor the flags describe: -retries+1
-// total attempts, -backoff base delay, checkpoints persisted to the
-// -checkpoint generation store, and the engine budget sentinels routed to
-// the degradation ladder. Callers that need a per-run jitter seed or
-// worker width set Seed/Workers on the result.
+// total attempts, -backoff base delay, and checkpoints persisted to the
+// -checkpoint generation store. Callers that need a per-run jitter seed
+// set Seed on the result.
 func (f *ResilienceFlags) Supervisor() *resilient.Supervisor {
 	return &resilient.Supervisor{
 		Policy: resilient.Policy{
 			MaxAttempts: f.Retries + 1,
 			BaseBackoff: f.Backoff,
-			DegradeOn:   []error{core.ErrNodeBudget, valence.ErrBudget},
 		},
 		Store: f.Store(),
 	}

@@ -1,7 +1,6 @@
 package cli_test
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/resilient"
-	"repro/internal/valence"
 )
 
 // TestResilienceFlagDefaults: the retry/rotation flags default to "run
@@ -72,8 +70,9 @@ func TestSharedFlagsRejectOutOfRange(t *testing.T) {
 }
 
 // TestResilienceSupervisorWiring: Supervisor() translates the flags —
-// retries+1 attempts, the base backoff, the engine budget sentinels on the
-// degradation ladder, and the generation store at the checkpoint path.
+// retries+1 attempts, the base backoff, and the generation store at the
+// checkpoint path — and the wired supervisor retries an exhausted node
+// budget, which wraps ErrPartial, from its checkpoint.
 func TestResilienceSupervisorWiring(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f := cli.RegisterResilience(fs)
@@ -91,24 +90,11 @@ func TestResilienceSupervisorWiring(t *testing.T) {
 	if sup.Store == nil || sup.Store.Path != ckpt || sup.Store.Keep != 3 {
 		t.Errorf("Store = %+v, want path %s keep 3", sup.Store, ckpt)
 	}
-	for _, sentinel := range []error{core.ErrNodeBudget, valence.ErrBudget} {
-		found := false
-		for _, d := range sup.DegradeOn {
-			if errors.Is(sentinel, d) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%v missing from DegradeOn", sentinel)
-		}
-	}
-	// The wired supervisor actually degrades on a budget error.
 	var slept []time.Duration
 	sup.Sleep = func(d time.Duration) { slept = append(slept, d) }
-	sup.Workers = 2
-	var widths []int
-	_, err := sup.Run(resilient.Background(), "op", func(a *resilient.Attempt) error {
-		widths = append(widths, a.Workers)
+	calls := 0
+	stats, err := sup.Run(resilient.Background(), "op", func(a *resilient.Attempt) error {
+		calls++
 		if a.N == 1 {
 			return fmt.Errorf("budget: %w", core.ErrNodeBudget)
 		}
@@ -117,8 +103,8 @@ func TestResilienceSupervisorWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(widths) != 2 || widths[1] != 1 {
-		t.Errorf("widths = %v, want a degrade step to 1", widths)
+	if calls != 2 || stats.Attempts != 2 || stats.Retries != 1 || len(slept) != 1 {
+		t.Errorf("%d calls, stats %+v, %d sleeps; want a second attempt after one backoff", calls, stats, len(slept))
 	}
 }
 

@@ -565,12 +565,6 @@ func stopPoint(ctx *resilient.Ctx, point string) error {
 	if errors.As(err, &f) && f.Kind == chaos.KindBudget {
 		return fmt.Errorf("%w: %w", ErrNodeBudget, err)
 	}
-	if err == nil {
-		// The soft memory gate stops the exploration at the same
-		// checkpointable boundary; the Supervisor degrades on ErrMemory
-		// instead of retrying at full width.
-		err = resilient.MemPressure()
-	}
 	return err
 }
 

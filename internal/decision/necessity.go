@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/resilient"
 	"repro/internal/simplex"
 )
 
@@ -29,11 +30,35 @@ type NecessityReport struct {
 // connected. It explores each initial state's runs to the given depth
 // once and decides every subset's complex with the k-thick kernel
 // (simplex.ThickConnectedSubsets), without building it. Subsets are
-// enumerated from the given initial states (at most 16).
-func CheckThickNecessity(m core.Model, inits []core.State, n, k, depth, maxNodes int) (*NecessityReport, error) {
+// enumerated from the given initial states (at most 16). The explorations
+// run under ctx (nil never cancels): an interruption returns its error,
+// in the ErrPartial family with the cut's checkpoint attached.
+func CheckThickNecessity(ctx *resilient.Ctx, m core.Model, inits []core.State, n, k, depth, maxNodes int) (*NecessityReport, error) {
 	if len(inits) > 16 {
 		return nil, fmt.Errorf("decision: %d initial states; subset enumeration capped at 16", len(inits))
 	}
+	// Per-initial-state decided simplexes (reused across subsets), flattened
+	// to key-sorted slices so the kernel interns them in the same order
+	// regardless of map iteration.
+	perInit := make([][]simplex.Simplex, len(inits))
+	for i, x := range inits {
+		g, err := core.ExploreIDCtx(ctx, core.WithInits(m, []core.State{x}), depth, maxNodes, 1)
+		if err != nil {
+			return nil, err
+		}
+		decided := CollectDecidedSimplexesGraph(g)
+		for _, k := range sortedSimplexKeys(decided) {
+			perInit[i] = append(perInit[i], decided[k])
+		}
+	}
+	return thickNecessity(inits, n, k, perInit), nil
+}
+
+// thickNecessity decides every similarity-connected subset of inits from
+// the per-initial-state decided simplexes: the combinatorial half of
+// CheckThickNecessity, bounded by the 16-state cap and run without a
+// context.
+func thickNecessity(inits []core.State, n, k int, perInit [][]simplex.Simplex) *NecessityReport {
 	// Similarity adjacency over the initial states, one neighbour mask each.
 	adj := make([]uint32, len(inits))
 	for i := range inits {
@@ -43,20 +68,6 @@ func CheckThickNecessity(m core.Model, inits []core.State, n, k, depth, maxNodes
 			}
 		}
 	}
-	// Per-initial-state decided simplexes (reused across subsets), flattened
-	// to key-sorted slices so the kernel interns them in the same order
-	// regardless of map iteration.
-	perInit := make([][]simplex.Simplex, len(inits))
-	for i, x := range inits {
-		decided, err := CollectDecidedSimplexes(core.WithInits(m, []core.State{x}), depth, maxNodes)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range sortedSimplexKeys(decided) {
-			perInit[i] = append(perInit[i], decided[k])
-		}
-	}
-
 	var subsets []uint32
 	for mask := uint32(1); mask < 1<<uint(len(inits)); mask++ {
 		if simplex.SubsetConnected(adj, mask) {
@@ -75,5 +86,5 @@ func CheckThickNecessity(m core.Model, inits []core.State, n, k, depth, maxNodes
 			}
 		}
 	}
-	return report, nil
+	return report
 }

@@ -1,6 +1,7 @@
 package decision_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/decision"
 	"repro/internal/mobile"
 	"repro/internal/protocols"
+	"repro/internal/resilient"
 	"repro/internal/syncmp"
 )
 
@@ -20,7 +22,7 @@ func TestNecessityOnSolvingProtocol(t *testing.T) {
 	p := protocols.FloodSet{Rounds: 1}
 	m := mobile.New(p, n)
 	inits := m.Inits() // binary inputs: 8 similarity-connected candidates
-	r, err := decision.CheckThickNecessity(m, inits, n, 1, 1, 0)
+	r, err := decision.CheckThickNecessity(nil, m, inits, n, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestNecessityMatchesComplexReference(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			inits := c.m.Inits()
-			got, err := decision.CheckThickNecessity(c.m, inits, n, c.k, c.depth, 0)
+			got, err := decision.CheckThickNecessity(nil, c.m, inits, n, c.k, c.depth, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +85,21 @@ func TestNecessityRejectsTooMany(t *testing.T) {
 	for i := range inits {
 		inits[i] = m.Initial([]int{0, 0, 0})
 	}
-	if _, err := decision.CheckThickNecessity(m, inits, n, 1, 1, 0); err == nil {
+	if _, err := decision.CheckThickNecessity(nil, m, inits, n, 1, 1, 0); err == nil {
 		t.Error("want cap error")
+	}
+}
+
+// TestNecessityHonoursCancellation: the per-initial-state explorations run
+// under the caller's context, so a canceled one stops the check with an
+// error in the ErrPartial family.
+func TestNecessityHonoursCancellation(t *testing.T) {
+	const n = 3
+	m := mobile.New(protocols.FloodSet{Rounds: 1}, n)
+	ctx, cancel := resilient.WithCancel()
+	cancel()
+	r, err := decision.CheckThickNecessity(ctx, m, m.Inits(), n, 1, 1, 0)
+	if !errors.Is(err, resilient.ErrPartial) {
+		t.Fatalf("canceled ctx: report %+v, err = %v; want an ErrPartial-family error", r, err)
 	}
 }

@@ -6,30 +6,14 @@ import (
 	"repro/internal/resilient"
 )
 
-// BenchmarkMemPressureDisabled pins the cost of the soft memory gate when no
-// limit is set — the state every hot engine loop pays on every poll. It must
-// stay a single atomic load (≲2 ns/op): the gate sits next to Ctx.Err in
-// stopPoint and the field sweep's layer loop.
-func BenchmarkMemPressureDisabled(b *testing.B) {
-	resilient.SetSoftMemLimit(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := resilient.MemPressure(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCtxErrWithMemGate measures the combined per-iteration poll an
-// engine loop actually executes: cancellation flag plus disabled memory
-// gate.
-func BenchmarkCtxErrWithMemGate(b *testing.B) {
-	resilient.SetSoftMemLimit(0)
+// BenchmarkCtxErr measures the per-iteration cancellation poll an engine
+// loop executes on a live context.
+func BenchmarkCtxErr(b *testing.B) {
 	ctx, cancel := resilient.WithCancel()
 	defer cancel()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if ctx.Err() != nil || resilient.MemPressure() != nil {
+		if ctx.Err() != nil {
 			b.Fatal("live context reported done")
 		}
 	}
@@ -39,7 +23,7 @@ func BenchmarkCtxErrWithMemGate(b *testing.B) {
 // supervised Run costs when the op succeeds first try — the common case a
 // CLI pays for `-retries 0`... compared against calling the op directly.
 func BenchmarkSupervisorNoRetryOverhead(b *testing.B) {
-	sup := &resilient.Supervisor{Policy: resilient.Policy{MaxAttempts: 1}, Workers: 1}
+	sup := &resilient.Supervisor{Policy: resilient.Policy{MaxAttempts: 1}}
 	ctx := resilient.Background()
 	op := func(*resilient.Attempt) error { return nil }
 	b.ReportAllocs()

@@ -18,8 +18,9 @@ import (
 //
 // where the CRC32C (Castagnoli) covers the tag, the length bytes, and the
 // payload, so a torn or bit-flipped frame — header or body — is detected
-// before a payload ever reaches an engine decoder. Version-1 files (no
-// per-section CRC) remain readable; WriteSections always emits v2.
+// before a payload ever reaches an engine decoder. Version 2 is the only
+// version read or written: version-1 files (no per-section CRC) are
+// rejected with ErrBadCheckpoint.
 //
 // Section payloads are engine-owned (core writes the explore section,
 // valence the certify and field sections); the container only frames them,
@@ -27,7 +28,6 @@ import (
 // the valence masks together.
 const (
 	ckptMagic   = "RSCK"
-	ckptV1      = 1
 	ckptVersion = 2
 )
 
@@ -94,9 +94,10 @@ func WriteSections(w io.Writer, sections []Section) error {
 	return nil
 }
 
-// ReadSections parses a checkpoint file written by WriteSections: v2 frames
-// are CRC-verified, v1 files (pre-CRC) parse as before. Torn, truncated, or
-// mutated input fails with a wrapped ErrCorruptCheckpoint.
+// ReadSections parses a checkpoint file written by WriteSections, verifying
+// every section's CRC. Torn, truncated, or mutated input fails with a
+// wrapped ErrCorruptCheckpoint; any version other than 2 fails with
+// ErrBadCheckpoint.
 func ReadSections(r io.Reader) ([]Section, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -106,8 +107,8 @@ func ReadSections(r io.Reader) ([]Section, error) {
 		return nil, fmt.Errorf("%w: bad magic or short file (%d bytes)", ErrCorruptCheckpoint, len(data))
 	}
 	version := data[4]
-	if version != ckptV1 && version != ckptVersion {
-		return nil, fmt.Errorf("%w: version %d (supported: %d, %d)", ErrBadCheckpoint, version, ckptV1, ckptVersion)
+	if version != ckptVersion {
+		return nil, fmt.Errorf("%w: version %d (supported: %d)", ErrBadCheckpoint, version, ckptVersion)
 	}
 	var out []Section
 	off := 5
@@ -124,17 +125,15 @@ func ReadSections(r io.Reader) ([]Section, error) {
 		}
 		body := data[off : off+int(n)]
 		off += int(n)
-		if version >= ckptVersion {
-			if off+4 > len(data) {
-				return nil, fmt.Errorf("%w: section %d missing CRC trailer at offset %d", ErrCorruptCheckpoint, tag, off)
-			}
-			want := binary.LittleEndian.Uint32(data[off:])
-			off += 4
-			crc := crc32.Update(0, castagnoli, frame)
-			crc = crc32.Update(crc, castagnoli, body)
-			if crc != want {
-				return nil, fmt.Errorf("%w: section %d CRC mismatch (got %08x, want %08x)", ErrCorruptCheckpoint, tag, crc, want)
-			}
+		if off+4 > len(data) {
+			return nil, fmt.Errorf("%w: section %d missing CRC trailer at offset %d", ErrCorruptCheckpoint, tag, off)
+		}
+		want := binary.LittleEndian.Uint32(data[off:])
+		off += 4
+		crc := crc32.Update(0, castagnoli, frame)
+		crc = crc32.Update(crc, castagnoli, body)
+		if crc != want {
+			return nil, fmt.Errorf("%w: section %d CRC mismatch (got %08x, want %08x)", ErrCorruptCheckpoint, tag, crc, want)
 		}
 		out = append(out, Section{Tag: tag, Data: body})
 	}

@@ -31,10 +31,10 @@ func encode(t *testing.T, sections []resilient.Section) []byte {
 	return buf.Bytes()
 }
 
-// TestReadSectionsV1Compat: a hand-built version-1 container (no per-section
-// CRC) still parses, so checkpoints written before the CRC upgrade remain
-// resumable.
-func TestReadSectionsV1Compat(t *testing.T) {
+// TestReadSectionsRejectsV1: a hand-built version-1 container (no
+// per-section CRC) fails with ErrBadCheckpoint naming version 1, so no
+// section is ever read unchecked.
+func TestReadSectionsRejectsV1(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString("RSCK")
 	buf.WriteByte(1)
@@ -46,17 +46,8 @@ func TestReadSectionsV1Compat(t *testing.T) {
 		buf.Write(s.Data)
 	}
 	got, err := resilient.ReadSections(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 container rejected: %v", err)
-	}
-	want := testSections()
-	if len(got) != len(want) {
-		t.Fatalf("got %d sections, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Tag != want[i].Tag || !bytes.Equal(got[i].Data, want[i].Data) {
-			t.Errorf("section %d = %+v, want %+v", i, got[i], want[i])
-		}
+	if !errors.Is(err, resilient.ErrBadCheckpoint) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 container: sections %+v, err = %v; want ErrBadCheckpoint naming version 1", got, err)
 	}
 }
 

@@ -188,68 +188,6 @@ func TestSupervisorDeterministicBackoff(t *testing.T) {
 	}
 }
 
-// TestSupervisorDegradationLadder: resource errors step the attempt width
-// down 8→4→2→1, then keep retrying at the bottom rung.
-func TestSupervisorDegradationLadder(t *testing.T) {
-	budget := resilient.Sentinel("test: node budget")
-	var slept []time.Duration
-	sup := &resilient.Supervisor{
-		Policy: resilient.Policy{
-			MaxAttempts: 7,
-			DegradeOn:   []error{budget},
-			Sleep:       noSleep(&slept),
-		},
-		Workers: 8,
-	}
-	var seen []int
-	stats, err := sup.Run(resilient.Background(), "op", func(a *resilient.Attempt) error {
-		seen = append(seen, a.Workers)
-		if a.N < 7 {
-			return fmt.Errorf("oom at width %d: %w", a.Workers, budget)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []int{8, 4, 2, 1, 1, 1, 1}
-	if len(seen) != len(want) {
-		t.Fatalf("saw %d attempts, want %d", len(seen), len(want))
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Errorf("attempt %d ran at width %d, want %d", i+1, seen[i], want[i])
-		}
-	}
-	if stats.Degrades != 3 {
-		t.Errorf("degrades = %d, want 3 (no step counted once the ladder is exhausted)", stats.Degrades)
-	}
-}
-
-// TestSupervisorMemoryPressureDegrades: ErrMemory lands on the Degrade
-// branch of the default classifier without any DegradeOn configuration.
-func TestSupervisorMemoryPressureDegrades(t *testing.T) {
-	var slept []time.Duration
-	sup := &resilient.Supervisor{
-		Policy:  resilient.Policy{MaxAttempts: 3, Sleep: noSleep(&slept)},
-		Workers: 4,
-	}
-	var widths []int
-	_, err := sup.Run(resilient.Background(), "op", func(a *resilient.Attempt) error {
-		widths = append(widths, a.Workers)
-		if a.N == 1 {
-			return fmt.Errorf("sweep: %w", resilient.ErrMemory)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(widths) != 2 || widths[0] != 4 || widths[1] != 2 {
-		t.Errorf("widths = %v, want [4 2]", widths)
-	}
-}
-
 // TestSupervisorResumeFlow: the checkpoint attached to a failed attempt's
 // error arrives as the next attempt's resume snapshot, Resumed is set, and
 // the sections survive the hand-off byte-for-byte.
@@ -380,29 +318,6 @@ func TestSupervisorStorePersistsCheckpoints(t *testing.T) {
 	}
 }
 
-// TestSupervisorWallClockBudget: once Budget is exhausted the next failure
-// is final even with attempts remaining.
-func TestSupervisorWallClockBudget(t *testing.T) {
-	var slept []time.Duration
-	sup := &resilient.Supervisor{Policy: resilient.Policy{
-		MaxAttempts: 100,
-		Budget:      time.Nanosecond,
-		Sleep:       noSleep(&slept),
-	}}
-	calls := 0
-	_, err := sup.Run(resilient.Background(), "op", func(*resilient.Attempt) error {
-		calls++
-		time.Sleep(time.Millisecond)
-		return resilient.ErrCanceled
-	})
-	if err == nil || !errors.Is(err, resilient.ErrCanceled) {
-		t.Fatalf("err = %v, want wrapped ErrCanceled", err)
-	}
-	if calls != 1 {
-		t.Errorf("op ran %d times, want 1 (budget spent after the first)", calls)
-	}
-}
-
 // TestSupervisorParentCancelStops: a canceled parent context forces Fail
 // regardless of the attempt error's class, and a pre-canceled parent never
 // runs the op at all.
@@ -432,55 +347,5 @@ func TestSupervisorParentCancelStops(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Errorf("op ran %d times under a pre-canceled parent, want 0", calls)
-	}
-}
-
-// TestSupervisorAttemptTimeout: AttemptTimeout cancels the attempt's child
-// ctx with ErrDeadline; the supervisor classifies that as transient and the
-// retry succeeds.
-func TestSupervisorAttemptTimeout(t *testing.T) {
-	var slept []time.Duration
-	sup := &resilient.Supervisor{Policy: resilient.Policy{
-		MaxAttempts:    3,
-		AttemptTimeout: 5 * time.Millisecond,
-		Sleep:          noSleep(&slept),
-	}}
-	stats, err := sup.Run(resilient.Background(), "op", func(a *resilient.Attempt) error {
-		if a.N == 1 {
-			// Engine-style poll loop: wait for the deadline to cancel us.
-			for a.Ctx.Err() == nil {
-				time.Sleep(100 * time.Microsecond)
-			}
-			return a.Ctx.Err()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if stats.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", stats.Attempts)
-	}
-}
-
-// TestSupervisorCustomClassify: a Classify override wins over the default
-// taxonomy — here inverting corruption into a retry.
-func TestSupervisorCustomClassify(t *testing.T) {
-	var slept []time.Duration
-	sup := &resilient.Supervisor{Policy: resilient.Policy{
-		MaxAttempts: 2,
-		Classify:    func(error) resilient.Decision { return resilient.Retry },
-		Sleep:       noSleep(&slept),
-	}}
-	calls := 0
-	_, err := sup.Run(resilient.Background(), "op", func(*resilient.Attempt) error {
-		calls++
-		return resilient.ErrCorruptCheckpoint
-	})
-	if err == nil {
-		t.Fatal("want exhaustion")
-	}
-	if calls != 2 {
-		t.Errorf("op ran %d times, want 2 (Classify forces retry)", calls)
 	}
 }

@@ -100,12 +100,12 @@ type Field struct {
 const runMin = 16
 
 // NewFieldCtx computes the valence field of g under a cancellation context
-// (nil never cancels), polled with the chaos field.layer fault point and
-// the soft memory gate once per layer. An interruption returns the partial
-// field alongside an error carrying a resilient.Checkpointer with the masks
-// computed so far and the next unfinished layer; resuming with that
-// snapshot (resilient.TagField, validated against a fingerprint of the
-// graph) yields a field bit-identical to an uninterrupted sweep's.
+// (nil never cancels), polled with the chaos field.layer fault point once
+// per layer. An interruption returns the partial field alongside an error
+// carrying a resilient.Checkpointer with the masks computed so far and
+// the next unfinished layer; resuming with that snapshot
+// (resilient.TagField, validated against a fingerprint of the graph)
+// yields a field bit-identical to an uninterrupted sweep's.
 //
 // Non-graded graphs fall back to serial fixpoint iteration, which polls
 // the context once per pass but is not checkpointed (the fallback exists
@@ -174,12 +174,6 @@ func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, seed func(core.Stat
 		}
 		for d := start; d >= 0; d-- {
 			if err := chaos.Check(ctx, "field.layer"); err != nil {
-				return f.interrupted(rec, d, err)
-			}
-			if err := resilient.MemPressure(); err != nil {
-				// Same checkpointable boundary as a cancellation: the
-				// Supervisor resumes the sweep degraded instead of
-				// failing it.
 				return f.interrupted(rec, d, err)
 			}
 			var lsp obs.TraceSpan

@@ -196,17 +196,16 @@ var (
 )
 
 // Supervisor runs checkpointable engine ops under a retry policy:
-// exponential backoff with seeded jitter, per-error-class decisions, and a
-// degradation ladder, resuming each attempt from the previous attempt's
-// checkpoint.
+// exponential backoff with seeded jitter, and one retry rule — an error in
+// the ErrPartial family that is not a bad checkpoint is retried, resuming
+// from the failed attempt's checkpoint; any other error fails.
 type Supervisor = resilient.Supervisor
 
-// Attempt is what a supervised op receives: the attempt's child context
-// (carrying any resume snapshot) plus the degraded worker count to honor.
+// Attempt is what a supervised op receives: the attempt's child context,
+// carrying any resume snapshot, and the attempt number.
 type Attempt = resilient.Attempt
 
-// Policy configures a Supervisor (attempt/backoff/budget limits,
-// classification).
+// Policy configures a Supervisor (attempt limit, backoff, jitter seed).
 type Policy = resilient.Policy
 
 // Store is the crash-durable checkpoint generation store: atomic
@@ -218,15 +217,6 @@ type Store = resilient.Store
 // torn, truncated, or fails its section CRCs; a Store falls back to the
 // previous generation, a Supervisor fails fast.
 var ErrCorruptCheckpoint = resilient.ErrCorruptCheckpoint
-
-// ErrMemory is the soft-memory-limit sentinel; see SetSoftMemLimit.
-var ErrMemory = resilient.ErrMemory
-
-// SetSoftMemLimit arms (0 disarms) the advisory heap limit the engines
-// poll at layer boundaries; crossing it interrupts the run with a
-// checkpoint and an error wrapping ErrMemory, which the Supervisor treats
-// as a degradation signal.
-func SetSoftMemLimit(bytes int64) { resilient.SetSoftMemLimit(bytes) }
 
 // Background returns a cancelable context with no deadline.
 func Background() *Ctx { return resilient.Background() }
