@@ -22,8 +22,9 @@ import (
 //   - composite literals, make, new;
 //   - function literals (closure headers escape) and go statements;
 //   - fmt package calls (always allocate through their interface slices);
-//   - string <-> []byte conversions, except the map-probe form m[string(b)]
-//     which the compiler optimizes away;
+//   - string <-> []byte conversions, except string(b) as a map index
+//     (m[string(b)]) or as an operand of a comparison (string(b) == s),
+//     whose copy the compiler elides;
 //   - string concatenation;
 //   - boxing: passing or converting a non-pointer concrete value to an
 //     interface parameter.
@@ -97,7 +98,7 @@ func firstAllocReason(pass *Pass, body *ast.BlockStmt) string {
 // construct. Function literals are flagged as a construct but not entered
 // (the closure header is the allocation; the body runs elsewhere).
 func forEachAllocSite(pass *Pass, body *ast.BlockStmt, report func(pos token.Pos, what string)) {
-	probes := mapProbeConversions(pass, body)
+	elided := elidedConversions(pass, body)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -116,40 +117,50 @@ func forEachAllocSite(pass *Pass, body *ast.BlockStmt, report func(pos token.Pos
 			}
 			return true
 		case *ast.CallExpr:
-			checkAllocCall(pass, n, probes, report)
+			checkAllocCall(pass, n, elided, report)
 			return true
 		}
 		return true
 	})
 }
 
-// mapProbeConversions collects the string(b) conversions used directly as
-// map indexes — the form the compiler compiles without the copy.
-func mapProbeConversions(pass *Pass, body *ast.BlockStmt) map[*ast.CallExpr]bool {
-	probes := make(map[*ast.CallExpr]bool)
+// elidedConversions collects the calls used directly as map indexes or as
+// operands of a string comparison: a string(b) conversion there is
+// compiled without the copy.
+func elidedConversions(pass *Pass, body *ast.BlockStmt) map[*ast.CallExpr]bool {
+	elided := make(map[*ast.CallExpr]bool)
+	mark := func(e ast.Expr) {
+		if c, ok := unparen(e).(*ast.CallExpr); ok {
+			elided[c] = true
+		}
+	}
 	ast.Inspect(body, func(n ast.Node) bool {
-		idx, ok := n.(*ast.IndexExpr)
-		if !ok {
-			return true
-		}
-		if t := pass.TypeOf(idx.X); t == nil {
-			return true
-		} else if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		if c, ok := unparen(idx.Index).(*ast.CallExpr); ok {
-			probes[c] = true
+		switch n := n.(type) {
+		case *ast.IndexExpr:
+			if t := pass.TypeOf(n.X); t != nil {
+				if _, isMap := t.Underlying().(*types.Map); isMap {
+					mark(n.Index)
+				}
+			}
+		case *ast.BinaryExpr:
+			switch n.Op {
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+				if isStringType(pass.TypeOf(n.X)) {
+					mark(n.X)
+					mark(n.Y)
+				}
+			}
 		}
 		return true
 	})
-	return probes
+	return elided
 }
 
 // checkAllocCall classifies one call expression inside a hot path.
-func checkAllocCall(pass *Pass, call *ast.CallExpr, probes map[*ast.CallExpr]bool, report func(pos token.Pos, what string)) {
+func checkAllocCall(pass *Pass, call *ast.CallExpr, elided map[*ast.CallExpr]bool, report func(pos token.Pos, what string)) {
 	// Conversions first: string(b), []byte(s).
 	if conv, what := allocConversion(pass, call); conv {
-		if !probes[call] {
+		if !elided[call] {
 			report(call.Pos(), what)
 		}
 		return
@@ -187,8 +198,8 @@ func checkAllocCall(pass *Pass, call *ast.CallExpr, probes map[*ast.CallExpr]boo
 	}
 }
 
-// allocConversion matches allocating string<->[]byte conversions. The
-// map-probe form m[string(b)] is exempt: the compiler elides that copy.
+// allocConversion matches string<->[]byte conversions, which allocate
+// outside the forms elidedConversions collects.
 func allocConversion(pass *Pass, call *ast.CallExpr) (bool, string) {
 	if len(call.Args) != 1 {
 		return false, ""
@@ -205,7 +216,7 @@ func allocConversion(pass *Pass, call *ast.CallExpr) (bool, string) {
 	}
 	switch {
 	case isStringType(to) && isByteSlice(from):
-		return true, "[]byte -> string conversion allocates (map probes m[string(b)] are exempt)"
+		return true, "[]byte -> string conversion allocates (map indexes m[string(b)] and comparisons are exempt)"
 	case isByteSlice(to) && isStringType(from):
 		return true, "string -> []byte conversion allocates"
 	}

@@ -74,8 +74,34 @@ func GoodAppend(dst []byte, b byte) []byte {
 }
 
 //lint:hotpath
+func BadConcatConversion(b []byte, s string) string {
+	return string(b) + s // want "conversion allocates" "string concatenation allocates"
+}
+
+//lint:hotpath
+func BadAssignedConversion(b []byte, s string) bool {
+	x := string(b) // want "conversion allocates"
+	return x == s
+}
+
+//lint:hotpath
 func GoodMapProbe(m map[string]int, b []byte) int {
 	return m[string(b)]
+}
+
+//lint:hotpath
+func GoodCompare(b []byte, s string) bool {
+	return string(b) == s
+}
+
+//lint:hotpath
+func GoodCompareRight(b []byte, s string) bool {
+	return s != (string(b))
+}
+
+//lint:hotpath
+func GoodOrder(a, b []byte) bool {
+	return string(a) < string(b)
 }
 
 //lint:hotpath

@@ -114,33 +114,13 @@ func (x *Index) find(sh *indexShard, h uint64, key []byte) (uint32, bool) {
 		rec := (*sh.recs.Load())[uint32(w)-1:]
 		v := binary.LittleEndian.Uint32(rec)
 		if x.keyOf != nil {
-			if equalString(key, x.keyOf(v)) {
+			if string(key) == x.keyOf(v) {
 				return v, true
 			}
 		} else if n := binary.LittleEndian.Uint32(rec[4:]); bytes.Equal(rec[recHeader:recHeader+n], key) {
 			return v, true
 		}
 	}
-}
-
-// equalString reports whether key holds the bytes of s. It compares them
-// a chunk at a time through a stack buffer, because converting either
-// side would allocate.
-//
-//lint:hotpath
-func equalString(key []byte, s string) bool {
-	if len(key) != len(s) {
-		return false
-	}
-	var buf [256]byte
-	for len(s) > 0 {
-		n := copy(buf[:], s)
-		if !bytes.Equal(buf[:n], key[:n]) {
-			return false
-		}
-		key, s = key[n:], s[n:]
-	}
-	return true
 }
 
 // Intern returns the value filed under key, filing mk's result there

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -193,4 +194,29 @@ func TestIndexKeyStorage(t *testing.T) {
 		t.Fatalf("keyed cache's index keeps %d key bytes, want %d over %d states", keys, want, c.Len())
 	}
 	t.Logf("plain: %d states; keyed: %d states, %d key bytes", core.CacheOf(plain).Len(), c.Len(), want)
+}
+
+// TestComparingIndexGetAllocs checks that a lookup in comparison mode
+// confirms a key longer than 256 bytes against the key its value names
+// without allocating: the string(key) == keyOf(v) comparison copies
+// nothing.
+func TestComparingIndexGetAllocs(t *testing.T) {
+	long := strings.Repeat("k", 1000)
+	keys := []string{long + "0", long + "1"}
+	x := core.NewComparingIndex(0, func(v uint32) string { return keys[v] })
+	for i, k := range keys {
+		x.Intern([]byte(k), func() uint32 { return uint32(i) })
+	}
+	hit, miss := []byte(keys[1]), []byte(long+"2")
+	allocs := testing.AllocsPerRun(100, func() {
+		if v, ok := x.Get(hit); !ok || v != 1 {
+			t.Fatalf("Get(hit) = %d, %v, want 1, true", v, ok)
+		}
+		if v, ok := x.Get(miss); ok {
+			t.Fatalf("Get(miss) = %d, true, want a miss", v)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per pair of lookups, want 0", allocs)
+	}
 }

@@ -127,7 +127,9 @@ func (c *SuccessorCache) Cache() *SuccessorCache { return c }
 // callers that need to observe repeated enumeration (the determinism check
 // in the package tests, coldbench's models.step_s replay).
 // For a keyed model it is the same enumeration run against the zero
-// Prober, which builds every successor.
+// Prober, which builds every successor the model probes (a synchronous
+// model's round memo repeats a successor equal to the one before it
+// without a probe).
 func (c *SuccessorCache) Uncached() Successor { return c.raw }
 
 // plainKeyed runs a plain Successor through the key-first loop: it keys

@@ -44,7 +44,7 @@ type KeyedSuccessor interface {
 
 	// SuccessorsKeyed enumerates S(x) key-first through p and returns the
 	// labeled successors with the ids p resolved them to, aligned. With the
-	// zero Prober every probe misses, so every successor is built.
+	// zero Prober every probe misses, so every successor probed is built.
 	SuccessorsKeyed(x State, p Prober) ([]Succ, []uint32)
 }
 

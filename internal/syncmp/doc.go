@@ -26,10 +26,14 @@
 // per (receiver local state, inbox) across the whole model, where the inbox
 // is its message per sender, or only its set of messages for a protocol
 // that declares proto.SetInbox (FloodSet). A state's
-// successors are enumerated key-first through one RoundMemo, which
-// resolves every receiver's next local id, probes the model's successor
-// cache with the key (round, failed set, local ids), and builds a State
-// only for a successor the cache has not seen. Ids stay inside the
+// successors are enumerated key-first through one RoundMemo. Per action
+// it re-resolves only the receivers whose lost set can differ from the
+// previous action's, since x(j,[k]) and x(j,[k+1]) agree modulo process k
+// (the proof of Lemma 5.1). If none of their local ids changes and the
+// failed set is the same, the successor is the previous one, reused
+// without a probe. Otherwise the memo probes the model's successor cache
+// with the key (round, failed set, local ids), and builds a State only for
+// a successor the cache has not seen. Ids stay inside the
 // process: Key is still the canonical string, and a state built elsewhere
 // (NewState, another model's Initial) is keyed from its strings. The plain
 // single-action Round the memo is tested against, and the one-action

@@ -11,13 +11,21 @@ import (
 // every environment action applied to it. Every action of the paper's
 // layerings (and of M^mf) runs the same round with some messages lost, so
 // the send vectors are common to all successors and a receiver's inbox is
-// determined by the set of senders it loses. The memo resolves each
-// (receiver, lost senders) pair once to the receiver's next local id,
-// through the table's model-wide Deliver memo (where a proto.SetInbox
-// protocol's inboxes with equal message sets share one entry), writes each
-// successor's cache key as (round, failed set, local ids), and probes it.
-// Only on a miss does it build the successor's locals, decisions and
-// canonical key.
+// determined by the senders it still hears from. The memo resolves each
+// receiver's inbox once to the receiver's next local id, through the
+// table's model-wide Deliver memo, and names the inbox in its own
+// per-receiver list by the classes of senders heard: a sender's class is
+// the first live sender whose message to that receiver has the same id
+// under a proto.SetInbox protocol, and the sender itself otherwise.
+//
+// Consecutive actions change few receivers: x(j,[k]) and x(j,[k+1]) agree
+// modulo process k (the proof of Lemma 5.1). So Omit re-resolves only the
+// receivers whose lost set can differ from the previous action's. When none
+// of their ids changes and the failed set is the previous one, the
+// successor is the previous successor, appended again with no key written
+// and no probe. Otherwise the memo writes the successor's cache key as
+// (round, failed set, local ids) and probes it; only on a miss does it
+// build the successor's locals, decisions and canonical key.
 //
 // A memo belongs to one enumeration: it is not safe for concurrent use.
 // Table.Memo hands one out and Done returns it to the table's pool.
@@ -36,16 +44,28 @@ type RoundMemo struct {
 	// matters within it.
 	base []uint64
 	live []uint64
+	// cls[to*n+i] is live sender i's class for receiver to; dup[to] holds
+	// the live senders that are not the first of their class.
+	cls []uint8
+	dup []uint64
 	// omit[i] is the set of receivers losing process i's message in the
 	// action being applied (meaningful for the processes in the action's
 	// omitting set only).
 	omit []uint64
 	// recv[to] holds the deliveries resolved for receiver to.
 	recv [][]delivery
-	// ids holds the successor's local ids being assembled; in and strs are
-	// an inbox's message ids and strings, set its sorted distinct message
-	// ids (deliverSetKey's scratch).
-	ids  []uint32
+	// ids holds the local ids of the last successor enumerated, last and
+	// lastID that successor and its id (last is nil before the first), and
+	// lastFailed its failed set. lastFrom and lastTo are the omitter (a
+	// bitmask, 0 for none) and the omission set of the action before: every
+	// receiver outside the two actions' omission sets keeps its id.
+	// lastFrom is ^0 when no receiver may keep one.
+	ids                          []uint32
+	last                         core.State
+	lastID                       uint32
+	lastFailed, lastFrom, lastTo uint64
+	// in and strs are an inbox's message ids and strings, set its sorted
+	// distinct message ids (deliverSetKey's scratch).
 	in   []uint32
 	set  []uint32
 	strs []string
@@ -56,11 +76,11 @@ type RoundMemo struct {
 	oids []uint32
 }
 
-// delivery is one receiver's next local id given the (effective) set of
-// senders it lost.
+// delivery is one receiver's next local id given the classes of the
+// senders it hears from.
 type delivery struct {
-	lost uint64
-	id   uint32
+	heard uint64
+	id    uint32
 }
 
 // envEntry caches a successor environment key by failed set.
@@ -86,6 +106,7 @@ func (t *Table) Memo(x *State, p core.Prober, size int, record, silenceFailed, g
 	r.src = t.idsOf(r.src[:0], x)
 	r.sends = grow(r.sends, n)
 	r.base, r.live, r.omit = grow(r.base, n), grow(r.live, n), grow(r.omit, n)
+	r.cls, r.dup = grow(r.cls, n*n), grow(r.dup, n)
 	r.recv = grow(r.recv, n)
 	r.ids, r.in, r.set, r.strs = grow(r.ids, n), grow(r.in, n), grow(r.set, n), grow(r.strs, n)
 	r.envs = r.envs[:0]
@@ -94,11 +115,21 @@ func (t *Table) Memo(x *State, p core.Prober, size int, record, silenceFailed, g
 	}
 	all := uint64(1)<<uint(n) - 1
 	for to := 0; to < n; to++ {
-		r.live[to], r.base[to] = 0, 0
+		r.live[to], r.base[to], r.dup[to] = 0, 0, 0
 		for i := 0; i < n; i++ {
-			if i != to && r.sends[i][to] != 0 {
-				r.live[to] |= 1 << uint(i)
+			m := r.sends[i][to]
+			if i == to || m == 0 {
+				continue
 			}
+			r.cls[to*n+i] = uint8(i)
+			for c := 0; t.set && c < i; c++ {
+				if r.live[to]&(1<<uint(c)) != 0 && r.sends[c][to] == m {
+					r.cls[to*n+i] = uint8(c)
+					r.dup[to] |= 1 << uint(i)
+					break
+				}
+			}
+			r.live[to] |= 1 << uint(i)
 		}
 		if silenceFailed {
 			r.base[to] = x.failed
@@ -108,6 +139,7 @@ func (t *Table) Memo(x *State, p core.Prober, size int, record, silenceFailed, g
 		}
 		r.recv[to] = r.recv[to][:0]
 	}
+	r.last, r.lastFrom, r.lastTo = nil, ^uint64(0), all
 	r.out = make([]core.Succ, 0, size)
 	r.oids = make([]uint32, 0, size)
 	return r
@@ -125,7 +157,7 @@ func grow[T any](s []T, n int) []T {
 // memo to its table's pool.
 func (r *RoundMemo) Done() ([]core.Succ, []uint32) {
 	out, oids := r.out, r.oids
-	r.out, r.oids, r.x = nil, nil, nil
+	r.out, r.oids, r.x, r.last = nil, nil, nil, nil
 	r.t.memos.Put(r)
 	return out, oids
 }
@@ -133,7 +165,10 @@ func (r *RoundMemo) Done() ([]core.Succ, []uint32) {
 // Omit enumerates, labeled label, the successor in which process j's
 // messages to the processes in omitTo are lost (omitTo == 0 is the
 // failure-free round). j is recorded as failed if the memo records
-// failures and omitTo is non-empty.
+// failures and omitTo is non-empty. Only the receivers whose lost set can
+// differ from the previous action's are re-resolved: with the same
+// omitter, those in one omission set but not the other; with another, those
+// in either.
 func (r *RoundMemo) Omit(label string, j int, omitTo uint64) {
 	failed, from := r.x.failed, uint64(0)
 	if omitTo != 0 {
@@ -143,12 +178,18 @@ func (r *RoundMemo) Omit(label string, j int, omitTo uint64) {
 			failed |= from
 		}
 	}
-	r.emit(label, from, failed)
+	redo := omitTo | r.lastTo
+	if from == r.lastFrom {
+		redo = omitTo ^ r.lastTo
+	}
+	r.lastFrom, r.lastTo = from, omitTo
+	r.emit(label, from, failed, redo)
 }
 
 // omitMany enumerates the successor in which every listed process omits to
 // its prefix set [K] at once; each is recorded as failed if the memo
-// records failures. A process listed twice omits per its last entry.
+// records failures. A process listed twice omits per its last entry. It
+// re-resolves every receiver, and so does the Omit after it.
 func (r *RoundMemo) omitMany(label string, oms []Omission) {
 	failed, from := r.x.failed, uint64(0)
 	for _, om := range oms {
@@ -158,14 +199,21 @@ func (r *RoundMemo) omitMany(label string, oms []Omission) {
 	if r.record {
 		failed |= from
 	}
-	r.emit(label, from, failed)
+	all := uint64(1)<<uint(len(r.ids)) - 1
+	r.lastFrom, r.lastTo = ^uint64(0), all
+	r.emit(label, from, failed, all)
 }
 
-// emit resolves the successor with failed set failed in which each process
-// i in from loses its messages to the receivers in omit[i], probes its key,
-// and builds it on a miss.
-func (r *RoundMemo) emit(label string, from, failed uint64) {
-	for to := range r.ids {
+// emit enumerates the successor with failed set failed in which each
+// process i in from loses its messages to the receivers in omit[i]. It
+// re-resolves the receivers in redo; the others keep the last successor's
+// ids. If no re-resolved id changes and the failed set is the last
+// successor's, that successor is appended again. Otherwise emit probes the
+// key and builds the successor on a miss.
+func (r *RoundMemo) emit(label string, from, failed, redo uint64) {
+	same := r.last != nil && failed == r.lastFailed
+	for redo &= uint64(1)<<uint(len(r.ids)) - 1; redo != 0; redo &= redo - 1 {
+		to := bits.TrailingZeros64(redo)
 		lost := r.base[to]
 		for f := from; f != 0; f &= f - 1 {
 			i := bits.TrailingZeros64(f)
@@ -173,14 +221,19 @@ func (r *RoundMemo) emit(label string, from, failed uint64) {
 				lost |= 1 << uint(i)
 			}
 		}
-		r.ids[to] = r.deliver(to, lost&r.live[to])
+		id := r.deliver(to, lost)
+		same = same && id == r.ids[to]
+		r.ids[to] = id
 	}
-	id, st, ok := r.probe(failed)
-	if !ok {
-		id, st = r.p.Intern(r.key, r.build(failed))
+	if !same {
+		id, st, ok := r.probe(failed)
+		if !ok {
+			id, st = r.p.Intern(r.key, r.build(failed))
+		}
+		r.last, r.lastID, r.lastFailed = st, id, failed
 	}
-	r.out = append(r.out, core.Succ{Action: label, State: st})
-	r.oids = append(r.oids, id)
+	r.out = append(r.out, core.Succ{Action: label, State: r.last})
+	r.oids = append(r.oids, r.lastID)
 }
 
 // probe writes the key of the successor whose local ids are r.ids and
@@ -193,17 +246,21 @@ func (r *RoundMemo) probe(failed uint64) (uint32, core.State, bool) {
 }
 
 // deliver returns receiver to's next local id when it loses the messages
-// of the senders in lost (a subset of live[to]): from the memo's own list,
-// else from the table's model-wide Deliver memo (keyed by the inbox's
-// message ids per sender, or by their set for a proto.SetInbox protocol),
-// else by running Deliver.
+// of the senders in lost: from the memo's own list, keyed by the classes
+// of senders heard, else from the table's model-wide Deliver memo (keyed
+// by the inbox's message ids per sender, or by their set for a
+// proto.SetInbox protocol), else by running Deliver.
 func (r *RoundMemo) deliver(to int, lost uint64) uint32 {
+	got, cls := r.live[to]&^lost, r.cls[to*len(r.ids):]
+	heard := got &^ r.dup[to]
+	for d := got & r.dup[to]; d != 0; d &= d - 1 {
+		heard |= 1 << cls[bits.TrailingZeros64(d)]
+	}
 	for _, d := range r.recv[to] {
-		if d.lost == lost {
+		if d.heard == heard {
 			return d.id
 		}
 	}
-	got := r.live[to] &^ lost
 	for i := range r.in {
 		r.in[i] = 0
 		if got&(1<<uint(i)) != 0 {
@@ -219,7 +276,7 @@ func (r *RoundMemo) deliver(to int, lost uint64) uint32 {
 	if !ok {
 		id = r.t.deliverSlow(r.buf, r.src[to], r.in, r.strs)
 	}
-	r.recv[to] = append(r.recv[to], delivery{lost: lost, id: id})
+	r.recv[to] = append(r.recv[to], delivery{heard: heard, id: id})
 	return id
 }
 

@@ -129,9 +129,14 @@ func (m *Model) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uin
 	if !ok {
 		return nil, nil
 	}
-	r := m.tab.Memo(s, p, m.n*m.n+1, true, true, m.general)
+	fail := !m.budget || s.FailedCount() < m.t
+	size := 1
+	if fail {
+		size += m.n * (m.n - s.FailedCount())
+	}
+	r := m.tab.Memo(s, p, size, true, true, m.general)
 	r.Omit("noop", 0, 0)
-	if !m.budget || s.FailedCount() < m.t {
+	if fail {
 		for j := 0; j < m.n; j++ {
 			if s.FailedAt(j) {
 				continue

@@ -88,3 +88,6 @@ func (m *MultiModel) ApplyMulti(x *State, oms []Omission) *State {
 	succs, _ := r.Done()
 	return succs[0].State.(*State)
 }
+
+// OmitMany runs omitMany, for the tests of package syncmp_test.
+func (r *RoundMemo) OmitMany(label string, oms []Omission) { r.omitMany(label, oms) }

@@ -18,7 +18,11 @@ import (
 // non-empty message ids (deliverSetKey), so that inboxes differing only in
 // who sent what share one call. That is legal because the protocol's steps
 // are pure functions of their arguments (the proto.SyncProtocol contract,
-// checked with the declaration by proto.ValidateSync).
+// checked with the declaration by proto.ValidateSync). A RoundMemo asks
+// the memo at most once per source state, receiver and set of sender
+// classes heard; under a proto.SetInbox protocol the senders of one
+// message id form one class, so losing a message that another sender
+// repeats is answered from the RoundMemo's own list.
 //
 // Ids never leave the process: states keep their canonical strings, and
 // Key is built from those. The table is append-only and safe for
