@@ -82,19 +82,22 @@ coldbench:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './coldbench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
-# tier1 is the gate every change must keep green: full build, gofmt, vet, the
-# engine-invariant lint suite, the complete test suite (including the
-# golden experiment outputs in the root package), the race detector over
-# the internal packages that use concurrency (parallel exploration, the
-# shared successor cache, the worker pool; ./internal/... also covers
-# internal/analysis and its fixture tests) and over the root package's
-# cache-equivalence tests, the chaos fault-injection suite, the supervised
-# chaos campaign and SIGKILL crash harness, a one-iteration smoke pass of
-# the field and exploration micro-benchmarks, the journaled-run obsreport
-# round trip, and last the cold benchmark harness's tests, so that a
-# failure there (its span-coverage check is timing-sensitive) still fails
-# tier1 but does not stop the steps before it from running.
-tier1: build fmt vet lint test race chaos campaign crash benchfield benchexplore obsreport coldbench
+# tier1 is the gate every change must keep green: full build, gofmt, vet,
+# the engine-invariant lint suite, the same suite again through go vet's
+# -vettool driver (which alone checks _test.go files and passes analyzer
+# facts between packages as .vetx files), the complete test suite
+# (including the golden experiment outputs in the root package), the race
+# detector over the internal packages that use concurrency (parallel
+# exploration, the shared successor cache, the worker pool; ./internal/...
+# also covers internal/analysis and its fixture tests) and over the root
+# package's cache-equivalence tests, the chaos fault-injection suite, the
+# supervised chaos campaign and SIGKILL crash harness, a one-iteration
+# smoke pass of the field and exploration micro-benchmarks, the
+# journaled-run obsreport round trip, and last the cold benchmark
+# harness's tests, so that a failure there (its span-coverage check is
+# timing-sensitive) still fails tier1 but does not stop the steps before
+# it from running.
+tier1: build fmt vet lint vettool test race chaos campaign crash benchfield benchexplore obsreport coldbench
 
 # benchfield smoke-runs the valence field micro-benchmark grid (scalar
 # reference vs bit-plane sweep, graded vs fixpoint) at one iteration per

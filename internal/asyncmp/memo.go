@@ -113,8 +113,6 @@ type phaseMemo struct {
 	spill    []string
 	key      []byte
 	buf      []byte
-	out      []core.Succ
-	oids     []uint32
 }
 
 // delivery is one receiver's next record id given the set of fresh
@@ -130,9 +128,8 @@ type phasedEnv struct {
 	e      *env
 }
 
-// memo starts the layer from x, resolving successor keys through p. size
-// is the expected number of successors.
-func (t *table) memo(x *State, p core.Prober, size int) *phaseMemo {
+// memo starts the layer from x, resolving successor keys through p.
+func (t *table) memo(x *State, p core.Prober) *phaseMemo {
 	r, _ := t.memos.Get().(*phaseMemo)
 	if r == nil {
 		r = &phaseMemo{t: t}
@@ -158,8 +155,6 @@ func (t *table) memo(x *State, p core.Prober, size int) *phaseMemo {
 		}
 		r.recv[to] = r.recv[to][:0]
 	}
-	r.out = make([]core.Succ, 0, size)
-	r.oids = make([]uint32, 0, size)
 	return r
 }
 
@@ -171,19 +166,16 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// done returns the successors and ids the memo enumerated, and returns
-// the memo to its table's pool.
-func (r *phaseMemo) done() ([]core.Succ, []uint32) {
-	out, oids := r.out, r.oids
-	r.out, r.oids, r.x, r.env = nil, nil, nil, nil
+// done returns the memo to its table's pool.
+func (r *phaseMemo) done() {
+	r.p, r.x, r.env = core.Prober{}, nil, nil
 	r.t.memos.Put(r)
-	return out, oids
 }
 
-// next enumerates the successor of the memo's source state under action
-// a: it resolves the successor's ids, probes its key, and builds it on a
-// miss.
-func (r *phaseMemo) next(a *action) {
+// next returns the successor of the memo's source state under action a,
+// and the id it is filed under: it resolves the successor's ids, probes
+// its key, and builds it on a miss.
+func (r *phaseMemo) next(a *action) (uint32, core.State) {
 	for i := range r.ids {
 		if a.phased&(1<<uint(i)) == 0 {
 			r.ids[i] = r.procs[i].id
@@ -196,8 +188,7 @@ func (r *phaseMemo) next(a *action) {
 	if !ok {
 		id, st = r.p.Intern(r.key, r.build(e))
 	}
-	r.out = append(r.out, core.Succ{Action: a.label, State: st})
-	r.oids = append(r.oids, id)
+	return id, st
 }
 
 // probe writes the key of the successor with environment e and process

@@ -73,11 +73,10 @@ func checkSuccessors(t *testing.T, l *layering, x *State) []*State {
 	return out
 }
 
-// rawSuccessors enumerates x's successors against the zero core.Prober,
-// which builds every one.
+// rawSuccessors enumerates x's successors against a Prober without a
+// cache, which builds every one.
 func rawSuccessors(l *layering, x *State) []core.Succ {
-	succs, _ := l.SuccessorsKeyed(x, core.Prober{})
-	return succs
+	return l.Uncached().Successors(x)
 }
 
 // sameState compares every observable of two states.

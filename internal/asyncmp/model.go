@@ -34,6 +34,17 @@ func (l *layering) init(p proto.MPProtocol, n int, name string, actions func() [
 	l.SuccessorCache = core.NewKeyedCache(l)
 }
 
+// Labels implements core.KeyedSuccessor: the labels of the action table,
+// in order, so an action's label id is its index.
+func (l *layering) Labels() []string {
+	actions := l.actions()
+	labels := make([]string, len(actions))
+	for i := range actions {
+		labels[i] = actions[i].label
+	}
+	return labels
+}
+
 // Name implements core.Model.
 func (l *layering) Name() string { return l.name }
 
@@ -70,27 +81,28 @@ func (l *layering) AppendCacheKey(dst []byte, x core.State) []byte {
 // SuccessorsKeyed implements core.KeyedSuccessor: it applies the model's
 // action table to x through one phase memo; the embedded cache serves
 // Successors.
-func (l *layering) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
+func (l *layering) SuccessorsKeyed(x core.State, p core.Prober) {
 	s, ok := x.(*State)
 	if !ok {
-		return nil, nil
+		return
 	}
 	actions := l.actions()
-	r := l.tab.memo(s, p, len(actions))
+	r := l.tab.memo(s, p)
 	for i := range actions {
-		r.next(&actions[i])
+		id, st := r.next(&actions[i])
+		p.Emit(uint32(i), id, st)
 	}
-	return r.done()
+	r.done()
 }
 
 // apply is the one-action memo behind Sequential, WithPair, Apply and
 // ApplyAbsent: the phase memo run against the zero core.Prober, without a
 // cache.
 func (l *layering) apply(x *State, a action) *State {
-	r := l.tab.memo(x, core.Prober{}, 1)
-	r.next(&a)
-	succs, _ := r.done()
-	return succs[0].State.(*State)
+	r := l.tab.memo(x, core.Prober{})
+	_, st := r.next(&a)
+	r.done()
+	return st.(*State)
 }
 
 // Model is the asynchronous message-passing model with the permutation

@@ -16,8 +16,11 @@ import (
 // canonical — so restore re-materializes them by replaying each node's
 // discovery edge through the model's successor cache, parent before child.
 // Each discovery parent is enumerated once, since a node's discovery parent
-// never decreases with its id; the frontier layer, which is where the
-// exploration cost lives, is restored without enumeration.
+// never decreases with its id, and its whole row is checked against the
+// enumeration; the frontier layer, which is where the exploration cost
+// lives, is restored without enumeration. Edge labels are written as a
+// first-occurrence table of their strings and one index per edge, and a
+// resume maps the strings back to the model's label ids.
 //
 // The snapshot is only taken at layer boundaries (cancellation, deadline,
 // and the chaos explore.layer/explore.warm fault points); mid-layer budget
@@ -38,13 +41,14 @@ type ExploreCheckpoint struct {
 	g *IDGraph
 
 	// Decoded payload when the snapshot was read back from a file (the
-	// Resume side).
+	// Resume side): edge e is labeled labels[edgeLabel[e]].
 	keys      []string
 	depthOf   []int32
 	inits     []uint32
 	edgeStart []uint32
 	edgeTo    []uint32
-	actions   []string
+	labels    []string
+	edgeLabel []uint32
 }
 
 // Matches reports whether the snapshot belongs to this (model, depth,
@@ -101,17 +105,17 @@ func (ck *ExploreCheckpoint) Sections() ([]resilient.Section, error) {
 	enc.U32s(g.Inits)
 	enc.U32s(g.EdgeStart[:expanded+1])
 	enc.U32s(g.EdgeTo)
-	// Actions repeat heavily across edges; store a first-occurrence string
+	// Labels repeat heavily across edges; store a first-occurrence string
 	// table plus per-edge indices.
 	table := make([]string, 0, 16)
-	index := make(map[string]uint32, 16)
+	index := make(map[uint32]uint32, 16)
 	actIDs := make([]uint32, len(g.EdgeAction))
-	for i, a := range g.EdgeAction {
-		id, ok := index[a]
+	for i, l := range g.EdgeAction {
+		id, ok := index[l]
 		if !ok {
 			id = uint32(len(table))
-			index[a] = id
-			table = append(table, a)
+			index[l] = id
+			table = append(table, g.Label(l))
 		}
 		actIDs[i] = id
 	}
@@ -135,20 +139,18 @@ func DecodeExploreCheckpoint(data []byte) (*ExploreCheckpoint, error) {
 		edgeStart: d.U32s(),
 		edgeTo:    d.U32s(),
 	}
-	table := d.Strs()
-	actIDs := d.U32s()
+	ck.labels = d.Strs()
+	ck.edgeLabel = d.U32s()
 	if !d.Done() {
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("%w: explore section: %v", resilient.ErrBadCheckpoint, err)
 		}
 		return nil, fmt.Errorf("%w: explore section has trailing bytes", resilient.ErrBadCheckpoint)
 	}
-	ck.actions = make([]string, len(actIDs))
-	for i, id := range actIDs {
-		if int(id) >= len(table) {
+	for _, id := range ck.edgeLabel {
+		if int(id) >= len(ck.labels) {
 			return nil, fmt.Errorf("%w: explore section action id out of range", resilient.ErrBadCheckpoint)
 		}
-		ck.actions[i] = table[id]
 	}
 	if err := ck.validate(); err != nil {
 		return nil, fmt.Errorf("%w: explore section %v", resilient.ErrBadCheckpoint, err)
@@ -166,7 +168,7 @@ func DecodeExploreCheckpoint(data []byte) (*ExploreCheckpoint, error) {
 // layer above, so its first in-edge comes from there.
 func (ck *ExploreCheckpoint) validate() error {
 	n := len(ck.keys)
-	if len(ck.depthOf) != n || len(ck.actions) != len(ck.edgeTo) {
+	if len(ck.depthOf) != n || len(ck.edgeLabel) != len(ck.edgeTo) {
 		return fmt.Errorf("arrays disagree")
 	}
 	for _, v := range ck.edgeTo {
@@ -234,6 +236,13 @@ func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers
 		root = tr.Begin("explore", 0)
 		defer tr.End(root)
 	}
+	mismatch := func(what string) error {
+		return fmt.Errorf("%w: checkpoint does not replay against model %s (%s)", resilient.ErrBadCheckpoint, m.Name(), what)
+	}
+	labels, missing, ok := c.labels.ids(ck.labels)
+	if !ok {
+		return nil, mismatch(fmt.Sprintf("the model has no action %q", missing))
+	}
 	n := len(ck.keys)
 	g := &IDGraph{
 		Depth:      ck.Depth,
@@ -243,11 +252,14 @@ func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers
 		Inits:      ck.inits,
 		EdgeStart:  ck.edgeStart,
 		EdgeTo:     ck.edgeTo,
-		EdgeAction: ck.actions,
+		EdgeAction: make([]uint32, len(ck.edgeLabel)),
 		States:     make([]State, n),
 		ParentOf:   make([]int32, n),
 		parentEdge: make([]int32, n),
 		cacheIDs:   make([]uint32, n),
+	}
+	for e, l := range ck.edgeLabel {
+		g.EdgeAction[e] = labels[l]
 	}
 	if len(g.EdgeStart) == 0 {
 		g.EdgeStart = []uint32{0}
@@ -274,12 +286,9 @@ func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers
 	// Re-materialize states: initial states from the model, every other node
 	// by replaying its discovery edge through the successor cache. BFS
 	// discovers children in their parents' order, so one enumeration of each
-	// parent serves all its children. Canonical keys cross-check each step,
-	// so a drifted model fails loudly instead of resuming into a divergent
-	// graph.
-	mismatch := func(what string) error {
-		return fmt.Errorf("%w: checkpoint does not replay against model %s (%s)", resilient.ErrBadCheckpoint, m.Name(), what)
-	}
+	// parent serves all its children, and the parent's whole row is checked
+	// against it, so a drifted model fails loudly instead of resuming into a
+	// divergent graph.
 	cacheToNode := newCIDTable(c.Len())
 	ii := 0
 	for _, x := range m.Inits() {
@@ -305,8 +314,8 @@ func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers
 	if ii != len(g.Inits) {
 		return nil, mismatch("missing initial state")
 	}
-	var succs []Succ
-	var sids []uint32
+	b := c.edgeBuf()
+	defer c.putEdges(b)
 	enumerated := int32(-1)
 	for u := 0; u < n; u++ {
 		if u&1023 == 0 {
@@ -318,23 +327,17 @@ func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers
 			continue
 		}
 		p := g.ParentOf[u]
-		if p < 0 || int(p) >= u || g.States[p] == nil {
-			return nil, mismatch("orphan node")
-		}
 		if p != enumerated {
-			succs, sids = c.Enumerate(g.States[p])
+			if p < 0 || int(p) >= u || g.States[p] == nil {
+				return nil, mismatch("orphan node")
+			}
+			b.reset()
+			c.enumerate(g.States[p], b)
 			enumerated = p
+			if err := g.replayRow(uint32(p), b, cacheToNode); err != "" {
+				return nil, mismatch(err)
+			}
 		}
-		j := int(g.parentEdge[u]) - int(g.EdgeStart[p])
-		if j < 0 || j >= len(succs) {
-			return nil, mismatch("discovery edge index")
-		}
-		if c.KeyOf(sids[j]) != g.Keys[u] {
-			return nil, mismatch("discovery edge key")
-		}
-		g.States[u] = succs[j].State
-		g.cacheIDs[u] = sids[j]
-		cacheToNode.set(sids[j], uint32(u))
 	}
 	frontier := g.Layer(ck.NextDepth)
 	if rec != nil {
@@ -347,4 +350,35 @@ func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers
 			obs.F{Key: "workers", Value: workers})
 	}
 	return continueExplore(ctx, m, g, cacheToNode, frontier, ck.NextDepth, ck.MaxNodes, workers, rec, root.ID)
+}
+
+// replayRow checks node p's restored CSR row against b, p's enumeration:
+// the same number of edges and, edge by edge, the same label id and the
+// same target state, by cache id. A target the row discovers is
+// materialized from the state filed under its cache id, once its key
+// matches the snapshot's. It returns what differs, or "".
+func (g *IDGraph) replayRow(p uint32, b *edgeBuf, cacheToNode *cidTable) string {
+	lo, hi := g.EdgeStart[p], g.EdgeStart[p+1]
+	if int(hi-lo) != len(b.ids) {
+		return fmt.Sprintf("node %d has %d edges, the model enumerates %d", p, hi-lo, len(b.ids))
+	}
+	for j, cid := range b.ids {
+		e := lo + uint32(j)
+		if g.EdgeAction[e] != b.labels[j] {
+			return fmt.Sprintf("edge %d of node %d is labeled %q, the model's %q", j, p, g.Action(int(e)), g.Label(b.labels[j]))
+		}
+		v := g.EdgeTo[e]
+		if g.States[v] == nil && g.parentEdge[v] == int32(e) {
+			if g.Cache.KeyOf(cid) != g.Keys[v] {
+				return fmt.Sprintf("edge %d of node %d discovers node %d under another key", j, p, v)
+			}
+			g.States[v], g.cacheIDs[v] = g.Cache.StateOf(cid), cid
+			cacheToNode.set(cid, v)
+			continue
+		}
+		if g.States[v] == nil || g.cacheIDs[v] != cid {
+			return fmt.Sprintf("edge %d of node %d leads to node %d, the model's to another state", j, p, v)
+		}
+	}
+	return ""
 }

@@ -14,15 +14,21 @@ import (
 // and 1, nodes 2 and 3 at depth 1, node 4 at depth 2, the unexpanded
 // frontier. Adjacent fields of one type hold distinct values (Depth,
 // MaxNodes and NextDepth; Inits, EdgeStart and EdgeTo), so a decoder that
-// reads two of them in swapped order returns a different snapshot.
+// reads two of them in swapped order returns a different snapshot. Its
+// edges are labeled x, y, x, z, y, x: ids into a plain cache's labels,
+// interned in the order z, y, x, so that the ids differ from the indexes
+// of the encoded first-occurrence table.
 func handCut() *ExploreCheckpoint {
+	c := NewSuccessorCache(SuccessorFunc(func(State) []Succ { return nil }))
+	z, y, x := c.labels.interned.id("z"), c.labels.interned.id("y"), c.labels.interned.id("x")
 	return &ExploreCheckpoint{Model: "hand", Depth: 4, MaxNodes: 50, NextDepth: 2, g: &IDGraph{
 		Keys:       []string{"a", "b", "c", "d", "e"},
 		DepthOf:    []int32{0, 0, 1, 1, 2},
 		Inits:      []uint32{0, 1},
 		EdgeStart:  []uint32{0, 2, 3, 5, 6},
 		EdgeTo:     []uint32{2, 3, 3, 4, 2, 4},
-		EdgeAction: []string{"x", "y", "x", "z", "y", "x"},
+		EdgeAction: []uint32{x, y, x, z, y, x},
+		Cache:      c,
 	}}
 }
 
@@ -49,7 +55,7 @@ func TestExploreCheckpointRoundTrip(t *testing.T) {
 	want := &ExploreCheckpoint{
 		Model: ck.Model, Depth: ck.Depth, MaxNodes: ck.MaxNodes, NextDepth: ck.NextDepth,
 		keys: g.Keys, depthOf: g.DepthOf, inits: g.Inits, edgeStart: g.EdgeStart,
-		edgeTo: g.EdgeTo, actions: g.EdgeAction,
+		edgeTo: g.EdgeTo, labels: []string{"x", "y", "z"}, edgeLabel: []uint32{0, 1, 0, 2, 1, 0},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded %+v, want %+v", got, want)

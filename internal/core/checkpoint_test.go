@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -14,6 +16,16 @@ import (
 	"repro/internal/protocols"
 	"repro/internal/resilient"
 )
+
+// edgeLabels renders g's edge labels, edge by edge: two graphs over
+// different caches agree on labels exactly when these do.
+func edgeLabels(g *core.IDGraph) []string {
+	out := make([]string, g.NumEdges())
+	for e := range out {
+		out[e] = g.Action(e)
+	}
+	return out
+}
 
 // idGraphsIdentical asserts two dense graphs are bit-identical in every
 // deterministic field: depth bound, node numbering, keys, depths, layers,
@@ -38,7 +50,7 @@ func idGraphsIdentical(t *testing.T, want, got *core.IDGraph) {
 	if !reflect.DeepEqual(want.EdgeStart, got.EdgeStart) {
 		t.Fatal("EdgeStart differs")
 	}
-	if !reflect.DeepEqual(want.EdgeAction, got.EdgeAction) {
+	if !reflect.DeepEqual(edgeLabels(want), edgeLabels(got)) {
 		t.Fatal("EdgeAction differs")
 	}
 	if !reflect.DeepEqual(want.EdgeTo, got.EdgeTo) {
@@ -364,4 +376,122 @@ func TestExploreCheckpointMatchesRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	idGraphsIdentical(t, full, resumed)
+}
+
+// exploreSection is a decoded explore checkpoint section, field by field,
+// so that a test can patch its edges and encode it again.
+type exploreSection struct {
+	model                    string
+	depth, maxNodes, next    int
+	keys                     []string
+	depthOf                  []int32
+	inits, edgeStart, edgeTo []uint32
+	labels                   []string
+	edgeLabel                []uint32
+}
+
+func decodeSection(t *testing.T, data []byte) *exploreSection {
+	t.Helper()
+	d := resilient.NewDec(data)
+	s := &exploreSection{model: d.Str(), depth: d.Int(), maxNodes: d.Int(), next: d.Int(),
+		keys: d.Strs(), depthOf: d.I32s(), inits: d.U32s(), edgeStart: d.U32s(), edgeTo: d.U32s(),
+		labels: d.Strs(), edgeLabel: d.U32s()}
+	if !d.Done() {
+		t.Fatalf("explore section does not decode: %v", d.Err())
+	}
+	return s
+}
+
+func (s *exploreSection) encode() []byte {
+	e := resilient.NewEnc(0)
+	e.Str(s.model)
+	e.Int(s.depth)
+	e.Int(s.maxNodes)
+	e.Int(s.next)
+	e.Strs(s.keys)
+	e.I32s(s.depthOf)
+	e.U32s(s.inits)
+	e.U32s(s.edgeStart)
+	e.U32s(s.edgeTo)
+	e.Strs(s.labels)
+	e.U32s(s.edgeLabel)
+	return e.Bytes()
+}
+
+// TestResumeChecksEnumeratedRows patches the committed explore cut
+// (testdata/explore-mobile-n3-depth3-cut2.ckpt) in a row that a resume
+// enumerates to re-materialize the nodes it discovers: it swaps two of the
+// row's edge targets, both discovered by earlier edges, so that every
+// discovery edge and the layer framing stay as they were; and, separately,
+// it labels one of the row's edges with another of the model's labels.
+// Resuming either must fail with ErrBadCheckpoint naming the row's node,
+// where a check of the discovery edges alone resumes into a wrong graph.
+func TestResumeChecksEnumeratedRows(t *testing.T) {
+	const depth = 3
+	raw, err := os.ReadFile("testdata/explore-mobile-n3-depth3-cut2.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections, err := resilient.ReadSections(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := sections[0].Data
+	if !bytes.Equal(decodeSection(t, data).encode(), data) {
+		t.Fatal("the section does not encode back to its bytes")
+	}
+	s := decodeSection(t, data)
+	// first[v] is 1 + the first in-edge of node v: its discovery edge.
+	first := make([]int, len(s.keys))
+	parents := map[int]bool{}
+	for u := 0; u+1 < len(s.edgeStart); u++ {
+		for e := s.edgeStart[u]; e < s.edgeStart[u+1]; e++ {
+			if v := s.edgeTo[e]; first[v] == 0 && s.depthOf[v] > 0 {
+				first[v] = int(e) + 1
+				parents[u] = true
+			}
+		}
+	}
+	row, e1, e2 := -1, uint32(0), uint32(0)
+search:
+	for u := 0; u+1 < len(s.edgeStart); u++ {
+		if !parents[u] {
+			continue
+		}
+		for a := s.edgeStart[u]; a < s.edgeStart[u+1]; a++ {
+			for b := a + 1; b < s.edgeStart[u+1]; b++ {
+				va, vb := s.edgeTo[a], s.edgeTo[b]
+				if va != vb && first[va] != 0 && first[va] <= int(a) && first[vb] != 0 && first[vb] <= int(a) {
+					row, e1, e2 = u, a, b
+					break search
+				}
+			}
+		}
+	}
+	if row < 0 {
+		t.Fatal("no enumerated row has two edges to nodes discovered before them")
+	}
+	node := fmt.Sprintf("node %d", row)
+	resume := func(t *testing.T, patched *exploreSection) {
+		t.Helper()
+		ctx := resilient.Background()
+		ctx.SetResume([]resilient.Section{{Tag: resilient.TagExplore, Data: patched.encode()}})
+		_, rerr := core.ExploreIDCtx(ctx, newCkptModel(), depth, 0, 1)
+		if !errors.Is(rerr, resilient.ErrBadCheckpoint) || !strings.Contains(rerr.Error(), node) {
+			t.Fatalf("resume: err = %v, want ErrBadCheckpoint naming %s", rerr, node)
+		}
+	}
+	t.Run("swapped targets", func(t *testing.T) {
+		p := decodeSection(t, data)
+		p.edgeTo[e1], p.edgeTo[e2] = p.edgeTo[e2], p.edgeTo[e1]
+		resume(t, p)
+	})
+	t.Run("another label", func(t *testing.T) {
+		p := decodeSection(t, data)
+		if len(p.labels) < 2 {
+			t.Fatal("the cut labels its edges with one action")
+		}
+		p.edgeLabel[e1] = (p.edgeLabel[e1] + 1) % uint32(len(p.labels))
+		resume(t, p)
+	})
 }

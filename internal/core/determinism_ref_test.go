@@ -13,7 +13,7 @@ import "fmt"
 func (g *IDGraph) CheckDeterminism(m Model) error {
 	s := CacheOf(m).Uncached()
 	for u := range g.States {
-		actions, to := g.Out(uint32(u))
+		labels, to := g.Out(uint32(u))
 		if len(to) == 0 {
 			continue
 		}
@@ -23,9 +23,9 @@ func (g *IDGraph) CheckDeterminism(m Model) error {
 			return fmt.Errorf("core: successor count changed for state %q: %d then %d", k, len(to), len(again))
 		}
 		for i, sc := range again {
-			if sc.Action != actions[i] || sc.State.Key() != g.Keys[to[i]] {
+			if sc.Action != g.Label(labels[i]) || sc.State.Key() != g.Keys[to[i]] {
 				return fmt.Errorf("core: successor %d changed for state %q: (%s,%s) then (%s,%s)",
-					i, k, actions[i], g.Keys[to[i]], sc.Action, sc.State.Key())
+					i, k, g.Label(labels[i]), g.Keys[to[i]], sc.Action, sc.State.Key())
 			}
 		}
 	}

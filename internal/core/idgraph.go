@@ -31,9 +31,10 @@ type IDGraph struct {
 	// EdgeStart/EdgeAction/EdgeTo are the CSR edge arrays: node u's
 	// outgoing labeled edges, in successor-enumeration order, are the index
 	// range [EdgeStart[u], EdgeStart[u+1]). Only nodes at depth < Depth
-	// have edges recorded.
+	// have edges recorded. EdgeAction holds each edge's label id, which
+	// Label renders (Action renders edge e's).
 	EdgeStart  []uint32
-	EdgeAction []string
+	EdgeAction []uint32
 	EdgeTo     []uint32
 	// Cache is the successor cache the exploration drew from (the model's
 	// shared cache when it has one). It remembers the model's latest
@@ -43,7 +44,7 @@ type IDGraph struct {
 
 	// ParentOf[u] is the node from which u was first discovered during the
 	// BFS (-1 for initial nodes); parentEdge[u] is the CSR index of that
-	// discovery edge, so EdgeAction[parentEdge[u]] labels the step. Because
+	// discovery edge, so Action(parentEdge[u]) labels the step. Because
 	// discovery is breadth-first in enumeration order, the parent chain of u
 	// is the lexicographically first shortest path from an initial state.
 	ParentOf   []int32
@@ -114,12 +115,18 @@ func (g *IDGraph) Len() int { return len(g.States) }
 // NumEdges returns the number of recorded edges.
 func (g *IDGraph) NumEdges() int { return len(g.EdgeTo) }
 
-// Out returns node u's outgoing edges as parallel action/target slices
-// (shared; callers must not modify).
-func (g *IDGraph) Out(u uint32) (actions []string, to []uint32) {
+// Out returns node u's outgoing edges as parallel label-id/target slices
+// (shared; callers must not modify). Label renders a label id.
+func (g *IDGraph) Out(u uint32) (labels, to []uint32) {
 	lo, hi := g.EdgeStart[u], g.EdgeStart[u+1]
 	return g.EdgeAction[lo:hi], g.EdgeTo[lo:hi]
 }
+
+// Label returns the action label of label id l.
+func (g *IDGraph) Label(l uint32) string { return g.Cache.Label(l) }
+
+// Action returns the action label of edge e.
+func (g *IDGraph) Action(e int) string { return g.Label(g.EdgeAction[e]) }
 
 // Layer returns the nodes first reached at depth d, in BFS discovery order
 // (shared; callers must not modify).
@@ -147,7 +154,7 @@ func (g *IDGraph) Parent(u uint32) (p uint32, action string, ok bool) {
 	if pi < 0 {
 		return 0, "", false
 	}
-	return uint32(pi), g.EdgeAction[g.parentEdge[u]], true
+	return uint32(pi), g.Action(int(g.parentEdge[u])), true
 }
 
 // PathTo reconstructs the BFS-discovery execution reaching node u by
@@ -253,19 +260,6 @@ func (g *IDGraph) Graded() bool {
 	return g.graded
 }
 
-// reserve grows the edge arrays by the layer's enumerated successor
-// counts, and EdgeStart by one row per frontier node, so that the merge
-// appends a layer without regrowing them.
-func (g *IDGraph) reserve(layer []expansion) {
-	edges := 0
-	for _, x := range layer {
-		edges += len(x.succs)
-	}
-	g.EdgeAction = slices.Grow(g.EdgeAction, edges)
-	g.EdgeTo = slices.Grow(g.EdgeTo, edges)
-	g.EdgeStart = slices.Grow(g.EdgeStart, len(layer))
-}
-
 // addNode appends a node and returns its id.
 func (g *IDGraph) addNode(x State, key string, depth int, cacheID uint32) uint32 {
 	u := uint32(len(g.States))
@@ -297,14 +291,15 @@ func (g *IDGraph) padEdgeStart() {
 // exhaustion the partial graph explored so far is returned alongside the
 // wrapped ErrNodeBudget.
 //
-// Each layer's frontier is expanded into one successor list per frontier
-// position: by a plain loop on one worker, else by a pool of workers
-// goroutines (workers <= 0 means GOMAXPROCS), one contiguous shard each. A
-// single goroutine then merges the lists in frontier order and drops them,
-// so the resulting graph — node numbering, edge order, depths, and any
-// budget-exhaustion point — is the same for every worker count. A node
-// budget cuts the merge, not the expansion: the layer it cuts has been
-// enumerated whole.
+// Each layer's frontier is expanded into flat edge buffers of (label id,
+// cache id) pairs, reused across layers: by a plain loop on one worker,
+// else by a pool of workers goroutines (workers <= 0 means GOMAXPROCS),
+// one contiguous shard of the frontier and one buffer each. A single
+// goroutine then merges the buffers in frontier order, growing the edge
+// and node arrays once per layer, so the resulting graph — node
+// numbering, edge order, depths, and any budget-exhaustion point — is the
+// same for every worker count. A node budget cuts the merge, not the
+// expansion: the layer it cuts has been enumerated whole.
 //
 // The model's cache remembers the latest complete graph explored without a
 // node budget to depth 1 or more. A later exploration without a budget,
@@ -481,6 +476,10 @@ func (g *IDGraph) prefix(depth int) *IDGraph {
 // depth 1 or more becomes the one its cache remembers.
 func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTable, frontier []uint32, startDepth, maxNodes, workers int, rec obs.Recorder, parent obs.SpanID) (*IDGraph, error) {
 	tr := obs.Trace()
+	// The expansion shards and the merge's discoveries are reused across
+	// layers.
+	var bufs []shard
+	var found []discovery
 	for d := startDepth; d < g.Depth && len(frontier) > 0; d++ {
 		if err := stopPoint(ctx, "explore.layer"); err != nil {
 			return g.interrupted(m, rec, d, maxNodes, err)
@@ -489,43 +488,22 @@ func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTa
 		if tr != nil {
 			lsp = tr.Begin("explore.layer", parent)
 		}
-		layer, err := g.expand(ctx, frontier, workers, lsp.ID)
+		shards, err := g.expand(ctx, frontier, workers, &bufs, lsp.ID)
 		if err != nil {
 			if tr != nil {
 				tr.End(lsp)
 			}
 			return g.interrupted(m, rec, d, maxNodes, err)
 		}
-		g.reserve(layer)
 		edgesBefore := len(g.EdgeTo)
-		var next []uint32
-		for i, u := range frontier {
-			succs, sids := layer[i].succs, layer[i].ids
-			for j := range succs {
-				cid := sids[j]
-				v, seen := cacheToNode.get(cid)
-				if !seen {
-					if maxNodes > 0 && len(g.States) >= maxNodes {
-						g.padEdgeStart()
-						if tr != nil {
-							tr.End(lsp)
-						}
-						g.finishExplore(rec, true)
-						return g, fmt.Errorf("at depth %d (%d nodes): %w", g.ReachedDepth(), len(g.States), ErrNodeBudget)
-					}
-					v = g.addNode(succs[j].State, g.Cache.KeyOf(cid), d+1, cid)
-					g.ParentOf[v] = int32(u)
-					g.parentEdge[v] = int32(len(g.EdgeTo))
-					cacheToNode.set(cid, v)
-					next = append(next, v)
-				}
-				g.EdgeAction = append(g.EdgeAction, succs[j].Action)
-				g.EdgeTo = append(g.EdgeTo, v)
-			}
-			g.EdgeStart = append(g.EdgeStart, uint32(len(g.EdgeTo)))
-		}
+		next, cut := g.merge(frontier, shards, d+1, maxNodes, cacheToNode, &found)
 		if tr != nil {
 			tr.End(lsp)
+		}
+		if cut {
+			g.padEdgeStart()
+			g.finishExplore(rec, true)
+			return g, fmt.Errorf("at depth %d (%d nodes): %w", g.ReachedDepth(), len(g.States), ErrNodeBudget)
 		}
 		if rec != nil {
 			rec.Add("explore.nodes", int64(len(next)))
@@ -614,49 +592,147 @@ func (g *IDGraph) finishExplore(rec obs.Recorder, budgetHit bool) {
 	rec.Event(name, fields...)
 }
 
-// expansion is one frontier node's enumerated successors with their cache
-// ids, held from its layer's expansion until the merge.
-type expansion struct {
-	succs []Succ
-	ids   []uint32
+// shard is one worker's expansion of a run of frontier positions: their
+// edges, flat, and where each position's edges end. An exploration reuses
+// its shards across layers, so a layer allocates nothing per source.
+type shard struct {
+	edges edgeBuf
+	ends  []uint32
+	// Pad shards onto separate cache lines: every emitted edge writes its
+	// shard's slice headers.
+	_ [32]byte
 }
 
-// expand enumerates the successors of a frontier's nodes into one list per
-// frontier position: in frontier order on one worker, else one contiguous
-// shard of positions per pool worker. Only the lists and the cache (which
-// is concurrency-safe) are written, so a shard abandoned to cancellation
-// or a contained panic leaves the graph untouched: the caller treats any
-// error as an interruption at the top of the layer, discarding the lists,
-// and a resumed run simply expands the layer again.
-func (g *IDGraph) expand(ctx *resilient.Ctx, frontier []uint32, workers int, parent obs.SpanID) ([]expansion, error) {
-	layer := make([]expansion, len(frontier))
-	if workers > len(frontier) {
-		workers = len(frontier)
+// reset empties sh, keeping its arrays.
+func (sh *shard) reset() {
+	sh.edges.reset()
+	sh.ends = sh.ends[:0]
+}
+
+// expand enumerates the successors of a frontier's nodes into shards: all
+// positions into one on one worker, else one contiguous run of positions
+// per pool worker, each into its own. It returns the shards used, which
+// hold the frontier in order, taken from bufs (grown when it has too
+// few). Only the shards and the cache (which is concurrency-safe) are
+// written, so a shard abandoned to cancellation or a contained panic
+// leaves the graph untouched: the caller treats any error as an
+// interruption at the top of the layer, and a resumed run simply expands
+// the layer again.
+func (g *IDGraph) expand(ctx *resilient.Ctx, frontier []uint32, workers int, bufs *[]shard, parent obs.SpanID) ([]shard, error) {
+	shardLen, n := len(frontier), 1
+	if workers = min(workers, len(frontier)); workers > 1 {
+		shardLen = (len(frontier) + workers - 1) / workers
+		n = (len(frontier) + shardLen - 1) / shardLen
 	}
-	if workers <= 1 {
-		for i, u := range frontier {
+	if len(*bufs) < n {
+		*bufs = append(*bufs, make([]shard, n-len(*bufs))...)
+	}
+	shards := (*bufs)[:n]
+	if n == 1 {
+		sh := &shards[0]
+		sh.reset()
+		for _, u := range frontier {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			layer[i].succs, layer[i].ids = g.Cache.Enumerate(g.States[u])
+			g.Cache.enumerate(g.States[u], &sh.edges)
+			sh.ends = append(sh.ends, uint32(len(sh.edges.ids)))
 		}
-		return layer, nil
+		return shards, nil
 	}
-	shardLen := (len(frontier) + workers - 1) / workers
-	shards := (len(frontier) + shardLen - 1) / shardLen
 	pool := resilient.Pool{Workers: workers}
-	return layer, pool.Run(ctx, shards, func(sctx *resilient.Ctx, shard int) error {
+	return shards, pool.Run(ctx, n, func(sctx *resilient.Ctx, s int) error {
 		if err := stopPoint(sctx, "explore.warm"); err != nil {
 			return err
 		}
 		if tr := obs.Trace(); tr != nil {
-			defer tr.End(tr.BeginLane("explore.warm.shard", parent, shard+1))
+			defer tr.End(tr.BeginLane("explore.warm.shard", parent, s+1))
 		}
-		lo := shard * shardLen
-		hi := min(lo+shardLen, len(frontier))
-		for i := lo; i < hi; i++ {
-			layer[i].succs, layer[i].ids = g.Cache.Enumerate(g.States[frontier[i]])
+		sh := &shards[s]
+		sh.reset()
+		for _, u := range frontier[s*shardLen : min((s+1)*shardLen, len(frontier))] {
+			g.Cache.enumerate(g.States[u], &sh.edges)
+			sh.ends = append(sh.ends, uint32(len(sh.edges.ids)))
 		}
 		return nil
 	})
+}
+
+// discovery is a node a layer's merge discovers: its cache id, and its
+// discovery parent and edge.
+type discovery struct{ cid, parent, edge uint32 }
+
+// merge appends the edges the frontier's nodes were expanded into (shards,
+// in frontier order) and adds the nodes they discover, which it returns,
+// as layer depth. It grows the edge arrays once, by the layer's edge
+// count, and the node arrays once, by its discoveries; found is scratch
+// for them. With maxNodes > 0 it stops at the first discovery past the
+// budget and reports cut: the edges before it and the nodes they
+// discovered stay in the graph, and the row being merged stays open.
+func (g *IDGraph) merge(frontier []uint32, shards []shard, depth, maxNodes int, cacheToNode *cidTable, found *[]discovery) (next []uint32, cut bool) {
+	edges := 0
+	for i := range shards {
+		edges += len(shards[i].edges.ids)
+	}
+	labels, to := slices.Grow(g.EdgeAction, edges), slices.Grow(g.EdgeTo, edges)
+	g.EdgeStart = slices.Grow(g.EdgeStart, len(frontier))
+	base, disc, pos := len(g.States), (*found)[:0], 0
+rows:
+	for s := range shards {
+		sh := &shards[s]
+		lo := uint32(0)
+		for _, hi := range sh.ends {
+			u := frontier[pos]
+			pos++
+			for e := lo; e < hi; e++ {
+				cid := sh.edges.ids[e]
+				v, seen := cacheToNode.get(cid)
+				if !seen {
+					if maxNodes > 0 && base+len(disc) >= maxNodes {
+						cut = true
+						break rows
+					}
+					v = uint32(base + len(disc))
+					disc = append(disc, discovery{cid: cid, parent: u, edge: uint32(len(to))})
+					cacheToNode.set(cid, v)
+				}
+				labels = append(labels, sh.edges.labels[e])
+				to = append(to, v)
+			}
+			g.EdgeStart = append(g.EdgeStart, uint32(len(to)))
+			lo = hi
+		}
+	}
+	g.EdgeAction, g.EdgeTo, *found = labels, to, disc
+	return g.addLayer(disc, depth), cut
+}
+
+// addLayer appends the discovered nodes as layer depth, reading each
+// state and key from the cache, and returns the layer. Each node array
+// grows once.
+func (g *IDGraph) addLayer(found []discovery, depth int) []uint32 {
+	k := len(found)
+	if k == 0 {
+		return nil
+	}
+	base := uint32(len(g.States))
+	g.States, g.Keys = slices.Grow(g.States, k), slices.Grow(g.Keys, k)
+	g.DepthOf, g.ParentOf = slices.Grow(g.DepthOf, k), slices.Grow(g.ParentOf, k)
+	g.parentEdge, g.cacheIDs = slices.Grow(g.parentEdge, k), slices.Grow(g.cacheIDs, k)
+	layer := make([]uint32, k)
+	for i, f := range found {
+		e := g.Cache.entry(f.cid)
+		g.States = append(g.States, e.state)
+		g.Keys = append(g.Keys, e.key)
+		g.DepthOf = append(g.DepthOf, int32(depth))
+		g.ParentOf = append(g.ParentOf, int32(f.parent))
+		g.parentEdge = append(g.parentEdge, int32(f.edge))
+		g.cacheIDs = append(g.cacheIDs, f.cid)
+		layer[i] = base + uint32(i)
+	}
+	for len(g.layers) < depth {
+		g.layers = append(g.layers, nil)
+	}
+	g.layers = append(g.layers, layer)
+	return layer
 }

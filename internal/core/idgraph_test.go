@@ -41,10 +41,10 @@ func TestIDGraphParentWalkback(t *testing.T) {
 		// Each step must be a recorded edge of the previous state.
 		cur := root
 		for _, st := range exec.Steps {
-			actions, to := g.Out(cur)
+			labels, to := g.Out(cur)
 			found := false
-			for i := range actions {
-				if actions[i] == st.Action && g.Keys[to[i]] == st.State.Key() {
+			for i := range labels {
+				if g.Label(labels[i]) == st.Action && g.Keys[to[i]] == st.State.Key() {
 					cur = to[i]
 					found = true
 					break

@@ -42,10 +42,17 @@ func (r *ring) AppendCacheKey(dst []byte, x core.State) []byte {
 	return append(dst, byte(x.(*ringState).v))
 }
 
-func (r *ring) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
+// Labels labels the successor v+d with "+d", at index d-1.
+func (r *ring) Labels() []string {
+	labels := make([]string, r.fan)
+	for d := range labels {
+		labels[d] = "+" + strconv.Itoa(d+1)
+	}
+	return labels
+}
+
+func (r *ring) SuccessorsKeyed(x core.State, p core.Prober) {
 	v := x.(*ringState).v
-	var succs []core.Succ
-	var ids []uint32
 	for d := 1; d <= r.fan; d++ {
 		w := (v + d) % r.size
 		key := []byte{byte(w)}
@@ -58,10 +65,8 @@ func (r *ring) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint
 			}
 			id, st = p.Intern(key, &ringState{v: built})
 		}
-		succs = append(succs, core.Succ{Action: "+" + strconv.Itoa(d), State: st})
-		ids = append(ids, id)
+		p.Emit(uint32(d-1), id, st)
 	}
-	return succs, ids
 }
 
 // TestKeyedCacheBuildsOnlyMisses: exploring through a keyed cache builds

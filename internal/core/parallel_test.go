@@ -26,7 +26,7 @@ func graphsIdentical(t *testing.T, serial, parallel *core.IDGraph) {
 		t.Fatal("Inits differ")
 	}
 	if !reflect.DeepEqual(serial.EdgeStart, parallel.EdgeStart) ||
-		!reflect.DeepEqual(serial.EdgeAction, parallel.EdgeAction) ||
+		!reflect.DeepEqual(edgeLabels(serial), edgeLabels(parallel)) ||
 		!reflect.DeepEqual(serial.EdgeTo, parallel.EdgeTo) {
 		t.Fatal("CSR edges differ")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -29,6 +30,11 @@ const indexShardBits = 3
 // Enumerate and Successors run that enumeration every time they are
 // called; nothing records its result.
 //
+// An enumerated edge is two ids: the successor's cache id and its action's
+// label id, which Label renders. A keyed model's label ids index the label
+// list it hands its cache once; a plain model's labels are interned on
+// first sight. Enumerate, Successors and Uncached render the ids as Succs.
+//
 // The key table is an Index, whose lookups take no lock; a new key locks
 // the one index shard it hashes to. A plain cache's index keeps no key
 // bytes: it confirms a match against the canonical key the entry already
@@ -42,7 +48,7 @@ const indexShardBits = 3
 type SuccessorCache struct {
 	keyed KeyedSuccessor
 	// raw is the uncached successor function: the plain Successor, or the
-	// keyed enumeration against the zero Prober.
+	// keyed enumeration against a Prober without a cache.
 	raw Successor
 	// plain marks a cache over a plain Successor, whose cache key is the
 	// canonical Key itself.
@@ -62,10 +68,14 @@ type SuccessorCache struct {
 	enums atomic.Int64
 
 	// bufs pools reusable key buffers so AppendKey-based lookups allocate
-	// nothing in steady state.
-	bufs sync.Pool
+	// nothing in steady state; edges pools the edge buffers of Enumerate,
+	// Successors and Uncached.
+	bufs  sync.Pool
+	edges sync.Pool
 
 	index Index
+	// labels renders the label ids of the model's edges.
+	labels labelTable
 
 	// last is the latest complete graph explored over this cache without
 	// a node budget and past layer 0, without its analysis caches; nil
@@ -81,29 +91,33 @@ type cacheEntry struct {
 }
 
 // NewSuccessorCache returns an empty cache over the plain successor
-// function fn, keyed by canonical Key.
+// function fn, keyed by canonical Key. It interns each label of fn's
+// successors on first sight.
 func NewSuccessorCache(fn Successor) *SuccessorCache {
-	return newCache(plainKeyed{fn}, fn, true)
+	labels := newStrTab(nil, 0)
+	c := newCache(fn, labelTable{interned: &labels})
+	c.keyed, c.plain = plainKeyed{c, fn}, true
+	// The cache key is the canonical key, which every entry holds.
+	c.index.init(indexShardBits, c.KeyOf)
+	return c
 }
 
 // NewKeyedCache returns an empty cache over the key-first successor
-// function k.
+// function k, whose label ids index k.Labels().
 func NewKeyedCache(k KeyedSuccessor) *SuccessorCache {
-	return newCache(k, uncachedKeyed{k}, false)
+	c := newCache(nil, labelTable{list: sync.OnceValue(k.Labels)})
+	c.keyed, c.raw = k, uncachedKeyed{c}
+	c.index.init(indexShardBits, nil)
+	return c
 }
 
-func newCache(k KeyedSuccessor, raw Successor, plain bool) *SuccessorCache {
-	c := &SuccessorCache{keyed: k, raw: raw, plain: plain}
-	var keyOf func(uint32) string
-	if plain {
-		// The cache key is the canonical key, which every entry holds.
-		keyOf = c.KeyOf
-	}
-	c.index.init(indexShardBits, keyOf)
+func newCache(raw Successor, labels labelTable) *SuccessorCache {
+	c := &SuccessorCache{raw: raw, labels: labels}
 	c.bufs.New = func() any {
 		b := make([]byte, 0, 128)
 		return &b
 	}
+	c.edges.New = func() any { return new(edgeBuf) }
 	return c
 }
 
@@ -126,41 +140,48 @@ func (c *SuccessorCache) Cache() *SuccessorCache { return c }
 // Uncached returns the raw successor function beneath the cache, for
 // callers that need to observe repeated enumeration (the determinism check
 // in the package tests, coldbench's models.step_s replay).
-// For a keyed model it is the same enumeration run against the zero
-// Prober, which builds every successor the model probes (a synchronous
-// model's round memo repeats a successor equal to the one before it
-// without a probe).
+// For a keyed model it is the same enumeration run against a Prober
+// without a cache, which builds every successor the model probes (a
+// synchronous model's round memo repeats a successor equal to the one
+// before it without a probe), with its labels rendered.
 func (c *SuccessorCache) Uncached() Successor { return c.raw }
 
-// plainKeyed runs a plain Successor through the key-first loop: it keys
-// each already-built successor with AppendKey.
-type plainKeyed struct{ fn Successor }
+// plainKeyed runs a plain Successor through the key-first loop of its
+// cache c: it keys each already-built successor with AppendKey and interns
+// its label. It enumerates against c only.
+type plainKeyed struct {
+	c  *SuccessorCache
+	fn Successor
+}
 
 func (a plainKeyed) AppendCacheKey(dst []byte, x State) []byte { return AppendKeyOf(x, dst) }
 
-func (a plainKeyed) SuccessorsKeyed(x State, p Prober) ([]Succ, []uint32) {
+// Labels is never asked: a plain cache interns its labels.
+func (a plainKeyed) Labels() []string { return nil }
+
+func (a plainKeyed) SuccessorsKeyed(x State, p Prober) {
 	raw := a.fn.Successors(x)
-	ids := make([]uint32, len(raw))
-	if p.c == nil {
-		return raw, ids
-	}
-	bp := p.c.keyBuf()
+	bp := a.c.keyBuf()
 	buf := (*bp)[:0]
 	for i := range raw {
 		buf = AppendKeyOf(raw[i].State, buf[:0])
-		ids[i] = p.c.internKey(buf, raw[i].State)
-		raw[i].State = p.c.StateOf(ids[i])
+		p.Emit(a.c.labels.interned.id(raw[i].Action), a.c.internKey(buf, raw[i].State), nil)
 	}
-	p.c.release(bp, buf)
-	return raw, ids
+	a.c.release(bp, buf)
 }
 
 // uncachedKeyed is a keyed model's raw successor function: its enumeration
-// against the zero Prober.
-type uncachedKeyed struct{ k KeyedSuccessor }
+// against a Prober without a cache, rendered.
+type uncachedKeyed struct{ c *SuccessorCache }
 
 func (u uncachedKeyed) Successors(x State) []Succ {
-	succs, _ := u.k.SuccessorsKeyed(x, Prober{})
+	b := u.c.edgeBuf()
+	defer u.c.putEdges(b)
+	u.c.keyed.SuccessorsKeyed(x, Prober{out: b})
+	succs := make([]Succ, len(b.states))
+	for i, st := range b.states {
+		succs[i] = Succ{Action: u.c.Label(b.labels[i]), State: st}
+	}
 	return succs
 }
 
@@ -176,6 +197,15 @@ func (c *SuccessorCache) keyBuf() *[]byte { return c.bufs.Get().(*[]byte) }
 func (c *SuccessorCache) release(bp *[]byte, buf []byte) {
 	*bp = buf[:0]
 	c.bufs.Put(bp)
+}
+
+// edgeBuf borrows an empty pooled edge buffer; putEdges returns it
+// emptied.
+func (c *SuccessorCache) edgeBuf() *edgeBuf { return c.edges.Get().(*edgeBuf) }
+
+func (c *SuccessorCache) putEdges(b *edgeBuf) {
+	b.reset()
+	c.edges.Put(b)
 }
 
 // ID interns x and returns its dense id without enumerating successors.
@@ -251,9 +281,25 @@ func (c *SuccessorCache) Successors(x State) []Succ {
 // soon as the call returns (plain ones), and the state returned for it is
 // the one interned under its id.
 func (c *SuccessorCache) Enumerate(x State) ([]Succ, []uint32) {
-	c.enums.Add(1)
-	return c.keyed.SuccessorsKeyed(x, Prober{c})
+	b := c.edgeBuf()
+	defer c.putEdges(b)
+	c.enumerate(x, b)
+	succs := make([]Succ, len(b.ids))
+	for i, id := range b.ids {
+		succs[i] = Succ{Action: c.Label(b.labels[i]), State: c.StateOf(id)}
+	}
+	return succs, slices.Clone(b.ids)
 }
+
+// enumerate appends the edges of x to b: one enumeration.
+func (c *SuccessorCache) enumerate(x State, b *edgeBuf) {
+	c.enums.Add(1)
+	c.keyed.SuccessorsKeyed(x, Prober{c, b})
+}
+
+// Label returns the action label of label id l, as the model's edges
+// carry it.
+func (c *SuccessorCache) Label(l uint32) string { return c.labels.label(l) }
 
 // StateOf returns the state interned under id, without locking.
 func (c *SuccessorCache) StateOf(id uint32) State { return c.entry(id).state }

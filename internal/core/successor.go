@@ -30,10 +30,11 @@ type Successor interface {
 // that can name a successor before building it. For every successor the
 // model writes the successor's cache key into a buffer it reuses and asks
 // the Prober for the state filed under it; it builds the State only when
-// the probe misses, and files it with Prober.Intern. The successor cache
-// enumerates every model through this interface: a plain Successor enters
-// through an adapter that keys each already-built successor with
-// AppendKey.
+// the probe misses, and files it with Prober.Intern. It then emits the
+// edge into the Prober as two ids: the action's label id and the
+// successor's cache id. The successor cache enumerates every model through
+// this interface: a plain Successor enters through an adapter that keys
+// each already-built successor with AppendKey and interns its label.
 type KeyedSuccessor interface {
 	// AppendCacheKey appends the key the cache files x under. Two states
 	// of the model are equal exactly if their cache keys are. A model may
@@ -42,18 +43,43 @@ type KeyedSuccessor interface {
 	// strings, so that an equal state built elsewhere gets the same key.
 	AppendCacheKey(dst []byte, x State) []byte
 
-	// SuccessorsKeyed enumerates S(x) key-first through p and returns the
-	// labeled successors with the ids p resolved them to, aligned. With the
-	// zero Prober every probe misses, so every successor probed is built.
-	SuccessorsKeyed(x State, p Prober) ([]Succ, []uint32)
+	// Labels returns the model's action labels: a label id the model emits
+	// names Labels()[id]. The cache asks once, when it first renders or
+	// looks up a label, and keeps the slice, which must not change after.
+	Labels() []string
+
+	// SuccessorsKeyed enumerates S(x) key-first through p, emitting every
+	// successor with p.Emit in enumeration order. With the zero Prober
+	// every probe misses, so every successor probed is built, and every
+	// emission is dropped.
+	SuccessorsKeyed(x State, p Prober)
 }
 
-// Prober resolves successor cache keys during a key-first enumeration:
-// against a successor cache, or, for the zero Prober, against nothing.
-type Prober struct{ c *SuccessorCache }
+// Prober resolves successor cache keys during a key-first enumeration,
+// against a successor cache or, for a Prober without one, against
+// nothing, and collects the edges the enumeration emits.
+type Prober struct {
+	c   *SuccessorCache
+	out *edgeBuf
+}
+
+// edgeBuf holds the edges one or more enumerations emitted, flat: their
+// label ids and, with a cache, their successors' cache ids, aligned;
+// without a cache, the successor states instead.
+type edgeBuf struct {
+	labels, ids []uint32
+	states      []State
+}
+
+// reset empties b, keeping its arrays.
+func (b *edgeBuf) reset() {
+	b.labels, b.ids = b.labels[:0], b.ids[:0]
+	clear(b.states)
+	b.states = b.states[:0]
+}
 
 // Probe returns the id and the canonical state filed under key, or
-// ok == false when none is (always, for the zero Prober).
+// ok == false when none is (always, for a Prober without a cache).
 //
 //lint:hotpath
 func (p Prober) Probe(key []byte) (id uint32, x State, ok bool) {
@@ -68,14 +94,31 @@ func (p Prober) Probe(key []byte) (id uint32, x State, ok bool) {
 
 // Intern files x, a state built after Probe(key) missed, under key and
 // returns its id and canonical state. Another worker may have filed an
-// equal state first; its id and state are returned then. The zero Prober
-// files nothing and returns x itself.
+// equal state first; its id and state are returned then. A Prober without
+// a cache files nothing and returns x itself.
 func (p Prober) Intern(key []byte, x State) (uint32, State) {
 	if p.c == nil {
 		return 0, x
 	}
 	id := p.c.insert(key, x)
 	return id, p.c.StateOf(id)
+}
+
+// Emit records the next edge of the enumeration: the action with label id
+// label leads to x, filed under id (as Probe or Intern returned them).
+// With a cache the Prober keeps the two ids; without one, the label id and
+// x. The zero Prober keeps nothing.
+func (p Prober) Emit(label, id uint32, x State) {
+	b := p.out
+	if b == nil {
+		return
+	}
+	b.labels = append(b.labels, label)
+	if p.c != nil {
+		b.ids = append(b.ids, id)
+	} else {
+		b.states = append(b.states, x)
+	}
 }
 
 // SuccessorFunc adapts a function to the Successor interface.

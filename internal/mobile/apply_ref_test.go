@@ -11,8 +11,7 @@ import (
 // actions generate the full model. It is a one-action syncmp.RoundMemo
 // over the model's table, without a cache.
 func (m *Model) Apply(x *syncmp.State, j int, omitTo uint64) *syncmp.State {
-	r := m.tab.Memo(x, core.Prober{}, 1, false, false, false)
-	r.Omit("", j, omitTo)
-	succs, _ := r.Done()
-	return succs[0].State.(*syncmp.State)
+	r := m.tab.Memo(x, core.Prober{}, false, false, false)
+	r.Omit(0, j, omitTo)
+	return r.Done().(*syncmp.State)
 }

@@ -31,7 +31,7 @@ type Model struct {
 	p      proto.SyncProtocol
 	n      int
 	name   string
-	labels []string // syncmp.PrefixLabels(n)
+	labels []string // syncmp.ActionLabels(n)
 	inits  core.InitMemo
 }
 
@@ -43,7 +43,7 @@ func New(p proto.SyncProtocol, n int) *Model {
 		p:      p,
 		n:      n,
 		name:   fmt.Sprintf("mobile/S1(n=%d,%s)", n, p.Name()),
-		labels: syncmp.PrefixLabels(n),
+		labels: syncmp.ActionLabels(n),
 		tab:    syncmp.NewTable(p, n),
 	}
 	m.SuccessorCache = core.NewKeyedCache(m)
@@ -89,23 +89,26 @@ func (m *Model) AppendCacheKey(dst []byte, x core.State) []byte {
 	return m.tab.AppendCacheKey(dst, x)
 }
 
+// Labels implements core.KeyedSuccessor: syncmp.ActionLabels(n).
+func (m *Model) Labels() []string { return m.labels }
+
 // SuccessorsKeyed implements core.KeyedSuccessor: one successor per action
 // (j,[k]); the embedded cache serves Successors. The failure-free
 // successors x(j,[0]) coincide for all j and are emitted once, labeled
 // "noop". All actions share one syncmp.RoundMemo.
-func (m *Model) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
+func (m *Model) SuccessorsKeyed(x core.State, p core.Prober) {
 	s, ok := x.(*syncmp.State)
 	if !ok {
-		return nil, nil
+		return
 	}
-	r := m.tab.Memo(s, p, m.n*m.n+1, false, false, false)
-	r.Omit("noop", 0, 0)
+	r := m.tab.Memo(s, p, false, false, false)
+	r.Omit(0, 0, 0)
 	for j := 0; j < m.n; j++ {
 		for k := 1; k <= m.n; k++ {
-			r.Omit(m.labels[j*m.n+k-1], j, syncmp.OmitMask(k))
+			r.Omit(syncmp.PrefixLabel(m.n, j, k), j, syncmp.OmitMask(k))
 		}
 	}
-	return r.Done()
+	r.Done()
 }
 
 // FullModel is M^mf itself: every environment action (j, G) with an
@@ -119,7 +122,8 @@ type FullModel struct {
 	inner *Model
 	n     int
 	name  string
-	// labels[j<<n + g] is the label of action (j, G=g), g >= 1.
+	// labels[0] is "noop", labels[fullLabel(n, j, g)] the label of action
+	// (j, G=g), g >= 1.
 	labels []string
 }
 
@@ -132,15 +136,20 @@ func NewFull(p proto.SyncProtocol, n int) *FullModel {
 		n:     n,
 		name:  fmt.Sprintf("mobile/full(n=%d,%s)", n, p.Name()),
 	}
-	m.labels = make([]string, n<<uint(n))
+	m.labels = make([]string, 0, 1+n*(1<<uint(n)-1))
+	m.labels = append(m.labels, "noop")
 	for j := 0; j < n; j++ {
 		for g := 1; g < 1<<uint(n); g++ {
-			m.labels[j<<uint(n)+g] = fmt.Sprintf("(%d,G=%0*b)", j, n, g)
+			m.labels = append(m.labels, fmt.Sprintf("(%d,G=%0*b)", j, n, g))
 		}
 	}
 	m.SuccessorCache = core.NewKeyedCache(m)
 	return m
 }
+
+// fullLabel returns the index of action (j, G=g), g >= 1, in a
+// FullModel's labels.
+func fullLabel(n, j int, g uint64) uint32 { return uint32(1 + j*(1<<uint(n)-1) + int(g) - 1) }
 
 // Name implements core.Model.
 func (m *FullModel) Name() string { return m.name }
@@ -160,20 +169,24 @@ func (m *FullModel) AppendCacheKey(dst []byte, x core.State) []byte {
 	return m.inner.tab.AppendCacheKey(dst, x)
 }
 
+// Labels implements core.KeyedSuccessor: "noop", then the (j, G) actions
+// by j and then G.
+func (m *FullModel) Labels() []string { return m.labels }
+
 // SuccessorsKeyed implements core.KeyedSuccessor: one successor per (j, G)
 // with G any non-empty subset, plus the failure-free action; the embedded
 // cache serves Successors. All actions share one syncmp.RoundMemo.
-func (m *FullModel) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
+func (m *FullModel) SuccessorsKeyed(x core.State, p core.Prober) {
 	s, ok := x.(*syncmp.State)
 	if !ok {
-		return nil, nil
+		return
 	}
-	r := m.inner.tab.Memo(s, p, len(m.labels)-m.n+1, false, false, false)
-	r.Omit("noop", 0, 0)
+	r := m.inner.tab.Memo(s, p, false, false, false)
+	r.Omit(0, 0, 0)
 	for j := 0; j < m.n; j++ {
 		for g := uint64(1); g < 1<<uint(m.n); g++ {
-			r.Omit(m.labels[j<<uint(m.n)+int(g)], j, g)
+			r.Omit(fullLabel(m.n, j, g), j, g)
 		}
 	}
-	return r.Done()
+	r.Done()
 }

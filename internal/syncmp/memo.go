@@ -22,10 +22,11 @@ import (
 // modulo process k (the proof of Lemma 5.1). So Omit re-resolves only the
 // receivers whose lost set can differ from the previous action's. When none
 // of their ids changes and the failed set is the previous one, the
-// successor is the previous successor, appended again with no key written
+// successor is the previous successor, emitted again with no key written
 // and no probe. Otherwise the memo writes the successor's cache key as
 // (round, failed set, local ids) and probes it; only on a miss does it
-// build the successor's locals, decisions and canonical key.
+// build the successor's locals, decisions and canonical key. Every
+// successor is emitted into the Prober with its action's label id.
 //
 // A memo belongs to one enumeration: it is not safe for concurrent use.
 // Table.Memo hands one out and Done returns it to the table's pool.
@@ -72,8 +73,6 @@ type RoundMemo struct {
 	envs []envEntry
 	key  []byte
 	buf  []byte
-	out  []core.Succ
-	oids []uint32
 }
 
 // delivery is one receiver's next local id given the classes of the
@@ -89,14 +88,14 @@ type envEntry struct {
 	key    string
 }
 
-// Memo starts the round from x, resolving successor keys through p. size
-// is the expected number of successors. The flags are the failure rule
+// Memo starts the round from x, resolving successor keys through p and
+// emitting the successors into it. The flags are the failure rule
 // the memo's actions share: record marks each omitting process as failed
 // in the successor; silenceFailed loses every message from a process
 // already failed at x (the Section-6 silencing rule); generalOmission also
 // loses every message to one (general omission instead of the paper's
 // sending omission).
-func (t *Table) Memo(x *State, p core.Prober, size int, record, silenceFailed, generalOmission bool) *RoundMemo {
+func (t *Table) Memo(x *State, p core.Prober, record, silenceFailed, generalOmission bool) *RoundMemo {
 	r, _ := t.memos.Get().(*RoundMemo)
 	if r == nil {
 		r = &RoundMemo{t: t}
@@ -140,8 +139,6 @@ func (t *Table) Memo(x *State, p core.Prober, size int, record, silenceFailed, g
 		r.recv[to] = r.recv[to][:0]
 	}
 	r.last, r.lastFrom, r.lastTo = nil, ^uint64(0), all
-	r.out = make([]core.Succ, 0, size)
-	r.oids = make([]uint32, 0, size)
 	return r
 }
 
@@ -153,23 +150,23 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Done returns the successors and ids the memo enumerated, and returns the
-// memo to its table's pool.
-func (r *RoundMemo) Done() ([]core.Succ, []uint32) {
-	out, oids := r.out, r.oids
-	r.out, r.oids, r.x, r.last = nil, nil, nil, nil
+// Done returns the memo to its table's pool, and the last successor it
+// enumerated (nil for none), which is a one-action memo's result.
+func (r *RoundMemo) Done() core.State {
+	last := r.last
+	r.p, r.x, r.last = core.Prober{}, nil, nil
 	r.t.memos.Put(r)
-	return out, oids
+	return last
 }
 
-// Omit enumerates, labeled label, the successor in which process j's
+// Omit enumerates, with label id label, the successor in which process j's
 // messages to the processes in omitTo are lost (omitTo == 0 is the
 // failure-free round). j is recorded as failed if the memo records
 // failures and omitTo is non-empty. Only the receivers whose lost set can
 // differ from the previous action's are re-resolved: with the same
 // omitter, those in one omission set but not the other; with another, those
 // in either.
-func (r *RoundMemo) Omit(label string, j int, omitTo uint64) {
+func (r *RoundMemo) Omit(label uint32, j int, omitTo uint64) {
 	failed, from := r.x.failed, uint64(0)
 	if omitTo != 0 {
 		from = 1 << uint(j)
@@ -190,7 +187,7 @@ func (r *RoundMemo) Omit(label string, j int, omitTo uint64) {
 // its prefix set [K] at once; each is recorded as failed if the memo
 // records failures. A process listed twice omits per its last entry. It
 // re-resolves every receiver, and so does the Omit after it.
-func (r *RoundMemo) omitMany(label string, oms []Omission) {
+func (r *RoundMemo) omitMany(label uint32, oms []Omission) {
 	failed, from := r.x.failed, uint64(0)
 	for _, om := range oms {
 		from |= 1 << uint(om.J)
@@ -208,9 +205,9 @@ func (r *RoundMemo) omitMany(label string, oms []Omission) {
 // process i in from loses its messages to the receivers in omit[i]. It
 // re-resolves the receivers in redo; the others keep the last successor's
 // ids. If no re-resolved id changes and the failed set is the last
-// successor's, that successor is appended again. Otherwise emit probes the
+// successor's, that successor is emitted again. Otherwise emit probes the
 // key and builds the successor on a miss.
-func (r *RoundMemo) emit(label string, from, failed, redo uint64) {
+func (r *RoundMemo) emit(label uint32, from, failed, redo uint64) {
 	same := r.last != nil && failed == r.lastFailed
 	for redo &= uint64(1)<<uint(len(r.ids)) - 1; redo != 0; redo &= redo - 1 {
 		to := bits.TrailingZeros64(redo)
@@ -232,8 +229,7 @@ func (r *RoundMemo) emit(label string, from, failed, redo uint64) {
 		}
 		r.last, r.lastID, r.lastFailed = st, id, failed
 	}
-	r.out = append(r.out, core.Succ{Action: label, State: r.last})
-	r.oids = append(r.oids, r.lastID)
+	r.p.Emit(label, r.lastID, r.last)
 }
 
 // probe writes the key of the successor whose local ids are r.ids and

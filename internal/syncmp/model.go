@@ -20,7 +20,7 @@ type Model struct {
 	budget  bool // true for S^t: stop failing once t processes are failed
 	general bool // general omission: failed processes also stop receiving
 	name    string
-	labels  []string // PrefixLabels(n)
+	labels  []string // ActionLabels(n)
 	inits   core.InitMemo
 }
 
@@ -42,7 +42,7 @@ func NewS1(p proto.SyncProtocol, n int) *Model {
 // finishModel precomputes the action labels and wires the model's
 // local-state table and embedded successor cache.
 func finishModel(m *Model) *Model {
-	m.labels = PrefixLabels(m.n)
+	m.labels = ActionLabels(m.n)
 	m.tab = NewTable(m.p, m.n)
 	m.SuccessorCache = core.NewKeyedCache(m)
 	return m
@@ -118,35 +118,33 @@ func (m *Model) AppendCacheKey(dst []byte, x core.State) []byte {
 	return m.tab.AppendCacheKey(dst, x)
 }
 
+// Labels implements core.KeyedSuccessor: ActionLabels(n).
+func (m *Model) Labels() []string { return m.labels }
+
 // SuccessorsKeyed implements core.KeyedSuccessor; the embedded cache
 // serves Successors. Actions are labeled "noop" for the failure-free round
 // and "(j,[k])" for process j omitting to the first k processes (k >= 1).
 // Processes already failed generate no new actions: they are silenced
 // regardless, so their actions would duplicate "noop". All actions share
 // one RoundMemo.
-func (m *Model) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
+func (m *Model) SuccessorsKeyed(x core.State, p core.Prober) {
 	s, ok := x.(*State)
 	if !ok {
-		return nil, nil
+		return
 	}
-	fail := !m.budget || s.FailedCount() < m.t
-	size := 1
-	if fail {
-		size += m.n * (m.n - s.FailedCount())
-	}
-	r := m.tab.Memo(s, p, size, true, true, m.general)
-	r.Omit("noop", 0, 0)
-	if fail {
+	r := m.tab.Memo(s, p, true, true, m.general)
+	r.Omit(0, 0, 0)
+	if !m.budget || s.FailedCount() < m.t {
 		for j := 0; j < m.n; j++ {
 			if s.FailedAt(j) {
 				continue
 			}
 			for k := 1; k <= m.n; k++ {
-				r.Omit(m.labels[j*m.n+k-1], j, OmitMask(k))
+				r.Omit(PrefixLabel(m.n, j, k), j, OmitMask(k))
 			}
 		}
 	}
-	return r.Done()
+	r.Done()
 }
 
 // binaryInputs decodes assignment index a into a binary input vector.

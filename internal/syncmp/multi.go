@@ -2,7 +2,6 @@ package syncmp
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/proto"
@@ -22,8 +21,20 @@ type MultiModel struct {
 	t           int
 	maxPerRound int
 	name        string
-	labels      []string // PrefixLabels(n)
-	inits       core.InitMemo
+	// acts lists the model's actions in enumeration order, the
+	// failure-free round first; labels[i] is the label of acts[i].
+	acts   []multiAction
+	labels []string
+	inits  core.InitMemo
+}
+
+// multiAction is one action of a MultiModel: its new omissions, the
+// processes they fail, and the index of the first action after those that
+// extend it (its subtree in the depth-first order).
+type multiAction struct {
+	oms   []Omission
+	procs uint64
+	next  int
 }
 
 var _ core.Model = (*MultiModel)(nil)
@@ -37,11 +48,42 @@ func NewStMulti(p proto.SyncProtocol, n, t, maxPerRound int) *MultiModel {
 		t:           t,
 		maxPerRound: maxPerRound,
 		name:        fmt.Sprintf("syncmp/StMulti(n=%d,t=%d,c=%d,%s)", n, t, maxPerRound, p.Name()),
-		labels:      PrefixLabels(n),
 		tab:         NewTable(p, n),
 	}
+	m.buildActions()
 	m.SuccessorCache = core.NewKeyedCache(m)
 	return m
+}
+
+// buildActions lists the failure-free round and then every combination
+// of up to maxPerRound new omissions, depth first: each combination (j,[k])
+// of a process j and a prefix set [k], by increasing j and then k, is
+// followed by its extensions by processes above j. The label of a
+// combination joins its omissions' "(j,[k])" labels with "+".
+func (m *MultiModel) buildActions() {
+	prefix := ActionLabels(m.n)
+	m.acts, m.labels = []multiAction{{}}, []string{prefix[0]}
+	var walk func(start int, oms []Omission, procs uint64, label string)
+	walk = func(start int, oms []Omission, procs uint64, label string) {
+		if len(oms) >= m.maxPerRound {
+			return
+		}
+		for j := start; j < m.n; j++ {
+			for k := 1; k <= m.n; k++ {
+				sub := append(oms[:len(oms):len(oms)], Omission{J: j, K: k})
+				l := prefix[PrefixLabel(m.n, j, k)]
+				if label != "" {
+					l = label + "+" + l
+				}
+				i := len(m.acts)
+				m.acts = append(m.acts, multiAction{oms: sub, procs: procs | 1<<uint(j)})
+				m.labels = append(m.labels, l)
+				walk(j+1, sub, procs|1<<uint(j), l)
+				m.acts[i].next = len(m.acts)
+			}
+		}
+	}
+	walk(0, nil, 0, "")
 }
 
 // Name implements core.Model.
@@ -85,52 +127,31 @@ func (m *MultiModel) AppendCacheKey(dst []byte, x core.State) []byte {
 	return m.tab.AppendCacheKey(dst, x)
 }
 
+// Labels implements core.KeyedSuccessor: "noop", then every combination's
+// label in enumeration order.
+func (m *MultiModel) Labels() []string { return m.labels }
+
 // SuccessorsKeyed implements core.KeyedSuccessor: the failure-free round
-// plus every combination of up to maxPerRound new failures within the
-// remaining budget; the embedded cache serves Successors. All actions
-// share one RoundMemo.
-func (m *MultiModel) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
+// plus every combination of up to maxPerRound new failures of processes
+// not failed at x, within the remaining budget; the embedded cache serves
+// Successors. A combination that fails a failed process, or too many, is
+// skipped with its extensions. All actions share one RoundMemo.
+func (m *MultiModel) SuccessorsKeyed(x core.State, p core.Prober) {
 	s, ok := x.(*State)
 	if !ok {
-		return nil, nil
+		return
 	}
-	r := m.tab.Memo(s, p, m.n*m.n+1, true, true, false)
-	r.omitMany("noop", nil)
-	budget := m.t - s.FailedCount()
-	limit := m.maxPerRound
-	if budget < limit {
-		limit = budget
-	}
-	var alive []int
-	for j := 0; j < m.n; j++ {
-		if !s.FailedAt(j) {
-			alive = append(alive, j)
+	limit := min(m.maxPerRound, m.t-s.FailedCount())
+	r := m.tab.Memo(s, p, true, true, false)
+	r.omitMany(0, nil)
+	for i := 1; i < len(m.acts); {
+		a := &m.acts[i]
+		if a.procs&s.failed != 0 || len(a.oms) > limit {
+			i = a.next
+			continue
 		}
+		r.omitMany(uint32(i), a.oms)
+		i++
 	}
-	var build func(start int, oms []Omission)
-	build = func(start int, oms []Omission) {
-		if len(oms) > 0 {
-			r.omitMany(m.omissionLabel(oms), oms)
-		}
-		if len(oms) == limit {
-			return
-		}
-		for idx := start; idx < len(alive); idx++ {
-			for k := 1; k <= m.n; k++ {
-				next := append(append([]Omission(nil), oms...), Omission{J: alive[idx], K: k})
-				build(idx+1, next)
-			}
-		}
-	}
-	build(0, nil)
-	return r.Done()
-}
-
-// omissionLabel joins the omissions' (j,[k]) labels with "+".
-func (m *MultiModel) omissionLabel(oms []Omission) string {
-	parts := make([]string, len(oms))
-	for i, om := range oms {
-		parts[i] = m.labels[om.J*m.n+om.K-1]
-	}
-	return strings.Join(parts, "+")
+	r.Done()
 }

@@ -60,6 +60,9 @@ func randomActions(rng *rand.Rand, n, count int) []memoAction {
 	return out
 }
 
+// maxOrderActions bounds the actions one source state is given.
+const maxOrderActions = 4000
+
 // orderModel enumerates, from any source state, its acts through one
 // RoundMemo over tab under one failure rule.
 type orderModel struct {
@@ -72,16 +75,25 @@ func (d *orderModel) AppendCacheKey(dst []byte, x core.State) []byte {
 	return d.tab.AppendCacheKey(dst, x)
 }
 
-func (d *orderModel) SuccessorsKeyed(x core.State, p core.Prober) ([]core.Succ, []uint32) {
-	r := d.tab.Memo(x.(*syncmp.State), p, len(d.acts), d.rule.trackEnv, d.rule.trackEnv, d.rule.general)
+// Labels labels action i with its index.
+func (d *orderModel) Labels() []string {
+	labels := make([]string, maxOrderActions)
+	for i := range labels {
+		labels[i] = strconv.Itoa(i)
+	}
+	return labels
+}
+
+func (d *orderModel) SuccessorsKeyed(x core.State, p core.Prober) {
+	r := d.tab.Memo(x.(*syncmp.State), p, d.rule.trackEnv, d.rule.trackEnv, d.rule.general)
 	for i, a := range d.acts {
 		if a.many != nil {
-			r.OmitMany(strconv.Itoa(i), a.many)
+			r.OmitMany(uint32(i), a.many)
 		} else {
-			r.Omit(strconv.Itoa(i), a.j, a.g)
+			r.Omit(uint32(i), a.j, a.g)
 		}
 	}
-	return r.Done()
+	r.Done()
 }
 
 // TestRoundMemoAnyActionOrder drives one RoundMemo per source state, for
@@ -129,7 +141,7 @@ func TestRoundMemoAnyActionOrder(t *testing.T) {
 					c := core.NewKeyedCache(d)
 					for _, x := range g.States {
 						s := x.(*syncmp.State)
-						d.acts = randomActions(rng, n, max(4, 4000/len(g.States)))
+						d.acts = randomActions(rng, n, max(4, maxOrderActions/len(g.States)))
 						cached, ids := c.Enumerate(s)
 						raw := c.Uncached().Successors(s)
 						for i, a := range d.acts {

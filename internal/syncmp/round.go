@@ -8,12 +8,14 @@ func OmitMask(k int) uint64 {
 	return (uint64(1) << uint(k)) - 1
 }
 
-// PrefixLabels returns the labels "(j,[k])" of every prefix action (process
-// j omits to the first k processes) with 0 <= j < n and 1 <= k <= n, at
-// index j*n + k-1, so a model can label its edges without building a
-// string per edge.
-func PrefixLabels(n int) []string {
-	out := make([]string, 0, n*n)
+// ActionLabels returns the label list of the prefix layering's actions:
+// "noop", the failure-free round, at index 0, and "(j,[k])", process j
+// omitting to the first k processes, at index j*n + k (PrefixLabel) for
+// 0 <= j < n and 1 <= k <= n. A model hands it to its successor cache
+// and labels its edges by index.
+func ActionLabels(n int) []string {
+	out := make([]string, 0, 1+n*n)
+	out = append(out, "noop")
 	for j := 0; j < n; j++ {
 		for k := 1; k <= n; k++ {
 			out = append(out, "("+strconv.Itoa(j)+",["+strconv.Itoa(k)+"])")
@@ -21,3 +23,6 @@ func PrefixLabels(n int) []string {
 	}
 	return out
 }
+
+// PrefixLabel returns the index of action (j,[k]) in ActionLabels(n).
+func PrefixLabel(n, j, k int) uint32 { return uint32(j*n + k) }

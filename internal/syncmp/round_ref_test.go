@@ -73,21 +73,19 @@ func ApplyActionMode(p proto.SyncProtocol, x *State, j int, omitTo uint64, recor
 // the failure rule of Memo's flags, building the successor through the
 // table's memos without a cache.
 func (t *Table) Apply(x *State, j int, omitTo uint64, record, silenceFailed, generalOmission bool) *State {
-	r := t.Memo(x, core.Prober{}, 1, record, silenceFailed, generalOmission)
-	r.Omit("", j, omitTo)
-	succs, _ := r.Done()
-	return succs[0].State.(*State)
+	r := t.Memo(x, core.Prober{}, record, silenceFailed, generalOmission)
+	r.Omit(0, j, omitTo)
+	return r.Done().(*State)
 }
 
 // ApplyMulti applies one round in which every listed process fails
 // simultaneously (and previously-failed processes stay silenced). It is a
 // one-action RoundMemo over the model's table, without a cache.
 func (m *MultiModel) ApplyMulti(x *State, oms []Omission) *State {
-	r := m.tab.Memo(x, core.Prober{}, 1, true, true, false)
-	r.omitMany("", oms)
-	succs, _ := r.Done()
-	return succs[0].State.(*State)
+	r := m.tab.Memo(x, core.Prober{}, true, true, false)
+	r.omitMany(0, oms)
+	return r.Done().(*State)
 }
 
 // OmitMany runs omitMany, for the tests of package syncmp_test.
-func (r *RoundMemo) OmitMany(label string, oms []Omission) { r.omitMany(label, oms) }
+func (r *RoundMemo) OmitMany(label uint32, oms []Omission) { r.omitMany(label, oms) }

@@ -68,14 +68,14 @@ func GraphDOT(g *core.IDGraph, opts DOTOptions) string {
 	}
 	truncated := false
 	for src, u := range nodes {
-		actions, to := g.Out(u)
+		labels, to := g.Out(u)
 		for e, v := range to {
 			dst, ok := kept[v]
 			if !ok {
 				truncated = true
 				continue
 			}
-			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", src, dst, actions[e])
+			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", src, dst, g.Label(labels[e]))
 		}
 	}
 	if truncated || (opts.MaxNodes > 0 && g.Len() > opts.MaxNodes) {

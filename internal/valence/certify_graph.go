@@ -255,17 +255,22 @@ func (c *graphCertifier) visit(v uint32, depth int, via int32) (*Violation, erro
 // execTo rebuilds the execution from the current root along the DFS stack,
 // extended by finalEdge when >= 0. Called only on violation.
 func (c *graphCertifier) execTo(finalEdge int32) *core.Execution {
-	g := c.g
-	steps := make([]core.Step, 0, len(c.stack)+1)
-	for _, f := range c.stack {
+	return &core.Execution{Init: c.g.States[c.root], Steps: stackSteps(c.g, c.stack, finalEdge)}
+}
+
+// stackSteps returns the steps of the DFS stack's edges into g, extended
+// by finalEdge when >= 0, with their labels rendered.
+func stackSteps(g *core.IDGraph, stack []gframe, finalEdge int32) []core.Step {
+	steps := make([]core.Step, 0, len(stack)+1)
+	for _, f := range stack {
 		if f.via >= 0 {
-			steps = append(steps, core.Step{Action: g.EdgeAction[f.via], State: g.States[f.node]})
+			steps = append(steps, core.Step{Action: g.Action(int(f.via)), State: g.States[f.node]})
 		}
 	}
 	if finalEdge >= 0 {
-		steps = append(steps, core.Step{Action: g.EdgeAction[finalEdge], State: g.States[g.EdgeTo[finalEdge]]})
+		steps = append(steps, core.Step{Action: g.Action(int(finalEdge)), State: g.States[g.EdgeTo[finalEdge]]})
 	}
-	return &core.Execution{Init: g.States[c.root], Steps: steps}
+	return steps
 }
 
 // seen reports whether node u was visited at a lag: bit lag·N + u.

@@ -57,11 +57,11 @@ func (f *Field) BivalentChain(target int) (*Chain, error) {
 	}
 	exec := &core.Execution{Init: g.States[u]}
 	for d := 0; d < target; d++ {
-		actions, to := g.Out(u)
+		labels, to := g.Out(u)
 		found = false
 		for i, v := range to {
 			if f.Bivalent(v) {
-				exec = exec.Extend(actions[i], g.States[v])
+				exec = exec.Extend(g.Label(labels[i]), g.States[v])
 				u, found = v, true
 				break
 			}

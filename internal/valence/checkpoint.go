@@ -36,8 +36,8 @@ func graphFingerprint(g *core.IDGraph) uint64 {
 	for _, v := range g.EdgeTo {
 		put(uint64(v))
 	}
-	for _, a := range g.EdgeAction {
-		h.Write([]byte(a))
+	for _, l := range g.EdgeAction {
+		h.Write([]byte(g.Label(l)))
 		h.Write([]byte{0xff})
 	}
 	return h.Sum64()

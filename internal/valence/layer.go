@@ -172,7 +172,7 @@ func ValenceConnected(masks []uint8) bool {
 func (f *Field) AnalyzeNode(u uint32) *LayerReport {
 	g := f.g
 	r := &LayerReport{}
-	actions, to := g.Out(u)
+	labels, to := g.Out(u)
 	index := make(map[uint32]int, len(to))
 	var nodes []uint32
 	for i, v := range to {
@@ -184,7 +184,7 @@ func (f *Field) AnalyzeNode(u uint32) *LayerReport {
 			r.States = append(r.States, g.States[v])
 			r.Actions = append(r.Actions, nil)
 		}
-		r.Actions[j] = append(r.Actions[j], actions[i])
+		r.Actions[j] = append(r.Actions[j], g.Label(labels[i]))
 	}
 
 	sg := SimilarityGraph(r.States)

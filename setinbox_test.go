@@ -50,7 +50,7 @@ func sameIDGraph(t *testing.T, want, got *core.IDGraph) {
 		t.Fatal("ParentOf differs")
 	case !slices.Equal(want.EdgeStart, got.EdgeStart):
 		t.Fatal("EdgeStart differs")
-	case !slices.Equal(want.EdgeAction, got.EdgeAction):
+	case !slices.Equal(edgeLabels(want), edgeLabels(got)):
 		t.Fatal("EdgeAction differs")
 	case !slices.Equal(want.EdgeTo, got.EdgeTo):
 		t.Fatal("EdgeTo differs")
