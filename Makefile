@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test tier1 race vet lint vettool chaos campaign crash coldbench loc benchfield benchexplore obsreport clean
+.PHONY: all build fmt test tier1 race vet lint vettool chaos campaign crash coldbench loc ledger benchfield benchexplore obsreport clean
 
 all: tier1
 
@@ -81,6 +81,15 @@ coldbench:
 # harness and analyzer fixtures excluded).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './coldbench/*' ! -path '*/testdata/*' | xargs cat | wc -l
+
+# ledger prints the deterministic cost counts a performance change quotes:
+# bytes per edge and warm allocations of explorations (ledger_test.go), and
+# the round memo's receiver resolutions, list misses and Deliver runs
+# (internal/syncmp/count_test.go), each against its ceiling. `make test`
+# runs the same tests without -v.
+ledger:
+	$(GO) test -v -count=1 -run 'TestColdExploreBytesPerEdge|TestWarmExploreAllocatesNothingPerSource' .
+	$(GO) test -v -count=1 -run 'TestRoundMemoCounts' ./internal/syncmp
 
 # tier1 is the gate every change must keep green: full build, gofmt, vet,
 # the engine-invariant lint suite, the same suite again through go vet's

@@ -206,7 +206,7 @@ func (r *phaseMemo) probe(e *env) (uint32, core.State, bool) {
 func (r *phaseMemo) build(e *env) *State {
 	procs := make([]*proc, len(r.ids))
 	for i, id := range r.ids {
-		procs[i] = r.t.procs.at(id)
+		procs[i] = r.t.procs.At(id)
 	}
 	s, buf := assemble(e, procs, r.x.inputs, r.buf)
 	r.buf = buf
@@ -226,7 +226,7 @@ func (r *phaseMemo) receive(to int, fresh uint64) uint32 {
 	n, src := r.t.n, r.procs[to]
 	buf := binary.AppendUvarint(r.buf[:0], uint64(src.lid))
 	for j := range r.consumed {
-		h := r.t.hists.at(r.env.hists[j*n+to])
+		h := r.t.hists.At(r.env.hists[j*n+to])
 		backlog := h.ids[src.consumed[j]:]
 		got := fresh&(1<<uint(j)) != 0
 		r.consumed[j] = len(h.ids)

@@ -33,9 +33,9 @@ type table struct {
 	// receive maps a receive key (local id, then per sender the inbox's
 	// message count and ids) to the receiver's next local id.
 	receive *core.Index
-	hists   recTab[history]
-	envs    recTab[*env]
-	procs   recTab[*proc]
+	hists   core.Records[history]
+	envs    core.Records[*env]
+	procs   core.Records[*proc]
 	memos   sync.Pool
 	// built counts the States the phase memos assembled.
 	built atomic.Int64
@@ -50,43 +50,16 @@ type history struct {
 	enc  string
 }
 
-// recTab files records under byte keys as dense ids.
-type recTab[T any] struct {
-	index *core.Index
-	next  atomic.Uint32
-	slots core.Slots[T]
-}
-
-// init sets up an empty record table whose index has 1<<shardBits shards.
-func (r *recTab[T]) init(shardBits int) { r.index = core.NewIndex(shardBits) }
-
-// get returns the id filed under key.
-func (r *recTab[T]) get(key []byte) (uint32, bool) { return r.index.Get(key) }
-
-// at returns the record of id.
-func (r *recTab[T]) at(id uint32) T { return *r.slots.At(id) }
-
-// add files mk's record under key and returns its id; mk receives the id
-// and runs under an index shard mutex, at most once per key. An equal
-// record filed first by another worker keeps its id.
-func (r *recTab[T]) add(key []byte, mk func(id uint32) T) uint32 {
-	return r.index.Intern(key, func() uint32 {
-		id := r.next.Add(1) - 1
-		*r.slots.Grow(id) = mk(id)
-		return id
-	})
-}
-
 // newTable returns an empty table for protocol p on n processes, with
 // the empty history filed as history 0. Its indexes are sized to what
 // they hold on the paper's models: a few dozen histories, and hundreds to
 // a few thousand environments, process records and inboxes.
 func newTable(p proto.MPProtocol, n int) *table {
 	t := &table{p: p, n: n, locals: core.NewLocalTable(p, n), receive: core.NewIndex(2)}
-	t.hists.init(1)
-	t.envs.init(3)
-	t.procs.init(2)
-	t.hists.add(nil, func(uint32) history { return history{} })
+	t.hists.Init(1)
+	t.envs.Init(3)
+	t.procs.Init(2)
+	t.hists.Add(nil, func(uint32) history { return history{} })
 	return t
 }
 
@@ -94,17 +67,17 @@ func newTable(p proto.MPProtocol, n int) *table {
 // scratch, returned for reuse.
 func (t *table) extend(h, m uint32, buf []byte) (uint32, []byte) {
 	buf = binary.AppendUvarint(binary.AppendUvarint(buf[:0], uint64(h)), uint64(m))
-	if id, ok := t.hists.get(buf); ok {
+	if id, ok := t.hists.Get(buf); ok {
 		return id, buf
 	}
-	prev, s := t.hists.at(h), t.locals.Message(m)
+	prev, s := t.hists.At(h), t.locals.Message(m)
 	k := len(prev.ids)
 	next := history{msgs: make([]string, k+1), ids: make([]uint32, k+1)}
 	copy(next.msgs, prev.msgs)
 	copy(next.ids, prev.ids)
 	next.msgs[k], next.ids[k] = s, m
 	next.enc = string(proto.AppendJoin([]byte(prev.enc), s))
-	return t.hists.add(buf, func(uint32) history { return next }), buf
+	return t.hists.Add(buf, func(uint32) history { return next }), buf
 }
 
 // environment returns the environment record whose channels hold the
@@ -114,19 +87,19 @@ func (t *table) environment(hists []uint32, buf []byte) (*env, []byte) {
 	for _, h := range hists {
 		buf = binary.AppendUvarint(buf, uint64(h))
 	}
-	if id, ok := t.envs.get(buf); ok {
-		return t.envs.at(id), buf
+	if id, ok := t.envs.Get(buf); ok {
+		return t.envs.At(id), buf
 	}
 	e := &env{hist: make([][]string, len(hists)), hists: append([]uint32(nil), hists...)}
 	var key []byte
 	for c, h := range hists {
-		rec := t.hists.at(h)
+		rec := t.hists.At(h)
 		e.hist[c] = rec.msgs
 		key = proto.AppendJoin(key, rec.enc)
 	}
 	e.key = string(key)
-	id := t.envs.add(buf, func(id uint32) *env { e.tab, e.id = t, id; return e })
-	return t.envs.at(id), buf
+	id := t.envs.Add(buf, func(id uint32) *env { e.tab, e.id = t, id; return e })
+	return t.envs.At(id), buf
 }
 
 // process returns the process record with local id lid and consumption
@@ -136,14 +109,14 @@ func (t *table) process(lid uint32, consumed []int, buf []byte) (*proc, []byte) 
 	for _, c := range consumed {
 		buf = binary.AppendUvarint(buf, uint64(c))
 	}
-	if id, ok := t.procs.get(buf); ok {
-		return t.procs.at(id), buf
+	if id, ok := t.procs.Get(buf); ok {
+		return t.procs.At(id), buf
 	}
 	local := t.locals.Local(lid)
 	own := append([]int(nil), consumed...)
 	r := &proc{local: local, consumed: own, key: procKey(local, own), decided: t.locals.Decided(lid), lid: lid}
-	id := t.procs.add(buf, func(id uint32) *proc { r.tab, r.id = t, id; return r })
-	return t.procs.at(id), buf
+	id := t.procs.Add(buf, func(id uint32) *proc { r.tab, r.id = t, id; return r })
+	return t.procs.At(id), buf
 }
 
 // ownEnv returns the table's record equal to e: e itself when the table

@@ -134,16 +134,16 @@ func TestBuildsOnlyMisses(t *testing.T) {
 			t.Errorf("%s: %d States built, want %d (states − inits)", c.name, got, want)
 		}
 		locals, msgs := map[uint32]bool{}, map[uint32]bool{}
-		for id := uint32(0); id < tab.procs.next.Load(); id++ {
-			locals[tab.procs.at(id).lid] = true
+		for id := uint32(0); id < tab.procs.Len(); id++ {
+			locals[tab.procs.At(id).lid] = true
 		}
-		for id := uint32(0); id < tab.hists.next.Load(); id++ {
-			for _, m := range tab.hists.at(id).ids {
+		for id := uint32(0); id < tab.hists.Len(); id++ {
+			for _, m := range tab.hists.At(id).ids {
 				msgs[m] = true
 			}
 		}
 		t.Logf("%s: %d states, %d edges; %d local states, %d messages, %d histories, %d environments, %d process records",
-			c.name, g.Len(), g.NumEdges(), len(locals), len(msgs), tab.hists.next.Load(), tab.envs.next.Load(), tab.procs.next.Load())
+			c.name, g.Len(), g.NumEdges(), len(locals), len(msgs), tab.hists.Len(), tab.envs.Len(), tab.procs.Len())
 	}
 }
 

@@ -262,3 +262,39 @@ func (s *Slots[T]) Grow(id uint32) *T {
 	}
 	return &cur[chunk][off]
 }
+
+// Records files records under byte keys as dense ids: an Index from key
+// to id over a Slots of the records. A lookup and a read take no lock; a
+// new record locks one index shard. The asynchronous models file their
+// channel histories, environments and process records in Records, the
+// synchronous ones their environment keys.
+//
+// The zero Records is not usable; call Init.
+type Records[T any] struct {
+	index *Index
+	next  atomic.Uint32
+	slots Slots[T]
+}
+
+// Init sets up an empty Records whose index has 1<<shardBits shards.
+func (r *Records[T]) Init(shardBits int) { r.index = NewIndex(shardBits) }
+
+// Get returns the id filed under key.
+func (r *Records[T]) Get(key []byte) (uint32, bool) { return r.index.Get(key) }
+
+// At returns the record of id.
+func (r *Records[T]) At(id uint32) T { return *r.slots.At(id) }
+
+// Len returns the number of records filed.
+func (r *Records[T]) Len() uint32 { return r.next.Load() }
+
+// Add files mk's record under key and returns its id; mk receives the id
+// and runs under an index shard mutex, at most once per key. An equal
+// record filed first by another goroutine keeps its id.
+func (r *Records[T]) Add(key []byte, mk func(id uint32) T) uint32 {
+	return r.index.Intern(key, func() uint32 {
+		id := r.next.Add(1) - 1
+		*r.slots.Grow(id) = mk(id)
+		return id
+	})
+}

@@ -26,12 +26,16 @@
 // per (receiver local state, inbox) across the whole model, where the inbox
 // is its message per sender, or only its set of messages for a protocol
 // that declares proto.SetInbox (FloodSet). A state's
-// successors are enumerated key-first through one RoundMemo. Per action
-// it re-resolves only the receivers whose lost set can differ from the
-// previous action's, since x(j,[k]) and x(j,[k+1]) agree modulo process k
-// (the proof of Lemma 5.1). If none of their local ids changes and the
-// failed set is the same, the successor is the previous one, reused
-// without a probe. Otherwise the memo probes the model's successor cache
+// successors are enumerated key-first through one RoundMemo. x(j,[k]) and
+// x(j,[k+1]) differ only at process k (the proof of Lemma 5.1), and not
+// even there when k does not hear j, or, under proto.SetInbox, also hears
+// j's message from another sender. So the memo marks, per sender j, the
+// receivers critical for j, whose heard classes change when they lose j's
+// message, and per action re-resolves only the critical receivers whose
+// lost set differs from the previous action's; every other receiver keeps
+// its local id. If none of the re-resolved ids changes and the failed set
+// is the same, the successor is the previous one, reused without a
+// probe. Otherwise the memo probes the model's successor cache
 // with the key (round, failed set, local ids), and builds a State only for
 // a successor the cache has not seen. Ids stay inside the
 // process: Key is still the canonical string, and a state built elsewhere

@@ -18,10 +18,15 @@ import (
 // the first live sender whose message to that receiver has the same id
 // under a proto.SetInbox protocol, and the sender itself otherwise.
 //
-// Consecutive actions change few receivers: x(j,[k]) and x(j,[k+1]) agree
-// modulo process k (the proof of Lemma 5.1). So Omit re-resolves only the
-// receivers whose lost set can differ from the previous action's. When none
-// of their ids changes and the failed set is the previous one, the
+// Consecutive actions change few receivers: x(j,[k]) and x(j,[k+1]) differ
+// only at process k (the proof of Lemma 5.1), and not even there when k
+// never hears j, or hears j's message from another member of its class.
+// So the memo marks, per sender j, the receivers critical for j: those
+// that hear j under the losses every action shares and hear no other
+// member of j's class. Omit re-resolves only the critical receivers whose
+// lost set differs from the previous action's; every other receiver hears
+// the same classes, which key its next local id, and keeps its id. When
+// no re-resolved id changes and the failed set is the previous one, the
 // successor is the previous successor, emitted again with no key written
 // and no probe. Otherwise the memo writes the successor's cache key as
 // (round, failed set, local ids) and probes it; only on a miss does it
@@ -46,9 +51,12 @@ type RoundMemo struct {
 	base []uint64
 	live []uint64
 	// cls[to*n+i] is live sender i's class for receiver to; dup[to] holds
-	// the live senders that are not the first of their class.
-	cls []uint8
-	dup []uint64
+	// the live senders that are not the first of their class. crit[j] is
+	// the set of receivers critical for sender j: losing j's message, and
+	// no other, changes the classes they hear.
+	cls  []uint8
+	dup  []uint64
+	crit []uint64
 	// omit[i] is the set of receivers losing process i's message in the
 	// action being applied (meaningful for the processes in the action's
 	// omitting set only).
@@ -57,22 +65,27 @@ type RoundMemo struct {
 	recv [][]delivery
 	// ids holds the local ids of the last successor enumerated, last and
 	// lastID that successor and its id (last is nil before the first), and
-	// lastFailed its failed set. lastFrom and lastTo are the omitter (a
-	// bitmask, 0 for none) and the omission set of the action before: every
-	// receiver outside the two actions' omission sets keeps its id.
-	// lastFrom is ^0 when no receiver may keep one.
-	ids                          []uint32
-	last                         core.State
-	lastID                       uint32
-	lastFailed, lastFrom, lastTo uint64
+	// lastFailed its failed set. lastFrom is the omitter of the action
+	// before (a bitmask, 0 for none), and lastHit the receivers whose
+	// classes heard it changed: those of its omission set critical for its
+	// omitter. Every other receiver hears what the shared losses let it
+	// hear. lastFrom is ^0, and lastHit every receiver, when no receiver
+	// may keep its id.
+	ids                           []uint32
+	last                          core.State
+	lastID                        uint32
+	lastFailed, lastFrom, lastHit uint64
 	// in and strs are an inbox's message ids and strings, set its sorted
 	// distinct message ids (deliverSetKey's scratch).
 	in   []uint32
 	set  []uint32
 	strs []string
-	envs []envEntry
 	key  []byte
 	buf  []byte
+	// resolved, listMisses and runs count this source's receiver
+	// resolutions, those its lists could not answer, and its Deliver runs,
+	// for the table's totals.
+	resolved, listMisses, runs uint64
 }
 
 // delivery is one receiver's next local id given the classes of the
@@ -80,12 +93,6 @@ type RoundMemo struct {
 type delivery struct {
 	heard uint64
 	id    uint32
-}
-
-// envEntry caches a successor environment key by failed set.
-type envEntry struct {
-	failed uint64
-	key    string
 }
 
 // Memo starts the round from x, resolving successor keys through p and
@@ -105,41 +112,61 @@ func (t *Table) Memo(x *State, p core.Prober, record, silenceFailed, generalOmis
 	r.src = t.idsOf(r.src[:0], x)
 	r.sends = grow(r.sends, n)
 	r.base, r.live, r.omit = grow(r.base, n), grow(r.live, n), grow(r.omit, n)
-	r.cls, r.dup = grow(r.cls, n*n), grow(r.dup, n)
+	r.cls, r.dup, r.crit = grow(r.cls, n*n), grow(r.dup, n), grow(r.crit, n)
 	r.recv = grow(r.recv, n)
 	r.ids, r.in, r.set, r.strs = grow(r.ids, n), grow(r.in, n), grow(r.set, n), grow(r.strs, n)
-	r.envs = r.envs[:0]
 	for i, id := range r.src {
 		r.sends[i] = t.locals.Sends(id)
+		r.crit[i] = 0
 	}
-	all := uint64(1)<<uint(n) - 1
+	all, set := uint64(1)<<uint(n)-1, t.set
 	for to := 0; to < n; to++ {
-		r.live[to], r.base[to], r.dup[to] = 0, 0, 0
+		cls, live, dup := r.cls[to*n:to*n+n], uint64(0), uint64(0)
 		for i := 0; i < n; i++ {
 			m := r.sends[i][to]
 			if i == to || m == 0 {
 				continue
 			}
-			r.cls[to*n+i] = uint8(i)
-			for c := 0; t.set && c < i; c++ {
-				if r.live[to]&(1<<uint(c)) != 0 && r.sends[c][to] == m {
-					r.cls[to*n+i] = uint8(c)
-					r.dup[to] |= 1 << uint(i)
+			cls[i] = uint8(i)
+			for c := 0; set && c < i; c++ {
+				if live&(1<<uint(c)) != 0 && r.sends[c][to] == m {
+					cls[i], dup = uint8(c), dup|1<<uint(i)
 					break
 				}
 			}
-			r.live[to] |= 1 << uint(i)
+			live |= 1 << uint(i)
 		}
+		r.live[to], r.base[to], r.dup[to] = live, 0, dup
 		if silenceFailed {
 			r.base[to] = x.failed
 		}
 		if generalOmission && x.failed&(1<<uint(to)) != 0 {
 			r.base[to] = all
 		}
+		r.markCritical(to)
 		r.recv[to] = r.recv[to][:0]
 	}
-	r.last, r.lastFrom, r.lastTo = nil, ^uint64(0), all
+	r.last, r.lastFrom, r.lastHit = nil, ^uint64(0), all
 	return r
+}
+
+// markCritical adds receiver to to crit[j] for every sender j that to
+// hears under the shared losses and whose class it hears from no other
+// sender.
+func (r *RoundMemo) markCritical(to int) {
+	heard, cls := r.live[to]&^r.base[to], r.cls[to*len(r.src):]
+	var once, twice uint64 // classes heard from at least one sender, from two
+	for h := heard; h != 0; h &= h - 1 {
+		c := uint64(1) << cls[bits.TrailingZeros64(h)]
+		twice |= once & c
+		once |= c
+	}
+	for h := heard; h != 0; h &= h - 1 {
+		j := bits.TrailingZeros64(h)
+		if twice&(1<<cls[j]) == 0 {
+			r.crit[j] |= 1 << uint(to)
+		}
+	}
 }
 
 // grow returns s resized to length n, reusing its array when it can.
@@ -154,32 +181,37 @@ func grow[T any](s []T, n int) []T {
 // enumerated (nil for none), which is a one-action memo's result.
 func (r *RoundMemo) Done() core.State {
 	last := r.last
+	r.t.resolved.Add(r.resolved)
+	r.t.listMisses.Add(r.listMisses)
+	r.t.runs.Add(r.runs)
 	r.p, r.x, r.last = core.Prober{}, nil, nil
+	r.resolved, r.listMisses, r.runs = 0, 0, 0
 	r.t.memos.Put(r)
 	return last
 }
 
 // Omit enumerates, with label id label, the successor in which process j's
 // messages to the processes in omitTo are lost (omitTo == 0 is the
-// failure-free round). j is recorded as failed if the memo records
-// failures and omitTo is non-empty. Only the receivers whose lost set can
-// differ from the previous action's are re-resolved: with the same
-// omitter, those in one omission set but not the other; with another, those
-// in either.
+// failure-free round, which has no omitter). j is recorded as failed if
+// the memo records failures and omitTo is non-empty. Only the receivers
+// whose heard classes can differ from the previous action's are
+// re-resolved: with the same omitter, the critical receivers in one
+// omission set but not the other; with another, the critical receivers of
+// both omission sets, each for its own omitter.
 func (r *RoundMemo) Omit(label uint32, j int, omitTo uint64) {
-	failed, from := r.x.failed, uint64(0)
+	failed, from, hit := r.x.failed, uint64(0), uint64(0)
 	if omitTo != 0 {
-		from = 1 << uint(j)
+		from, hit = 1<<uint(j), omitTo&r.crit[j]
 		r.omit[j] = omitTo
 		if r.record {
 			failed |= from
 		}
 	}
-	redo := omitTo | r.lastTo
+	redo := hit | r.lastHit
 	if from == r.lastFrom {
-		redo = omitTo ^ r.lastTo
+		redo = hit ^ r.lastHit
 	}
-	r.lastFrom, r.lastTo = from, omitTo
+	r.lastFrom, r.lastHit = from, hit
 	r.emit(label, from, failed, redo)
 }
 
@@ -197,7 +229,7 @@ func (r *RoundMemo) omitMany(label uint32, oms []Omission) {
 		failed |= from
 	}
 	all := uint64(1)<<uint(len(r.ids)) - 1
-	r.lastFrom, r.lastTo = ^uint64(0), all
+	r.lastFrom, r.lastHit = ^uint64(0), all
 	r.emit(label, from, failed, all)
 }
 
@@ -247,6 +279,7 @@ func (r *RoundMemo) probe(failed uint64) (uint32, core.State, bool) {
 // by the inbox's message ids per sender, or by their set for a
 // proto.SetInbox protocol), else by running Deliver.
 func (r *RoundMemo) deliver(to int, lost uint64) uint32 {
+	r.resolved++
 	got, cls := r.live[to]&^lost, r.cls[to*len(r.ids):]
 	heard := got &^ r.dup[to]
 	for d := got & r.dup[to]; d != 0; d &= d - 1 {
@@ -257,6 +290,7 @@ func (r *RoundMemo) deliver(to int, lost uint64) uint32 {
 			return d.id
 		}
 	}
+	r.listMisses++
 	for i := range r.in {
 		r.in[i] = 0
 		if got&(1<<uint(i)) != 0 {
@@ -270,6 +304,7 @@ func (r *RoundMemo) deliver(to int, lost uint64) uint32 {
 	}
 	id, ok := r.t.deliver.Get(r.buf)
 	if !ok {
+		r.runs++
 		id = r.t.deliverSlow(r.buf, r.src[to], r.in, r.strs)
 	}
 	r.recv[to] = append(r.recv[to], delivery{heard: heard, id: id})
@@ -286,7 +321,7 @@ func (r *RoundMemo) build(failed uint64) *State {
 	for i, id := range r.ids {
 		locals[i], decided[i], ids[i] = r.t.locals.Local(id), r.t.locals.Decided(id), id
 	}
-	env := r.envKey(failed)
+	env := r.t.envKey(r.buf[:0], r.x.round+1, failed, r.x.trackEn)
 	r.buf = proto.AppendJoin(proto.AppendJoin(r.buf[:0], env), locals...)
 	return &State{
 		n:       n,
@@ -301,16 +336,4 @@ func (r *RoundMemo) build(failed uint64) *State {
 		tab:     r.t,
 		ids:     ids,
 	}
-}
-
-// envKey returns the successors' environment key for failed set failed.
-func (r *RoundMemo) envKey(failed uint64) string {
-	for _, e := range r.envs {
-		if e.failed == failed {
-			return e.key
-		}
-	}
-	key := envKeyOf(r.x.round+1, failed, r.x.trackEn)
-	r.envs = append(r.envs, envEntry{failed: failed, key: key})
-	return key
 }

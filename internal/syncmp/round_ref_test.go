@@ -86,6 +86,3 @@ func (m *MultiModel) ApplyMulti(x *State, oms []Omission) *State {
 	r.omitMany(0, oms)
 	return r.Done().(*State)
 }
-
-// OmitMany runs omitMany, for the tests of package syncmp_test.
-func (r *RoundMemo) OmitMany(label uint32, oms []Omission) { r.omitMany(label, oms) }

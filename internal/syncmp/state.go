@@ -132,6 +132,3 @@ func (s *State) FailedCount() int {
 	}
 	return c
 }
-
-// Locals returns a copy of the per-process local states.
-func (s *State) Locals() []string { return append([]string(nil), s.locals...) }

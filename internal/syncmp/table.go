@@ -3,6 +3,7 @@ package syncmp
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/proto"
@@ -22,7 +23,7 @@ import (
 // the memo at most once per source state, receiver and set of sender
 // classes heard; under a proto.SetInbox protocol the senders of one
 // message id form one class, so losing a message that another sender
-// repeats is answered from the RoundMemo's own list.
+// repeats leaves the receiver's id as it was, with no lookup at all.
 //
 // Ids never leave the process: states keep their canonical strings, and
 // Key is built from those. The table is append-only and safe for
@@ -36,6 +37,14 @@ type Table struct {
 	deliver *core.Index
 	set     bool
 	memos   sync.Pool
+	// envs files the environment key of a state under its cache key's
+	// environment prefix (appendStateKey with no ids: round, and failed set
+	// when tracked).
+	envs core.Records[string]
+	// resolved, listMisses and runs sum what the round memos did: receivers
+	// resolved, resolutions their own lists could not answer, and Deliver
+	// runs. Each memo adds its counts once, in Done.
+	resolved, listMisses, runs atomic.Uint64
 }
 
 // NewTable returns an empty table for protocol p on n processes. Its
@@ -44,7 +53,9 @@ type Table struct {
 // it, and the shards then grow with it). Set keys need a few dozen.
 func NewTable(p proto.SyncProtocol, n int) *Table {
 	_, set := p.(proto.SetInbox)
-	return &Table{p: p, locals: core.NewLocalTable(p, n), deliver: core.NewIndex(3), set: set}
+	t := &Table{p: p, locals: core.NewLocalTable(p, n), deliver: core.NewIndex(3), set: set}
+	t.envs.Init(0)
+	return t
 }
 
 // deliverKey appends the model-wide Deliver memo key: the receiver's local
@@ -99,6 +110,19 @@ func (t *Table) deliverSlow(key []byte, recv uint32, in []uint32, strs []string)
 	}
 	next := t.locals.LocalID(t.p.Deliver(t.locals.Local(recv), strs))
 	return t.deliver.Intern(key, func() uint32 { return next })
+}
+
+// envKey returns the environment key of a state in round round with
+// failed set failed, rendered once per model; buf is scratch for its
+// index key.
+func (t *Table) envKey(buf []byte, round int, failed uint64, trackEnv bool) string {
+	key := appendStateKey(buf, round, failed, trackEnv, nil)
+	id, ok := t.envs.Get(key)
+	if !ok {
+		env := envKeyOf(round, failed, trackEnv)
+		id = t.envs.Add(key, func(uint32) string { return env })
+	}
+	return t.envs.At(id)
 }
 
 // Cache key tags: the first byte of a synchronous state's cache key says
