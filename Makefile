@@ -16,12 +16,12 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the engine-invariant analyzer suite (internal/analysis) over
-# the whole module: detorder, internfreeze, obsguard, senterr, parshard,
-# plus the cross-function dataflow analyzers ctxpoll, spanend, hotalloc.
-# Exit status 1 means findings; suppress a deliberate exception with a
-# //lint:<token> comment on the flagged line or the line above (the token
-# is per-analyzer: nondet, mutates, obs, sentinel, unsync, poll, span,
-# alloc; //lint:hotpath is a marker that opts a function into the hotalloc
+# the whole module: detorder, internfreeze, senterr, parshard, plus the
+# cross-function dataflow analyzers ctxpoll and hotalloc. Exit status 1
+# means findings; suppress a deliberate exception with a //lint:<token>
+# comment on the flagged line or the line above (the token is
+# per-analyzer: nondet, mutates, sentinel, unsync, poll, alloc;
+# //lint:hotpath is a marker that opts a function into the hotalloc
 # no-allocation obligation, not a suppression). A hatch that suppresses
 # nothing, and a //lint: comment whose first token is neither a hatch nor
 # a marker, are findings too.
@@ -83,12 +83,13 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './coldbench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # ledger prints the deterministic cost counts a performance change quotes:
-# bytes per edge and warm allocations of explorations (ledger_test.go), and
-# the round memo's receiver resolutions, list misses and Deliver runs
+# bytes per edge and warm allocations of explorations, the recorder calls
+# and journal events of a traced pipeline (ledger_test.go), and the round
+# memo's receiver resolutions, list misses and Deliver runs
 # (internal/syncmp/count_test.go), each against its ceiling. `make test`
 # runs the same tests without -v.
 ledger:
-	$(GO) test -v -count=1 -run 'TestColdExploreBytesPerEdge|TestWarmExploreAllocatesNothingPerSource' .
+	$(GO) test -v -count=1 -run 'TestColdExploreBytesPerEdge|TestWarmExploreAllocatesNothingPerSource|TestObsCallsPerPipeline' .
 	$(GO) test -v -count=1 -run 'TestRoundMemoCounts' ./internal/syncmp
 
 # tier1 is the gate every change must keep green: full build, gofmt, vet,

@@ -125,10 +125,9 @@ func writeTree(t *testing.T, files map[string]string) string {
 }
 
 // violationModule is a synthetic module with exactly one violation per
-// dataflow analyzer (ctxpoll, spanend, hotalloc), plus a loop whose poll
-// arrives through a
-// cross-package fact (chaos.Check) — a false positive there means fact
-// propagation broke in the driver under test.
+// dataflow analyzer (ctxpoll, hotalloc), plus a loop whose poll arrives
+// through a cross-package fact (chaos.Check) — a false positive there
+// means fact propagation broke in the driver under test.
 func violationModule(t *testing.T) string {
 	t.Helper()
 	return writeTree(t, map[string]string{
@@ -162,17 +161,6 @@ func Check(ctx *resilient.Ctx, point string) error {
 	return nil
 }
 `,
-		"obs/obs.go": `package obs
-
-type SpanID uint64
-
-type TraceSpan struct{ ID, Parent SpanID }
-
-type Tracer struct{}
-
-func (t *Tracer) Begin(name string, parent SpanID) TraceSpan { return TraceSpan{} }
-func (t *Tracer) End(s TraceSpan)                            {}
-`,
 		"internal/valence/field.go": `package valence
 
 import (
@@ -203,15 +191,6 @@ func GoodLoop(ctx *resilient.Ctx, items []int) error {
 	return nil
 }
 `,
-		"span/span.go": `package span
-
-import "synthetic/obs"
-
-// Leak discards a span: the spanend violation.
-func Leak(tr *obs.Tracer) {
-	tr.Begin("phase", 0)
-}
-`,
 		"hot/hot.go": `package hot
 
 // Fill is marked hot but allocates: the hotalloc violation.
@@ -225,8 +204,8 @@ func Fill(n int) []byte {
 
 // TestLintExitCodePerNewAnalyzer plants one violation per dataflow
 // analyzer in a synthetic module and asserts the standalone checker exits
-// 1 naming all three — and that the loop polling through a cross-package
-// helper is NOT among the findings.
+// 1 naming both — and that the loop polling through a cross-package helper
+// is NOT among the findings.
 func TestLintExitCodePerNewAnalyzer(t *testing.T) {
 	bin := buildLint(t)
 	dir := violationModule(t)
@@ -241,7 +220,7 @@ func TestLintExitCodePerNewAnalyzer(t *testing.T) {
 		t.Fatalf("lint exit code = %d, want 1\n%s", code, out)
 	}
 	text := string(out)
-	for _, tag := range []string{"[ctxpoll]", "[spanend]", "[hotalloc]"} {
+	for _, tag := range []string{"[ctxpoll]", "[hotalloc]"} {
 		if !strings.Contains(text, tag) {
 			t.Errorf("lint output missing %s diagnostic:\n%s", tag, text)
 		}
@@ -252,7 +231,7 @@ func TestLintExitCodePerNewAnalyzer(t *testing.T) {
 }
 
 // TestLintVettoolPerNewAnalyzer drives the same module through the go vet
-// unitchecker protocol: all three dataflow analyzers must report, and the
+// unitchecker protocol: both dataflow analyzers must report, and the
 // chaos.Check polls fact must cross packages via the .vetx files.
 func TestLintVettoolPerNewAnalyzer(t *testing.T) {
 	bin := buildLint(t)
@@ -264,7 +243,7 @@ func TestLintVettoolPerNewAnalyzer(t *testing.T) {
 		t.Fatalf("go vet -vettool on planted violations succeeded, want failure\n%s", out)
 	}
 	text := string(out)
-	for _, tag := range []string{"[ctxpoll]", "[spanend]", "[hotalloc]"} {
+	for _, tag := range []string{"[ctxpoll]", "[hotalloc]"} {
 		if !strings.Contains(text, tag) {
 			t.Errorf("go vet output missing %s diagnostic:\n%s", tag, text)
 		}
@@ -339,8 +318,8 @@ func FillQuiet(n int) []byte {
 	if err := json.Unmarshal(out, &diags); err != nil {
 		t.Fatalf("decoding -json output: %v\n%s", err, out)
 	}
-	if len(diags) < 4 {
-		t.Fatalf("got %d diagnostics, want >= 4 (3 active + 1 suppressed)\n%s", len(diags), out)
+	if len(diags) < 3 {
+		t.Fatalf("got %d diagnostics, want >= 3 (2 active + 1 suppressed)\n%s", len(diags), out)
 	}
 	analyzers := make(map[string]bool)
 	foundSuppressed := false
@@ -353,7 +332,7 @@ func FillQuiet(n int) []byte {
 			foundSuppressed = true
 		}
 	}
-	for _, want := range []string{"ctxpoll", "spanend", "hotalloc"} {
+	for _, want := range []string{"ctxpoll", "hotalloc"} {
 		if !analyzers[want] {
 			t.Errorf("-json output missing analyzer %q", want)
 		}

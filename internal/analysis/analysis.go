@@ -1,6 +1,6 @@
 // Package analysis is the engine-invariant analyzer suite: a small,
 // dependency-free reimplementation of the go/analysis vocabulary (Analyzer,
-// Pass, Diagnostic) plus five custom analyzers that mechanically enforce the
+// Pass, Diagnostic) plus six custom analyzers that mechanically enforce the
 // invariants the engine's correctness rests on but Go's type system cannot
 // express:
 //
@@ -10,26 +10,19 @@
 //   - internfreeze: interned state values are immutable outside their
 //     constructors (aliased mutation would corrupt the shared successor
 //     caches).
-//   - obsguard: obs.Recorder calls stay nil-guarded and batched per layer,
-//     never per node (the disabled-instrumentation fast path pays one
-//     branch).
 //   - senterr: sentinel errors are matched with errors.Is, never ==
 //     (budget errors arrive wrapped with context).
 //   - parshard: worker goroutines do not fire-and-forget sends on
 //     unbuffered channels, and per-shard locks never nest.
 //
-// A second generation of analyzers enforces the contracts introduced by the
-// resilience, bit-parallel, and tracing layers, built on a shared dataflow
-// platform (an intraprocedural CFG/dominance builder in cfg.go, a
-// package-level call graph in callgraph.go, and cross-package facts in
-// facts.go):
+// Two more run on a shared dataflow platform (an intraprocedural CFG in
+// cfg.go, a package-level call graph in callgraph.go, and cross-package
+// facts in facts.go):
 //
 //   - ctxpoll: top-level loops in functions that take a *resilient.Ctx
 //     inside the deterministic engine packages must poll cancellation on
 //     every iteration path (directly, via chaos.Check, or through any
 //     helper that transitively polls — propagated by facts).
-//   - spanend: every obs.Tracer Begin/BeginLane span is Ended on all exit
-//     paths, by defer or by an End that covers every path to return.
 //   - hotalloc: functions annotated //lint:hotpath must not contain
 //     allocation-inducing constructs (composite literals, fmt calls,
 //     non-map-probe string<->[]byte conversions, closures, interface
@@ -38,7 +31,10 @@
 // Contracts a type or a test can carry are not analyzers: obs.Histogram's
 // counters are typed atomics, so a plain access does not compile; each
 // checkpoint codec has a round-trip test that feeds every strict prefix;
-// and Go 1.22 gives every loop iteration its own variable.
+// Go 1.22 gives every loop iteration its own variable; the obs recorder
+// and tracer return at a nil receiver, so an unguarded call cannot panic;
+// the traced chaos suite fails on a span left open on any fault path; and
+// the ledger's obs.calls ceilings fail on per-node instrumentation.
 //
 // The suite runs standalone via cmd/lint (wired into make lint / tier1) and
 // through go vet -vettool. Each analyzer has an escape hatch: a comment of
@@ -197,24 +193,6 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.TypesInfo.ObjectOf(id)
 }
 
-// RunAnalyzer runs one analyzer over one loaded package and returns its
-// active (unsuppressed) diagnostics sorted by position. Fixture tests and
-// single-package callers use this; drivers that need suppressed findings
-// and cross-package facts use RunAnalyzerFacts.
-func RunAnalyzer(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	diags, err := RunAnalyzerFacts(a, fset, files, pkg, info, nil)
-	if err != nil {
-		return nil, err
-	}
-	active := diags[:0]
-	for _, d := range diags {
-		if !d.Suppressed {
-			active = append(active, d)
-		}
-	}
-	return active, nil
-}
-
 // RunAnalyzerFacts runs one analyzer over one loaded package against a
 // shared fact store and returns all its diagnostics — suppressed ones
 // included, flagged — sorted by position. Facts exported by the run remain
@@ -233,8 +211,8 @@ func RunAnalyzerFacts(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		DetOrder, InternFreeze, ObsGuard, SentErr, ParShard,
-		CtxPoll, SpanEnd, HotAlloc,
+		DetOrder, InternFreeze, SentErr, ParShard,
+		CtxPoll, HotAlloc,
 	}
 }
 
@@ -272,15 +250,10 @@ func IsDeterministicEnginePkg(path string) bool {
 // scope-free — fixtures run them directly — so the package filter lives
 // here, next to the suite definition.
 func Applies(a *Analyzer, pkgPath string) bool {
-	switch a {
-	case DetOrder, CtxPoll:
+	if a == DetOrder || a == CtxPoll {
 		return IsDeterministicEnginePkg(pkgPath)
-	case ObsGuard, SpanEnd:
-		// Everywhere but the Recorder/Tracer implementation itself.
-		return pkgPath != "internal/obs" && !strings.HasSuffix(pkgPath, "/internal/obs")
-	default:
-		return true
 	}
+	return true
 }
 
 // FactProducer reports whether the analyzer exports cross-package facts.
@@ -289,9 +262,5 @@ func Applies(a *Analyzer, pkgPath string) bool {
 // helpers defined outside an analyzer's reporting scope still reach the
 // packages inside it.
 func FactProducer(a *Analyzer) bool {
-	switch a {
-	case CtxPoll, HotAlloc, ObsGuard:
-		return true
-	}
-	return false
+	return a == CtxPoll || a == HotAlloc
 }

@@ -6,12 +6,9 @@ import (
 )
 
 // This file is the suite's intraprocedural control-flow layer: a basic-block
-// CFG built from a function body, a dominator computation over it, and the
-// path queries the flow-sensitive analyzers ask (ctxpoll: "can one loop
-// iteration complete without crossing a barrier?", spanend: "can the
-// function exit without crossing one?"). It replaces the ad-hoc
-// source-order block walking that obsguard and parshard previously carried
-// privately.
+// CFG built from a function body and the path queries ctxpoll asks ("can
+// the function exit, or one loop iteration complete, without crossing a
+// barrier?").
 
 // Block is one straight-line run of AST nodes: statements, plus the
 // condition expressions of the branches the block ends in. Nodes execute in
@@ -22,14 +19,9 @@ type Block struct {
 	Succs []Edge
 }
 
-// Edge is one control transfer. When Cond is non-nil the edge is the Taken
-// (or not-Taken) arm of that branch condition — the nil-correlation pruning
-// in spanend uses it to discard infeasible paths like "the tracer was
-// non-nil at Begin but nil at the End guard".
+// Edge is one control transfer.
 type Edge struct {
-	To    *Block
-	Cond  ast.Expr
-	Taken bool
+	To *Block
 	// loopEntry marks the edge from the code before a loop into the loop
 	// head; iteration-path queries exclude it so a path cannot "complete an
 	// iteration" by leaving the loop and re-entering from outside.
@@ -156,18 +148,18 @@ func (b *cfgBuilder) build(s ast.Stmt) {
 		cond := b.cur
 		then := b.newBlock()
 		join := b.newBlock()
-		b.edge(cond, Edge{To: then, Cond: s.Cond, Taken: true})
+		b.edge(cond, Edge{To: then})
 		b.startBlock(then)
 		b.buildStmts(s.Body.List)
 		b.edge(b.cur, Edge{To: join})
 		if s.Else != nil {
 			els := b.newBlock()
-			b.edge(cond, Edge{To: els, Cond: s.Cond, Taken: false})
+			b.edge(cond, Edge{To: els})
 			b.startBlock(els)
 			b.build(s.Else)
 			b.edge(b.cur, Edge{To: join})
 		} else {
-			b.edge(cond, Edge{To: join, Cond: s.Cond, Taken: false})
+			b.edge(cond, Edge{To: join})
 		}
 		b.startBlock(join)
 
@@ -188,8 +180,8 @@ func (b *cfgBuilder) build(s ast.Stmt) {
 		b.edge(b.cur, Edge{To: head, loopEntry: true})
 		if s.Cond != nil {
 			head.Nodes = append(head.Nodes, s.Cond)
-			b.edge(head, Edge{To: body, Cond: s.Cond, Taken: true})
-			b.edge(head, Edge{To: after, Cond: s.Cond, Taken: false})
+			b.edge(head, Edge{To: body})
+			b.edge(head, Edge{To: after})
 		} else {
 			b.edge(head, Edge{To: body})
 		}
@@ -399,23 +391,12 @@ func (q *PathQuery) blockHasBarrier(b *Block, start int) bool {
 	return false
 }
 
-// PathExists reports whether execution can flow from node `fromNode` inside
-// block `from` to block `to` without crossing a barrier. The scan starts
-// after fromNode within `from` (pass nil to start at the block head). A
-// path that reaches `to` at all counts — barriers inside `to` itself are
-// not consulted (callers include them in the query when the target block's
-// own nodes matter).
-func (c *CFG) PathExists(from *Block, fromNode ast.Node, to *Block, q *PathQuery) bool {
-	start := 0
-	if fromNode != nil {
-		for i, n := range from.Nodes {
-			if n == fromNode || containsNode(n, fromNode) {
-				start = i + 1
-				break
-			}
-		}
-	}
-	if q.blockHasBarrier(from, start) {
+// PathExists reports whether execution can flow from the head of block
+// `from` to block `to` without crossing a barrier. A path that reaches `to`
+// at all counts — barriers inside `to` itself are not consulted (callers
+// include them in the query when the target block's own nodes matter).
+func (c *CFG) PathExists(from, to *Block, q *PathQuery) bool {
+	if q.blockHasBarrier(from, 0) {
 		return false
 	}
 	seen := make([]bool, len(c.Blocks))
@@ -448,24 +429,6 @@ func (c *CFG) PathExists(from *Block, fromNode ast.Node, to *Block, q *PathQuery
 	return dfs(from)
 }
 
-// containsNode reports whether outer's subtree contains inner.
-func containsNode(outer, inner ast.Node) bool {
-	if outer == nil || inner == nil {
-		return false
-	}
-	if inner.Pos() < outer.Pos() || inner.End() > outer.End() {
-		return false
-	}
-	found := false
-	ast.Inspect(outer, func(n ast.Node) bool {
-		if n == inner {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // IterationWithoutBarrier reports whether the loop can complete one full
 // iteration — head, body, back to head — without crossing a barrier. It is
 // the ctxpoll primitive: false means every iteration path polls.
@@ -490,5 +453,5 @@ func (c *CFG) IterationWithoutBarrier(l *Loop, q *PathQuery) bool {
 			return q.AvoidEdge != nil && q.AvoidEdge(from, e)
 		},
 	}
-	return c.PathExists(l.Head, nil, l.Head, inner)
+	return c.PathExists(l.Head, l.Head, inner)
 }

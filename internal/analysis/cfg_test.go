@@ -48,7 +48,7 @@ func TestCFGPathExistsBarrier(t *testing.T) {
 	work()
 `))
 	q := &analysis.PathQuery{Barrier: callBarrier("poll")}
-	if !cfg.PathExists(cfg.Entry, nil, cfg.Exit, q) {
+	if !cfg.PathExists(cfg.Entry, cfg.Exit, q) {
 		t.Errorf("want a poll-free path through the untaken branch")
 	}
 
@@ -61,7 +61,7 @@ func TestCFGPathExistsBarrier(t *testing.T) {
 	}
 	work()
 `))
-	if covered.PathExists(covered.Entry, nil, covered.Exit, q) {
+	if covered.PathExists(covered.Entry, covered.Exit, q) {
 		t.Errorf("both arms poll; no barrier-free path should exist")
 	}
 }
@@ -76,7 +76,7 @@ func TestCFGPanicTerminates(t *testing.T) {
 	poll()
 `))
 	q := &analysis.PathQuery{Barrier: callBarrier("poll")}
-	if cfg.PathExists(cfg.Entry, nil, cfg.Exit, q) {
+	if cfg.PathExists(cfg.Entry, cfg.Exit, q) {
 		t.Errorf("panic path must not count as reaching the exit")
 	}
 }

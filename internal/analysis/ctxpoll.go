@@ -230,7 +230,7 @@ func allPathsPoll(pass *Pass, body *ast.BlockStmt) bool {
 	cfg := BuildCFG(body)
 	sanctioned := sanctionedPollGates(pass, body)
 	q := &PathQuery{Barrier: func(n ast.Node) bool { return nodePolls(pass, n, sanctioned) }}
-	return !cfg.PathExists(cfg.Entry, nil, cfg.Exit, q)
+	return !cfg.PathExists(cfg.Entry, cfg.Exit, q)
 }
 
 // topLevelLoops collects the for/range statements at loop depth 0 of the

@@ -25,10 +25,6 @@ func TestInternFreeze(t *testing.T) {
 	analysistest.Run(t, testdata(t), analysis.InternFreeze, "internfreeze")
 }
 
-func TestObsGuard(t *testing.T) {
-	analysistest.Run(t, testdata(t), analysis.ObsGuard, "obsguard")
-}
-
 func TestSentErr(t *testing.T) {
 	analysistest.Run(t, testdata(t), analysis.SentErr, "senterr")
 }
@@ -42,10 +38,6 @@ func TestParShard(t *testing.T) {
 // GoodTwoFrames case is two helper frames from the intrinsic ctx.Err load.
 func TestCtxPoll(t *testing.T) {
 	analysistest.RunWithDeps(t, testdata(t), analysis.CtxPoll, "ctxpoll", "chaos")
-}
-
-func TestSpanEnd(t *testing.T) {
-	analysistest.Run(t, testdata(t), analysis.SpanEnd, "spanend")
 }
 
 // TestHotAlloc analyzes the hothelpers fixture first, so the hotpath
@@ -67,15 +59,11 @@ func TestAppliesScoping(t *testing.T) {
 		{analysis.DetOrder, "repro/internal/decision", true},
 		{analysis.DetOrder, "repro/internal/sim", false},
 		{analysis.DetOrder, "repro/internal/obs", false},
-		{analysis.ObsGuard, "repro/internal/obs", false},
-		{analysis.ObsGuard, "repro/internal/core", true},
 		{analysis.InternFreeze, "repro/internal/sim", true},
 		{analysis.SentErr, "repro/cmd/repro", true},
 		{analysis.ParShard, "repro/internal/core", true},
 		{analysis.CtxPoll, "repro/internal/core", true},
 		{analysis.CtxPoll, "repro/internal/obs", false},
-		{analysis.SpanEnd, "repro/internal/core", true},
-		{analysis.SpanEnd, "repro/internal/obs", false},
 		{analysis.HotAlloc, "repro/internal/obs", true},
 	}
 	for _, c := range cases {
@@ -87,8 +75,8 @@ func TestAppliesScoping(t *testing.T) {
 
 func TestSuiteComplete(t *testing.T) {
 	all := analysis.All()
-	if len(all) != 8 {
-		t.Fatalf("All() returned %d analyzers, want 8", len(all))
+	if len(all) != 6 {
+		t.Fatalf("All() returned %d analyzers, want 6", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, a := range all {

@@ -5,11 +5,8 @@ import (
 	"strings"
 )
 
-// This file holds the AST-walking vocabulary shared by every analyzer in
-// the suite. Before the dataflow platform each analyzer carried private
-// copies of these helpers (obsguard owned terminates, parshard owned
-// unparen and walkChildren); they live here now so the CFG builder, the
-// call graph, and the analyzers all speak the same primitives.
+// This file holds the AST-walking vocabulary shared by the analyzers, the
+// CFG builder and the call graph.
 
 // unparen strips any number of enclosing parentheses from an expression.
 func unparen(e ast.Expr) ast.Expr {
@@ -34,25 +31,6 @@ func walkChildren(n ast.Node, walk func(ast.Node)) {
 		walk(c)
 		return false
 	})
-}
-
-// terminates reports whether a block always leaves the enclosing block
-// (return, panic, continue, break, or goto as its last statement).
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // forEachFuncDecl invokes fn for every function or method declaration with

@@ -7,7 +7,9 @@
 // converges to the uninterrupted result.
 //
 // The suite iterates chaos.Points(), so adding a fault point to an engine
-// without teaching this suite how to drive it fails the test.
+// without teaching this suite how to drive it fails the test. Each faulted
+// run is traced into a journal, and a span it began but did not end on the
+// fault's exit path fails the test too.
 package chaos_test
 
 import (
@@ -22,6 +24,7 @@ import (
 	"repro/internal/decision"
 	"repro/internal/knowledge"
 	"repro/internal/mobile"
+	"repro/internal/obs"
 	"repro/internal/protocols"
 	"repro/internal/resilient"
 	"repro/internal/valence"
@@ -182,6 +185,28 @@ func retryToBaseline(t *testing.T, d driver, err error) string {
 	return got
 }
 
+// traced installs a recorder and a tracer journaling into one buffer, and
+// returns the function that uninstalls them and reports the spans begun
+// and the spans ended since.
+func traced(t *testing.T) (stop func() (begun, ended int)) {
+	t.Helper()
+	var buf bytes.Buffer
+	m := obs.NewMetrics()
+	j := obs.NewJournal(&buf)
+	m.SetJournal(j)
+	obs.Enable(m)
+	obs.EnableTrace(obs.NewTracer(m, j))
+	return func() (int, int) {
+		obs.DisableTrace()
+		obs.Disable()
+		if err := j.Sync(); err != nil {
+			t.Fatalf("journal: %v", err)
+		}
+		return bytes.Count(buf.Bytes(), []byte(`"event":"span.begin"`)),
+			bytes.Count(buf.Bytes(), []byte(`"event":"span.end"`))
+	}
+}
+
 // TestChaosSuite is the fault-kind × fault-point matrix.
 func TestChaosSuite(t *testing.T) {
 	g := suiteGraph(t)
@@ -207,13 +232,18 @@ func TestChaosSuite(t *testing.T) {
 		for _, kind := range kinds {
 			t.Run(fmt.Sprintf("%s/%s", point, kind), func(t *testing.T) {
 				plan := chaos.NewPlan().Set(point, chaos.Rule{Hit: d.hit, Kind: kind})
+				stop := traced(t)
 				chaos.Arm(plan)
 				defer chaos.Disarm()
 				sum, err, panicked := runCatching(d, resilient.Background())
 				chaos.Disarm()
+				begun, ended := stop()
 
 				if fired := plan.Fired(); len(fired) != 1 {
 					t.Fatalf("plan fired %d faults, want exactly 1", len(fired))
+				}
+				if begun == 0 || begun != ended {
+					t.Fatalf("the run began %d spans and ended %d", begun, ended)
 				}
 				switch kind {
 				case chaos.KindDelay:

@@ -128,8 +128,9 @@ func (f *ResilienceFlags) Start() (*resilient.Ctx, func(), error) {
 					continue
 				}
 				// Forced exit: close (not just sync) the journal so the
-				// buffered tail reaches the sink before the process dies.
-				closeActiveJournal()
+				// buffered tail reaches the sink before the process dies
+				// and no later write can race the exit.
+				_ = obs.Active().CloseJournal()
 				os.Exit(ExitForced)
 			}
 		}
@@ -168,26 +169,8 @@ func (f *ResilienceFlags) Finish(err error) error {
 			obs.F{Key: "cause", Value: err.Error()},
 			obs.F{Key: "checkpoint", Value: saved})
 	}
-	syncActiveJournal()
+	// The buffered journal tail holds exactly the events explaining the
+	// stop.
+	_ = obs.Active().SyncJournal()
 	return err
-}
-
-// syncActiveJournal flushes the active recorder's journal tail, when the
-// recorder has one — on interrupt paths the buffered tail holds exactly
-// the events explaining the stop.
-func syncActiveJournal() {
-	if s, ok := obs.Active().(interface{ SyncJournal() error }); ok {
-		_ = s.SyncJournal()
-	}
-}
-
-// closeActiveJournal flushes and closes the active recorder's journal —
-// the forced-exit variant of syncActiveJournal: after it the journal
-// accepts no more writes, so nothing can race the imminent os.Exit.
-func closeActiveJournal() {
-	if c, ok := obs.Active().(interface{ CloseJournal() error }); ok {
-		_ = c.CloseJournal()
-		return
-	}
-	syncActiveJournal()
 }

@@ -381,7 +381,7 @@ func ExploreIDCtx(ctx *resilient.Ctx, m Model, depth, maxNodes, workers int) (*I
 // reuse answers an unbudgeted exploration of m to depth from last, the
 // graph m's cache remembers for the same roots: last's first layers when
 // depth is not deeper, else last continued from its deepest layer.
-func reuse(ctx *resilient.Ctx, m Model, last *IDGraph, depth, workers int, rec obs.Recorder, parent obs.SpanID) (*IDGraph, error) {
+func reuse(ctx *resilient.Ctx, m Model, last *IDGraph, depth, workers int, rec *obs.Metrics, parent obs.SpanID) (*IDGraph, error) {
 	g := last.prefix(min(depth, last.Depth))
 	expanded := g.above(g.Depth)
 	g.Cache.hits.Add(int64(expanded))
@@ -474,7 +474,7 @@ func (g *IDGraph) prefix(depth int) *IDGraph {
 // enclosing explore span (0 when tracing is off); each layer becomes one
 // explore.layer child span. A complete graph explored without a budget to
 // depth 1 or more becomes the one its cache remembers.
-func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTable, frontier []uint32, startDepth, maxNodes, workers int, rec obs.Recorder, parent obs.SpanID) (*IDGraph, error) {
+func continueExplore(ctx *resilient.Ctx, m Model, g *IDGraph, cacheToNode *cidTable, frontier []uint32, startDepth, maxNodes, workers int, rec *obs.Metrics, parent obs.SpanID) (*IDGraph, error) {
 	tr := obs.Trace()
 	// The expansion shards and the merge's discoveries are reused across
 	// layers.
@@ -550,7 +550,7 @@ func stopPoint(ctx *resilient.Ctx, point string) error {
 // 0..nextDepth-1 expanded, frontier = layer nextDepth untouched) is
 // returned alongside the cause, wrapped with a Checkpointer so callers
 // holding a -checkpoint path can persist the cut and resume it later.
-func (g *IDGraph) interrupted(m Model, rec obs.Recorder, nextDepth, maxNodes int, cause error) (*IDGraph, error) {
+func (g *IDGraph) interrupted(m Model, rec *obs.Metrics, nextDepth, maxNodes int, cause error) (*IDGraph, error) {
 	g.padEdgeStart()
 	if rec != nil {
 		rec.Add("explore.interrupts", 1)
@@ -570,7 +570,7 @@ func (g *IDGraph) interrupted(m Model, rec obs.Recorder, nextDepth, maxNodes int
 // emits the closing journal event. budgetHit marks a partial graph
 // returned with ErrNodeBudget; the event then carries the depth actually
 // reached so the journal explains how far the search got.
-func (g *IDGraph) finishExplore(rec obs.Recorder, budgetHit bool) {
+func (g *IDGraph) finishExplore(rec *obs.Metrics, budgetHit bool) {
 	if rec == nil {
 		return
 	}

@@ -92,11 +92,10 @@ func CollectDecidedSimplexesGraph(g *core.IDGraph) map[string]simplex.Simplex {
 			out[s.Key()] = s
 		}
 	}
-	if rec := obs.Active(); rec != nil {
-		rec.Add("decision.collect.runs", 1)
-		rec.Add("decision.collect.states", int64(g.Len()))
-		rec.Set("decision.collect.simplexes", int64(len(out)))
-	}
+	rec := obs.Active()
+	rec.Add("decision.collect.runs", 1)
+	rec.Add("decision.collect.states", int64(g.Len()))
+	rec.Set("decision.collect.simplexes", int64(len(out)))
 	return out
 }
 

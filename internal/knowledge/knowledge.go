@@ -109,12 +109,10 @@ func NewClasses(ctx *resilient.Ctx, states []core.State) (*Classes, error) {
 			}
 		}
 	}
-	if rec != nil {
-		rec.Add("knowledge.partitions", 1)
-		rec.Add("knowledge.states", int64(len(states)))
-		rec.Add("knowledge.links", int64(links))
-		rec.Set("knowledge.classes", int64(c.uf.Sets()))
-	}
+	rec.Add("knowledge.partitions", 1)
+	rec.Add("knowledge.states", int64(len(states)))
+	rec.Add("knowledge.links", int64(links))
+	rec.Set("knowledge.classes", int64(c.uf.Sets()))
 	return c, nil
 }
 

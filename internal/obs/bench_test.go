@@ -8,12 +8,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Sinks keep the measured loads observable so the compiler cannot delete
-// the disabled-path checks under test.
-var (
-	sinkTracer   *obs.Tracer
-	sinkRecorder obs.Recorder
-)
+// sinkTracer keeps the measured load observable so the compiler cannot
+// delete the disabled-path check under test.
+var sinkTracer *obs.Tracer
 
 // BenchmarkObsDisabledSpan prices a span instrumentation site with obs
 // disabled: one atomic load plus a nil check. This is the cost every
@@ -29,13 +26,12 @@ func BenchmarkObsDisabledSpan(b *testing.B) {
 }
 
 // BenchmarkObsDisabledRecorder prices a counter site with instrumentation
-// off — the same one-branch contract as the tracer.
+// off: the unguarded obs.Active().Add call sites make, one atomic load and
+// Add's return at a nil receiver. Budget: <= 2 ns/op, as for the tracer.
 func BenchmarkObsDisabledRecorder(b *testing.B) {
 	obs.Disable()
 	for i := 0; i < b.N; i++ {
-		if rec := obs.Active(); rec != nil {
-			sinkRecorder = rec
-		}
+		obs.Active().Add("bench.count", 1)
 	}
 }
 
@@ -69,8 +65,8 @@ func BenchmarkObsHistogramRecordParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkObsMetricsObserve prices one enabled timer observation through
-// the Recorder interface: a sync.Map hit plus the histogram record.
+// BenchmarkObsMetricsObserve prices one enabled timer observation: a
+// sync.Map hit plus the histogram record.
 func BenchmarkObsMetricsObserve(b *testing.B) {
 	m := obs.NewMetrics()
 	for i := 0; i < b.N; i++ {

@@ -10,10 +10,14 @@ import (
 	"time"
 )
 
-// Metrics is the standard Recorder: lock-free named atomic counters and
+// Metrics is the engine's recorder: lock-free named atomic counters and
 // gauges, log-bucketed latency histograms behind the timers the tracer
 // feeds, unitless value histograms behind Record, and an optional journal
-// sink for events. The zero value is not usable; use NewMetrics.
+// sink for events. It is safe for concurrent use: the parallel exploration
+// records from worker goroutines. Add, Set, Record, Event, Snapshot,
+// SyncJournal and CloseJournal return at a nil receiver, which is what
+// Active returns when instrumentation is off. The zero value is not
+// usable; use NewMetrics.
 //
 // Metrics implements expvar.Var (String returns the JSON snapshot), so a
 // command can expose it at /debug/vars with expvar.Publish without obs
@@ -23,6 +27,11 @@ type Metrics struct {
 	gauges   sync.Map // string -> *int64
 	timers   sync.Map // string -> *Histogram (ns samples)
 	samples  sync.Map // string -> *Histogram (unitless samples)
+
+	// calls counts Add, Set, Record and Event calls; Snapshot reports it
+	// as obs.calls, so a test can see a per-node instrumentation call as
+	// a jump in one number.
+	calls atomic.Int64
 
 	mu      sync.Mutex
 	journal *Journal
@@ -43,6 +52,9 @@ func (m *Metrics) SetJournal(j *Journal) {
 // a no-op without a journal. Call it before reading the sink and on
 // interrupt paths, where the tail holds the events explaining the stop.
 func (m *Metrics) SyncJournal() error {
+	if m == nil {
+		return nil
+	}
 	m.mu.Lock()
 	j := m.journal
 	m.mu.Unlock()
@@ -57,6 +69,9 @@ func (m *Metrics) SyncJournal() error {
 // so the buffered tail reaches the sink before the process dies and the
 // journal stops accepting writes that would race the exit.
 func (m *Metrics) CloseJournal() error {
+	if m == nil {
+		return nil
+	}
 	m.mu.Lock()
 	j := m.journal
 	m.mu.Unlock()
@@ -88,13 +103,21 @@ func cell(tab *sync.Map, name string) *int64 {
 	return p.(*int64)
 }
 
-// Add implements Recorder.
+// Add increments a named counter.
 func (m *Metrics) Add(counter string, delta int64) {
+	if m == nil {
+		return
+	}
+	m.calls.Add(1)
 	atomic.AddInt64(cell(&m.counters, counter), delta)
 }
 
-// Set implements Recorder.
+// Set stores a named gauge value.
 func (m *Metrics) Set(gauge string, v int64) {
+	if m == nil {
+		return
+	}
+	m.calls.Add(1)
 	atomic.StoreInt64(cell(&m.gauges, gauge), v)
 }
 
@@ -115,8 +138,13 @@ func (m *Metrics) Observe(timer string, d time.Duration) {
 	hist(&m.timers, timer).Record(d.Nanoseconds())
 }
 
-// Record implements Recorder: one unitless sample into a value histogram.
+// Record accumulates one unitless sample (a width, a ratio, an imbalance
+// percentage) into a named value histogram.
 func (m *Metrics) Record(sample string, v int64) {
+	if m == nil {
+		return
+	}
+	m.calls.Add(1)
 	hist(&m.samples, sample).Record(v)
 }
 
@@ -138,10 +166,15 @@ func (m *Metrics) Sample(name string) *Histogram {
 	return nil
 }
 
-// Event implements Recorder: when a journal is attached the event is
+// Event emits a structured run event: when a journal is attached it is
 // written as one JSONL line carrying the fields and a snapshot of all
-// counters and gauges; without a journal the event is dropped.
+// counters and gauges; without a journal the event is dropped. Events are
+// rare — per run phase, not per state — so they may snapshot counters.
 func (m *Metrics) Event(name string, fields ...F) {
+	if m == nil {
+		return
+	}
+	m.calls.Add(1)
 	m.mu.Lock()
 	j := m.journal
 	m.mu.Unlock()
@@ -163,11 +196,15 @@ func (m *Metrics) Counter(name string) int64 {
 // derived entries — <name>.count, <name>.total_ns, <name>.max_ns, and the
 // histogram quantiles <name>.p50_ns/.p90_ns/.p99_ns — and value
 // histograms contribute <name>.count/.max/.p50/.p90/.p99, so the journal's
-// per-event counter snapshots carry full latency distributions. When the
+// per-event counter snapshots carry full latency distributions. obs.calls
+// is the number of Add, Set, Record and Event calls so far. When the
 // attached journal has dropped events after a write error, the snapshot
-// also reports journal.dropped.
+// also reports journal.dropped. A nil Metrics has no snapshot.
 func (m *Metrics) Snapshot() map[string]int64 {
-	out := make(map[string]int64)
+	if m == nil {
+		return nil
+	}
+	out := map[string]int64{"obs.calls": m.calls.Load()}
 	m.counters.Range(func(k, v any) bool {
 		out[k.(string)] = atomic.LoadInt64(v.(*int64))
 		return true

@@ -1,17 +1,20 @@
 // Package obs is the engine's zero-dependency observability layer: named
-// atomic counters, gauges, and value histograms behind a Recorder
-// interface, hierarchical phase spans behind a Tracer, and a structured
-// JSONL run-event journal with monotonic timestamps.
+// atomic counters, gauges, and value histograms in a Metrics, hierarchical
+// phase spans behind a Tracer, and a structured JSONL run-event journal
+// with monotonic timestamps.
 //
-// The package-level recorder is disabled by default. Hot paths load it once
-// per operation (obs.Active()) and pay a single nil-check when
-// instrumentation is off:
+// The package-level recorder is disabled by default: Active returns a nil
+// *Metrics, and every writer method returns at a nil receiver, so an
+// unguarded call cannot panic. Hot paths load the recorder once per
+// operation and call it directly:
 //
 //	rec := obs.Active()
 //	...
-//	if rec != nil {
-//		rec.Add("explore.nodes", int64(len(frontier)))
-//	}
+//	rec.Add("explore.nodes", int64(len(frontier)))
+//
+// A nil check stays only where it skips work done for instrumentation
+// alone: building Event fields (each boxes into an any), reading the
+// clock, or beginning a span.
 //
 // Counter and gauge names are dotted lowercase paths grouped by subsystem
 // (explore.*, cache.*, field.*, certify.*, knowledge.*, sim.*).
@@ -22,46 +25,20 @@ package obs
 
 import "sync/atomic"
 
-// Recorder receives engine instrumentation. Implementations must be safe
-// for concurrent use: the parallel exploration and field sweeps record from
-// worker goroutines.
-type Recorder interface {
-	// Add increments a named counter.
-	Add(counter string, delta int64)
-	// Set stores a named gauge value.
-	Set(gauge string, v int64)
-	// Record accumulates one unitless sample (a width, a ratio, an
-	// imbalance percentage) into a named value histogram.
-	Record(sample string, v int64)
-	// Event emits a structured run-event (journaled when a journal is
-	// attached, dropped otherwise). Events are rare — per run phase, not
-	// per state — so they may snapshot counters.
-	Event(name string, fields ...F)
-}
-
 // F is one key/value field of a run event.
 type F struct {
 	Key   string
 	Value any
 }
 
-// recorderBox holds the active Recorder, so that an atomic pointer can
-// publish an interface value.
-type recorderBox struct{ r Recorder }
-
-var active atomic.Pointer[recorderBox] // nil when disabled
+var active atomic.Pointer[Metrics] // nil when disabled
 
 // Active returns the process-wide recorder, or nil when instrumentation is
 // disabled (the default).
-func Active() Recorder {
-	if b := active.Load(); b != nil {
-		return b.r
-	}
-	return nil
-}
+func Active() *Metrics { return active.Load() }
 
-// Enable installs r as the process-wide recorder.
-func Enable(r Recorder) { active.Store(&recorderBox{r: r}) }
+// Enable installs m as the process-wide recorder.
+func Enable(m *Metrics) { active.Store(m) }
 
 // Disable turns instrumentation off; Active returns nil afterwards.
 func Disable() { active.Store(nil) }

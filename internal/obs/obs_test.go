@@ -22,12 +22,61 @@ func TestEnableDisable(t *testing.T) {
 	m := obs.NewMetrics()
 	obs.Enable(m)
 	defer obs.Disable()
-	if obs.Active() != obs.Recorder(m) {
+	if obs.Active() != m {
 		t.Fatal("Active() did not return the enabled recorder")
 	}
 	obs.Disable()
 	if obs.Active() != nil {
 		t.Fatal("Active() != nil after Disable")
+	}
+}
+
+// TestNilReceivers: the disabled recorder and tracer are nil, and every
+// writer method returns at a nil receiver, so an unguarded call cannot
+// panic; the calls a site makes unguarded allocate nothing.
+func TestNilReceivers(t *testing.T) {
+	var m *obs.Metrics
+	var tr *obs.Tracer
+	m.Event("run.done", obs.F{Key: "nodes", Value: 1})
+	if snap := m.Snapshot(); snap != nil {
+		t.Errorf("nil Metrics snapshot = %v, want nil", snap)
+	}
+	if err := m.SyncJournal(); err != nil {
+		t.Errorf("nil Metrics SyncJournal = %v", err)
+	}
+	if err := m.CloseJournal(); err != nil {
+		t.Errorf("nil Metrics CloseJournal = %v", err)
+	}
+	if sp := tr.BeginLane("phase.shard", 1, 2); sp != (obs.TraceSpan{}) {
+		t.Errorf("nil Tracer BeginLane = %+v, want the zero span", sp)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Add("c", 1)
+		m.Set("g", 1)
+		m.Record("s", 1)
+		tr.End(tr.Begin("phase", 0))
+	})
+	if allocs != 0 {
+		t.Errorf("nil Add, Set, Record, Begin and End allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestCallsCounted: obs.calls counts every Add, Set, Record and Event call,
+// and nothing else the recorder does.
+func TestCallsCounted(t *testing.T) {
+	m := obs.NewMetrics()
+	if got := m.Snapshot()["obs.calls"]; got != 0 {
+		t.Fatalf("fresh obs.calls = %d, want 0", got)
+	}
+	m.Add("c", 1)
+	m.Set("g", 2)
+	m.Record("s", 3)
+	m.Event("e")
+	m.Observe("t", time.Millisecond)
+	tr := obs.NewTracer(m, nil)
+	tr.End(tr.Begin("phase", 0))
+	if got := m.Snapshot()["obs.calls"]; got != 4 {
+		t.Errorf("obs.calls = %d, want 4", got)
 	}
 }
 

@@ -36,10 +36,12 @@ type TraceSpan struct {
 // (cmd/obsreport -chrome) maps lanes to threads, so parallel shards render
 // side by side in Perfetto.
 //
-// The process-wide tracer follows the Recorder contract exactly: Trace()
-// returns nil when instrumentation is off, and the disabled cost at every
-// instrumentation site is that one nil check. cli.ObsFlags installs a
-// tracer whenever it installs a recorder.
+// The process-wide tracer follows the recorder's contract: Trace() returns
+// nil when instrumentation is off, and Begin, BeginLane and End return at
+// a nil receiver (Begin with the zero TraceSpan). Sites still begin a span
+// under a nil check, which skips the call and its deferred End; that
+// check is the disabled cost. cli.ObsFlags installs a tracer whenever it
+// installs a recorder.
 type Tracer struct {
 	next atomic.Uint64
 	m    *Metrics
@@ -73,6 +75,9 @@ func (t *Tracer) Begin(name string, parent SpanID) TraceSpan {
 // BeginLane starts a span on the given lane. The span.begin event records
 // the id, parent link, name, and lane; End completes the pair.
 func (t *Tracer) BeginLane(name string, parent SpanID, lane int) TraceSpan {
+	if t == nil {
+		return TraceSpan{}
+	}
 	s := TraceSpan{
 		ID:     SpanID(t.next.Add(1)),
 		Parent: parent,
@@ -93,10 +98,10 @@ func (t *Tracer) BeginLane(name string, parent SpanID, lane int) TraceSpan {
 
 // End completes a span: it journals span.end with the measured duration
 // and records the duration into the span.<name> latency histogram. Ending
-// the zero TraceSpan is a no-op, so an early-return path that never began
-// its span can End unconditionally.
+// the zero TraceSpan, or ending on a nil tracer, is a no-op, so an
+// early-return path that never began its span can End unconditionally.
 func (t *Tracer) End(s TraceSpan) {
-	if s.ID == 0 {
+	if t == nil || s.ID == 0 {
 		return
 	}
 	d := time.Since(s.t0)

@@ -156,7 +156,7 @@ func LoadFile(path string) ([]Section, error) {
 	}
 	defer f.Close()
 	sections, err := ReadSections(f)
-	if rec != nil && err == nil {
+	if err == nil {
 		rec.Add("checkpoint.loads", 1)
 	}
 	return sections, err

@@ -99,9 +99,7 @@ func runShard(ctx *Ctx, shard int, fn func(*Ctx, int) error) (err error) {
 		if r := recover(); r != nil {
 			pe := &PanicError{Shard: shard, Value: r, Stack: debug.Stack()}
 			if rec := obs.Active(); rec != nil {
-				if snap, ok := rec.(interface{ Snapshot() map[string]int64 }); ok {
-					pe.Counters = snap.Snapshot()
-				}
+				pe.Counters = rec.Snapshot()
 				rec.Add("resilient.pool.panics", 1)
 				rec.Event("pool.panic",
 					obs.F{Key: "shard", Value: shard},

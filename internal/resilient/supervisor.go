@@ -111,11 +111,9 @@ func (s *Supervisor) Run(ctx *Ctx, name string, op func(*Attempt) error) (RunSta
 		if attempt.Resumed {
 			stats.Resumes++
 		}
-		if rec != nil {
-			rec.Add("supervisor.attempts", 1)
-			if attempt.Resumed {
-				rec.Add("supervisor.resumes", 1)
-			}
+		rec.Add("supervisor.attempts", 1)
+		if attempt.Resumed {
+			rec.Add("supervisor.resumes", 1)
 		}
 		err := runAttempt(ctx, tr, root, op, attempt, pending)
 		if err == nil {
@@ -196,11 +194,7 @@ func runAttempt(ctx *Ctx, tr *obs.Tracer, root obs.TraceSpan, op func(*Attempt) 
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			pe := &PanicError{Shard: -1, Value: r, Stack: debug.Stack()}
-			if m, ok := obs.Active().(*obs.Metrics); ok && m != nil {
-				pe.Counters = m.Snapshot()
-			}
-			err = pe
+			err = &PanicError{Shard: -1, Value: r, Stack: debug.Stack(), Counters: obs.Active().Snapshot()}
 		}
 	}()
 	return op(attempt)

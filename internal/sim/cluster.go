@@ -147,11 +147,10 @@ func (c *Cluster) Step(drop DropRule) ([]int, error) {
 		r := <-resps[j]
 		decisions[j] = r.decided
 	}
-	if rec := obs.Active(); rec != nil {
-		rec.Add("sim.rounds", 1)
-		rec.Add("sim.messages", int64(routed))
-		rec.Add("sim.drops", int64(dropped))
-	}
+	rec := obs.Active()
+	rec.Add("sim.rounds", 1)
+	rec.Add("sim.messages", int64(routed))
+	rec.Add("sim.drops", int64(dropped))
 	return decisions, nil
 }
 

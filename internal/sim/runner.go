@@ -64,12 +64,11 @@ func (r *Runner) Run(init core.State, sched Scheduler) (*Outcome, error) {
 			decisionLayer = exec.Len()
 		}
 	}
-	if rec := obs.Active(); rec != nil {
-		rec.Add("sim.runs", 1)
-		rec.Add("sim.layers", int64(exec.Len()))
-		if decisionLayer >= 0 {
-			rec.Add("sim.decided", 1)
-		}
+	rec := obs.Active()
+	rec.Add("sim.runs", 1)
+	rec.Add("sim.layers", int64(exec.Len()))
+	if decisionLayer >= 0 {
+		rec.Add("sim.decided", 1)
 	}
 	return r.outcome(exec, decisionLayer), nil
 }

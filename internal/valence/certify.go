@@ -129,7 +129,7 @@ func (c *graphCertifier) certify(ctx *resilient.Ctx, g *core.IDGraph, maxVisits 
 // how full the memo got: near 100% means the search was bound by the
 // graph, not by pruning. On a non-graded graph, where nodes are visited
 // at several lags, it can exceed 100%.
-func (c *graphCertifier) finish(rec obs.Recorder, w *Witness) {
+func (c *graphCertifier) finish(rec *obs.Metrics, w *Witness) {
 	if rec == nil {
 		return
 	}

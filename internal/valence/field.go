@@ -140,11 +140,9 @@ func (f *Field) compute(ctx *resilient.Ctx, g *core.IDGraph, seed func(core.Stat
 		defer tr.End(root)
 	}
 	words := (g.Len() + 63) / 64
-	if rec != nil {
-		rec.Add("field.sweeps", 1)
-		rec.Add("field.nodes", int64(g.Len()))
-		rec.Add("field.words", int64(2*words))
-	}
+	rec.Add("field.sweeps", 1)
+	rec.Add("field.nodes", int64(g.Len()))
+	rec.Add("field.words", int64(2*words))
 	f.g = g
 	if seed == nil {
 		f.fp = fieldPlanesOf(g)
@@ -248,7 +246,7 @@ func (f *Field) loadMasks(masks []uint8) {
 // the planes, layer nextLayer may be partially written, and the checkpoint
 // records exactly that (in the stable byte-per-node encoding), attached to
 // the returned error.
-func (f *Field) interrupted(rec obs.Recorder, nextLayer int, cause error) error {
+func (f *Field) interrupted(rec *obs.Metrics, nextLayer int, cause error) error {
 	if rec != nil {
 		rec.Add("field.interrupts", 1)
 		rec.Event("field.interrupted",

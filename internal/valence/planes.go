@@ -58,9 +58,7 @@ func seedPlanes(g *core.IDGraph, seed func(core.State) uint8) *fieldPlanes {
 			fp.d1[u>>6] |= bit
 		}
 	}
-	if rec != nil {
-		rec.Add("field.planes.builds", 1)
-	}
+	rec.Add("field.planes.builds", 1)
 	return fp
 }
 
@@ -171,9 +169,7 @@ func certPlanesOf(g *core.IDGraph) *certPlanes {
 		for i, r := range g.Inits {
 			cp.rootInputs[i] = inputMask(g.States[r])
 		}
-		if rec != nil {
-			rec.Add("certify.planes.builds", 1)
-		}
+		rec.Add("certify.planes.builds", 1)
 		return cp
 	}).(*certPlanes)
 }

@@ -1,11 +1,14 @@
 package layers_test
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
 	layers "repro"
+	"repro/internal/obs"
 	"repro/internal/protocols"
+	"repro/internal/valence"
 )
 
 // TestColdExploreBytesPerEdge bounds the bytes one cold serial exploration
@@ -86,6 +89,53 @@ func TestWarmExploreAllocatesNothingPerSource(t *testing.T) {
 		t.Logf("%s: %.0f allocations for %d expanded sources", c.name, allocs, sources)
 		if allocs > ceiling {
 			t.Errorf("%s: %.0f allocations for %d expanded sources, want at most %d", c.name, allocs, sources, ceiling)
+		}
+	}
+}
+
+// TestObsCallsPerPipeline bounds the instrumentation of one traced,
+// journaled explore → field → certify pipeline at one worker: the
+// recorder's Add, Set, Record and Event calls (obs.calls) and the events
+// the journal accepts, span pairs included. Instrumentation is per run,
+// phase or layer, never per node: the five models have 299 to 7,520
+// states, so one call or span per node breaks a ceiling. The ceilings are
+// the counts Go 1.24 on linux/amd64 measured when the row was added. A
+// ceiling may only go down; raising one needs a CHANGES.md line that names
+// it, gives both values and says why.
+func TestObsCallsPerPipeline(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		m             layers.Model
+		depth         int
+		calls, events int64
+	}{
+		{"MobileS1 FloodSet(3) n=7", layers.MobileS1(protocols.FloodSet{Rounds: 3}, 7), 3, 42, 163},
+		{"MobileS1 FloodSet(2) n=8", layers.MobileS1(protocols.FloodSet{Rounds: 2}, 8), 2, 35, 285},
+		{"SyncSt FloodSet(3) n=7 t=2", layers.SyncSt(protocols.FloodSet{Rounds: 3}, 7, 2), 3, 42, 291},
+		{"SyncSt FloodSet(4) n=6 t=3", layers.SyncSt(protocols.FloodSet{Rounds: 4}, 6, 3), 4, 49, 169},
+		{"S^per MPFlood(3) n=3", layers.AsyncMessagePassing(protocols.MPFlood{Phases: 3}, 3), 3, 36, 26},
+	} {
+		m := obs.NewMetrics()
+		j := obs.NewJournal(io.Discard)
+		m.SetJournal(j)
+		obs.Enable(m)
+		obs.EnableTrace(obs.NewTracer(m, j))
+		g, err := layers.ExploreIDCtx(nil, c.m, c.depth, 0, 1)
+		if err == nil {
+			_, err = layers.NewFieldCtx(nil, g)
+		}
+		if err == nil {
+			_, err = valence.CertifyGraph(nil, g, 0)
+		}
+		obs.DisableTrace()
+		obs.Disable()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		calls, events := m.Snapshot()["obs.calls"], j.Len()
+		t.Logf("%s: %d states, %d recorder calls, %d journal events", c.name, g.Len(), calls, events)
+		if calls > c.calls || events > c.events {
+			t.Errorf("%s: %d recorder calls and %d journal events, want at most %d and %d", c.name, calls, events, c.calls, c.events)
 		}
 	}
 }
