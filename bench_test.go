@@ -406,7 +406,8 @@ func BenchmarkE9_Extensions(b *testing.B) {
 // remembers: seeding the roots and slicing the layers, with no layer
 // work, whatever the worker count. Worker counts shard the frontier
 // expansion; on a single-CPU host the w>1 rows only add scheduling
-// overhead. The three cold-only rows are sized where the
+// overhead. The shmem, snapshot and iis rows run the three layerings of
+// the shared-memory substrate. The three cold-only rows are sized where the
 // synchronous models' memos matter: syncst/n=7 is the sync_lowerbound
 // coldbench model, where FloodSet's set-keyed Deliver memo (proto.SetInbox)
 // runs Deliver 28 times for 3,736 distinct per-sender inboxes; mobile/n=7
@@ -425,6 +426,8 @@ func BenchmarkExplore(b *testing.B) {
 		{"mobile/n=4", func() layers.Model { return layers.MobileS1(protocols.FloodSet{Rounds: 2}, 4) }, 2, false},
 		{"syncst/n=4/t=2", func() layers.Model { return layers.SyncSt(protocols.FloodSet{Rounds: 3}, 4, 2) }, 3, false},
 		{"shmem/n=3", func() layers.Model { return layers.SharedMemory(protocols.SMVote{Phases: 2}, 3) }, 2, false},
+		{"snapshot/n=3", func() layers.Model { return layers.SnapshotMemory(protocols.SMVote{Phases: 2}, 3) }, 2, false},
+		{"iis/n=3", func() layers.Model { return layers.IteratedImmediateSnapshot(protocols.SMVote{Phases: 2}, 3) }, 2, false},
 		{"syncst/n=7/t=2", func() layers.Model { return layers.SyncSt(protocols.FloodSet{Rounds: 3}, 7, 2) }, 3, true},
 		{"mobile/n=7", func() layers.Model { return layers.MobileS1(protocols.FloodSet{Rounds: 3}, 7) }, 3, true},
 		{"syncst-fullinfo/n=5/t=2", func() layers.Model { return layers.SyncSt(protocols.FullInfo{}, 5, 2) }, 3, true},

@@ -57,17 +57,7 @@ func (l *layering) N() int { return l.n }
 // Inits implements core.Model: Con_0 in binary counting order, all channels
 // empty.
 func (l *layering) Inits() []core.State {
-	return l.inits.Get(func() []core.State {
-		out := make([]core.State, 0, 1<<uint(l.n))
-		for a := 0; a < 1<<uint(l.n); a++ {
-			inputs := make([]int, l.n)
-			for i := 0; i < l.n; i++ {
-				inputs[i] = (a >> uint(i)) & 1
-			}
-			out = append(out, l.Initial(inputs))
-		}
-		return out
-	})
+	return l.inits.Get(l.n, func(in []int) core.State { return l.Initial(in) })
 }
 
 // Initial builds the initial state for an explicit input assignment.
@@ -136,59 +126,65 @@ func (m *Model) WithPair(x *State, order []int, k int) *State {
 	return m.apply(x, withPair(m.n, order, k))
 }
 
-// perActions is the S^per action table: one action per full permutation
-// ("[0,1,2]"), per drop-one sequence ("[0,2]") and per concurrent-pair
-// action ("[0,{1,2}]"), in that order. Drop-one sequences drop the last
-// process of a permutation, so every ordered (n-1)-sequence arises exactly
-// once; pairs are emitted once, with the block in ascending order.
-func perActions(n int) []action {
+// Schedule is one action of the permutation layering S^per: the processes
+// of Order take their local phases one after another, those at positions
+// Pair and Pair+1 as one concurrent block when Pair >= 0.
+type Schedule struct {
+	Order []int
+	Pair  int
+}
+
+// Schedules lists the S^per actions: one per full permutation ("[0,1,2]"),
+// per drop-one sequence ("[0,2]") and per concurrent-pair action
+// ("[0,{1,2}]"), in that order. Drop-one sequences drop the last process of
+// a permutation, so every ordered (n-1)-sequence arises exactly once;
+// pairs are emitted once, with the block in ascending order. The snapshot
+// model's permutation layering lists the same actions.
+func Schedules(n int) []Schedule {
 	perms := permutations(n)
-	out := make([]action, 0, 2*len(perms)+(n-1)*len(perms)/2)
+	out := make([]Schedule, 0, 2*len(perms)+(n-1)*len(perms)/2)
 	for _, p := range perms {
-		a := sequential(n, p)
-		a.label = permLabel(p, -1)
-		out = append(out, a)
+		out = append(out, Schedule{Order: p, Pair: -1})
 	}
 	for _, p := range perms {
-		a := sequential(n, p[:n-1])
-		a.label = permLabel(p[:n-1], -1)
-		out = append(out, a)
+		out = append(out, Schedule{Order: p[:n-1], Pair: -1})
 	}
 	for _, p := range perms {
 		for k := 0; k+1 < n; k++ {
-			if p[k] > p[k+1] {
-				continue // emit each unordered block once
+			if p[k] < p[k+1] { // emit each unordered block once
+				out = append(out, Schedule{Order: p, Pair: k})
 			}
-			a := withPair(n, p, k)
-			a.label = permLabel(p, k)
-			out = append(out, a)
 		}
 	}
 	return out
 }
 
-// permLabel formats a scheduling action; pair >= 0 marks the concurrent
-// block starting at that position, -1 means none.
-func permLabel(order []int, pair int) string {
-	var b strings.Builder
-	b.WriteByte('[')
-	for i := 0; i < len(order); i++ {
-		if i > 0 {
-			b.WriteByte(',')
+// perActions is the S^per action table, in Schedules order.
+func perActions(n int) []action {
+	scheds := Schedules(n)
+	out := make([]action, len(scheds))
+	for i, s := range scheds {
+		out[i] = sequential(n, s.Order)
+		if s.Pair >= 0 {
+			out[i] = withPair(n, s.Order, s.Pair)
 		}
-		if i == pair {
-			b.WriteByte('{')
-			b.WriteString(strconv.Itoa(order[i]))
-			b.WriteByte(',')
-			b.WriteString(strconv.Itoa(order[i+1]))
-			b.WriteByte('}')
+		out[i].label = s.Label()
+	}
+	return out
+}
+
+// Label formats the action, with the concurrent block in braces.
+func (s Schedule) Label() string {
+	parts := make([]string, 0, len(s.Order))
+	for i := 0; i < len(s.Order); i++ {
+		if i == s.Pair {
+			parts = append(parts, "{"+strconv.Itoa(s.Order[i])+","+strconv.Itoa(s.Order[i+1])+"}")
 			i++
 			continue
 		}
-		b.WriteString(strconv.Itoa(order[i]))
+		parts = append(parts, strconv.Itoa(s.Order[i]))
 	}
-	b.WriteByte(']')
-	return b.String()
+	return "[" + strings.Join(parts, ",") + "]"
 }
 
 // permutations returns all permutations of 0..n-1 in lexicographic order.

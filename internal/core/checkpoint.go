@@ -239,7 +239,7 @@ func resumeExploreID(ctx *resilient.Ctx, m Model, ck *ExploreCheckpoint, workers
 	mismatch := func(what string) error {
 		return fmt.Errorf("%w: checkpoint does not replay against model %s (%s)", resilient.ErrBadCheckpoint, m.Name(), what)
 	}
-	labels, missing, ok := c.labels.ids(ck.labels)
+	labels, missing, ok := c.labelIDs(ck.labels)
 	if !ok {
 		return nil, mismatch(fmt.Sprintf("the model has no action %q", missing))
 	}
@@ -381,4 +381,26 @@ func (g *IDGraph) replayRow(p uint32, b *edgeBuf, cacheToNode *cidTable) string 
 		}
 	}
 	return ""
+}
+
+// labelIDs maps labels to their ids in the model's label list of c, the
+// first id of a label the list holds twice. ok is false, with the first
+// label the list lacks, when the model has no such label.
+func (c *SuccessorCache) labelIDs(labels []string) (ids []uint32, missing string, ok bool) {
+	list := c.labels()
+	byName := make(map[string]uint32, len(list))
+	for id, s := range list {
+		if _, dup := byName[s]; !dup {
+			byName[s] = uint32(id)
+		}
+	}
+	ids = make([]uint32, len(labels))
+	for i, s := range labels {
+		id, found := byName[s]
+		if !found {
+			return nil, s, false
+		}
+		ids[i] = id
+	}
+	return ids, "", true
 }

@@ -15,12 +15,12 @@ import (
 // frontier. Adjacent fields of one type hold distinct values (Depth,
 // MaxNodes and NextDepth; Inits, EdgeStart and EdgeTo), so a decoder that
 // reads two of them in swapped order returns a different snapshot. Its
-// edges are labeled x, y, x, z, y, x: ids into a plain cache's labels,
-// interned in the order z, y, x, so that the ids differ from the indexes
-// of the encoded first-occurrence table.
+// edges are labeled x, y, x, z, y, x: ids into a keyed cache's labels,
+// listed in the order z, y, x, so that the ids differ from the indexes of
+// the encoded first-occurrence table.
 func handCut() *ExploreCheckpoint {
-	c := NewSuccessorCache(SuccessorFunc(func(State) []Succ { return nil }))
-	z, y, x := c.labels.interned.id("z"), c.labels.interned.id("y"), c.labels.interned.id("x")
+	c := NewKeyedCache(labelsOnly{"z", "y", "x"})
+	z, y, x := uint32(0), uint32(1), uint32(2)
 	return &ExploreCheckpoint{Model: "hand", Depth: 4, MaxNodes: 50, NextDepth: 2, g: &IDGraph{
 		Keys:       []string{"a", "b", "c", "d", "e"},
 		DepthOf:    []int32{0, 0, 1, 1, 2},
@@ -31,6 +31,13 @@ func handCut() *ExploreCheckpoint {
 		Cache:      c,
 	}}
 }
+
+// labelsOnly is a keyed model with the given labels and no successors.
+type labelsOnly []string
+
+func (l labelsOnly) AppendCacheKey(dst []byte, x State) []byte { return AppendKeyOf(x, dst) }
+func (l labelsOnly) Labels() []string                          { return l }
+func (l labelsOnly) SuccessorsKeyed(State, Prober)             {}
 
 func encodeExplore(t *testing.T, ck *ExploreCheckpoint) []byte {
 	t.Helper()

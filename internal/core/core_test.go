@@ -150,15 +150,3 @@ func TestSimilarRequiresNonFailedWitness(t *testing.T) {
 		t.Errorf("Similar = (%d,%v), want (0,true)", j, ok)
 	}
 }
-
-func TestSuccessorFuncAdapter(t *testing.T) {
-	called := 0
-	var f core.SuccessorFunc = func(x core.State) []core.Succ {
-		called++
-		return nil
-	}
-	f.Successors(nil)
-	if called != 1 {
-		t.Error("adapter did not delegate")
-	}
-}

@@ -2,15 +2,6 @@ package core
 
 import "encoding/binary"
 
-// NewComparingIndex returns an empty index in comparison mode, as a plain
-// successor cache's: it keeps no key bytes and confirms a tag match
-// against keyOf(value).
-func NewComparingIndex(shardBits int, keyOf func(v uint32) string) *Index {
-	x := &Index{}
-	x.init(shardBits, keyOf)
-	return x
-}
-
 // IndexKeyBytes returns the key bytes c's index files: the sum of its
 // records' key lengths.
 func IndexKeyBytes(c *SuccessorCache) int {

@@ -33,11 +33,8 @@ import (
 type Index struct {
 	// seed keys the hash; placement is per-process random but never
 	// observable.
-	seed maphash.Seed
-	mask uint64 // shard mask
-	// keyOf, when set, returns the key the caller filed under a value: the
-	// index then keeps no key bytes and confirms a tag match against it.
-	keyOf  func(v uint32) string
+	seed   maphash.Seed
+	mask   uint64 // shard mask
 	shards []indexShard
 }
 
@@ -59,8 +56,8 @@ type indexShard struct {
 }
 
 // A record is the value and the key length, little-endian, then the key
-// bytes (none in comparison mode). A shard's first table has minSlots
-// slots and its first arena minArena bytes.
+// bytes. A shard's first table has minSlots slots and its first arena
+// minArena bytes.
 const (
 	recHeader = 8
 	minSlots  = 8
@@ -71,17 +68,15 @@ const (
 // nothing until its first insert.
 func NewIndex(shardBits int) *Index {
 	x := &Index{}
-	x.init(shardBits, nil)
+	x.init(shardBits)
 	return x
 }
 
-// init sets up an empty index; keyOf, when set, puts it in comparison
-// mode.
-func (x *Index) init(shardBits int, keyOf func(v uint32) string) {
+// init sets up an empty index.
+func (x *Index) init(shardBits int) {
 	x.seed = maphash.MakeSeed()
 	x.shards = make([]indexShard, 1<<shardBits)
 	x.mask = uint64(len(x.shards) - 1)
-	x.keyOf = keyOf
 }
 
 // Get returns the value filed under key, without locking.
@@ -112,13 +107,8 @@ func (x *Index) find(sh *indexShard, h uint64, key []byte) (uint32, bool) {
 			continue
 		}
 		rec := (*sh.recs.Load())[uint32(w)-1:]
-		v := binary.LittleEndian.Uint32(rec)
-		if x.keyOf != nil {
-			if string(key) == x.keyOf(v) {
-				return v, true
-			}
-		} else if n := binary.LittleEndian.Uint32(rec[4:]); bytes.Equal(rec[recHeader:recHeader+n], key) {
-			return v, true
+		if n := binary.LittleEndian.Uint32(rec[4:]); bytes.Equal(rec[recHeader:recHeader+n], key) {
+			return binary.LittleEndian.Uint32(rec), true
 		}
 	}
 }
@@ -136,9 +126,6 @@ func (x *Index) Intern(key []byte, mk func() uint32) uint32 {
 		return v
 	}
 	v := mk()
-	if x.keyOf != nil {
-		key = nil
-	}
 	off := sh.file(v, key)
 	sh.n++
 	var t []atomic.Uint64

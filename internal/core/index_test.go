@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,17 +99,11 @@ func raceIndex(t *testing.T, x *core.Index) {
 // TestIndexGrowthUnderReaders files keys one at a time into an empty
 // index, which takes every shard through every growth, while readers Get
 // the keys whose Intern has already returned: none may be missed, and each
-// read must be the value filed. It runs on a plain index and on one in
-// comparison mode, which keeps no key bytes and confirms a match against
-// the key the value names.
+// read must be the value filed.
 func TestIndexGrowthUnderReaders(t *testing.T) {
-	keyOf := func(v uint32) string { return strconv.Itoa(int(v)) }
 	for _, bits := range []int{0, 3} {
 		t.Run(fmt.Sprintf("shards=%d", 1<<bits), func(t *testing.T) {
 			growUnderReaders(t, core.NewIndex(bits))
-		})
-		t.Run(fmt.Sprintf("compare/shards=%d", 1<<bits), func(t *testing.T) {
-			growUnderReaders(t, core.NewComparingIndex(bits, keyOf))
 		})
 	}
 }
@@ -169,54 +162,23 @@ func growUnderReaders(t *testing.T, x *core.Index) {
 }
 
 // TestIndexKeyStorage pins where the successor cache's index keeps its
-// keys. A plain cache (shared memory) is keyed by the canonical keys its
-// entries hold, so its index files no key bytes; a keyed cache (the mobile
-// model's id tuples) files each cache key once.
+// keys: a cache files each state's cache key (the shared-memory and mobile
+// models' id tuples) once.
 func TestIndexKeyStorage(t *testing.T) {
-	plain := shmem.New(protocols.SMVote{Phases: 1}, 3)
-	if _, err := core.ExploreIDCtx(nil, plain, 3, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if keys := core.IndexKeyBytes(core.CacheOf(plain)); keys != 0 {
-		t.Fatalf("plain cache's index keeps %d key bytes, want none", keys)
-	}
-
-	keyed := mobile.New(protocols.FloodSet{Rounds: 3}, 3)
-	if _, err := core.ExploreIDCtx(nil, keyed, 3, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	c := core.CacheOf(keyed)
-	want := 0
-	for id := 0; id < c.Len(); id++ {
-		want += len(keyed.AppendCacheKey(nil, c.StateOf(uint32(id))))
-	}
-	if keys := core.IndexKeyBytes(c); keys != want {
-		t.Fatalf("keyed cache's index keeps %d key bytes, want %d over %d states", keys, want, c.Len())
-	}
-	t.Logf("plain: %d states; keyed: %d states, %d key bytes", core.CacheOf(plain).Len(), c.Len(), want)
-}
-
-// TestComparingIndexGetAllocs checks that a lookup in comparison mode
-// confirms a key longer than 256 bytes against the key its value names
-// without allocating: the string(key) == keyOf(v) comparison copies
-// nothing.
-func TestComparingIndexGetAllocs(t *testing.T) {
-	long := strings.Repeat("k", 1000)
-	keys := []string{long + "0", long + "1"}
-	x := core.NewComparingIndex(0, func(v uint32) string { return keys[v] })
-	for i, k := range keys {
-		x.Intern([]byte(k), func() uint32 { return uint32(i) })
-	}
-	hit, miss := []byte(keys[1]), []byte(long+"2")
-	allocs := testing.AllocsPerRun(100, func() {
-		if v, ok := x.Get(hit); !ok || v != 1 {
-			t.Fatalf("Get(hit) = %d, %v, want 1, true", v, ok)
+	for _, m := range []interface {
+		core.Model
+		AppendCacheKey(dst []byte, x core.State) []byte
+	}{shmem.New(protocols.SMVote{Phases: 1}, 3), mobile.New(protocols.FloodSet{Rounds: 3}, 3)} {
+		if _, err := core.ExploreIDCtx(nil, m, 3, 0, 1); err != nil {
+			t.Fatal(err)
 		}
-		if v, ok := x.Get(miss); ok {
-			t.Fatalf("Get(miss) = %d, true, want a miss", v)
+		c := core.CacheOf(m)
+		want := 0
+		for id := 0; id < c.Len(); id++ {
+			want += len(m.AppendCacheKey(nil, c.StateOf(uint32(id))))
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocations per pair of lookups, want 0", allocs)
+		if keys := core.IndexKeyBytes(c); keys != want {
+			t.Fatalf("%s: the index keeps %d key bytes, want %d over %d states", m.Name(), keys, want, c.Len())
+		}
 	}
 }

@@ -107,9 +107,9 @@ func TestKeyedCacheBuildsOnlyMisses(t *testing.T) {
 }
 
 // TestCacheRejectsDivergentKeys: interning a state that would not be found
-// again under its key panics — a plain state whose AppendKey differs from
-// its Key, and a keyed model's state whose cache key differs from the key
-// it was probed under.
+// again under its key panics — a state whose AppendKey differs from its
+// Key, and a state whose cache key differs from the key it was probed
+// under.
 func TestCacheRejectsDivergentKeys(t *testing.T) {
 	mustPanic := func(what, want string, f func()) {
 		t.Helper()
@@ -121,10 +121,33 @@ func TestCacheRejectsDivergentKeys(t *testing.T) {
 		}()
 		f()
 	}
-	plain := core.NewSuccessorCache(core.SuccessorFunc(func(core.State) []core.Succ { return nil }))
 	bad := &ringState{v: 1, appendKey: func(dst []byte) []byte { return append(dst, "w1"...) }}
-	mustPanic("plain", "AppendKey diverged from Key", func() { plain.ID(bad) })
+	mustPanic("append", "AppendKey diverged from Key", func() { core.NewKeyedCache(&ring{size: 10, fan: 2}).ID(bad) })
 	keyed := core.NewKeyedCache(&ring{size: 10, fan: 2, skew: true})
 	root := &ringState{v: 0}
 	mustPanic("keyed", "cache key diverged", func() { keyed.Enumerate(root) })
+}
+
+// keyedRing is a ring that is also a Successor, and carries no cache;
+// plainRing only lists successors.
+type (
+	keyedRing struct{ *ring }
+	plainRing struct{}
+)
+
+func (keyedRing) Successors(core.State) []core.Succ { return nil }
+func (plainRing) Successors(core.State) []core.Succ { return nil }
+
+// TestCacheOfNeedsKeyedModel: CacheOf gives a KeyedSuccessor without a
+// cache a private one, and refuses a Successor that is not keyed.
+func TestCacheOfNeedsKeyedModel(t *testing.T) {
+	if n := len(core.CacheOf(keyedRing{&ring{size: 4, fan: 2}}).Successors(&ringState{v: 0})); n != 2 {
+		t.Fatalf("private cache enumerated %d successors, want 2", n)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "not a KeyedSuccessor") {
+			t.Errorf("CacheOf(plain) panic %q, want one saying it is not a KeyedSuccessor", msg)
+		}
+	}()
+	core.CacheOf(plainRing{})
 }

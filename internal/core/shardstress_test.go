@@ -156,21 +156,12 @@ func refTable(raw core.Successor, m core.Model, depth int) (map[string][]string,
 // is the data-race certificate for the cache's concurrent paths: interning
 // under the shard locks, the lock-free entry reads and the enumeration
 // counter. It hammers
-// two caches: a plain one over the raw successor function, and a second
-// model instance's own key-first cache, whose local-state table the walks
-// share (and to which m's initial states are foreign).
+// a second model instance's own key-first cache, whose local-state table
+// the walks share (and to which m's initial states are foreign).
 func TestShardedCacheStress(t *testing.T) {
 	m := stressModel()
 	raw := core.CacheOf(m).Uncached()
-	for _, tc := range []struct {
-		name    string
-		sharded *core.SuccessorCache
-	}{
-		{"plain", core.NewSuccessorCache(raw)},
-		{"keyed", core.CacheOf(stressModel())},
-	} {
-		t.Run(tc.name, func(t *testing.T) { stressCache(t, m, raw, tc.sharded) })
-	}
+	t.Run("keyed", func(t *testing.T) { stressCache(t, m, raw, core.CacheOf(stressModel())) })
 }
 
 func stressCache(t *testing.T, m core.Model, raw core.Successor, sharded *core.SuccessorCache) {
@@ -229,7 +220,7 @@ func stressCache(t *testing.T, m core.Model, raw core.Successor, sharded *core.S
 func TestShardedCacheKeySet(t *testing.T) {
 	m := stressModel()
 	raw := core.CacheOf(m).Uncached()
-	sharded := core.NewSuccessorCache(raw)
+	sharded := core.CacheOf(stressModel())
 	internTable(sharded, m, stressDepth)
 	_, wantKeys := refTable(raw, m, stressDepth)
 	got := make([]string, sharded.Len())

@@ -6,8 +6,8 @@ import "sync"
 // write-once decision variable d_i is still ⊥.
 const Undecided = -1
 
-// InitMemo caches a model's initial-state slice across Inits calls. States
-// are immutable, so the cached values are shared; Get hands each caller a
+// InitMemo caches a model's Con_0 across Inits calls. States are
+// immutable, so the cached values are shared; Get hands each caller a
 // fresh slice header over them, keeping the returned slice safe to append
 // to or reorder. Models embed one per value — building Con_0 constructs
 // 2^n states, which on a memoized re-exploration would otherwise cost more
@@ -17,10 +17,21 @@ type InitMemo struct {
 	xs   []State
 }
 
-// Get returns the memoized initial states, invoking build exactly once per
-// memo (concurrent first callers block until the build finishes).
-func (m *InitMemo) Get(build func() []State) []State {
-	m.once.Do(func() { m.xs = build() })
+// Get returns Con_0 of n processes: initial(inputs) for every binary input
+// assignment, in binary counting order (process 0 is the least significant
+// bit), built once per memo (concurrent first callers block until the
+// build finishes).
+func (m *InitMemo) Get(n int, initial func(inputs []int) State) []State {
+	m.once.Do(func() {
+		m.xs = make([]State, 0, 1<<uint(n))
+		for a := 0; a < 1<<uint(n); a++ {
+			inputs := make([]int, n)
+			for i := range inputs {
+				inputs[i] = (a >> uint(i)) & 1
+			}
+			m.xs = append(m.xs, initial(inputs))
+		}
+	})
 	return append([]State(nil), m.xs...)
 }
 

@@ -22,23 +22,20 @@ const indexShardBits = 3
 // automatic for every consumer of the same model value.
 //
 // Enumeration is key-first (KeyedSuccessor): the model names each
-// successor by its cache key, the cache probes it, and the model builds
-// only the successors the cache has not seen. A plain Successor's cache key
-// is its canonical Key; the synchronous models key a state by its round,
-// failed set and local-state ids, the asynchronous ones by its environment
-// and process record ids. KeyOf always returns the canonical Key.
-// Enumerate and Successors run that enumeration every time they are
-// called; nothing records its result.
+// successor by its cache key (ids of its environment and local states),
+// the cache probes it, and the model builds only the successors the cache
+// has not seen. KeyOf always returns the canonical Key. Enumerate and
+// Successors run that enumeration every time they are called; nothing
+// records its result.
 //
 // An enumerated edge is two ids: the successor's cache id and its action's
-// label id, which Label renders. A keyed model's label ids index the label
-// list it hands its cache once; a plain model's labels are interned on
-// first sight. Enumerate, Successors and Uncached render the ids as Succs.
+// label id, which Label renders. A model's label ids index the label list
+// it hands its cache once. Enumerate, Successors and Uncached render the
+// ids as Succs.
 //
 // The key table is an Index, whose lookups take no lock; a new key locks
-// the one index shard it hashes to. A plain cache's index keeps no key
-// bytes: it confirms a match against the canonical key the entry already
-// holds. StateOf and KeyOf read the entry slots and take no lock.
+// the one index shard it hashes to. StateOf and KeyOf read the entry slots
+// and take no lock.
 //
 // A SuccessorCache is safe for concurrent use. Ids are dense (0..Len()-1)
 // and assigned in first-intern order from one atomic allocator, so their
@@ -47,12 +44,6 @@ const indexShardBits = 3
 // dense arrays only.
 type SuccessorCache struct {
 	keyed KeyedSuccessor
-	// raw is the uncached successor function: the plain Successor, or the
-	// keyed enumeration against a Prober without a cache.
-	raw Successor
-	// plain marks a cache over a plain Successor, whose cache key is the
-	// canonical Key itself.
-	plain bool
 
 	// next allocates dense ids across all shards.
 	next atomic.Uint32
@@ -74,8 +65,8 @@ type SuccessorCache struct {
 	edges sync.Pool
 
 	index Index
-	// labels renders the label ids of the model's edges.
-	labels labelTable
+	// labels returns the model's label list, asked once.
+	labels func() []string
 
 	// last is the latest complete graph explored over this cache without
 	// a node budget and past layer 0, without its analysis caches; nil
@@ -90,29 +81,11 @@ type cacheEntry struct {
 	key   string
 }
 
-// NewSuccessorCache returns an empty cache over the plain successor
-// function fn, keyed by canonical Key. It interns each label of fn's
-// successors on first sight.
-func NewSuccessorCache(fn Successor) *SuccessorCache {
-	labels := newStrTab(nil, 0)
-	c := newCache(fn, labelTable{interned: &labels})
-	c.keyed, c.plain = plainKeyed{c, fn}, true
-	// The cache key is the canonical key, which every entry holds.
-	c.index.init(indexShardBits, c.KeyOf)
-	return c
-}
-
 // NewKeyedCache returns an empty cache over the key-first successor
 // function k, whose label ids index k.Labels().
 func NewKeyedCache(k KeyedSuccessor) *SuccessorCache {
-	c := newCache(nil, labelTable{list: sync.OnceValue(k.Labels)})
-	c.keyed, c.raw = k, uncachedKeyed{c}
-	c.index.init(indexShardBits, nil)
-	return c
-}
-
-func newCache(raw Successor, labels labelTable) *SuccessorCache {
-	c := &SuccessorCache{raw: raw, labels: labels}
+	c := &SuccessorCache{keyed: k, labels: sync.OnceValue(k.Labels)}
+	c.index.init(indexShardBits)
 	c.bufs.New = func() any {
 		b := make([]byte, 0, 128)
 		return &b
@@ -122,15 +95,18 @@ func newCache(raw Successor, labels labelTable) *SuccessorCache {
 }
 
 // CacheOf returns the successor cache shared by s when s carries one (the
-// model types do, via embedding), or a fresh private cache wrapping s
-// otherwise.
+// model types do, via embedding), or a fresh private cache over s when s
+// is a KeyedSuccessor that carries none. It panics on any other s.
 func CacheOf(s Successor) *SuccessorCache {
 	if p, ok := s.(interface{ Cache() *SuccessorCache }); ok {
 		if c := p.Cache(); c != nil {
 			return c
 		}
 	}
-	return NewSuccessorCache(s)
+	if k, ok := s.(KeyedSuccessor); ok {
+		return NewKeyedCache(k)
+	}
+	panic(fmt.Sprintf("core: %T carries no successor cache and is not a KeyedSuccessor", s))
 }
 
 // Cache returns the cache itself; it exists so that embedding a
@@ -139,38 +115,14 @@ func (c *SuccessorCache) Cache() *SuccessorCache { return c }
 
 // Uncached returns the raw successor function beneath the cache, for
 // callers that need to observe repeated enumeration (the determinism check
-// in the package tests, coldbench's models.step_s replay).
-// For a keyed model it is the same enumeration run against a Prober
-// without a cache, which builds every successor the model probes (a
-// synchronous model's round memo repeats a successor equal to the one
-// before it without a probe), with its labels rendered.
-func (c *SuccessorCache) Uncached() Successor { return c.raw }
+// in the package tests, coldbench's models.step_s replay): the same
+// enumeration run against a Prober without a cache, which builds every
+// successor the model probes (a synchronous model's round memo repeats a
+// successor equal to the one before it without a probe), with its labels
+// rendered.
+func (c *SuccessorCache) Uncached() Successor { return uncachedKeyed{c} }
 
-// plainKeyed runs a plain Successor through the key-first loop of its
-// cache c: it keys each already-built successor with AppendKey and interns
-// its label. It enumerates against c only.
-type plainKeyed struct {
-	c  *SuccessorCache
-	fn Successor
-}
-
-func (a plainKeyed) AppendCacheKey(dst []byte, x State) []byte { return AppendKeyOf(x, dst) }
-
-// Labels is never asked: a plain cache interns its labels.
-func (a plainKeyed) Labels() []string { return nil }
-
-func (a plainKeyed) SuccessorsKeyed(x State, p Prober) {
-	raw := a.fn.Successors(x)
-	bp := a.c.keyBuf()
-	buf := (*bp)[:0]
-	for i := range raw {
-		buf = AppendKeyOf(raw[i].State, buf[:0])
-		p.Emit(a.c.labels.interned.id(raw[i].Action), a.c.internKey(buf, raw[i].State), nil)
-	}
-	a.c.release(bp, buf)
-}
-
-// uncachedKeyed is a keyed model's raw successor function: its enumeration
+// uncachedKeyed is a model's raw successor function: its enumeration
 // against a Prober without a cache, rendered.
 type uncachedKeyed struct{ c *SuccessorCache }
 
@@ -208,24 +160,18 @@ func (c *SuccessorCache) putEdges(b *edgeBuf) {
 	c.edges.Put(b)
 }
 
-// ID interns x and returns its dense id without enumerating successors.
+// ID interns x and returns its dense id without enumerating successors. A
+// key already filed costs no lock and no allocation; any other key is
+// checked against x outside the lock, then filed under it if still absent.
 func (c *SuccessorCache) ID(x State) uint32 {
 	bp := c.keyBuf()
 	key := c.keyed.AppendCacheKey((*bp)[:0], x)
-	id := c.internKey(key, x)
+	id, ok := c.index.Get(key)
+	if !ok {
+		id = c.insert(key, x)
+	}
 	c.release(bp, key)
 	return id
-}
-
-// internKey returns the id under the cache key bytes, interning x on first
-// sight. A key already filed costs no lock and no allocation; any other key
-// is checked against x outside the lock, then filed under it if still
-// absent.
-func (c *SuccessorCache) internKey(key []byte, x State) uint32 {
-	if id, ok := c.index.Get(key); ok {
-		return id
-	}
-	return c.insert(key, x)
 }
 
 // insert files x under key unless an equal state is filed there already,
@@ -249,12 +195,6 @@ func (c *SuccessorCache) insert(key []byte, x State) uint32 {
 // beyond what Key does.
 func (c *SuccessorCache) checkKey(key []byte, x State) string {
 	ks := x.Key()
-	if c.plain {
-		if ks != string(key) {
-			panic(fmt.Sprintf("core: %T.AppendKey diverged from Key: %q vs %q", x, key, ks))
-		}
-		return ks
-	}
 	bp := c.keyBuf()
 	buf := AppendKeyOf(x, (*bp)[:0])
 	if ks != string(buf) {
@@ -277,8 +217,7 @@ func (c *SuccessorCache) Successors(x State) []Succ {
 
 // Enumerate returns the labeled successors of x and the ids they are
 // interned under, aligned. Each call enumerates S(x) key-first: a successor
-// the cache already holds is never built (keyed models) or is garbage as
-// soon as the call returns (plain ones), and the state returned for it is
+// the cache already holds is never built, and the state returned for it is
 // the one interned under its id.
 func (c *SuccessorCache) Enumerate(x State) ([]Succ, []uint32) {
 	b := c.edgeBuf()
@@ -299,7 +238,7 @@ func (c *SuccessorCache) enumerate(x State, b *edgeBuf) {
 
 // Label returns the action label of label id l, as the model's edges
 // carry it.
-func (c *SuccessorCache) Label(l uint32) string { return c.labels.label(l) }
+func (c *SuccessorCache) Label(l uint32) string { return c.labels()[l] }
 
 // StateOf returns the state interned under id, without locking.
 func (c *SuccessorCache) StateOf(id uint32) State { return c.entry(id).state }

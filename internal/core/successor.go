@@ -33,8 +33,8 @@ type Successor interface {
 // the probe misses, and files it with Prober.Intern. It then emits the
 // edge into the Prober as two ids: the action's label id and the
 // successor's cache id. The successor cache enumerates every model through
-// this interface: a plain Successor enters through an adapter that keys
-// each already-built successor with AppendKey and interns its label.
+// this interface, and only through it: CacheOf panics on a Successor that
+// is neither keyed nor carries a cache.
 type KeyedSuccessor interface {
 	// AppendCacheKey appends the key the cache files x under. Two states
 	// of the model are equal exactly if their cache keys are. A model may
@@ -120,14 +120,6 @@ func (p Prober) Emit(label, id uint32, x State) {
 		b.states = append(b.states, x)
 	}
 }
-
-// SuccessorFunc adapts a function to the Successor interface.
-type SuccessorFunc func(State) []Succ
-
-var _ Successor = (SuccessorFunc)(nil)
-
-// Successors implements Successor.
-func (f SuccessorFunc) Successors(x State) []Succ { return f(x) }
 
 // Model couples a successor function with its set of initial states. For a
 // system for consensus, Inits is exactly Con_0: one initial state per binary

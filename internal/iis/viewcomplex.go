@@ -1,8 +1,7 @@
 package iis
 
 import (
-	"sort"
-
+	"repro/internal/shmem"
 	"repro/internal/simplex"
 )
 
@@ -15,14 +14,14 @@ import (
 // Since simplex vertices carry integer values, distinct view strings are
 // dictionary-encoded per process; the returned map recovers the view string
 // from (process, code).
-func (m *Model) ViewComplex(x *State) (*simplex.Complex, map[[2]int]string) {
+func (m *Model) ViewComplex(x *shmem.State) (*simplex.Complex, map[[2]int]string) {
 	type viewKey struct {
 		p    int
 		view string
 	}
 	codes := make(map[viewKey]int)
 	decode := make(map[[2]int]string)
-	perProcess := make([]int, m.n)
+	perProcess := make([]int, m.N())
 	code := func(p int, view string) int {
 		k := viewKey{p: p, view: view}
 		if c, ok := codes[k]; ok {
@@ -39,8 +38,8 @@ func (m *Model) ViewComplex(x *State) (*simplex.Complex, map[[2]int]string) {
 	c := simplex.NewComplex()
 	for _, part := range m.partitions {
 		y := m.Apply(x, part)
-		verts := make([]simplex.Vertex, m.n)
-		for i := 0; i < m.n; i++ {
+		verts := make([]simplex.Vertex, m.N())
+		for i := 0; i < m.N(); i++ {
 			verts[i] = simplex.Vertex{ID: i, Value: code(i, y.Local(i))}
 		}
 		s, err := simplex.New(verts...)
@@ -67,30 +66,21 @@ type SubdivisionStats struct {
 }
 
 // Stats computes the subdivision summary of one IIS round from x.
-func (m *Model) Stats(x *State) SubdivisionStats {
+func (m *Model) Stats(x *shmem.State) SubdivisionStats {
 	c, _ := m.ViewComplex(x)
 	st := SubdivisionStats{
 		Vertices:       len(c.Simplexes(1)),
-		TopSimplexes:   len(c.Simplexes(m.n)),
-		ThickConnected: c.ThickConnected(m.n, 1),
+		TopSimplexes:   len(c.Simplexes(m.N())),
+		ThickConnected: c.ThickConnected(m.N(), 1),
 		Pseudomanifold: true,
 	}
 	// Count top simplexes per (n-1)-face.
 	faceCount := make(map[string]int)
-	for _, top := range c.Simplexes(m.n) {
-		for _, f := range top.Faces(m.n - 1) {
-			faceCount[f.Key()]++
-		}
-	}
-	keys := make([]string, 0, len(faceCount))
-	for k := range faceCount {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if faceCount[k] > 2 {
-			st.Pseudomanifold = false
-			break
+	for _, top := range c.Simplexes(m.N()) {
+		for _, f := range top.Faces(m.N() - 1) {
+			if faceCount[f.Key()]++; faceCount[f.Key()] > 2 {
+				st.Pseudomanifold = false
+			}
 		}
 	}
 	return st

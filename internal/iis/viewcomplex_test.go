@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/iis"
 	"repro/internal/protocols"
+	"repro/internal/shmem"
 )
 
 // TestViewComplexIsChromaticSubdivision checks the one-round full-
@@ -75,7 +76,7 @@ func TestIteratedSubdivision(t *testing.T) {
 	const n = 3
 	m := iis.New(protocols.SMFullInfo{}, n)
 	x := m.Initial([]int{0, 1, 1})
-	round1 := make(map[string]*iis.State)
+	round1 := make(map[string]*shmem.State)
 	for _, part := range iis.OrderedPartitions(n) {
 		y := m.Apply(x, part)
 		round1[y.Key()] = y

@@ -61,17 +61,7 @@ func (m *Model) N() int { return m.n }
 
 // Inits implements core.Model: Con_0 in binary counting order.
 func (m *Model) Inits() []core.State {
-	return m.inits.Get(func() []core.State {
-		out := make([]core.State, 0, 1<<uint(m.n))
-		for a := 0; a < 1<<uint(m.n); a++ {
-			inputs := make([]int, m.n)
-			for i := 0; i < m.n; i++ {
-				inputs[i] = (a >> uint(i)) & 1
-			}
-			out = append(out, m.Initial(inputs))
-		}
-		return out
-	})
+	return m.inits.Get(m.n, func(in []int) core.State { return m.Initial(in) })
 }
 
 // Initial builds the initial state for an explicit input assignment.

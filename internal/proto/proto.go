@@ -66,6 +66,16 @@ type SetInbox interface {
 // covering every register once. WriteValue produces the value written at the
 // start of the phase (or "" to skip the write); Observe consumes the scanned
 // register contents and produces the next local state.
+//
+// WriteValue, Observe and Decide must be pure functions of their
+// arguments: equal arguments give equal results whatever was called
+// before, and nothing is retained between calls. Observe must neither keep
+// nor modify its regs slice, which the caller reuses. The models rely on
+// this to call Decide and WriteValue once per distinct local state and
+// Observe once per distinct (local state, memory) pair, and to reuse those
+// results for every source state, action and successor in which the same
+// arguments recur (the shmem id table, as asyncmp's does for Receive);
+// ValidateSM checks it on small systems.
 type SMProtocol interface {
 	// Name identifies the protocol.
 	Name() string

@@ -167,48 +167,81 @@ func blankRepeats(in []string) []string {
 
 // ValidateSM is ValidateSync's analogue for shared-memory protocols: it
 // runs `phases` all-write-then-all-read rounds on every binary input
-// assignment.
+// assignment. Besides the determinism and write-once checks, it runs every
+// assignment a second time the way the shared-memory models call Observe —
+// every scan in one reused view buffer that is overwritten after each call,
+// after the first run has made every call once — and reports a protocol
+// whose run then changes: it keeps or modifies its view, or its answers
+// depend on the calls made before (the models share one Observe result
+// among every source state and action that presents the same local state
+// and memory). An Observe that writes to its view is also reported
+// directly.
 func ValidateSM(p SMProtocol, n, phases int) []Violation {
 	var out []Violation
 	report := func(rule, format string, args ...any) {
 		out = append(out, Violation{Rule: rule, Detail: fmt.Sprintf(format, args...)})
 	}
 	for a := 0; a < 1<<uint(n); a++ {
-		locals := make([]string, n)
-		regs := make([]string, n)
-		for i := 0; i < n; i++ {
-			locals[i] = p.Init(n, i, (a>>uint(i))&1)
-		}
-		decided := make([]int, n)
-		for i := range decided {
-			decided[i] = -1
-		}
-		for r := 0; r < phases; r++ {
-			for i, l := range locals {
-				v := p.WriteValue(l)
-				if again := p.WriteValue(l); again != v {
-					report("write-determinism", "inputs %0*b phase %d process %d", n, a, r, i)
-				}
-				if v != "" {
-					regs[i] = v
-				}
-			}
-			for i, l := range locals {
-				locals[i] = p.Observe(l, regs)
-				if again := p.Observe(l, regs); again != locals[i] {
-					report("observe-determinism", "inputs %0*b phase %d process %d", n, a, r, i)
-				}
-				v, ok := p.Decide(locals[i])
-				switch {
-				case decided[i] >= 0 && (!ok || v != decided[i]):
-					report("write-once", "inputs %0*b phase %d process %d", n, a, r, i)
-				case decided[i] < 0 && ok:
-					decided[i] = v
-				}
-			}
+		clean := runSM(p, n, phases, a, report)
+		if reused := runSM(p, n, phases, a, nil); !equalStrings(reused, clean) {
+			report("observe-retains-input", "inputs %0*b: the run changes when Observe's view buffer is reused", n, a)
 		}
 	}
 	return out
+}
+
+// runSM runs ValidateSM's phases from input assignment a and returns every
+// local state the run passes through. With report set it hands Observe
+// fresh views and reports contract violations; with report nil it hands
+// Observe one reused view, overwritten after each call.
+func runSM(p SMProtocol, n, phases, a int, report func(rule, format string, args ...any)) []string {
+	check := report != nil
+	locals, regs, view := make([]string, n), make([]string, n), make([]string, n)
+	decided := make([]int, n)
+	for i := range locals {
+		locals[i], decided[i] = p.Init(n, i, (a>>uint(i))&1), -1
+	}
+	trace := slices.Clone(locals)
+	for r := 0; r < phases; r++ {
+		for i, l := range locals {
+			v := p.WriteValue(l)
+			if check && p.WriteValue(l) != v {
+				report("write-determinism", "inputs %0*b phase %d process %d", n, a, r, i)
+			}
+			if v != "" {
+				regs[i] = v
+			}
+		}
+		for i, l := range locals {
+			if check {
+				view = slices.Clone(regs)
+			} else {
+				copy(view, regs)
+			}
+			locals[i] = p.Observe(l, view)
+			if !check {
+				for j := range view {
+					view[j] = clobbered
+				}
+				continue
+			}
+			if !equalStrings(view, regs) {
+				report("observe-modifies-input", "inputs %0*b phase %d process %d", n, a, r, i)
+			}
+			if again := p.Observe(l, slices.Clone(regs)); again != locals[i] {
+				report("observe-determinism", "inputs %0*b phase %d process %d", n, a, r, i)
+			}
+			v, ok := p.Decide(locals[i])
+			switch {
+			case decided[i] >= 0 && (!ok || v != decided[i]):
+				report("write-once", "inputs %0*b phase %d process %d", n, a, r, i)
+			case decided[i] < 0 && ok:
+				decided[i] = v
+			}
+		}
+		trace = append(trace, locals...)
+	}
+	return trace
 }
 
 // ValidateMP is ValidateSync's analogue for message-passing protocols: it

@@ -224,6 +224,59 @@ func (flickerSM) Observe(s string, _ []string) string {
 }
 func (flickerSM) Decide(s string) (int, bool) { return len(s) % 2, true }
 
+// TestValidateSMCatchesRetainingAndModifying: an Observe that keeps its
+// view, or writes to it, is caught; the one that keeps it only by the rerun
+// through a reused view buffer.
+func TestValidateSMCatchesRetainingAndModifying(t *testing.T) {
+	for _, c := range []struct {
+		p    proto.SMProtocol
+		rule string
+	}{
+		{&retainingObserver{}, "observe-retains-input"},
+		{modifyingObserver{}, "observe-modifies-input"},
+	} {
+		rules := map[string]bool{}
+		for _, v := range proto.ValidateSM(c.p, 2, 2) {
+			rules[v.Rule] = true
+		}
+		if !rules[c.rule] || (c.rule == "observe-retains-input" && len(rules) != 1) {
+			t.Errorf("%s: violations %v, want %s", c.p.Name(), rules, c.rule)
+		}
+	}
+}
+
+// retainingObserver keeps each view, keyed by the state Observe returns,
+// and writes it from that state: pure only as long as no caller reuses a
+// view.
+type retainingObserver struct{ kept map[string][]string }
+
+func (*retainingObserver) Name() string                 { return "retaining-sm" }
+func (*retainingObserver) Init(n, id, input int) string { return proto.Join("r", strconv.Itoa(id)) }
+func (r *retainingObserver) WriteValue(s string) string {
+	return s + strings.Join(r.kept[s], ",")
+}
+func (r *retainingObserver) Observe(s string, regs []string) string {
+	next := proto.Join(append([]string{s}, regs...)...)
+	if r.kept == nil {
+		r.kept = map[string][]string{}
+	}
+	r.kept[next] = regs
+	return next
+}
+func (*retainingObserver) Decide(string) (int, bool) { return 0, false }
+
+// modifyingObserver blanks the view it scanned.
+type modifyingObserver struct{}
+
+func (modifyingObserver) Name() string                 { return "modifying-sm" }
+func (modifyingObserver) Init(n, id, input int) string { return "m" }
+func (modifyingObserver) WriteValue(s string) string   { return s }
+func (modifyingObserver) Observe(s string, regs []string) string {
+	clear(regs)
+	return s
+}
+func (modifyingObserver) Decide(string) (int, bool) { return 0, false }
+
 func TestValidateMPCleanProtocols(t *testing.T) {
 	for _, p := range []proto.MPProtocol{
 		protocols.MPFlood{Phases: 2},

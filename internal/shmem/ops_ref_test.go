@@ -46,12 +46,13 @@ var ErrBadOpSequence = errors.New("shmem: op sequence is not a set of legal loca
 // (the phase start), matching the stage semantics where all writes precede
 // the writer's own scan.
 func (m *Model) ApplyOps(x *State, ops []Op) (*State, error) {
-	regs := append([]string(nil), x.regs...)
+	n, p := m.N(), m.tab.p
+	regs := append([]string(nil), x.env.mem...)
 	locals := append([]string(nil), x.locals...)
-	wrote := make([]bool, m.n)
-	scanned := make([]bool, m.n)
+	wrote := make([]bool, n)
+	scanned := make([]bool, n)
 	for _, op := range ops {
-		if op.P < 0 || op.P >= m.n {
+		if op.P < 0 || op.P >= n {
 			return nil, fmt.Errorf("process %d out of range: %w", op.P, ErrBadOpSequence)
 		}
 		switch op.Kind {
@@ -60,7 +61,7 @@ func (m *Model) ApplyOps(x *State, ops []Op) (*State, error) {
 				return nil, fmt.Errorf("process %d writes twice: %w", op.P, ErrBadOpSequence)
 			}
 			wrote[op.P] = true
-			if v := m.p.WriteValue(x.locals[op.P]); v != "" {
+			if v := p.WriteValue(x.locals[op.P]); v != "" {
 				regs[op.P] = v
 			}
 		case ScanOp:
@@ -72,14 +73,14 @@ func (m *Model) ApplyOps(x *State, ops []Op) (*State, error) {
 			}
 			scanned[op.P] = true
 			snapshot := append([]string(nil), regs...)
-			locals[op.P] = m.p.Observe(x.locals[op.P], snapshot)
+			locals[op.P] = p.Observe(x.locals[op.P], snapshot)
 		case SkipOp:
 			// No-op.
 		default:
 			return nil, fmt.Errorf("unknown op kind %d: %w", op.Kind, ErrBadOpSequence)
 		}
 	}
-	return NewState(m.p, regs, locals, x.inputs), nil
+	return NewState(p, 0, regs, locals, x.inputs), nil
 }
 
 // StageOps expands the synchronic action (j,k) into its defining op-level
@@ -87,18 +88,18 @@ func (m *Model) ApplyOps(x *State, ops []Op) (*State, error) {
 // k), W2 (j's write), R2 (scans of j and the remaining proper processes).
 func (m *Model) StageOps(j, k int) []Op {
 	var ops []Op
-	for i := 0; i < m.n; i++ {
+	for i := 0; i < m.N(); i++ {
 		if i != j {
 			ops = append(ops, Op{Kind: WriteOp, P: i})
 		}
 	}
-	for i := 0; i < m.n; i++ {
+	for i := 0; i < m.N(); i++ {
 		if i != j && i < k {
 			ops = append(ops, Op{Kind: ScanOp, P: i})
 		}
 	}
 	ops = append(ops, Op{Kind: WriteOp, P: j})
-	for i := 0; i < m.n; i++ {
+	for i := 0; i < m.N(); i++ {
 		if i != j && i >= k {
 			ops = append(ops, Op{Kind: ScanOp, P: i})
 		}
@@ -111,12 +112,12 @@ func (m *Model) StageOps(j, k int) []Op {
 // write in W1 and scan in R1; j performs nothing.
 func (m *Model) AbsentOps(j int) []Op {
 	var ops []Op
-	for i := 0; i < m.n; i++ {
+	for i := 0; i < m.N(); i++ {
 		if i != j {
 			ops = append(ops, Op{Kind: WriteOp, P: i})
 		}
 	}
-	for i := 0; i < m.n; i++ {
+	for i := 0; i < m.N(); i++ {
 		if i != j {
 			ops = append(ops, Op{Kind: ScanOp, P: i})
 		}

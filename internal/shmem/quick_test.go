@@ -50,7 +50,7 @@ func TestQuickRegistersInEnv(t *testing.T) {
 		if !ok1 || !ok2 {
 			return false
 		}
-		ra, rb := a.Registers(), b.Registers()
+		ra, rb := a.Memory(), b.Memory()
 		regsEqual := true
 		for i := range ra {
 			if ra[i] != rb[i] {

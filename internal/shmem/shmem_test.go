@@ -120,7 +120,7 @@ func TestRegistersAreEnvironment(t *testing.T) {
 	if y.Local(2) != x.Local(2) {
 		t.Error("absent process's local changed")
 	}
-	if y.Registers()[2] != "" {
+	if y.Memory()[2] != "" {
 		t.Error("absent process's register changed")
 	}
 	if y.EnvKey() == x.EnvKey() {

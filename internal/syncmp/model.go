@@ -95,13 +95,7 @@ func (m *Model) T() int { return m.t }
 // assignment, enumerated in binary counting order (process 0 is the least
 // significant bit).
 func (m *Model) Inits() []core.State {
-	return m.inits.Get(func() []core.State {
-		out := make([]core.State, 0, 1<<uint(m.n))
-		for a := 0; a < 1<<uint(m.n); a++ {
-			out = append(out, m.Initial(binaryInputs(m.n, a)))
-		}
-		return out
-	})
+	return m.inits.Get(m.n, func(in []int) core.State { return m.Initial(in) })
 }
 
 // Initial builds the initial state for an explicit input assignment.
@@ -145,13 +139,4 @@ func (m *Model) SuccessorsKeyed(x core.State, p core.Prober) {
 		}
 	}
 	r.Done()
-}
-
-// binaryInputs decodes assignment index a into a binary input vector.
-func binaryInputs(n, a int) []int {
-	in := make([]int, n)
-	for i := 0; i < n; i++ {
-		in[i] = (a >> uint(i)) & 1
-	}
-	return in
 }

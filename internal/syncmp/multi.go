@@ -97,13 +97,7 @@ func (m *MultiModel) T() int { return m.t }
 
 // Inits implements core.Model.
 func (m *MultiModel) Inits() []core.State {
-	return m.inits.Get(func() []core.State {
-		out := make([]core.State, 0, 1<<uint(m.n))
-		for a := 0; a < 1<<uint(m.n); a++ {
-			out = append(out, m.Initial(binaryInputs(m.n, a)))
-		}
-		return out
-	})
+	return m.inits.Get(m.n, func(in []int) core.State { return m.Initial(in) })
 }
 
 // Initial builds the initial state for an explicit input assignment.

@@ -25,7 +25,7 @@ func BenchmarkFieldSweep(b *testing.B) {
 		return g
 	}
 	fixpoint := func(k int) *core.IDGraph {
-		g, err := core.ExploreIDCtx(nil, chainModel{k: k}, 1, 0, 1)
+		g, err := core.ExploreIDCtx(nil, keyed(chainModel{k: k}, "d", "s"), 1, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

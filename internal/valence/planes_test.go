@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -165,13 +166,45 @@ func (m chainModel) Successors(x core.State) []core.Succ {
 	return []core.Succ{{Action: "s", State: chState{id: s.id - 1, decide: -1}}}
 }
 
+// keyedModel runs a test model that lists its successors through a
+// successor cache of its own: its cache key is the canonical key, and its
+// label ids index labels.
+type keyedModel struct {
+	*core.SuccessorCache
+	m      core.Model
+	labels []string
+}
+
+func keyed(m core.Model, labels ...string) *keyedModel {
+	k := &keyedModel{m: m, labels: labels}
+	k.SuccessorCache = core.NewKeyedCache(k)
+	return k
+}
+
+func (k *keyedModel) Name() string                                   { return k.m.Name() }
+func (k *keyedModel) Inits() []core.State                            { return k.m.Inits() }
+func (k *keyedModel) Labels() []string                               { return k.labels }
+func (k *keyedModel) AppendCacheKey(dst []byte, x core.State) []byte { return core.AppendKeyOf(x, dst) }
+
+func (k *keyedModel) SuccessorsKeyed(x core.State, p core.Prober) {
+	var key []byte
+	for _, s := range k.m.Successors(x) {
+		key = core.AppendKeyOf(s.State, key[:0])
+		id, st, ok := p.Probe(key)
+		if !ok {
+			id, st = p.Intern(key, s.State)
+		}
+		p.Emit(uint32(slices.Index(k.labels, s.Action)), id, st)
+	}
+}
+
 // TestFieldShardWordAlignment sweeps a graph whose 200-node layers span
 // several 64-node words and start mid-word, and requires bit-identity with
 // the scalar reference engine. Every layer boundary cuts a plane word, so
 // the span sweep's masked partial-word merge must keep the deeper layer's
 // already-final bits while it writes the shallower layer's.
 func TestFieldShardWordAlignment(t *testing.T) {
-	g, err := core.ExploreIDCtx(nil, wideModel{width: 200, depth: 3}, 3, 0, 1)
+	g, err := core.ExploreIDCtx(nil, keyed(wideModel{width: 200, depth: 3}, "a", "b"), 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +231,7 @@ func TestFieldShardWordAlignment(t *testing.T) {
 // engine and to the known answer — every node 0-valent.
 func TestFieldFixpointWordBoundary(t *testing.T) {
 	const k = 100
-	g, err := core.ExploreIDCtx(nil, chainModel{k: k}, 1, 0, 1)
+	g, err := core.ExploreIDCtx(nil, keyed(chainModel{k: k}, "d", "s"), 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,15 @@ import (
 
 // TestColdExploreBytesPerEdge bounds the bytes one cold serial exploration
 // to depth 3 allocates per edge (runtime.MemStats.TotalAlloc, the least of
-// three runs, model construction excluded) on three coldbench models. An
-// edge is two uint32 ids in the graph and in its worker's shard buffer, so
-// what is left per edge is mostly the states, the intern tables and the
-// growth of those arrays. Go 1.24 on linux/amd64 measured 115, 125 and
-// 258 B/edge when every edge carried a label string in the graph and a
-// core.Succ in a per-source list, and 54.5, 85.3 and 192 B/edge with label
-// ids.
+// three runs, model construction excluded) on three coldbench models and
+// the three shared-memory families. An edge is two uint32 ids in the graph
+// and in its worker's shard buffer, so what is left per edge is mostly the
+// states, the intern tables and the growth of those arrays. Go 1.24 on
+// linux/amd64 measured 115, 125 and 258 B/edge when every edge carried a
+// label string in the graph and a core.Succ in a per-source list, and
+// 54.5, 85.3 and 192 B/edge with label ids. The shared-memory rows read
+// 721, 912 and 4,826 B/edge when those models built every successor before
+// the cache saw it, and 115, 101 and 2,895 B/edge key-first.
 func TestColdExploreBytesPerEdge(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -29,6 +31,9 @@ func TestColdExploreBytesPerEdge(t *testing.T) {
 		{"MobileS1 FloodSet(3) n=7", func() layers.Model { return layers.MobileS1(protocols.FloodSet{Rounds: 3}, 7) }, 60},
 		{"SyncSt FloodSet(3) n=7 t=2", func() layers.Model { return layers.SyncSt(protocols.FloodSet{Rounds: 3}, 7, 2) }, 95},
 		{"S^per MPFlood(3) n=3", func() layers.Model { return layers.AsyncMessagePassing(protocols.MPFlood{Phases: 3}, 3) }, 210},
+		{"S^rw SMVote(3) n=3", func() layers.Model { return layers.SharedMemory(protocols.SMVote{Phases: 3}, 3) }, 125},
+		{"snapshot SMVote(3) n=3", func() layers.Model { return layers.SnapshotMemory(protocols.SMVote{Phases: 3}, 3) }, 110},
+		{"IIS SMFullInfo n=3", func() layers.Model { return layers.IteratedImmediateSnapshot(protocols.SMFullInfo{}, 3) }, 3150},
 	} {
 		least := 0.0
 		for run := 0; run < 3; run++ {
@@ -60,7 +65,9 @@ func TestColdExploreBytesPerEdge(t *testing.T) {
 // nothing per expanded source. Go 1.24 on linux/amd64 measured 142, 156
 // and 143 allocations for 242, 481 and 1,496 expanded sources, against
 // 618, 1,115 and 3,202 when each source's successors came back as a fresh
-// []core.Succ and id list.
+// []core.Succ and id list. The shared-memory rows read 144, 149 and 164
+// for 171, 277 and 1,464 sources, against 52,096, 112,856 and 389,574
+// when those models built every successor before the cache saw it.
 func TestWarmExploreAllocatesNothingPerSource(t *testing.T) {
 	const ceiling = 200
 	for _, c := range []struct {
@@ -70,6 +77,9 @@ func TestWarmExploreAllocatesNothingPerSource(t *testing.T) {
 		{"MobileS1 FloodSet(3) n=7", layers.MobileS1(protocols.FloodSet{Rounds: 3}, 7)},
 		{"SyncSt FloodSet(3) n=7 t=2", layers.SyncSt(protocols.FloodSet{Rounds: 3}, 7, 2)},
 		{"S^per MPFlood(3) n=3", layers.AsyncMessagePassing(protocols.MPFlood{Phases: 3}, 3)},
+		{"S^rw SMVote(3) n=3", layers.SharedMemory(protocols.SMVote{Phases: 3}, 3)},
+		{"snapshot SMVote(3) n=3", layers.SnapshotMemory(protocols.SMVote{Phases: 3}, 3)},
+		{"IIS SMFullInfo n=3", layers.IteratedImmediateSnapshot(protocols.SMFullInfo{}, 3)},
 	} {
 		g, err := layers.ExploreIDCtx(nil, c.m, 3, 0, 1)
 		if err != nil {
